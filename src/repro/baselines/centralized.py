@@ -25,7 +25,7 @@ from repro.core.types import (
     UpdateRequest,
     UpdateResult,
 )
-from repro.core.columns import make_store, resolve_kernel
+from repro.db.storage import Store
 from repro.db.transaction import TransactionManager
 from repro.metrics.collector import MetricsCollector
 from repro.net.endpoint import CrashedEndpointError, Endpoint, RequestTimeout
@@ -48,7 +48,7 @@ class CentralClient:
         self.endpoint = endpoint
         self.env = endpoint.env
         # Read-only replica, refreshed only when the server replicates.
-        self.store = make_store(endpoint.name, kernel=system.kernel)
+        self.store = Store(endpoint.name)
         endpoint.on("central.replicate", self._handle_replicate)
         from itertools import count as _count
 
@@ -115,7 +115,7 @@ class CentralServer:
     def __init__(self, system: "CentralizedSystem", endpoint: Endpoint) -> None:
         self.system = system
         self.endpoint = endpoint
-        self.store = make_store(CENTER, kernel=system.kernel)
+        self.store = Store(CENTER)
         self.txns = TransactionManager(
             self.store, clock=lambda: endpoint.env.now
         )
@@ -159,8 +159,6 @@ class CentralizedSystem:
         request_timeout: Optional[float] = None,
     ) -> None:
         self.config = config if config is not None else SystemConfig()
-        #: resolved hot-state kernel (matches the proposal system's)
-        self.kernel = resolve_kernel(self.config.kernel)
         self.replicate = replicate
         self.request_timeout = request_timeout
         self.env = Environment()

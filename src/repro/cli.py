@@ -682,8 +682,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ops", type=int, default=36, help="workload ops per case"
     )
+    from repro.cluster.config import SystemConfig
+
     p.add_argument(
-        "--inject", default="", choices=["", "av-double-grant", "col-alias"],
+        "--inject", default="", choices=["", *SystemConfig.KNOWN_INJECTIONS],
         help="TEST-ONLY: plant a known protocol bug to validate oracles",
     )
     p.add_argument(

@@ -95,32 +95,13 @@ class SystemConfig:
     #: Topology overrides ``n_retailers`` and must cover exactly
     #: ``n_items`` catalogue items
     topology: Optional[Topology] = None
-    #: hot-state kernel: ``"columnar"`` (struct-of-arrays columns, the
-    #: default) or ``"object"`` (per-item dict/object tables, the
-    #: original core kept as the differential-testing reference).
-    #: ``None`` defers to the ``REPRO_KERNEL`` env var, then the
-    #: default — see :func:`repro.core.columns.resolve_kernel`. Both
-    #: kernels are byte-identical by contract
-    #: (tests/test_kernel_differential.py)
-    kernel: Optional[str] = None
 
-    #: names the fuzz harness accepts for ``inject``.
-    #: ``"av-double-grant"`` — grantor ships AV without deducting it;
-    #: ``"col-alias"`` — columnar AV grants land one slot over
-    #: (columnar kernel only; a no-op on the object kernel)
-    KNOWN_INJECTIONS = ("av-double-grant", "col-alias")
+    #: names the fuzz harness accepts for ``inject``
+    KNOWN_INJECTIONS = ("av-double-grant",)
 
     def __post_init__(self) -> None:
         if self.n_retailers < 1:
             raise ValueError("need at least one retailer")
-        if self.kernel is not None:
-            from repro.core.columns import KERNELS
-
-            if self.kernel not in KERNELS:
-                raise ValueError(
-                    f"unknown kernel {self.kernel!r};"
-                    f" choose from {KERNELS}"
-                )
         if self.topology is not None and len(self.topology.items) != self.n_items:
             raise ValueError(
                 f"topology covers {len(self.topology.items)} items but"

@@ -18,6 +18,7 @@ from repro.core.accelerator import Accelerator
 from repro.core.policies import DecidingPolicy
 from repro.core.strategies import SelectionStrategy
 from repro.db.snapshot import stores_equal
+from repro.db.storage import Store
 from repro.metrics.collector import MetricsCollector
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
@@ -124,13 +125,10 @@ class DistributedSystem:
                     f" ({len(topology.items)} vs {len(catalog_items)} items)"
                 )
 
-        from repro.core.columns import make_store, resolve_kernel
-
-        kernel = resolve_kernel(config.kernel)
         sites: Dict[str, Site] = {}
         for name in config.site_names:
             endpoint = network.endpoint(name)
-            store = make_store(name, kernel=kernel)
+            store = Store(name)
             accel = Accelerator(
                 endpoint,
                 store,
@@ -151,19 +149,7 @@ class DistributedSystem:
                 inject=config.inject,
                 overload=config.overload,
                 interest=topology.view(name) if topology is not None else None,
-                kernel=kernel,
             )
-            if kernel == "columnar":
-                # Interest-set slicing: pre-size the site's columns to
-                # exactly its catalogue slice so bootstrap never
-                # reallocates mid-load (full replication = whole
-                # catalogue; a topology = the site's interest set).
-                n_slice = (
-                    len(topology.view(name).items)
-                    if topology is not None else len(catalog)
-                )
-                store.reserve(n_slice)
-                accel.av_table.reserve(n_slice)
             if topology is not None:
                 role = SiteRole(topology.role_of(name))
             else:

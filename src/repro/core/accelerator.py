@@ -22,6 +22,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.av_table import AVTable
+from repro.core.beliefs import BeliefTable
 from repro.core.delay_update import DelayUpdateProtocol
 from repro.core.immediate_update import ImmediateUpdateProtocol
 from repro.core.overload import OverloadParams
@@ -94,7 +96,6 @@ class Accelerator:
         inject: str = "",
         overload: Optional[OverloadParams] = None,
         interest=None,  # Optional[repro.cluster.topology.InterestView]
-        kernel: Optional[str] = None,
     ) -> None:
         self.endpoint = endpoint
         self.env = endpoint.env
@@ -108,12 +109,8 @@ class Accelerator:
         #: aggregator to ask FIRST in the Delay gather loop (hierarchical
         #: AV); ``None`` keeps the seed's strategy-only gather
         self.pool_parent = interest.pool_parent if interest is not None else None
-        from repro.core.columns import make_av_table, make_belief_table, resolve_kernel
-
-        #: resolved hot-state kernel name ("columnar" or "object")
-        self.kernel = resolve_kernel(kernel)
-        self.av_table = make_av_table(self.site, kernel=self.kernel, inject=inject)
-        self.beliefs = make_belief_table(self.site, kernel=self.kernel)
+        self.av_table = AVTable(self.site)
+        self.beliefs = BeliefTable(self.site)
         self.locks = LockManager(self.env, name=f"{self.site}.locks")
         self.txns = TransactionManager(store, clock=lambda: self.env.now)
         self.strategy = strategy if strategy is not None else BelievedRichestStrategy()

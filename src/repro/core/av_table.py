@@ -249,8 +249,8 @@ class AVTable:
     def debug_set(self, item: str, volume: float) -> None:
         """TEST-ONLY: force a raw volume, bypassing every check.
 
-        Exists on both kernels so invariant tests can corrupt state
-        without reaching into kernel-specific internals.
+        Lets invariant tests corrupt state without reaching into the
+        table's internals.
         """
         self._av[item] = volume
 

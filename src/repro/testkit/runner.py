@@ -151,7 +151,6 @@ def run_case(case: FuzzCase) -> CaseOutcome:
         inject=case.inject,
         overload=SURGE_PARAMS if case.overload else None,
         topology=topology,
-        kernel=case.kernel or None,
     )
     _validate(case, config)
     system = DistributedSystem.build(config)

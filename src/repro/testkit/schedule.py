@@ -83,12 +83,6 @@ class FuzzCase:
         paper layout (``n_retailers`` applies). When set, every op is
         retargeted inside its item's interest set and the fault
         vocabulary includes aggregator crash motifs.
-    kernel:
-        AV/store kernel for the run: ``""`` = the process default
-        (columnar), ``"object"`` = the dict-of-objects reference
-        kernel. ~30% of generated cases pin the reference kernel, so a
-        campaign is also a continuous columnar-vs-object differential
-        test (the oracles never look at the kernel).
     """
 
     seed: int
@@ -108,11 +102,6 @@ class FuzzCase:
     inject: str = ""
     overload: bool = False
     topology: str = ""
-    #: AV/store kernel override: "" = process default (columnar),
-    #: "object" pins the dict-of-objects reference kernel — drawn for
-    #: ~30% of cases so every campaign differentially exercises both
-    #: cores (see repro.core.columns)
-    kernel: str = ""
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.latency_amp < 1.0:
@@ -367,14 +356,6 @@ def make_case(
         ops = _retarget_into_interest(ops, topo, mut)
         faults = _draw_topology_faults(topo, horizon, mut)
 
-    # Kernel draw: ~30% of cases pin the dict-of-objects reference
-    # kernel so every campaign runs both cores against the same
-    # schedules (a continuous differential test — the oracles are
-    # kernel-blind). Drawn strictly after the topology block so
-    # pre-existing campaign coordinates keep their ops/faults/topology
-    # byte-identical; only this trailing draw is new.
-    kernel = "object" if float(mut.random()) < 0.30 else ""
-
     return FuzzCase(
         seed=seed,
         ops=ops,
@@ -391,5 +372,4 @@ def make_case(
         inject=inject,
         overload=overload,
         topology=topology,
-        kernel=kernel,
     )

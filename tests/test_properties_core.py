@@ -20,7 +20,9 @@ from repro.sim import Environment
 
 av_ops = st.lists(
     st.tuples(
-        st.sampled_from(["add", "take_up_to", "take_all", "hold_cycle"]),
+        st.sampled_from(
+            ["add", "take_up_to", "take_all", "take_if_covered", "hold_cycle"]
+        ),
         st.integers(min_value=0, max_value=40),
     ),
     max_size=40,
@@ -44,6 +46,12 @@ def test_av_table_conserves_and_never_negative(initial, ops):
             external += table.take_up_to("A", amount)
         elif op == "take_all":
             external += table.take_all("A")
+        elif op == "take_if_covered":
+            # All or nothing: the take happens iff the table covers it.
+            covered = amount <= table.get("A")
+            assert table.take_if_covered("A", amount) is covered
+            if covered:
+                external += amount
         elif op == "hold_cycle":
             hold = table.hold("A")
             hold.add(table.take_up_to("A", amount))

@@ -1,9 +1,18 @@
 """Property-based tests for the database substrate (DESIGN.md §7.3)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import Store, TransactionManager, recover, take_snapshot
+from repro.db import (
+    DuplicateItem,
+    NegativeValue,
+    Store,
+    TransactionManager,
+    UnknownItem,
+    recover,
+    take_snapshot,
+)
 
 # Deltas that keep values in safe integer territory.
 deltas = st.integers(min_value=-50, max_value=50)
@@ -86,3 +95,72 @@ def test_snapshot_restore_round_trip(ops):
 
     restore_snapshot(store, snap)
     assert store.as_dict() == snap.values
+
+
+# Amounts mix exact integers with repr-awkward decimals: totals must
+# match the model's float accumulation to the last bit.
+amounts = st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.5, 3.0, 7.7, 10.0, -1.0])
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "apply_delta", "set_value", "drop", "value"]),
+            st.sampled_from(["A", "B", "C", "D", "E"]),
+            amounts,
+        ),
+        max_size=60,
+    )
+)
+def test_store_matches_pure_dict_model(ops):
+    """Any op interleaving: ``Store`` == a plain ``{item: value}`` dict.
+
+    The model predicts the exception type of every rejected call, and
+    after every accepted one the values, ``item_ids`` order (a dropped
+    and re-inserted item moves to the end), the ``mutations`` counter
+    and the ``repr``-exact total.
+    """
+    store = Store("prop")
+    model = {}
+    mutations = 0
+    for op, item, amount in ops:
+        method = getattr(store, op)
+        args = (item,) if op in ("drop", "value") else (item, amount)
+        if op == "insert":
+            expected = (
+                DuplicateItem if item in model
+                else NegativeValue if amount < 0 else None
+            )
+        elif item not in model:
+            expected = UnknownItem
+        elif op == "apply_delta":
+            expected = NegativeValue if model[item] + amount < 0 else None
+        elif op == "set_value":
+            expected = NegativeValue if amount < 0 else None
+        else:
+            expected = None
+        if expected is not None:
+            with pytest.raises(expected):
+                method(*args)
+        else:
+            got = method(*args)
+            if op == "insert":
+                model[item] = amount
+                assert (got.item, got.value, got.version) == (item, amount, 0)
+            elif op == "apply_delta":
+                model[item] += amount
+                mutations += 1
+                assert repr(got) == repr(model[item])
+            elif op == "set_value":
+                model[item] = amount
+                mutations += 1
+            elif op == "drop":
+                del model[item]
+            else:
+                assert repr(got) == repr(model[item])
+        # A rejected call must leave no trace either.
+        assert store.as_dict() == model
+        assert list(store.item_ids()) == list(model)
+        assert store.mutations == mutations
+        assert repr(store.total()) == repr(sum(model.values()))
