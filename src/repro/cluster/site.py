@@ -9,7 +9,7 @@ from repro.core.accelerator import Accelerator
 from repro.core.types import UpdateResult
 from repro.db.storage import Store
 from repro.net.endpoint import Endpoint
-from repro.sim.process import Process
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.metrics.collector import MetricsCollector
@@ -61,12 +61,13 @@ class Site:
     def crashed(self) -> bool:
         return self.endpoint.crashed
 
-    def update(self, item: str, delta: float) -> Process:
-        """Issue an update; the returned process yields an UpdateResult."""
-        proc = self.accelerator.update(item, delta)
+    def update(self, item: str, delta: float) -> Event:
+        """Issue an update; the returned event's value is the
+        UpdateResult (see :meth:`Accelerator.update`)."""
+        done = self.accelerator.update(item, delta)
         if self.collector is not None:
-            proc.callbacks.append(self._record)
-        return proc
+            done.callbacks.append(self._record)
+        return done
 
     def _record(self, event) -> None:
         if event.ok and isinstance(event.value, UpdateResult):
@@ -121,7 +122,6 @@ class Site:
             )
         if accel.reliability is not None:
             from repro.cluster.rejoin import rejoin
-            from repro.sim.events import Event
 
             # Close the gate before the process is spawned so no update
             # issued this very step can slip past the rejoin round.

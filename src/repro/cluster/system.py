@@ -24,7 +24,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.obs.hub import NULL_OBS, Observability
 from repro.sim.engine import Environment
-from repro.sim.process import Process
+from repro.sim.events import Event
 from repro.sim.rng import RngRegistry
 from repro.sim.tracing import NullTracer, Tracer
 
@@ -208,8 +208,9 @@ class DistributedSystem:
     # driving
     # ---------------------------------------------------------------- #
 
-    def update(self, site: str, item: str, delta: float) -> Process:
-        """Issue one update at ``site``."""
+    def update(self, site: str, item: str, delta: float) -> Event:
+        """Issue one update at ``site``; the returned event's value is
+        the UpdateResult (see :meth:`Accelerator.update`)."""
         return self.sites[site].update(item, delta)
 
     def run(self, until=None):

@@ -217,10 +217,8 @@ class Topology:
                 union.update(self._interest[leaf])
             self._interest[name] = tuple(i for i in self.items if i in union)
 
-        orphaned = [
-            i for i in self.items
-            if not any(i in set(self._interest[leaf]) for leaf in self.leaves)
-        ]
+        served = set().union(*(self._interest[leaf] for leaf in self.leaves))
+        orphaned = [i for i in self.items if i not in served]
         if orphaned:
             raise ValueError(f"items served by no leaf: {orphaned}")
 

@@ -12,8 +12,9 @@ modes through three functions:
   (:mod:`repro.core.policies`).
 
 Construction wires the protocol handlers onto the site's endpoint; the
-only entry point users need is :meth:`update`, which returns a process
-event yielding an :class:`~repro.core.types.UpdateResult`.
+only entry point users need is :meth:`update`, which returns an event
+whose value is the :class:`~repro.core.types.UpdateResult` (a process
+only when the update may have to wait).
 """
 
 from __future__ import annotations
@@ -29,13 +30,15 @@ from repro.core.immediate_update import ImmediateUpdateProtocol
 from repro.core.overload import OverloadParams
 from repro.core.policies import DecidingPolicy, Soda99Policy
 from repro.core.strategies import BelievedRichestStrategy, SelectionStrategy
-from repro.core.types import UpdateKind, UpdateRequest
+from repro.core.types import UpdateKind, UpdateOutcome, UpdateRequest, UpdateResult
 from repro.db.locks import LockManager
 from repro.db.storage import Store
 from repro.db.transaction import TransactionManager
-from repro.net.endpoint import Endpoint
+from repro.net.endpoint import CrashedEndpointError, Endpoint
 from repro.net.reliable import ReliabilityParams
 from repro.obs.hub import NULL_OBS, Observability
+from repro.obs.spans import NULL_SPAN
+from repro.sim.events import Event
 from repro.sim.process import Process
 from repro.sim.tracing import NullTracer, Tracer
 
@@ -195,11 +198,9 @@ class Accelerator:
         # Freeze/quiesce machinery for reclassification: a frozen item
         # admits no new Delay updates, and `quiesce` fires once in-flight
         # ones drain.
-        from repro.sim.events import Event as _Event
-
-        self._frozen: dict[str, "_Event"] = {}
+        self._frozen: dict[str, Event] = {}
         self._active_delay: dict[str, int] = {}
-        self._quiesce_waiters: dict[str, list["_Event"]] = {}
+        self._quiesce_waiters: dict[str, list[Event]] = {}
 
     # ---------------------------------------------------------------- #
     # paper functions
@@ -213,8 +214,13 @@ class Accelerator:
     # public entry point
     # ---------------------------------------------------------------- #
 
-    def update(self, item: str, delta: float) -> Process:
-        """Start an update; returns a process yielding an UpdateResult."""
+    def update(self, item: str, delta: float) -> Event:
+        """Start an update; the returned event's value is the UpdateResult.
+
+        An update nothing can suspend — no admission bracket, no closed
+        gate, local AV that covers it — is the paper's zero-communication
+        case and runs here, without a process; anything else gets one.
+        """
         req = UpdateRequest(
             site=self.site,
             item=item,
@@ -223,6 +229,15 @@ class Accelerator:
             request_id=next(self._req_ids),
         )
         self.updates_started += 1
+        av = self.av_table
+        if (
+            self.overload is None
+            and self._rejoin_gate is None
+            and item not in self._frozen
+            and av.defined(item)
+            and (delta >= 0 or av.get(item) >= -delta)
+        ):
+            return self._update_local(req)
         # Name by request id, not str(req): rendering the full request
         # (float formatting) on every issued update is pure overhead —
         # the name only ever surfaces in reprs and error messages.
@@ -275,11 +290,53 @@ class Accelerator:
             name=f"{self.site}.make_non_regular({item})",
         )
 
-    def _run(self, req: UpdateRequest):
-        from repro.core.types import UpdateOutcome, UpdateResult
-        from repro.net.endpoint import CrashedEndpointError
-        from repro.obs.spans import NULL_SPAN
+    def _update_local(self, req: UpdateRequest) -> Event:
+        """:meth:`_run` for an update that cannot suspend: same spans and
+        checks, no generator. Completion is still one NORMAL zero-delay
+        kernel event, so callbacks run where the process event's did; an
+        error fails that event instead of raising out of :meth:`update`."""
+        done = Event(self.env)
+        try:
+            root = self._root_span(req, UpdateKind.DELAY)
+            try:
+                result = self.delay.local(req, root)
+            except CrashedEndpointError:  # eager push from a dead site
+                result = self._failed(req, UpdateKind.DELAY)
+            root.finish(self.env.now, outcome=result.outcome.value)
+        except Exception as exc:
+            return done.fail(exc)
+        return done.succeed(result)
 
+    def _failed(self, req: UpdateRequest, kind: UpdateKind) -> UpdateResult:
+        """The site died mid-protocol. The protocol released its hold on
+        the way out, so local AV state is exact; volume granted by a
+        peer while our reply was in flight is lost in transit —
+        conservative: the AV-conservation bound only ever loses volume
+        that way, never gains it."""
+        return UpdateResult(
+            request=req, kind=kind, outcome=UpdateOutcome.FAILED,
+            finished_at=self.env.now,
+        )
+
+    def _root_span(self, req: UpdateRequest, kind: UpdateKind):
+        """Open the update's root span — every child (checking, AV
+        round-trips at either site, lock waits, applies) hangs off its
+        trace id — and record the checking function's verdict under it."""
+        rec = self.obs.recorder
+        if not rec.enabled:
+            return NULL_SPAN
+        root = rec.start(
+            "update", self.site, self.env.now,
+            trace=f"{req.site}:u{req.request_id}",
+            item=req.item, delta=req.delta,
+        )
+        rec.start(
+            "av.checking", self.site, self.env.now,
+            trace=root.trace_id, parent=root,
+        ).finish(self.env.now, verdict=kind.value)
+        return root
+
+    def _run(self, req: UpdateRequest):
         ovl = self.overload
         if ovl is not None:
             # Admission control: over the inflight budget, the update is
@@ -304,24 +361,8 @@ class Accelerator:
         while self._rejoin_gate is not None:
             yield self._rejoin_gate
 
-        rec = self.obs.recorder
-        if rec.enabled:
-            # The update's root span: every child — checking, AV
-            # transfer round-trips at either site, lock waits, applies —
-            # hangs off this trace id.
-            root = rec.start(
-                "update", self.site, self.env.now,
-                trace=f"{req.site}:u{req.request_id}",
-                item=req.item, delta=req.delta,
-            )
-        else:
-            root = NULL_SPAN
-        check_span = rec.start(
-            "av.checking", self.site, self.env.now,
-            trace=root.trace_id, parent=root,
-        )
         kind = self.check(req.item)
-        check_span.finish(self.env.now, verdict=kind.value)
+        root = self._root_span(req, kind)
         if ovl is not None:
             ovl.begin(self.env.now)
         try:
@@ -330,17 +371,7 @@ class Accelerator:
             else:
                 result = yield from self.immediate.execute(req, span=root)
         except CrashedEndpointError:
-            # The site died mid-protocol. The protocol released its hold
-            # on the way out, so local AV state is exact; volume granted
-            # by a peer while our reply was in flight is lost in transit
-            # — conservative: the AV-conservation bound only ever loses
-            # volume that way, never gains it.
-            result = UpdateResult(
-                request=req,
-                kind=kind,
-                outcome=UpdateOutcome.FAILED,
-                finished_at=self.env.now,
-            )
+            result = self._failed(req, kind)
         finally:
             if ovl is not None:
                 ovl.end(self.env.now)
@@ -610,8 +641,6 @@ class Accelerator:
     def freeze(self, item: str) -> None:
         """Stop admitting new Delay updates for ``item`` (idempotent)."""
         if item not in self._frozen:
-            from repro.sim.events import Event
-
             self._frozen[item] = Event(self.env)
 
     def unfreeze(self, item: str) -> None:
@@ -626,8 +655,6 @@ class Accelerator:
 
     def quiesce(self, item: str):
         """Event firing once no Delay update on ``item`` is in flight."""
-        from repro.sim.events import Event
-
         event = Event(self.env)
         if self._active_delay.get(item, 0) == 0:
             event.succeed()

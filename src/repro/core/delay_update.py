@@ -103,40 +103,52 @@ class DelayUpdateProtocol:
             accel._delay_end(req.item)
         return result
 
-    def _execute(self, req: UpdateRequest, span=None):
-        """The protocol body (see class docs)."""
+    def local(self, req: UpdateRequest, span=None):
+        """The zero-communication update: mint AV for an increase or
+        spend local AV that covers a decrease, then apply and propagate.
+        Never suspends. Returns ``None``, having changed nothing, when
+        local AV falls short of the decrease."""
         accel = self.accel
-        rec = accel.obs.recorder
+        obs = accel.obs
         item, delta = req.item, req.delta
-        av = accel.av_table
-
         if delta >= 0:
             # Increase: new stock is new headroom — mint AV locally.
             self._apply(item, delta, span)
             # Mint raises the conserved headroom; announce it before the
             # table grows so the conservation sum never transiently
             # exceeds the bound.
-            accel.obs.emit("av.mint", accel.now, site=accel.site, item=item, amount=delta)
-            av.add(item, delta)
+            if obs.event_subscribers:
+                obs.emit("av.mint", accel.now, site=accel.site, item=item, amount=delta)
+            accel.av_table.add(item, delta)
             # Guard the trace calls on the zero-message paths: rendering
             # the request string dominates an otherwise O(1) local commit.
             if accel.tracer.enabled:
                 accel.trace("delay.local", f"{req} minted {delta:g} AV")
-            self._propagate(item, delta, span)
-            return self._done(req, UpdateOutcome.COMMITTED, local=True)
-
-        need = -delta
-        if av.take_if_covered(item, need):
+        elif accel.av_table.take_if_covered(item, -delta):
             # The paper's headline path: complete within the local site.
-            # The fused probe spends the AV in one column/dict lookup.
-            # Spend shrinks headroom; announce after the take so the sum
-            # only dips in between.
-            accel.obs.emit("av.spend", accel.now, site=accel.site, item=item, amount=need)
+            # The fused probe spends the AV in one dict lookup. Spend
+            # shrinks headroom; announce after the take so the sum only
+            # dips in between.
+            if obs.event_subscribers:
+                obs.emit("av.spend", accel.now, site=accel.site, item=item, amount=-delta)
             self._apply(item, delta, span)
             if accel.tracer.enabled:
                 accel.trace("delay.local", f"{req} covered by local AV")
-            self._propagate(item, delta, span)
-            return self._done(req, UpdateOutcome.COMMITTED, local=True)
+        else:
+            return None
+        self._propagate(item, delta, span)
+        return self._done(req, UpdateOutcome.COMMITTED, local=True)
+
+    def _execute(self, req: UpdateRequest, span=None):
+        """The protocol body (see class docs)."""
+        result = self.local(req, span)
+        if result is not None:
+            return result
+        accel = self.accel
+        rec = accel.obs.recorder
+        item, delta = req.item, req.delta
+        av = accel.av_table
+        need = -delta
 
         if not accel.allow_transfers:
             # Static-escrow ablation: the allocation is fixed at
@@ -184,7 +196,7 @@ class DelayUpdateProtocol:
                     item, candidates, frozenset(tried), accel.beliefs
                 )
             select_span.finish(accel.now, target=target or "<none>")
-            if target is not None:
+            if target is not None and accel.obs.event_subscribers:
                 # The happens-before checker correlates this decision
                 # with the grants that shaped (or should have shaped)
                 # the belief it acted on.
@@ -425,10 +437,11 @@ class DelayUpdateProtocol:
                     parent, item, reply["av_after"], accel.now
                 )
                 if granted > 0:
-                    accel.obs.emit(
-                        "av.refill", accel.now, site=accel.site,
-                        item=item, amount=granted,
-                    )
+                    if accel.obs.event_subscribers:
+                        accel.obs.emit(
+                            "av.refill", accel.now, site=accel.site,
+                            item=item, amount=granted,
+                        )
                     accel.av_table.add(item, granted)
                     accel.trace(
                         "pool.refill",

@@ -66,14 +66,23 @@ class MetricsCollector:
         histograms per update kind, outcome counters). A private one is
         created when omitted; observed systems share the run's
         :class:`~repro.obs.hub.Observability` registry instead.
+
+    Nobody can read a private registry except through :attr:`registry`,
+    so its instruments are fed lazily: :meth:`record` only appends, and
+    the first read folds the unfolded tail of :attr:`results` in record
+    order — the same instrument calls in the same order, hence the same
+    float sums. A shared registry is read by others and stays eager.
     """
 
     def __init__(self, registry: Optional[MetricRegistry] = None) -> None:
         self.results: List[UpdateResult] = []
         self.ledger = GlobalLedger()
         self.by_site: Dict[str, List[UpdateResult]] = defaultdict(list)
-        self.registry = registry if registry is not None else MetricRegistry()
-        # record() runs once per finished update; resolving a metric by
+        self._eager = registry is not None
+        self._registry = registry if registry is not None else MetricRegistry()
+        #: results[:_folded] have reached the registry instruments
+        self._folded = 0
+        # _fold visits every finished update; resolving a metric by
         # name costs an f-string build plus a registry dict probe every
         # time. The handles are stable objects, so memoise them per
         # enum value / kind the first time each is seen.
@@ -89,37 +98,52 @@ class MetricsCollector:
     def record(self, result: UpdateResult) -> None:
         """Account one finished update (and its delta, if committed)."""
         self.results.append(result)
-        outcome = result.outcome
-        kind = result.kind
         self.by_site[result.request.site].append(result)
-        counter = self._outcome_counters.get(outcome)
-        if counter is None:
-            counter = self.registry.counter(f"updates.{outcome.value}")
-            self._outcome_counters[outcome] = counter
-        counter.inc()
-        if result.av_requests:
-            av_counter = self._av_counter
-            if av_counter is None:
-                av_counter = self._av_counter = self.registry.counter(
-                    "av.requests"
-                )
-            av_counter.inc(result.av_requests)
         if result.committed:
             self.ledger.record_delta(result.request.item, result.request.delta)
-            latency = result.latency
-            histogram = self._latency_histogram
-            if histogram is None:
-                histogram = self._latency_histogram = self.registry.histogram(
-                    "update.latency"
-                )
-            histogram.observe(latency)
-            kind_histogram = self._kind_histograms.get(kind)
-            if kind_histogram is None:
-                kind_histogram = self.registry.histogram(
-                    f"update.latency.{kind.value}"
-                )
-                self._kind_histograms[kind] = kind_histogram
-            kind_histogram.observe(latency)
+        if self._eager:
+            self._fold()
+
+    @property
+    def registry(self) -> MetricRegistry:
+        """The registry, with every recorded result folded in."""
+        self._fold()
+        return self._registry
+
+    def _fold(self) -> None:
+        """Feed ``results[_folded:]`` to the registry instruments."""
+        registry = self._registry
+        for result in self.results[self._folded:]:
+            outcome = result.outcome
+            counter = self._outcome_counters.get(outcome)
+            if counter is None:
+                counter = registry.counter(f"updates.{outcome.value}")
+                self._outcome_counters[outcome] = counter
+            counter.inc()
+            if result.av_requests:
+                av_counter = self._av_counter
+                if av_counter is None:
+                    av_counter = self._av_counter = registry.counter(
+                        "av.requests"
+                    )
+                av_counter.inc(result.av_requests)
+            if result.committed:
+                latency = result.latency
+                histogram = self._latency_histogram
+                if histogram is None:
+                    histogram = self._latency_histogram = registry.histogram(
+                        "update.latency"
+                    )
+                histogram.observe(latency)
+                kind = result.kind
+                kind_histogram = self._kind_histograms.get(kind)
+                if kind_histogram is None:
+                    kind_histogram = registry.histogram(
+                        f"update.latency.{kind.value}"
+                    )
+                    self._kind_histograms[kind] = kind_histogram
+                kind_histogram.observe(latency)
+        self._folded = len(self.results)
 
     # ---------------------------------------------------------------- #
     # aggregates

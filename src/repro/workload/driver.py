@@ -2,10 +2,12 @@
 
 Two arrival disciplines:
 
-* **closed** (:func:`run_closed`) — issue one update, wait for it to
-  finish, issue the next. This matches the paper's Fig. 6 x-axis ("the
-  total number of updates in the system") where correspondences are
-  sampled at exact update counts.
+* **closed** (:func:`run_closed`) — issue one update, wait for its
+  completion event (``system.update`` returns an event whose value is
+  the result; only updates that may suspend are processes), issue the
+  next. This matches the paper's Fig. 6 x-axis ("the total number of
+  updates in the system") where correspondences are sampled at exact
+  update counts.
 * **open** (:func:`run_open`) — every site runs its own arrival process
   with an inter-arrival time; updates overlap. Used by the latency and
   fault benches where concurrency matters.
@@ -110,8 +112,8 @@ def run_open(
             if system.sites[site_name].crashed:
                 continue  # a crashed site generates no load
             if open_loop:
-                proc = system.update(event.site, event.item, event.delta)
-                proc.callbacks.append(collector(event))
+                done = system.update(event.site, event.item, event.delta)
+                done.callbacks.append(collector(event))
                 continue
             result = yield system.update(event.site, event.item, event.delta)
             results.append(result)

@@ -15,6 +15,7 @@ from repro.cluster import (
     paper_config,
     split_volume,
 )
+from repro.cluster.topology import SiteSpec, Topology
 
 
 class TestCatalog:
@@ -171,3 +172,44 @@ class TestSystemAssembly:
     def test_repr(self):
         system = build_paper_system(n_items=1, initial_stock=90.0)
         assert "sites=3" in repr(system)
+
+
+class TestTopologyConstruction:
+    def test_item_served_by_no_leaf_rejected(self):
+        specs = [
+            SiteSpec("site0", "maker"),
+            SiteSpec("site1", "retailer", parent="site0"),
+            SiteSpec("site2", "retailer", parent="site0"),
+        ]
+        slices = {"site1": ["a", "b"], "site2": ["b"]}
+        with pytest.raises(ValueError, match=r"items served by no leaf: \['c', 'd'\]"):
+            Topology(specs, slices, items=["a", "b", "c", "d"])
+
+    def test_regional_parse_matches_brute_force_reference(self):
+        items = [f"item{i:03d}" for i in range(200)]
+        leaves = [f"site{k}" for k in range(1, 7)]
+        sites = [["site0", "maker", None, ""]]
+        sites += [[f"agg{r}", "aggregator", "site0", f"region{r}"] for r in range(3)]
+        sites += [
+            [leaf, "retailer", f"agg{k // 2}", f"region{k // 2}"]
+            for k, leaf in enumerate(leaves)
+        ]
+        # Round-robin deal, 2-way spread: item i lives on leaves i, i+1 (mod 6).
+        slices = {
+            leaf: [
+                item for i, item in enumerate(items)
+                if k in ((i % 6), ((i + 1) % 6))
+            ]
+            for k, leaf in enumerate(leaves)
+        }
+        topology = Topology.parse("regional:3x2:s2", items)
+        assert topology.to_dict() == {
+            "spec": "regional:3x2:s2",
+            "items": items,
+            "sites": sites,
+            "slices": slices,
+        }
+        for i, item in enumerate(items):
+            holders = {leaves[i % 6], leaves[(i + 1) % 6]}
+            parents = {f"agg{leaves.index(leaf) // 2}" for leaf in holders}
+            assert set(topology.sites_for(item)) == {"site0"} | holders | parents

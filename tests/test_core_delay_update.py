@@ -1,9 +1,21 @@
 """Behavioural tests for the Delay Update protocol on a real 3-site system."""
 
+import hashlib
+
 import pytest
 
-from repro.cluster import DistributedSystem, SystemConfig, build_paper_system
+from repro.cluster import (
+    DistributedSystem,
+    SystemConfig,
+    build_paper_system,
+    paper_config,
+)
 from repro.core import UpdateKind, UpdateOutcome
+from repro.core.overload import OverloadParams
+from repro.db.errors import UnknownItem
+from repro.experiments.fig6 import make_paper_trace
+from repro.sim.process import Process
+from repro.workload.driver import run_closed, run_open, split_by_site
 
 
 def run_one(system, site, item, delta):
@@ -139,3 +151,183 @@ class TestStaticEscrow:
         assert result.outcome is UpdateOutcome.REJECTED
         assert system.stats.sent_total == 0
         assert system.av_total(ITEM) == 90.0
+
+
+class TestStraightLineLocalPath:
+    """The zero-communication update runs inside ``update()``: no
+    process, one completion event; everything that could make it wait
+    still gets a process."""
+
+    @pytest.mark.parametrize("site,delta", [("site1", -20.0), ("site0", +25.0)])
+    def test_covered_update_costs_one_completion_event(self, system, site, delta):
+        accel = system.site(site).accelerator
+        wal_before = len(accel.txns.wal)
+        events_before = system.env.events_processed
+        done = system.update(site, ITEM, delta)
+        assert not isinstance(done, Process)
+        assert done.triggered and done.ok
+        system.run()
+        assert system.env.events_processed - events_before == 1
+        [result] = system.collector.results
+        assert result is done.value
+        assert result.committed and result.local_only
+        assert result.finished_at == result.request.issued_at == 0.0
+        assert len(accel.txns.wal) - wal_before == 3
+        assert accel.unsynced_items() == {ITEM}
+        assert system.stats.sent_total == 0
+
+    def test_uncovered_decrement_is_a_process(self, system):
+        done = system.update("site1", ITEM, -45)
+        assert isinstance(done, Process) and not done.triggered
+        system.run()
+        assert done.value.committed and done.value.av_requests == 1
+
+    def test_frozen_item_waits_for_unfreeze(self, system):
+        accel = system.site("site1").accelerator
+        accel.freeze(ITEM)
+        done = system.update("site1", ITEM, -5)
+        assert isinstance(done, Process)
+        system.run()
+        assert not done.triggered
+        assert accel.av_table.get(ITEM) == 30.0
+        accel.unfreeze(ITEM)
+        system.run()
+        assert done.value.committed and done.value.local_only
+        assert accel.av_table.get(ITEM) == 25.0
+
+    def test_rejoin_gate_holds_the_update(self, system):
+        accel = system.site("site1").accelerator
+        gate = accel._rejoin_gate = system.env.event()
+        done = system.update("site1", ITEM, -5)
+        assert isinstance(done, Process)
+        system.run()
+        assert not done.triggered
+        accel._rejoin_gate = None
+        gate.succeed()
+        system.run()
+        assert done.value.committed and done.value.local_only
+
+    def test_overload_sites_keep_the_admission_bracket(self):
+        system = DistributedSystem.build(SystemConfig(
+            n_items=1, initial_stock=90.0, seed=0, overload=OverloadParams(),
+        ))
+        done = system.update("site1", ITEM, -5)
+        assert isinstance(done, Process)
+        system.run()
+        assert done.value.committed and done.value.local_only
+        assert system.site("site1").accelerator.overload.peak_inflight == 1
+
+    def test_non_regular_item_is_a_process(self):
+        system = build_paper_system(
+            n_items=1, initial_stock=90.0, seed=0, regular_fraction=0.0
+        )
+        done = system.update("site1", ITEM, -5)
+        assert isinstance(done, Process)
+        system.run()
+        assert done.value.kind is UpdateKind.IMMEDIATE and done.value.committed
+
+    def test_guarded_emits_still_reach_subscribers(self):
+        system = DistributedSystem.build(
+            paper_config(n_items=10, seed=2, sanitize=True, observe=False)
+        )
+        seen = {"av.mint": 0, "av.spend": 0}
+
+        def count(kind, _now, _fields):
+            if kind in seen:
+                seen[kind] += 1
+
+        system.obs.event_subscribers.append(count)
+        results = run_closed(system, make_paper_trace(1000, 2, n_items=10))
+        assert len(results) == 1000
+        assert system.sanitizer.finish().violations == []
+        local = [r for r in results if r.committed and r.local_only]
+        mints = sum(1 for r in local if r.request.delta >= 0)
+        assert mints and len(local) - mints
+        assert seen == {"av.mint": mints, "av.spend": len(local) - mints}
+
+    def test_observed_local_update_has_the_process_path_span_tree(self):
+        def span_tree(system):
+            spans = list(system.obs.recorder)
+            by_id = {s.span_id: s for s in spans}
+            return [
+                (
+                    s.name, s.site, s.trace_id, s.start, s.end, s.attrs,
+                    by_id[s.parent_id].name if s.parent_id else None,
+                )
+                for s in spans
+            ]
+
+        def build():
+            return build_paper_system(
+                n_items=1, initial_stock=90.0, seed=0, observe=True
+            )
+
+        straight = build()
+        done = straight.update("site1", ITEM, -20)
+        assert not isinstance(done, Process)
+        straight.run()
+
+        gated = build()  # same update, forced through the process path
+        gated.site("site1").accelerator.freeze(ITEM)
+        proc = gated.update("site1", ITEM, -20)
+        gated.site("site1").accelerator.unfreeze(ITEM)
+        gated.run()
+        assert isinstance(proc, Process) and proc.value.local_only
+
+        assert span_tree(straight) == span_tree(gated) == [
+            ("update", "site1", "site1:u1", 0.0, 0.0,
+             {"item": ITEM, "delta": -20, "outcome": "committed"}, None),
+            ("av.checking", "site1", "site1:u1", 0.0, 0.0,
+             {"verdict": "delay"}, "update"),
+            ("delay.apply", "site1", "site1:u1", 0.0, 0.0,
+             {"item": ITEM, "delta": -20}, "update"),
+        ]
+
+    def test_completion_order_under_run_open_is_the_process_paths(self):
+        """Pinned to what the process-per-update dispatch produced:
+        completions stay NORMAL-priority kernel events, so same-timestamp
+        updates of different sites record in the order they always did."""
+        system = DistributedSystem.build(
+            paper_config(n_items=10, n_retailers=4, seed=5)
+        )
+        trace = make_paper_trace(600, 5, n_items=10, n_retailers=4)
+        run_open(system, split_by_site(trace), interarrival=0.5)
+        order = [
+            (r.request.site, r.request.request_id, r.finished_at)
+            for r in system.collector.results
+        ]
+        assert len(order) == 600
+        assert hashlib.sha256(repr(order).encode()).hexdigest() == (
+            "254ed24de9a2f9bbb8b03b911886f57f0632ecd0ac129ec379117db8529487c3"
+        )
+
+    def test_eager_push_from_a_crashed_site_still_reports_failed(self):
+        """What ``_run`` made of CrashedEndpointError, the straight-line
+        path must too: a FAILED result, not a failed event."""
+        system = build_paper_system(
+            n_items=1, initial_stock=90.0, seed=0, propagate=True
+        )
+        system.network.faults.crash("site1")
+        done = system.update("site1", ITEM, -5)
+        assert not isinstance(done, Process)
+        system.run()
+        assert done.ok and done.value.outcome is UpdateOutcome.FAILED
+        assert system.collector.results == [done.value]
+
+    def test_store_error_fails_the_event_not_the_call(self, system):
+        system.site("site1").store.drop(ITEM)
+        done = system.update("site1", ITEM, -5)  # must not raise here
+        assert done.triggered and not done.ok
+        assert isinstance(done.value, UnknownItem)
+        caught = []
+
+        def waiter(env):
+            try:
+                yield done
+            except UnknownItem as exc:
+                caught.append(exc)
+
+        system.env.process(waiter(system.env))
+        system.run()
+        assert caught == [done.value]
+        assert system.collector.results == []

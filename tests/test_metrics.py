@@ -108,6 +108,45 @@ class TestMetricsCollector:
         c.record(make_result(av_requests=2))
         assert c.av_requests_total() == 5
 
+    @pytest.mark.parametrize("read_at", [None, 0, 7, 20])
+    def test_lazy_private_registry_equals_eager_shared_one(self, read_at):
+        """A private registry is fed on first read, a shared one on
+        every record; both must hold the same instruments, fed in the
+        same order (float sums included), wherever the read falls."""
+        from repro.obs.registry import MetricRegistry
+
+        outcomes = list(UpdateOutcome)
+        results = [
+            make_result(
+                site=f"site{i % 3}",
+                delta=(-1.0) ** i * (i + 0.1),
+                kind=UpdateKind.DELAY if i % 4 else UpdateKind.IMMEDIATE,
+                outcome=(
+                    UpdateOutcome.COMMITTED if i % 3 else outcomes[i % len(outcomes)]
+                ),
+                issued=i * 0.3,
+                finished=i * 0.3 + (i % 5) * 0.7,
+                av_requests=i % 3,
+            )
+            for i in range(20)
+        ]
+        lazy = MetricsCollector()
+        eager = MetricsCollector(registry=MetricRegistry())
+        for collector in (lazy, eager):
+            collector.ledger.set_initial("A", 1000.0)
+        for i, result in enumerate(results):
+            if i == read_at:
+                assert lazy.registry.snapshot() == eager.registry.snapshot()
+            lazy.record(result)
+            eager.record(result)
+        assert lazy.registry.snapshot() == eager.registry.snapshot()
+        assert lazy.latency_summary() == eager.latency_summary()
+        assert lazy.registry.counter("updates.committed").value == sum(
+            r.committed for r in results
+        )
+        assert lazy.ledger.true_value("A") == eager.ledger.true_value("A")
+        assert lazy.by_site == eager.by_site
+
     def test_empty_local_ratio(self):
         assert MetricsCollector().local_ratio == 1.0
 
