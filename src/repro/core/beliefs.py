@@ -55,22 +55,26 @@ class BeliefTable:
     def belief(self, peer: str, item: str) -> Optional[Belief]:
         return self._beliefs.get((peer, item))
 
-    def ranked_peers(self, item: str, candidates: list[str]) -> list[str]:
-        """``candidates`` ordered richest-believed-first.
+    def rank_key(self, item: str):
+        """Sort key putting peers richest-believed-first for ``item``.
 
         Unknown peers rank *above* peers believed empty (an unknown peer
         might have plenty; a known-empty one almost surely does not) but
         below peers with known positive volume. Ties break by name so the
         ordering — and hence the whole simulation — is deterministic.
         """
+        beliefs = self._beliefs
 
-        def sort_key(peer: str) -> tuple[float, str]:
-            believed = self.believed_volume(peer, item)
-            if believed is None:
-                believed = 0.5  # between "known empty" and "known ≥ 1"
-            return (-believed, peer)
+        def key(peer: str) -> tuple[float, str]:
+            belief = beliefs.get((peer, item))
+            # unknown: between "known empty" and "known ≥ 1"
+            return (-belief.volume if belief is not None else -0.5, peer)
 
-        return sorted(candidates, key=sort_key)
+        return key
+
+    def ranked_peers(self, item: str, candidates: list[str]) -> list[str]:
+        """``candidates`` ordered by :meth:`rank_key`."""
+        return sorted(candidates, key=self.rank_key(item))
 
     def entries(self):
         """Iterate ``(peer, item, Belief)`` over every held belief.

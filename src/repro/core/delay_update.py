@@ -153,7 +153,8 @@ class DelayUpdateProtocol:
         if not accel.allow_transfers:
             # Static-escrow ablation: the allocation is fixed at
             # bootstrap, so an uncovered decrement is simply rejected.
-            accel.trace("delay.reject", f"{req} static escrow exhausted")
+            if accel.tracer.enabled:
+                accel.trace("delay.reject", f"{req} static escrow exhausted")
             return self._done(req, UpdateOutcome.REJECTED)
 
         # Local AV insufficient: hold everything we have and go shopping.
@@ -164,7 +165,8 @@ class DelayUpdateProtocol:
         )
         hold = av.hold(item, ctx=hold_ctx)
         hold.add(av.take_all(item))
-        accel.trace("delay.gather", f"{req} holding {hold.amount:g}, need {need:g}")
+        if accel.tracer.enabled:
+            accel.trace("delay.gather", f"{req} holding {hold.amount:g}, need {need:g}")
 
         tried: set[str] = set()
         av_requests = 0
@@ -173,9 +175,8 @@ class DelayUpdateProtocol:
         progress = False
 
         while hold.amount < need:
-            select_span = rec.start(
-                "av.selecting", accel.site, accel.now, parent=span
-            )
+            now = accel.now  # fixed until the request below suspends us
+            select_span = rec.start("av.selecting", accel.site, now, parent=span)
             candidates = accel.live_peers_for(item)
             if accel.overload is not None:
                 # Steer the ask away from peers that broadcast DEGRADED
@@ -195,13 +196,13 @@ class DelayUpdateProtocol:
                 target = accel.strategy.select(
                     item, candidates, frozenset(tried), accel.beliefs
                 )
-            select_span.finish(accel.now, target=target or "<none>")
+            select_span.finish(now, target=target or "<none>")
             if target is not None and accel.obs.event_subscribers:
                 # The happens-before checker correlates this decision
                 # with the grants that shaped (or should have shaped)
                 # the belief it acted on.
                 accel.obs.emit(
-                    "av.select", accel.now,
+                    "av.select", now,
                     site=accel.site, item=item, target=target,
                     believed=accel.beliefs.believed_volume(target, item),
                     trace=select_span.trace_id, span=select_span.span_id,
@@ -215,7 +216,8 @@ class DelayUpdateProtocol:
                     progress = False
                     continue
                 hold.release()
-                accel.trace("delay.reject", f"{req} gathered {obtained:g}, dry")
+                if accel.tracer.enabled:
+                    accel.trace("delay.reject", f"{req} gathered {obtained:g}, dry")
                 return self._done(
                     req,
                     UpdateOutcome.REJECTED,
@@ -234,7 +236,7 @@ class DelayUpdateProtocol:
                 "requester_av": hold.amount,
             }
             req_span = rec.start(
-                "av.request", accel.site, accel.now, parent=span,
+                "av.request", accel.site, now, parent=span,
                 target=target, amount=ask,
             )
             if rec.enabled:
@@ -263,7 +265,8 @@ class DelayUpdateProtocol:
                     )
             except RequestTimeout:
                 req_span.finish(accel.now, timeout=True)
-                accel.trace("delay.timeout", f"{req} no reply from {target}")
+                if accel.tracer.enabled:
+                    accel.trace("delay.timeout", f"{req} no reply from {target}")
                 continue
             except BaseException:
                 # Typically CrashedEndpointError: we died mid-gathering.
@@ -273,27 +276,30 @@ class DelayUpdateProtocol:
                 hold.release()
                 raise
 
+            now = accel.now
             granted = reply["granted"]
-            req_span.finish(accel.now, granted=granted)
+            req_span.finish(now, granted=granted)
             lease_id = reply.get("lease")
             if lease_id is not None and accel.leases is not None:
                 # Record the receipt and ack the grantor's lease; a
                 # duplicate delivery must not double-apply the volume.
                 if not accel.leases.receive(target, lease_id):
                     granted = 0
-            accel.beliefs.observe(target, item, reply["av_after"], accel.now)
+            accel.beliefs.observe(target, item, reply["av_after"], now)
             if granted > 0:
                 progress = True
                 obtained += granted
                 hold.add(granted)
-            accel.trace(
-                "delay.grant",
-                f"{req} got {granted:g} from {target} (hold {hold.amount:g})",
-            )
+            if accel.tracer.enabled:
+                accel.trace(
+                    "delay.grant",
+                    f"{req} got {granted:g} from {target} (hold {hold.amount:g})",
+                )
 
         hold.consume(need)
         self._apply(item, delta, span)
-        accel.trace("delay.remote", f"{req} completed after {av_requests} requests")
+        if accel.tracer.enabled:
+            accel.trace("delay.remote", f"{req} completed after {av_requests} requests")
         self._propagate(item, delta, span)
         return self._done(
             req,
@@ -324,21 +330,22 @@ class DelayUpdateProtocol:
         item = msg.payload["item"]
         requested = msg.payload["amount"]
         ctx = msg.payload.get("_obs") if rec.enabled else None
+        now = accel.now
         grant_span = rec.start(
-            "av.grant", accel.site, accel.now,
+            "av.grant", accel.site, now,
             trace=ctx["trace"] if ctx else None,
             parent=ctx["span"] if ctx else None,
             item=item, requester=msg.src,
         )
         accel.beliefs.observe(
-            msg.src, item, msg.payload.get("requester_av", 0.0), accel.now
+            msg.src, item, msg.payload.get("requester_av", 0.0), now
         )
         if not accel.av_table.defined(item):
-            grant_span.finish(accel.now, granted=0.0, undefined=True)
+            grant_span.finish(now, granted=0.0, undefined=True)
             return {"granted": 0.0, "av_after": 0.0}
         available = accel.av_table.get(item)
         decide_span = rec.start(
-            "av.deciding", accel.site, accel.now, parent=grant_span,
+            "av.deciding", accel.site, now, parent=grant_span,
             available=available, requested=requested,
         )
         if pool:
@@ -352,7 +359,7 @@ class DelayUpdateProtocol:
                 widened = accel.overload.widened_grant(available, requested)
                 if widened is not None:
                     granted = widened
-        decide_span.finish(accel.now, granted=granted)
+        decide_span.finish(now, granted=granted)
         if granted > 0:
             if accel.inject != "av-double-grant":
                 # Planted bug (test-only, see SystemConfig.inject): the
@@ -363,8 +370,9 @@ class DelayUpdateProtocol:
             self.grants_served += 1
             self.volume_granted += granted
         after = accel.av_table.get(item)
-        grant_span.finish(accel.now, granted=granted, av_after=after)
-        accel.trace("delay.serve", f"granted {granted:g} {item} to {msg.src}")
+        grant_span.finish(now, granted=granted, av_after=after)
+        if accel.tracer.enabled:
+            accel.trace("delay.serve", f"granted {granted:g} {item} to {msg.src}")
         reply = {"granted": granted, "av_after": after}
         if granted > 0 and accel.leases is not None:
             # Hold the granted volume under a lease until the requester
@@ -423,7 +431,8 @@ class DelayUpdateProtocol:
                     timeout=accel.request_timeout,
                 )
             except RequestTimeout:
-                accel.trace("pool.timeout", f"refill of {item} timed out")
+                if accel.tracer.enabled:
+                    accel.trace("pool.timeout", f"refill of {item} timed out")
                 reply = None
             finally:
                 self._refill_inflight.discard(item)
@@ -443,10 +452,11 @@ class DelayUpdateProtocol:
                             item=item, amount=granted,
                         )
                     accel.av_table.add(item, granted)
-                    accel.trace(
-                        "pool.refill",
-                        f"{item} topped up {granted:g} from {parent}",
-                    )
+                    if accel.tracer.enabled:
+                        accel.trace(
+                            "pool.refill",
+                            f"{item} topped up {granted:g} from {parent}",
+                        )
         return self._grant_from_table(msg, pool=True)
 
     def handle_av_push(self, msg):
@@ -471,7 +481,8 @@ class DelayUpdateProtocol:
                 push_span.finish(accel.now, refused=True)
                 return
             if msg.payload.get("bounced"):
-                accel.trace("rebal.drop", f"{amount:g} {item} (both ends closed)")
+                if accel.tracer.enabled:
+                    accel.trace("rebal.drop", f"{amount:g} {item} (both ends closed)")
                 push_span.finish(accel.now, dropped=True)
                 return
             accel.endpoint.send(

@@ -37,6 +37,7 @@ from repro.core.types import (
 )
 from repro.db.locks import LockMode
 from repro.db.transaction import Transaction
+from repro.net.endpoint import CrashedEndpointError, RequestTimeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.accelerator import Accelerator
@@ -113,8 +114,6 @@ class ImmediateUpdateProtocol:
         # Phase 1: lock + provisional apply in canonical site order. A
         # prepare that times out (crashed participant, fault-aware mode)
         # counts as a no vote.
-        from repro.net.endpoint import RequestTimeout
-
         for site in order:
             if site == accel.site:
                 lock_span = rec.start(
@@ -162,7 +161,8 @@ class ImmediateUpdateProtocol:
                     )
                 except RequestTimeout:
                     prep_span.finish(accel.now, timeout=True)
-                    accel.trace("imm.unreachable", f"{site} ({token})")
+                    if accel.tracer.enabled:
+                        accel.trace("imm.unreachable", f"{site} ({token})")
                     if ovl is not None:
                         ovl.record_2pc_timeout(accel.now)
                     ready = False
@@ -284,8 +284,6 @@ class ImmediateUpdateProtocol:
         peer that never answers is left to the termination protocol
         (its restart queries :meth:`handle_status`).
         """
-        from repro.net.endpoint import CrashedEndpointError, RequestTimeout
-
         accel = self.accel
         for _attempt in range(accel.max_immediate_retries):
             try:
@@ -304,7 +302,8 @@ class ImmediateUpdateProtocol:
                 # participant resolves via the status query instead.
                 return None
             return reply
-        accel.trace("imm.undelivered", f"{kind} to {peer} ({token})")
+        if accel.tracer.enabled:
+            accel.trace("imm.undelivered", f"{kind} to {peer} ({token})")
         return None
 
     # ---------------------------------------------------------------- #
@@ -438,8 +437,6 @@ class ImmediateUpdateProtocol:
         out); an update that was mid-2PC when we rejoined resolves
         within a bounded number of retries.
         """
-        from repro.net.endpoint import RequestTimeout
-
         accel = self.accel
         missing = {
             item for item, _v in accel.store.items()
@@ -497,8 +494,6 @@ class ImmediateUpdateProtocol:
         ]
 
     def _resolve(self, token: str):
-        from repro.net.endpoint import RequestTimeout
-
         accel = self.accel
         coordinator = token.split(":")[2]
         while True:

@@ -44,7 +44,8 @@ class BelievedRichestStrategy(SelectionStrategy):
         remaining = [c for c in candidates if c not in tried]
         if not remaining:
             return None
-        return beliefs.ranked_peers(item, remaining)[0]
+        # The key is a total order, so this is ranked_peers(...)[0].
+        return min(remaining, key=beliefs.rank_key(item))
 
 
 class RoundRobinStrategy(SelectionStrategy):

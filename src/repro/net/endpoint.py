@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional
 
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.sim.events import Event
+from repro.sim.events import LATE, Event
 
 Handler = Callable[[Message], Any]
 
@@ -61,7 +61,8 @@ class Endpoint:
 
     @property
     def crashed(self) -> bool:
-        return self.network.faults.is_crashed(self.name)
+        faults = self.network.faults
+        return not faults.quiet and faults.is_crashed(self.name)
 
     def peers(self) -> list[str]:
         """All other endpoint names (cached; callers must not mutate).
@@ -146,8 +147,6 @@ class Endpoint:
         self.network.send(msg)
 
         if timeout is not None:
-            from repro.sim.events import LATE
-
             # The deadline runs at LATE priority so a reply delivered at
             # exactly t+timeout still wins the tie.
             deadline = Event(self.env)

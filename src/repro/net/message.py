@@ -15,6 +15,10 @@ from typing import Any, Optional
 
 _msg_ids = count(1)
 
+#: kind -> (interned kind, interned default tag): one lookup per message
+#: instead of an intern and a split; fills on first use
+_KINDS: dict[str, tuple[str, str]] = {}
+
 
 @dataclass(frozen=True, slots=True)
 class Message:
@@ -52,13 +56,15 @@ class Message:
         # Kinds and tags come from a small fixed vocabulary but are
         # compared and hashed on every dispatch/accounting step; intern
         # them so those operations hit the pointer-equality fast path.
-        object.__setattr__(self, "kind", sys.intern(self.kind))
-        if self.tag:
-            object.__setattr__(self, "tag", sys.intern(self.tag))
-        else:
-            object.__setattr__(
-                self, "tag", sys.intern(self.kind.split(".", 1)[0])
-            )
+        names = _KINDS.get(self.kind)
+        if names is None:
+            kind = sys.intern(self.kind)
+            names = _KINDS[kind] = (kind, sys.intern(kind.split(".", 1)[0]))
+        kind, default_tag = names
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(
+            self, "tag", sys.intern(self.tag) if self.tag else default_tag
+        )
 
     @property
     def is_reply(self) -> bool:

@@ -182,10 +182,14 @@ class Network:
         when = self.channels.get(msg.src, msg.dst).delivery_time(self.env.now, delay)
 
         delivery = Event(self.env)
-        delivery.callbacks.append(lambda _ev, m=msg: self._deliver(m))
+        delivery.callbacks.append(self._deliver_event)
         delivery._ok = True
-        delivery._value = None
+        delivery._value = msg
         self.env.schedule(delivery, delay=when - self.env.now)
+
+    def _deliver_event(self, delivery: Event) -> None:
+        """Callback of the delivery event, which carries the message."""
+        self._deliver(delivery._value)
 
     def _deliver(self, msg: Message) -> None:
         endpoint = self._endpoints.get(msg.dst)

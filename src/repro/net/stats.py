@@ -10,7 +10,6 @@ correspondences on demand.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -25,48 +24,68 @@ def correspondences(message_count: float) -> float:
     return message_count / MESSAGES_PER_CORRESPONDENCE
 
 
-@dataclass
+#: every public attribute; each is also a constructor argument
+_FIELDS = (
+    "sent_total", "dropped_total", "by_sender", "by_receiver", "by_pair",
+    "by_tag", "by_kind", "by_site", "by_site_tag", "bytes_total",
+    "bytes_by_tag", "bytes_by_pair", "bytes_dropped",
+)
+
+
 class NetworkStats:
     """Counters for every message handed to the network.
 
     Dropped messages (faults) are counted separately — they were
     transmitted, so they still cost a correspondence half.
+
+    A send bumps ``sent_total`` and one slot of a ledger keyed
+    ``(src, dst, tag, kind)``. The seven ``by_*`` views are read a few
+    times per run, so reading one folds the ledger into them first — in
+    its insertion order, which gives each view the key order eager
+    counting would. Counter arguments are copied, not adopted.
     """
 
-    sent_total: int = 0
-    dropped_total: int = 0
-    by_sender: Counter = field(default_factory=Counter)
-    by_receiver: Counter = field(default_factory=Counter)
-    by_pair: Counter = field(default_factory=Counter)
-    by_tag: Counter = field(default_factory=Counter)
-    by_kind: Counter = field(default_factory=Counter)
-    #: messages attributed to each site: sent + received (the per-site
-    #: numbers in Table 1 count a site's participation in exchanges)
-    by_site: Counter = field(default_factory=Counter)
-    #: (site, tag) -> messages the site sent or received under that tag
-    by_site_tag: Counter = field(default_factory=Counter)
-    #: total wire bytes (populated only when the network has a SizeModel)
-    bytes_total: int = 0
-    #: tag -> wire bytes
-    bytes_by_tag: Counter = field(default_factory=Counter)
-    #: (src, dst) -> wire bytes
-    bytes_by_pair: Counter = field(default_factory=Counter)
-    #: wire bytes of dropped messages (transmitted but never delivered;
-    #: already included in ``bytes_total``, like dropped message counts)
-    bytes_dropped: int = 0
+    def __init__(
+        self,
+        sent_total: int = 0,
+        dropped_total: int = 0,
+        by_sender: Optional[Counter] = None,
+        by_receiver: Optional[Counter] = None,
+        by_pair: Optional[Counter] = None,
+        by_tag: Optional[Counter] = None,
+        by_kind: Optional[Counter] = None,
+        by_site: Optional[Counter] = None,
+        by_site_tag: Optional[Counter] = None,
+        bytes_total: int = 0,
+        bytes_by_tag: Optional[Counter] = None,
+        bytes_by_pair: Optional[Counter] = None,
+        bytes_dropped: int = 0,
+    ) -> None:
+        self.sent_total = sent_total
+        self.dropped_total = dropped_total
+        self._by_sender = Counter(by_sender)
+        self._by_receiver = Counter(by_receiver)
+        self._by_pair = Counter(by_pair)
+        self._by_tag = Counter(by_tag)
+        self._by_kind = Counter(by_kind)
+        self._by_site = Counter(by_site)
+        self._by_site_tag = Counter(by_site_tag)
+        #: total wire bytes (populated only when the network has a SizeModel)
+        self.bytes_total = bytes_total
+        #: tag -> wire bytes
+        self.bytes_by_tag = Counter(bytes_by_tag)
+        #: (src, dst) -> wire bytes
+        self.bytes_by_pair = Counter(bytes_by_pair)
+        #: wire bytes of dropped messages (transmitted but never delivered;
+        #: already included in ``bytes_total``, like dropped message counts)
+        self.bytes_dropped = bytes_dropped
+        #: (src, dst, tag, kind) -> sends not yet folded into the views
+        self._ledger: Counter = Counter()
 
     def record_send(self, msg: "Message", size: Optional[int] = None) -> None:
         """Account one transmitted message (``size`` in wire bytes)."""
         self.sent_total += 1
-        self.by_sender[msg.src] += 1
-        self.by_receiver[msg.dst] += 1
-        self.by_pair[(msg.src, msg.dst)] += 1
-        self.by_tag[msg.tag] += 1
-        self.by_kind[msg.kind] += 1
-        self.by_site[msg.src] += 1
-        self.by_site[msg.dst] += 1
-        self.by_site_tag[(msg.src, msg.tag)] += 1
-        self.by_site_tag[(msg.dst, msg.tag)] += 1
+        self._ledger[(msg.src, msg.dst, msg.tag, msg.kind)] += 1
         if size is not None:
             self.bytes_total += size
             self.bytes_by_tag[msg.tag] += size
@@ -84,8 +103,59 @@ class NetworkStats:
             self.bytes_dropped += size
 
     # -------------------------------------------------------------- #
-    # derived views
+    # views (folded on read)
     # -------------------------------------------------------------- #
+
+    def _fold(self) -> None:
+        """Bring the ``by_*`` views up to date with the ledger."""
+        for (src, dst, tag, kind), n in self._ledger.items():
+            self._by_sender[src] += n
+            self._by_receiver[dst] += n
+            self._by_pair[(src, dst)] += n
+            self._by_tag[tag] += n
+            self._by_kind[kind] += n
+            self._by_site[src] += n
+            self._by_site[dst] += n
+            self._by_site_tag[(src, tag)] += n
+            self._by_site_tag[(dst, tag)] += n
+        self._ledger.clear()
+
+    @property
+    def by_sender(self) -> Counter:
+        self._fold()
+        return self._by_sender
+
+    @property
+    def by_receiver(self) -> Counter:
+        self._fold()
+        return self._by_receiver
+
+    @property
+    def by_pair(self) -> Counter:
+        self._fold()
+        return self._by_pair
+
+    @property
+    def by_tag(self) -> Counter:
+        self._fold()
+        return self._by_tag
+
+    @property
+    def by_kind(self) -> Counter:
+        self._fold()
+        return self._by_kind
+
+    @property
+    def by_site(self) -> Counter:
+        """site -> messages it sent or received (Table 1's per-site basis)."""
+        self._fold()
+        return self._by_site
+
+    @property
+    def by_site_tag(self) -> Counter:
+        """(site, tag) -> messages the site sent or received under it."""
+        self._fold()
+        return self._by_site_tag
 
     @property
     def correspondences_total(self) -> float:
@@ -111,57 +181,16 @@ class NetworkStats:
 
     def snapshot(self) -> "NetworkStats":
         """A deep copy usable as a checkpoint."""
-        return NetworkStats(
-            sent_total=self.sent_total,
-            dropped_total=self.dropped_total,
-            by_sender=Counter(self.by_sender),
-            by_receiver=Counter(self.by_receiver),
-            by_pair=Counter(self.by_pair),
-            by_tag=Counter(self.by_tag),
-            by_kind=Counter(self.by_kind),
-            by_site=Counter(self.by_site),
-            by_site_tag=Counter(self.by_site_tag),
-            bytes_total=self.bytes_total,
-            bytes_by_tag=Counter(self.bytes_by_tag),
-            bytes_by_pair=Counter(self.bytes_by_pair),
-            bytes_dropped=self.bytes_dropped,
-        )
+        return NetworkStats(**{name: getattr(self, name) for name in _FIELDS})
 
     def diff(self, earlier: "NetworkStats") -> "NetworkStats":
         """Counters accumulated since the ``earlier`` snapshot."""
         return NetworkStats(
-            sent_total=self.sent_total - earlier.sent_total,
-            dropped_total=self.dropped_total - earlier.dropped_total,
-            by_sender=self.by_sender - earlier.by_sender,
-            by_receiver=self.by_receiver - earlier.by_receiver,
-            by_pair=self.by_pair - earlier.by_pair,
-            by_tag=self.by_tag - earlier.by_tag,
-            by_kind=self.by_kind - earlier.by_kind,
-            by_site=self.by_site - earlier.by_site,
-            by_site_tag=self.by_site_tag - earlier.by_site_tag,
-            bytes_total=self.bytes_total - earlier.bytes_total,
-            bytes_by_tag=self.bytes_by_tag - earlier.bytes_by_tag,
-            bytes_by_pair=self.bytes_by_pair - earlier.bytes_by_pair,
-            bytes_dropped=self.bytes_dropped - earlier.bytes_dropped,
+            **{name: getattr(self, name) - getattr(earlier, name) for name in _FIELDS}
         )
 
     def reset(self) -> None:
-        self.sent_total = 0
-        self.dropped_total = 0
-        self.bytes_total = 0
-        self.bytes_dropped = 0
-        self.bytes_by_tag.clear()
-        self.bytes_by_pair.clear()
-        for counter in (
-            self.by_sender,
-            self.by_receiver,
-            self.by_pair,
-            self.by_tag,
-            self.by_kind,
-            self.by_site,
-            self.by_site_tag,
-        ):
-            counter.clear()
+        self.__init__()
 
     def __str__(self) -> str:
         tags = ", ".join(f"{t}={n}" for t, n in sorted(self.by_tag.items()))

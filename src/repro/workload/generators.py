@@ -102,13 +102,14 @@ class PaperWorkload(WorkloadGenerator):
         self.integer_deltas = integer_deltas
         self._sites = [maker, *retailers]
 
-    def _delta(self, site: str) -> float:
+    def _signed_cap(self, site: str) -> tuple[float, float]:
+        """Largest delta magnitude at ``site`` and the delta's sign."""
         if site == self.maker:
-            cap = self.initial_stock * self.increase_fraction
-            sign = 1.0
-        else:
-            cap = self.initial_stock * self.decrease_fraction
-            sign = -1.0
+            return self.initial_stock * self.increase_fraction, 1.0
+        return self.initial_stock * self.decrease_fraction, -1.0
+
+    def _delta(self, site: str) -> float:
+        cap, sign = self._signed_cap(site)
         if self.integer_deltas:
             cap_int = max(1, int(math.floor(cap)))
             magnitude = float(self.rng.integers(1, cap_int + 1))
@@ -117,6 +118,15 @@ class PaperWorkload(WorkloadGenerator):
         return sign * magnitude
 
     def events(self, n: int) -> Iterator[WorkloadEvent]:
+        """Yield the first ``n`` events. A round-robin stream of integral
+        deltas is drawn in one block at the first event: a caller drawing
+        from the same ``rng`` between events needs :meth:`events_scalar`."""
+        if self.site_order == "roundrobin" and self.integer_deltas:
+            return self._events_block(n)
+        return self.events_scalar(n)
+
+    def events_scalar(self, n: int) -> Iterator[WorkloadEvent]:
+        """The stream drawn one variate at a time, each when it is used."""
         for i in range(n):
             if self.site_order == "roundrobin":
                 site = self._sites[i % len(self._sites)]
@@ -124,6 +134,26 @@ class PaperWorkload(WorkloadGenerator):
                 site = self._sites[int(self.rng.integers(len(self._sites)))]
             item = self.items[int(self.rng.integers(len(self.items)))]
             yield WorkloadEvent(site, item, self._delta(site))
+
+    def _events_block(self, n: int) -> Iterator[WorkloadEvent]:
+        # The draws alternate item index, magnitude; their bounds repeat
+        # every round-robin cycle, and ``integers`` with array bounds
+        # consumes the bit stream exactly as the scalar calls would.
+        sites = self._sites
+        caps = [self._signed_cap(site) for site in sites]
+        high = [
+            bound for cap, _sign in caps
+            for bound in (len(self.items), max(1, int(math.floor(cap))) + 1)
+        ]
+        draws = self.rng.integers(
+            np.resize([0, 1], 2 * n), np.resize(high, 2 * n)
+        ).tolist()
+        for i in range(n):
+            k = i % len(sites)
+            yield WorkloadEvent(
+                sites[k], self.items[draws[2 * i]],
+                caps[k][1] * float(draws[2 * i + 1]),
+            )
 
 
 class ZipfSampler:
@@ -335,7 +365,8 @@ class ZipfWorkload(WorkloadGenerator):
                 return self.items[rank - 1]
 
     def events(self, n: int) -> Iterator[WorkloadEvent]:
-        for event in self._inner.events(n):
+        # _pick_item draws from the shared rng between the inner events.
+        for event in self._inner.events_scalar(n):
             yield WorkloadEvent(event.site, self._pick_item(), event.delta)
 
 

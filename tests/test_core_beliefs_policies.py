@@ -138,6 +138,31 @@ class TestStrategies:
             is None
         )
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_believed_richest_is_the_head_of_the_ranking(self, seed):
+        """Random tables with unknown peers, known-empty peers and ties:
+        the selected peer is ``ranked_peers(item, remaining)[0]``."""
+        rng = np.random.default_rng(seed)
+        peers = [f"s{i}" for i in range(9)]
+        beliefs = BeliefTable()
+        for peer in peers:
+            if rng.random() < 0.3:
+                continue  # never observed
+            # few distinct volumes, so ties (and known-empty) are common
+            beliefs.observe(peer, "A", float(rng.integers(0, 4)), now=0)
+            beliefs.observe(peer, "B", 99.0, now=0)  # another item: ignored
+        strategy = BelievedRichestStrategy()
+        candidates = [str(p) for p in rng.permutation(peers)]
+        tried: set[str] = set()
+        while True:
+            remaining = [c for c in candidates if c not in tried]
+            got = strategy.select("A", candidates, frozenset(tried), beliefs)
+            if not remaining:
+                assert got is None
+                break
+            assert got == beliefs.ranked_peers("A", remaining)[0]
+            tried.add(got)
+
     def test_round_robin_cycles(self):
         s = RoundRobinStrategy()
         first = s.select("A", self.candidates, frozenset(), self.beliefs)

@@ -1,6 +1,7 @@
 """Behavioural tests for the Delay Update protocol on a real 3-site system."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.cluster import (
     paper_config,
 )
 from repro.core import UpdateKind, UpdateOutcome
+from repro.core.types import UpdateRequest
 from repro.core.overload import OverloadParams
 from repro.db.errors import UnknownItem
 from repro.experiments.fig6 import make_paper_trace
@@ -331,3 +333,61 @@ class TestStraightLineLocalPath:
         system.run()
         assert caught == [done.value]
         assert system.collector.results == []
+
+
+def _wide_run(n_updates, regular_fraction=1.0, trace=False):
+    """8 retailers sharing one AV per item: about half the updates gather."""
+    system = DistributedSystem.build(paper_config(
+        n_items=10, n_retailers=8, seed=0,
+        regular_fraction=regular_fraction, trace=trace,
+    ))
+    results = run_closed(
+        system, make_paper_trace(n_updates, 0, n_items=10, n_retailers=8)
+    )
+    return system, results
+
+
+def _outcome_digest(results):
+    rows = [
+        (r.request.site, r.request.item, r.outcome.value, r.av_requests,
+         r.finished_at)
+        for r in results
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+class TestUnreadTraceDetail:
+    """Nothing renders a trace detail nobody records; a recording tracer
+    still gets every line. Digests are the parent commit's."""
+
+    WIDE = "2d552dbf444a84b3552596b18915a9d8bc00236bb69f17bc5d4fdaa081bf537a"
+    ALL_2PC = "f37b201ff8c81f4c1439b24c74ce5392e61db2ee0407448397f8884ad056ac41"
+
+    @pytest.fixture
+    def unrenderable(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("an UpdateRequest was rendered")
+
+        monkeypatch.setattr(UpdateRequest, "__str__", refuse)
+
+    def test_untraced_gather_renders_no_request(self, unrenderable):
+        _system, results = _wide_run(600)
+        assert sum(not r.local_only for r in results) == 274
+        assert _outcome_digest(results) == self.WIDE
+
+    def test_untraced_2pc_renders_no_request(self, unrenderable):
+        _system, results = _wide_run(300, regular_fraction=0.0)
+        assert _outcome_digest(results) == self.ALL_2PC
+
+    def test_recording_tracer_gets_every_delay_line(self):
+        system, results = _wide_run(600, trace=True)
+        assert _outcome_digest(results) == self.WIDE
+        lines = [r for r in system.tracer.records if r.kind.startswith("delay.")]
+        assert Counter(r.kind for r in lines) == {
+            "delay.serve": 1321, "delay.grant": 1321, "delay.local": 326,
+            "delay.gather": 274, "delay.remote": 203, "delay.reject": 71,
+        }
+        text = "\n".join(str(r) for r in lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0b52d63c881033c223311163736c9ee8139ddcb9565ee50c50ffe86bcfab68c1"
+        )

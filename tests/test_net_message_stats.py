@@ -1,5 +1,7 @@
 """Unit tests for Message, NetworkStats, and latency models."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,112 @@ class TestNetworkStatsBytes:
         assert delta.bytes_dropped == 30
         stats.reset()
         assert stats.bytes_dropped == 0 and not stats.bytes_by_pair
+
+
+class _EagerStats:
+    """The nine-counter accounting ``record_send`` used to do per message,
+    kept as the reference the folded views must equal."""
+
+    NAMES = (
+        "by_sender", "by_receiver", "by_pair", "by_tag", "by_kind",
+        "by_site", "by_site_tag",
+    )
+
+    def __init__(self):
+        self.sent_total = 0
+        for name in self.NAMES:
+            setattr(self, name, Counter())
+
+    def record_send(self, msg):
+        self.sent_total += 1
+        self.by_sender[msg.src] += 1
+        self.by_receiver[msg.dst] += 1
+        self.by_pair[(msg.src, msg.dst)] += 1
+        self.by_tag[msg.tag] += 1
+        self.by_kind[msg.kind] += 1
+        self.by_site[msg.src] += 1
+        self.by_site[msg.dst] += 1
+        self.by_site_tag[(msg.src, msg.tag)] += 1
+        self.by_site_tag[(msg.dst, msg.tag)] += 1
+
+    def snapshot(self):
+        copy = _EagerStats()
+        copy.sent_total = self.sent_total
+        for name in self.NAMES:
+            setattr(copy, name, Counter(getattr(self, name)))
+        return copy
+
+    def diff(self, earlier):
+        delta = _EagerStats()
+        delta.sent_total = self.sent_total - earlier.sent_total
+        for name in self.NAMES:
+            setattr(delta, name, getattr(self, name) - getattr(earlier, name))
+        return delta
+
+
+def _assert_views_equal(stats, reference):
+    assert stats.sent_total == reference.sent_total
+    for name in _EagerStats.NAMES:
+        # list(items()) compares key order as well as values
+        assert list(getattr(stats, name).items()) == list(
+            getattr(reference, name).items()
+        ), name
+
+
+class TestFoldedViews:
+    SITES = ["s0", "s1", "s2", "s3", "s4"]
+    KINDS = ["av.request", "av.request.reply", "imm.prepare", "prop.push", "ping"]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_views_equal_eager_counting_under_interleaved_reads(self, seed):
+        rng = np.random.default_rng(seed)
+        stats, reference = NetworkStats(), _EagerStats()
+        snap = ref_snap = None
+        for _ in range(600):
+            src, dst = rng.choice(self.SITES, size=2, replace=False)
+            kind = self.KINDS[int(rng.integers(len(self.KINDS)))]
+            tag = "" if rng.random() < 0.5 else "x"
+            msg = Message(str(src), str(dst), kind, tag=tag)
+            stats.record_send(msg)
+            reference.record_send(msg)
+            # exact before any read: sent_total is not part of the fold
+            assert stats.sent_total == reference.sent_total
+            action = rng.random()
+            if action < 0.05:
+                name = _EagerStats.NAMES[int(rng.integers(7))]
+                assert getattr(stats, name) == getattr(reference, name)
+            elif action < 0.08:
+                snap, ref_snap = stats.snapshot(), reference.snapshot()
+                _assert_views_equal(snap, ref_snap)
+            elif action < 0.11 and snap is not None:
+                _assert_views_equal(stats.diff(snap), reference.diff(ref_snap))
+            elif action < 0.12:
+                stats.reset()
+                reference = _EagerStats()
+                snap = ref_snap = None
+                assert not stats.by_site and stats.sent_total == 0
+            elif action < 0.15:
+                tags = ["av", "x", "ping"]
+                assert stats.correspondences_for_tags(tags) == correspondences(
+                    sum(reference.by_tag[t] for t in tags)
+                )
+                assert stats.correspondences_for_site_tags("s1", tags) == (
+                    correspondences(
+                        sum(reference.by_site_tag[("s1", t)] for t in tags)
+                    )
+                )
+        _assert_views_equal(stats, reference)
+
+    def test_snapshot_is_independent_of_later_sends(self):
+        stats = NetworkStats()
+        stats.record_send(Message("a", "b", "k"))
+        snap = stats.snapshot()
+        stats.record_send(Message("b", "a", "k"))
+        assert dict(snap.by_sender) == {"a": 1}
+        assert dict(stats.by_sender) == {"a": 1, "b": 1}
+
+    def test_str_sees_unfolded_sends(self):
+        stats = NetworkStats()
+        stats.record_send(Message("a", "b", "av.x"))
+        stats.record_send(Message("a", "b", "imm.y"))
+        assert "av=1, imm=1" in str(stats)

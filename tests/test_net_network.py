@@ -273,3 +273,34 @@ def test_handled_counter():
     a.send("b", "ping")
     env.run()
     assert b.handled["ping"] == 2
+
+
+def test_observer_and_identity_perturbation_change_nothing():
+    """Send has one path: an observer and a perturbation hook that do
+    nothing leave every result, replica and counter where it was."""
+    from repro.cluster import DistributedSystem, paper_config
+    from repro.experiments.fig6 import make_paper_trace
+    from repro.workload.driver import run_closed
+
+    def run(watched):
+        system = DistributedSystem.build(
+            paper_config(n_items=10, n_retailers=4, seed=3)
+        )
+        if watched:
+            system.network.observers.append(lambda *a: None)
+            system.network.perturb = lambda msg, delay: delay
+        run_closed(system, make_paper_trace(400, 3, n_items=10, n_retailers=4))
+        stores = {
+            name: sorted(site.store.items())
+            for name, site in system.sites.items()
+        }
+        return system.collector.results, stores, system.stats
+
+    results, stores, stats = run(watched=False)
+    watched_results, watched_stores, watched_stats = run(watched=True)
+    assert stats.by_tag["av"] > 0  # the trace did gather AV
+    assert watched_results == results
+    assert watched_stores == stores
+    assert list(watched_stats.by_site_tag.items()) == list(
+        stats.by_site_tag.items()
+    )

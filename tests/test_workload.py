@@ -66,6 +66,46 @@ class TestPaperWorkload:
         b = list(make_paper(rng=np.random.default_rng(7)).events(50))
         assert a == b
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 500])
+    @pytest.mark.parametrize("n_retailers", [1, 2, 8])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_block_draw_is_the_scalar_stream(self, n, n_retailers, seed):
+        """The one-call draw equals one variate at a time, event for
+        event, and leaves the generator where the scalar loop does."""
+
+        def scalar_reference(gen, n):
+            sites = [gen.maker, *gen.retailers]
+            out = []
+            for i in range(n):
+                site = sites[i % len(sites)]
+                item = gen.items[int(gen.rng.integers(len(gen.items)))]
+                if site == gen.maker:
+                    cap, sign = gen.initial_stock * gen.increase_fraction, 1.0
+                else:
+                    cap, sign = gen.initial_stock * gen.decrease_fraction, -1.0
+                magnitude = float(gen.rng.integers(1, max(1, int(cap)) + 1))
+                out.append(WorkloadEvent(site, item, sign * magnitude))
+            return out
+
+        def make():
+            return make_paper(
+                retailers=[f"site{i + 1}" for i in range(n_retailers)],
+                rng=np.random.default_rng(seed),
+                # a one-item catalogue and a cap of one draw no variate
+                items=["A", "B", "C"] if seed else ["A"],
+                decrease_fraction=0.10 if seed else 0.01,
+            )
+
+        block, reference = make(), make()
+        assert list(block.events(n)) == scalar_reference(reference, n)
+        assert block.rng.integers(1 << 30) == reference.rng.integers(1 << 30)
+
+    def test_scalar_path_kept_where_bounds_depend_on_draws(self):
+        for kw in ({"site_order": "random"}, {"integer_deltas": False}):
+            a = make_paper(rng=np.random.default_rng(5), **kw)
+            b = make_paper(rng=np.random.default_rng(5), **kw)
+            assert list(a.events(40)) == list(b.events_scalar(40))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             make_paper(retailers=[])
@@ -91,6 +131,28 @@ class TestZipfAndHotspot:
 
         counts = Counter(e.item for e in gen.events(2000))
         assert counts["i0"] > counts.get("i19", 0) * 2
+
+    def test_zipf_interleaves_its_draws_with_the_inner_stream(self):
+        """Zipf draws an item from the shared rng after every inner
+        event, so the inner stream must stay one variate at a time."""
+        items = [f"i{k}" for k in range(5)]
+        kw = dict(maker="site0", retailers=["site1"], items=items,
+                  initial_stock=100.0)
+        gen = ZipfWorkload(rng=np.random.default_rng(3), skew=1.5, **kw)
+        rng = np.random.default_rng(3)
+        expected = []
+        for i in range(60):
+            rng.integers(len(items))  # the inner item draw, discarded
+            if i % 2 == 0:
+                delta = float(rng.integers(1, 21))
+            else:
+                delta = -float(rng.integers(1, 11))
+            while (rank := int(rng.zipf(1.5))) > len(items):
+                pass
+            expected.append(
+                WorkloadEvent(f"site{i % 2}", items[rank - 1], delta)
+            )
+        assert list(gen.events(60)) == expected
 
     def test_zipf_validation(self):
         with pytest.raises(ValueError):
