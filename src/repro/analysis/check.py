@@ -16,8 +16,8 @@ from typing import List, Optional
 
 from repro.analysis.invariants import SanitizerReport
 from repro.cluster import DistributedSystem, paper_config
-from repro.core.sync import SyncScheduler
 from repro.core.types import UpdateResult
+from repro.workload.driver import run_spaced
 from repro.workload.trace import WorkloadTrace
 
 #: experiments the check runner knows how to replay
@@ -82,35 +82,13 @@ def run_check(
     )
     system = DistributedSystem.build(config)
 
-    run = CheckRun(
-        experiment=experiment, system=system,
-        report=system.sanitizer.report,
-        n_updates=len(trace), seed=seed,
+    # run_spaced ends with the coarse whole-system assertions; the
+    # sanitizer's audit refines them with per-event granularity.
+    results = run_spaced(
+        system, trace, "workload.check", sync_interval, spacing
     )
-
-    schedulers = [
-        SyncScheduler(site.accelerator, interval=sync_interval)
-        for site in system.sites.values()
-    ]
-
-    def driver(env):
-        for event in trace:
-            result = yield system.update(event.site, event.item, event.delta)
-            run.results.append(result)
-            if spacing > 0:
-                yield env.timeout(spacing)
-
-    proc = system.env.process(driver(system.env), name="workload.check")
-    for scheduler in schedulers:
-        scheduler.start()
-    system.run(until=proc)
-    for site in system.sites.values():
-        site.accelerator.sync_all()  # flush the remaining lazy backlog
-    for scheduler in schedulers:
-        scheduler.stop()
-    system.run()
-    # The coarse whole-system assertions still apply; the sanitizer
-    # refines them with per-event granularity.
-    system.check_invariants()
-    run.report = system.sanitizer.finish()
-    return run
+    return CheckRun(
+        experiment=experiment, system=system,
+        report=system.sanitizer.finish(),
+        results=results, n_updates=len(trace), seed=seed,
+    )

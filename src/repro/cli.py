@@ -21,23 +21,12 @@ def _write_trace(obs, path: str) -> None:
     print(f"wrote {len(document['traceEvents'])} trace events to {path}")
 
 
-def _cmd_fig6(args: argparse.Namespace) -> int:
-    from repro.experiments import run_fig6
+def _cmd_paired(args: argparse.Namespace) -> int:
+    """``fig6`` and ``table1``: one paired replay, rendered two ways."""
+    from repro.experiments import run_fig6, run_table1
 
-    result = run_fig6(
-        n_updates=args.updates, seed=args.seed, n_items=args.items,
-        observe=bool(args.trace_out),
-    )
-    print(result.render())
-    if args.trace_out:
-        _write_trace(result.obs, args.trace_out)
-    return 0
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.experiments import run_table1
-
-    result = run_table1(
+    run = {"fig6": run_fig6, "table1": run_table1}[args.command]
+    result = run(
         n_updates=args.updates, seed=args.seed, n_items=args.items,
         observe=bool(args.trace_out),
     )
@@ -497,9 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--updates", type=int, default=1000,
-                       help="total updates to issue (default 1000)")
+    def common(p, updates=1000):
+        p.add_argument("--updates", type=int, default=updates,
+                       help=f"total updates to issue (default {updates})")
         p.add_argument("--seed", type=int, default=0, help="root seed")
         p.add_argument("--items", type=int, default=10,
                        help="catalogue size (default 10, the calibrated value)")
@@ -516,12 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig6", help="reproduce Fig. 6")
     common(p)
     trace_out(p)
-    p.set_defaults(fn=_cmd_fig6)
+    p.set_defaults(fn=_cmd_paired)
 
     p = sub.add_parser("table1", help="reproduce Table 1")
     common(p)
     trace_out(p)
-    p.set_defaults(fn=_cmd_table1)
+    p.set_defaults(fn=_cmd_paired)
 
     p = sub.add_parser(
         "observe",
@@ -531,11 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", choices=["fig6", "table1"],
         help="whose workload to replay",
     )
-    p.add_argument("--updates", type=int, default=300,
-                   help="total updates to issue (default 300)")
-    p.add_argument("--seed", type=int, default=0, help="root seed")
-    p.add_argument("--items", type=int, default=10,
-                   help="catalogue size (default 10, the calibrated value)")
+    common(p, updates=300)
     p.add_argument("--sample-interval", type=float, default=25.0,
                    help="sim-time between state snapshots (default 25)")
     trace_out(p)
@@ -617,11 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the static suite instead: lint rules + protocol-flow"
         " analysis in one parse (honours protoflow-baseline.json)",
     )
-    p.add_argument("--updates", type=int, default=1000,
-                   help="total updates to issue (default 1000)")
-    p.add_argument("--seed", type=int, default=0, help="root seed")
-    p.add_argument("--items", type=int, default=10,
-                   help="catalogue size (default 10, the calibrated value)")
+    common(p)
     p.add_argument(
         "--small", action="store_true",
         help="cap the workload at 150 updates (quick CI gate)",

@@ -21,7 +21,7 @@ from repro.experiments.faults import (
     run_fault_experiment,
     run_partition_experiment,
 )
-from repro.experiments.fig6 import Fig6Result, make_paper_trace, run_fig6
+from repro.experiments.fig6 import make_paper_trace, run_fig6
 from repro.experiments.observe import (
     OBSERVABLE_EXPERIMENTS,
     ObservedRun,
@@ -40,8 +40,10 @@ from repro.experiments.latency_exp import (
 from repro.experiments.runner import (
     Checkpoint,
     CountedRun,
+    PairedResult,
     checkpoint_schedule,
     run_counted,
+    run_paired,
 )
 from repro.experiments.sweep import (
     SWEEP_HEADERS,
@@ -51,7 +53,7 @@ from repro.experiments.sweep import (
     sweep_rows,
     sweep_scale,
 )
-from repro.experiments.table1 import Table1Result, run_table1
+from repro.experiments.table1 import run_table1
 
 __all__ = [
     "ABLATION_HEADERS",
@@ -62,16 +64,15 @@ __all__ = [
     "CountedRun",
     "FAULT_HEADERS",
     "FaultResult",
-    "Fig6Result",
     "LATENCY_HEADERS",
     "LatencyResult",
     "OBSERVABLE_EXPERIMENTS",
     "ObservedRun",
     "PROFILE_EXPERIMENTS",
+    "PairedResult",
     "ProfiledRun",
     "SWEEP_HEADERS",
     "SweepPoint",
-    "Table1Result",
     "ablate_escrow",
     "ablate_grant_policy",
     "ablate_selection_strategy",
@@ -87,6 +88,7 @@ __all__ = [
     "run_fig6",
     "run_latency_experiment",
     "run_observed",
+    "run_paired",
     "run_profiled",
     "run_table1",
     "sweep_av_fraction",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.baselines.centralized import CENTER, CentralizedSystem
-from repro.cluster import DistributedSystem, paper_config
+from repro.cluster import DistributedSystem, SystemConfig, paper_config
 from repro.metrics.availability import AvailabilityTracker
 from repro.net.faults import FaultSchedule
 from repro.workload.driver import run_open, split_by_site
@@ -46,6 +46,51 @@ class FaultResult:
 FAULT_HEADERS = ["system", "site", "normal", "during fault"]
 
 
+def _availability(
+    config: SystemConfig,
+    n_updates: int,
+    interarrival: float,
+    fault_start: float,
+    fault_end: float,
+    proposal_schedule: FaultSchedule,
+    centralized_schedule: FaultSchedule,
+) -> FaultResult:
+    """Run the paper trace open-loop on both systems under their fault
+    schedule; both see the same per-site arrival streams."""
+    trace = make_paper_trace(n_updates, config.seed, n_items=config.n_items)
+    per_site = split_by_site(trace)
+    runs = (
+        ("proposal", DistributedSystem.build, proposal_schedule),
+        (
+            "centralized",
+            lambda cfg: CentralizedSystem(
+                cfg, request_timeout=cfg.request_timeout
+            ),
+            centralized_schedule,
+        ),
+    )
+    availability: Dict[str, Dict[str, tuple]] = {}
+    for label, build, schedule in runs:
+        system = build(config)
+        tracker = AvailabilityTracker(fault_start, fault_end)
+        schedule.install(system.env, system.network.faults)
+        run_open(
+            system,
+            per_site,
+            interarrival=interarrival,
+            on_complete=lambda i, e, r: tracker.record(r),
+        )
+        availability[label] = {
+            s: (tracker.availability(s, False), tracker.availability(s, True))
+            for s in config.site_names
+        }
+    return FaultResult(
+        availability=availability,
+        fault_start=fault_start,
+        fault_end=fault_end,
+    )
+
+
 def run_fault_experiment(
     n_updates: int = 900,
     n_items: int = 10,
@@ -57,61 +102,20 @@ def run_fault_experiment(
 ) -> FaultResult:
     """Crash the maker (proposal) / the server (centralized) mid-run.
 
-    Both systems see the same per-site arrival streams; AV requests use a
-    timeout so retailers that ask a dead maker recover (the ask may still
-    be rejected — that shows up as lost availability, honestly counted).
+    AV requests use a timeout so retailers that ask a dead maker recover
+    (the ask may still be rejected — that shows up as lost availability,
+    honestly counted).
     """
-    config = paper_config(
-        n_items=n_items,
-        seed=seed,
-        request_timeout=10.0,
-    )
-    crash_site = crash_site or config.maker
-    trace = make_paper_trace(n_updates, seed, n_items=n_items)
-    per_site = split_by_site(trace)
-
-    availability: Dict[str, Dict[str, tuple]] = {}
+    config = paper_config(n_items=n_items, seed=seed, request_timeout=10.0)
 
     def crash_schedule(victim):
-        # Declarative schedule; the default recover action only clears
-        # the crash flag — exactly the old ad-hoc crasher generator, so
-        # availability numbers are unchanged.
+        # The default recover action only clears the crash flag.
         return FaultSchedule().crash(fault_start, victim).recover(fault_end, victim)
 
-    # ---------------- proposal ----------------
-    system = DistributedSystem.build(config)
-    tracker = AvailabilityTracker(fault_start, fault_end)
-    crash_schedule(crash_site).install(system.env, system.network.faults)
-    run_open(
-        system,
-        per_site,
-        interarrival=interarrival,
-        on_complete=lambda i, e, r: tracker.record(r),
-    )
-    availability["proposal"] = {
-        s: (tracker.availability(s, False), tracker.availability(s, True))
-        for s in config.site_names
-    }
-
-    # ---------------- centralized ----------------
-    central = CentralizedSystem(config, request_timeout=10.0)
-    tracker_c = AvailabilityTracker(fault_start, fault_end)
-    crash_schedule(CENTER).install(central.env, central.network.faults)
-    run_open(
-        central,
-        per_site,
-        interarrival=interarrival,
-        on_complete=lambda i, e, r: tracker_c.record(r),
-    )
-    availability["centralized"] = {
-        s: (tracker_c.availability(s, False), tracker_c.availability(s, True))
-        for s in config.site_names
-    }
-
-    return FaultResult(
-        availability=availability,
-        fault_start=fault_start,
-        fault_end=fault_end,
+    return _availability(
+        config, n_updates, interarrival, fault_start, fault_end,
+        proposal_schedule=crash_schedule(crash_site or config.maker),
+        centralized_schedule=crash_schedule(CENTER),
     )
 
 
@@ -130,55 +134,17 @@ def run_partition_experiment(
     transfers fail. The centralized deployment partitions *every*
     client away from the server — total outage.
     """
-    config = paper_config(
-        n_items=n_items,
-        seed=seed,
-        request_timeout=10.0,
-    )
-    trace = make_paper_trace(n_updates, seed, n_items=n_items)
-    per_site = split_by_site(trace)
-
-    availability: Dict[str, Dict[str, tuple]] = {}
+    config = paper_config(n_items=n_items, seed=seed, request_timeout=10.0)
 
     def partition_schedule(*groups):
         return FaultSchedule().partition(fault_start, *groups).heal(fault_end)
 
-    # ---------------- proposal: maker isolated ----------------
-    system = DistributedSystem.build(config)
-    tracker = AvailabilityTracker(fault_start, fault_end)
-    partition_schedule([config.maker], list(config.retailers)).install(
-        system.env, system.network.faults
-    )
-    run_open(
-        system,
-        per_site,
-        interarrival=interarrival,
-        on_complete=lambda i, e, r: tracker.record(r),
-    )
-    availability["proposal"] = {
-        s: (tracker.availability(s, False), tracker.availability(s, True))
-        for s in config.site_names
-    }
-
-    # ---------------- centralized: server isolated ----------------
-    central = CentralizedSystem(config, request_timeout=10.0)
-    tracker_c = AvailabilityTracker(fault_start, fault_end)
-    partition_schedule([CENTER], list(config.site_names)).install(
-        central.env, central.network.faults
-    )
-    run_open(
-        central,
-        per_site,
-        interarrival=interarrival,
-        on_complete=lambda i, e, r: tracker_c.record(r),
-    )
-    availability["centralized"] = {
-        s: (tracker_c.availability(s, False), tracker_c.availability(s, True))
-        for s in config.site_names
-    }
-
-    return FaultResult(
-        availability=availability,
-        fault_start=fault_start,
-        fault_end=fault_end,
+    return _availability(
+        config, n_updates, interarrival, fault_start, fault_end,
+        proposal_schedule=partition_schedule(
+            [config.maker], list(config.retailers)
+        ),
+        centralized_schedule=partition_schedule(
+            [CENTER], list(config.site_names)
+        ),
     )

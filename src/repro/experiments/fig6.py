@@ -8,83 +8,24 @@ the local site".
 
 :func:`run_fig6` regenerates the two curves on identical workload traces
 and returns everything the bench prints: both series, the reduction
-ratio, and the local-completion ratio.
+ratio, and the local-completion ratio (a
+:class:`~repro.experiments.runner.PairedResult`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.baselines.centralized import CentralizedSystem
-from repro.cluster import DistributedSystem, paper_config
-from repro.metrics.correspondence import CorrespondenceSeries, reduction_ratio
-from repro.metrics.report import text_table
+from repro.cluster import paper_config
 from repro.sim.rng import RngRegistry
 from repro.workload.generators import PaperWorkload
 from repro.workload.trace import WorkloadTrace
 
-from repro.experiments.runner import CountedRun, checkpoint_schedule, run_counted
-
-
-@dataclass
-class Fig6Result:
-    """Both curves plus the headline numbers."""
-
-    proposal: CountedRun
-    conventional: CountedRun
-    n_updates: int
-    seed: int
-    #: the proposal run's observability hub when run with observe=True
-    obs: Optional[object] = None
-    #: final replica values per site (proposal run) — the determinism
-    #: fingerprint the sharded sweep runner compares byte-for-byte
-    replicas: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: kernel events processed by the proposal run (throughput metric)
-    events_processed: int = 0
-    #: full telemetry snapshot of the proposal run (events, metric
-    #: registry, per-site end state) — see :mod:`repro.obs.snapshot`
-    telemetry: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def proposal_series(self) -> CorrespondenceSeries:
-        return self.proposal.series()
-
-    @property
-    def conventional_series(self) -> CorrespondenceSeries:
-        return self.conventional.series()
-
-    @property
-    def reduction(self) -> float:
-        """Fractional saving vs conventional (paper: ≈0.75)."""
-        return reduction_ratio(self.proposal_series, self.conventional_series)
-
-    @property
-    def local_ratio(self) -> float:
-        """Fraction of proposal updates completed without communication."""
-        locals_ = sum(1 for r in self.proposal.results if r.local_only)
-        return locals_ / len(self.proposal.results) if self.proposal.results else 0.0
-
-    def render(self) -> str:
-        """The figure as an aligned text table (one row per checkpoint)."""
-        conv = {cp.updates: cp.total_correspondences for cp in self.conventional.checkpoints}
-        rows = [
-            [cp.updates, cp.total_correspondences, conv.get(cp.updates, float("nan"))]
-            for cp in self.proposal.checkpoints
-        ]
-        table = text_table(
-            ["updates", "proposal", "conventional"],
-            rows,
-            title=(
-                f"Fig. 6 — correspondences vs updates"
-                f" (n={self.n_updates}, seed={self.seed})"
-            ),
-        )
-        summary = (
-            f"\nreduction vs conventional: {self.reduction:.1%}"
-            f" (paper: ~75%)\nlocal completion: {self.local_ratio:.1%}"
-        )
-        return table + summary
+from repro.experiments.runner import (
+    PairedResult,
+    checkpoint_schedule,
+    run_paired,
+)
 
 
 def make_paper_trace(
@@ -136,7 +77,7 @@ def run_fig6(
     checkpoints: Optional[Sequence[int]] = None,
     observe: bool = False,
     topology=None,
-) -> Fig6Result:
+) -> PairedResult:
     """Regenerate Fig. 6.
 
     Both systems replay the *same* frozen trace, so the comparison is
@@ -168,33 +109,12 @@ def run_fig6(
         observe=observe,
         topology=topology,
     )
-    proposal_system = DistributedSystem.build(config)
-    proposal = run_counted(proposal_system, trace, "proposal", checkpoints)
-    proposal_system.check_invariants()
-
-    conventional_system = CentralizedSystem(config)
-    conventional = run_counted(conventional_system, trace, "conventional", checkpoints)
-
-    from repro.obs.snapshot import TelemetrySnapshot
-
-    return Fig6Result(
-        proposal=proposal,
-        conventional=conventional,
-        n_updates=n_updates,
-        seed=seed,
-        obs=proposal_system.obs if observe else None,
-        replicas={
-            name: site.store.as_dict()
-            for name, site in proposal_system.sites.items()
-        },
-        # Both engines replay the trace; the task's kernel-event total
-        # counts both (the throughput the sweep actually sustained).
-        events_processed=(
-            proposal_system.env.events_processed
-            + conventional_system.env.events_processed
+    return run_paired(
+        config,
+        trace,
+        checkpoints,
+        title=(
+            f"Fig. 6 — correspondences vs updates"
+            f" (n={n_updates}, seed={seed})"
         ),
-        telemetry=TelemetrySnapshot.capture(
-            proposal_system,
-            extra_events=conventional_system.env.events_processed,
-        ).to_dict(),
     )

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.cluster import DistributedSystem, paper_config
-from repro.core.sync import SyncScheduler
 from repro.core.types import UpdateResult
 from repro.obs.export import render_summary, write_chrome_trace, write_jsonl
 from repro.obs.sampler import PeriodicSampler
+from repro.workload.driver import run_spaced
 from repro.workload.trace import WorkloadTrace
 
 from repro.experiments.fig6 import make_paper_trace
@@ -82,11 +82,9 @@ def run_observed(
 
     The workload is the frozen §4 paper trace both Fig. 6 and Table 1
     replay (so observed runs see exactly the traffic those figures
-    count). Lazy sync runs on a real :class:`SyncScheduler` per site so
-    sync passes appear as spans, and the sampler snapshots system state
-    every ``sample_interval``. ``spacing`` idles the closed-loop driver
-    between updates — without it, a mostly-local workload completes in
-    almost no simulated time and the periodic processes never fire.
+    count), through :func:`~repro.workload.driver.run_spaced`: sync
+    passes appear as spans, and the sampler snapshots system state
+    every ``sample_interval``.
     """
     if experiment not in OBSERVABLE_EXPERIMENTS:
         raise ValueError(
@@ -113,39 +111,11 @@ def run_observed(
 
         system.obs.recorder = SpanRecorder(max_spans)
 
-    run = ObservedRun(
-        experiment=experiment, system=system,
+    results = run_spaced(
+        system, trace, "workload.observed", sync_interval, spacing,
+        sampler=PeriodicSampler(system, interval=sample_interval),
+    )
+    return ObservedRun(
+        experiment=experiment, system=system, results=results,
         n_updates=len(trace), seed=seed,
     )
-
-    schedulers = [
-        SyncScheduler(site.accelerator, interval=sync_interval)
-        for site in system.sites.values()
-    ]
-    sampler = PeriodicSampler(system, interval=sample_interval)
-
-    def driver(env):
-        # system.update already reports each result to the collector.
-        for event in trace:
-            result = yield system.update(event.site, event.item, event.delta)
-            run.results.append(result)
-            if spacing > 0:
-                yield env.timeout(spacing)
-
-    proc = system.env.process(driver(system.env), name="workload.observed")
-    for scheduler in schedulers:
-        scheduler.start()
-    sampler.start()
-    # The periodic processes never finish on their own, so run to the
-    # driver's completion, stop them, then drain the in-flight tail
-    # (sync pushes, propagation) so the trace is complete.
-    system.run(until=proc)
-    for site in system.sites.values():
-        site.accelerator.sync_all()  # flush the remaining lazy backlog
-    sampler.sample_once()  # final snapshot at the end of the workload
-    for scheduler in schedulers:
-        scheduler.stop()
-    sampler.stop()
-    system.run()
-    system.check_invariants()
-    return run

@@ -4,6 +4,11 @@
 (proposal, centralized, escrow, ...) with the closed-loop discipline the
 paper's Fig. 6 implies, sampling total and per-site correspondence
 counts at update-count checkpoints.
+
+:func:`run_paired` is the paper's §4 evaluation: the proposal and the
+centralized baseline replay one frozen trace. Fig. 6 reads the run's
+totals, Table 1 its per-site columns, the scale experiment the same
+totals on an N-site topology — all three are one :class:`PairedResult`.
 """
 
 from __future__ import annotations
@@ -11,8 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.types import UPDATE_TAGS, UpdateResult
-from repro.metrics.correspondence import CorrespondenceSeries
+from repro.baselines.centralized import CentralizedSystem
+from repro.cluster import DistributedSystem, SystemConfig
+from repro.core.assurance import AssuranceReport, assurance_report
+from repro.core.types import UPDATE_TAGS, UpdateKind, UpdateResult
+from repro.metrics.correspondence import CorrespondenceSeries, reduction_ratio
+from repro.metrics.report import text_table
+from repro.obs.snapshot import TelemetrySnapshot
 from repro.workload.driver import run_closed
 from repro.workload.trace import WorkloadTrace
 
@@ -111,3 +121,191 @@ def run_counted(
 
     run.results = run_closed(system, trace, on_complete=on_complete)
     return run
+
+
+@dataclass
+class PairedResult:
+    """Both systems' counted runs over one trace, plus the fingerprint."""
+
+    proposal: CountedRun
+    conventional: CountedRun
+    config: SystemConfig
+    n_updates: int
+    #: heading of :meth:`render`
+    title: str = ""
+    #: render Table 1's per-site columns instead of Fig. 6's totals
+    per_site: bool = False
+    #: the proposal run's observability hub when ``config.observe``
+    obs: Optional[object] = None
+    #: final replica values per site (proposal run) — the determinism
+    #: fingerprint the sharded sweep runner compares byte-for-byte; with
+    #: partial replication each site's dict covers its interest slice
+    replicas: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: sanitizer counts when ``config.sanitize`` (else both -1)
+    violations: int = -1
+    warnings: int = -1
+    #: kernel events processed by both engines (throughput metric)
+    events_processed: int = 0
+    #: full telemetry snapshot of the proposal run (events, metric
+    #: registry, per-site end state) — see :mod:`repro.obs.snapshot`
+    telemetry: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
+
+    @property
+    def site_names(self) -> List[str]:
+        return self.config.site_names
+
+    @property
+    def retailers(self) -> List[str]:
+        return self.config.retailers
+
+    @property
+    def proposal_series(self) -> CorrespondenceSeries:
+        return self.proposal.series()
+
+    @property
+    def conventional_series(self) -> CorrespondenceSeries:
+        return self.conventional.series()
+
+    @property
+    def reduction(self) -> float:
+        """Fractional saving vs conventional (paper: ≈0.75)."""
+        return reduction_ratio(self.proposal_series, self.conventional_series)
+
+    @property
+    def local_ratio(self) -> float:
+        """Fraction of proposal updates completed without communication."""
+        results = self.proposal.results
+        if not results:
+            return 0.0
+        return sum(1 for r in results if r.local_only) / len(results)
+
+    @property
+    def committed_ratio(self) -> float:
+        """Fraction of proposal updates that committed."""
+        results = self.proposal.results
+        if not results:
+            return 0.0
+        return sum(1 for r in results if r.committed) / len(results)
+
+    def assurance(self) -> AssuranceReport:
+        """The paper's assurance claim, quantified on the final checkpoint."""
+        final = self.proposal.final()
+        delay_results = [
+            r for r in self.proposal.results if r.kind is UpdateKind.DELAY
+        ]
+        return assurance_report(
+            retailer_correspondences={
+                s: final.per_site[s] for s in self.retailers
+            },
+            delay_total=len(delay_results),
+            delay_local=sum(1 for r in delay_results if r.local_only),
+            delay_committed=sum(1 for r in delay_results if r.committed),
+        )
+
+    def per_site_growth(self, site: str) -> float:
+        """Late-half correspondences per update at ``site`` (proposal).
+
+        "Increases very slowly" ⇒ this stays well below the conventional
+        per-site slope.
+        """
+        cps = self.proposal.checkpoints
+        if len(cps) < 2:
+            raise ValueError("need at least two checkpoints")
+        mid = cps[len(cps) // 2]
+        last = cps[-1]
+        du = last.updates - mid.updates
+        if du == 0:
+            return 0.0
+        return (last.per_site[site] - mid.per_site[site]) / du
+
+    def render(self) -> str:
+        """One aligned row per checkpoint, then the headline numbers."""
+        # run_paired samples both runs at the same update counts.
+        pairs = list(zip(self.proposal.checkpoints, self.conventional.checkpoints))
+        if self.per_site:
+            sites = self.site_names
+            headers = [f"{s} (prop)" for s in sites] + [
+                f"{s} (conv)" for s in sites
+            ]
+            rows = [
+                [p.updates]
+                + [p.per_site[s] for s in sites]
+                + [c.per_site[s] for s in sites]
+                for p, c in pairs
+            ]
+            summary = f"\n{self.assurance()}"
+        else:
+            headers = ["proposal", "conventional"]
+            rows = [
+                [p.updates, p.total_correspondences, c.total_correspondences]
+                for p, c in pairs
+            ]
+            summary = (
+                f"\nreduction vs conventional: {self.reduction:.1%}"
+                f" (paper: ~75%)\nlocal completion: {self.local_ratio:.1%}"
+            )
+            if self.violations >= 0:
+                summary += (
+                    f"\nsanitizer: {self.violations} violation(s),"
+                    f" {self.warnings} warning(s)"
+                )
+        return text_table(["updates"] + headers, rows, title=self.title) + summary
+
+
+def run_paired(
+    config: SystemConfig,
+    trace: WorkloadTrace,
+    checkpoints: Sequence[int],
+    title: str = "",
+    per_site: bool = False,
+) -> PairedResult:
+    """Replay ``trace`` through the proposal, then the centralized baseline.
+
+    Both systems are built from the same ``config`` and see identical
+    updates, so the comparison is paired at every checkpoint. The
+    proposal run's whole-system invariants (and, with
+    ``config.sanitize``, the sanitizer's end-of-run audit) are checked
+    here, once, for every experiment built on the pair.
+    """
+    sites = config.site_names
+    proposal_system = DistributedSystem.build(config)
+    proposal = run_counted(proposal_system, trace, "proposal", checkpoints, sites)
+    proposal_system.check_invariants()
+    violations = warnings = -1
+    if config.sanitize:
+        report = proposal_system.sanitizer.finish()
+        violations = len(report.violations)
+        warnings = len(report.warnings)
+
+    conventional_system = CentralizedSystem(config)
+    conventional = run_counted(
+        conventional_system, trace, "conventional", checkpoints, sites
+    )
+    # Both engines replay the trace; the kernel-event total counts both
+    # (the throughput a sweep task actually sustained).
+    conventional_events = conventional_system.env.events_processed
+    return PairedResult(
+        proposal=proposal,
+        conventional=conventional,
+        config=config,
+        n_updates=len(trace),
+        title=title,
+        per_site=per_site,
+        obs=proposal_system.obs if config.observe else None,
+        replicas={
+            name: site.store.as_dict()
+            for name, site in proposal_system.sites.items()
+        },
+        violations=violations,
+        warnings=warnings,
+        events_processed=(
+            proposal_system.env.events_processed + conventional_events
+        ),
+        telemetry=TelemetrySnapshot.capture(
+            proposal_system, extra_events=conventional_events
+        ).to_dict(),
+    )

@@ -15,101 +15,22 @@ baseline pays one round trip per update regardless of layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.baselines.centralized import CentralizedSystem
-from repro.cluster import DistributedSystem, Topology, paper_config
-from repro.metrics.correspondence import CorrespondenceSeries, reduction_ratio
-from repro.metrics.report import text_table
+from repro.cluster import Topology, paper_config
 from repro.sim.rng import RngRegistry
 from repro.workload.generators import TopologyWorkload
 from repro.workload.trace import WorkloadTrace
 
-from repro.experiments.runner import CountedRun, checkpoint_schedule, run_counted
+from repro.experiments.runner import (
+    PairedResult,
+    checkpoint_schedule,
+    run_paired,
+)
 
 #: default topology spec for the headline scale run: 1 maker + 7
 #: regional aggregators + 42 leaf retailers = 50 sites
 DEFAULT_SPEC = "regional:7x6:s2"
-
-
-@dataclass
-class ScaleResult:
-    """Paired curves plus the fingerprint surface for one topology."""
-
-    proposal: CountedRun
-    conventional: CountedRun
-    topology: Topology
-    spec: str
-    n_updates: int
-    seed: int
-    #: final replica values per site (proposal run); with partial
-    #: replication each site's dict covers only its interest slice
-    replicas: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: sanitizer counts when run with sanitize=True (else both -1)
-    violations: int = -1
-    warnings: int = -1
-    #: kernel events processed by the proposal run
-    events_processed: int = 0
-    #: full telemetry snapshot of the proposal run
-    telemetry: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def proposal_series(self) -> CorrespondenceSeries:
-        return self.proposal.series()
-
-    @property
-    def conventional_series(self) -> CorrespondenceSeries:
-        return self.conventional.series()
-
-    @property
-    def reduction(self) -> float:
-        """Fractional saving vs conventional (paper band: ≈0.75)."""
-        return reduction_ratio(self.proposal_series, self.conventional_series)
-
-    @property
-    def local_ratio(self) -> float:
-        """Fraction of proposal updates completed without communication."""
-        if not self.proposal.results:
-            return 0.0
-        locals_ = sum(1 for r in self.proposal.results if r.local_only)
-        return locals_ / len(self.proposal.results)
-
-    def render(self) -> str:
-        conv = {
-            cp.updates: cp.total_correspondences
-            for cp in self.conventional.checkpoints
-        }
-        rows = [
-            [
-                cp.updates,
-                cp.total_correspondences,
-                conv.get(cp.updates, float("nan")),
-            ]
-            for cp in self.proposal.checkpoints
-        ]
-        table = text_table(
-            ["updates", "proposal", "conventional"],
-            rows,
-            title=(
-                f"Scale — {self.spec} ({self.topology.n_sites} sites,"
-                f" {len(self.topology.items)} items, n={self.n_updates},"
-                f" seed={self.seed})"
-            ),
-        )
-        sanitizer = (
-            ""
-            if self.violations < 0
-            else (
-                f"\nsanitizer: {self.violations} violation(s),"
-                f" {self.warnings} warning(s)"
-            )
-        )
-        return table + (
-            f"\nreduction vs conventional: {self.reduction:.1%}"
-            f" (paper: ~75%)\nlocal completion: {self.local_ratio:.1%}"
-            + sanitizer
-        )
 
 
 def make_scale_trace(
@@ -143,7 +64,7 @@ def run_scale(
     sanitize: bool = False,
     checkpoint_every: Optional[int] = None,
     checkpoints: Optional[Sequence[int]] = None,
-) -> ScaleResult:
+) -> PairedResult:
     """Run the paired scale comparison on one topology spec.
 
     Both systems replay the same frozen trace. The conventional
@@ -172,43 +93,12 @@ def run_scale(
         topology=topology,
         sanitize=sanitize,
     )
-    proposal_system = DistributedSystem.build(config)
-    proposal = run_counted(proposal_system, trace, "proposal", checkpoints)
-    proposal_system.check_invariants()
-    violations = warnings = -1
-    if sanitize:
-        report = proposal_system.sanitizer.finish()
-        violations = len(report.violations)
-        warnings = len(report.warnings)
-
-    conventional_system = CentralizedSystem(config)
-    conventional = run_counted(
-        conventional_system, trace, "conventional", checkpoints
-    )
-
-    from repro.obs.snapshot import TelemetrySnapshot
-
-    return ScaleResult(
-        proposal=proposal,
-        conventional=conventional,
-        topology=topology,
-        spec=spec,
-        n_updates=n_updates,
-        seed=seed,
-        replicas={
-            name: site.store.as_dict()
-            for name, site in proposal_system.sites.items()
-        },
-        violations=violations,
-        warnings=warnings,
-        # Both engines replay the trace; the task's kernel-event total
-        # counts both (the throughput the sweep actually sustained).
-        events_processed=(
-            proposal_system.env.events_processed
-            + conventional_system.env.events_processed
+    return run_paired(
+        config,
+        trace,
+        checkpoints,
+        title=(
+            f"Scale — {spec} ({topology.n_sites} sites,"
+            f" {len(topology.items)} items, n={n_updates}, seed={seed})"
         ),
-        telemetry=TelemetrySnapshot.capture(
-            proposal_system,
-            extra_events=conventional_system.env.events_processed,
-        ).to_dict(),
     )

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Sequence
+from typing import Any, Iterable, List, Sequence
 
-from repro.baselines.centralized import CentralizedSystem
-from repro.cluster import DistributedSystem, paper_config
-from repro.core.types import UPDATE_TAGS
+from repro.cluster import SystemConfig, paper_config
+from repro.workload.trace import WorkloadTrace
 
 from repro.experiments.fig6 import make_paper_trace
-from repro.experiments.runner import run_counted
+from repro.experiments.runner import run_paired
 
 
 @dataclass
@@ -31,6 +30,23 @@ class SweepPoint:
         return 1.0 - self.proposal_correspondences / self.conventional_correspondences
 
 
+def _point(
+    param: str, value: Any, config: SystemConfig, trace: WorkloadTrace
+) -> SweepPoint:
+    """One paired replay, sampled once at the end of the trace."""
+    result = run_paired(config, trace, [len(trace)])
+    return SweepPoint(
+        param=param,
+        value=value,
+        proposal_correspondences=result.proposal.final().total_correspondences,
+        conventional_correspondences=(
+            result.conventional.final().total_correspondences
+        ),
+        local_ratio=result.local_ratio,
+        committed_ratio=result.committed_ratio,
+    )
+
+
 def sweep_scale(
     retailer_counts: Sequence[int] = (2, 4, 8, 16),
     updates_per_site: int = 300,
@@ -42,38 +58,18 @@ def sweep_scale(
     Decentralised AV circulation should keep per-update cost roughly
     flat while the centralized server's total grows with system size.
     """
-    points = []
-    for n_retailers in retailer_counts:
-        n_updates = updates_per_site * (n_retailers + 1)
-        trace = make_paper_trace(
-            n_updates, seed, n_items=n_items, n_retailers=n_retailers
+    return [
+        _point(
+            "n_retailers",
+            n_retailers,
+            paper_config(n_items=n_items, n_retailers=n_retailers, seed=seed),
+            make_paper_trace(
+                updates_per_site * (n_retailers + 1), seed,
+                n_items=n_items, n_retailers=n_retailers,
+            ),
         )
-        config = paper_config(
-            n_items=n_items, n_retailers=n_retailers, seed=seed
-        )
-        proposal = run_counted(
-            DistributedSystem.build(config), trace, f"prop-r{n_retailers}",
-            checkpoints=[n_updates],
-        )
-        conventional = run_counted(
-            CentralizedSystem(config), trace, f"conv-r{n_retailers}",
-            checkpoints=[n_updates],
-        )
-        committed = sum(1 for r in proposal.results if r.committed)
-        points.append(
-            SweepPoint(
-                param="n_retailers",
-                value=n_retailers,
-                proposal_correspondences=proposal.final().total_correspondences,
-                conventional_correspondences=conventional.final().total_correspondences,
-                local_ratio=(
-                    sum(1 for r in proposal.results if r.local_only)
-                    / len(proposal.results)
-                ),
-                committed_ratio=committed / len(proposal.results),
-            )
-        )
-    return points
+        for n_retailers in retailer_counts
+    ]
 
 
 def sweep_av_fraction(
@@ -83,33 +79,16 @@ def sweep_av_fraction(
     seed: int = 0,
 ) -> List[SweepPoint]:
     """How much initial headroom must be distributed for the win to hold."""
-    points = []
     trace = make_paper_trace(n_updates, seed, n_items=n_items)
-    for fraction in fractions:
-        config = paper_config(n_items=n_items, seed=seed, av_fraction=fraction)
-        proposal = run_counted(
-            DistributedSystem.build(config), trace, f"prop-a{fraction}",
-            checkpoints=[n_updates],
+    return [
+        _point(
+            "av_fraction",
+            fraction,
+            paper_config(n_items=n_items, seed=seed, av_fraction=fraction),
+            trace,
         )
-        conventional = run_counted(
-            CentralizedSystem(config), trace, f"conv-a{fraction}",
-            checkpoints=[n_updates],
-        )
-        committed = sum(1 for r in proposal.results if r.committed)
-        points.append(
-            SweepPoint(
-                param="av_fraction",
-                value=fraction,
-                proposal_correspondences=proposal.final().total_correspondences,
-                conventional_correspondences=conventional.final().total_correspondences,
-                local_ratio=(
-                    sum(1 for r in proposal.results if r.local_only)
-                    / len(proposal.results)
-                ),
-                committed_ratio=committed / len(proposal.results),
-            )
-        )
-    return points
+        for fraction in fractions
+    ]
 
 
 def sweep_items(
@@ -118,33 +97,15 @@ def sweep_items(
     seed: int = 0,
 ) -> List[SweepPoint]:
     """The calibration sweep for the paper's illegible item count."""
-    points = []
-    for n_items in item_counts:
-        trace = make_paper_trace(n_updates, seed, n_items=n_items)
-        config = paper_config(n_items=n_items, seed=seed)
-        proposal = run_counted(
-            DistributedSystem.build(config), trace, f"prop-i{n_items}",
-            checkpoints=[n_updates],
+    return [
+        _point(
+            "n_items",
+            n_items,
+            paper_config(n_items=n_items, seed=seed),
+            make_paper_trace(n_updates, seed, n_items=n_items),
         )
-        conventional = run_counted(
-            CentralizedSystem(config), trace, f"conv-i{n_items}",
-            checkpoints=[n_updates],
-        )
-        committed = sum(1 for r in proposal.results if r.committed)
-        points.append(
-            SweepPoint(
-                param="n_items",
-                value=n_items,
-                proposal_correspondences=proposal.final().total_correspondences,
-                conventional_correspondences=conventional.final().total_correspondences,
-                local_ratio=(
-                    sum(1 for r in proposal.results if r.local_only)
-                    / len(proposal.results)
-                ),
-                committed_ratio=committed / len(proposal.results),
-            )
-        )
-    return points
+        for n_items in item_counts
+    ]
 
 
 def sweep_rows(points: Iterable[SweepPoint]) -> List[List[Any]]:

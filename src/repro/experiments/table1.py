@@ -14,96 +14,16 @@ qualitative claims:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.baselines.centralized import CentralizedSystem
-from repro.cluster import DistributedSystem, paper_config
-from repro.core.assurance import AssuranceReport, assurance_report
-from repro.core.types import UpdateKind
-from repro.metrics.report import text_table
+from repro.cluster import paper_config
 
 from repro.experiments.fig6 import make_paper_trace
-from repro.experiments.runner import CountedRun, run_counted
-
-
-@dataclass
-class Table1Result:
-    """Per-site correspondence growth for both mechanisms."""
-
-    proposal: CountedRun
-    conventional: CountedRun
-    site_names: List[str]
-    retailers: List[str]
-    n_updates: int
-    seed: int
-    #: the proposal run's observability hub when run with observe=True
-    obs: Optional[object] = None
-    #: final replica values per site (proposal run) — the determinism
-    #: fingerprint the sharded sweep runner compares byte-for-byte
-    replicas: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: kernel events processed by the proposal run (throughput metric)
-    events_processed: int = 0
-    #: full telemetry snapshot of the proposal run (events, metric
-    #: registry, per-site end state) — see :mod:`repro.obs.snapshot`
-    telemetry: Dict[str, object] = field(default_factory=dict)
-
-    def assurance(self) -> AssuranceReport:
-        """The paper's assurance claim, quantified on the final checkpoint."""
-        final = self.proposal.final()
-        delay_results = [
-            r for r in self.proposal.results if r.kind is UpdateKind.DELAY
-        ]
-        return assurance_report(
-            retailer_correspondences={
-                s: final.per_site[s] for s in self.retailers
-            },
-            delay_total=len(delay_results),
-            delay_local=sum(1 for r in delay_results if r.local_only),
-            delay_committed=sum(1 for r in delay_results if r.committed),
-        )
-
-    def per_site_growth(self, site: str) -> float:
-        """Late-half correspondences per update at ``site`` (proposal).
-
-        "Increases very slowly" ⇒ this stays well below the conventional
-        per-site slope.
-        """
-        cps = self.proposal.checkpoints
-        if len(cps) < 2:
-            raise ValueError("need at least two checkpoints")
-        mid = cps[len(cps) // 2]
-        last = cps[-1]
-        du = last.updates - mid.updates
-        if du == 0:
-            return 0.0
-        return (last.per_site[site] - mid.per_site[site]) / du
-
-    def render(self) -> str:
-        headers = ["updates"] + [f"{s} (prop)" for s in self.site_names] + [
-            f"{s} (conv)" for s in self.site_names
-        ]
-        conv = {cp.updates: cp for cp in self.conventional.checkpoints}
-        rows = []
-        for cp in self.proposal.checkpoints:
-            row: list = [cp.updates]
-            row += [cp.per_site[s] for s in self.site_names]
-            conv_cp = conv.get(cp.updates)
-            row += [
-                conv_cp.per_site[s] if conv_cp else float("nan")
-                for s in self.site_names
-            ]
-            rows.append(row)
-        table = text_table(
-            headers,
-            rows,
-            title=(
-                f"Table 1 — per-site correspondences for update"
-                f" (n={self.n_updates}, seed={self.seed})"
-            ),
-        )
-        rep = self.assurance()
-        return table + f"\n{rep}"
+from repro.experiments.runner import (
+    PairedResult,
+    checkpoint_schedule,
+    run_paired,
+)
 
 
 def run_table1(
@@ -115,15 +35,14 @@ def run_table1(
     checkpoints: Optional[Sequence[int]] = None,
     observe: bool = False,
     topology=None,
-) -> Table1Result:
+) -> PairedResult:
     """Regenerate Table 1 (plus the same columns for the baseline).
 
     ``topology`` routes the build through the topology-aware path (see
     :func:`repro.experiments.fig6.run_fig6`).
     """
     if checkpoints is None:
-        step = max(1, n_updates // 10)
-        checkpoints = list(range(step, n_updates + 1, step))
+        checkpoints = checkpoint_schedule(n_updates, max(1, n_updates // 10))
     trace = make_paper_trace(
         n_updates, seed, n_items=n_items,
         initial_stock=initial_stock, n_retailers=n_retailers,
@@ -136,41 +55,13 @@ def run_table1(
         observe=observe,
         topology=topology,
     )
-    site_names = config.site_names
-
-    proposal_system = DistributedSystem.build(config)
-    proposal = run_counted(
-        proposal_system, trace, "proposal", checkpoints, site_names=site_names
-    )
-    proposal_system.check_invariants()
-
-    conventional_system = CentralizedSystem(config)
-    conventional = run_counted(
-        conventional_system, trace, "conventional", checkpoints, site_names=site_names
-    )
-
-    from repro.obs.snapshot import TelemetrySnapshot
-
-    return Table1Result(
-        proposal=proposal,
-        conventional=conventional,
-        site_names=site_names,
-        retailers=config.retailers,
-        n_updates=n_updates,
-        seed=seed,
-        obs=proposal_system.obs if observe else None,
-        replicas={
-            name: site.store.as_dict()
-            for name, site in proposal_system.sites.items()
-        },
-        # Both engines replay the trace; the task's kernel-event total
-        # counts both (the throughput the sweep actually sustained).
-        events_processed=(
-            proposal_system.env.events_processed
-            + conventional_system.env.events_processed
+    return run_paired(
+        config,
+        trace,
+        checkpoints,
+        title=(
+            f"Table 1 — per-site correspondences for update"
+            f" (n={n_updates}, seed={seed})"
         ),
-        telemetry=TelemetrySnapshot.capture(
-            proposal_system,
-            extra_events=conventional_system.env.events_processed,
-        ).to_dict(),
+        per_site=True,
     )

@@ -30,10 +30,10 @@ Execution modes (``--shards N`` with ``N > 1``):
   spawned once per ``(start method, shard count)`` and reused across
   waves, retries, and subsequent sweeps in the same parent process, so
   fan-out pays process startup once per campaign instead of once per
-  wave. Chunks travel to a worker as one message and, with task fusion
-  (the default), the chunk's results travel back as one message — two
-  IPC hops per chunk, not two per task. Dead workers are detected on
-  queue idle and replaced in-slot before the next wave.
+  wave. Chunks travel to a worker as one message and the chunk's
+  results travel back as one message (task fusion) — two IPC hops per
+  chunk, not two per task. Dead workers are detected on queue idle and
+  replaced in-slot before the next wave.
 * **inline** — single-core hosts cannot win from process fan-out (the
   old runner's sharded mode was *slower* than sequential there), so
   ``mode="auto"`` degrades to fused-chunk execution in the parent
@@ -181,18 +181,16 @@ def partition_tasks(
 def _pool_worker(worker_id: int, in_queue, out_queue) -> None:
     """Persistent worker body: serve chunk jobs until told to stop.
 
-    A job is ``(chunk_id, tasks, fuse, crash_after, crash_exit)``.
-    With ``fuse`` the chunk's results ship back as one
-    ``("chunk", chunk_id, [(index, payload), ...])`` message; without
-    it each result streams as ``("res", chunk_id, (index, payload))``
-    followed by an empty ``"chunk"`` completion marker. ``None`` shuts
-    the worker down cleanly.
+    A job is ``(chunk_id, tasks, crash_after, crash_exit)``; the
+    chunk's results ship back as one
+    ``(chunk_id, [(index, payload), ...])`` message. ``None`` shuts the
+    worker down cleanly.
     """
     while True:
         job = in_queue.get()
         if job is None:
             return
-        chunk_id, tasks, fuse, crash_after, crash_exit = job
+        chunk_id, tasks, crash_after, crash_exit = job
         completed = 0
         payloads: List[Tuple[int, dict]] = []
         for task in tasks:
@@ -202,16 +200,13 @@ def _pool_worker(worker_id: int, in_queue, out_queue) -> None:
                 os._exit(crash_exit)
             payload = run_task(task)
             completed += 1
-            if fuse:
-                payloads.append((task.index, payload))
-            else:
-                out_queue.put(("res", chunk_id, (task.index, payload)))
+            payloads.append((task.index, payload))
         if crash_after is not None:
             # A crash-injected worker always dies — if its chunk was
             # shorter than `after`, it dies here, before the completion
             # message, so the parent still observes a crashed shard.
             os._exit(crash_exit)
-        out_queue.put(("chunk", chunk_id, payloads))
+        out_queue.put((chunk_id, payloads))
 
 
 class WorkerPool:
@@ -264,15 +259,13 @@ class WorkerPool:
         self,
         chunks: List[List[SweepTask]],
         crash: Optional[ShardCrash] = None,
-        fuse: bool = True,
     ) -> Tuple[Dict[int, dict], bool]:
         """Dispatch one wave of chunks; returns ``(results, any_dead)``.
 
         Chunk *i* goes to worker slot *i* (the same slot → shard
         mapping the one-shot runner had, which is what ``ShardCrash``
-        targets). Results from a worker that crashes mid-chunk are kept
-        if they were streamed (unfused mode); fused chunks are
-        all-or-nothing and simply land in the next retry wave.
+        targets). Chunks are all-or-nothing: one whose worker crashes
+        lands in the next retry wave whole.
         """
         if len(chunks) > self.n_workers:
             raise ValueError(
@@ -289,7 +282,6 @@ class WorkerPool:
             self.workers[slot][1].put((
                 chunk_id,
                 chunk,
-                fuse,
                 shard_crash.after if shard_crash is not None else None,
                 shard_crash.exit_code if shard_crash is not None else 0,
             ))
@@ -310,28 +302,17 @@ class WorkerPool:
                         any_dead = True
                         del pending[chunk_id]
                 continue
-            tag, chunk_id, payload = msg
-            if tag == "res":
-                index, task_payload = payload
-                results[index] = task_payload
-            else:  # "chunk" completion (fused results ride along)
-                for index, task_payload in payload:
-                    results[index] = task_payload
-                pending.pop(chunk_id, None)
+            chunk_id, payloads = msg
+            results.update(payloads)
+            pending.pop(chunk_id, None)
 
-        # Drain results that raced the crash detection (an unfused
-        # worker may have streamed results right before dying).
+        # Drain completions that raced the crash detection.
         while True:
             try:
-                msg = self.out_queue.get_nowait()
+                _chunk_id, payloads = self.out_queue.get_nowait()
             except queue_mod.Empty:
                 break
-            tag, _chunk_id, payload = msg
-            if tag == "res":
-                results[payload[0]] = payload[1]
-            else:
-                for index, task_payload in payload:
-                    results[index] = task_payload
+            results.update(payloads)
         return results, any_dead
 
     def shutdown(self) -> None:
@@ -415,9 +396,7 @@ def run_sweep(
     root_seed: int = 0,
     max_attempts: int = 3,
     crash: Optional[ShardCrash] = None,
-    start_method: Optional[str] = None,
     mode: Optional[str] = None,
-    fuse: bool = True,
 ) -> SweepResult:
     """Run a sweep, optionally sharded over worker processes.
 
@@ -435,19 +414,11 @@ def run_sweep(
     crash:
         Test-only fault injection, applied to the first wave. Forces
         pool mode (a crash needs a real process to kill).
-    start_method:
-        ``multiprocessing`` start method override (default: ``fork``
-        where available, else ``spawn``).
     mode:
         ``"pool"`` — the persistent worker pool; ``"inline"`` —
         fused-chunk execution in-process; ``None``/``"auto"`` — pool
         on multi-core hosts, inline on single-core ones (where process
         fan-out cannot win). Results are byte-identical across modes.
-    fuse:
-        Ship each chunk's results as one message (default) instead of
-        one message per task. Byte-identical either way (asserted by
-        the pool-lifecycle tests); unfused preserves partial progress
-        from a crashed worker at more IPC cost.
     """
     ordered = sorted(tasks, key=lambda t: t.index)
     if len({t.index for t in ordered}) != len(ordered):
@@ -475,7 +446,7 @@ def run_sweep(
         sweep.results = _run_inline(ordered, shards)
         return sweep
 
-    pool = _get_pool(_start_method(start_method), shards)
+    pool = _get_pool(_start_method(None), shards)
     results: Dict[int, dict] = {}
     attempt = 0
     while True:
@@ -490,9 +461,7 @@ def run_sweep(
             )
         wave_crash = crash if attempt == 0 else None
         chunks = [c for c in partition_tasks(todo, shards) if c]
-        wave_results, any_dead = pool.run_wave(
-            chunks, crash=wave_crash, fuse=fuse
-        )
+        wave_results, any_dead = pool.run_wave(chunks, crash=wave_crash)
         results.update(wave_results)
         attempt += 1
         if any_dead:

@@ -101,6 +101,7 @@ def _sanitize(experiment: str, task: "SweepTask") -> Dict[str, int]:
         n_updates=task.n_updates,
         seed=task.seed,
         n_items=task.n_items,
+        n_retailers=task.n_retailers,
     )
     return {
         "violations": len(run.report.violations),
@@ -108,50 +109,55 @@ def _sanitize(experiment: str, task: "SweepTask") -> Dict[str, int]:
     }
 
 
-def _run_fig6_task(task: SweepTask) -> Dict[str, Any]:
-    from repro.experiments.fig6 import run_fig6
+def _run_paired_task(task: SweepTask) -> Dict[str, Any]:
+    """fig6 / table1 / scale: one paired replay, read per experiment."""
+    from repro.experiments import run_fig6, run_table1
+    from repro.experiments.scale import run_scale
 
-    result = run_fig6(
-        n_updates=task.n_updates, seed=task.seed, n_items=task.n_items,
-        n_retailers=task.n_retailers,
-    )
+    if task.experiment == "scale":
+        # The scale runner sanitizes in-process (the replay harness in
+        # analysis.check only knows the paper experiments).
+        result = run_scale(
+            spec=task.topology, n_updates=task.n_updates, seed=task.seed,
+            n_items=task.n_items, sanitize=task.check,
+        )
+    else:
+        run = run_table1 if task.experiment == "table1" else run_fig6
+        result = run(
+            n_updates=task.n_updates, seed=task.seed, n_items=task.n_items,
+            n_retailers=task.n_retailers,
+        )
+    final = result.proposal.final()
     payload: Dict[str, Any] = {
-        "reduction": result.reduction,
-        "local_ratio": result.local_ratio,
         "update_tags": _update_tags(result.proposal.results),
         "replicas": result.replicas,
-        "counters": {
-            "proposal_correspondences": (
-                result.proposal.final().total_correspondences
-            ),
-            "conventional_correspondences": (
-                result.conventional.final().total_correspondences
-            ),
-        },
         "telemetry": result.telemetry,
     }
-    return payload
-
-
-def _run_table1_task(task: SweepTask) -> Dict[str, Any]:
-    from repro.experiments.table1 import run_table1
-
-    result = run_table1(
-        n_updates=task.n_updates, seed=task.seed, n_items=task.n_items
-    )
-    final = result.proposal.final()
-    assurance = result.assurance()
-    payload: Dict[str, Any] = {
-        "update_tags": _update_tags(result.proposal.results),
-        "replicas": result.replicas,
-        "per_site": {s: final.per_site[s] for s in result.site_names},
-        "counters": {
+    if task.experiment == "table1":
+        assurance = result.assurance()
+        payload["per_site"] = {s: final.per_site[s] for s in result.site_names}
+        payload["counters"] = {
             "proposal_correspondences": final.total_correspondences,
             "fairness": assurance.retailer_fairness,
             "local_ratio": assurance.local_completion_ratio,
-        },
-        "telemetry": result.telemetry,
-    }
+        }
+    else:
+        payload["reduction"] = result.reduction
+        payload["local_ratio"] = result.local_ratio
+        payload["counters"] = {
+            "proposal_correspondences": final.total_correspondences,
+            "conventional_correspondences": (
+                result.conventional.final().total_correspondences
+            ),
+        }
+    if task.experiment == "scale":
+        payload["spec"] = task.topology
+        payload["n_sites"] = result.config.n_sites
+        if task.check:
+            payload["sanitizer"] = {
+                "violations": result.violations,
+                "warnings": result.warnings,
+            }
     return payload
 
 
@@ -200,49 +206,12 @@ def _run_fuzz_task(task: SweepTask) -> Dict[str, Any]:
     return run_case(case).payload()
 
 
-def _run_scale_task(task: SweepTask) -> Dict[str, Any]:
-    from repro.experiments.scale import run_scale
-
-    result = run_scale(
-        spec=task.topology,
-        n_updates=task.n_updates,
-        seed=task.seed,
-        n_items=task.n_items,
-        sanitize=task.check,
-    )
-    payload: Dict[str, Any] = {
-        "spec": task.topology,
-        "n_sites": result.topology.n_sites,
-        "reduction": result.reduction,
-        "local_ratio": result.local_ratio,
-        "update_tags": _update_tags(result.proposal.results),
-        "replicas": result.replicas,
-        "counters": {
-            "proposal_correspondences": (
-                result.proposal.final().total_correspondences
-            ),
-            "conventional_correspondences": (
-                result.conventional.final().total_correspondences
-            ),
-        },
-        "telemetry": result.telemetry,
-    }
-    if task.check:
-        # The scale runner sanitizes in-process (the replay harness in
-        # analysis.check only knows the paper experiments).
-        payload["sanitizer"] = {
-            "violations": result.violations,
-            "warnings": result.warnings,
-        }
-    return payload
-
-
 _RUNNERS = {
-    "fig6": _run_fig6_task,
-    "table1": _run_table1_task,
+    "fig6": _run_paired_task,
+    "table1": _run_paired_task,
+    "scale": _run_paired_task,
     "chaos": _run_chaos_task,
     "fuzz": _run_fuzz_task,
-    "scale": _run_scale_task,
 }
 
 

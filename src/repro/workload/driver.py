@@ -11,6 +11,10 @@ Two arrival disciplines:
 * **open** (:func:`run_open`) — every site runs its own arrival process
   with an inter-arrival time; updates overlap. Used by the latency and
   fault benches where concurrency matters.
+
+:func:`run_spaced` is the closed discipline with the lazy-sync daemons
+running beside it — the replay ``repro check`` and ``repro observe``
+share.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from repro.cluster.system import DistributedSystem
+from repro.core.sync import SyncScheduler
 from repro.core.types import UpdateResult
+from repro.obs.sampler import PeriodicSampler
 from repro.workload.generators import WorkloadEvent
 
 #: callback invoked after every finished update: (index, event, result)
@@ -134,6 +140,59 @@ def run_open(
         # or if `until` cut the run short.
         if proc.triggered and not proc.ok:  # pragma: no cover - bug guard
             raise proc.value
+    return results
+
+
+def run_spaced(
+    system: DistributedSystem,
+    events: Iterable[WorkloadEvent],
+    name: str,
+    sync_interval: float,
+    spacing: float,
+    sampler: Optional[PeriodicSampler] = None,
+) -> list[UpdateResult]:
+    """Closed replay with idle ``spacing`` and one sync daemon per site.
+
+    Lazy sync runs on a real :class:`SyncScheduler` per site, so sync
+    passes happen (and appear as spans) during the run; ``spacing``
+    idles the driver between updates — without it, a mostly-local
+    workload completes in almost no simulated time and the periodic
+    processes never fire. ``sampler``, when given, snapshots system
+    state alongside and once more at the end of the workload. The
+    driver process is called ``name``. Ends quiescent, with the lazy
+    backlog flushed and ``check_invariants()`` passed.
+    """
+    results: list[UpdateResult] = []
+
+    def driver(env):
+        # system.update already reports each result to the collector.
+        for event in events:
+            result = yield system.update(event.site, event.item, event.delta)
+            results.append(result)
+            if spacing > 0:
+                yield env.timeout(spacing)
+
+    daemons: list = [
+        SyncScheduler(site.accelerator, interval=sync_interval)
+        for site in system.sites.values()
+    ]
+    if sampler is not None:
+        daemons.append(sampler)
+    proc = system.env.process(driver(system.env), name=name)
+    for daemon in daemons:
+        daemon.start()
+    # The periodic processes never finish on their own, so run to the
+    # driver's completion, stop them, then drain the in-flight tail
+    # (sync pushes, propagation) so the trace is complete.
+    system.run(until=proc)
+    for site in system.sites.values():
+        site.accelerator.sync_all()  # flush the remaining lazy backlog
+    if sampler is not None:
+        sampler.sample_once()  # final snapshot at the end of the workload
+    for daemon in daemons:
+        daemon.stop()
+    system.run()
+    system.check_invariants()
     return results
 
 

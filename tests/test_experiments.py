@@ -12,7 +12,12 @@ from repro.experiments import (
     run_latency_experiment,
     run_table1,
 )
-from repro.experiments.sweep import sweep_items, sweep_rows, SWEEP_HEADERS
+from repro.experiments.sweep import (
+    SWEEP_HEADERS,
+    sweep_av_fraction,
+    sweep_items,
+    sweep_rows,
+)
 from repro.cluster import DistributedSystem, paper_config
 from repro.metrics.correspondence import is_monotonic
 
@@ -90,6 +95,34 @@ class TestTable1:
         for retailer in result.retailers:
             assert result.per_site_growth(retailer) < 0.5
 
+    def test_last_checkpoint_is_the_last_update(self):
+        # 125 is not a multiple of the default step (12): the table must
+        # still end where the results do.
+        result = run_table1(n_updates=125)
+        assert result.proposal.final().updates == 125
+        assert len(result.proposal.results) == 125
+
+    def test_columns_are_fig6s_curve(self):
+        """Table 1 and Fig. 6 read one simulation: same run, and each
+        per-site column set adds up to the total it splits."""
+        checkpoints = checkpoint_schedule(130, 20)
+        table = run_table1(n_updates=130, seed=5, checkpoints=checkpoints)
+        figure = run_fig6(n_updates=130, seed=5, checkpoints=checkpoints)
+        assert table.proposal.results == figure.proposal.results
+        assert table.replicas == figure.replicas
+        assert figure.proposal.final().total_correspondences > 0
+        for table_run, figure_run, sites_per_correspondence in (
+            # a proposal correspondence has two sites; a conventional
+            # one a site and the server, which is no column of the table
+            (table.proposal, figure.proposal, 2),
+            (table.conventional, figure.conventional, 1),
+        ):
+            assert table_run.checkpoints == figure_run.checkpoints
+            for cp in table_run.checkpoints:
+                assert sum(cp.per_site.values()) == (
+                    sites_per_correspondence * cp.total_correspondences
+                )
+
 
 class TestMakePaperTrace:
     def test_balanced_defaults_for_more_retailers(self):
@@ -136,6 +169,14 @@ class TestSweep:
         assert len(rows) == 2
         assert len(rows[0]) == len(SWEEP_HEADERS)
         assert points[1].reduction >= points[0].reduction - 0.1
+
+    def test_every_point_checks_the_proposals_invariants(self, monkeypatch):
+        def broken(self):
+            raise AssertionError("invariants checked")
+
+        monkeypatch.setattr(DistributedSystem, "check_invariants", broken)
+        with pytest.raises(AssertionError, match="invariants checked"):
+            sweep_av_fraction(fractions=(0.5,), n_updates=60)
 
 
 class TestPartitionExperiment:

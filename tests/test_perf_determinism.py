@@ -84,6 +84,26 @@ def test_merged_telemetry_carries_real_payload():
     assert telemetry["sites"]
 
 
+#: `repro sweep <grid>` at root seed 0 — every committed artefact and
+#: bench history row was produced by these; a PR that moves one has
+#: changed what the experiments compute, not only how
+PINNED_DIGESTS = {
+    "fig6-small":
+        "10739bd550c24758e7d875627bf2d4ab229f73101b715cb6e588f4a1192c4cb4",
+    "table1-small":
+        "d60351f534136a6b79066ab428968c875232897d0ef3bcdb01fa489b9f2e4d1e",
+    "scale-small":
+        "705bdaff73f866a4ee5c04a9f5e933d32d54598776afc6d730e317859971a504",
+    "chaos-small":
+        "22c0fa0a9d3ef8776f4b01dbfa863c7bd9dfbde60159661818978cfec03b14af",
+}
+
+
+@pytest.mark.parametrize("grid", sorted(PINNED_DIGESTS))
+def test_small_grid_digests_are_pinned(grid):
+    assert _sweep(grid, 0, shards=1).digest() == PINNED_DIGESTS[grid]
+
+
 def test_different_root_seeds_differ():
     """The root seed genuinely reaches the workloads."""
     assert (
@@ -150,6 +170,29 @@ def test_sanitizer_clean_under_sharded_optimized_kernel():
         assert result["sanitizer"]["violations"] == 0
 
 
+def test_check_sanitizes_the_tasks_own_layout(monkeypatch):
+    """--check replays the task's workload on the task's site count,
+    not the 3-site paper default (fig6-wide has 8 retailers)."""
+    from repro.analysis.check import run_check
+    from repro.perf.tasks import run_task
+
+    runs = []
+
+    def spy(**kwargs):
+        runs.append(run_check(**kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr("repro.analysis.check.run_check", spy)
+    (task,) = build_grid(
+        "fig6-wide", root_seed=0, replicates=1, n_updates=90, check=True
+    )
+    payload = run_task(task)
+    assert task.n_retailers == 8
+    assert len(payload["replicas"]) == task.n_retailers + 1
+    assert [len(run.system.sites) for run in runs] == [task.n_retailers + 1]
+    assert payload["sanitizer"]["violations"] == 0
+
+
 # --------------------------------------------------------------------- #
 # pool lifecycle
 # --------------------------------------------------------------------- #
@@ -198,11 +241,9 @@ def test_pool_replaces_dead_workers_in_slot(fresh_pools):
     assert all(proc.is_alive() for proc, _ in pool.workers.values())
 
 
-@pytest.mark.parametrize("fuse", [True, False])
-def test_pool_fused_and_unfused_byte_identical(fresh_pools, fuse):
-    """Task fusion is an IPC batching choice, not a semantic one."""
+def test_pool_mode_byte_identical_to_sequential(fresh_pools):
     reference = _sweep("table1-small", 0, shards=1)
-    pooled = _sweep("table1-small", 0, shards=2, mode="pool", fuse=fuse)
+    pooled = _sweep("table1-small", 0, shards=2, mode="pool")
     assert pooled.mode == "pool"
     assert pooled.canonical() == reference.canonical()
 
