@@ -5,9 +5,11 @@ the base." We model that assumption directly: bootstrap installs the
 catalogue into every site's store, defines AV entries for regular items,
 splits the AV pool according to the configured weights, and seeds every
 site's belief table with the initial allocation (each site knows the
-split it was dealt). Bootstrap is setup, not protocol — it sends no
-messages, matching the paper's accounting, which counts only
-correspondences *for update*.
+split it was dealt). A deal is computed once per distinct (pool, interest
+set) and shared by reference among the tables it seeds, so set-up costs
+O(items × spread), not O(items × spread²). Bootstrap is setup, not
+protocol — it sends no messages, matching the paper's accounting, which
+counts only correspondences *for update*.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 from typing import Dict, Sequence
 
 from repro.cluster.catalog import ProductCatalog
+from repro.core.beliefs import Belief
 from repro.metrics.collector import GlobalLedger
 
 
@@ -86,6 +89,8 @@ def bootstrap(
     if base is None:
         base = names[0]
     weights = av_weights if av_weights is not None else {n: 1.0 for n in names}
+    # (pool, order) -> (shares, the deal every interested table reads)
+    deals: Dict[tuple, tuple] = {}
 
     for product in catalog:
         ledger.set_initial(product.item, product.initial_stock)
@@ -103,12 +108,15 @@ def bootstrap(
         pool = product.initial_stock * av_fraction
         if float(product.initial_stock).is_integer():
             pool = float(math.floor(pool))
-        shares = split_volume(pool, weights, order)
-        for name in interested:
-            sites[name].av_table.define(product.item, shares[name])
+        key = (pool, tuple(order))
+        if key not in deals:
+            shares = split_volume(pool, weights, order)
+            deals[key] = (
+                shares, {peer: Belief(v, 0.0) for peer, v in shares.items()}
+            )
+        shares, deal = deals[key]
         # The interest set knows the initial deal (it came from the base).
         for name in interested:
-            beliefs = sites[name].accelerator.beliefs
-            for peer, share in shares.items():
-                if peer != name:
-                    beliefs.observe(peer, product.item, share, now=0.0)
+            site = sites[name]
+            site.av_table.define(product.item, shares[name])
+            site.accelerator.beliefs.seed(product.item, deal)

@@ -8,6 +8,11 @@ request/grant piggybacks the sender's current AV level, and the receiver
 records it with a timestamp. No extra messages are ever sent to refresh
 beliefs — staleness is a feature of the design, and the staleness
 ablation quantifies its cost.
+
+What a site knows before any message is the initial deal (paper §3.2:
+data comes "initially from the base"). That is one fact per item, so the
+table reads it through a ``{peer: Belief}`` dict shared by every site of
+the item's interest set, instead of holding a copy per site.
 """
 
 from __future__ import annotations
@@ -24,15 +29,32 @@ class Belief:
     observed_at: float
 
 
+#: the deal of an item nobody dealt; never mutated
+_NO_DEAL: Dict[str, Belief] = {}
+
+
 class BeliefTable:
     """What one site believes about the AV levels of its peers."""
 
     def __init__(self, site: str = "site") -> None:
         self.site = site
-        #: (peer, item) -> Belief
+        #: (peer, item) -> Belief, every observation made
         self._beliefs: Dict[Tuple[str, str], Belief] = {}
+        #: item -> its initial deal {peer: Belief}, shared by reference
+        #: with the item's other sites; the holder's own entry is unread
+        self._deals: Dict[str, Dict[str, Belief]] = {}
         #: observations recorded (diagnostic)
         self.observations = 0
+
+    def seed(self, item: str, deal: Dict[str, Belief]) -> None:
+        """Know ``deal`` as the initial AV of ``item``'s peers.
+
+        ``deal`` is kept by reference, not copied: it must not be
+        mutated afterwards, and must be seeded before ``item`` is
+        observed. Counts as one observation per peer dealt.
+        """
+        self._deals[item] = deal
+        self.observations += len(deal) - (self.site in deal)
 
     def observe(self, peer: str, item: str, volume: float, now: float) -> None:
         """Record that ``peer`` held ``volume`` AV for ``item`` at ``now``.
@@ -42,6 +64,8 @@ class BeliefTable:
         """
         key = (peer, item)
         existing = self._beliefs.get(key)
+        if existing is None and peer != self.site:
+            existing = self._deals.get(item, _NO_DEAL).get(peer)
         if existing is not None and existing.observed_at > now:
             return
         self._beliefs[key] = Belief(volume, now)
@@ -50,10 +74,15 @@ class BeliefTable:
     def believed_volume(self, peer: str, item: str) -> Optional[float]:
         """Last known AV of ``peer`` for ``item``; ``None`` if never seen."""
         belief = self._beliefs.get((peer, item))
+        if belief is None and peer != self.site:
+            belief = self._deals.get(item, _NO_DEAL).get(peer)
         return belief.volume if belief is not None else None
 
     def belief(self, peer: str, item: str) -> Optional[Belief]:
-        return self._beliefs.get((peer, item))
+        belief = self._beliefs.get((peer, item))
+        if belief is None and peer != self.site:
+            belief = self._deals.get(item, _NO_DEAL).get(peer)
+        return belief
 
     def rank_key(self, item: str):
         """Sort key putting peers richest-believed-first for ``item``.
@@ -64,9 +93,13 @@ class BeliefTable:
         ordering — and hence the whole simulation — is deterministic.
         """
         beliefs = self._beliefs
+        deal = self._deals.get(item, _NO_DEAL)
+        site = self.site
 
         def key(peer: str) -> tuple[float, str]:
             belief = beliefs.get((peer, item))
+            if belief is None and peer != site:
+                belief = deal.get(peer)
             # unknown: between "known empty" and "known ≥ 1"
             return (-belief.volume if belief is not None else -0.5, peer)
 
@@ -79,19 +112,32 @@ class BeliefTable:
     def entries(self):
         """Iterate ``(peer, item, Belief)`` over every held belief.
 
-        Used by the observability sampler to compare believed against
-        actual AV levels (belief staleness).
+        Dealt beliefs come first, in seeding order, each carrying its
+        latest observation; then the observation-only ones, in the order
+        first observed. Used by the observability sampler to compare
+        believed against actual AV levels (belief staleness).
         """
-        for (peer, item), belief in self._beliefs.items():
-            yield peer, item, belief
+        beliefs = self._beliefs
+        deals = self._deals
+        site = self.site
+        for item, deal in deals.items():
+            for peer, dealt in deal.items():
+                if peer != site:
+                    yield peer, item, beliefs.get((peer, item), dealt)
+        for (peer, item), belief in beliefs.items():
+            if peer == site or peer not in deals.get(item, _NO_DEAL):
+                yield peer, item, belief
 
     def forget_peer(self, peer: str) -> None:
         """Drop all beliefs about a peer (e.g. observed to have crashed)."""
-        for key in [k for k in self._beliefs if k[0] == peer]:
-            del self._beliefs[key]
+        self._beliefs = {
+            (p, item): belief
+            for p, item, belief in self.entries() if p != peer
+        }
+        self._deals = {}
 
     def __len__(self) -> int:
-        return len(self._beliefs)
+        return sum(1 for _ in self.entries())
 
     def __repr__(self) -> str:
-        return f"<BeliefTable {self.site!r} entries={len(self._beliefs)}>"
+        return f"<BeliefTable {self.site!r} entries={len(self)}>"

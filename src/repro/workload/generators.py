@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Sequence
 
@@ -179,7 +180,9 @@ class ZipfSampler:
         self.skew = skew
         self.rng = rng
         weights = np.arange(1, n + 1, dtype=np.float64) ** -float(skew)
-        self._cdf = np.cumsum(weights / weights.sum())
+        # A list of the same float64 values: ``bisect_right`` on one draw
+        # answers as ``np.searchsorted(side="right")`` without a numpy call.
+        self._cdf = np.cumsum(weights / weights.sum()).tolist()
         # Guard against float round-off leaving the last bin < 1.0.
         self._cdf[-1] = 1.0
 
@@ -188,12 +191,11 @@ class ZipfSampler:
         if not 1 <= rank <= self.n:
             raise ValueError(f"rank {rank} not in [1, {self.n}]")
         lo = self._cdf[rank - 2] if rank > 1 else 0.0
-        return float(self._cdf[rank - 1] - lo)
+        return self._cdf[rank - 1] - lo
 
     def draw_rank(self) -> int:
         """One 1-based rank (inverse-CDF on a single uniform variate)."""
-        u = self.rng.random()
-        return int(np.searchsorted(self._cdf, u, side="right")) + 1
+        return bisect_right(self._cdf, self.rng.random()) + 1
 
     def draw_index(self) -> int:
         """One 0-based index into a popularity-ordered sequence."""
@@ -287,7 +289,7 @@ class TopologyWorkload(WorkloadGenerator):
         self.mix = {leaf: weights.get(leaf, 0.0) for leaf in self.leaves}
         self._leaf_cdf = np.cumsum(
             [self.mix[leaf] for leaf in self.leaves]
-        )
+        ).tolist()
         self._leaf_cdf[-1] = 1.0
         # One catalogue-wide sampler for the maker; per-slice-size
         # samplers for the leaves (slices of equal length share one —
@@ -321,9 +323,8 @@ class TopologyWorkload(WorkloadGenerator):
                     self.maker, item, self._magnitude(self.increase_fraction)
                 )
             else:
-                u = self.rng.random()
                 leaf = self.leaves[
-                    int(np.searchsorted(self._leaf_cdf, u, side="right"))
+                    bisect_right(self._leaf_cdf, self.rng.random())
                 ]
                 slice_ = self._slices[leaf]
                 item = slice_[self._slice_sampler(len(slice_)).draw_index()]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    Belief,
     BeliefTable,
     BelievedRichestStrategy,
     ExactPolicy,
@@ -63,6 +64,71 @@ class TestBeliefTable:
         assert b.believed_volume("p", "A") is None
         assert b.believed_volume("q", "A") == 3.0
         assert len(b) == 1
+
+
+class TestSeededDeal:
+    """The initial deal is shared by reference across an interest set."""
+
+    def _deal(self):
+        return {
+            "s0": Belief(4.0, 0.0),
+            "s1": Belief(3.0, 0.0),
+            "s2": Belief(3.0, 0.0),
+        }
+
+    def test_observe_leaves_co_seeded_tables_and_the_deal_alone(self):
+        deal = self._deal()
+        snapshot = dict(deal)
+        one, two = BeliefTable("s1"), BeliefTable("s2")
+        one.seed("A", deal)
+        two.seed("A", deal)
+        before = list(two.entries())
+        one.observe("s0", "A", 0.0, now=5.0)
+        one.observe("s2", "A", 1.0, now=6.0)
+        assert one.believed_volume("s0", "A") == 0.0
+        assert one.belief("s2", "A") == Belief(1.0, 6.0)
+        assert list(two.entries()) == before
+        assert two.believed_volume("s0", "A") == 4.0
+        assert deal == snapshot
+        assert all(deal[p] is snapshot[p] for p in deal)
+
+    def test_holder_never_reads_its_own_share(self):
+        table = BeliefTable("s1")
+        table.seed("A", self._deal())
+        assert table.belief("s1", "A") is None
+        assert table.believed_volume("s1", "A") is None
+        assert [p for p, _i, _b in table.entries()] == ["s0", "s2"]
+        assert len(table) == 2
+        assert table.observations == 2
+        # unknown (-0.5) ranks between known-positive and known-empty
+        assert table.ranked_peers("A", ["s2", "s1", "s0"]) == ["s0", "s2", "s1"]
+
+    def test_stale_observation_does_not_regress_the_deal(self):
+        table = BeliefTable("s1")
+        table.seed("A", self._deal())
+        table.observe("s0", "A", 99.0, now=-1.0)
+        assert table.believed_volume("s0", "A") == 4.0
+        assert table.observations == 2
+
+    def test_build_shares_one_deal_per_interest_set(self):
+        """Σ len(beliefs) is the per-pair count a copying bootstrap has,
+        while the distinct Belief objects number at most one per peer of
+        each distinct deal."""
+        from repro.cluster import DistributedSystem, Topology, paper_config
+
+        items = [f"item{i:04d}" for i in range(2000)]
+        topology = Topology.parse("regional:7x6:s2", items)
+        system = DistributedSystem.build(
+            paper_config(n_items=len(items), seed=0, topology=topology)
+        )
+        interest_sets = [topology.sites_for(item) for item in items]
+        tables = [s.accelerator.beliefs for s in system.sites.values()]
+        assert sum(len(t) for t in tables) == sum(
+            len(i) * (len(i) - 1) for i in interest_sets
+        )
+        distinct = {id(b) for t in tables for _p, _i, b in t.entries()}
+        deals = {tuple(i) for i in interest_sets}
+        assert len(distinct) <= len(deals) * max(len(i) for i in interest_sets)
 
 
 class TestPolicies:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core import (
     AVTable,
+    Belief,
+    BeliefTable,
     ExactPolicy,
     GrantAllPolicy,
     OverdraftPolicy,
@@ -63,6 +65,84 @@ def test_av_table_conserves_and_never_negative(initial, ops):
                 external += consumed
         assert table.get("A") >= 0.0
         assert table.get("A") + external == initial
+
+
+# ---------------------------------------------------------------------- #
+# a seeded belief table reads as one that observed the deal
+# ---------------------------------------------------------------------- #
+
+HOLDER = "s1"
+PEERS = ["s0", "s1", "s2", "s3"]
+ITEMS = ["A", "B", "C"]  # C is never dealt
+
+deals = st.fixed_dictionaries(
+    {
+        item: st.permutations(PEERS).flatmap(
+            lambda order: st.lists(
+                st.integers(min_value=0, max_value=5).map(float),
+                min_size=1, max_size=len(order),
+            ).map(lambda vols: {p: Belief(v, 0.0) for p, v in zip(order, vols)})
+        )
+        for item in ITEMS[:2]
+    }
+)
+belief_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("observe"),
+            st.sampled_from(PEERS),
+            st.sampled_from(ITEMS),
+            st.integers(min_value=0, max_value=5).map(float),
+            st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+        ),
+        st.tuples(st.just("forget"), st.sampled_from(PEERS)),
+        st.tuples(
+            st.just("rank"), st.sampled_from(ITEMS),
+            st.lists(st.sampled_from(PEERS), unique=True),
+        ),
+    ),
+    max_size=30,
+)
+
+
+@given(deals, belief_ops)
+def test_seeded_table_reads_as_an_observed_one(dealt, ops):
+    """``seed`` shares the deal; every read, ``entries()`` order, ``len``
+    and ``observations`` equal a table that observed the deal at t=0."""
+    snapshot = {item: dict(deal) for item, deal in dealt.items()}
+    seeded, reference = BeliefTable(HOLDER), BeliefTable(HOLDER)
+    for item, deal in dealt.items():
+        seeded.seed(item, deal)
+        for peer, belief in deal.items():
+            if peer != HOLDER:
+                reference.observe(peer, item, belief.volume, 0.0)
+
+    def assert_same():
+        assert list(seeded.entries()) == list(reference.entries())
+        assert len(seeded) == len(reference)
+        assert seeded.observations == reference.observations
+        for peer in PEERS:
+            for item in ITEMS:
+                assert seeded.belief(peer, item) == reference.belief(peer, item)
+                assert seeded.believed_volume(peer, item) == (
+                    reference.believed_volume(peer, item)
+                )
+
+    assert_same()
+    for op in ops:
+        if op[0] == "observe":
+            seeded.observe(*op[1:])
+            reference.observe(*op[1:])
+        elif op[0] == "forget":
+            seeded.forget_peer(op[1])
+            reference.forget_peer(op[1])
+        else:
+            _, item, candidates = op
+            assert seeded.ranked_peers(item, candidates) == (
+                reference.ranked_peers(item, candidates)
+            )
+        assert_same()
+    assert dealt == snapshot  # nothing wrote through the shared deal
 
 
 # ---------------------------------------------------------------------- #

@@ -1,5 +1,7 @@
 """Unit tests for workload generators, drivers and traces."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -329,6 +331,36 @@ class TestZipfSampler:
             np.log(np.arange(1, 31)[head]), np.log(counts[head]), 1
         )[0]
         assert slope == pytest.approx(-skew, abs=0.12)
+
+    @pytest.mark.parametrize("n,skew", [(1, 1.1), (7, 0.0), (50, 1.2), (997, 1.1)])
+    def test_draw_is_the_searchsorted_index(self, n, skew):
+        """A draw is ``np.searchsorted(cdf, u, side="right")`` for random
+        ``u`` and for ``u`` exactly at every CDF entry."""
+        from repro.workload import ZipfSampler
+
+        sampler = ZipfSampler(n, skew, np.random.default_rng(0))
+        cdf = np.array(sampler._cdf, dtype=np.float64)
+        us = np.random.default_rng(1).random(500).tolist() + cdf.tolist()
+        us += [0.0, float(np.nextafter(cdf[0], 0.0))]
+
+        sampler.rng = SimpleNamespace(random=iter(us).__next__)
+        for u in us:
+            expected = int(np.searchsorted(cdf, u, side="right")) + 1
+            assert sampler.draw_rank() == expected
+
+    def test_scale_trace_is_pinned(self):
+        """The 50-site benchmark stream, pinned byte for byte."""
+        import hashlib
+
+        from repro.cluster import Topology
+        from repro.experiments.scale import make_scale_trace
+
+        items = [f"item{i:04d}" for i in range(10_000)]
+        trace = make_scale_trace(Topology.parse("regional:7x6:s2", items), 2000, 0)
+        text = "".join(f"{e.site}\t{e.item}\t{e.delta!r}\n" for e in trace)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b945cad3d6d14ee620bf775e5d30f1a6a832ce2685e054e774df6e82afbd480d"
+        )
 
     def test_rejects_bad_parameters(self):
         from repro.workload import ZipfSampler
