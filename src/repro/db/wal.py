@@ -4,13 +4,19 @@ The paper rolls back a Delay Update "by updating with [the] opposite of
 [the] update volume" — i.e. *compensation*, not before-image restore. The
 WAL therefore records deltas. Each transaction writes BEGIN, one entry per
 delta, then COMMIT or ABORT; recovery compensates any transaction without
-a terminal record.
+a terminal record. It needs nothing else, so the log retains **only
+open transactions**: BEGIN opens a record list, DELTA appends to it,
+COMMIT or ABORT drops it. Hence ``len(wal)`` is the number of records
+*written* (the LSN high-water mark), not held; ``in_flight()`` costs
+O(open transactions); iteration yields the retained records in LSN
+order, which is all :func:`repro.db.recovery.recover` sweeps.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional
 
 
@@ -43,81 +49,71 @@ class WalEntry:
 
 
 class WriteAheadLog:
-    """Append-only in-memory log for one site."""
+    """In-memory log for one site that retains open transactions only."""
 
     def __init__(self, name: str = "wal") -> None:
         self.name = name
-        self._entries: list[WalEntry] = []
+        #: txn id -> its records so far, for every transaction with a
+        #: BEGIN and no COMMIT/ABORT yet (insertion order = BEGIN order)
+        self._open: dict[int, list[WalEntry]] = {}
         self._next_lsn = 1
 
-    def _append(self, op: WalOp, txn_id: int, item: Optional[str] = None, delta: float = 0.0) -> WalEntry:
+    def _write(self, op: WalOp, txn_id: int, item: Optional[str] = None, delta: float = 0.0) -> WalEntry:
         entry = WalEntry(self._next_lsn, op, txn_id, item, delta)
         self._next_lsn += 1
-        self._entries.append(entry)
         return entry
+
+    def _records_of(self, txn_id: int, op: WalOp) -> list[WalEntry]:
+        if txn_id not in self._open:
+            raise ValueError(f"{self.name}: {op.value} for txn {txn_id}, which has no open BEGIN")
+        return self._open[txn_id]
+
+    def _close(self, op: WalOp, txn_id: int) -> WalEntry:
+        self._records_of(txn_id, op)
+        del self._open[txn_id]
+        return self._write(op, txn_id)
 
     def log_begin(self, txn_id: int) -> WalEntry:
-        return self._append(WalOp.BEGIN, txn_id)
+        entry = self._write(WalOp.BEGIN, txn_id)
+        self._open[txn_id] = [entry]
+        return entry
 
     def log_delta(self, txn_id: int, item: str, delta: float) -> WalEntry:
-        return self._append(WalOp.DELTA, txn_id, item, delta)
+        records = self._records_of(txn_id, WalOp.DELTA)
+        entry = self._write(WalOp.DELTA, txn_id, item, delta)
+        records.append(entry)
+        return entry
 
     def log_commit(self, txn_id: int) -> WalEntry:
-        return self._append(WalOp.COMMIT, txn_id)
+        return self._close(WalOp.COMMIT, txn_id)
 
     def log_abort(self, txn_id: int) -> WalEntry:
-        return self._append(WalOp.ABORT, txn_id)
+        return self._close(WalOp.ABORT, txn_id)
 
-    def log_atomic(self, txn_id: int, item: str, delta: float) -> WalEntry:
-        """Append BEGIN, DELTA, COMMIT for a one-delta transaction.
+    def log_atomic(self, txn_id: int, item: str, delta: float) -> None:
+        """Write BEGIN, DELTA, COMMIT for a one-delta transaction.
 
-        The fused form of the Delay apply hot path: identical records
-        and lsns to the three separate calls, one method dispatch.
-        Returns the DELTA entry.
+        The fused form of the Delay apply hot path: the same three lsns
+        as the separate calls, with no yield in between, so the
+        transaction is never open and no record is retained.
         """
-        lsn = self._next_lsn
-        self._next_lsn = lsn + 3
-        entry = WalEntry(lsn + 1, WalOp.DELTA, txn_id, item, delta)
-        self._entries += (
-            WalEntry(lsn, WalOp.BEGIN, txn_id),
-            entry,
-            WalEntry(lsn + 2, WalOp.COMMIT, txn_id),
-        )
-        return entry
+        self._next_lsn += 3
 
     # ---------------------------------------------------------------- #
     # reading
     # ---------------------------------------------------------------- #
 
     def __iter__(self) -> Iterator[WalEntry]:
-        return iter(self._entries)
+        """Retained records (open transactions only), in LSN order."""
+        return iter(sorted(chain.from_iterable(self._open.values()), key=lambda e: e.lsn))
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def entries_for(self, txn_id: int) -> list[WalEntry]:
-        return [e for e in self._entries if e.txn_id == txn_id]
+        """Records written so far, finished transactions included."""
+        return self._next_lsn - 1
 
     def in_flight(self) -> set[int]:
         """Transaction ids with a BEGIN but no COMMIT/ABORT record."""
-        open_txns: set[int] = set()
-        for entry in self._entries:
-            if entry.op is WalOp.BEGIN:
-                open_txns.add(entry.txn_id)
-            elif entry.op in (WalOp.COMMIT, WalOp.ABORT):
-                open_txns.discard(entry.txn_id)
-        return open_txns
-
-    def truncate(self) -> int:
-        """Drop records of finished transactions; returns entries removed.
-
-        Keeps every record belonging to an in-flight transaction (they are
-        still needed for recovery), preserving order.
-        """
-        alive = self.in_flight()
-        before = len(self._entries)
-        self._entries = [e for e in self._entries if e.txn_id in alive]
-        return before - len(self._entries)
+        return set(self._open)
 
     def __repr__(self) -> str:
-        return f"<WriteAheadLog {self.name!r} entries={len(self._entries)}>"
+        return f"<WriteAheadLog {self.name!r} written={len(self)} open={len(self._open)}>"

@@ -16,6 +16,9 @@ from repro.cluster import (
     split_volume,
 )
 from repro.cluster.topology import SiteSpec, Topology
+from repro.core import UpdateKind
+from repro.experiments import make_paper_trace
+from repro.workload import run_closed
 
 
 class TestCatalog:
@@ -213,3 +216,38 @@ class TestTopologyConstruction:
             holders = {leaves[i % 6], leaves[(i + 1) % 6]}
             parents = {f"agg{leaves.index(leaf) // 2}" for leaf in holders}
             assert set(topology.sites_for(item)) == {"site0"} | holders | parents
+
+
+class TestWalResidue:
+    def test_quiescent_wal_retains_nothing(self):
+        """A drive leaves no log records behind, only an LSN count.
+
+        Every site's log is wrapped to count what is written: a fused
+        Delay apply writes 3 records, a 2PC participant its BEGIN,
+        DELTA and COMMIT/ABORT records one call each. At quiescence no
+        transaction is open, so nothing is retained, and ``len`` still
+        counts every record written (what ``db.wal_entries_per_update``
+        reports).
+        """
+        system = build_paper_system(n_items=10, seed=3, regular_fraction=0.5)
+        trace = make_paper_trace(3000, seed=3, n_items=10)
+        written = {"atomic": 0, "single": 0}
+        for site in system.sites.values():
+            wal = site.accelerator.txns.wal
+            for name in ("log_atomic", "log_begin", "log_delta", "log_commit", "log_abort"):
+                key = "atomic" if name == "log_atomic" else "single"
+
+                def spy(*args, _log=getattr(wal, name), _key=key):
+                    written[_key] += 1
+                    return _log(*args)
+
+                setattr(wal, name, spy)
+
+        results = run_closed(system, trace)
+
+        kinds = {r.kind for r in results}
+        assert kinds == {UpdateKind.DELAY, UpdateKind.IMMEDIATE}
+        assert written["atomic"] > 0 and written["single"] > 0
+        wals = [site.accelerator.txns.wal for site in system.sites.values()]
+        assert all(list(wal) == [] and not wal.in_flight() for wal in wals)
+        assert sum(len(wal) for wal in wals) == 3 * written["atomic"] + written["single"]

@@ -84,16 +84,18 @@ class TestTransaction:
     def test_wal_entries_ordering(self, tm):
         txn = tm.begin()
         txn.apply("A", -3)
+        assert [e.op for e in tm.wal] == [WalOp.BEGIN, WalOp.DELTA]
         txn.commit()
-        ops = [e.op for e in tm.wal]
-        assert ops == [WalOp.BEGIN, WalOp.DELTA, WalOp.COMMIT]
+        assert list(tm.wal) == []  # a commit leaves nothing retained
+        assert len(tm.wal) == 3
 
     def test_abort_writes_compensation_to_wal(self, tm):
         txn = tm.begin()
         txn.apply("A", -3)
         txn.abort()
-        deltas = [e.delta for e in tm.wal if e.op is WalOp.DELTA]
-        assert deltas == [-3, 3]
+        assert list(tm.wal) == []  # an abort leaves nothing retained
+        # BEGIN, DELTA -3, compensation DELTA +3, ABORT
+        assert len(tm.wal) == 4
 
     def test_clock_stamps_updates(self, store):
         t = [0.0]
@@ -112,32 +114,43 @@ class TestWal:
         wal.log_commit(1)
         assert wal.in_flight() == {2}
 
-    def test_entries_for(self):
+    def test_retains_open_transactions_in_lsn_order(self):
         wal = WriteAheadLog()
         wal.log_begin(1)
-        wal.log_delta(1, "A", 5)
         wal.log_begin(2)
-        assert len(wal.entries_for(1)) == 2
-
-    def test_truncate_keeps_in_flight(self):
-        wal = WriteAheadLog()
-        wal.log_begin(1)
         wal.log_delta(1, "A", 5)
-        wal.log_commit(1)
-        wal.log_begin(2)
         wal.log_delta(2, "B", 1)
-        removed = wal.truncate()
-        assert removed == 3
-        assert [e.txn_id for e in wal] == [2, 2]
+        wal.log_commit(1)
+        assert [(e.lsn, e.txn_id) for e in wal] == [(2, 2), (4, 2)]
+
+    def test_len_counts_records_written(self):
+        wal = WriteAheadLog()
+        wal.log_atomic(1, "A", 5)
+        wal.log_begin(2)
+        wal.log_delta(2, "A", 1)
+        wal.log_abort(2)
+        assert len(wal) == 6
+        assert list(wal) == [] and wal.in_flight() == set()
 
     def test_lsn_monotonic(self):
         wal = WriteAheadLog()
         e1 = wal.log_begin(1)
         e2 = wal.log_commit(1)
         assert e2.lsn == e1.lsn + 1
+        wal.log_atomic(2, "A", 1)  # lsns 3, 4, 5
+        assert wal.log_begin(3).lsn == e2.lsn + 4
+
+    @pytest.mark.parametrize("op", ["delta", "commit", "abort"])
+    def test_record_without_begin_rejected(self, op):
+        wal = WriteAheadLog()
+        args = (9, "A", 1) if op == "delta" else (9,)
+        with pytest.raises(ValueError, match="txn 9"):
+            getattr(wal, f"log_{op}")(*args)
+        assert len(wal) == 0
 
     def test_str(self):
         wal = WriteAheadLog()
+        wal.log_begin(7)
         e = wal.log_delta(7, "A", -2)
         assert "txn=7" in str(e) and "A-2" in str(e)
 
