@@ -20,15 +20,21 @@ instrumented hot paths near-zero-cost when observability is off.
 
 from __future__ import annotations
 
-from itertools import count
-from typing import Any, Dict, Iterator, List, Optional, Union
+import hashlib
+from array import array
+from operator import attrgetter
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 
 class Span:
-    """One timed interval of work, linked into a per-trace tree."""
+    """One timed interval of work, linked into a per-trace tree.
+
+    A finished span is immutable: a second :meth:`finish`, or an
+    :meth:`annotate` after the first, raises :class:`ValueError`.
+    """
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "site",
-                 "start", "end", "attrs")
+                 "start", "end", "attrs", "_recorder")
 
     def __init__(
         self,
@@ -39,6 +45,7 @@ class Span:
         site: str,
         start: float,
         attrs: Optional[Dict[str, Any]] = None,
+        recorder: Optional["SpanRecorder"] = None,
     ) -> None:
         self.trace_id = trace_id
         self.span_id = span_id
@@ -48,16 +55,26 @@ class Span:
         self.start = start
         self.end: Optional[float] = None
         self.attrs = attrs
+        self._recorder = recorder
 
     def finish(self, now: float, **attrs: Any) -> "Span":
         """Close the span at ``now``, merging any final attributes."""
+        if self.end is not None:
+            raise ValueError(f"{self!r} is already finished")
         self.end = now
         if attrs:
-            self.annotate(**attrs)
+            if self.attrs is None:
+                self.attrs = attrs
+            else:
+                self.attrs.update(attrs)
+        if self._recorder is not None:
+            self._recorder._pack(self)
         return self
 
     def annotate(self, **attrs: Any) -> None:
-        """Attach key/value attributes to the span."""
+        """Attach key/value attributes to the (still open) span."""
+        if self.end is not None:
+            raise ValueError(f"{self!r} is already finished")
         if self.attrs is None:
             self.attrs = {}
         self.attrs.update(attrs)
@@ -100,9 +117,28 @@ NULL_SPAN = _NullSpan()
 
 ParentLike = Union[Span, int, None]
 
+#: ``parent_id`` column value of a root span
+_NO_PARENT = -1
+
+_span_id = attrgetter("span_id")
+
 
 class SpanRecorder:
-    """Collects spans in start order (deterministic under a fixed seed).
+    """Collects spans; every view yields them in start (= span id) order,
+    deterministic under a fixed seed.
+
+    Storage model: only *open* spans are :class:`Span` objects, the live
+    handles ``start`` returned, held in ``_open``. ``finish`` packs a
+    span into one row of flat columns — ``array`` ids, parents, start and
+    end times, the trace/name/site strings (shared with the caller, not
+    copied), an index into a small table of attribute-key tuples, and
+    the attribute values in one list — so a finished span leaves no
+    Python container behind. Readers rebuild finished spans on demand:
+    no identity is promised for them (two reads give equal, distinct
+    objects), times come back as ``float``, and attribute keys keep
+    their order (``start`` keys, then ``finish`` keys; a repeated key
+    keeps its first position and takes the last value). An open span
+    comes back as its live handle.
 
     Parameters
     ----------
@@ -115,9 +151,22 @@ class SpanRecorder:
 
     def __init__(self, max_spans: Optional[int] = None) -> None:
         self.max_spans = max_spans
-        self.spans: List[Span] = []
         self.dropped = 0
-        self._ids = count(1)
+        #: spans started (open + finished); also the last span id
+        self._started = 0
+        self._open: Dict[int, Span] = {}
+        # finished spans, one row each, in finish order
+        self._ids = array("q")
+        self._parents = array("q")
+        self._starts = array("d")
+        self._ends = array("d")
+        #: trace id, name, site per row
+        self._strings: List[str] = []
+        self._shapes = array("H")
+        #: shape index -> attribute keys; shape 0 is "no attributes"
+        self._shape_keys: List[Tuple[str, ...]] = [()]
+        self._shape_index: Dict[Tuple[str, ...], int] = {(): 0}
+        self._values: List[Any] = []
 
     # ---------------------------------------------------------------- #
     # recording
@@ -139,10 +188,10 @@ class SpanRecorder:
         pass ``trace`` too), or ``None``/:data:`NULL_SPAN` for a root.
         A root with no ``trace`` starts a fresh trace (id ``t<span_id>``).
         """
-        if self.max_spans is not None and len(self.spans) >= self.max_spans:
+        if self.max_spans is not None and self._started >= self.max_spans:
             self.dropped += 1
             return NULL_SPAN
-        span_id = next(self._ids)
+        self._started = span_id = self._started + 1
         if isinstance(parent, Span):
             parent_id = parent.span_id if parent.span_id else None
             if trace is None and parent.trace_id:
@@ -150,76 +199,114 @@ class SpanRecorder:
         else:
             parent_id = parent
         span = Span(
-            trace_id=trace if trace else f"t{span_id}",
-            span_id=span_id,
-            parent_id=parent_id,
-            name=name,
-            site=site,
-            start=now,
-            attrs=attrs or None,
+            trace if trace else f"t{span_id}", span_id, parent_id, name,
+            site, now, attrs or None, self,
         )
-        self.spans.append(span)
+        self._open[span_id] = span
         return span
+
+    def _pack(self, span: Span) -> None:
+        """Move a just-finished span from ``_open`` into the columns."""
+        del self._open[span.span_id]
+        self._ids.append(span.span_id)
+        parent_id = span.parent_id
+        self._parents.append(_NO_PARENT if parent_id is None else parent_id)
+        self._starts.append(span.start)
+        self._ends.append(span.end)
+        self._strings += (span.trace_id, span.name, span.site)
+        attrs = span.attrs
+        if attrs:
+            keys = tuple(attrs)
+            shape = self._shape_index.get(keys)
+            if shape is None:
+                shape = self._shape_index[keys] = len(self._shape_keys)
+                self._shape_keys.append(keys)
+            self._shapes.append(shape)
+            self._values += attrs.values()
+        else:
+            self._shapes.append(0)
 
     # ---------------------------------------------------------------- #
     # views
     # ---------------------------------------------------------------- #
 
+    def _finished(self) -> Iterator[Span]:
+        """Rebuild the finished spans, in finish order."""
+        strings, shape_keys, values = self._strings, self._shape_keys, self._values
+        at = 0
+        rows = zip(self._ids, self._parents, self._starts, self._ends,
+                   self._shapes)
+        for row, (span_id, parent_id, start, end, shape) in enumerate(rows):
+            keys = shape_keys[shape]
+            attrs = None
+            if keys:
+                attrs = dict(zip(keys, values[at:at + len(keys)]))
+                at += len(keys)
+            base = 3 * row
+            span = Span(
+                strings[base], span_id,
+                None if parent_id == _NO_PARENT else parent_id,
+                strings[base + 1], strings[base + 2], start, attrs,
+            )
+            span.end = end
+            yield span
+
     def by_trace(self, trace_id: str) -> List[Span]:
-        return [s for s in self.spans if s.trace_id == trace_id]
+        return [s for s in self if s.trace_id == trace_id]
 
     def traces(self) -> Dict[str, List[Span]]:
         """All spans grouped by trace id (insertion-ordered)."""
         out: Dict[str, List[Span]] = {}
-        for span in self.spans:
+        for span in self:
             out.setdefault(span.trace_id, []).append(span)
         return out
 
     def roots(self) -> List[Span]:
-        return [s for s in self.spans if s.parent_id is None]
+        return [s for s in self if s.parent_id is None]
 
     def children(self, parent: Span) -> List[Span]:
         return [
-            s for s in self.spans
+            s for s in self
             if s.parent_id == parent.span_id and s.trace_id == parent.trace_id
         ]
 
     def names(self) -> Dict[str, int]:
         """Span count by name (summary tables)."""
         out: Dict[str, int] = {}
-        for span in self.spans:
+        for span in self:
             out[span.name] = out.get(span.name, 0) + 1
         return out
 
     def fingerprint(self) -> int:
-        """Order-sensitive hash of the whole span tree.
+        """Order-sensitive digest of the whole span tree.
 
-        Covers trace/parent linkage, timing, and attributes — the span
-        analogue of :meth:`repro.sim.tracing.Tracer.fingerprint`, used
-        by the determinism property test (same seed ⇒ same value).
+        Covers trace/parent linkage, timing, attributes and the drop
+        count — the span analogue of
+        :meth:`repro.sim.tracing.Tracer.fingerprint`, used by the
+        determinism tests (same seed ⇒ same value). It hashes a
+        canonical ``repr`` of each span with ``hashlib``, never
+        ``hash()``, so the value is stable across processes too.
         """
-        acc = 0
-        for s in self.spans:
+        digest = hashlib.blake2b(digest_size=8)
+        for s in self:
             attrs = tuple(sorted(s.attrs.items())) if s.attrs else ()
             key = (s.trace_id, s.span_id, s.parent_id, s.name, s.site,
-                   s.start, s.end, repr(attrs))
-            acc = (acc * 1000003 + hash(key)) & 0xFFFFFFFFFFFFFFFF
-        if self.dropped:
-            acc = (acc * 1000003 + self.dropped) & 0xFFFFFFFFFFFFFFFF
-        return acc
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self.dropped = 0
+                   s.start, s.end, attrs)
+            digest.update(repr(key).encode() + b"\n")
+        digest.update(repr(self.dropped).encode())
+        return int.from_bytes(digest.digest(), "big")
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return self._started
 
     def __iter__(self) -> Iterator[Span]:
-        return iter(self.spans)
+        spans = list(self._finished())
+        spans += self._open.values()
+        spans.sort(key=_span_id)
+        return iter(spans)
 
     def __repr__(self) -> str:
-        return f"<SpanRecorder spans={len(self.spans)} dropped={self.dropped}>"
+        return f"<SpanRecorder spans={len(self)} dropped={self.dropped}>"
 
 
 class NullSpanRecorder(SpanRecorder):

@@ -1,13 +1,16 @@
 """Tests for the observability layer: spans, registry, sampler, export."""
 
+import gc
 import json
 import math
 import statistics
+import tracemalloc
 
 import pytest
 
 from repro.cluster import build_paper_system
 from repro.experiments import make_paper_trace, run_observed
+from repro.experiments.chaos import SMALL_SCENARIOS, run_chaos_scenario
 from repro.obs import (
     NULL_OBS,
     NULL_SPAN,
@@ -96,6 +99,124 @@ class TestSpanRecorder:
         rec.start("update", "s", 1.0)
         assert rec.names() == {"update": 2, "apply": 1}
         assert len(rec.traces()) == 2
+
+
+FIELDS = ("trace_id", "span_id", "parent_id", "name", "site", "start",
+          "end", "attrs")
+
+
+def fields(span):
+    return tuple(getattr(span, name) for name in FIELDS)
+
+
+class TestPackedSpanStore:
+    """Finished spans are rows in flat columns, rebuilt on read."""
+
+    def test_finished_span_reads_back_with_all_fields(self):
+        rec = SpanRecorder()
+        root = rec.start("update", "site1", 2, trace="site1:u7", b=1, a=2)
+        child = rec.start("av.request", "site1", 3.5, parent=root.span_id,
+                          trace=root.trace_id)
+        child.finish(4.0)
+        root.finish(9, c=3, b=4)
+        back_root, back_child = list(rec)
+        assert fields(back_root) == fields(root)
+        assert fields(back_child) == fields(child)
+        # start keys, then finish keys; a repeated key keeps its first
+        # position and takes the last value
+        assert list(back_root.attrs.items()) == [("b", 4), ("a", 2), ("c", 3)]
+        assert back_child.attrs is None
+        # times are stored as floats
+        assert type(back_root.start) is float and back_root.start == 2.0
+        assert type(back_root.end) is float and back_root.end == 9.0
+
+    def test_reads_follow_span_id_order_not_finish_order(self):
+        rec = SpanRecorder()
+        root = rec.start("update", "s", 0.0)
+        kids = [rec.start("av.request", "s", float(i), parent=root)
+                for i in range(4)]
+        for kid in (kids[2], kids[0], kids[3]):
+            kid.finish(9.0)
+        spans = list(rec)
+        assert [s.span_id for s in spans] == [1, 2, 3, 4, 5]
+        assert spans[0] is root and spans[2] is kids[1]  # open: live handles
+        assert [s.span_id for s in rec.children(root)] == [2, 3, 4, 5]
+
+    def test_open_spans_come_back_as_live_handles(self):
+        rec = SpanRecorder()
+        root = rec.start("update", "site1", 0.0)
+        child = rec.start("av.request", "site1", 1.0, parent=root)
+        assert rec.children(root) == [child]
+        assert rec.roots() == [root]
+        assert rec.traces() == {root.trace_id: [root, child]}
+        events = chrome_trace_events(rec)
+        assert [e["dur"] for e in events if e["ph"] == "X"] == [0.0, 0.0]
+        child.finish(2.0, granted=1.0)
+        [back] = rec.children(root)
+        assert fields(back) == fields(child)
+        assert rec.roots() == [root]
+
+    def test_cap_counts_open_and_finished_spans(self):
+        rec = SpanRecorder(max_spans=2)
+        rec.start("a", "s", 0.0).finish(1.0)
+        rec.start("b", "s", 1.0)
+        assert rec.start("c", "s", 2.0) is NULL_SPAN
+        assert len(rec) == 2 and rec.dropped == 1
+        assert [s.name for s in rec] == ["a", "b"]
+
+    def test_finished_span_is_immutable(self):
+        rec = SpanRecorder()
+        span = rec.start("x", "s", 0.0)
+        span.finish(1.0, outcome="committed")
+        with pytest.raises(ValueError):
+            span.finish(2.0)
+        with pytest.raises(ValueError):
+            span.annotate(late=True)
+        [back] = list(rec)
+        with pytest.raises(ValueError):
+            back.finish(3.0)
+        assert fields(back) == fields(span) and len(rec) == 1
+
+    def test_finished_span_keeps_no_python_object(self):
+        """≤ 128 B and zero GC-tracked objects retained per finished span
+        (a span kept as an object costs ~290 B and one tracked object)."""
+        items = [f"item{i}" for i in range(10)]
+        deltas = [float(-d) for d in range(1, 6)]
+
+        def record(rec, first, n):
+            for i in range(first, first + n):
+                now = float(i)
+                root = rec.start(
+                    "update", "site1", now, trace=f"site1:u{i}",
+                    item=items[i % 10], delta=deltas[i % 5],
+                )
+                rec.start(
+                    "av.checking", "site1", now, parent=root,
+                ).finish(now, verdict="delay")
+                rec.start("delay.apply", "site1", now, parent=root).finish(now)
+                root.finish(now + 1.0, outcome="committed")
+
+        n = 20_000
+        # the columns are allocated under tracing, so their reallocations
+        # are measured in full
+        tracemalloc.start()
+        try:
+            rec = SpanRecorder()
+            record(rec, 0, 100)  # shape table warm-up
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            record(rec, 100, n)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / (3 * n) <= 128, retained / (3 * n)
+
+        objects = len(gc.get_objects())
+        record(rec, 100 + n, n)
+        gc.collect()
+        assert len(gc.get_objects()) - objects <= 0
+        assert len(rec) == 3 * (2 * n + 100)
 
 
 class TestStreamingHistogram:
@@ -426,6 +547,17 @@ class TestSpanDeterminism:
             return r.obs.recorder.fingerprint(), len(r.obs.recorder)
 
         assert run() == run()
+
+    def test_fingerprint_is_pinned_across_processes(self):
+        """Pinned values: computed over the span stream of the recorder
+        that kept every span as an object, so they prove the packed store
+        replays it exactly, and (hashlib, not ``hash()``) hold in any
+        process whatever its ``PYTHONHASHSEED``."""
+        rec = run_observed("fig6", n_updates=150, seed=11, n_items=5).obs.recorder
+        assert (len(rec), rec.fingerprint()) == (666, 13184414697047811627)
+        maker = next(s for s in SMALL_SCENARIOS if s.name == "maker-crash")
+        rec = run_chaos_scenario(maker, n_updates=300, seed=0).obs.recorder
+        assert (len(rec), rec.fingerprint()) == (1637, 4753417666164750786)
 
     def test_different_seed_different_fingerprint(self):
         a = run_observed("fig6", n_updates=150, seed=11, n_items=5)
