@@ -5,6 +5,7 @@ from repro.cluster.catalog import (
     Product,
     ProductCatalog,
     ProductClass,
+    item_ids,
     make_catalog,
 )
 from repro.cluster.config import SystemConfig, paper_config
@@ -35,6 +36,7 @@ __all__ = [
     "bootstrap",
     "build_paper_system",
     "install_rejoin_handlers",
+    "item_ids",
     "make_catalog",
     "paper_config",
     "rejoin",

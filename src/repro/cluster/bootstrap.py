@@ -1,11 +1,11 @@
 """Initial data delivery (paper §3.2).
 
 "All data are assumed to be delivered to all the sites initially from
-the base." We model that assumption directly: bootstrap installs the
-catalogue into every site's store, defines AV entries for regular items,
-splits the AV pool according to the configured weights, and seeds every
-site's belief table with the initial allocation (each site knows the
-split it was dealt). A deal is computed once per distinct (pool, interest
+the base." Bootstrap delivers each item to its interest set, which in
+the paper layout is every site: it installs the item into those stores,
+defines AV entries for regular items, splits the AV pool according to
+the configured weights, and seeds each belief table with the initial
+allocation (each site knows the split it was dealt). A deal is computed once per distinct (pool, interest
 set) and shared by reference among the tables it seeds, so set-up costs
 O(items × spread), not O(items × spread²). Bootstrap is setup, not
 protocol — it sends no messages, matching the paper's accounting, which
@@ -18,6 +18,7 @@ import math
 from typing import Dict, Sequence
 
 from repro.cluster.catalog import ProductCatalog
+from repro.cluster.topology import Topology
 from repro.core.beliefs import Belief
 from repro.metrics.collector import GlobalLedger
 
@@ -57,10 +58,9 @@ def bootstrap(
     sites,  # Dict[str, Site]; untyped to avoid an import cycle
     catalog: ProductCatalog,
     ledger: GlobalLedger,
+    topology: Topology,
     av_fraction: float = 1.0,
     av_weights: Dict[str, float] | None = None,
-    base: str | None = None,
-    topology=None,  # Optional[Topology]
 ) -> None:
     """Install catalogue data, AV allocation and initial beliefs.
 
@@ -72,45 +72,38 @@ def bootstrap(
         The shared product catalogue.
     ledger:
         Receives every item's initial (ground-truth) value.
+    topology:
+        The deployment: each item is installed, AV-split and
+        belief-seeded across its interest set (the maker first, then
+        aggregators, then leaves — so leftover units pool upward). In
+        the paper layout every interest set is every site: the paper's
+        full delivery.
     av_fraction:
         Fraction of each regular item's initial stock distributed as AV.
     av_weights:
         Relative share per site; equal when omitted.
-    base:
-        Name of the base site (gets leftover units first); defaults to
-        the first site.
-    topology:
-        Partial-replication shape: each item is installed, AV-split and
-        belief-seeded only across its interest set (base first, then
-        aggregators, then leaves — so leftover units pool upward).
-        ``None`` delivers everything to every site, as the paper assumes.
     """
-    names = list(sites)
-    if base is None:
-        base = names[0]
-    weights = av_weights if av_weights is not None else {n: 1.0 for n in names}
-    # (pool, order) -> (shares, the deal every interested table reads)
+    weights = av_weights if av_weights is not None else {n: 1.0 for n in sites}
+    # (pool, interest set) -> (shares, the deal every interested table reads)
     deals: Dict[tuple, tuple] = {}
 
     for product in catalog:
         ledger.set_initial(product.item, product.initial_stock)
-        interested = (
-            list(topology.sites_for(product.item))
-            if topology is not None else names
-        )
+        # Topology order: the maker (the base, which serves every item)
+        # first, so it gets the leftover units first.
+        interested = topology.sites_for(product.item)
         for name in interested:
             sites[name].store.insert(product.item, product.initial_stock)
 
         if not product.regular:
             continue
 
-        order = [base] + [n for n in interested if n != base]
         pool = product.initial_stock * av_fraction
         if float(product.initial_stock).is_integer():
             pool = float(math.floor(pool))
-        key = (pool, tuple(order))
+        key = (pool, interested)
         if key not in deals:
-            shares = split_volume(pool, weights, order)
+            shares = split_volume(pool, weights, interested)
             deals[key] = (
                 shares, {peer: Belief(v, 0.0) for peer, v in shares.items()}
             )

@@ -73,13 +73,20 @@ class ProductCatalog:
         )
 
 
+def item_ids(n_items: int) -> List[str]:
+    """The catalogue's item ids, ``item0..`` zero-padded to one width so
+    they sort in catalogue order. Every layout, trace and fuzz case
+    names items through this one rule."""
+    width = len(str(n_items - 1))
+    return [f"item{i:0{width}d}" for i in range(n_items)]
+
+
 def make_catalog(
     n_items: int,
     initial_stock: float = 100.0,
     regular_fraction: float = 1.0,
-    prefix: str = "item",
 ) -> ProductCatalog:
-    """Build a uniform catalogue.
+    """Build a uniform catalogue over :func:`item_ids`.
 
     The first ``round(n_items * regular_fraction)`` items are regular
     (deterministic, so experiments are reproducible by construction).
@@ -92,14 +99,9 @@ def make_catalog(
         raise ValueError(f"regular_fraction {regular_fraction} not in [0, 1]")
     catalog = ProductCatalog()
     n_regular = round(n_items * regular_fraction)
-    width = len(str(n_items - 1))
-    for i in range(n_items):
+    for i, item in enumerate(item_ids(n_items)):
         cls = ProductClass.REGULAR if i < n_regular else ProductClass.NON_REGULAR
         catalog.add(
-            Product(
-                item=f"{prefix}{i:0{width}d}",
-                product_class=cls,
-                initial_stock=initial_stock,
-            )
+            Product(item=item, product_class=cls, initial_stock=initial_stock)
         )
     return catalog

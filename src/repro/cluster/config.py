@@ -8,22 +8,37 @@ the base) plus two retailers, 100 items, all regular, AV split equally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Optional
 
+from repro.cluster.catalog import item_ids
 from repro.cluster.topology import Topology
 from repro.core.overload import OverloadParams
 from repro.net.reliable import ReliabilityParams
+
+
+@lru_cache(maxsize=32)
+def _paper_layout(n_retailers: int, n_items: int) -> Topology:
+    """The ``flat:N`` layout, one immutable instance per shape."""
+    return Topology.paper(n_retailers, item_ids(n_items))
 
 
 @dataclass
 class SystemConfig:
     """Everything needed to assemble a :class:`DistributedSystem`.
 
+    The deployment is always a :class:`Topology`. Given none, the config
+    gets the paper layout ``flat:n_retailers`` over ``item_ids(n_items)``,
+    one instance shared by every config of that shape. A
+    ``dataclasses.replace`` that changes either count must therefore
+    also pass ``topology=None``.
+
     Attributes
     ----------
     n_retailers:
-        Number of retailer sites (the maker/base is always ``site0``).
+        Number of retailer sites of the paper layout (the maker/base is
+        always ``site0``); ignored when ``topology`` is given.
     n_items, initial_stock, regular_fraction:
         Catalogue shape (see :func:`repro.cluster.catalog.make_catalog`).
     av_fraction:
@@ -90,10 +105,9 @@ class SystemConfig:
     #: experiments; see repro.testkit.
     inject: str = ""
     #: declarative N-site deployment shape (roles, region tree, per-item
-    #: interest sets; see :mod:`repro.cluster.topology`). ``None`` keeps
-    #: the paper's flat maker+retailers layout byte-identical; a
-    #: Topology overrides ``n_retailers`` and must cover exactly
-    #: ``n_items`` catalogue items
+    #: interest sets; see :mod:`repro.cluster.topology`). Omitted, the
+    #: paper's ``flat:n_retailers`` layout; given, it overrides
+    #: ``n_retailers`` and must cover exactly ``n_items`` catalogue items
     topology: Optional[Topology] = None
 
     #: names the fuzz harness accepts for ``inject``
@@ -102,7 +116,10 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.n_retailers < 1:
             raise ValueError("need at least one retailer")
-        if self.topology is not None and len(self.topology.items) != self.n_items:
+        self.topology = self.topology or _paper_layout(
+            self.n_retailers, self.n_items
+        )
+        if len(self.topology.items) != self.n_items:
             raise ValueError(
                 f"topology covers {len(self.topology.items)} items but"
                 f" n_items={self.n_items}"
@@ -119,23 +136,17 @@ class SystemConfig:
 
     @property
     def n_sites(self) -> int:
-        if self.topology is not None:
-            return self.topology.n_sites
-        return self.n_retailers + 1
+        return self.topology.n_sites
 
     @property
     def site_names(self) -> list[str]:
-        """``site0`` (maker/base) then ``site1..siteN`` (retailers);
-        with a topology, its deployment order (maker first)."""
-        if self.topology is not None:
-            return self.topology.names
-        return [f"site{i}" for i in range(self.n_sites)]
+        """The topology's deployment order: the maker/base ``site0``
+        first (then ``site1..siteN`` in the paper layout)."""
+        return self.topology.names
 
     @property
     def maker(self) -> str:
-        if self.topology is not None:
-            return self.topology.maker
-        return "site0"
+        return self.topology.maker
 
     @property
     def retailers(self) -> list[str]:

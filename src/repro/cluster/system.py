@@ -17,7 +17,6 @@ from repro.cluster.site import Site, SiteRole
 from repro.core.accelerator import Accelerator
 from repro.core.policies import DecidingPolicy
 from repro.core.strategies import SelectionStrategy
-from repro.db.snapshot import stores_equal
 from repro.db.storage import Store
 from repro.metrics.collector import MetricsCollector
 from repro.net.latency import ConstantLatency
@@ -72,7 +71,6 @@ class DistributedSystem:
     def build(
         cls,
         config: Optional[SystemConfig] = None,
-        catalog: Optional[ProductCatalog] = None,
         strategy_factory: Optional[StrategyFactory] = None,
         policy_factory: Optional[PolicyFactory] = None,
     ) -> "DistributedSystem":
@@ -95,12 +93,11 @@ class DistributedSystem:
             tracer=tracer,
             size_model=SizeModel() if config.count_bytes else None,
         )
-        if catalog is None:
-            catalog = make_catalog(
-                config.n_items,
-                initial_stock=config.initial_stock,
-                regular_fraction=config.regular_fraction,
-            )
+        catalog = make_catalog(
+            config.n_items,
+            initial_stock=config.initial_stock,
+            regular_fraction=config.regular_fraction,
+        )
         # NULL_OBS is a shared singleton, so the collector must only be
         # handed the registry of a run-private (enabled) hub — otherwise
         # every unobserved run would accumulate into one global registry.
@@ -117,13 +114,11 @@ class DistributedSystem:
         )
 
         topology = config.topology
-        if topology is not None:
-            catalog_items = [p.item for p in catalog]
-            if list(topology.items) != catalog_items:
-                raise ValueError(
-                    "topology item universe does not match the catalogue"
-                    f" ({len(topology.items)} vs {len(catalog_items)} items)"
-                )
+        if list(topology.items) != catalog.items():
+            raise ValueError(
+                "topology item universe does not match the catalogue"
+                f" ({len(topology.items)} vs {len(catalog)} items)"
+            )
 
         sites: Dict[str, Site] = {}
         for name in config.site_names:
@@ -148,15 +143,9 @@ class DistributedSystem:
                 reliability=config.reliability,
                 inject=config.inject,
                 overload=config.overload,
-                interest=topology.view(name) if topology is not None else None,
+                interest=topology.view(name),
             )
-            if topology is not None:
-                role = SiteRole(topology.role_of(name))
-            else:
-                role = (
-                    SiteRole.MAKER if name == config.maker
-                    else SiteRole.RETAILER
-                )
+            role = SiteRole(topology.role_of(name))
             sites[name] = Site(endpoint, store, accel, role, collector)
             if config.reliability is not None:
                 from repro.cluster.rejoin import install_rejoin_handlers
@@ -167,10 +156,9 @@ class DistributedSystem:
             sites,
             catalog,
             collector.ledger,
+            topology=topology,
             av_fraction=config.av_fraction,
             av_weights=config.av_weights,
-            base=config.maker,
-            topology=topology,
         )
         system = cls(
             config, env, network, rngs, tracer, catalog, sites, collector,
@@ -230,12 +218,9 @@ class DistributedSystem:
         )
 
     def interested_sites(self, item: str) -> List[Site]:
-        """The sites replicating ``item`` — everyone without a topology,
-        the item's interest set with one."""
-        topology = self.config.topology
-        if topology is None:
-            return list(self.sites.values())
-        return [self.sites[n] for n in topology.sites_for(item)]
+        """The sites replicating ``item``: its interest set (every site
+        in the paper layout)."""
+        return [self.sites[n] for n in self.config.topology.sites_for(item)]
 
     def check_invariants(self, quiescent: bool = False) -> None:
         """Raise :class:`InvariantViolation` on any broken invariant.
@@ -287,33 +272,17 @@ class DistributedSystem:
                     )
 
         if quiescent:
-            if self.config.topology is None:
-                stores = [s.store for s in self.sites.values()]
-                for other in stores[1:]:
-                    if not stores_equal(stores[0], other):
+            # Convergence is promised per item across its interest set,
+            # against the ledger.
+            for item in ledger.items():
+                truth = ledger.true_value(item)
+                for site in self.interested_sites(item):
+                    replica = site.store.value(item)
+                    if abs(replica - truth) > eps:
                         raise InvariantViolation(
-                            f"replicas {stores[0].name} and {other.name}"
-                            " diverged at quiescence"
+                            f"replica {site.name} value {replica} !="
+                            f" ledger {truth} for {item!r} at quiescence"
                         )
-                for item in ledger.items():
-                    replica = stores[0].value(item)
-                    if abs(replica - ledger.true_value(item)) > eps:
-                        raise InvariantViolation(
-                            f"converged replica value {replica} != ledger"
-                            f" {ledger.true_value(item)} for {item!r}"
-                        )
-            else:
-                # Partial replication: convergence is promised per item
-                # across its interest set, against the ledger.
-                for item in ledger.items():
-                    truth = ledger.true_value(item)
-                    for site in self.interested_sites(item):
-                        replica = site.store.value(item)
-                        if abs(replica - truth) > eps:
-                            raise InvariantViolation(
-                                f"replica {site.name} value {replica} !="
-                                f" ledger {truth} for {item!r} at quiescence"
-                            )
 
     def __repr__(self) -> str:
         return (

@@ -1,7 +1,9 @@
 """Declarative N-site topologies: roles, region tree, interest sets.
 
-The paper's §4 deployment is one maker plus two fully-replicated
-retailers. A :class:`Topology` generalises that shape declaratively:
+Every system runs on a :class:`Topology`; it is the only layout path.
+The paper's §4 deployment, one maker plus two fully-replicated
+retailers, is the special case :meth:`Topology.paper` (``flat:2``). A
+topology describes the shape declaratively:
 
 * **roles** — exactly one ``maker`` (the base / primary-copy site), any
   number of ``aggregator`` sites (regional AV pools, no user traffic)
@@ -18,9 +20,11 @@ retailers. A :class:`Topology` generalises that shape declaratively:
   protocol message may reference an item outside the receiver's
   interest set (property-tested in ``tests/test_properties_topology.py``).
 
-The paper's layout is :meth:`Topology.paper` — a flat, fully-replicated
-tree whose behaviour is byte-identical to a topology-free build
-(``tests/test_topology_differential.py`` pins that).
+The paper's layout is :meth:`Topology.paper`: a flat tree in which
+every item's interest set is every site, i.e. the paper's full
+replication. ``SystemConfig`` builds it whenever no topology is given;
+``tests/test_topology_differential.py`` pins its Fig. 6, Table 1 and
+mixed-sequence digests.
 
 Conservation statement (see ``docs/topology.md``): aggregator pools are
 ordinary per-site AV tables, so the sanitizer's invariant
@@ -81,8 +85,8 @@ class InterestView:
         #: direct children in the supply tree
         self.children = topology.children_of(name)
         #: parent to ask FIRST in the Delay gather loop — only set when
-        #: the parent is an aggregator, so flat (paper-shaped) topologies
-        #: keep the seed's strategy-driven gather byte-identical
+        #: the parent is an aggregator, so the flat paper layout keeps
+        #: the paper's strategy-driven gather
         self.pool_parent = (
             self.parent
             if self.parent is not None
@@ -275,12 +279,6 @@ class Topology:
         """Depth of the supply tree (1 = flat maker→leaves)."""
         return max(self._depth.values())
 
-    @property
-    def full_replication(self) -> bool:
-        """Every site replicates every item (the paper's assumption)."""
-        n = len(self.items)
-        return all(len(v) == n for v in self._interest.values())
-
     def role_of(self, name: str) -> str:
         return self._specs[name].role
 
@@ -289,10 +287,6 @@ class Topology:
 
     def children_of(self, name: str) -> Tuple[str, ...]:
         return tuple(self._children[name])
-
-    def depth_of(self, name: str) -> int:
-        """Distance from the maker (maker = 0)."""
-        return self._depth[name]
 
     def interest_of(self, name: str) -> Tuple[str, ...]:
         """Items ``name`` replicates, in catalogue order."""
@@ -354,9 +348,9 @@ class Topology:
 
     @classmethod
     def paper(cls, n_retailers: int, items: Sequence[str]) -> "Topology":
-        """The paper's flat layout: maker ``site0`` + fully-replicated
-        retailers ``site1..siteN``. Behaviourally byte-identical to a
-        topology-free build."""
+        """The paper's flat layout ``flat:N``: maker ``site0`` plus
+        retailers ``site1..siteN``, every one replicating every item.
+        This is the layout of a ``SystemConfig`` given no topology."""
         if n_retailers < 1:
             raise ValueError("need at least one retailer")
         specs = [SiteSpec("site0", ROLE_MAKER)]

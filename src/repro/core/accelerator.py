@@ -19,7 +19,7 @@ only when the update may have to wait).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -78,6 +78,11 @@ class Accelerator:
         robustness layer: reliable (ack/retransmit, effectively-once)
         propagation, AV grant leases, and the crash-recovery rejoin
         protocol.
+    interest:
+        This site's :class:`~repro.cluster.topology.InterestView`: the
+        items it serves, the peers replicating each of them and its
+        supply-tree parent. Required; in the paper layout every peer
+        replicates every item.
     """
 
     def __init__(
@@ -85,6 +90,7 @@ class Accelerator:
         endpoint: Endpoint,
         store: Store,
         base_site: str,
+        interest,  # repro.cluster.topology.InterestView
         strategy: Optional[SelectionStrategy] = None,
         policy: Optional[DecidingPolicy] = None,
         rng: Optional[np.random.Generator] = None,
@@ -98,7 +104,6 @@ class Accelerator:
         reliability: Optional[ReliabilityParams] = None,
         inject: str = "",
         overload: Optional[OverloadParams] = None,
-        interest=None,  # Optional[repro.cluster.topology.InterestView]
     ) -> None:
         self.endpoint = endpoint
         self.env = endpoint.env
@@ -106,12 +111,11 @@ class Accelerator:
         self.store = store
         self.base_site = base_site
         #: this site's slice of the deployment topology (items served,
-        #: per-item peers, supply-tree parent). ``None`` = the paper's
-        #: full replication: every peer replicates every item
+        #: per-item peers, supply-tree parent)
         self.interest = interest
         #: aggregator to ask FIRST in the Delay gather loop (hierarchical
-        #: AV); ``None`` keeps the seed's strategy-only gather
-        self.pool_parent = interest.pool_parent if interest is not None else None
+        #: AV); ``None`` keeps the paper's strategy-only gather
+        self.pool_parent = interest.pool_parent
         self.av_table = AVTable(self.site)
         self.beliefs = BeliefTable(self.site)
         self.locks = LockManager(self.env, name=f"{self.site}.locks")
@@ -394,44 +398,34 @@ class Accelerator:
         systems assume); protocols simply skip crashed peers and rely on
         request timeouts for crashes they race with.
         """
+        return self._live(self.endpoint.peers())
+
+    def _live(self, peers: Sequence[str]) -> Sequence[str]:
+        """``peers`` minus known-crashed sites: ``peers`` itself, not a
+        copy, while no site is down."""
         faults = self.endpoint.network.faults
-        peers = self.endpoint.peers()
         if not faults.any_crashed:
             return peers
         return [p for p in peers if not faults.is_crashed(p)]
 
     def serves_item(self, item: str) -> bool:
-        """Whether this site replicates ``item`` (always, sans topology)."""
-        return self.interest is None or self.interest.serves(item)
+        """Whether this site replicates ``item``."""
+        return self.interest.serves(item)
 
-    def replica_peers(self, item: str) -> list[str]:
-        """Peers replicating ``item`` — every peer under full
-        replication, the item's interest set (minus us) with a topology.
-        """
-        if self.interest is None:
-            return self.endpoint.peers()
-        return list(self.interest.peers_for(item))
+    def replica_peers(self, item: str) -> Sequence[str]:
+        """Peers replicating ``item``: its interest set minus us, in
+        topology order (the view's cached tuple; do not mutate)."""
+        return self.interest.peers_for(item)
 
-    def live_neighbors(self) -> list[str]:
-        """Live peers sharing at least one item with us — everyone
-        under full replication. Rejoin/flush traffic goes only here."""
-        if self.interest is None:
-            return self.live_peers()
-        faults = self.endpoint.network.faults
-        return [
-            p for p in self.interest.neighbors if not faults.is_crashed(p)
-        ]
+    def live_neighbors(self) -> Sequence[str]:
+        """Live peers sharing at least one item with us (every live peer
+        in the paper layout). Rejoin/flush traffic goes only here."""
+        return self._live(self.interest.neighbors)
 
-    def live_peers_for(self, item: str) -> list[str]:
+    def live_peers_for(self, item: str) -> Sequence[str]:
         """`replica_peers` minus known-crashed sites (gather candidates).
         """
-        if self.interest is None:
-            return self.live_peers()
-        faults = self.endpoint.network.faults
-        return [
-            p for p in self.interest.peers_for(item)
-            if not faults.is_crashed(p)
-        ]
+        return self._live(self.interest.peers_for(item))
 
     def trace(self, kind: str, detail: str) -> None:
         self.tracer.emit(self.env.now, kind, self.site, detail)

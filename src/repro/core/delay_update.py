@@ -402,7 +402,7 @@ class DelayUpdateProtocol:
         accel = self.accel
         item = msg.payload["item"]
         requested = msg.payload["amount"]
-        parent = accel.interest.parent if accel.interest is not None else None
+        parent = accel.interest.parent
         available = (
             accel.av_table.get(item)
             if accel.av_table.defined(item) else 0.0

@@ -213,10 +213,7 @@ def _overload_trace(
     budgets). The maker joins the burst rotation: demotion is
     maker-initiated, so the base site must feel the surge first-hand.
     """
-    items = [
-        f"item{i:0{len(str(config.n_items - 1))}d}"
-        for i in range(config.n_items)
-    ]
+    items = config.topology.items
     n_regular = round(config.n_items * config.regular_fraction)
     if n_regular < config.n_items:
         hot = [items[n_regular], items[0]]

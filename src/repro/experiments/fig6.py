@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.cluster import paper_config
+from repro.cluster import item_ids, paper_config
 from repro.sim.rng import RngRegistry
 from repro.workload.generators import PaperWorkload
 from repro.workload.trace import WorkloadTrace
@@ -57,7 +57,7 @@ def make_paper_trace(
     generator = PaperWorkload(
         maker=config.maker,
         retailers=config.retailers,
-        items=[f"item{i:0{len(str(n_items - 1))}d}" for i in range(n_items)],
+        items=item_ids(n_items),
         initial_stock=initial_stock,
         rng=rngs.stream("workload.paper"),
         site_order=site_order,
@@ -76,7 +76,6 @@ def run_fig6(
     checkpoint_every: Optional[int] = None,
     checkpoints: Optional[Sequence[int]] = None,
     observe: bool = False,
-    topology=None,
 ) -> PairedResult:
     """Regenerate Fig. 6.
 
@@ -86,12 +85,6 @@ def run_fig6(
     The paper's local-DB item count is illegible in the scanned text;
     ``n_items=10`` reproduces the reported ≈75% reduction with mostly
     local completion (see EXPERIMENTS.md for the calibration sweep).
-
-    ``topology`` (a flat :class:`~repro.cluster.topology.Topology`
-    matching the paper layout, e.g. ``Topology.paper(n_retailers,
-    items)``) routes the build through the topology-aware path; the
-    differential suite asserts the result is byte-identical to the
-    default.
     """
     trace = make_paper_trace(
         n_updates, seed, n_items=n_items,
@@ -107,7 +100,6 @@ def run_fig6(
         n_retailers=n_retailers,
         seed=seed,
         observe=observe,
-        topology=topology,
     )
     return run_paired(
         config,

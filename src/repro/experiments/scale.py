@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.cluster import Topology, paper_config
+from repro.cluster import Topology, item_ids, paper_config
 from repro.sim.rng import RngRegistry
 from repro.workload.generators import TopologyWorkload
 from repro.workload.trace import WorkloadTrace
@@ -72,8 +72,7 @@ def run_scale(
     they simply issue no updates), so the comparison is one deployment
     question — who holds update authority — and nothing else.
     """
-    items = [f"item{i:0{len(str(n_items - 1))}d}" for i in range(n_items)]
-    topology = Topology.parse(spec, items)
+    topology = Topology.parse(spec, item_ids(n_items))
     trace = make_scale_trace(
         topology,
         n_updates,

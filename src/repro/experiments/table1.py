@@ -34,13 +34,8 @@ def run_table1(
     n_retailers: int = 2,
     checkpoints: Optional[Sequence[int]] = None,
     observe: bool = False,
-    topology=None,
 ) -> PairedResult:
-    """Regenerate Table 1 (plus the same columns for the baseline).
-
-    ``topology`` routes the build through the topology-aware path (see
-    :func:`repro.experiments.fig6.run_fig6`).
-    """
+    """Regenerate Table 1 (plus the same columns for the baseline)."""
     if checkpoints is None:
         checkpoints = checkpoint_schedule(n_updates, max(1, n_updates // 10))
     trace = make_paper_trace(
@@ -53,7 +48,6 @@ def run_table1(
         n_retailers=n_retailers,
         seed=seed,
         observe=observe,
-        topology=topology,
     )
     return run_paired(
         config,

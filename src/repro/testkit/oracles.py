@@ -164,16 +164,14 @@ def sequential_spec_findings(system, results) -> List[Violation]:
 def interest_scope_findings(system) -> List[Violation]:
     """Partial-replication hygiene over every level of the supply tree.
 
-    No-op (empty list) without a topology. With one: every AV entry —
-    leaf tables *and* aggregator pools — must name an item inside the
-    holding site's interest set and carry a non-negative level, and
-    every store record must stay inside the slice. A stray entry means
-    some protocol path (grant, push, catalog reconcile, rejoin) leaked
-    an item across an interest boundary.
+    Every AV entry — leaf tables *and* aggregator pools — must name an
+    item inside the holding site's interest set and carry a
+    non-negative level, and every store record must stay inside the
+    slice. A stray entry means some protocol path (grant, push, catalog
+    reconcile, rejoin) leaked an item across an interest boundary. In
+    the paper layout every slice is the whole catalogue.
     """
     topology = system.config.topology
-    if topology is None:
-        return []
     now = float(system.env.now)
     findings: List[Violation] = []
     for name in sorted(system.sites):

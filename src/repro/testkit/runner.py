@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
 from repro.analysis.invariants import Violation
-from repro.cluster import DistributedSystem, paper_config
+from repro.cluster import DistributedSystem, Topology, paper_config
 from repro.core.overload import OverloadParams
 from repro.core.sync import SyncScheduler
 from repro.net.reliable import ReliabilityParams
@@ -134,11 +134,6 @@ def _validate(case: FuzzCase, config) -> None:
 
 def run_case(case: FuzzCase) -> CaseOutcome:
     """Run one case end to end; pure function of the case."""
-    topology = None
-    if case.topology:
-        from repro.cluster.topology import Topology
-
-        topology = Topology.parse(case.topology, case.item_names)
     config = paper_config(
         n_items=case.n_items,
         n_retailers=case.n_retailers,
@@ -150,7 +145,10 @@ def run_case(case: FuzzCase) -> CaseOutcome:
         reliability=ReliabilityParams() if case.reliability else None,
         inject=case.inject,
         overload=SURGE_PARAMS if case.overload else None,
-        topology=topology,
+        topology=(
+            Topology.parse(case.topology, case.item_names)
+            if case.topology else None
+        ),
     )
     _validate(case, config)
     system = DistributedSystem.build(config)

@@ -24,6 +24,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.cluster.catalog import item_ids
 from repro.net.faults import FaultSchedule
 from repro.perf.grids import derive_seed
 
@@ -144,8 +145,7 @@ class FuzzCase:
 
     @property
     def item_names(self) -> list:
-        width = len(str(self.n_items - 1))
-        return [f"item{i:0{width}d}" for i in range(self.n_items)]
+        return item_ids(self.n_items)
 
     def fault_schedule(self) -> FaultSchedule:
         return FaultSchedule.from_specs(_thaw(self.faults))
@@ -350,9 +350,7 @@ def make_case(
         from repro.cluster.topology import Topology
 
         topology = _draw_topology(n_items, mut)
-        width = len(str(n_items - 1))
-        items = [f"item{i:0{width}d}" for i in range(n_items)]
-        topo = Topology.parse(topology, items)
+        topo = Topology.parse(topology, item_ids(n_items))
         ops = _retarget_into_interest(ops, topo, mut)
         faults = _draw_topology_faults(topo, horizon, mut)
 
