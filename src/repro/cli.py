@@ -326,8 +326,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 #: grids below this task count run sequentially under ``--shards auto``:
 #: per-worker process start-up dominates and sharding is a slowdown
-#: (the committed benches measured a 0.726x "speedup" on the -small
-#: grids — see ROADMAP item 2)
+#: (the 3-task -small grids ran at 0.73-0.99x of sequential when
+#: sharded on a 2-cpu host)
 AUTO_SHARD_MIN_TASKS = 16
 
 
@@ -349,18 +349,19 @@ def _shards_arg(value: str):
 def resolve_shards(spec, n_tasks: int) -> int:
     """Concrete shard count for a sweep of ``n_tasks`` tasks.
 
-    ``auto`` picks sequential for small grids (results are
-    byte-identical for any shard count, so this is purely a wall-clock
-    decision) and otherwise caps fan-out at the smaller of the task
-    count and available cores.
+    ``auto`` picks sequential for small grids and on a lone core
+    (results are byte-identical for any shard count, so this is purely
+    a wall-clock decision) and otherwise caps fan-out at the smaller of
+    the task count and available cores.
     """
     if spec != "auto":
         return int(spec)
-    if n_tasks < AUTO_SHARD_MIN_TASKS:
-        return 1
     import os
 
-    return max(2, min(4, os.cpu_count() or 1, n_tasks))
+    cpus = os.cpu_count() or 1
+    if n_tasks < AUTO_SHARD_MIN_TASKS or cpus < 2:
+        return 1
+    return min(4, cpus, n_tasks)
 
 
 def _run_grid_sweep(args: argparse.Namespace) -> int:
@@ -383,7 +384,6 @@ def _run_grid_sweep(args: argparse.Namespace) -> int:
         shards=shards,
         grid=args.dimension,
         root_seed=args.seed,
-        crash=None,
     )
     wall = time.perf_counter() - started  # repro-lint: disable=wall-clock (host timing of the sweep harness, not simulation)
 

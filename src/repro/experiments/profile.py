@@ -181,8 +181,7 @@ def run_profiled(
     OS preemption landing between two kernel events inflates the
     unattributed run-loop residual, so a single attempt on a noisy host
     can dip below the gate for reasons that have nothing to do with the
-    code. Same noise, same remedy as the benchmark harness's best-of-N
-    timing.
+    code. Same noise, same remedy as best-of-N timing.
     """
     if experiment not in PROFILE_EXPERIMENTS:
         raise ValueError(

@@ -9,8 +9,8 @@ byte-identical to the sequential one**. Three pieces:
 * :mod:`repro.perf.grids` — named seed × config grids ("fig6-small",
   "table1", "chaos", ...) with per-task seeds derived from one root seed;
 * :mod:`repro.perf.runner` — the sharded runner: deterministic work
-  partitioning, ``multiprocessing`` fan-out, ordered result merging and
-  worker-crash retry.
+  partitioning, ``concurrent.futures`` process-pool fan-out, ordered
+  result merging and worker-crash retry.
 
 Determinism holds because every task owns its whole universe (a fresh
 :class:`~repro.sim.engine.Environment` and

@@ -9,7 +9,7 @@ end state — see :mod:`repro.obs.snapshot`). The fingerprint is what the
 determinism suite compares
 byte-for-byte between sequential and sharded execution, so it must be:
 
-* **picklable** (it crosses a ``multiprocessing`` queue),
+* **picklable** (it crosses the process boundary),
 * **canonically serialisable** (see :func:`canonical_json`),
 * **independent of host state** (no wall-clock times, no pids, no
   memory addresses — simulation quantities only).
@@ -33,7 +33,7 @@ class SweepTask:
         Position in the grid; results are merged in index order, which
         is what makes the merged sweep output shard-count independent.
     experiment:
-        ``"fig6"``, ``"table1"`` or ``"chaos"``.
+        ``"fig6"``, ``"table1"``, ``"chaos"``, ``"scale"`` or ``"fuzz"``.
     seed:
         The task's root seed (already derived from the sweep's root
         seed — see :func:`repro.perf.grids.derive_seed`).

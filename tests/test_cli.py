@@ -61,13 +61,24 @@ class TestParser:
                     ["sweep", "fig6-small", "--shards", bad]
                 )
 
-    def test_resolve_shards_sequential_for_small_grids(self):
+    def test_resolve_shards_sequential_for_small_grids(self, monkeypatch):
         from repro.cli import AUTO_SHARD_MIN_TASKS, resolve_shards
 
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
         assert resolve_shards("auto", AUTO_SHARD_MIN_TASKS - 1) == 1
-        assert resolve_shards("auto", AUTO_SHARD_MIN_TASKS) >= 2
+        assert resolve_shards("auto", AUTO_SHARD_MIN_TASKS) == 4
         # explicit counts are always honoured verbatim
         assert resolve_shards(7, 2) == 7
+
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_resolve_shards_sequential_on_a_lone_core(
+        self, monkeypatch, cpus
+    ):
+        from repro.cli import AUTO_SHARD_MIN_TASKS, resolve_shards
+
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        assert resolve_shards("auto", 10 * AUTO_SHARD_MIN_TASKS) == 1
+        assert resolve_shards(2, 10 * AUTO_SHARD_MIN_TASKS) == 2
 
 
 class TestExecution:

@@ -7,17 +7,20 @@ ordered results) is the comparison surface, so "equal" here really is
 *byte*-equal, repr-exact floats included.
 """
 
+import gc
+
 import pytest
 
 from repro.perf import (
     ShardCrash,
     SweepError,
+    SweepTask,
     build_grid,
     derive_seed,
     partition_tasks,
     run_sweep,
 )
-from repro.perf.runner import _POOLS, _get_pool, _start_method, shutdown_pools
+from repro.perf import runner
 
 ROOT_SEEDS = (0, 7, 20260806)
 
@@ -84,9 +87,9 @@ def test_merged_telemetry_carries_real_payload():
     assert telemetry["sites"]
 
 
-#: `repro sweep <grid>` at root seed 0 — every committed artefact and
-#: bench history row was produced by these; a PR that moves one has
-#: changed what the experiments compute, not only how
+#: `repro sweep <grid>` at root seed 0 — every committed artefact was
+#: produced by these; a change that moves one has changed what the
+#: experiments compute, not only how
 PINNED_DIGESTS = {
     "fig6-small":
         "10739bd550c24758e7d875627bf2d4ab229f73101b715cb6e588f4a1192c4cb4",
@@ -194,83 +197,58 @@ def test_check_sanitizes_the_tasks_own_layout(monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# pool lifecycle
+# executor lifecycle & gc deferral
 # --------------------------------------------------------------------- #
 
 
-@pytest.fixture
-def fresh_pools():
-    """Isolate each lifecycle test: no pool before, none left after."""
-    shutdown_pools()
-    yield
-    shutdown_pools()
-
-
-def test_pool_persists_across_sweeps(fresh_pools):
-    """Two sweeps in one process reuse the same worker pool — the whole
-    point of the persistent pool is paying process startup once per
-    campaign, not once per sweep."""
-    first = _sweep("fig6-small", 0, shards=2, mode="pool")
-    pool = _get_pool(_start_method(None), 2)
-    waves_after_first = pool.waves
-    assert waves_after_first >= 1
-    second = _sweep("fig6-small", 0, shards=2, mode="pool")
-    assert _get_pool(_start_method(None), 2) is pool
-    assert pool.waves > waves_after_first
-    assert pool.respawns == 0  # healthy campaign: nobody was replaced
+def test_pool_persists_across_sweeps():
+    """Two sweeps in one process share one executor: a campaign (the
+    fuzzer runs one sweep per batch) pays worker start-up once."""
+    first = _sweep("fig6-small", 0, shards=2)
+    executor = runner._EXECUTORS[2]
+    second = _sweep("fig6-small", 0, shards=2)
+    assert runner._EXECUTORS[2] is executor
     assert first.canonical() == second.canonical()
-    # The same workers served both sweeps.
-    assert len(pool.workers) == 2
-    assert all(proc.is_alive() for proc, _ in pool.workers.values())
 
 
-def test_pool_replaces_dead_workers_in_slot(fresh_pools):
-    """A worker killed mid-campaign is respawned in its slot and the
-    pool keeps serving — with byte-identical output."""
+def test_crash_replaces_the_broken_executor():
+    """A worker killed mid-sweep breaks its executor: the sweep swaps in
+    a fresh one, and that one serves the next sweep — byte-identical
+    output throughout."""
     reference = _sweep("fig6-small", 1, shards=1)
+    before = runner._executor(2)
     crashed = _sweep(
-        "fig6-small", 1, shards=2, mode="pool",
-        crash=ShardCrash(shard=0, after=1),
+        "fig6-small", 1, shards=2, crash=ShardCrash(shard=0, after=1)
     )
-    pool = _get_pool(_start_method(None), 2)
-    assert pool.respawns >= 1
+    assert crashed.retries >= 1
     assert crashed.canonical() == reference.canonical()
-    # The healed pool serves the next sweep without a teardown.
-    again = _sweep("fig6-small", 1, shards=2, mode="pool")
+    replacement = runner._EXECUTORS[2]
+    assert replacement is not before
+    again = _sweep("fig6-small", 1, shards=2)
+    assert runner._EXECUTORS[2] is replacement
+    assert again.retries == 0
     assert again.canonical() == reference.canonical()
-    assert all(proc.is_alive() for proc, _ in pool.workers.values())
 
 
-def test_pool_mode_byte_identical_to_sequential(fresh_pools):
-    reference = _sweep("table1-small", 0, shards=1)
-    pooled = _sweep("table1-small", 0, shards=2, mode="pool")
-    assert pooled.mode == "pool"
-    assert pooled.canonical() == reference.canonical()
-
-
-def test_inline_mode_byte_identical_to_sequential():
-    """Single-core degradation (fused chunks, deferred gc) must not be
-    observable in the output."""
-    reference = _sweep("chaos-small", 0, shards=1)
-    inline = _sweep("chaos-small", 0, shards=4, mode="inline")
-    assert inline.mode == "inline"
-    assert inline.canonical() == reference.canonical()
-
-
-def test_shutdown_pools_tears_everything_down(fresh_pools):
-    _sweep("fig6-small", 0, shards=2, mode="pool")
-    pool = _get_pool(_start_method(None), 2)
-    procs = [proc for proc, _ in pool.workers.values()]
-    assert procs and all(p.is_alive() for p in procs)
-    shutdown_pools()
-    assert not _POOLS
-    assert all(not p.is_alive() for p in procs)
-
-
-def test_mode_rejects_unknown_value():
-    tasks = build_grid("fig6-small", root_seed=0)
-    with pytest.raises(ValueError):
-        run_sweep(tasks, shards=2, mode="threads")
+@pytest.mark.parametrize("enabled", [True, False])
+def test_sequential_sweep_restores_gc_state(enabled):
+    """The in-process body defers gc per task and must hand the
+    caller's gc state back — also when a task raises."""
+    good = build_grid("fig6-small", root_seed=0)[:1]
+    bad = [SweepTask(index=1, experiment="no-such-experiment", seed=0,
+                     n_updates=1)]
+    was = gc.isenabled()
+    try:
+        if not enabled:
+            gc.disable()
+        run_sweep(good, shards=1)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError):
+            run_sweep(good + bad, shards=1)
+        assert gc.isenabled() is enabled
+    finally:
+        if was:
+            gc.enable()
 
 
 # --------------------------------------------------------------------- #
