@@ -38,6 +38,7 @@ from repro.core.types import (
 from repro.db.locks import LockMode
 from repro.db.transaction import Transaction
 from repro.net.endpoint import CrashedEndpointError, RequestTimeout
+from repro.obs.spans import NULL_SPAN
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.accelerator import Accelerator
@@ -76,7 +77,8 @@ class ImmediateUpdateProtocol:
 
         ``span`` is the update's root span (or ``NULL_SPAN``); the lock
         wait, each prepare round-trip, and the decision phase open
-        children of it.
+        children of it. Unobserved runs skip ``rec.start`` outright: its
+        keyword arguments cost more than the null span it returns.
         """
         accel = self.accel
         rec = accel.obs.recorder
@@ -103,9 +105,9 @@ class ImmediateUpdateProtocol:
         # premature presumed-abort.
         self.in_progress.add(token)
 
-        # Participants are the item's replicas (everyone, sans topology)
-        # in canonical site order — a site outside the interest set never
-        # hears about the item.
+        # Participants are the item's live replicas in canonical site
+        # order — a site outside the item's interest set never hears
+        # about it.
         order = sorted([accel.site, *accel.live_peers_for(item)])
         prepared_peers: list[str] = []
         holds_local = False
@@ -118,7 +120,7 @@ class ImmediateUpdateProtocol:
             if site == accel.site:
                 lock_span = rec.start(
                     "imm.lock", accel.site, accel.now, parent=span, item=item
-                )
+                ) if rec.enabled else NULL_SPAN
                 yield accel.locks.acquire(
                     item, token, LockMode.EXCLUSIVE,
                     span_id=lock_span.span_id or None,
@@ -140,11 +142,12 @@ class ImmediateUpdateProtocol:
                     break
             else:
                 payload = {"item": item, "delta": delta, "token": token}
-                prep_span = rec.start(
-                    "imm.prepare", accel.site, accel.now, parent=span,
-                    target=site,
-                )
+                prep_span = NULL_SPAN
                 if rec.enabled:
+                    prep_span = rec.start(
+                        "imm.prepare", accel.site, accel.now, parent=span,
+                        target=site,
+                    )
                     # Cross-site span context: the participant parents
                     # its lock-wait span under this round-trip span.
                     payload["_obs"] = {
@@ -184,7 +187,7 @@ class ImmediateUpdateProtocol:
             abort_span = rec.start(
                 "imm.abort", accel.site, accel.now, parent=span,
                 peers=len(prepared_peers),
-            )
+            ) if rec.enabled else NULL_SPAN
             if accel.request_timeout is None:
                 abort_payload = {"token": token}
                 if rec.enabled:
@@ -224,12 +227,11 @@ class ImmediateUpdateProtocol:
         # restarting participant can learn the outcome.
         self.decisions[token] = "commit"
         self.in_progress.discard(token)
-        with accel.txns.atomic() as txn:
-            txn.apply(item, delta)
+        accel.txns.apply_atomic(item, delta)
         commit_span = rec.start(
             "imm.commit", accel.site, accel.now, parent=span,
             peers=len(prepared_peers),
-        )
+        ) if rec.enabled else NULL_SPAN
         if accel.request_timeout is None:
             commit_payload = {"token": token}
             if rec.enabled:
@@ -318,13 +320,15 @@ class ImmediateUpdateProtocol:
         delta = msg.payload["delta"]
         token = msg.payload["token"]
 
-        ctx = msg.payload.get("_obs") if rec.enabled else None
-        lock_span = rec.start(
-            "imm.lock", accel.site, accel.now,
-            trace=ctx["trace"] if ctx else None,
-            parent=ctx["span"] if ctx else None,
-            item=item,
-        )
+        lock_span = NULL_SPAN
+        if rec.enabled:
+            ctx = msg.payload.get("_obs")
+            lock_span = rec.start(
+                "imm.lock", accel.site, accel.now,
+                trace=ctx["trace"] if ctx else None,
+                parent=ctx["span"] if ctx else None,
+                item=item,
+            )
         yield accel.locks.acquire(
             item, token, LockMode.EXCLUSIVE, span_id=lock_span.span_id or None
         )
@@ -347,7 +351,8 @@ class ImmediateUpdateProtocol:
         accel = self.accel
         yield accel.env.timeout(accel.request_timeout * 4)
         if token in self._pending and not accel.endpoint.crashed:
-            accel.trace("imm.watchdog", token)
+            if accel.tracer.enabled:
+                accel.trace("imm.watchdog", token)
             yield from self._resolve(token)
 
     # Thin wrappers: the shared _apply_decision body opens the imm.apply
@@ -364,13 +369,15 @@ class ImmediateUpdateProtocol:
         accel = self.accel
         rec = accel.obs.recorder
         token = msg.payload["token"]
-        ctx = msg.payload.get("_obs") if rec.enabled else None
-        apply_span = rec.start(
-            "imm.apply", accel.site, accel.now,
-            trace=ctx["trace"] if ctx else None,
-            parent=ctx["span"] if ctx else None,
-            token=token, decision="commit" if commit else "abort",
-        )
+        apply_span = NULL_SPAN
+        if rec.enabled:
+            ctx = msg.payload.get("_obs")
+            apply_span = rec.start(
+                "imm.apply", accel.site, accel.now,
+                trace=ctx["trace"] if ctx else None,
+                parent=ctx["span"] if ctx else None,
+                token=token, decision="commit" if commit else "abort",
+            )
         entry = self._pending.pop(token, None)
         if entry is not None:
             txn, item = entry
@@ -473,7 +480,10 @@ class ImmediateUpdateProtocol:
                     applied += 1
             if missing:
                 yield accel.env.timeout(accel.request_timeout or 1.0)
-        accel.trace("imm.catchup", f"{applied} items, {len(missing)} unresolved")
+        if accel.tracer.enabled:
+            accel.trace(
+                "imm.catchup", f"{applied} items, {len(missing)} unresolved"
+            )
         return applied
 
     # ---------------------------------------------------------------- #
@@ -520,5 +530,6 @@ class ImmediateUpdateProtocol:
             else:
                 txn.abort()
             accel.locks.release(item, token)
-            accel.trace("imm.resolved", f"{token} -> {reply['decision']}")
+            if accel.tracer.enabled:
+                accel.trace("imm.resolved", f"{token} -> {reply['decision']}")
             return reply["decision"]

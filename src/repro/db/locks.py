@@ -93,13 +93,6 @@ class LockManager:
             [(w.owner, w.mode) for w in lock.queue],
         )
 
-    def _lock(self, item: str) -> _ItemLock:
-        lock = self._locks.get(item)
-        if lock is None:
-            lock = _ItemLock()
-            self._locks[item] = lock
-        return lock
-
     # ---------------------------------------------------------------- #
     # public API
     # ---------------------------------------------------------------- #
@@ -120,7 +113,16 @@ class LockManager:
         our protocols). ``span_id`` ties the request to the requesting
         update's span for wait-for diagnostics.
         """
-        lock = self._lock(item)
+        lock = self._locks.get(item)
+        if lock is None:
+            # No holder and no queue (release drops such state): grant.
+            lock = self._locks[item] = _ItemLock()
+            lock.holders[owner] = mode
+            self.grants += 1
+            if self.monitor is not None:
+                self._notify("grant", item, owner, mode, span_id, lock)
+            return Event(self.env).succeed((item, mode))
+
         event = Event(self.env)
         held = lock.holders.get(owner)
 

@@ -15,6 +15,7 @@ message is still individually transmitted, latency-delayed, and counted.
 
 from __future__ import annotations
 
+from functools import partial
 from types import GeneratorType
 from typing import Any, Callable, Optional
 
@@ -131,7 +132,8 @@ class Endpoint:
         :class:`RequestTimeout` if no reply arrives in time — the caller
         handles it with ``try:/except RequestTimeout:`` around the yield.
         """
-        if self.crashed:
+        faults = self.network.faults
+        if not faults.quiet and faults.is_crashed(self.name):
             raise CrashedEndpointError(f"{self.name} is crashed")
         msg = Message(
             src=self.name,
@@ -163,7 +165,8 @@ class Endpoint:
 
     def reply(self, to: Message, payload: Any = None) -> None:
         """Send the reply to a request message."""
-        if self.crashed:
+        faults = self.network.faults
+        if not faults.quiet and faults.is_crashed(self.name):
             raise CrashedEndpointError(f"{self.name} is crashed")
         self.network.send(
             Message(
@@ -182,8 +185,9 @@ class Endpoint:
     # ---------------------------------------------------------------- #
 
     def _receive(self, msg: Message) -> None:
-        if msg.is_reply:
-            waiter = self._pending.pop(msg.reply_to, None)
+        reply_to = msg.reply_to
+        if reply_to is not None:
+            waiter = self._pending.pop(reply_to, None)
             if waiter is not None and not waiter.triggered:
                 waiter.succeed(msg.payload)
             return
@@ -199,8 +203,12 @@ class Endpoint:
         if isinstance(outcome, GeneratorType):
             proc = self.env.process(outcome, name=f"{self.name}.{msg.kind}")
             if msg.expects_reply:
-                proc.callbacks.append(
-                    lambda ev, m=msg: self.reply(m, ev.value) if ev.ok else None
-                )
+                proc.callbacks.append(partial(self._reply_on_success, msg))
         elif msg.expects_reply:
             self.reply(msg, outcome)
+
+    def _reply_on_success(self, msg: Message, proc: Event) -> None:
+        """Completion callback of a generator handler: reply with its
+        return value (a failed handler sends nothing)."""
+        if proc._ok:
+            self.reply(msg, proc._value)

@@ -9,7 +9,7 @@ and ``reply_to`` carries the correlation id for request/reply RPC.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import count
 from typing import Any, Optional
 
@@ -19,10 +19,20 @@ _msg_ids = count(1)
 #: instead of an intern and a split; fills on first use
 _KINDS: dict[str, tuple[str, str]] = {}
 
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class Message:
+
+class Message(
+    namedtuple(
+        "Message", "src dst kind payload tag msg_id reply_to expects_reply"
+    )
+):
     """One network message.
+
+    A tuple with named, read-only fields. Every send builds one, and a
+    tuple is the cheapest immutable object to build: it is filled in
+    one call, with no ``object.__setattr__`` per field. Assigning to a
+    field raises :class:`AttributeError`.
 
     Attributes
     ----------
@@ -35,7 +45,7 @@ class Message:
     tag:
         Accounting category; defaults to ``kind``'s prefix before the dot.
     msg_id:
-        Unique id assigned at construction.
+        Unique id; drawn from a module-wide counter when not given.
     reply_to:
         If set, this message is the reply to the request with that id.
     expects_reply:
@@ -43,28 +53,36 @@ class Message:
         endpoint to route the handler's return value back.
     """
 
-    src: str
-    dst: str
-    kind: str
-    payload: Any = None
-    tag: str = ""
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
-    reply_to: Optional[int] = None
-    expects_reply: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        src: str,
+        dst: str,
+        kind: str,
+        payload: Any = None,
+        tag: str = "",
+        msg_id: Optional[int] = None,
+        reply_to: Optional[int] = None,
+        expects_reply: bool = False,
+    ) -> "Message":
         # Kinds and tags come from a small fixed vocabulary but are
         # compared and hashed on every dispatch/accounting step; intern
         # them so those operations hit the pointer-equality fast path.
-        names = _KINDS.get(self.kind)
+        names = _KINDS.get(kind)
         if names is None:
-            kind = sys.intern(self.kind)
+            kind = sys.intern(kind)
             names = _KINDS[kind] = (kind, sys.intern(kind.split(".", 1)[0]))
-        kind, default_tag = names
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(
-            self, "tag", sys.intern(self.tag) if self.tag else default_tag
-        )
+        return _new_tuple(cls, (
+            src,
+            dst,
+            names[0],
+            payload,
+            sys.intern(tag) if tag else names[1],
+            next(_msg_ids) if msg_id is None else msg_id,
+            reply_to,
+            expects_reply,
+        ))
 
     @property
     def is_reply(self) -> bool:

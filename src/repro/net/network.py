@@ -179,13 +179,15 @@ class Network:
             delay = self.perturb(msg, delay)
             if delay < 0:
                 raise ValueError(f"perturbation produced negative delay {delay}")
-        when = self.channels.get(msg.src, msg.dst).delivery_time(self.env.now, delay)
+        env = self.env
+        now = env.now
+        when = self.channels.get(msg.src, msg.dst).delivery_time(now, delay)
 
-        delivery = Event(self.env)
+        # A fresh Event is already ok; setting its value triggers it.
+        delivery = Event(env)
         delivery.callbacks.append(self._deliver_event)
-        delivery._ok = True
         delivery._value = msg
-        self.env.schedule(delivery, delay=when - self.env.now)
+        env.schedule(delivery, delay=when - now)
 
     def _deliver_event(self, delivery: Event) -> None:
         """Callback of the delivery event, which carries the message."""

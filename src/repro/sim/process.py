@@ -13,7 +13,7 @@ from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.sim.errors import Interrupt
-from repro.sim.events import Event, URGENT
+from repro.sim.events import _PENDING, Event, URGENT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -96,19 +96,20 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        if self.triggered:  # e.g. interrupted to completion before a late event
+        # e.g. interrupted to completion before a late event
+        if self._value is not _PENDING:
             return
         self.env._active_process = self
         while True:
             try:
                 # event is being dispatched, so its outcome is set:
-                # read _ok directly instead of the guarded property.
+                # read _ok and _value directly, not the guarded properties.
                 if event._ok:
-                    next_event = self._generator.send(event.value)
+                    next_event = self._generator.send(event._value)
                 else:
                     # The process takes responsibility for the failure.
                     event.defuse()
-                    next_event = self._generator.throw(event.value)
+                    next_event = self._generator.throw(event._value)
             except StopIteration as exc:
                 # Generator finished: the process event succeeds.
                 self._target = None

@@ -1,9 +1,15 @@
 """Behavioural tests for the Immediate Update (primary-copy) protocol."""
 
+import hashlib
+from collections import Counter
+
 import pytest
 
-from repro.cluster import build_paper_system
+from repro.cluster import DistributedSystem, build_paper_system, paper_config
 from repro.core import UpdateKind, UpdateOutcome
+from repro.db.locks import LockManager
+from repro.experiments.fig6 import make_paper_trace
+from repro.workload.driver import run_open, split_by_site
 
 
 @pytest.fixture
@@ -109,6 +115,42 @@ class TestContention:
             s.accelerator.immediate.retries for s in system.sites.values()
         )
         assert total_retries == 0  # canonical-order locking: waits, no aborts
+
+    def test_open_loop_2pc_is_pinned_event_for_event(self, monkeypatch):
+        """The benchmark's immediate-2pc shape: no regular item, per-site
+        open-loop streams whose 2PC rounds overlap and queue on locks.
+        Every value was computed before the envelope / vote fast paths
+        landed; any reordering of same-timestamp work moves them."""
+        waits = []
+        acquire = LockManager.acquire
+
+        def counted(self, *args, **kwargs):
+            event = acquire(self, *args, **kwargs)
+            if not event.triggered:
+                waits.append(args[0])
+            return event
+
+        monkeypatch.setattr(LockManager, "acquire", counted)
+        system = DistributedSystem.build(paper_config(
+            n_items=10, n_retailers=2, regular_fraction=0.0, seed=0,
+        ))
+        trace = make_paper_trace(600, 0, n_items=10, n_retailers=2)
+        run_open(system, split_by_site(trace), interarrival=0.5)
+        rows = [
+            (r.request.site, r.request.request_id, r.outcome.value,
+             r.finished_at)
+            for r in system.collector.results
+        ]
+        assert Counter(r[2] for r in rows) == {"committed": 591, "aborted": 9}
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "9928394cb8ae9c95c5688b3c1c65a5095127a9798c9229f735b76dbc9a05cb62"
+        )
+        assert system.env.events_processed == 13689
+        assert system.network.stats.sent_total == 4746
+        assert sum(
+            len(site.accelerator.txns.wal) for site in system.sites.values()
+        ) == 5319
+        assert len(waits) == 101
 
     def test_interleaved_with_racing_aborts(self, system):
         """Overdraw races: exactly the affordable prefix commits."""

@@ -131,6 +131,32 @@ def test_process_integration(env, lm):
     ]
 
 
+class _Monitor:
+    def __init__(self):
+        self.events = []
+
+    def lock_event(self, manager, op, item, owner, mode, span_id, holders, queue):
+        self.events.append((op, item, owner, mode, span_id, holders, queue))
+
+
+@pytest.mark.parametrize("mode", [LockMode.SHARED, LockMode.EXCLUSIVE])
+def test_grant_on_an_item_without_lock_state(env, lm, mode):
+    """The first acquire of an item, and the first after its state was
+    dropped, is a plain grant: counted, reported and already succeeded."""
+    lm.monitor = _Monitor()
+    for expected_grants in (1, 2):
+        ev = lm.acquire("A", "p1", mode, span_id=9)
+        assert ev.triggered and ev.ok and ev.value == ("A", mode)
+        assert lm.grants == expected_grants
+        assert lm.monitor.events[-1] == (
+            "grant", "A", "p1", mode, 9, {"p1": mode}, []
+        )
+        lm.release("A", "p1")
+        assert lm._locks == {}
+    env.run()
+    assert ev.processed
+
+
 def test_exclusive_downgrade_request_is_noop(lm):
     lm.acquire("A", "p1", LockMode.EXCLUSIVE)
     ev = lm.acquire("A", "p1", LockMode.SHARED)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import build_paper_system
 from repro.core import UpdateOutcome
+from repro.sim.tracing import NullTracer
 
 
 def make_system(**kw):
@@ -144,3 +145,75 @@ class TestWatchdog:
         proc = system.env.process(client(system.env))
         system.run()
         assert proc.value == {"decision": "pending"}
+
+
+def _link_down_commit(system):
+    """site1 -> site0 goes down after site0 prepared: the commit and its
+    resends are lost, site0's watchdog asks the coordinator."""
+
+    def fault(env):
+        yield env.timeout(3.5)
+        system.network.faults.link_down("site1", "site0")
+        yield env.timeout(60.0)
+        system.network.faults.link_up("site1", "site0")
+
+    system.env.process(fault(system.env))
+
+
+def _crash_prepared_participant(system):
+    """site2 dies prepared; on restart it resolves and catches up."""
+
+    def fault(env):
+        yield env.timeout(3.5)
+        system.network.faults.crash("site2")
+        yield env.timeout(100.0)
+        system.site("site2").restart()
+
+    system.env.process(fault(system.env))
+
+
+class TestTraceDetail:
+    """A recording tracer gets every termination-protocol line; an
+    unrecorded run renders none. Lines are the parent commit's."""
+
+    LINES = {
+        "_link_down_commit": [
+            (21.0, "imm.watchdog", "site0", "imm:1:site1"),
+            (54.0, "imm.undelivered", "site1", "imm.commit to site0 (imm:1:site1)"),
+            (54.0, "imm.commit", "site1", "upd#1 item0-5 @site1"),
+            (68.0, "imm.resolved", "site0", "imm:1:site1 -> commit"),
+        ],
+        "_crash_prepared_participant": [
+            (54.0, "imm.undelivered", "site1", "imm.commit to site2 (imm:1:site1)"),
+            (54.0, "imm.commit", "site1", "upd#1 item0-5 @site1"),
+            (105.5, "imm.resolved", "site2", "imm:1:site1 -> commit"),
+            (107.5, "imm.catchup", "site2", "1 items, 0 unresolved"),
+        ],
+    }
+    FAULTS = [_link_down_commit, _crash_prepared_participant]
+
+    def _run(self, fault, trace):
+        system = make_system(trace=trace)
+        proc = system.update("site1", ITEM, -5)
+        fault(system)
+        system.run()
+        assert proc.value.committed
+        for site in system.sites.values():
+            assert site.value(ITEM) == 45.0
+        return system
+
+    @pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.__name__)
+    def test_recording_tracer_gets_every_line(self, fault):
+        system = self._run(fault, trace=True)
+        assert [
+            (r.time, r.kind, r.source, r.detail)
+            for r in system.tracer.records if r.kind.startswith("imm.")
+        ] == self.LINES[fault.__name__]
+
+    @pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.__name__)
+    def test_untraced_run_emits_nothing(self, fault, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"untraced emit {args[1:3]}")
+
+        monkeypatch.setattr(NullTracer, "emit", refuse)
+        self._run(fault, trace=False)

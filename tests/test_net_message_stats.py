@@ -39,6 +39,74 @@ class TestMessage:
         assert "a->b" in str(m)
 
 
+class TestEnvelopeContract:
+    """What every reader of a Message relies on, whatever builds it."""
+
+    FIELDS = (
+        "src", "dst", "kind", "payload", "tag", "msg_id", "reply_to",
+        "expects_reply",
+    )
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_fields_are_read_only(self, name):
+        msg = Message("a", "b", "av.request", payload={"n": 1}, msg_id=3)
+        with pytest.raises(AttributeError):
+            setattr(msg, name, None)
+        assert msg == Message("a", "b", "av.request", payload={"n": 1}, msg_id=3)
+
+    def test_no_new_attributes(self):
+        with pytest.raises(AttributeError):
+            Message("a", "b", "k").note = "x"
+
+    def test_kind_and_tag_are_interned_from_fresh_strings(self):
+        # "".join builds a new string object each call
+        kind = "".join(["imm.", "prepare"])
+        tag = "".join(["im", "m"])
+        first = Message("a", "b", "imm.prepare")
+        fresh = Message("a", "b", kind)
+        assert fresh.kind is first.kind and fresh.kind is not kind
+        assert fresh.tag is first.tag == "imm"
+        explicit = Message("a", "b", "x.y", tag=tag)
+        assert explicit.tag is Message("a", "b", "z", tag="imm").tag
+
+    def test_default_and_explicit_tags(self):
+        assert Message("a", "b", "imm.prepare.reply").tag == "imm"
+        assert Message("a", "b", "plain").tag == "plain"
+        assert Message("a", "b", "av.request", tag="").tag == "av"
+        assert Message("a", "b", "av.request", tag="delay").tag == "delay"
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = Message("a", "b", "k.v", {"x": 1}, "t", 7, 5, True)
+        keyword = Message(
+            src="a", dst="b", kind="k.v", payload={"x": 1}, tag="t",
+            msg_id=7, reply_to=5, expects_reply=True,
+        )
+        assert positional == keyword
+        assert [getattr(positional, f) for f in self.FIELDS] == [
+            "a", "b", "k.v", {"x": 1}, "t", 7, 5, True,
+        ]
+
+    def test_defaults(self):
+        msg = Message("a", "b", "k")
+        assert msg.payload is None and msg.reply_to is None
+        assert msg.expects_reply is False
+        assert isinstance(msg.msg_id, int) and msg.msg_id > 0
+        assert Message("a", "b", "k", msg_id=0).msg_id == 0
+
+    def test_str_text(self):
+        assert str(Message("s0", "s1", "av.request", msg_id=12)) == (
+            "<av.request #12 s0->s1>"
+        )
+        assert str(
+            Message("s1", "s0", "av.request.reply", msg_id=13, reply_to=12)
+        ) == "<av.request.reply #13 s1->s0 reply_to=12>"
+
+    def test_is_reply_keys_on_reply_to_only(self):
+        assert not Message("a", "b", "x", expects_reply=True).is_reply
+        assert Message("b", "a", "x.reply", reply_to=0).is_reply
+        assert not Message("b", "a", "x.reply").is_reply
+
+
 class TestNetworkStats:
     def test_correspondence_is_half_messages(self):
         assert correspondences(10) == 5.0

@@ -67,6 +67,21 @@ def test_generator_handler_replies_with_return_value():
     assert p.value == (7.0, 11)  # 1 + 5 + 1
 
 
+def test_failed_generator_handler_sends_no_reply():
+    env, net = make_net(ConstantLatency(1.0))
+    a, b = net.endpoint("a"), net.endpoint("b")
+
+    def broken_handler(msg):
+        yield env.timeout(1)
+        raise KeyError(msg.payload)
+
+    b.on("boom", broken_handler)
+    reply = a.request("b", "boom", "x")
+    with pytest.raises(KeyError):
+        env.run()
+    assert net.stats.sent_total == 1 and not reply.triggered
+
+
 def test_unknown_destination_raises():
     env, net = make_net()
     a = net.endpoint("a")
