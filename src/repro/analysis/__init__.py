@@ -1,11 +1,14 @@
 """Analysis and correctness tooling for the protocol stack.
 
-Three parts (see ``docs/analysis.md``):
+Its parts (see ``docs/analysis.md``):
 
 * the **runtime sanitizer** (:mod:`repro.analysis.sanitizer`,
   :mod:`repro.analysis.invariants`, :mod:`repro.analysis.hb`) audits a
   live run's events against the paper's invariants — enable with
   ``SystemConfig.sanitize=True`` or ``python -m repro check``;
+* the **end-state checker** (:mod:`repro.analysis.end_state`) judges a
+  finished run — the one judge ``check_invariants``, the chaos harness
+  and the fuzzer share;
 * the **static lint pass** (:mod:`repro.analysis.lint`) enforces
   repo-specific determinism and instrumentation rules over the source
   tree — run with ``python -m repro.analysis.lint src tests``;
@@ -19,6 +22,7 @@ Three parts (see ``docs/analysis.md``):
 """
 
 from repro.analysis.check import CheckRun, run_check
+from repro.analysis.end_state import end_state
 from repro.analysis.hb import CausalOrder, VectorClock
 from repro.analysis.invariants import SanitizerReport, Violation
 from repro.analysis.sanitizer import ProtocolSanitizer
@@ -38,6 +42,7 @@ __all__ = [
     "SequenceRecorder",
     "VectorClock",
     "Violation",
+    "end_state",
     "record_scenario",
     "render_sequence",
     "run_check",

@@ -223,66 +223,18 @@ class DistributedSystem:
         return [self.sites[n] for n in self.config.topology.sites_for(item)]
 
     def check_invariants(self, quiescent: bool = False) -> None:
-        """Raise :class:`InvariantViolation` on any broken invariant.
+        """Raise :class:`InvariantViolation` with the first finding of
+        :func:`~repro.analysis.end_state.end_state`.
 
-        ``quiescent=True`` additionally requires replica convergence —
-        only valid when propagation is enabled and the event queue has
-        drained.
+        ``quiescent=True`` additionally requires replica convergence and
+        the settled-state checks — only valid when propagation is
+        enabled and the event queue has drained.
         """
-        ledger = self.collector.ledger
-        eps = 1e-6
-        for item in ledger.items():
-            true_value = ledger.true_value(item)
-            if true_value < -eps:
-                raise InvariantViolation(
-                    f"ground-truth value of {item!r} is negative: {true_value}"
-                )
-            # Class is defined by AV-entry existence (the checking
-            # function's source of truth) — the static catalogue can be
-            # superseded by dynamic reclassification. The item's interest
-            # set must agree on the class (sites outside it never hold
-            # the item at all).
-            replicas = self.interested_sites(item)
-            definedness = {s.av_table.defined(item) for s in replicas}
-            if len(definedness) != 1:
-                raise InvariantViolation(
-                    f"sites disagree on whether {item!r} is regular"
-                )
-            regular = definedness.pop()
-            if regular:
-                total_av = self.av_total(item)
-                for site in replicas:
-                    av = site.av_table.get(item)
-                    if av < -eps:
-                        raise InvariantViolation(
-                            f"{site.name} holds negative AV for {item!r}: {av}"
-                        )
-                if total_av > true_value + eps:
-                    raise InvariantViolation(
-                        f"AV total {total_av} exceeds true value"
-                        f" {true_value} for {item!r}"
-                    )
-            else:
-                # Non-regular items are kept globally consistent by the
-                # Immediate Update protocol: all replicas identical.
-                values = {s.store.value(item) for s in replicas}
-                if len(values) != 1:
-                    raise InvariantViolation(
-                        f"non-regular item {item!r} diverged: {values}"
-                    )
+        from repro.analysis.end_state import end_state
 
-        if quiescent:
-            # Convergence is promised per item across its interest set,
-            # against the ledger.
-            for item in ledger.items():
-                truth = ledger.true_value(item)
-                for site in self.interested_sites(item):
-                    replica = site.store.value(item)
-                    if abs(replica - truth) > eps:
-                        raise InvariantViolation(
-                            f"replica {site.name} value {replica} !="
-                            f" ledger {truth} for {item!r} at quiescence"
-                        )
+        findings = end_state(self, quiescent)
+        if findings:
+            raise InvariantViolation(findings[0].detail)
 
     def __repr__(self) -> str:
         return (

@@ -590,15 +590,24 @@ class Accelerator:
         Only the delivered snapshot is subtracted — deltas recorded
         while the message was in flight stay owed. An undelivered
         outcome (definitive, via probe) leaves the balance owed for a
-        later sync pass to retry under a fresh sequence number.
+        later sync pass to retry under a fresh sequence number. Either
+        way the push is off the wire, which may release a `quiesce`.
         """
         self._sync_inflight.discard(key)
-        if not event.ok or event.value is not True:
-            return
-        current = self.owed.get(key)
-        if current is None:
-            return  # superseded (e.g. clear_owed_item during reclassify)
-        self._set_owed(key, current - delta)
+        if event.ok and event.value is True:
+            current = self.owed.get(key)
+            # None: superseded (e.g. clear_owed_item during reclassify)
+            if current is not None:
+                self._set_owed(key, current - delta)
+        item = key[1]
+        if (
+            item in self._quiesce_waiters
+            and item not in self._active_delay
+            and not any(k[1] == item for k in self._sync_inflight)
+        ):
+            for waiter in self._quiesce_waiters.pop(item):
+                if not waiter.triggered:
+                    waiter.succeed()
 
     def sync_to(self, peer: str, parent=None) -> int:
         """Push every balance owed to one peer (serves rejoin flushes)."""
@@ -648,12 +657,20 @@ class Accelerator:
         return self._frozen.get(item)
 
     def quiesce(self, item: str):
-        """Event firing once no Delay update on ``item`` is in flight."""
+        """Event firing once no Delay update on ``item`` is in flight and
+        no reliable sync push of it is on the wire.
+
+        A push on the wire is still owed here and will land at its peer
+        anyway: a reclassification that claimed the balance before the
+        ack would count it twice.
+        """
         event = Event(self.env)
-        if self._active_delay.get(item, 0) == 0:
-            event.succeed()
-        else:
+        if item in self._active_delay or any(
+            k[1] == item for k in self._sync_inflight
+        ):
             self._quiesce_waiters.setdefault(item, []).append(event)
+        else:
+            event.succeed()
         return event
 
     def _delay_begin(self, item: str) -> None:
@@ -661,13 +678,16 @@ class Accelerator:
 
     def _delay_end(self, item: str) -> None:
         remaining = self._active_delay.get(item, 0) - 1
-        if remaining <= 0:
-            self._active_delay.pop(item, None)
-            for event in self._quiesce_waiters.pop(item, []):
+        if remaining > 0:
+            self._active_delay[item] = remaining
+            return
+        self._active_delay.pop(item, None)
+        if item in self._quiesce_waiters and not any(
+            k[1] == item for k in self._sync_inflight
+        ):
+            for event in self._quiesce_waiters.pop(item):
                 if not event.triggered:
                     event.succeed()
-        else:
-            self._active_delay[item] = remaining
 
     def __repr__(self) -> str:
         return (

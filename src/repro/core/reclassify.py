@@ -22,11 +22,14 @@ Message cost: ``4(n-1)`` messages = ``2(n-1)`` correspondences per
 reclassification (lock/ready + commit/ack), tagged ``cls`` — management
 traffic, accounted separately from update completion.
 
-Constraint (documented, asserted in tests): ``make_non_regular``
-reconciles from the per-site *unsynced* sums, which is exact while no
-propagation pushes are in flight. Run it from a management context
-(quiescent network or lazy-propagation mode), not concurrently with an
-eager-propagation storm.
+Constraint (asserted in tests): ``make_non_regular`` reconciles from
+the per-site *unsynced* sums, which is exact only if no delta it claims
+also reaches a replica by another route. ``quiesce`` fences the route
+shown to race: it waits until no reliable sync push of the item is on
+the wire, so a claimed balance has either been acked (and subtracted)
+or not sent. Eager pushes and unreliable sync sends are not fenced;
+they have not been shown to race, and they get no code until a failing
+test shows they do.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ availability story implies but the seed reproduction could not meet:
 * **zero loss signals** — no conservative in-transit AV loss warnings
   (``av.grant-lost``/``av.push-lost``), nothing still in flight, no
   unresolved lease;
-* **byte-identical replicas** at every site, equal to the ground-truth
-  ledger.
+* **a clean end state** (:func:`~repro.analysis.end_state.end_state`):
+  replicas identical and equal to the ground-truth ledger, AV conserved
+  exactly, and — with the overload layer on — every controller at rest.
 
 Run it via ``python -m repro chaos [--small]``; CI treats any failing
 scenario as a build failure.
@@ -26,24 +27,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.analysis.end_state import LOSS_RULES, end_state
 from repro.analysis.invariants import SanitizerReport, Violation
 from repro.cluster import DistributedSystem, paper_config
 from repro.cluster.config import SystemConfig
 from repro.core.overload import OverloadParams
 from repro.core.sync import SyncScheduler
-from repro.core.types import UpdateOutcome, UpdateResult
 from repro.net.faults import FaultSchedule
 from repro.net.reliable import ReliabilityParams
 from repro.sim.rng import RngRegistry
-from repro.workload.driver import run_open, split_by_site
+from repro.workload.driver import heal_and_settle, run_open, split_by_site
 from repro.workload.generators import FlashSaleWorkload
 from repro.workload.trace import WorkloadTrace
 
 from repro.experiments.fig6 import make_paper_trace
-
-#: sanitizer warning rules that mean volume or state was lost — the
-#: robustness layer's whole point is that none of them ever fires
-LOSS_RULES = ("av.grant-lost", "av.push-lost", "net.in-flight", "lease.unresolved")
 
 
 @dataclass(frozen=True)
@@ -53,8 +50,8 @@ class ChaosScenario:
     The default shape is the §4 paper trace under lock-step per-site
     arrivals; a scenario may override any part of it — the surge
     scenarios swap in a flash-sale trace, open-loop arrivals and the
-    overload layer, then audit overload-specific end state on top of
-    the standard convergence post-conditions.
+    overload layer, then add the scenario's own demands on top of the
+    standard end-state post-conditions.
     """
 
     name: str
@@ -69,11 +66,9 @@ class ChaosScenario:
     trace_factory: Optional[
         Callable[[int, int, SystemConfig], WorkloadTrace]
     ] = None
-    #: end-state audit run after the drain: ``(system, results)`` →
-    #: failure strings, folded into :attr:`ChaosResult.ok`
-    extra_checks: Optional[
-        Callable[[DistributedSystem, List[UpdateResult]], List[str]]
-    ] = None
+    #: the scenario's own end-state demands, run after the drain:
+    #: ``system`` → failure strings, folded into :attr:`ChaosResult.ok`
+    extra_checks: Optional[Callable[[DistributedSystem], List[str]]] = None
     #: issue updates at the arrival rate instead of lock-step per site
     open_loop: bool = False
 
@@ -83,8 +78,6 @@ class ChaosResult:
     """Outcome of one scenario."""
 
     scenario: str
-    converged: bool
-    divergence: Optional[str]
     report: SanitizerReport
     loss_warnings: List[Violation]
     updates_issued: int
@@ -96,8 +89,15 @@ class ChaosResult:
     #: the run's observability hub (chaos always observes), for span
     #: rollups in the profiler CLI
     obs: Optional[object] = None
+    #: end-state findings (see repro.analysis.end_state)
+    findings: List[Violation] = field(default_factory=list)
     #: scenario-specific end-state failures (see ChaosScenario.extra_checks)
     extra_failures: List[str] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        """The end state is clean: replicas on the ledger, AV conserved."""
+        return not self.findings
 
     @property
     def ok(self) -> bool:
@@ -123,12 +123,8 @@ class ChaosResult:
             f" covered drops: lease={counters.get('lease_covered_drops', 0)}"
             f" rel={counters.get('rel_covered_drops', 0)}",
         ]
-        if self.divergence:
-            lines.append(f"  divergence: {self.divergence}")
-        for v in self.report.violations:
+        for v in [*self.report.violations, *self.loss_warnings, *self.findings]:
             lines.append("  " + v.render())
-        for w in self.loss_warnings:
-            lines.append("  " + w.render())
         for msg in self.extra_failures:
             lines.append(f"  end-state: {msg}")
         return "\n".join(lines)
@@ -231,102 +227,21 @@ def _overload_trace(
     return WorkloadTrace.capture(generator, n_updates)
 
 
-def _overload_checks(
-    system: DistributedSystem, results: List[UpdateResult]
-) -> List[str]:
-    """The overload layer's end-state oracle set.
+def _overload_checks(system: DistributedSystem) -> List[str]:
+    """The surge scenario's own demands: it must have bitten.
 
-    Beyond the standard chaos post-conditions (sanitizer clean, replicas
-    converged) the surge must end with: every controller back at NORMAL
-    having taken only legal edges, every shed observably rejected with a
-    retry hint, queues bounded by their budgets, the demotion/promotion
-    lifecycle closed, and — recomputed from the update results rather
-    than the ledger — not a single committed decrement missing from any
-    replica.
+    Everything the overload layer promises at rest — controllers back at
+    NORMAL, nothing left demoted, budgets respected, every shed an
+    observable ``SHED`` result — is judged by ``end_state`` for every
+    run; what only this scenario asks is that its budgets were tight
+    enough to shed and to demote at all.
     """
-    from repro.core.overload import ALLOWED_TRANSITIONS, DegradationState
-
+    controllers = [site.accelerator.overload for site in system.sites.values()]
     failures: List[str] = []
-    legal = {(a.value, b.value) for a, b in ALLOWED_TRANSITIONS}
-    collector = system.collector
-    total_shed = 0
-    total_demotions = 0
-    for name in sorted(system.sites):
-        ovl = system.sites[name].accelerator.overload
-        if ovl is None:
-            failures.append(f"{name}: overload layer not attached")
-            continue
-        total_shed += ovl.shed
-        total_demotions += ovl.demotions
-        if ovl.state is not DegradationState.NORMAL:
-            failures.append(f"{name}: ended {ovl.state.value}, not normal")
-        if ovl.demoted_items:
-            failures.append(
-                f"{name}: items still demoted at end: {ovl.demoted_items}"
-            )
-        if ovl.demotions != ovl.promotions:
-            failures.append(
-                f"{name}: {ovl.demotions} demotions vs"
-                f" {ovl.promotions} promotions"
-            )
-        if ovl.peak_inflight > ovl.params.inflight_budget:
-            failures.append(
-                f"{name}: peak inflight {ovl.peak_inflight} exceeded"
-                f" budget {ovl.params.inflight_budget}"
-            )
-        if ovl.peak_backlog > 2 * ovl.params.backlog_budget:
-            failures.append(
-                f"{name}: peak backlog {ovl.peak_backlog} ran away"
-                f" (budget {ovl.params.backlog_budget})"
-            )
-        for _now, src, dst in ovl.transitions:
-            if (src, dst) not in legal:
-                failures.append(f"{name}: illegal transition {src}->{dst}")
-
-    if total_shed == 0:
+    if not sum(ovl.shed for ovl in controllers):
         failures.append("surge never shed a single update (budgets too lax?)")
-    if total_demotions == 0:
+    if not sum(ovl.demotions for ovl in controllers):
         failures.append("surge never demoted the hot immediate item")
-    shed_results = [
-        r for r in collector.results if r.outcome is UpdateOutcome.SHED
-    ]
-    if len(shed_results) != total_shed:
-        failures.append(
-            f"{len(shed_results)} shed results reached callers but"
-            f" controllers count {total_shed} sheds"
-        )
-    audit = getattr(system.sanitizer, "overload", None)
-    if audit is not None and audit.sheds != total_shed:
-        failures.append(
-            f"sanitizer observed {audit.sheds} shed events but"
-            f" controllers count {total_shed}"
-        )
-    for r in shed_results:
-        if r.retry_after <= 0:
-            failures.append(
-                f"shed update {r.request} carries no retry-after hint"
-            )
-            break
-
-    # No lost updates: recompute every item's value from the individual
-    # committed results (bypassing the ledger, which shares bookkeeping
-    # with the code under test) and demand every replica matches.
-    committed_sum: Dict[str, float] = {}
-    for r in collector.results:
-        if r.committed:
-            committed_sum[r.request.item] = (
-                committed_sum.get(r.request.item, 0.0) + r.request.delta
-            )
-    ledger = collector.ledger
-    for item in sorted(ledger.items()):
-        want = ledger.initial_value(item) + committed_sum.get(item, 0.0)
-        for name in sorted(system.sites):
-            got = system.sites[name].store.value(item)
-            if abs(got - want) > 1e-6:
-                failures.append(
-                    f"lost update: {name} holds {item}={got:g} but the"
-                    f" committed deltas sum to {want:g}"
-                )
     return failures
 
 
@@ -395,9 +310,10 @@ def run_chaos_scenario(
     ``horizon`` bounds the driven (faulty) phase; the heal phase then
     removes every fault, restarts still-crashed sites through the full
     rejoin, lets ``settle`` sim-time pass, flushes all sync backlogs and
-    drains the event queue before judging. A scenario may override the
-    config, the trace, the arrival discipline and the run knobs (see
-    :class:`ChaosScenario`).
+    drains the event queue before judging (see
+    :func:`~repro.workload.driver.heal_and_settle`). A scenario may
+    override the config, the trace, the arrival discipline and the run
+    knobs (see :class:`ChaosScenario`).
     """
     run_cfg = dict(scenario.run_overrides) if scenario.run_overrides else {}
     interarrival = run_cfg.get("interarrival", interarrival)
@@ -444,65 +360,15 @@ def run_chaos_scenario(
     )
 
     # Phase 1: drive the workload through the fault window.
-    results = run_open(
+    run_open(
         system, per_site, interarrival=interarrival,
         on_complete=on_complete, until=horizon,
         open_loop=scenario.open_loop,
     )
 
-    # Phase 2: heal the world. Every fault class is cleared and every
-    # site still down rejoins — convergence is only promised for fault
-    # windows that end.
-    faults.heal()
-    faults.clear_link_faults()
-    faults.set_drop_probability(0.0)
-    for name in sorted(system.sites):
-        if faults.is_crashed(name):
-            system.sites[name].restart()
-
-    # Phase 3: settle and drain. The drivers finish their streams, the
-    # rejoins complete, retransmissions and lease probes resolve; then
-    # sync backlogs are flushed to a fixpoint (an update completing
-    # after the schedulers stop still leaves owed balances behind).
-    system.run(until=system.env.now + settle)
-    for scheduler in schedulers:
-        scheduler.stop()
-    system.run()
-
-    def drain_sync() -> None:
-        # Flush sync backlogs to a fixpoint: an update (or a promotion)
-        # completing after the schedulers stop still leaves owed
-        # balances behind.
-        while True:
-            for name in sorted(system.sites):
-                system.sites[name].accelerator.sync_all()
-            system.run()
-            if not any(
-                system.sites[name].accelerator.unsynced_items()
-                for name in sorted(system.sites)
-            ):
-                break
-
-    drain_sync()
-    if config.overload is not None:
-        # Quiescence stands in for the recovery hold: walk every
-        # controller's remaining legal edges back to NORMAL, run the
-        # re-promotions that spawns, then flush the balances and the
-        # reconciliation traffic those left behind.
-        for name in sorted(system.sites):
-            system.sites[name].accelerator.overload.finalize(system.env.now)
-        system.run()
-        drain_sync()
-
-    from repro.cluster.system import InvariantViolation
-
-    converged = True
-    divergence = None
-    try:
-        system.check_invariants(quiescent=True)
-    except InvariantViolation as exc:
-        converged = False
-        divergence = str(exc)
+    # Phase 2: heal the world, settle and drain; then judge.
+    heal_and_settle(system, schedulers, settle)
+    findings = end_state(system, quiescent=True)
 
     from repro.obs.snapshot import TelemetrySnapshot
 
@@ -510,11 +376,9 @@ def run_chaos_scenario(
     loss = [w for w in report.warnings if w.rule in LOSS_RULES]
     extra_failures: List[str] = []
     if scenario.extra_checks is not None:
-        extra_failures = list(scenario.extra_checks(system, results))
+        extra_failures = list(scenario.extra_checks(system))
     return ChaosResult(
         scenario=scenario.name,
-        converged=converged,
-        divergence=divergence,
         report=report,
         loss_warnings=loss,
         updates_issued=len(trace),
@@ -522,6 +386,7 @@ def run_chaos_scenario(
         events_processed=system.env.events_processed,
         telemetry=TelemetrySnapshot.capture(system).to_dict(),
         obs=system.obs,
+        findings=findings,
         extra_failures=extra_failures,
     )
 

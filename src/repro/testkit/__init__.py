@@ -1,4 +1,4 @@
-"""Deterministic schedule-space fuzzer with invariant oracles.
+"""Deterministic schedule-space fuzzer with end-state oracles.
 
 The testkit turns the repository's deterministic simulator into a
 FoundationDB-style test harness. A :class:`~repro.testkit.schedule.FuzzCase`
@@ -16,7 +16,7 @@ Pipeline (``python -m repro fuzz``):
    mutations all drawn from one seeded stream).
 2. :func:`~repro.testkit.runner.run_case` executes it under the full
    runtime :class:`~repro.analysis.sanitizer.ProtocolSanitizer` plus the
-   end-state oracles in :mod:`repro.testkit.oracles` (replica
+   end-state checker :func:`~repro.analysis.end_state.end_state` (replica
    convergence, exact AV conservation at settle, sequential-spec
    equivalence against an in-process reference executor).
 3. On a violation, :func:`~repro.testkit.shrink.shrink_case`
@@ -31,7 +31,6 @@ merged-result determinism the perf suite already guarantees.
 """
 
 from repro.testkit.fuzzer import FuzzReport, replay_artifact, run_fuzz
-from repro.testkit.oracles import end_state_findings
 from repro.testkit.perturb import Perturbation
 from repro.testkit.runner import CaseOutcome, run_case
 from repro.testkit.schedule import FuzzCase, make_case
@@ -43,7 +42,6 @@ __all__ = [
     "FuzzReport",
     "Perturbation",
     "ShrinkResult",
-    "end_state_findings",
     "make_case",
     "replay_artifact",
     "run_case",

@@ -1,10 +1,11 @@
 """Execute one fuzz case to quiescence and judge the end state.
 
-The run shape is the chaos harness's three phases — drive the workload
-through the fault window, heal the world, settle/drain/sync to a
-fixpoint — with the case's perturbation vector installed in the kernel
-hooks before the first event fires. The outcome bundles the sanitizer
-report, the end-state oracle findings, and the determinism surface
+The run shape is the chaos harness's — drive the workload through the
+fault window, then :func:`~repro.workload.driver.heal_and_settle` —
+with the case's perturbation vector installed in the kernel hooks
+before the first event fires. The outcome bundles the sanitizer report,
+the :func:`~repro.analysis.end_state.end_state` findings, and the
+determinism surface
 (update tags, replicas, counters) whose canonical digest is what
 ``--replay`` compares byte-for-byte.
 """
@@ -14,21 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
+from repro.analysis.end_state import LOSS_RULES, end_state
 from repro.analysis.invariants import Violation
 from repro.cluster import DistributedSystem, Topology, paper_config
 from repro.core.overload import OverloadParams
 from repro.core.sync import SyncScheduler
 from repro.net.reliable import ReliabilityParams
 from repro.perf.tasks import canonical_json, digest
-from repro.testkit.oracles import end_state_findings
 from repro.testkit.perturb import Perturbation
 from repro.testkit.schedule import FuzzCase
-from repro.workload.driver import run_open, split_by_site
+from repro.workload.driver import heal_and_settle, run_open, split_by_site
 from repro.workload.generators import WorkloadEvent
-
-#: sanitizer warnings that count as findings when the robustness layer
-#: is on (same set the chaos harness fails on)
-LOSS_RULES = ("av.grant-lost", "av.push-lost", "net.in-flight", "lease.unresolved")
 
 #: overload layer attached to surge cases — budgets tight enough that
 #: an open-loop burst actually exercises admission and the state ring
@@ -45,7 +42,7 @@ class CaseOutcome:
     """Everything one executed case produced."""
 
     case: FuzzCase
-    #: sanitizer violations + oracle findings (+ loss warnings when the
+    #: sanitizer violations + end-state findings (+ loss warnings when the
     #: robustness layer is on) — any entry means the case failed
     findings: List[Violation]
     #: tolerated sanitizer warnings not promoted to findings
@@ -185,45 +182,10 @@ def run_case(case: FuzzCase) -> CaseOutcome:
         open_loop=case.overload,
     )
 
-    # Phase 2: heal the world — convergence is only promised for fault
-    # windows that end.
-    faults.heal()
-    faults.clear_link_faults()
-    faults.set_drop_probability(0.0)
-    for name in sorted(system.sites):
-        if faults.is_crashed(name):
-            system.sites[name].restart()
-
-    # Phase 3: settle, drain, and flush sync backlogs to a fixpoint.
-    system.run(until=system.env.now + case.settle)
-    for scheduler in schedulers:
-        scheduler.stop()
-    system.run()
-
-    def drain_sync() -> None:
-        while True:
-            for name in sorted(system.sites):
-                system.sites[name].accelerator.sync_all()
-            system.run()
-            if not any(
-                system.sites[name].accelerator.unsynced_items()
-                for name in sorted(system.sites)
-            ):
-                break
-
-    drain_sync()
-    if config.overload is not None:
-        # Settle the degradation ring at proven quiescence and run the
-        # owed re-promotions before the oracles judge the end state.
-        for name in sorted(system.sites):
-            system.sites[name].accelerator.overload.finalize(system.env.now)
-        system.run()
-        drain_sync()
-
+    # Phase 2: heal, settle, drain; then judge the end state.
+    heal_and_settle(system, schedulers, case.settle)
     report = system.sanitizer.finish()
-    oracle_findings = end_state_findings(
-        system, results, strict=case.reliability
-    )
+    oracle_findings = end_state(system, quiescent=True)
     findings = list(report.violations) + oracle_findings
     if case.reliability:
         findings += [w for w in report.warnings if w.rule in LOSS_RULES]

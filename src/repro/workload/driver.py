@@ -14,7 +14,8 @@ Two arrival disciplines:
 
 :func:`run_spaced` is the closed discipline with the lazy-sync daemons
 running beside it — the replay ``repro check`` and ``repro observe``
-share.
+share. :func:`heal_and_settle` is the settle phase the chaos harness and
+the fuzzer both run before judging a faulted run's end state.
 """
 
 from __future__ import annotations
@@ -194,6 +195,57 @@ def run_spaced(
     system.run()
     system.check_invariants()
     return results
+
+
+def heal_and_settle(
+    system: DistributedSystem,
+    schedulers: Iterable[SyncScheduler],
+    settle: float,
+) -> None:
+    """Bring a faulted run to quiescence so its end state can be judged.
+
+    Every fault class is cleared and every site still down rejoins —
+    convergence is only promised for fault windows that end. Then
+    ``settle`` sim-time lets the drivers finish, rejoins complete and
+    retransmissions and lease probes resolve; the sync ``schedulers``
+    stop, the queue drains, and sync backlogs are flushed to a fixpoint
+    (an update completing after the schedulers stop still leaves owed
+    balances behind). With the overload layer on, quiescence stands in
+    for the recovery hold: every controller walks back to NORMAL, the
+    re-promotions that spawns run, and the balances and reconciliation
+    traffic they leave are flushed too.
+    """
+    faults = system.network.faults
+    faults.heal()
+    faults.clear_link_faults()
+    faults.set_drop_probability(0.0)
+    names = sorted(system.sites)
+    for name in names:
+        if faults.is_crashed(name):
+            system.sites[name].restart()
+
+    system.run(until=system.env.now + settle)
+    for scheduler in schedulers:
+        scheduler.stop()
+    system.run()
+
+    def drain_sync() -> None:
+        while True:
+            for name in names:
+                system.sites[name].accelerator.sync_all()
+            system.run()
+            if not any(
+                system.sites[name].accelerator.unsynced_items()
+                for name in names
+            ):
+                break
+
+    drain_sync()
+    if system.config.overload is not None:
+        for name in names:
+            system.sites[name].accelerator.overload.finalize(system.env.now)
+        system.run()
+        drain_sync()
 
 
 def split_by_site(events: Iterable[WorkloadEvent]) -> dict[str, list[WorkloadEvent]]:

@@ -2,9 +2,18 @@
 
 import pytest
 
-from repro.cluster import build_paper_system
+from repro.analysis.end_state import end_state
+from repro.cluster import (
+    DistributedSystem,
+    InvariantViolation,
+    build_paper_system,
+    paper_config,
+)
 from repro.core import UpdateKind
+from repro.core.accelerator import Accelerator
 from repro.core.reclassify import TAG_RECLASS, ReclassificationError
+from repro.net.reliable import ReliabilityParams
+from repro.sim.events import Event
 
 
 def run_proc(system, proc):
@@ -126,6 +135,64 @@ class TestMakeNonRegular:
         result = run_proc(system, system.update("site2", "item0", -5))
         assert result.kind is UpdateKind.DELAY and result.committed
         system.check_invariants()
+
+
+class TestSyncPushFence:
+    """A reclassify must not claim a balance whose reliable sync push is
+    still on the wire: the push lands at its peer anyway, so the
+    coordinator would count the delta twice."""
+
+    def test_push_on_the_wire_is_counted_once(self):
+        system = DistributedSystem.build(paper_config(
+            n_items=2, n_retailers=2, seed=0,
+            reliability=ReliabilityParams(),
+        ))
+        run_proc(system, system.update("site1", "item0", -3))  # covered
+        system.site("site1").accelerator.sync_item("item0")
+        proc = system.maker.accelerator.make_non_regular("item0")
+        assert run_proc(system, proc) == 97.0
+        system.check_invariants(quiescent=True)
+        for site in system.sites.values():
+            assert site.value("item0") == 97.0
+
+    def test_every_judge_flags_the_race_without_the_fence(self, monkeypatch):
+        from repro.experiments import chaos
+
+        def delay_only(self, item):
+            # quiesce as it was before the fence: in-flight Delay
+            # updates only, sync pushes on the wire ignored
+            event = Event(self.env)
+            if item in self._active_delay:
+                self._quiesce_waiters.setdefault(item, []).append(event)
+            else:
+                event.succeed()
+            return event
+
+        monkeypatch.setattr(Accelerator, "quiesce", delay_only)
+        flash_sale = chaos.FlashSaleWorkload
+        monkeypatch.setattr(
+            chaos, "FlashSaleWorkload",
+            lambda **kw: flash_sale(**{**kw, "burst": 40}),
+        )
+        judged = []
+
+        def spy(system, quiescent):
+            judged.append(system)
+            return end_state(system, quiescent)
+
+        monkeypatch.setattr(chaos, "end_state", spy)
+        result = chaos.run_chaos_scenario(
+            chaos._OVERLOAD_SCENARIO, n_updates=2000, seed=31, n_items=6
+        )
+        assert not result.ok
+        assert result.findings
+        (system,) = judged
+        findings = end_state(system, quiescent=True)
+        assert ("oracle.convergence", "item3") in {
+            (v.rule, v.item) for v in findings
+        }
+        with pytest.raises(InvariantViolation, match="'item3' at quiescence"):
+            system.check_invariants(quiescent=True)
 
 
 class TestSyncBatching:

@@ -1,7 +1,5 @@
 """Chaos harness: fault schedules must end in convergence + clean audit."""
 
-import pytest
-
 from repro.cluster import paper_config
 from repro.experiments.chaos import (
     FULL_SCENARIOS,
@@ -66,16 +64,12 @@ class TestChaosRuns:
         assert counters["overload_demotions"] == counters["overload_promotions"]
         assert counters["overload_transitions"] > 0
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 1: reclassify under in-flight updates",
-    )
     def test_overload_short_bursts_keep_replicas_on_the_ledger(self, monkeypatch):
-        # PR 11's lost update, pinned not fixed: the overload scenario's
-        # own trace, cut into bursts of 40, demotes and promotes often
-        # enough that a reclassify meets an in-flight update on item3.
-        # The replicas then end 2 short of the committed deltas.
+        # PR 11's lost update: the overload scenario's own trace, cut into
+        # bursts of 40, demotes and promotes often enough that a
+        # promotion's reclassify meets a sync push still on the wire for
+        # item3. Before quiesce fenced those pushes, the replicas ended 2
+        # short of the committed deltas.
         from repro.experiments import chaos
 
         flash_sale = chaos.FlashSaleWorkload
@@ -86,7 +80,8 @@ class TestChaosRuns:
         result = run_chaos_scenario(
             chaos._OVERLOAD_SCENARIO, n_updates=2000, seed=31, n_items=6
         )
-        assert result.converged, result.divergence
+        assert result.converged, result.render()
+        assert result.ok
 
     def test_small_report_aggregates(self):
         report = run_chaos(small=True, n_updates=45)

@@ -107,8 +107,9 @@ def test_retransmit_dedup_never_double_applies(
     outcome = run_case(
         _case(case_seed, faults, 0.0, timer_amp, perturb_seed)
     )
-    # outcome.ok covers the sequential-spec oracle: final replicas equal
-    # the reference execution, i.e. no retransmitted delta applied twice.
+    # outcome.ok covers end_state: every replica equals the ledger and
+    # the ledger equals the reference execution, i.e. no retransmitted
+    # delta applied twice.
     assert outcome.ok, outcome.render()
     assert "oracle.spec" not in outcome.rules
 
