@@ -9,7 +9,9 @@ these durations) because it isolates exactly the added work.
 1. **Disabled instrumentation** (``bench_obs_disabled_overhead``): the
    span calls that stay in the protocol hot paths when
    ``config.observe`` is off all hit the null recorder; bound their
-   total cost.
+   total cost. Every entry point is counted and timed on its own: the
+   recorder's ``start`` / ``open_row`` / ``write_row`` / ``keep_open``
+   and ``finish`` / ``annotate`` on the null span ``start`` returns.
 2. **Active profiler** (``bench_profiler_overhead``): with a
    :class:`~repro.obs.profile.Profiler` attached, every kernel event
    pays the step-timer + classification bookkeeping; bound that cost
@@ -18,13 +20,14 @@ these durations) because it isolates exactly the added work.
 
 import time
 import timeit
+from collections import Counter
 
 from conftest import once
 
 from repro.cluster import build_paper_system
 from repro.experiments import make_paper_trace
 from repro.obs.hub import Observability
-from repro.obs.spans import NULL_SPAN, NullSpanRecorder
+from repro.obs.spans import NULL_ROW, NULL_SPAN, NullSpanRecorder, _NullSpan
 from repro.workload import run_closed
 
 #: the acceptance bound: disabled instrumentation must stay under this
@@ -35,16 +38,67 @@ SEED = 0
 N_ITEMS = 10
 
 
+class _CountingNullSpan(_NullSpan):
+    """:data:`NULL_SPAN`'s twin that counts calls to its mutators."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, calls: Counter) -> None:
+        super().__init__()
+        self.calls = calls
+
+    def finish(self, now, **attrs):
+        self.calls["Span.finish"] += 1
+        return self
+
+    def annotate(self, **attrs):
+        self.calls["Span.annotate"] += 1
+
+
 class CountingNullRecorder(NullSpanRecorder):
-    """Null recorder that counts ``start`` calls (overhead census)."""
+    """Null recorder that counts every entry point (overhead census)."""
 
     def __init__(self):
         super().__init__()
-        self.calls = 0
+        self.calls = Counter()
+        self._span = _CountingNullSpan(self.calls)
 
     def start(self, name, site, now, trace=None, parent=None, **attrs):
-        self.calls += 1
-        return NULL_SPAN
+        self.calls["start"] += 1
+        return self._span
+
+    def open_row(self, parent=None, trace=None):
+        self.calls["open_row"] += 1
+        return NULL_ROW
+
+    def write_row(self, row, name, site, start, end, keys=(), values=()):
+        self.calls["write_row"] += 1
+
+    def keep_open(self, row, name, site, start, keys=(), values=()):
+        self.calls["keep_open"] += 1
+
+
+def _per_call_costs() -> dict:
+    """Seconds per call of each null entry point, with the argument
+    shapes the protocol code passes."""
+    null = NullSpanRecorder()
+    calls = {
+        "start": lambda: null.start(
+            "av.request", "s", 0.0, parent=NULL_SPAN, target="t", amount=1.0
+        ),
+        "open_row": lambda: null.open_row(NULL_ROW),
+        "write_row": lambda: null.write_row(
+            NULL_ROW, "delay.apply", "s", 0.0, 0.0, ("item",), ("i",)
+        ),
+        "keep_open": lambda: null.keep_open(NULL_ROW, "delay.apply", "s", 0.0),
+        "Span.finish": lambda: NULL_SPAN.finish(0.0, granted=1.0),
+        "Span.annotate": lambda: NULL_SPAN.annotate(granted=1.0),
+    }
+    reps = 100_000
+    return {
+        name: timeit.timeit(fn, number=reps) / reps
+        for name, fn in calls.items()
+    }
 
 
 def _run_unobserved() -> float:
@@ -56,7 +110,7 @@ def _run_unobserved() -> float:
     return time.perf_counter() - t0
 
 
-def _count_null_calls() -> int:
+def _count_null_calls() -> Counter:
     """Replay the same workload counting every null-recorder call."""
     system = build_paper_system(n_items=N_ITEMS, seed=SEED)
     counting = Observability(enabled=False)
@@ -72,24 +126,26 @@ def bench_obs_disabled_overhead(benchmark, save_result):
     run_seconds = min(once(benchmark, _run_unobserved), _run_unobserved())
 
     calls = _count_null_calls()
-    assert calls > 0, "instrumented paths made no recorder calls?"
+    assert sum(calls.values()) > 0, "instrumented paths made no recorder calls?"
 
-    null = NullSpanRecorder()
-    reps = 100_000
-    per_call = (
-        timeit.timeit(lambda: null.start("x", "s", 0.0), number=reps) / reps
-    )
-
-    added = calls * per_call
+    per_call = _per_call_costs()
+    added = sum(calls[name] * cost for name, cost in per_call.items())
     overhead = added / run_seconds
-    report = "\n".join([
+    report = [
         f"workload             : fig6 proposal, n={N_UPDATES} updates",
         f"run time (unobserved): {run_seconds * 1e3:.1f} ms",
-        f"null recorder calls  : {calls}",
-        f"per-call cost        : {per_call * 1e9:.0f} ns",
+        "null entry point     :    calls  per call",
+    ]
+    report += [
+        f"  {name:<19}: {calls[name]:>8}  {cost * 1e9:>5.0f} ns"
+        for name, cost in per_call.items()
+    ]
+    report += [
+        f"null calls per update: {sum(calls.values()) / N_UPDATES:.3f}",
         f"added cost           : {added * 1e6:.0f} us",
         f"estimated overhead   : {overhead:.3%} (bound {MAX_OVERHEAD:.0%})",
-    ])
+    ]
+    report = "\n".join(report)
     save_result("obs_overhead", report)
     assert overhead < MAX_OVERHEAD, report
 

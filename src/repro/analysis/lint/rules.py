@@ -11,8 +11,9 @@ arguments lean on (see ``docs/analysis.md``):
 * ``span-coverage`` — observability: public protocol entry points must
   route through the span recorder so sanitizer findings can always name
   a span.
-* ``span-kind-registry`` — attribution: every span kind started in
-  ``src/`` must be declared in the profiler's
+* ``span-kind-registry`` — attribution: every span kind recorded in
+  ``src/`` (started as a handle or written as a row) must be declared
+  in the profiler's
   :data:`~repro.obs.profile.SPAN_SUBSYSTEMS` map, so new
   instrumentation can never silently fall outside the subsystem
   attribution (it would land in ``"other"`` and skew every dossier).
@@ -187,15 +188,22 @@ class SpanCoverageRule(Rule):
             )
 
 
-class SpanKindRegistryRule(Rule):
-    """Every span kind started in src/ is a registered subsystem kind.
+#: span-recorder calls that name a span kind: method -> index of the
+#: kind among the positional arguments (a site argument follows it)
+_SPAN_KIND_ARG = {"start": 0, "write_row": 1, "keep_open": 1}
 
-    Matches ``<expr>.start("kind", site, ...)`` calls — the span
-    recorder's signature (a constant string kind plus at least a site
-    argument) — and requires the kind to appear in the profiler's
-    :data:`~repro.obs.profile.SPAN_SUBSYSTEMS` map. Two-argument
-    ``.start(...)`` calls are ignored (schedulers, daemons and other
-    non-span ``start`` methods share the attribute name).
+
+class SpanKindRegistryRule(Rule):
+    """Every span kind recorded in src/ is a registered subsystem kind.
+
+    Matches the span recorder's calls that name a kind —
+    ``<expr>.start("kind", site, ...)`` for a handle, and
+    ``<expr>.write_row(row, "kind", site, ...)`` /
+    ``<expr>.keep_open(row, "kind", site, ...)`` for a span written
+    without one — and requires the constant kind to appear in the
+    profiler's :data:`~repro.obs.profile.SPAN_SUBSYSTEMS` map. A call
+    with no positional argument after the kind is ignored (schedulers,
+    daemons and other non-span ``start`` methods share the name).
     """
 
     name = "span-kind-registry"
@@ -219,14 +227,13 @@ class SpanKindRegistryRule(Rule):
     def check(self, node: ast.Call, ctx: FileContext) -> None:
         if not isinstance(node.func, ast.Attribute):
             return
-        if node.func.attr != "start" or len(node.args) < 2:
+        at = _SPAN_KIND_ARG.get(node.func.attr)
+        if at is None or len(node.args) < at + 2:
             return
-        first = node.args[0]
-        if not (
-            isinstance(first, ast.Constant) and isinstance(first.value, str)
-        ):
+        arg = node.args[at]
+        if not (isinstance(arg, ast.Constant) and isinstance(arg.value, str)):
             return
-        kind = first.value
+        kind = arg.value
         if kind in self._known_kinds():
             return
         ctx.report(

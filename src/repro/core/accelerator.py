@@ -42,6 +42,9 @@ from repro.sim.events import Event
 from repro.sim.process import Process
 from repro.sim.tracing import NullTracer, Tracer
 
+#: the ``av.checking`` row values of an update routed to Delay
+_DELAY_VERDICT = (UpdateKind.DELAY.value,)
+
 
 class Accelerator:
     """Per-site protocol engine.
@@ -298,15 +301,36 @@ class Accelerator:
         """:meth:`_run` for an update that cannot suspend: same spans and
         checks, no generator. Completion is still one NORMAL zero-delay
         kernel event, so callbacks run where the process event's did; an
-        error fails that event instead of raising out of :meth:`update`."""
-        done = Event(self.env)
+        error fails that event instead of raising out of :meth:`update`.
+
+        Nothing here waits, so the span tree is written as rows, no
+        handles, each ending when it starts; a body that raises leaves
+        the root open, as :meth:`_run`'s would stay."""
+        env = self.env
+        done = Event(env)
+        rec = self.obs.recorder
+        now = env._now
+        root = None
         try:
-            root = self._root_span(req, UpdateKind.DELAY)
+            if rec.enabled:
+                root = rec.open_row(None, f"{req.site}:u{req.request_id}")
+                rec.write_row(rec.open_row(root), "av.checking", self.site,
+                              now, now, ("verdict",), _DELAY_VERDICT)
             try:
                 result = self.delay.local(req, root)
             except CrashedEndpointError:  # eager push from a dead site
                 result = self._failed(req, UpdateKind.DELAY)
-            root.finish(self.env.now, outcome=result.outcome.value)
+            except BaseException:
+                if root is not None:
+                    rec.keep_open(root, "update", self.site, now,
+                                  ("item", "delta"), (req.item, req.delta))
+                raise
+            if root is not None:
+                rec.write_row(
+                    root, "update", self.site, now, now,
+                    ("item", "delta", "outcome"),
+                    (req.item, req.delta, result.outcome.value),
+                )
         except Exception as exc:
             return done.fail(exc)
         return done.succeed(result)
@@ -329,15 +353,14 @@ class Accelerator:
         rec = self.obs.recorder
         if not rec.enabled:
             return NULL_SPAN
+        now = self.env.now
         root = rec.start(
-            "update", self.site, self.env.now,
+            "update", self.site, now,
             trace=f"{req.site}:u{req.request_id}",
             item=req.item, delta=req.delta,
         )
-        rec.start(
-            "av.checking", self.site, self.env.now,
-            trace=root.trace_id, parent=root,
-        ).finish(self.env.now, verdict=kind.value)
+        rec.write_row(rec.open_row(root), "av.checking", self.site, now, now,
+                      ("verdict",), (kind.value,))
         return root
 
     def _run(self, req: UpdateRequest):

@@ -38,6 +38,7 @@ from repro.core.types import (
     UpdateResult,
 )
 from repro.net.endpoint import RequestTimeout
+from repro.obs.spans import NULL_ROW
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.accelerator import Accelerator
@@ -103,17 +104,18 @@ class DelayUpdateProtocol:
             accel._delay_end(req.item)
         return result
 
-    def local(self, req: UpdateRequest, span=None):
+    def local(self, req: UpdateRequest, parent=None):
         """The zero-communication update: mint AV for an increase or
         spend local AV that covers a decrease, then apply and propagate.
         Never suspends. Returns ``None``, having changed nothing, when
-        local AV falls short of the decrease."""
+        local AV falls short of the decrease. ``parent`` is the update's
+        root span, a handle or a row (``None`` when unobserved)."""
         accel = self.accel
         obs = accel.obs
         item, delta = req.item, req.delta
         if delta >= 0:
             # Increase: new stock is new headroom — mint AV locally.
-            self._apply(item, delta, span)
+            self._apply(item, delta, parent)
             # Mint raises the conserved headroom; announce it before the
             # table grows so the conservation sum never transiently
             # exceeds the bound.
@@ -131,12 +133,12 @@ class DelayUpdateProtocol:
             # dips in between.
             if obs.event_subscribers:
                 obs.emit("av.spend", accel.now, site=accel.site, item=item, amount=-delta)
-            self._apply(item, delta, span)
+            self._apply(item, delta, parent)
             if accel.tracer.enabled:
                 accel.trace("delay.local", f"{req} covered by local AV")
         else:
             return None
-        self._propagate(item, delta, span)
+        self._propagate(item, delta, parent)
         return self._done(req, UpdateOutcome.COMMITTED, local=True)
 
     def _execute(self, req: UpdateRequest, span=None):
@@ -176,27 +178,15 @@ class DelayUpdateProtocol:
 
         while hold.amount < need:
             now = accel.now  # fixed until the request below suspends us
-            select_span = rec.start("av.selecting", accel.site, now, parent=span)
-            candidates = accel.live_peers_for(item)
-            if accel.overload is not None:
-                # Steer the ask away from peers that broadcast DEGRADED
-                # (unless they are all we have left).
-                candidates = accel.overload.filter_peers(candidates)
-            # Hierarchical topologies ask the regional aggregator's pool
-            # first — it exists to absorb its subtree's demand. Only
-            # after the pool has been tried does the believed-richest
-            # strategy shop the rest of the interest set.
-            pool = accel.pool_parent
-            use_pool = (
-                pool is not None and pool not in tried and pool in candidates
-            )
-            if use_pool:
-                target = pool
-            else:
-                target = accel.strategy.select(
-                    item, candidates, frozenset(tried), accel.beliefs
-                )
-            select_span.finish(now, target=target or "<none>")
+            select = rec.open_row(span) if rec.enabled else NULL_ROW
+            try:
+                target, use_pool = self._select(item, tried)
+            except BaseException:
+                rec.keep_open(select, "av.selecting", accel.site, now)
+                raise
+            if rec.enabled:
+                rec.write_row(select, "av.selecting", accel.site, now, now,
+                              ("target",), (target or "<none>",))
             if target is not None and accel.obs.event_subscribers:
                 # The happens-before checker correlates this decision
                 # with the grants that shaped (or should have shaped)
@@ -205,7 +195,7 @@ class DelayUpdateProtocol:
                     "av.select", now,
                     site=accel.site, item=item, target=target,
                     believed=accel.beliefs.believed_volume(target, item),
-                    trace=select_span.trace_id, span=select_span.span_id,
+                    trace=select[0], span=select[1],
                 )
             if target is None:
                 # Everyone asked once this round. Retry only if somebody
@@ -308,6 +298,27 @@ class DelayUpdateProtocol:
             av_obtained=obtained,
         )
 
+    def _select(self, item: str, tried: set):
+        """The selecting function: ``(target, use_pool)`` for the next
+        ask, ``target`` ``None`` once every candidate was tried."""
+        accel = self.accel
+        candidates = accel.live_peers_for(item)
+        if accel.overload is not None:
+            # Steer the ask away from peers that broadcast DEGRADED
+            # (unless they are all we have left).
+            candidates = accel.overload.filter_peers(candidates)
+        # Hierarchical topologies ask the regional aggregator's pool
+        # first — it exists to absorb its subtree's demand. Only after
+        # the pool has been tried does the believed-richest strategy
+        # shop the rest of the interest set.
+        pool = accel.pool_parent
+        if pool is not None and pool not in tried and pool in candidates:
+            return pool, True
+        target = accel.strategy.select(
+            item, candidates, frozenset(tried), accel.beliefs
+        )
+        return target, False
+
     # ---------------------------------------------------------------- #
     # grantor side
     # ---------------------------------------------------------------- #
@@ -327,50 +338,66 @@ class DelayUpdateProtocol:
         """
         accel = self.accel
         rec = accel.obs.recorder
+        site = accel.site
         item = msg.payload["item"]
         requested = msg.payload["amount"]
-        ctx = msg.payload.get("_obs") if rec.enabled else None
         now = accel.now
-        grant_span = rec.start(
-            "av.grant", accel.site, now,
-            trace=ctx["trace"] if ctx else None,
-            parent=ctx["span"] if ctx else None,
-            item=item, requester=msg.src,
-        )
-        accel.beliefs.observe(
-            msg.src, item, msg.payload.get("requester_av", 0.0), now
-        )
-        if not accel.av_table.defined(item):
-            grant_span.finish(now, granted=0.0, undefined=True)
-            return {"granted": 0.0, "av_after": 0.0}
-        available = accel.av_table.get(item)
-        decide_span = rec.start(
-            "av.deciding", accel.site, now, parent=grant_span,
-            available=available, requested=requested,
-        )
-        if pool:
-            granted = min(available, requested)
-        else:
-            granted = accel.policy.grant_amount(available, requested)
-            if accel.overload is not None:
-                # Under strain, widen the grant past the half-split
-                # policy: one round trip settles what repeat
-                # correspondence would.
-                widened = accel.overload.widened_grant(available, requested)
-                if widened is not None:
-                    granted = widened
-        decide_span.finish(now, granted=granted)
-        if granted > 0:
-            if accel.inject != "av-double-grant":
-                # Planted bug (test-only, see SystemConfig.inject): the
-                # broken variant ships the grant *without* deducting it,
-                # so the same volume exists at both sites — the exact
-                # double-count the AV-conservation oracle must catch.
-                accel.av_table.take(item, granted)
-            self.grants_served += 1
-            self.volume_granted += granted
-        after = accel.av_table.get(item)
-        grant_span.finish(now, granted=granted, av_after=after)
+        # Nothing here waits: av.grant and av.deciding are rows.
+        grant = decide = NULL_ROW
+        if rec.enabled:
+            ctx = msg.payload.get("_obs")
+            grant = (
+                rec.open_row(ctx["span"], ctx["trace"]) if ctx
+                else rec.open_row()
+            )
+        try:
+            accel.beliefs.observe(
+                msg.src, item, msg.payload.get("requester_av", 0.0), now
+            )
+            if not accel.av_table.defined(item):
+                if rec.enabled:
+                    rec.write_row(
+                        grant, "av.grant", site, now, now,
+                        ("item", "requester", "granted", "undefined"),
+                        (item, msg.src, 0.0, True),
+                    )
+                return {"granted": 0.0, "av_after": 0.0}
+            available = accel.av_table.get(item)
+            if rec.enabled:
+                decide = rec.open_row(grant)
+            try:
+                granted = self._decide(available, requested, pool)
+            except BaseException:
+                rec.keep_open(decide, "av.deciding", site, now,
+                              ("available", "requested"), (available, requested))
+                raise
+            if rec.enabled:
+                rec.write_row(
+                    decide, "av.deciding", site, now, now,
+                    ("available", "requested", "granted"),
+                    (available, requested, granted),
+                )
+            if granted > 0:
+                if accel.inject != "av-double-grant":
+                    # Planted bug (test-only, see SystemConfig.inject):
+                    # the broken variant ships the grant *without*
+                    # deducting it, so the same volume exists at both
+                    # sites — the exact double-count the AV-conservation
+                    # oracle must catch.
+                    accel.av_table.take(item, granted)
+                self.grants_served += 1
+                self.volume_granted += granted
+            after = accel.av_table.get(item)
+        except BaseException:
+            rec.keep_open(grant, "av.grant", site, now,
+                          ("item", "requester"), (item, msg.src))
+            raise
+        if rec.enabled:
+            rec.write_row(
+                grant, "av.grant", site, now, now,
+                ("item", "requester", "granted", "av_after"),
+                (item, msg.src, granted, after),
+            )
         if accel.tracer.enabled:
             accel.trace("delay.serve", f"granted {granted:g} {item} to {msg.src}")
         reply = {"granted": granted, "av_after": after}
@@ -379,6 +406,20 @@ class DelayUpdateProtocol:
             # acks; a lost or discarded reply reverts it to our table.
             reply["lease"] = accel.leases.grant(item, granted, msg.src).lease_id
         return reply
+
+    def _decide(self, available: float, requested: float, pool: bool) -> float:
+        """The deciding function at the grantor: how much to grant."""
+        if pool:
+            return min(available, requested)
+        accel = self.accel
+        granted = accel.policy.grant_amount(available, requested)
+        if accel.overload is not None:
+            # Under strain, widen the grant past the half-split policy:
+            # one round trip settles what repeat correspondence would.
+            widened = accel.overload.widened_grant(available, requested)
+            if widened is not None:
+                granted = widened
+        return granted
 
     # Spans for the grant are recorded in _grant_from_table.
     def handle_pool_refill(self, msg):  # repro-lint: disable=span-coverage
@@ -512,18 +553,23 @@ class DelayUpdateProtocol:
         accel = self.accel
         rec = accel.obs.recorder
         item, delta = msg.payload["item"], msg.payload["delta"]
-        ctx = msg.payload.get("_obs") if rec.enabled else None
-        apply_span = rec.start(
-            "prop.apply", accel.site, accel.now,
-            trace=ctx["trace"] if ctx else None,
-            parent=ctx["span"] if ctx else None,
-            item=item, delta=delta, src=msg.src,
-        )
-        # force: replicas may transiently dip negative (see module docs).
-        accel.store.apply_delta(item, delta, now=accel.now, force=True)
-        apply_span.finish(accel.now)
+        if not rec.enabled:
+            # force: replicas may transiently dip negative (module docs).
+            accel.store.apply_delta(item, delta, now=accel.now, force=True)
+            return
+        ctx = msg.payload.get("_obs")
+        row = rec.open_row(ctx["span"], ctx["trace"]) if ctx else rec.open_row()
+        now = accel.now
+        try:
+            accel.store.apply_delta(item, delta, now=now, force=True)
+        except BaseException:
+            rec.keep_open(row, "prop.apply", accel.site, now,
+                          ("item", "delta", "src"), (item, delta, msg.src))
+            raise
+        rec.write_row(row, "prop.apply", accel.site, now, now,
+                      ("item", "delta", "src"), (item, delta, msg.src))
 
-    def _propagate(self, item: str, delta: float, span=None) -> None:
+    def _propagate(self, item: str, delta: float, parent=None) -> None:
         """Record or push a committed delta for replica convergence.
 
         Eager mode (``accel.propagate``) pushes to every peer at once —
@@ -540,20 +586,32 @@ class DelayUpdateProtocol:
             accel.record_unsynced(item, delta)
             return
         rec = accel.obs.recorder
-        prop_span = rec.start(
-            "prop.push", accel.site, accel.now, parent=span, item=item
-        )
+        now = accel.now
+        row = rec.open_row(parent) if rec.enabled else None
+        try:
+            pushed = self._push(item, delta, row)
+        except BaseException:  # a send from a dead site leaves it open
+            if row is not None:
+                rec.keep_open(row, "prop.push", accel.site, now,
+                              ("item",), (item,))
+            raise
+        if row is not None:
+            rec.write_row(row, "prop.push", accel.site, now, now,
+                          ("item", "peers"), (item, pushed))
+
+    def _push(self, item: str, delta: float, row) -> int:
+        """Send one eager ``prop.push`` per live replica; returns how
+        many went out. ``row`` is the push's span (``None`` unobserved).
+        """
+        accel = self.accel
         pushed = 0
         live = set(accel.live_peers())
         for peer in sorted(accel.replica_peers(item)):
             payload = {"item": item, "delta": delta}
-            if rec.enabled:
+            if row is not None:
                 # Receivers parent their prop.apply span under this push
                 # (and the sanitizer names it if the delta is lost).
-                payload["_obs"] = {
-                    "trace": prop_span.trace_id,
-                    "span": prop_span.span_id,
-                }
+                payload["_obs"] = {"trace": row[0], "span": row[1]}
             if accel.reliable is not None:
                 if peer not in live:
                     # Unreachable now: keep the delta owed; the rejoin
@@ -573,7 +631,7 @@ class DelayUpdateProtocol:
                 continue
             accel.endpoint.send(peer, "prop.push", payload, tag=TAG_PROPAGATE)
             pushed += 1
-        prop_span.finish(accel.now, peers=pushed)
+        return pushed
 
     def _settle_eager(self, peer: str, item: str, delta: float, event) -> None:
         """An eager reliable push resolved; keep undelivered deltas owed."""
@@ -585,15 +643,25 @@ class DelayUpdateProtocol:
     # helpers
     # ---------------------------------------------------------------- #
 
-    def _apply(self, item: str, delta: float, span=None) -> None:
-        """Apply a committed delta in its own (single-delta) transaction."""
+    def _apply(self, item: str, delta: float, parent=None) -> None:
+        """Apply a committed delta in its own (single-delta) transaction,
+        recorded as a ``delay.apply`` row under ``parent`` (it never
+        waits, so it ends when it starts)."""
         accel = self.accel
-        apply_span = accel.obs.recorder.start(
-            "delay.apply", accel.site, accel.now, parent=span,
-            item=item, delta=delta,
-        )
-        accel.txns.apply_atomic(item, delta, force=True)
-        apply_span.finish(accel.now)
+        rec = accel.obs.recorder
+        if not rec.enabled:
+            accel.txns.apply_atomic(item, delta, force=True)
+            return
+        row = rec.open_row(parent)
+        now = accel.now
+        try:
+            accel.txns.apply_atomic(item, delta, force=True)
+        except BaseException:
+            rec.keep_open(row, "delay.apply", accel.site, now,
+                          ("item", "delta"), (item, delta))
+            raise
+        rec.write_row(row, "delay.apply", accel.site, now, now,
+                      ("item", "delta"), (item, delta))
 
     def _done(
         self,

@@ -25,8 +25,9 @@ to an unprofiled one (asserted by ``tests/test_profile.py`` and the CI
 
 :data:`SPAN_SUBSYSTEMS` is also the *registry* of legal span kinds: the
 ``span-kind-registry`` lint rule rejects any ``recorder.start("kind",
-…)`` in ``src/`` whose kind is not declared here, so new instrumentation
-cannot silently fall outside the attribution map.
+…)`` or ``recorder.write_row(row, "kind", …)`` in ``src/`` whose kind
+is not declared here, so new instrumentation cannot silently fall
+outside the attribution map.
 """
 
 from __future__ import annotations

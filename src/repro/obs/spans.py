@@ -13,6 +13,11 @@ on protocol payloads (only when recording is enabled, so the disabled
 wire format is byte-identical to an uninstrumented run); the remote
 handler opens its span with that context as parent.
 
+A span that opens and closes with no ``yield`` in between needs no
+handle: :meth:`SpanRecorder.open_row` takes its id (where ``start``
+would) and returns a :data:`Row`, and :meth:`SpanRecorder.write_row`
+writes it when it closes — the same row ``Span.finish`` writes.
+
 :class:`NullSpanRecorder` is the disabled implementation: ``start``
 returns the shared :data:`NULL_SPAN` whose mutators are no-ops, keeping
 instrumented hot paths near-zero-cost when observability is off.
@@ -23,7 +28,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from operator import attrgetter
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 
 class Span:
@@ -115,7 +120,15 @@ class _NullSpan(Span):
 #: singleton no-op span; safe to use as a parent (treated as "no parent")
 NULL_SPAN = _NullSpan()
 
-ParentLike = Union[Span, int, None]
+#: a span with no handle, from :meth:`SpanRecorder.open_row`:
+#: ``(trace_id, span_id, parent_id)``. A parent wherever a :class:`Span` is.
+Row = Tuple[str, int, Optional[int]]
+
+#: the row of a span the cap dropped (or a disabled recorder's): as a
+#: parent it means "no parent", exactly like :data:`NULL_SPAN`
+NULL_ROW: Row = ("", 0, None)
+
+ParentLike = Union[Span, Row, int, None]
 
 #: ``parent_id`` column value of a root span
 _NO_PARENT = -1
@@ -128,12 +141,14 @@ class SpanRecorder:
     deterministic under a fixed seed.
 
     Storage model: only *open* spans are :class:`Span` objects, the live
-    handles ``start`` returned, held in ``_open``. ``finish`` packs a
-    span into one row of flat columns — ``array`` ids, parents, start and
-    end times, the trace/name/site strings (shared with the caller, not
-    copied), an index into a small table of attribute-key tuples, and
-    the attribute values in one list — so a finished span leaves no
-    Python container behind. Readers rebuild finished spans on demand:
+    handles ``start`` returned, held in ``_open``. A finished span is one
+    row of flat columns — ``array`` ids, parents, start and end times,
+    the trace/name/site strings (shared with the caller, not copied), an
+    index into a small table of attribute-key tuples, and the attribute
+    values in one list — so it leaves no Python container behind. One
+    writer, :meth:`write_row`, appends every row: ``Span.finish`` packs
+    a handle through it, and a span that never waits calls it directly
+    (see :meth:`open_row`). Readers rebuild finished spans on demand:
     no identity is promised for them (two reads give equal, distinct
     objects), times come back as ``float``, and attribute keys keep
     their order (``start`` keys, then ``finish`` keys; a repeated key
@@ -144,7 +159,8 @@ class SpanRecorder:
     ----------
     max_spans:
         Optional cap; further ``start`` calls return :data:`NULL_SPAN`
-        and are counted in :attr:`dropped` (mirrors ``Tracer``'s policy).
+        (``open_row`` calls :data:`NULL_ROW`) and are counted in
+        :attr:`dropped` (mirrors ``Tracer``'s policy).
     """
 
     enabled = True
@@ -183,48 +199,115 @@ class SpanRecorder:
     ) -> Span:
         """Open a span; the caller must ``finish()`` it.
 
-        ``parent`` may be a :class:`Span` (its trace id is inherited
-        when ``trace`` is omitted), a raw span id (cross-site context —
-        pass ``trace`` too), or ``None``/:data:`NULL_SPAN` for a root.
-        A root with no ``trace`` starts a fresh trace (id ``t<span_id>``).
+        ``parent`` may be a :class:`Span` or a :data:`Row` (its trace id
+        is inherited when ``trace`` is omitted), a raw span id
+        (cross-site context — pass ``trace`` too), or
+        ``None``/:data:`NULL_SPAN`/:data:`NULL_ROW` for a root. A root
+        with no ``trace`` starts a fresh trace (id ``t<span_id>``).
         """
-        if self.max_spans is not None and self._started >= self.max_spans:
-            self.dropped += 1
+        trace, span_id, parent_id = self.open_row(parent, trace)
+        if not span_id:
             return NULL_SPAN
-        self._started = span_id = self._started + 1
-        if isinstance(parent, Span):
-            parent_id = parent.span_id if parent.span_id else None
-            if trace is None and parent.trace_id:
-                trace = parent.trace_id
-        else:
-            parent_id = parent
         span = Span(
-            trace if trace else f"t{span_id}", span_id, parent_id, name,
-            site, now, attrs or None, self,
+            trace, span_id, parent_id, name, site, now, attrs or None, self
         )
         self._open[span_id] = span
         return span
 
-    def _pack(self, span: Span) -> None:
-        """Move a just-finished span from ``_open`` into the columns."""
-        del self._open[span.span_id]
-        self._ids.append(span.span_id)
-        parent_id = span.parent_id
+    def open_row(
+        self, parent: ParentLike = None, trace: Optional[str] = None
+    ) -> Row:
+        """Open a span that needs no handle: one that closes before
+        anything can suspend, so nothing outside the caller sees it open.
+
+        Takes the span id :meth:`start` would take, with the same
+        ``parent``/``trace`` rules and the same cap (past it, returns
+        :data:`NULL_ROW` and counts a drop). The caller closes it with
+        :meth:`write_row`, or with :meth:`keep_open` if its body raised.
+        """
+        if self.max_spans is not None and self._started >= self.max_spans:
+            self.dropped += 1
+            return NULL_ROW
+        self._started = span_id = self._started + 1
+        # A Span or Row parent lends its trace id when ``trace`` is
+        # omitted; a raw span id (cross-site context) does not.
+        if parent is None:
+            parent_id = None
+        elif isinstance(parent, tuple):
+            parent_trace, parent_id, _ = parent
+            parent_id = parent_id or None
+            if trace is None and parent_trace:
+                trace = parent_trace
+        elif isinstance(parent, Span):
+            parent_id = parent.span_id or None
+            if trace is None and parent.trace_id:
+                trace = parent.trace_id
+        else:
+            parent_id = parent
+        return (trace or f"t{span_id}"), span_id, parent_id
+
+    def write_row(
+        self,
+        row: Row,
+        name: str,
+        site: str,
+        start: float,
+        end: float,
+        keys: Tuple[str, ...] = (),
+        values: Iterable[Any] = (),
+    ) -> None:
+        """Append a finished span as one row: the one writer.
+
+        ``keys`` are the attribute names in order (distinct; ``start``
+        keys, then ``finish`` keys) and ``values`` theirs. A dropped
+        row (:data:`NULL_ROW`) writes nothing.
+        """
+        trace, span_id, parent_id = row
+        if not span_id:
+            return
+        self._ids.append(span_id)
         self._parents.append(_NO_PARENT if parent_id is None else parent_id)
-        self._starts.append(span.start)
-        self._ends.append(span.end)
-        self._strings += (span.trace_id, span.name, span.site)
-        attrs = span.attrs
-        if attrs:
-            keys = tuple(attrs)
+        self._starts.append(start)
+        self._ends.append(end)
+        self._strings += (trace, name, site)
+        if keys:
             shape = self._shape_index.get(keys)
             if shape is None:
                 shape = self._shape_index[keys] = len(self._shape_keys)
                 self._shape_keys.append(keys)
             self._shapes.append(shape)
-            self._values += attrs.values()
+            self._values += values
         else:
             self._shapes.append(0)
+
+    def keep_open(
+        self,
+        row: Row,
+        name: str,
+        site: str,
+        start: float,
+        keys: Tuple[str, ...] = (),
+        values: Iterable[Any] = (),
+    ) -> None:
+        """The body of an :meth:`open_row` span raised: keep the span
+        open, with its ``start`` attributes, as the handle :meth:`start`
+        returned would have stayed."""
+        trace, span_id, parent_id = row
+        if span_id:
+            self._open[span_id] = Span(
+                trace, span_id, parent_id, name, site, start,
+                dict(zip(keys, values)) or None, self,
+            )
+
+    def _pack(self, span: Span) -> None:
+        """Move a just-finished span from ``_open`` into the columns."""
+        del self._open[span.span_id]
+        attrs = span.attrs
+        self.write_row(
+            (span.trace_id, span.span_id, span.parent_id), span.name,
+            span.site, span.start, span.end,
+            tuple(attrs) if attrs else (), attrs.values() if attrs else (),
+        )
 
     # ---------------------------------------------------------------- #
     # views
@@ -319,3 +402,6 @@ class NullSpanRecorder(SpanRecorder):
 
     def start(self, name, site, now, trace=None, parent=None, **attrs):
         return NULL_SPAN
+
+    def open_row(self, parent=None, trace=None):
+        return NULL_ROW

@@ -147,6 +147,29 @@ class TestSpanKindRegistry:
                 span.finish(1.0)
             """) == []
 
+    def test_unregistered_row_kind_flagged(self, tmp_path):
+        findings = lint_source(tmp_path, """\
+            def go(rec, site, parent):
+                row = rec.open_row(parent)
+                try:
+                    work()
+                except BaseException:
+                    rec.keep_open(row, "made.up.kind", site, 0.0)
+                    raise
+                rec.write_row(row, "made.up.kind", site, 0.0, 1.0)
+            """)
+        assert rules_hit(findings) == ["span-kind-registry"]
+        assert len(findings) == 2
+        assert "'made.up.kind'" in findings[0].message
+
+    def test_registered_row_kind_clean(self, tmp_path):
+        assert lint_source(tmp_path, """\
+            def go(rec, site, parent):
+                row = rec.open_row(parent)
+                rec.write_row(row, "delay.apply", site, 0.0, 1.0,
+                              ("item",), ("item0",))
+            """) == []
+
     def test_tests_exempt(self, tmp_path):
         assert lint_source(tmp_path, """\
             def go(rec, site):

@@ -1,6 +1,7 @@
 """Tests for the observability layer: spans, registry, sampler, export."""
 
 import gc
+import hashlib
 import json
 import math
 import statistics
@@ -17,6 +18,7 @@ from repro.obs import (
     MetricRegistry,
     NullSpanRecorder,
     Observability,
+    Span,
     SpanRecorder,
     StreamingHistogram,
     TimeSeriesStore,
@@ -26,6 +28,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.spans import NULL_ROW
 from repro.workload import run_closed
 
 
@@ -588,6 +591,260 @@ class TestSpanDeterminism:
         first, second = run(), run()
         assert first == second
         assert first[1] > 0
+
+
+def ordered_digest(rec):
+    """Like ``fingerprint()``, but over the attributes in their stored
+    key order (``fingerprint`` sorts them), so a change of key order
+    fails a pin too."""
+    digest = hashlib.blake2b(digest_size=8)
+    for s in rec:
+        attrs = tuple(s.attrs.items()) if s.attrs else ()
+        key = (s.trace_id, s.span_id, s.parent_id, s.name, s.site, s.start,
+               s.end, attrs)
+        digest.update(repr(key).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def text_digest(text):
+    return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
+
+
+def stream_pin(rec):
+    return len(rec), rec.fingerprint(), rec.dropped, ordered_digest(rec)
+
+
+def eager_system(max_spans=None, drop=0.0):
+    """Eager propagation: each covered update's ``prop.push`` fans out to
+    a ``prop.apply`` at both replicas, parented across sites. A lossy
+    network needs a request timeout, or a lost AV request hangs."""
+    system = build_paper_system(
+        n_items=5, seed=7, observe=True, sanitize=True, propagate=True,
+        request_timeout=8.0 if drop else None,
+    )
+    if max_spans is not None:
+        system.obs.recorder = SpanRecorder(max_spans)
+    system.network.faults.drop_probability = drop
+    run_closed(system, make_paper_trace(150, seed=7, n_items=5))
+    return system
+
+
+def stream(rec):
+    return [
+        (s.trace_id, s.span_id, s.parent_id, s.name, s.site, s.start, s.end,
+         list(s.attrs.items()) if s.attrs else None)
+        for s in rec
+    ]
+
+
+class TestRowSpans:
+    """A span that never waits is written as a row, with no handle."""
+
+    def test_row_and_handle_write_the_same_span(self):
+        by_handle, by_row = SpanRecorder(), SpanRecorder()
+        root = by_handle.start("update", "s1", 1.0, trace="s1:u1", item="a")
+        by_handle.start("delay.apply", "s1", 1.0, parent=root).finish(2.0)
+        root.finish(3.0, outcome="committed")
+        row = by_row.open_row(trace="s1:u1")
+        by_row.write_row(by_row.open_row(row), "delay.apply", "s1", 1.0, 2.0)
+        by_row.write_row(row, "update", "s1", 1.0, 3.0,
+                         ("item", "outcome"), ("a", "committed"))
+        assert stream(by_row) == stream(by_handle)
+        assert by_row.fingerprint() == by_handle.fingerprint()
+
+    def test_row_parent_accepted_by_start(self):
+        rec = SpanRecorder()
+        row = rec.open_row(trace="s1:u1")
+        child = rec.start("av.request", "s1", 0.0, parent=row)
+        assert (child.trace_id, child.parent_id) == ("s1:u1", row[1])
+        remote = rec.open_row(parent=row[1], trace=row[0])
+        assert remote[0] == "s1:u1" and remote[2] == row[1]
+
+    def test_dropped_row_is_no_parent(self):
+        rec = SpanRecorder(max_spans=1)
+        rec.start("a", "s", 0.0)
+        assert rec.open_row(trace="s1:u1") == NULL_ROW
+        rec.write_row(NULL_ROW, "update", "s", 0.0, 1.0)
+        assert rec.dropped == 1 and len(rec) == 1
+        free = SpanRecorder()
+        for parent in (NULL_ROW, NULL_SPAN):
+            span = free.start("x", "s", 0.0, parent=parent)
+            assert span.parent_id is None
+            assert span.trace_id == f"t{span.span_id}"
+
+    def test_null_recorder_opens_only_null_rows(self):
+        rec = NullSpanRecorder()
+        assert rec.open_row(trace="s1:u1") == NULL_ROW
+        rec.write_row(NULL_ROW, "update", "s", 0.0, 1.0, ("a",), (1,))
+        assert len(rec) == 0 and list(rec) == []
+
+    def test_covered_local_update_allocates_no_span(self, monkeypatch):
+        system = build_paper_system(n_items=5, seed=0, observe=True,
+                                    propagate=True)
+        accel = system.sites["site1"].accelerator
+
+        def no_handles(*args, **kwargs):
+            raise AssertionError("a span handle was allocated")
+
+        monkeypatch.setattr(Span, "__init__", no_handles)
+        done = [accel.update("item0", 3.0), accel.update("item1", -2.0)]
+        monkeypatch.undo()
+        assert all(ev.ok and ev.value.local_only for ev in done)
+        assert system.obs.recorder.names() == {
+            "update": 2, "av.checking": 2, "delay.apply": 2, "prop.push": 2,
+        }
+
+    def test_raising_update_keeps_its_root_open(self):
+        """Computed over the handle-only recorder: the root and the
+        apply that raised stay open with their start attributes."""
+        system = build_paper_system(n_items=5, seed=0, observe=True)
+        accel = system.sites["site1"].accelerator
+
+        def disk_on_fire(*args, **kwargs):
+            raise RuntimeError("disk on fire")
+
+        accel.txns.apply_atomic = disk_on_fire
+        done = accel.update("item0", 3.0)
+        assert not done.ok and isinstance(done.value, RuntimeError)
+        assert stream(system.obs.recorder) == [
+            ("site1:u1", 1, None, "update", "site1", 0.0, None,
+             [("item", "item0"), ("delta", 3.0)]),
+            ("site1:u1", 2, 1, "av.checking", "site1", 0.0, 0.0,
+             [("verdict", "delay")]),
+            ("site1:u1", 3, 1, "delay.apply", "site1", 0.0, None,
+             [("item", "item0"), ("delta", 3.0)]),
+        ]
+
+    def test_push_from_a_dead_site_stays_open(self):
+        system = build_paper_system(n_items=5, seed=0, observe=True,
+                                    propagate=True)
+        system.network.faults.crash("site1")
+        done = system.sites["site1"].accelerator.update("item0", 3.0)
+        assert done.value.outcome.value == "failed"
+        assert stream(system.obs.recorder) == [
+            ("site1:u1", 1, None, "update", "site1", 0.0, 0.0,
+             [("item", "item0"), ("delta", 3.0), ("outcome", "failed")]),
+            ("site1:u1", 2, 1, "av.checking", "site1", 0.0, 0.0,
+             [("verdict", "delay")]),
+            ("site1:u1", 3, 1, "delay.apply", "site1", 0.0, 0.0,
+             [("item", "item0"), ("delta", 3.0)]),
+            ("site1:u1", 4, 1, "prop.push", "site1", 0.0, None,
+             [("item", "item0")]),
+        ]
+
+    def test_raising_grant_keeps_grant_and_deciding_open(self):
+        from repro.net.message import Message
+
+        system = build_paper_system(n_items=5, seed=0, observe=True)
+        grantor = system.sites["site0"].accelerator
+
+        def broken_policy(available, requested):
+            raise RuntimeError("policy bug")
+
+        grantor.policy.grant_amount = broken_policy
+        msg = Message(
+            src="site1", dst="site0", kind="av.request",
+            payload={"item": "item0", "amount": 4.0, "requester_av": 0.0,
+                     "_obs": {"trace": "site1:u9", "span": 7}},
+        )
+        with pytest.raises(RuntimeError):
+            grantor.delay.handle_av_request(msg)
+        [grant, decide] = stream(system.obs.recorder)
+        assert grant == ("site1:u9", 1, 7, "av.grant", "site0", 0.0, None,
+                         [("item", "item0"), ("requester", "site1")])
+        assert decide[1:4] == (2, 1, "av.deciding") and decide[6] is None
+        assert [k for k, _ in decide[7]] == ["available", "requested"]
+
+
+class TestSpanPathPins:
+    """Span streams of the paths the fig6 and maker-crash pins miss.
+
+    Every value was computed over the recorder that wrote a finished
+    span only through ``Span.finish``. ``ordered_digest`` also covers
+    the attribute key order, which ``fingerprint`` sorts away."""
+
+    def test_fig6_and_maker_crash_key_order(self):
+        rec = run_observed("fig6", n_updates=150, seed=11, n_items=5).obs.recorder
+        assert ordered_digest(rec) == "6ab1f1c50332a365"
+        maker = next(s for s in SMALL_SCENARIOS if s.name == "maker-crash")
+        rec = run_chaos_scenario(maker, n_updates=300, seed=0).obs.recorder
+        assert ordered_digest(rec) == "c1870020c2d12610"
+
+    def test_eager_propagation(self):
+        system = eager_system()
+        assert stream_pin(system.obs.recorder) == (
+            948, 9148190890274669139, 0, "db226ded1ff35313"
+        )
+        names = system.obs.recorder.names()
+        assert names["prop.push"] == 150 and names["prop.apply"] == 300
+
+    def test_eager_propagation_losses_name_the_push(self):
+        system = eager_system(drop=0.1)
+        assert stream_pin(system.obs.recorder) == (
+            967, 8679188710008775380, 0, "d84383041737343b"
+        )
+        report = system.sanitizer.finish()
+        assert len(report.by_rule("prop.lost")) == 28
+        assert text_digest(report.render()) == "b08ce2647f535533"
+
+    @pytest.mark.parametrize("cap, pin", [
+        # root 285 kept, its av.checking / delay.apply / prop.push dropped
+        (285, (285, 16407688728515716456, 663, "9bdb2950a7dedf19")),
+        # root and av.checking kept; delay.apply and prop.push dropped
+        (286, (286, 12935192183760376600, 662, "5bc404ed4e77e1f0")),
+        # everything but prop.push kept
+        (287, (287, 9058979847999248697, 661, "2533d20d979dbbfa")),
+    ])
+    def test_cap_cuts_through_a_local_update(self, cap, pin):
+        system = eager_system(max_spans=cap)
+        assert stream_pin(system.obs.recorder) == pin
+        [root] = [s for s in system.obs.recorder if s.span_id == 285]
+        assert root.name == "update" and root.attrs["outcome"] == "committed"
+
+    def test_overload_scenario(self):
+        overload = next(s for s in SMALL_SCENARIOS if s.name == "overload")
+        rec = run_chaos_scenario(overload, n_updates=600, seed=3).obs.recorder
+        assert stream_pin(rec) == (
+            1833, 5838327627918628694, 0, "fc690d1e33c18e56"
+        )
+        names = rec.names()
+        for kind in ("av.grant", "av.deciding", "imm.lock", "imm.prepare",
+                     "cls.lock", "cls.apply", "sync.push", "prop.apply"):
+            assert names[kind] > 0, kind
+
+    def test_regional_pool_grants(self):
+        from repro.cluster import DistributedSystem, Topology, item_ids, paper_config
+        from repro.experiments.scale import make_scale_trace
+
+        topology = Topology.parse("regional:2x3:s2", item_ids(24))
+        system = DistributedSystem.build(
+            paper_config(n_items=24, seed=5, topology=topology, observe=True)
+        )
+        run_closed(system, make_scale_trace(topology, 300, 5))
+        rec = system.obs.recorder
+        assert stream_pin(rec) == (
+            1256, 16598785375828692646, 0, "f177ac9e7a38c9ee"
+        )
+        pool_grants = [s for s in rec if s.name == "av.grant"
+                       and s.site.startswith("agg")]
+        assert len(pool_grants) == 75
+
+    def test_maker_crash_sanitizer_sees_the_same_spans(self):
+        """``av.select`` carries the selecting span's trace and id into
+        the happens-before samples."""
+        maker = next(s for s in SMALL_SCENARIOS if s.name == "maker-crash")
+        report = run_chaos_scenario(maker, n_updates=300, seed=0).report
+        assert report.counters == {
+            "events": 2632, "conservation_checks": 946, "holds_opened": 55,
+            "holds_closed": 55, "stale_belief_races": 4, "belief_lags": 11,
+            "deadlocks": 0, "unsynced_balances": 0, "leases_opened": 60,
+            "leases_discharged": 60, "leases_reverted": 0,
+            "lease_covered_drops": 0, "rel_covered_drops": 0,
+        }
+        samples = json.dumps(report.hb_samples, sort_keys=True)
+        assert len(report.hb_samples) == 10
+        assert text_digest(samples) == "cb9b96c8c7a9c552"
+        assert all(s["span"] for s in report.hb_samples)
 
 
 class TestCollectorRegistryIntegration:
