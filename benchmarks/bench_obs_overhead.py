@@ -1,21 +1,20 @@
-"""Overhead bounds for the observability layer, census-style.
+"""Cost gates for the observability layer.
 
-Two bounds, both using the same technique — count the hook invocations
-a workload makes, micro-time one invocation, and assert ``calls ×
-per-call cost`` stays under 5% of the workload's run time. This is
-tighter than timing two runs A/B (which mostly measures OS noise at
-these durations) because it isolates exactly the added work.
-
-1. **Disabled instrumentation** (``bench_obs_disabled_overhead``): the
-   span calls that stay in the protocol hot paths when
-   ``config.observe`` is off all hit the null recorder; bound their
-   total cost. Every entry point is counted and timed on its own: the
-   recorder's ``start`` / ``open_row`` / ``write_row`` / ``keep_open``
-   and ``finish`` / ``annotate`` on the null span ``start`` returns.
+1. **Disabled instrumentation makes no call** (``bench_obs_disabled_calls``):
+   an unobserved fig6 run replays with a null recorder that counts every
+   entry point — the recorder's ``start`` / ``open_row`` / ``write_row``
+   / ``keep_open`` / ``open_tree`` / ``write_tree`` / ``break_tree``, and
+   ``finish`` / ``annotate`` on any null span, the shared ``NULL_SPAN``
+   included. The gate is zero calls: every span site tests
+   ``rec.enabled`` (or for a null root) first, so an unobserved run
+   builds no span arguments and makes no recorder call.
 2. **Active profiler** (``bench_profiler_overhead``): with a
    :class:`~repro.obs.profile.Profiler` attached, every kernel event
-   pays the step-timer + classification bookkeeping; bound that cost
-   against the fig6-small workload (the CI ``profile-smoke`` shape).
+   pays the step-timer + classification bookkeeping; count the events,
+   micro-time one, and assert ``events × per-event cost`` stays under
+   5% of the fig6-small workload (the CI ``profile-smoke`` shape). This
+   is tighter than timing two runs A/B, which mostly measures OS noise
+   at these durations.
 """
 
 import time
@@ -30,42 +29,28 @@ from repro.obs.hub import Observability
 from repro.obs.spans import NULL_ROW, NULL_SPAN, NullSpanRecorder, _NullSpan
 from repro.workload import run_closed
 
-#: the acceptance bound: disabled instrumentation must stay under this
+#: the acceptance bound on the active profiler's cost
 MAX_OVERHEAD = 0.05
 
 N_UPDATES = 1000
 SEED = 0
 N_ITEMS = 10
 
-
-class _CountingNullSpan(_NullSpan):
-    """:data:`NULL_SPAN`'s twin that counts calls to its mutators."""
-
-    __slots__ = ("calls",)
-
-    def __init__(self, calls: Counter) -> None:
-        super().__init__()
-        self.calls = calls
-
-    def finish(self, now, **attrs):
-        self.calls["Span.finish"] += 1
-        return self
-
-    def annotate(self, **attrs):
-        self.calls["Span.annotate"] += 1
+#: every recorder entry point, then the null span's mutators
+ENTRY_POINTS = ("start", "open_row", "write_row", "keep_open", "open_tree",
+                "write_tree", "break_tree", "Span.finish", "Span.annotate")
 
 
 class CountingNullRecorder(NullSpanRecorder):
-    """Null recorder that counts every entry point (overhead census)."""
+    """Null recorder that counts every entry point (call census)."""
 
     def __init__(self):
         super().__init__()
         self.calls = Counter()
-        self._span = _CountingNullSpan(self.calls)
 
     def start(self, name, site, now, trace=None, parent=None, **attrs):
         self.calls["start"] += 1
-        return self._span
+        return NULL_SPAN
 
     def open_row(self, parent=None, trace=None):
         self.calls["open_row"] += 1
@@ -77,77 +62,58 @@ class CountingNullRecorder(NullSpanRecorder):
     def keep_open(self, row, name, site, start, keys=(), values=()):
         self.calls["keep_open"] += 1
 
+    def open_tree(self, push):
+        self.calls["open_tree"] += 1
+        return 0
 
-def _per_call_costs() -> dict:
-    """Seconds per call of each null entry point, with the argument
-    shapes the protocol code passes."""
-    null = NullSpanRecorder()
-    calls = {
-        "start": lambda: null.start(
-            "av.request", "s", 0.0, parent=NULL_SPAN, target="t", amount=1.0
-        ),
-        "open_row": lambda: null.open_row(NULL_ROW),
-        "write_row": lambda: null.write_row(
-            NULL_ROW, "delay.apply", "s", 0.0, 0.0, ("item",), ("i",)
-        ),
-        "keep_open": lambda: null.keep_open(NULL_ROW, "delay.apply", "s", 0.0),
-        "Span.finish": lambda: NULL_SPAN.finish(0.0, granted=1.0),
-        "Span.annotate": lambda: NULL_SPAN.annotate(granted=1.0),
-    }
-    reps = 100_000
-    return {
-        name: timeit.timeit(fn, number=reps) / reps
-        for name, fn in calls.items()
-    }
+    def write_tree(self, *args):
+        self.calls["write_tree"] += 1
 
-
-def _run_unobserved() -> float:
-    """One unobserved Fig. 6 workload; returns wall-clock seconds."""
-    system = build_paper_system(n_items=N_ITEMS, seed=SEED)
-    trace = make_paper_trace(N_UPDATES, seed=SEED, n_items=N_ITEMS)
-    t0 = time.perf_counter()
-    run_closed(system, trace)
-    return time.perf_counter() - t0
+    def break_tree(self, *args):
+        self.calls["break_tree"] += 1
 
 
 def _count_null_calls() -> Counter:
-    """Replay the same workload counting every null-recorder call."""
+    """Replay an unobserved Fig. 6 workload counting every null call,
+    the null span's mutators included (counted on the class, so the
+    shared ``NULL_SPAN`` a disabled root returns counts too)."""
     system = build_paper_system(n_items=N_ITEMS, seed=SEED)
     counting = Observability(enabled=False)
-    counting.recorder = CountingNullRecorder()
+    recorder = counting.recorder = CountingNullRecorder()
     for site in system.sites.values():
         site.accelerator.obs = counting
     trace = make_paper_trace(N_UPDATES, seed=SEED, n_items=N_ITEMS)
-    run_closed(system, trace)
-    return counting.recorder.calls
+    finish, annotate = _NullSpan.finish, _NullSpan.annotate
+
+    def counted_finish(span, now, **attrs):
+        recorder.calls["Span.finish"] += 1
+        return span
+
+    def counted_annotate(span, **attrs):
+        recorder.calls["Span.annotate"] += 1
+
+    _NullSpan.finish, _NullSpan.annotate = counted_finish, counted_annotate
+    try:
+        run_closed(system, trace)
+    finally:
+        _NullSpan.finish, _NullSpan.annotate = finish, annotate
+    return recorder.calls
 
 
-def bench_obs_disabled_overhead(benchmark, save_result):
-    run_seconds = min(once(benchmark, _run_unobserved), _run_unobserved())
-
+def bench_obs_disabled_calls(save_result):
     calls = _count_null_calls()
-    assert sum(calls.values()) > 0, "instrumented paths made no recorder calls?"
-
-    per_call = _per_call_costs()
-    added = sum(calls[name] * cost for name, cost in per_call.items())
-    overhead = added / run_seconds
     report = [
-        f"workload             : fig6 proposal, n={N_UPDATES} updates",
-        f"run time (unobserved): {run_seconds * 1e3:.1f} ms",
-        "null entry point     :    calls  per call",
+        f"workload             : fig6 proposal, n={N_UPDATES} updates, unobserved",
+        "null entry point     :    calls",
     ]
-    report += [
-        f"  {name:<19}: {calls[name]:>8}  {cost * 1e9:>5.0f} ns"
-        for name, cost in per_call.items()
-    ]
-    report += [
-        f"null calls per update: {sum(calls.values()) / N_UPDATES:.3f}",
-        f"added cost           : {added * 1e6:.0f} us",
-        f"estimated overhead   : {overhead:.3%} (bound {MAX_OVERHEAD:.0%})",
-    ]
+    report += [f"  {name:<19}: {calls[name]:>8}" for name in ENTRY_POINTS]
+    report.append(
+        f"null calls per update: {sum(calls.values()) / N_UPDATES:.3f}"
+        " (gate: 0)"
+    )
     report = "\n".join(report)
     save_result("obs_overhead", report)
-    assert overhead < MAX_OVERHEAD, report
+    assert sum(calls.values()) == 0, report
 
 
 # -------------------------------------------------------------------- #

@@ -12,7 +12,8 @@ arguments lean on (see ``docs/analysis.md``):
   route through the span recorder so sanitizer findings can always name
   a span.
 * ``span-kind-registry`` — attribution: every span kind recorded in
-  ``src/`` (started as a handle or written as a row) must be declared
+  ``src/`` (started as a handle, written as a row, or named in a span
+  tree's ``TREE_KINDS``) must be declared
   in the profiler's
   :data:`~repro.obs.profile.SPAN_SUBSYSTEMS` map, so new
   instrumentation can never silently fall outside the subsystem
@@ -200,14 +201,16 @@ class SpanKindRegistryRule(Rule):
     ``<expr>.start("kind", site, ...)`` for a handle, and
     ``<expr>.write_row(row, "kind", site, ...)`` /
     ``<expr>.keep_open(row, "kind", site, ...)`` for a span written
-    without one — and requires the constant kind to appear in the
-    profiler's :data:`~repro.obs.profile.SPAN_SUBSYSTEMS` map. A call
-    with no positional argument after the kind is ignored (schedulers,
-    daemons and other non-span ``start`` methods share the name).
+    without one — and the kinds a tree writer records, declared as the
+    constant tuple ``TREE_KINDS = ("kind", ...)``, and requires each
+    constant kind to appear in the profiler's
+    :data:`~repro.obs.profile.SPAN_SUBSYSTEMS` map. A call with no
+    positional argument after the kind is ignored (schedulers, daemons
+    and other non-span ``start`` methods share the name).
     """
 
     name = "span-kind-registry"
-    nodes = (ast.Call,)
+    nodes = (ast.Call, ast.Assign)
 
     def __init__(self) -> None:
         self._registry = None
@@ -224,13 +227,26 @@ class SpanKindRegistryRule(Rule):
     def applies_to(self, path: str) -> bool:
         return in_src(path)
 
-    def check(self, node: ast.Call, ctx: FileContext) -> None:
+    def check(self, node: ast.AST, ctx: FileContext) -> None:
+        if isinstance(node, ast.Assign):
+            if (
+                any(isinstance(t, ast.Name) and t.id == "TREE_KINDS"
+                    for t in node.targets)
+                and isinstance(node.value, (ast.Tuple, ast.List))
+            ):
+                for arg in node.value.elts:
+                    self._check_kind(arg, arg, ctx)
+            return
         if not isinstance(node.func, ast.Attribute):
             return
         at = _SPAN_KIND_ARG.get(node.func.attr)
         if at is None or len(node.args) < at + 2:
             return
-        arg = node.args[at]
+        self._check_kind(node, node.args[at], ctx)
+
+    def _check_kind(self, node: ast.AST, arg: ast.AST, ctx: FileContext) -> None:
+        """Report ``node`` unless ``arg`` is a registered kind (or not a
+        constant string)."""
         if not (isinstance(arg, ast.Constant) and isinstance(arg.value, str)):
             return
         kind = arg.value

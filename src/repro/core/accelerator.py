@@ -37,7 +37,7 @@ from repro.db.transaction import TransactionManager
 from repro.net.endpoint import CrashedEndpointError, Endpoint
 from repro.net.reliable import ReliabilityParams
 from repro.obs.hub import NULL_OBS, Observability
-from repro.obs.spans import NULL_SPAN
+from repro.obs.spans import NULL_SPAN, update_trace
 from repro.sim.events import Event
 from repro.sim.process import Process
 from repro.sim.tracing import NullTracer, Tracer
@@ -303,28 +303,39 @@ class Accelerator:
         kernel event, so callbacks run where the process event's did; an
         error fails that event instead of raising out of :meth:`update`.
 
-        Nothing here waits, so the span tree is written as rows, no
-        handles, each ending when it starts; a body that raises leaves
-        the root open, as :meth:`_run`'s would stay."""
+        Nothing here waits, so the span tree needs no handles: its ids
+        are reserved at once and :meth:`DelayUpdateProtocol.local`
+        writes it as one record. Where the span cap would cut it, it is
+        written as rows, each ending when it starts. A body that raises
+        leaves the root open, as :meth:`_run`'s would stay."""
         env = self.env
         done = Event(env)
         rec = self.obs.recorder
         now = env._now
         root = None
+        tree = 0
         try:
             if rec.enabled:
-                root = rec.open_row(None, f"{req.site}:u{req.request_id}")
-                rec.write_row(rec.open_row(root), "av.checking", self.site,
-                              now, now, ("verdict",), _DELAY_VERDICT)
+                tree = rec.open_tree(self.propagate and req.delta != 0)
+                if not tree:
+                    root = rec.open_row(
+                        None, update_trace(req.site, req.request_id)
+                    )
+                    rec.write_row(rec.open_row(root), "av.checking",
+                                  self.site, now, now, ("verdict",),
+                                  _DELAY_VERDICT)
             try:
-                result = self.delay.local(req, root)
-            except CrashedEndpointError:  # eager push from a dead site
+                result = self.delay.local(req, root, tree)
+            except BaseException as exc:
+                if tree:  # local() broke the tree into rows, but its root
+                    root = (update_trace(req.site, req.request_id), tree, None)
+                if not isinstance(exc, CrashedEndpointError):
+                    if root is not None:
+                        rec.keep_open(root, "update", self.site, now,
+                                      ("item", "delta"), (req.item, req.delta))
+                    raise
+                # an eager push from a dead site
                 result = self._failed(req, UpdateKind.DELAY)
-            except BaseException:
-                if root is not None:
-                    rec.keep_open(root, "update", self.site, now,
-                                  ("item", "delta"), (req.item, req.delta))
-                raise
             if root is not None:
                 rec.write_row(
                     root, "update", self.site, now, now,
@@ -356,7 +367,7 @@ class Accelerator:
         now = self.env.now
         root = rec.start(
             "update", self.site, now,
-            trace=f"{req.site}:u{req.request_id}",
+            trace=update_trace(req.site, req.request_id),
             item=req.item, delta=req.delta,
         )
         rec.write_row(rec.open_row(root), "av.checking", self.site, now, now,
@@ -402,7 +413,8 @@ class Accelerator:
         finally:
             if ovl is not None:
                 ovl.end(self.env.now)
-        root.finish(self.env.now, outcome=result.outcome.value)
+        if root is not NULL_SPAN:  # unobserved: not even a null call
+            root.finish(self.env.now, outcome=result.outcome.value)
         return result
 
     # ---------------------------------------------------------------- #
@@ -573,9 +585,11 @@ class Accelerator:
         if live is None:
             live = sorted(set(self.live_peers()))
         rec = self.obs.recorder
-        span = rec.start(
-            "sync.push", self.site, self.now, parent=parent, item=item
-        )
+        observed = rec.enabled
+        if observed:
+            span = rec.start(
+                "sync.push", self.site, self.now, parent=parent, item=item
+            )
         for peer in live:
             if only is not None and peer not in only:
                 continue
@@ -584,7 +598,7 @@ class Accelerator:
             if delta == 0.0:
                 continue
             payload = {"item": item, "delta": delta}
-            if rec.enabled:
+            if observed:
                 payload["_obs"] = {"trace": span.trace_id, "span": span.span_id}
             if self.reliable is not None:
                 if key in self._sync_inflight:
@@ -602,7 +616,8 @@ class Accelerator:
                 self._pop_owed(key)
                 self.endpoint.send(peer, "prop.push", payload, tag=TAG_PROPAGATE)
             sent += 1
-        span.finish(self.now, messages=sent)
+        if observed:
+            span.finish(self.now, messages=sent)
         if sent and self.tracer.enabled:
             self.trace("sync.push", f"{item} to {sent} peers")
         return sent

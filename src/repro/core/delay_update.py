@@ -38,10 +38,21 @@ from repro.core.types import (
     UpdateResult,
 )
 from repro.net.endpoint import RequestTimeout
-from repro.obs.spans import NULL_ROW
+from repro.obs.spans import (
+    NULL_ROW,
+    TREE_APPLIED,
+    TREE_APPLYING,
+    TREE_CHECKED,
+    TREE_PUSHING,
+    update_trace,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.accelerator import Accelerator
+
+#: the outcome a covered update's tree records (``Enum.value`` is a
+#: Python-level property, too slow to read once per update)
+_COMMITTED = UpdateOutcome.COMMITTED.value
 
 
 class DelayUpdateProtocol:
@@ -104,42 +115,73 @@ class DelayUpdateProtocol:
             accel._delay_end(req.item)
         return result
 
-    def local(self, req: UpdateRequest, parent=None):
+    def local(self, req: UpdateRequest, parent=None, tree: int = 0):
         """The zero-communication update: mint AV for an increase or
         spend local AV that covers a decrease, then apply and propagate.
         Never suspends. Returns ``None``, having changed nothing, when
         local AV falls short of the decrease. ``parent`` is the update's
-        root span, a handle or a row (``None`` when unobserved)."""
+        root span, a handle or a row (``None`` when unobserved, or when
+        ``tree`` is given).
+
+        ``tree`` is the root id of the update's span tree, reserved by
+        :meth:`~repro.obs.spans.SpanRecorder.open_tree`. The steps then
+        record nothing; the whole tree is written as one record at the
+        end, or, if a step raises, broken into the rows it had reached
+        (the root excepted: the caller closes it)."""
         accel = self.accel
         obs = accel.obs
         item, delta = req.item, req.delta
-        if delta >= 0:
-            # Increase: new stock is new headroom — mint AV locally.
-            self._apply(item, delta, parent)
-            # Mint raises the conserved headroom; announce it before the
-            # table grows so the conservation sum never transiently
-            # exceeds the bound.
-            if obs.event_subscribers:
-                obs.emit("av.mint", accel.now, site=accel.site, item=item, amount=delta)
-            accel.av_table.add(item, delta)
-            # Guard the trace calls on the zero-message paths: rendering
-            # the request string dominates an otherwise O(1) local commit.
-            if accel.tracer.enabled:
-                accel.trace("delay.local", f"{req} minted {delta:g} AV")
-        elif accel.av_table.take_if_covered(item, -delta):
-            # The paper's headline path: complete within the local site.
-            # The fused probe spends the AV in one dict lookup. Spend
-            # shrinks headroom; announce after the take so the sum only
-            # dips in between.
-            if obs.event_subscribers:
-                obs.emit("av.spend", accel.now, site=accel.site, item=item, amount=-delta)
-            self._apply(item, delta, parent)
-            if accel.tracer.enabled:
-                accel.trace("delay.local", f"{req} covered by local AV")
-        else:
-            return None
-        self._propagate(item, delta, parent)
-        return self._done(req, UpdateOutcome.COMMITTED, local=True)
+        step = TREE_CHECKED
+        push = None
+        try:
+            if delta >= 0:
+                # Increase: new stock is new headroom — mint AV locally.
+                step = TREE_APPLYING
+                self._apply(item, delta, parent)
+                step = TREE_APPLIED
+                # Mint raises the conserved headroom; announce it before
+                # the table grows so the conservation sum never
+                # transiently exceeds the bound.
+                if obs.event_subscribers:
+                    obs.emit("av.mint", accel.now, site=accel.site, item=item, amount=delta)
+                accel.av_table.add(item, delta)
+                # Guard the trace calls on the zero-message paths:
+                # rendering the request string dominates an otherwise
+                # O(1) local commit.
+                if accel.tracer.enabled:
+                    accel.trace("delay.local", f"{req} minted {delta:g} AV")
+            elif accel.av_table.take_if_covered(item, -delta):
+                # The paper's headline path: complete within the local
+                # site. The fused probe spends the AV in one dict lookup.
+                # Spend shrinks headroom; announce after the take so the
+                # sum only dips in between.
+                if obs.event_subscribers:
+                    obs.emit("av.spend", accel.now, site=accel.site, item=item, amount=-delta)
+                step = TREE_APPLYING
+                self._apply(item, delta, parent)
+                step = TREE_APPLIED
+                if accel.tracer.enabled:
+                    accel.trace("delay.local", f"{req} covered by local AV")
+            else:
+                return None
+            if tree and delta and accel.propagate:
+                step = TREE_PUSHING
+                push = (update_trace(req.site, req.request_id), tree + 3, tree)
+            pushed = self._propagate(item, delta, parent, push)
+        except BaseException:
+            if tree:
+                obs.recorder.break_tree(
+                    tree, step, update_trace(req.site, req.request_id),
+                    accel.site, accel.now, item, delta,
+                )
+            raise
+        result = self._done(req, UpdateOutcome.COMMITTED, local=True)
+        if tree:
+            obs.recorder.write_tree(
+                tree, accel.site, req.request_id, accel.now, item, delta,
+                _COMMITTED, None if push is None else pushed,
+            )
+        return result
 
     def _execute(self, req: UpdateRequest, span=None):
         """The protocol body (see class docs)."""
@@ -225,11 +267,13 @@ class DelayUpdateProtocol:
                 # piggyback our level so the grantor's beliefs stay fresh
                 "requester_av": hold.amount,
             }
-            req_span = rec.start(
-                "av.request", accel.site, now, parent=span,
-                target=target, amount=ask,
-            )
-            if rec.enabled:
+            # Unobserved, the round trip makes no recorder call at all.
+            observed = rec.enabled
+            if observed:
+                req_span = rec.start(
+                    "av.request", accel.site, now, parent=span,
+                    target=target, amount=ask,
+                )
                 # Cross-site span context: the grantor parents its
                 # av.grant span under this round-trip span.
                 payload["_obs"] = {
@@ -254,7 +298,8 @@ class DelayUpdateProtocol:
                         timeout=accel.request_timeout,
                     )
             except RequestTimeout:
-                req_span.finish(accel.now, timeout=True)
+                if observed:
+                    req_span.finish(accel.now, timeout=True)
                 if accel.tracer.enabled:
                     accel.trace("delay.timeout", f"{req} no reply from {target}")
                 continue
@@ -262,13 +307,15 @@ class DelayUpdateProtocol:
                 # Typically CrashedEndpointError: we died mid-gathering.
                 # Return the held volume to the table so no AV leaks —
                 # the site's state must be exact when it restarts.
-                req_span.finish(accel.now, error=True)
+                if observed:
+                    req_span.finish(accel.now, error=True)
                 hold.release()
                 raise
 
             now = accel.now
             granted = reply["granted"]
-            req_span.finish(now, granted=granted)
+            if observed:
+                req_span.finish(now, granted=granted)
             lease_id = reply.get("lease")
             if lease_id is not None and accel.leases is not None:
                 # Record the receipt and ack the grantor's lease; a
@@ -508,41 +555,49 @@ class DelayUpdateProtocol:
         the bounce dance: refusing to ack makes the sender's lease
         revert, and a duplicate delivery is acked but not re-applied."""
         accel = self.accel
+        rec = accel.obs.recorder
+        if not rec.enabled:
+            self._take_push(msg)
+            return
+        push_span = rec.start(
+            "av.push.apply", accel.site, accel.now,
+            item=msg.payload["item"], amount=msg.payload["amount"],
+            sender=msg.src,
+        )
+        push_span.finish(accel.now, **{self._take_push(msg): True})
+
+    def _take_push(self, msg) -> str:
+        """:meth:`handle_av_push`'s body; returns what became of the
+        push: ``refused``, ``dropped``, ``bounced``, ``duplicate`` or
+        ``accepted``."""
+        accel = self.accel
         item = msg.payload["item"]
         amount = msg.payload["amount"]
         lease_id = msg.payload.get("lease")
-        push_span = accel.obs.recorder.start(
-            "av.push.apply", accel.site, accel.now,
-            item=item, amount=amount, sender=msg.src,
-        )
         if not accel.av_table.defined(item):
             if lease_id is not None:
                 # No receipt, no ack: the sender's lease reverts the
                 # volume — strictly better than bouncing it back.
-                push_span.finish(accel.now, refused=True)
-                return
+                return "refused"
             if msg.payload.get("bounced"):
                 if accel.tracer.enabled:
                     accel.trace("rebal.drop", f"{amount:g} {item} (both ends closed)")
-                push_span.finish(accel.now, dropped=True)
-                return
+                return "dropped"
             accel.endpoint.send(
                 msg.src,
                 "av.push",
                 {"item": item, "amount": amount, "sender_av": 0.0, "bounced": True},
                 tag=msg.tag,
             )
-            push_span.finish(accel.now, bounced=True)
-            return
+            return "bounced"
         if lease_id is not None and accel.leases is not None:
             if not accel.leases.receive(msg.src, lease_id):
-                push_span.finish(accel.now, duplicate=True)
-                return
+                return "duplicate"
         accel.av_table.add(item, amount)
         accel.beliefs.observe(
             msg.src, item, msg.payload.get("sender_av", 0.0), accel.now
         )
-        push_span.finish(accel.now, accepted=True)
+        return "accepted"
 
     # ---------------------------------------------------------------- #
     # lazy propagation
@@ -569,22 +624,26 @@ class DelayUpdateProtocol:
         rec.write_row(row, "prop.apply", accel.site, now, now,
                       ("item", "delta", "src"), (item, delta, msg.src))
 
-    def _propagate(self, item: str, delta: float, parent=None) -> None:
-        """Record or push a committed delta for replica convergence.
+    def _propagate(self, item: str, delta: float, parent=None, push=None) -> int:
+        """Record or push a committed delta for replica convergence;
+        returns how many eager pushes went out.
 
         Eager mode (``accel.propagate``) pushes to every peer at once —
         the paper's "propagated ... at the earliest". Lazy mode
         accumulates the delta for batched sync (one message per peer per
         batch, sent by :meth:`Accelerator.sync_item`). Either way the
         traffic is tagged ``prop`` because Fig. 6 counts only the
-        correspondences needed to *complete* updates.
+        correspondences needed to *complete* updates. ``push`` is the
+        push's span when a span tree reserved it: the caller writes it.
         """
         accel = self.accel
         if delta == 0:
-            return
+            return 0
         if not accel.propagate:
             accel.record_unsynced(item, delta)
-            return
+            return 0
+        if push is not None:
+            return self._push(item, delta, push)
         rec = accel.obs.recorder
         now = accel.now
         row = rec.open_row(parent) if rec.enabled else None
@@ -598,6 +657,7 @@ class DelayUpdateProtocol:
         if row is not None:
             rec.write_row(row, "prop.push", accel.site, now, now,
                           ("item", "peers"), (item, pushed))
+        return pushed
 
     def _push(self, item: str, delta: float, row) -> int:
         """Send one eager ``prop.push`` per live replica; returns how
@@ -646,10 +706,11 @@ class DelayUpdateProtocol:
     def _apply(self, item: str, delta: float, parent=None) -> None:
         """Apply a committed delta in its own (single-delta) transaction,
         recorded as a ``delay.apply`` row under ``parent`` (it never
-        waits, so it ends when it starts)."""
+        waits, so it ends when it starts). No ``parent``, no row: the
+        run is unobserved, or a span tree records the apply."""
         accel = self.accel
         rec = accel.obs.recorder
-        if not rec.enabled:
+        if parent is None or not rec.enabled:
             accel.txns.apply_atomic(item, delta, force=True)
             return
         row = rec.open_row(parent)

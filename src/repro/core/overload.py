@@ -260,6 +260,9 @@ class OverloadController:
         self._demoted_set: set = set()
         self._demote_inflight: set = set()
         self._promote_inflight: set = set()
+        #: this site's ``overload.pressure`` gauge, looked up on the
+        #: first observed evaluate (every update evaluates at least twice)
+        self._pressure_gauge = None
         accel.endpoint.on("ovl.state", self.handle_state)
         accel.endpoint.on("ovl.probe", self.handle_probe)
 
@@ -370,9 +373,14 @@ class OverloadController:
         drain — the harness calls :meth:`finalize` for the last word.
         """
         pressure = self.pressure(now)
-        self.accel.obs.gauge_set(
-            f"overload.pressure.{self.accel.site}", pressure, now
-        )
+        obs = self.accel.obs
+        if obs.enabled:
+            gauge = self._pressure_gauge
+            if gauge is None:
+                gauge = self._pressure_gauge = obs.registry.gauge(
+                    f"overload.pressure.{self.accel.site}"
+                )
+            gauge.set(pressure, now)
         p = self.params
         state = self.state
         if state is DegradationState.NORMAL:
@@ -452,10 +460,9 @@ class OverloadController:
 
     def filter_peers(self, peers: List[str]) -> List[str]:
         """Drop peers known DEGRADED — unless that would leave nobody."""
-        kept = [
-            p for p in peers
-            if self.peer_states.get(p) != DegradationState.DEGRADED.value
-        ]
+        degraded = DegradationState.DEGRADED.value
+        states = self.peer_states
+        kept = [p for p in peers if states.get(p) != degraded]
         return kept if kept else peers
 
     def degraded_read_bound(self, now: float) -> Optional[float]:

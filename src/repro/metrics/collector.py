@@ -56,6 +56,73 @@ class GlobalLedger:
         return len(self._initial)
 
 
+class _ResultFold:
+    """A collector's registry feeder: feeds ``results[done:]`` to the
+    registry's instruments, in record order.
+
+    It holds the results list, never the collector, so registering it
+    makes no reference cycle: a finished run's collector is still freed
+    the moment its last reference goes, not at the next garbage
+    collection.
+    """
+
+    __slots__ = ("results", "done", "outcome_counters", "kind_histograms",
+                 "av_counter", "latency_histogram")
+
+    def __init__(self, results: List[UpdateResult]) -> None:
+        self.results = results
+        #: results[:done] have reached the registry instruments
+        self.done = 0
+        # The fold visits every finished update; resolving a metric by
+        # name costs an f-string build plus a registry dict probe every
+        # time. The handles are stable objects, so memoise them per
+        # enum value / kind the first time each is seen.
+        self.outcome_counters: Dict[UpdateOutcome, object] = {}
+        self.kind_histograms: Dict[UpdateKind, object] = {}
+        self.av_counter = None
+        self.latency_histogram = None
+
+    def __call__(self, registry: MetricRegistry) -> None:
+        """Fold the unfolded results in. ``done`` moves first, so the
+        lookups made here, which run the feeders again, find nothing
+        left to fold."""
+        results = self.results
+        start = self.done
+        if start == len(results):
+            return
+        self.done = len(results)
+        for result in results[start:]:
+            outcome = result.outcome
+            counter = self.outcome_counters.get(outcome)
+            if counter is None:
+                counter = registry.counter(f"updates.{outcome.value}")
+                self.outcome_counters[outcome] = counter
+            counter.inc()
+            if result.av_requests:
+                av_counter = self.av_counter
+                if av_counter is None:
+                    av_counter = self.av_counter = registry.counter(
+                        "av.requests"
+                    )
+                av_counter.inc(result.av_requests)
+            if result.committed:
+                latency = result.latency
+                histogram = self.latency_histogram
+                if histogram is None:
+                    histogram = self.latency_histogram = registry.histogram(
+                        "update.latency"
+                    )
+                histogram.observe(latency)
+                kind = result.kind
+                kind_histogram = self.kind_histograms.get(kind)
+                if kind_histogram is None:
+                    kind_histogram = registry.histogram(
+                        f"update.latency.{kind.value}"
+                    )
+                    self.kind_histograms[kind] = kind_histogram
+                kind_histogram.observe(latency)
+
+
 class MetricsCollector:
     """Aggregates finished updates for one simulation run.
 
@@ -67,29 +134,21 @@ class MetricsCollector:
         created when omitted; observed systems share the run's
         :class:`~repro.obs.hub.Observability` registry instead.
 
-    Nobody can read a private registry except through :attr:`registry`,
-    so its instruments are fed lazily: :meth:`record` only appends, and
-    the first read folds the unfolded tail of :attr:`results` in record
-    order — the same instrument calls in the same order, hence the same
-    float sums. A shared registry is read by others and stays eager.
+    The instruments are fed when read: :meth:`record` only appends, and
+    the fold is the registry's feeder, so whoever reads the registry,
+    private or shared, first folds the unfolded tail of :attr:`results`
+    in record order — the same instrument calls in the same order as
+    folding each record at once, hence the same float sums.
     """
 
     def __init__(self, registry: Optional[MetricRegistry] = None) -> None:
         self.results: List[UpdateResult] = []
         self.ledger = GlobalLedger()
         self.by_site: Dict[str, List[UpdateResult]] = defaultdict(list)
-        self._eager = registry is not None
-        self._registry = registry if registry is not None else MetricRegistry()
-        #: results[:_folded] have reached the registry instruments
-        self._folded = 0
-        # _fold visits every finished update; resolving a metric by
-        # name costs an f-string build plus a registry dict probe every
-        # time. The handles are stable objects, so memoise them per
-        # enum value / kind the first time each is seen.
-        self._outcome_counters: Dict[UpdateOutcome, object] = {}
-        self._kind_histograms: Dict[UpdateKind, object] = {}
-        self._av_counter = None
-        self._latency_histogram = None
+        #: the registry; reading it folds every recorded result in
+        self.registry = registry if registry is not None else MetricRegistry()
+        self._fold = _ResultFold(self.results)
+        self.registry.add_feeder(self._fold)
 
     # ---------------------------------------------------------------- #
     # recording
@@ -101,49 +160,6 @@ class MetricsCollector:
         self.by_site[result.request.site].append(result)
         if result.committed:
             self.ledger.record_delta(result.request.item, result.request.delta)
-        if self._eager:
-            self._fold()
-
-    @property
-    def registry(self) -> MetricRegistry:
-        """The registry, with every recorded result folded in."""
-        self._fold()
-        return self._registry
-
-    def _fold(self) -> None:
-        """Feed ``results[_folded:]`` to the registry instruments."""
-        registry = self._registry
-        for result in self.results[self._folded:]:
-            outcome = result.outcome
-            counter = self._outcome_counters.get(outcome)
-            if counter is None:
-                counter = registry.counter(f"updates.{outcome.value}")
-                self._outcome_counters[outcome] = counter
-            counter.inc()
-            if result.av_requests:
-                av_counter = self._av_counter
-                if av_counter is None:
-                    av_counter = self._av_counter = registry.counter(
-                        "av.requests"
-                    )
-                av_counter.inc(result.av_requests)
-            if result.committed:
-                latency = result.latency
-                histogram = self._latency_histogram
-                if histogram is None:
-                    histogram = self._latency_histogram = registry.histogram(
-                        "update.latency"
-                    )
-                histogram.observe(latency)
-                kind = result.kind
-                kind_histogram = self._kind_histograms.get(kind)
-                if kind_histogram is None:
-                    kind_histogram = registry.histogram(
-                        f"update.latency.{kind.value}"
-                    )
-                    self._kind_histograms[kind] = kind_histogram
-                kind_histogram.observe(latency)
-        self._folded = len(self.results)
 
     # ---------------------------------------------------------------- #
     # aggregates
@@ -175,8 +191,9 @@ class MetricsCollector:
         return self.by_outcome[UpdateOutcome.REJECTED]
 
     def count(self, kind: Optional[UpdateKind] = None, outcome: Optional[UpdateOutcome] = None) -> int:
-        # Single-axis queries answer from the maintained counters; only
-        # the (kind AND outcome) combination needs the O(n) scan.
+        # Single-axis queries count through by_kind / by_outcome; the
+        # (kind AND outcome) combination scans once without building a
+        # Counter.
         if kind is None and outcome is None:
             return len(self.results)
         if outcome is None:

@@ -15,7 +15,7 @@ instruments that aggregate online:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 
 class Counter:
@@ -217,12 +217,31 @@ class MetricRegistry:
 
     A name is bound to one instrument kind for the registry's lifetime;
     asking for the same name with a different kind raises ``TypeError``.
+
+    A writer may defer its updates until someone looks: the feeders it
+    registers (:meth:`add_feeder`) run before every read and every
+    instrument lookup, so a reader always sees them folded in.
     """
 
     def __init__(self) -> None:
         self._instruments: Dict[str, Instrument] = {}
+        self._feeders: List[Callable[["MetricRegistry"], None]] = []
+
+    def add_feeder(self, feed: Callable[["MetricRegistry"], None]) -> None:
+        """Run ``feed(registry)`` before every read or instrument
+        lookup. It must bring its instruments up to date and return at
+        once when they are; it may look instruments up itself (the
+        lookups it makes call it again, and that call must find nothing
+        to do). The registry holds it for its own lifetime, so a feeder
+        that held the registry would make a reference cycle."""
+        self._feeders.append(feed)
+
+    def _feed(self) -> None:
+        for feed in self._feeders:
+            feed(self)
 
     def _get(self, name: str, cls, *args) -> Instrument:
+        self._feed()
         instrument = self._instruments.get(name)
         if instrument is None:
             instrument = cls(name, *args)
@@ -249,6 +268,7 @@ class MetricRegistry:
 
     def rows(self) -> List[Tuple[str, str, str]]:
         """(name, kind, rendered value) rows for text summaries."""
+        self._feed()
         out: List[Tuple[str, str, str]] = []
         for name in sorted(self._instruments):
             inst = self._instruments[name]
@@ -269,6 +289,7 @@ class MetricRegistry:
 
     def to_dicts(self) -> Iterator[Dict[str, Any]]:
         """One JSON-ready dict per instrument (for the JSONL exporter)."""
+        self._feed()
         for name in sorted(self._instruments):
             inst = self._instruments[name]
             if isinstance(inst, Counter):
@@ -288,6 +309,7 @@ class MetricRegistry:
         :mod:`repro.obs.snapshot`). Keys are sorted; values contain only
         canonical JSON types.
         """
+        self._feed()
         out: Dict[str, Dict[str, Any]] = {}
         for name in sorted(self._instruments):
             inst = self._instruments[name]
@@ -304,13 +326,16 @@ class MetricRegistry:
         return out
 
     def get(self, name: str) -> Optional[Instrument]:
+        self._feed()
         return self._instruments.get(name)
 
     def __contains__(self, name: str) -> bool:
+        self._feed()
         return name in self._instruments
 
     def __len__(self) -> int:
+        self._feed()
         return len(self._instruments)
 
     def __repr__(self) -> str:
-        return f"<MetricRegistry instruments={len(self._instruments)}>"
+        return f"<MetricRegistry instruments={len(self)}>"

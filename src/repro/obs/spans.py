@@ -16,7 +16,11 @@ handler opens its span with that context as parent.
 A span that opens and closes with no ``yield`` in between needs no
 handle: :meth:`SpanRecorder.open_row` takes its id (where ``start``
 would) and returns a :data:`Row`, and :meth:`SpanRecorder.write_row`
-writes it when it closes — the same row ``Span.finish`` writes.
+writes it when it closes — the same row ``Span.finish`` writes. The
+covered update's whole tree (:data:`TREE_KINDS`) never waits either:
+:meth:`SpanRecorder.open_tree` reserves its ids at once and
+:meth:`SpanRecorder.write_tree` writes it as one record, which readers
+expand into the spans its rows would have been.
 
 :class:`NullSpanRecorder` is the disabled implementation: ``start``
 returns the shared :data:`NULL_SPAN` whose mutators are no-ops, keeping
@@ -133,6 +137,58 @@ ParentLike = Union[Span, Row, int, None]
 #: ``parent_id`` column value of a root span
 _NO_PARENT = -1
 
+#: the spans of a covered update's tree, by span id from its root: the
+#: update, the checking function's verdict, the apply and, under eager
+#: propagation only, the push. All start and end at the same instant.
+TREE_KINDS = ("update", "av.checking", "delay.apply", "prop.push")
+
+#: how far a covered update's tree got before a step raised (see
+#: :meth:`SpanRecorder.break_tree`): verdict written, apply open, apply
+#: written, push open
+TREE_CHECKED, TREE_APPLYING, TREE_APPLIED, TREE_PUSHING = range(4)
+
+#: the last span id a tree's steps took, past its root, by step
+_TREE_LAST = (1, 2, 2, 3)
+
+#: ``av.checking``'s ``verdict`` in a tree: a covered update is routed
+#: to Delay (``UpdateKind.DELAY.value``)
+_TREE_VERDICT = ("delay",)
+
+#: ``_shapes`` of a tree record: its index into ``_shape_keys`` holds
+#: ``None``, never a key tuple, so no row can take it
+_LAZY_TREE, _EAGER_TREE = 1, 2
+
+
+def update_trace(site: str, request_id: int) -> str:
+    """The trace id of the update ``request_id`` issued at ``site``."""
+    return f"{site}:u{request_id}"
+
+
+def _tree_spans(
+    base: int, request_id: int, now: float, site: str, values: List[Any]
+) -> List[Span]:
+    """Expand one tree record (see :meth:`SpanRecorder.write_tree`)
+    into its spans, in id order; ``values`` are its item, delta,
+    outcome and, in an eager tree, push count."""
+    trace = update_trace(site, request_id)
+    update, checking, apply, push = TREE_KINDS
+    item, delta, outcome = values[:3]
+    spans = [
+        Span(trace, base, None, update, site, now,
+             {"item": item, "delta": delta, "outcome": outcome}),
+        Span(trace, base + 1, base, checking, site, now,
+             {"verdict": _TREE_VERDICT[0]}),
+        Span(trace, base + 2, base, apply, site, now,
+             {"item": item, "delta": delta}),
+    ]
+    if len(values) == 4:
+        spans.append(Span(trace, base + 3, base, push, site, now,
+                          {"item": item, "peers": values[3]}))
+    for span in spans:
+        span.end = now
+    return spans
+
+
 _span_id = attrgetter("span_id")
 
 
@@ -148,7 +204,12 @@ class SpanRecorder:
     values in one list — so it leaves no Python container behind. One
     writer, :meth:`write_row`, appends every row: ``Span.finish`` packs
     a handle through it, and a span that never waits calls it directly
-    (see :meth:`open_row`). Readers rebuild finished spans on demand:
+    (see :meth:`open_row`). The columns hold one other record kind, a
+    covered update's whole tree (:meth:`write_tree`): its root id, its
+    request id in the parent column, its one instant, its site as the
+    only string, a shape index marking it a tree, and its item, delta,
+    outcome (and push count) as values. One reader expands both kinds.
+    Readers rebuild finished spans on demand:
     no identity is promised for them (two reads give equal, distinct
     objects), times come back as ``float``, and attribute keys keep
     their order (``start`` keys, then ``finish`` keys; a repeated key
@@ -171,16 +232,17 @@ class SpanRecorder:
         #: spans started (open + finished); also the last span id
         self._started = 0
         self._open: Dict[int, Span] = {}
-        # finished spans, one row each, in finish order
+        # finished spans, one row (or tree) each, in finish order
         self._ids = array("q")
         self._parents = array("q")
         self._starts = array("d")
         self._ends = array("d")
-        #: trace id, name, site per row
+        #: trace id, name, site per row; site per tree
         self._strings: List[str] = []
         self._shapes = array("H")
-        #: shape index -> attribute keys; shape 0 is "no attributes"
-        self._shape_keys: List[Tuple[str, ...]] = [()]
+        #: shape index -> attribute keys; shape 0 is "no attributes",
+        #: and the tree shapes hold None
+        self._shape_keys: List[Optional[Tuple[str, ...]]] = [(), None, None]
         self._shape_index: Dict[Tuple[str, ...], int] = {(): 0}
         self._values: List[Any] = []
 
@@ -299,6 +361,84 @@ class SpanRecorder:
                 dict(zip(keys, values)) or None, self,
             )
 
+    def open_tree(self, push: bool) -> int:
+        """Reserve a covered update's span ids at once, where
+        :meth:`open_row` would take its root's: the root,
+        ``av.checking``, ``delay.apply`` and, if ``push``, ``prop.push``
+        (:data:`TREE_KINDS`). Returns the root's id, or 0 when the cap
+        would cut the tree; the caller then writes it as rows, which
+        drop where the cap falls.
+
+        Nothing may open a span before the caller writes the tree
+        (:meth:`write_tree`) or breaks it (:meth:`break_tree`).
+        """
+        started = self._started
+        end = started + (4 if push else 3)
+        if self.max_spans is not None and end > self.max_spans:
+            return 0
+        self._started = end
+        return started + 1
+
+    def write_tree(
+        self,
+        base: int,
+        site: str,
+        request_id: int,
+        now: float,
+        item: str,
+        delta: float,
+        outcome: str,
+        pushed: Optional[int] = None,
+    ) -> None:
+        """Append the covered update tree :meth:`open_tree` reserved at
+        ``base`` as one record. It reads back as the spans its rows
+        would have been: trace :func:`update_trace`, every span at
+        ``now``; the root carries ``item``, ``delta`` and ``outcome``,
+        ``av.checking`` the Delay verdict, ``delay.apply`` the item and
+        delta, and ``prop.push`` (only when ``pushed`` is given) the
+        item and ``pushed`` as ``peers``."""
+        self._ids.append(base)
+        self._parents.append(request_id)
+        self._starts.append(now)
+        self._ends.append(now)
+        self._strings.append(site)
+        if pushed is None:
+            self._shapes.append(_LAZY_TREE)
+            self._values += (item, delta, outcome)
+        else:
+            self._shapes.append(_EAGER_TREE)
+            self._values += (item, delta, outcome, pushed)
+
+    def break_tree(
+        self,
+        base: int,
+        step: int,
+        trace: str,
+        site: str,
+        now: float,
+        item: str,
+        delta: float,
+    ) -> None:
+        """A step of the tree reserved at ``base`` raised after reaching
+        ``step`` (``TREE_CHECKED`` … ``TREE_PUSHING``). Write what the
+        tree's rows would have left: the spans closed so far as rows and
+        the one in progress kept open, and give back the ids of the
+        steps never reached. The root is left to the caller, as an
+        :meth:`open_row` root would be."""
+        self.write_row((trace, base + 1, base), "av.checking", site, now, now,
+                       ("verdict",), _TREE_VERDICT)
+        apply = (trace, base + 2, base)
+        if step == TREE_APPLYING:
+            self.keep_open(apply, "delay.apply", site, now,
+                           ("item", "delta"), (item, delta))
+        elif step != TREE_CHECKED:
+            self.write_row(apply, "delay.apply", site, now, now,
+                           ("item", "delta"), (item, delta))
+        if step == TREE_PUSHING:
+            self.keep_open((trace, base + 3, base), "prop.push", site, now,
+                           ("item",), (item,))
+        self._started = base + _TREE_LAST[step]
+
     def _pack(self, span: Span) -> None:
         """Move a just-finished span from ``_open`` into the columns."""
         del self._open[span.span_id]
@@ -314,23 +454,33 @@ class SpanRecorder:
     # ---------------------------------------------------------------- #
 
     def _finished(self) -> Iterator[Span]:
-        """Rebuild the finished spans, in finish order."""
+        """Rebuild the finished spans, record by record in finish order
+        (a tree's spans in id order)."""
         strings, shape_keys, values = self._strings, self._shape_keys, self._values
-        at = 0
-        rows = zip(self._ids, self._parents, self._starts, self._ends,
-                   self._shapes)
-        for row, (span_id, parent_id, start, end, shape) in enumerate(rows):
+        at = text = 0
+        records = zip(self._ids, self._parents, self._starts, self._ends,
+                      self._shapes)
+        for span_id, parent_id, start, end, shape in records:
             keys = shape_keys[shape]
+            if keys is None:
+                n = 4 if shape == _EAGER_TREE else 3
+                yield from _tree_spans(
+                    span_id, parent_id, start, strings[text],
+                    values[at:at + n],
+                )
+                text += 1
+                at += n
+                continue
             attrs = None
             if keys:
                 attrs = dict(zip(keys, values[at:at + len(keys)]))
                 at += len(keys)
-            base = 3 * row
             span = Span(
-                strings[base], span_id,
+                strings[text], span_id,
                 None if parent_id == _NO_PARENT else parent_id,
-                strings[base + 1], strings[base + 2], start, attrs,
+                strings[text + 1], strings[text + 2], start, attrs,
             )
+            text += 3
             span.end = end
             yield span
 
@@ -405,3 +555,6 @@ class NullSpanRecorder(SpanRecorder):
 
     def open_row(self, parent=None, trace=None):
         return NULL_ROW
+
+    def open_tree(self, push):
+        return 0

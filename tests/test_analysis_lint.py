@@ -170,6 +170,24 @@ class TestSpanKindRegistry:
                               ("item",), ("item0",))
             """) == []
 
+    def test_registered_tree_kinds_clean(self, tmp_path):
+        assert lint_source(tmp_path, """\
+            TREE_KINDS = ("update", "av.checking", "delay.apply", "prop.push")
+            """) == []
+
+    def test_misspelt_tree_kind_flagged(self, tmp_path):
+        findings = lint_source(tmp_path, """\
+            TREE_KINDS = (
+                "update",
+                "av.checkng",
+                "delay.apply",
+            )
+            """)
+        assert rules_hit(findings) == ["span-kind-registry"]
+        assert len(findings) == 1
+        assert "'av.checkng'" in findings[0].message
+        assert findings[0].line == 3
+
     def test_tests_exempt(self, tmp_path):
         assert lint_source(tmp_path, """\
             def go(rec, site):

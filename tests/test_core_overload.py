@@ -41,6 +41,8 @@ class StubEndpoint:
 
 
 class StubObs:
+    enabled = False  # no registry: the pressure gauge is never looked up
+
     def __init__(self):
         self.events = []
         self.counts = {}

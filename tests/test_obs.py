@@ -8,6 +8,8 @@ import statistics
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import build_paper_system
 from repro.experiments import make_paper_trace, run_observed
@@ -875,3 +877,170 @@ class TestCollectorRegistryIntegration:
         assert summary["count"] == len(latencies)
         assert summary["max"] == max(latencies)
         assert summary["mean"] == pytest.approx(statistics.mean(latencies))
+
+
+class RowRecorder(SpanRecorder):
+    """The reference: never reserves a tree, so a covered update writes
+    its spans one ``write_row`` at a time."""
+
+    def open_tree(self, push):
+        return 0
+
+
+SITES = ("site0", "site1", "site2")
+
+
+def one_shot(obj, name, exc):
+    """Make ``obj.name`` raise ``exc`` on its next call only."""
+    def boom(*args, **kwargs):
+        del obj.__dict__[name]
+        raise exc
+
+    obj.__dict__[name] = boom
+
+
+def run_ops(recorder, eager, ops):
+    """Drive ``ops`` through an observed paper system recording into
+    ``recorder``. A covered update may be armed to raise: in its apply,
+    in the announcement of its AV mint or spend, or in its eager push
+    (a plain error, or the dead-site error that fails it)."""
+    from repro.net.endpoint import CrashedEndpointError
+
+    system = build_paper_system(n_items=3, seed=1, observe=True,
+                                propagate=eager)
+    system.obs.recorder = recorder
+    armed = []
+
+    def announce(kind, now, fields):
+        if armed and kind in ("av.mint", "av.spend"):
+            armed.clear()
+            raise RuntimeError("subscriber bug")
+
+    system.obs.event_subscribers.append(announce)
+    for site, item, delta, fault in ops:
+        accel = system.sites[site].accelerator
+        item = f"item{item}"
+        av = accel.av_table
+        covered = av.defined(item) and (delta >= 0 or av.get(item) >= -delta)
+        if covered and fault == "apply":
+            one_shot(accel.txns, "apply_atomic", RuntimeError("disk on fire"))
+        elif covered and fault == "emit":
+            armed.append(True)
+        elif covered and fault in ("send", "crash"):
+            exc = (CrashedEndpointError(site) if fault == "crash"
+                   else RuntimeError("nic on fire"))
+            one_shot(accel.endpoint, "send", exc)
+        done = system.sites[site].update(item, delta)
+        done.defuse()
+        system.env.run()
+        armed.clear()
+        accel.txns.__dict__.pop("apply_atomic", None)
+        accel.endpoint.__dict__.pop("send", None)
+    return recorder
+
+
+class TestSpanTrees:
+    """A covered update's span tree is one record that reads back as
+    the rows it replaces."""
+
+    @given(
+        eager=st.booleans(),
+        cap=st.one_of(st.none(), st.integers(0, 60)),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(SITES),
+                st.integers(0, 2),
+                st.sampled_from([-40.0, -9.0, -2.0, -1.0, 0.0, 3.0, 6.0]),
+                st.sampled_from([None, None, "apply", "emit", "send", "crash"]),
+            ),
+            max_size=20,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_trees_read_back_as_rows(self, eager, cap, ops):
+        tree = run_ops(SpanRecorder(cap), eager, ops)
+        rows = run_ops(RowRecorder(cap), eager, ops)
+        assert stream(tree) == stream(rows)
+        assert tree.fingerprint() == rows.fingerprint()
+        assert (len(tree), tree.dropped) == (len(rows), rows.dropped)
+
+    @pytest.mark.parametrize("eager", [False, True])
+    def test_covered_update_writes_no_row(self, eager, monkeypatch):
+        system = build_paper_system(n_items=5, seed=0, observe=True,
+                                    propagate=eager)
+        accel = system.sites["site1"].accelerator
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a covered update opened or wrote a row")
+
+        monkeypatch.setattr(SpanRecorder, "open_row", no_rows)
+        monkeypatch.setattr(SpanRecorder, "write_row", no_rows)
+        done = [accel.update("item0", 3.0), accel.update("item1", -2.0),
+                accel.update("item2", 0.0)]
+        monkeypatch.undo()
+        assert all(ev.ok and ev.value.local_only for ev in done)
+        names = system.obs.recorder.names()
+        assert names == {"update": 3, "av.checking": 3, "delay.apply": 3,
+                         **({"prop.push": 2} if eager else {})}
+        assert len(system.obs.recorder) == (11 if eager else 9)
+
+
+class TestFedRegistry:
+    """The collector folds into the shared hub registry when it is read,
+    not at every record."""
+
+    @staticmethod
+    def _reads(eager):
+        """Run an observed, overloaded workload; after every recorded
+        update, read the hub registry three ways."""
+        from repro.core.overload import OverloadParams
+
+        system = build_paper_system(
+            n_items=5, seed=2, observe=True,
+            overload=OverloadParams(inflight_budget=2),
+        )
+        registry, collector = system.obs.registry, system.collector
+        record = collector.record
+        reads = []
+
+        def record_and_read(result):
+            record(result)
+            if eager:
+                collector._fold(registry)
+            reads.append((
+                registry.snapshot(),
+                registry.counter("updates.committed").value,
+                len(registry),
+            ))
+
+        collector.record = record_and_read
+        run_closed(system, make_paper_trace(150, seed=2, n_items=5))
+        return reads
+
+    def test_mid_run_reads_equal_an_eager_fold(self):
+        fed, eager = self._reads(False), self._reads(True)
+        assert len(fed) == 150
+        assert fed == eager
+        assert any(name.startswith("overload.") for name in fed[-1][0])
+
+    def test_records_fold_only_when_read(self):
+        system = build_paper_system(n_items=5, seed=2, observe=True)
+        run_closed(system, make_paper_trace(40, seed=2, n_items=5))
+        collector = system.collector
+        assert collector._fold.done == 0
+        assert system.obs.registry.counter("updates.committed").value > 0
+        assert collector._fold.done == collector.total == 40
+
+    def test_a_finished_run_is_freed_without_a_collection(self):
+        """Registering the fold makes no reference cycle."""
+        import weakref
+
+        system = build_paper_system(n_items=5, seed=2, observe=True)
+        run_closed(system, make_paper_trace(40, seed=2, n_items=5))
+        collector = weakref.ref(system.collector)
+        gc.disable()
+        try:
+            del system
+            assert collector() is None
+        finally:
+            gc.enable()
