@@ -110,9 +110,9 @@ class TestMetricsCollector:
 
     @pytest.mark.parametrize("read_at", [None, 0, 7, 20])
     def test_lazy_private_registry_equals_eager_shared_one(self, read_at):
-        """A private registry is fed on first read, a shared one on
-        every record; both must hold the same instruments, fed in the
-        same order (float sums included), wherever the read falls."""
+        """A collector's own registry and one it is handed are both fed
+        when read; both must hold the same instruments, fed in the same
+        order (float sums included), wherever the read falls."""
         from repro.obs.registry import MetricRegistry
 
         outcomes = list(UpdateOutcome)
