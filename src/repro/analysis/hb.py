@@ -49,9 +49,6 @@ class VectorClock:
         """``True`` iff ``self`` >= ``other`` pointwise (other ⪯ self)."""
         return all(self.counts.get(s, 0) >= n for s, n in other.counts.items())
 
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        return not self.dominates(other) and not other.dominates(self)
-
     def __repr__(self) -> str:
         inner = ",".join(f"{s}:{n}" for s, n in sorted(self.counts.items()))
         return f"<VC {inner}>"

@@ -34,7 +34,6 @@ from repro.net.network import Network
 from repro.sim.engine import Environment
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import NullTracer, Tracer
 
 #: endpoint name of the central database server
 CENTER = "center"
@@ -163,14 +162,12 @@ class CentralizedSystem:
         self.request_timeout = request_timeout
         self.env = Environment()
         self.rngs = RngRegistry(self.config.seed)
-        self.tracer: Tracer = Tracer() if self.config.trace else NullTracer()
         from repro.net.sizes import SizeModel
 
         self.network = Network(
             self.env,
             latency=ConstantLatency(self.config.latency_mean),
             rng=self.rngs.stream("net.latency"),
-            tracer=self.tracer,
             size_model=SizeModel() if self.config.count_bytes else None,
         )
         self.catalog = (

@@ -57,9 +57,10 @@ class SystemConfig:
         AV-request timeout (``None`` = wait forever; set for fault runs).
     max_rounds, max_immediate_retries:
         Protocol retry bounds (see :class:`~repro.core.accelerator.Accelerator`).
-    trace:
-        Record a structured event trace (costs memory; on for debugging
-        and the determinism tests).
+
+    A run's record is ``observe`` (spans, ``obs.emit`` events and the
+    metric registry) plus :attr:`~repro.net.network.Network.observers`
+    (every send, receive and drop); see ``docs/observability.md``.
     """
 
     n_retailers: int = 2
@@ -76,7 +77,6 @@ class SystemConfig:
     max_immediate_retries: int = 10
     #: False = static escrow ablation (no AV circulation)
     allow_transfers: bool = True
-    trace: bool = False
     #: install a SizeModel so NetworkStats also counts wire bytes
     count_bytes: bool = False
     #: record causal spans + metric registry (repro.obs); off by default

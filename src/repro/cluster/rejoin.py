@@ -65,12 +65,15 @@ def rejoin(site: "Site"):
 
     ``Site.restart`` sets ``accel._rejoin_gate`` *before* spawning this
     process so no update can slip in between; this generator owns the
-    gate and always opens it on the way out.
+    gate and always opens it on the way out. The process's value is the
+    number of owed balances the live peers replayed for us (the sum of
+    their ``prop.flush`` replies).
     """
     accel = site.accelerator
     env = site.env
     gate = accel._rejoin_gate
     timeout = accel.reliability.ack_timeout
+    replayed = 0
     try:
         # In-doubt txns MUST resolve before any snapshot pull: a
         # post-pull abort compensation would corrupt the fresh value.
@@ -95,11 +98,7 @@ def rejoin(site: "Site"):
                     flushed = yield accel.endpoint.request(
                         peer, "prop.flush", {}, tag=TAG_REJOIN, timeout=timeout
                     )
-                    if flushed["pushed"]:
-                        accel.trace(
-                            "rejoin.flush",
-                            f"{peer} replayed {flushed['pushed']} update(s)",
-                        )
+                    replayed += flushed["pushed"]
                     break
                 except RequestTimeout:
                     continue
@@ -144,13 +143,13 @@ def rejoin(site: "Site"):
                     accel.beliefs.observe(
                         accel.base_site, item, reply["levels"][item], env.now
                     )
-        accel.trace("rejoin.done", f"{accel.site} rejoined")
     except CrashedEndpointError:
         # Crashed again mid-rejoin: abandon; the next restart runs a
         # fresh round over whatever state this one reached.
-        accel.trace("rejoin.abort", f"{accel.site} crashed mid-rejoin")
+        pass
     finally:
         if accel._rejoin_gate is gate:
             accel._rejoin_gate = None
         if not gate.triggered:
             gate.succeed()
+    return replayed

@@ -25,7 +25,6 @@ from repro.obs.hub import NULL_OBS, Observability
 from repro.sim.engine import Environment
 from repro.sim.events import Event
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import NullTracer, Tracer
 
 StrategyFactory = Callable[[str, RngRegistry], SelectionStrategy]
 PolicyFactory = Callable[[str, RngRegistry], DecidingPolicy]
@@ -44,7 +43,6 @@ class DistributedSystem:
         env: Environment,
         network: Network,
         rngs: RngRegistry,
-        tracer: Tracer,
         catalog: ProductCatalog,
         sites: Dict[str, Site],
         collector: MetricsCollector,
@@ -54,7 +52,6 @@ class DistributedSystem:
         self.env = env
         self.network = network
         self.rngs = rngs
-        self.tracer = tracer
         self.catalog = catalog
         self.sites = sites
         self.collector = collector
@@ -83,14 +80,12 @@ class DistributedSystem:
         config = config if config is not None else SystemConfig()
         env = Environment()
         rngs = RngRegistry(config.seed)
-        tracer = Tracer() if config.trace else NullTracer()
         from repro.net.sizes import SizeModel
 
         network = Network(
             env,
             latency=ConstantLatency(config.latency_mean),
             rng=rngs.stream("net.latency"),
-            tracer=tracer,
             size_model=SizeModel() if config.count_bytes else None,
         )
         catalog = make_catalog(
@@ -133,7 +128,6 @@ class DistributedSystem:
                 ),
                 policy=(policy_factory(name, rngs) if policy_factory else None),
                 rng=rngs.stream(f"{name}.protocol"),
-                tracer=tracer,
                 obs=obs,
                 propagate=config.propagate,
                 request_timeout=config.request_timeout,
@@ -161,7 +155,7 @@ class DistributedSystem:
             av_weights=config.av_weights,
         )
         system = cls(
-            config, env, network, rngs, tracer, catalog, sites, collector,
+            config, env, network, rngs, catalog, sites, collector,
             obs=obs,
         )
         if config.sanitize:

@@ -40,7 +40,6 @@ from repro.obs.hub import NULL_OBS, Observability
 from repro.obs.spans import NULL_SPAN, update_trace
 from repro.sim.events import Event
 from repro.sim.process import Process
-from repro.sim.tracing import NullTracer, Tracer
 
 #: the ``av.checking`` row values of an update routed to Delay
 _DELAY_VERDICT = (UpdateKind.DELAY.value,)
@@ -97,7 +96,6 @@ class Accelerator:
         strategy: Optional[SelectionStrategy] = None,
         policy: Optional[DecidingPolicy] = None,
         rng: Optional[np.random.Generator] = None,
-        tracer: Optional[Tracer] = None,
         obs: Optional[Observability] = None,
         propagate: bool = False,
         request_timeout: Optional[float] = None,
@@ -133,7 +131,6 @@ class Accelerator:
                 f"Accelerator {self.site!r} requires an explicit rng stream"
             )
         self.rng = rng
-        self.tracer = tracer if tracer is not None else NullTracer()
         self.obs = obs if obs is not None else NULL_OBS
         self.propagate = propagate
         self.request_timeout = request_timeout
@@ -462,9 +459,6 @@ class Accelerator:
         """
         return self._live(self.interest.peers_for(item))
 
-    def trace(self, kind: str, detail: str) -> None:
-        self.tracer.emit(self.env.now, kind, self.site, detail)
-
     # ---------------------------------------------------------------- #
     # lazy propagation (batched sync)
     # ---------------------------------------------------------------- #
@@ -618,8 +612,6 @@ class Accelerator:
             sent += 1
         if observed:
             span.finish(self.now, messages=sent)
-        if sent and self.tracer.enabled:
-            self.trace("sync.push", f"{item} to {sent} peers")
         return sent
 
     def _settle_sync(self, key: tuple[str, str], delta: float, event) -> None:

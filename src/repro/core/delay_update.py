@@ -62,7 +62,7 @@ class DelayUpdateProtocol:
     ----------
     accel:
         The owning accelerator (provides endpoint, tables, strategy,
-        policy, transactions, tracer, configuration).
+        policy, transactions, configuration).
     """
 
     def __init__(self, accel: "Accelerator") -> None:
@@ -145,11 +145,6 @@ class DelayUpdateProtocol:
                 if obs.event_subscribers:
                     obs.emit("av.mint", accel.now, site=accel.site, item=item, amount=delta)
                 accel.av_table.add(item, delta)
-                # Guard the trace calls on the zero-message paths:
-                # rendering the request string dominates an otherwise
-                # O(1) local commit.
-                if accel.tracer.enabled:
-                    accel.trace("delay.local", f"{req} minted {delta:g} AV")
             elif accel.av_table.take_if_covered(item, -delta):
                 # The paper's headline path: complete within the local
                 # site. The fused probe spends the AV in one dict lookup.
@@ -160,8 +155,6 @@ class DelayUpdateProtocol:
                 step = TREE_APPLYING
                 self._apply(item, delta, parent)
                 step = TREE_APPLIED
-                if accel.tracer.enabled:
-                    accel.trace("delay.local", f"{req} covered by local AV")
             else:
                 return None
             if tree and delta and accel.propagate:
@@ -197,8 +190,6 @@ class DelayUpdateProtocol:
         if not accel.allow_transfers:
             # Static-escrow ablation: the allocation is fixed at
             # bootstrap, so an uncovered decrement is simply rejected.
-            if accel.tracer.enabled:
-                accel.trace("delay.reject", f"{req} static escrow exhausted")
             return self._done(req, UpdateOutcome.REJECTED)
 
         # Local AV insufficient: hold everything we have and go shopping.
@@ -209,8 +200,6 @@ class DelayUpdateProtocol:
         )
         hold = av.hold(item, ctx=hold_ctx)
         hold.add(av.take_all(item))
-        if accel.tracer.enabled:
-            accel.trace("delay.gather", f"{req} holding {hold.amount:g}, need {need:g}")
 
         tried: set[str] = set()
         av_requests = 0
@@ -248,8 +237,6 @@ class DelayUpdateProtocol:
                     progress = False
                     continue
                 hold.release()
-                if accel.tracer.enabled:
-                    accel.trace("delay.reject", f"{req} gathered {obtained:g}, dry")
                 return self._done(
                     req,
                     UpdateOutcome.REJECTED,
@@ -300,8 +287,6 @@ class DelayUpdateProtocol:
             except RequestTimeout:
                 if observed:
                     req_span.finish(accel.now, timeout=True)
-                if accel.tracer.enabled:
-                    accel.trace("delay.timeout", f"{req} no reply from {target}")
                 continue
             except BaseException:
                 # Typically CrashedEndpointError: we died mid-gathering.
@@ -327,16 +312,9 @@ class DelayUpdateProtocol:
                 progress = True
                 obtained += granted
                 hold.add(granted)
-            if accel.tracer.enabled:
-                accel.trace(
-                    "delay.grant",
-                    f"{req} got {granted:g} from {target} (hold {hold.amount:g})",
-                )
 
         hold.consume(need)
         self._apply(item, delta, span)
-        if accel.tracer.enabled:
-            accel.trace("delay.remote", f"{req} completed after {av_requests} requests")
         self._propagate(item, delta, span)
         return self._done(
             req,
@@ -445,8 +423,6 @@ class DelayUpdateProtocol:
                 ("item", "requester", "granted", "av_after"),
                 (item, msg.src, granted, after),
             )
-        if accel.tracer.enabled:
-            accel.trace("delay.serve", f"granted {granted:g} {item} to {msg.src}")
         reply = {"granted": granted, "av_after": after}
         if granted > 0 and accel.leases is not None:
             # Hold the granted volume under a lease until the requester
@@ -519,8 +495,6 @@ class DelayUpdateProtocol:
                     timeout=accel.request_timeout,
                 )
             except RequestTimeout:
-                if accel.tracer.enabled:
-                    accel.trace("pool.timeout", f"refill of {item} timed out")
                 reply = None
             finally:
                 self._refill_inflight.discard(item)
@@ -540,11 +514,6 @@ class DelayUpdateProtocol:
                             item=item, amount=granted,
                         )
                     accel.av_table.add(item, granted)
-                    if accel.tracer.enabled:
-                        accel.trace(
-                            "pool.refill",
-                            f"{item} topped up {granted:g} from {parent}",
-                        )
         return self._grant_from_table(msg, pool=True)
 
     def handle_av_push(self, msg):
@@ -580,8 +549,6 @@ class DelayUpdateProtocol:
                 # volume — strictly better than bouncing it back.
                 return "refused"
             if msg.payload.get("bounced"):
-                if accel.tracer.enabled:
-                    accel.trace("rebal.drop", f"{amount:g} {item} (both ends closed)")
                 return "dropped"
             accel.endpoint.send(
                 msg.src,

@@ -164,8 +164,6 @@ class ImmediateUpdateProtocol:
                     )
                 except RequestTimeout:
                     prep_span.finish(accel.now, timeout=True)
-                    if accel.tracer.enabled:
-                        accel.trace("imm.unreachable", f"{site} ({token})")
                     if ovl is not None:
                         ovl.record_2pc_timeout(accel.now)
                     ready = False
@@ -182,8 +180,6 @@ class ImmediateUpdateProtocol:
             # participant resolves to abort via the status query.
             self.decisions[token] = "abort"
             self.in_progress.discard(token)
-            if accel.tracer.enabled:
-                accel.trace("imm.abort", str(req))
             abort_span = rec.start(
                 "imm.abort", accel.site, accel.now, parent=span,
                 peers=len(prepared_peers),
@@ -270,8 +266,6 @@ class ImmediateUpdateProtocol:
         if ovl is not None:
             ovl.record_2pc_success(accel.now)
         accel.locks.release(item, token)
-        if accel.tracer.enabled:
-            accel.trace("imm.commit", str(req))
         return UpdateResult(
             request=req,
             kind=UpdateKind.IMMEDIATE,
@@ -304,8 +298,6 @@ class ImmediateUpdateProtocol:
                 # participant resolves via the status query instead.
                 return None
             return reply
-        if accel.tracer.enabled:
-            accel.trace("imm.undelivered", f"{kind} to {peer} ({token})")
         return None
 
     # ---------------------------------------------------------------- #
@@ -351,8 +343,6 @@ class ImmediateUpdateProtocol:
         accel = self.accel
         yield accel.env.timeout(accel.request_timeout * 4)
         if token in self._pending and not accel.endpoint.crashed:
-            if accel.tracer.enabled:
-                accel.trace("imm.watchdog", token)
             yield from self._resolve(token)
 
     # Thin wrappers: the shared _apply_decision body opens the imm.apply
@@ -480,10 +470,6 @@ class ImmediateUpdateProtocol:
                     applied += 1
             if missing:
                 yield accel.env.timeout(accel.request_timeout or 1.0)
-        if accel.tracer.enabled:
-            accel.trace(
-                "imm.catchup", f"{applied} items, {len(missing)} unresolved"
-            )
         return applied
 
     # ---------------------------------------------------------------- #
@@ -530,6 +516,4 @@ class ImmediateUpdateProtocol:
             else:
                 txn.abort()
             accel.locks.release(item, token)
-            if accel.tracer.enabled:
-                accel.trace("imm.resolved", f"{token} -> {reply['decision']}")
             return reply["decision"]

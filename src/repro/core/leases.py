@@ -152,10 +152,6 @@ class LeaseTable:
             holder=lease.holder, lease=lease.lease_id,
         )
         self.accel.av_table.add(lease.item, lease.amount)
-        self.accel.trace(
-            "lease.revert",
-            f"{lease.amount:g} {lease.item} back from lost transfer to {lease.holder}",
-        )
 
     def _expiry(self, lease: Lease):
         """Timer: probe the holder once the lease outlives its timeout.

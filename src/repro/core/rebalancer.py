@@ -152,7 +152,6 @@ class AVRebalancer:
             self.pushes_sent += 1
             self.volume_pushed += amount
             sent += 1
-            accel.trace("rebal.push", f"{amount:g} {item} -> {target}")
         span.finish(accel.now, pushes=sent)
         return sent
 

@@ -136,7 +136,6 @@ class ReclassificationProtocol:
         accel.av_table.define(item, shares[accel.site])
         accel.locks.release(item, token)
         root.finish(accel.now, sites=len(order))
-        accel.trace("cls.regular", f"{item} AV split {shares}")
         return shares
 
     def make_non_regular(self, item: str):
@@ -199,7 +198,6 @@ class ReclassificationProtocol:
         accel.unfreeze(item)
         accel.locks.release(item, token)
         root.finish(accel.now, sites=len(order), value=true_value)
-        accel.trace("cls.nonregular", f"{item} reconciled to {true_value:g}")
         return true_value
 
     # ---------------------------------------------------------------- #

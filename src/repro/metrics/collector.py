@@ -12,7 +12,7 @@ the aggregates the experiment harness reports.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.types import UpdateKind, UpdateOutcome, UpdateResult
@@ -144,7 +144,6 @@ class MetricsCollector:
     def __init__(self, registry: Optional[MetricRegistry] = None) -> None:
         self.results: List[UpdateResult] = []
         self.ledger = GlobalLedger()
-        self.by_site: Dict[str, List[UpdateResult]] = defaultdict(list)
         #: the registry; reading it folds every recorded result in
         self.registry = registry if registry is not None else MetricRegistry()
         self._fold = _ResultFold(self.results)
@@ -157,7 +156,6 @@ class MetricsCollector:
     def record(self, result: UpdateResult) -> None:
         """Account one finished update (and its delta, if committed)."""
         self.results.append(result)
-        self.by_site[result.request.site].append(result)
         if result.committed:
             self.ledger.record_delta(result.request.item, result.request.delta)
 

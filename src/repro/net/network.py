@@ -19,7 +19,6 @@ from repro.net.message import Message
 from repro.net.stats import NetworkStats
 from repro.sim.engine import Environment
 from repro.sim.events import Event
-from repro.sim.tracing import NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.endpoint import Endpoint
@@ -44,8 +43,6 @@ class Network:
         stream (e.g. ``rngs.stream("net.latency")``). There is
         deliberately no seeded default — two networks in one simulation
         would silently share stream 0.
-    tracer:
-        Receives ``msg.send`` / ``msg.drop`` / ``msg.recv`` records.
     fifo:
         Enforce per-directed-pair in-order delivery (default ``True``).
     faults:
@@ -65,7 +62,6 @@ class Network:
         env: Environment,
         latency: Optional[LatencyModel] = None,
         rng: Optional[np.random.Generator] = None,
-        tracer: Optional[Tracer] = None,
         fifo: bool = True,
         faults: Optional[FaultInjector] = None,
         size_model=None,
@@ -79,7 +75,6 @@ class Network:
                 " (e.g. RngRegistry(seed).stream('net.latency'))"
             )
         self.rng = rng
-        self.tracer = tracer if tracer is not None else NullTracer()
         self.stats = NetworkStats()
         self.channels = ChannelTable(fifo=fifo)
         self.faults = faults if faults is not None else FaultInjector(rng=self.rng)
@@ -156,20 +151,12 @@ class Network:
             else None
         )
         self.stats.record_send(msg, size=size)
-        # str(msg) is costly on the per-message hot path; only render it
-        # when a real tracer is attached. Same for the observer fan-out
-        # and the fault verdict: both are skipped outright when no
-        # observer is registered / no fault is active.
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "msg.send", msg.src, str(msg))
         if self.observers:
             self._notify("send", msg)
 
         faults = self.faults
         if not faults.quiet and faults.should_drop(msg.src, msg.dst):
             self.stats.record_drop(msg, size=size)
-            if self.tracer.enabled:
-                self.tracer.emit(self.env.now, "msg.drop", msg.src, str(msg))
             if self.observers:
                 self._notify("drop", msg)
             return
@@ -206,12 +193,8 @@ class Network:
                 else None
             )
             self.stats.record_drop(msg, size=size)
-            if self.tracer.enabled:
-                self.tracer.emit(self.env.now, "msg.drop", msg.dst, str(msg))
             self._notify("drop", msg)
             return
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "msg.recv", msg.dst, str(msg))
         if self.observers:
             self._notify("recv", msg)
         endpoint._receive(msg)

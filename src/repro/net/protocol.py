@@ -178,11 +178,6 @@ class MessageSpec:
         """Derived reply kind, for request-class kinds."""
         return self.kind + REPLY_SUFFIX if self.is_request else None
 
-    @property
-    def ack_only(self) -> bool:
-        """True when the reply carries no data — a bare ack."""
-        return self.is_request and not (self.reply_required or self.reply_optional)
-
     def declared_keys(self) -> FrozenSet[str]:
         return self.required | self.optional
 

@@ -170,10 +170,6 @@ class ReliableSession:
         """
         return {"seen": msg.payload["seq"] in self._seen.get(msg.src, ())}
 
-    def seen_from(self, src: str, seq: int) -> bool:
-        """Local dedup-table lookup (test/diagnostic helper)."""
-        return seq in self._seen.get(src, ())
-
     # ---------------------------------------------------------------- #
     # sender side
     # ---------------------------------------------------------------- #

@@ -21,10 +21,10 @@ over time. This package makes that story first-class:
 * :mod:`repro.obs.report` — run dossiers (text + self-contained HTML)
   rendered from profile reports and sweep telemetry.
 
-Instrumentation follows the :class:`~repro.sim.tracing.NullTracer`
-pattern: a disabled :class:`Observability` hub routes every call to
-no-op recorders, so hot paths pay only a method call when observability
-is off (verified by ``benchmarks/bench_obs_overhead.py``).
+Instrumentation follows the null-object pattern: a disabled
+:class:`Observability` hub routes every call to no-op recorders, so hot
+paths pay only a method call when observability is off (verified by
+``benchmarks/bench_obs_overhead.py``).
 """
 
 from repro.obs.export import (

@@ -25,6 +25,7 @@ in ``tests/test_perf_determinism.py``).
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.obs.registry import MetricRegistry, StreamingHistogram
@@ -62,6 +63,7 @@ class TelemetrySnapshot:
         if registry is None:
             registry = system.collector.registry
         sites: Dict[str, Dict[str, float]] = {}
+        updates = Counter(r.request.site for r in system.collector.results)
         for name in sorted(system.sites):
             site = system.sites[name]
             accel = site.accelerator
@@ -70,7 +72,7 @@ class TelemetrySnapshot:
                 "sync_backlog": float(len(accel.unsynced_items())),
                 "lock_waiting": float(accel.locks.total_waiting()),
                 "stock_total": sum(site.store.as_dict().values()),
-                "updates": float(len(system.collector.by_site.get(name, ()))),
+                "updates": float(updates[name]),
             }
         return cls({
             "version": TELEMETRY_VERSION,

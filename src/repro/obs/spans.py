@@ -221,7 +221,7 @@ class SpanRecorder:
     max_spans:
         Optional cap; further ``start`` calls return :data:`NULL_SPAN`
         (``open_row`` calls :data:`NULL_ROW`) and are counted in
-        :attr:`dropped` (mirrors ``Tracer``'s policy).
+        :attr:`dropped`; :meth:`fingerprint` still covers that count.
     """
 
     enabled = True
@@ -514,9 +514,8 @@ class SpanRecorder:
         """Order-sensitive digest of the whole span tree.
 
         Covers trace/parent linkage, timing, attributes and the drop
-        count — the span analogue of
-        :meth:`repro.sim.tracing.Tracer.fingerprint`, used by the
-        determinism tests (same seed ⇒ same value). It hashes a
+        count; the determinism tests compare it across runs (same seed
+        ⇒ same value). It hashes a
         canonical ``repr`` of each span with ``hashlib``, never
         ``hash()``, so the value is stable across processes too.
         """

@@ -2,7 +2,9 @@
 
 The kernel is the substrate every other subsystem runs on: a virtual clock,
 an event queue ordered by ``(time, priority, sequence)``, generator-driven
-processes, named seeded RNG streams, and structured tracing.
+processes and named seeded RNG streams. What a run records (spans,
+network observer events, ``obs.emit`` events, metric instruments) lives
+in :mod:`repro.obs` and :attr:`repro.net.network.Network.observers`.
 """
 
 from repro.sim.engine import Environment
@@ -16,7 +18,6 @@ from repro.sim.errors import (
 from repro.sim.events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import NullTracer, TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
@@ -28,12 +29,9 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "NullTracer",
     "Process",
     "RngRegistry",
     "SimulationError",
     "StopSimulation",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
 ]

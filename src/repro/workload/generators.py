@@ -490,92 +490,6 @@ class FlashSaleWorkload(WorkloadGenerator):
                 emitted += 1
 
 
-@dataclass(frozen=True, slots=True)
-class PhaseSpec:
-    """One phase of a phase-shifting workload (DMIS EP-02 vocabulary)."""
-
-    name: str
-    #: share of the event stream spent in this phase
-    fraction: float
-    #: decrement cap as a fraction of initial stock (demand intensity)
-    decrease_fraction: float
-    #: share of decrements concentrated on the hot set
-    hot_fraction: float
-
-
-#: the EP-02 three-phase schedule (SNIPPETS.md): a disaster-response
-#: SURGE (dense, hot-concentrated demand), the STABILIZED tail, then
-#: BASELINE normal operations
-EP02_PHASES: tuple[PhaseSpec, ...] = (
-    PhaseSpec("SURGE", 0.30, 0.30, 0.80),
-    PhaseSpec("STABILIZED", 0.40, 0.10, 0.30),
-    PhaseSpec("BASELINE", 0.30, 0.05, 0.00),
-)
-
-
-class PhaseShiftWorkload(WorkloadGenerator):
-    """Paper-style stream whose intensity shifts through named phases.
-
-    Implements the EP-02 SURGE → STABILIZED → BASELINE schedule: each
-    phase takes a fixed share of the stream with its own decrement cap
-    and hot-set concentration, so one run sweeps the system from
-    overload into calm — exactly the trajectory the degradation state
-    machine must follow (and the back-at-NORMAL oracle checks).
-    """
-
-    def __init__(
-        self,
-        maker: str,
-        retailers: Sequence[str],
-        items: Sequence[str],
-        initial_stock: float,
-        rng: np.random.Generator,
-        phases: Sequence[PhaseSpec] = EP02_PHASES,
-        hot_items: int = 2,
-    ) -> None:
-        if not phases:
-            raise ValueError("need at least one phase")
-        total = sum(p.fraction for p in phases)
-        if not math.isclose(total, 1.0, rel_tol=1e-9):
-            raise ValueError(f"phase fractions sum to {total}, want 1.0")
-        if not 1 <= hot_items <= len(items):
-            raise ValueError(f"hot_items {hot_items} not in [1, {len(items)}]")
-        self.maker = maker
-        self.retailers = list(retailers)
-        self.items = list(items)
-        self.hot = list(items[:hot_items])
-        self.initial_stock = initial_stock
-        self.rng = rng
-        self.phases = tuple(phases)
-
-    def phase_of(self, index: int, n: int) -> PhaseSpec:
-        """Which phase event ``index`` of an ``n``-event stream is in."""
-        boundary = 0.0
-        for phase in self.phases:
-            boundary += phase.fraction * n
-            if index < boundary:
-                return phase
-        return self.phases[-1]
-
-    def events(self, n: int) -> Iterator[WorkloadEvent]:
-        sites = [self.maker, *self.retailers]
-        for i in range(n):
-            phase = self.phase_of(i, n)
-            site = sites[i % len(sites)]
-            if site == self.maker:
-                cap = max(1, int(self.initial_stock * 0.20))
-                delta = float(self.rng.integers(1, cap + 1))
-                item = self.items[int(self.rng.integers(len(self.items)))]
-            else:
-                cap = max(1, int(self.initial_stock * phase.decrease_fraction))
-                delta = -float(self.rng.integers(1, cap + 1))
-                if self.rng.random() < phase.hot_fraction:
-                    item = self.hot[int(self.rng.integers(len(self.hot)))]
-                else:
-                    item = self.items[int(self.rng.integers(len(self.items)))]
-            yield WorkloadEvent(site, item, delta)
-
-
 class MixedKindWorkload(WorkloadGenerator):
     """Paper deltas over a catalogue with regular *and* non-regular items.
 

@@ -1,5 +1,7 @@
 """Crash-recovery rejoin: a restarted site anti-entropies before serving."""
 
+import importlib
+
 import pytest
 
 from repro.cluster import build_paper_system
@@ -62,6 +64,30 @@ class TestRejoin:
         assert system.site("site2").value(ITEM) == 85.0
         drain_synced(system)
         system.check_invariants(quiescent=True)
+
+    def test_rejoin_value_counts_replayed_balances(self, monkeypatch):
+        rejoin_module = importlib.import_module("repro.cluster.rejoin")
+        values = []
+        original = rejoin_module.rejoin
+
+        def spy(site):
+            values.append((yield from original(site)))
+
+        monkeypatch.setattr(rejoin_module, "rejoin", spy)
+        system = make_system()
+        system.network.faults.crash("site2")
+        system.site("site1").update(ITEM, -5)
+        system.site("site1").update("item1", -3)
+        system.run()
+        system.site("site1").accelerator.sync_all()
+        system.run()
+
+        system.network.faults.recover("site2")
+        system.site("site2").restart()
+        system.run()
+        # site1 replayed one owed balance per item; site0 owed nothing.
+        assert values == [2]
+        assert system.site("site2").value("item1") == 87.0
 
     def test_updates_wait_for_rejoin_gate(self):
         system = make_system()

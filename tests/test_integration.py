@@ -19,13 +19,24 @@ class TestPaperScenarioEndToEnd:
         assert committed / len(results) > 0.9
 
     def test_trace_fingerprint_deterministic(self):
+        """Same seed: the same span tree and the same message stream."""
+
         def run():
-            system = build_paper_system(n_items=5, seed=9, trace=True)
+            system = build_paper_system(n_items=5, seed=9, observe=True)
+            messages = []
+            system.network.observers.append(
+                lambda event, time, msg: messages.append(
+                    (event, time, msg.src, msg.dst, msg.kind)
+                )
+            )
             trace = make_paper_trace(200, seed=9, n_items=5)
             run_closed(system, trace)
-            return system.tracer.fingerprint(), len(system.tracer)
+            recorder = system.obs.recorder
+            return recorder.fingerprint(), len(recorder), messages
 
-        assert run() == run()
+        first = run()
+        assert first[1] > 0 and first[2]
+        assert run() == first
 
     def test_av_circulates_maker_to_retailers(self):
         """Net AV flow goes from the minting maker to consuming retailers."""

@@ -145,7 +145,7 @@ class TestMetricsCollector:
             r.committed for r in results
         )
         assert lazy.ledger.true_value("A") == eager.ledger.true_value("A")
-        assert lazy.by_site == eager.by_site
+        assert lazy.results == eager.results
 
     def test_empty_local_ratio(self):
         assert MetricsCollector().local_ratio == 1.0

@@ -12,7 +12,7 @@ from repro.net import (
     RequestTimeout,
     UniformLatency,
 )
-from repro.sim import Environment, Tracer
+from repro.sim import Environment
 
 
 def make_net(latency=None, **kw):
@@ -247,21 +247,27 @@ def test_peers_excludes_self():
     assert a.peers() == ["b", "c"]
 
 
-def test_tracer_records_send_and_recv():
-    env = Environment()
-    tracer = Tracer()
-    net = Network(
-        env,
-        latency=ConstantLatency(1.0),
-        rng=np.random.default_rng(0),
-        tracer=tracer,
+def test_observers_see_send_recv_and_drop():
+    env, net = make_net()
+    seen = []
+    net.observers.append(
+        lambda event, time, msg: seen.append(
+            (event, time, msg.src, msg.dst, msg.kind)
+        )
     )
     a, b = net.endpoint("a"), net.endpoint("b")
     b.on("ping", lambda m: None)
     a.send("b", "ping")
     env.run()
-    kinds = [r.kind for r in tracer]
-    assert kinds == ["msg.send", "msg.recv"]
+    net.faults.crash("b")
+    a.send("b", "ping")
+    env.run()
+    assert seen == [
+        ("send", 0.0, "a", "b", "ping"),
+        ("recv", 1.0, "a", "b", "ping"),
+        ("send", 1.0, "a", "b", "ping"),
+        ("drop", 1.0, "a", "b", "ping"),
+    ]
 
 
 def test_handler_decorator():

@@ -1,8 +1,8 @@
-"""Unit tests for RNG streams and the tracer."""
+"""Unit tests for the named, seeded RNG streams."""
 
 import pytest
 
-from repro.sim import RngRegistry, TraceRecord, Tracer, NullTracer
+from repro.sim import RngRegistry
 
 
 class TestRngRegistry:
@@ -43,113 +43,3 @@ class TestRngRegistry:
         assert "x" not in r and len(r) == 0
         r.stream("x")
         assert "x" in r and len(r) == 1 and list(r) == ["x"]
-
-
-class TestTracer:
-    def test_emit_and_filter(self):
-        t = Tracer()
-        t.emit(1.0, "msg.send", "site0", {"to": "site1"})
-        t.emit(2.0, "msg.recv", "site1", {"frm": "site0"})
-        t.emit(3.0, "msg.send", "site1", {"to": "site0"})
-        assert len(t) == 3
-        assert len(t.filter(kind="msg.send")) == 2
-        assert len(t.filter(source="site1")) == 2
-        assert len(t.filter(kind="msg.send", source="site1")) == 1
-        assert (
-            len(t.filter(predicate=lambda r: r.time > 1.5)) == 2
-        )
-
-    def test_disabled_tracer_records_nothing(self):
-        t = Tracer(enabled=False)
-        t.emit(1.0, "x", "y")
-        assert len(t) == 0
-
-    def test_null_tracer(self):
-        t = NullTracer()
-        t.emit(1.0, "x", "y")
-        assert len(t) == 0
-
-    def test_max_records_drops_and_counts(self):
-        t = Tracer(max_records=2)
-        for i in range(5):
-            t.emit(float(i), "k", "s")
-        assert len(t) == 2 and t.dropped == 3
-
-    def test_fingerprint_sensitive_to_order_and_content(self):
-        t1, t2, t3 = Tracer(), Tracer(), Tracer()
-        t1.emit(1.0, "a", "s")
-        t1.emit(2.0, "b", "s")
-        t2.emit(2.0, "b", "s")
-        t2.emit(1.0, "a", "s")
-        t3.emit(1.0, "a", "s")
-        t3.emit(2.0, "b", "s")
-        assert t1.fingerprint() == t3.fingerprint()
-        assert t1.fingerprint() != t2.fingerprint()
-
-    def test_clear(self):
-        t = Tracer(max_records=1)
-        t.emit(1.0, "a", "s")
-        t.emit(2.0, "a", "s")
-        t.clear()
-        assert len(t) == 0 and t.dropped == 0
-
-    def test_record_str(self):
-        rec = TraceRecord(1.5, "msg.send", "site0", "x")
-        assert "msg.send" in str(rec) and "site0" in str(rec)
-
-
-class TestTracerKindPrefix:
-    def test_kind_prefix_matches_family(self):
-        t = Tracer()
-        t.emit(1.0, "av.request", "site1")
-        t.emit(2.0, "av.grant", "site0")
-        t.emit(3.0, "imm.commit", "site1")
-        assert len(t.filter(kind_prefix="av.")) == 2
-        assert len(t.filter(kind_prefix="imm.")) == 1
-        assert len(t.filter(kind_prefix="av.", source="site0")) == 1
-
-    def test_kind_prefix_combines_with_exact_kind(self):
-        t = Tracer()
-        t.emit(1.0, "av.request", "s")
-        t.emit(2.0, "av.grant", "s")
-        assert len(t.filter(kind="av.grant", kind_prefix="av.")) == 1
-
-
-class TestTracerSkipFreeFingerprint:
-    def test_divergence_past_cap_still_detected(self):
-        """Two runs identical up to the cap but different after it must
-        fingerprint differently (drops are hashed, not skipped)."""
-        a, b = Tracer(max_records=2), Tracer(max_records=2)
-        for t in (a, b):
-            t.emit(1.0, "k", "s", "same")
-            t.emit(2.0, "k", "s", "same")
-        a.emit(3.0, "k", "s", "diverges-here")
-        b.emit(3.0, "k", "s", "differently")
-        assert a.records == b.records  # stored prefixes identical
-        assert a.fingerprint() != b.fingerprint()
-
-    def test_identical_runs_with_drops_match(self):
-        def build():
-            t = Tracer(max_records=2)
-            for i in range(6):
-                t.emit(float(i), "k", "s", i)
-            return t.fingerprint()
-
-        assert build() == build()
-
-    def test_dropped_count_contributes(self):
-        a, b = Tracer(max_records=1), Tracer(max_records=1)
-        a.emit(1.0, "k", "s")
-        b.emit(1.0, "k", "s")
-        b.emit(1.0, "k", "s")  # extra dropped copy; acc hash alone could
-        assert a.fingerprint() != b.fingerprint()
-
-    def test_clear_resets_dropped_hash(self):
-        t = Tracer(max_records=1)
-        t.emit(1.0, "a", "s")
-        t.emit(2.0, "b", "s")
-        t.clear()
-        t.emit(1.0, "a", "s")
-        fresh = Tracer(max_records=1)
-        fresh.emit(1.0, "a", "s")
-        assert t.fingerprint() == fresh.fingerprint()

@@ -31,7 +31,6 @@ def _build(**overrides):
         seed=5,
         topology=topology,
         request_timeout=8.0,
-        trace=True,
     )
     defaults.update(overrides)
     config = paper_config(**defaults)

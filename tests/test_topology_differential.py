@@ -70,7 +70,6 @@ def _drive(topology=None) -> str:
         n_items=6,
         seed=7,
         propagate=True,
-        trace=True,
         request_timeout=8.0,
         topology=topology,
     )
