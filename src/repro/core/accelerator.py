@@ -37,7 +37,7 @@ from repro.db.transaction import TransactionManager
 from repro.net.endpoint import CrashedEndpointError, Endpoint
 from repro.net.reliable import ReliabilityParams
 from repro.obs.hub import NULL_OBS, Observability
-from repro.obs.spans import NULL_SPAN, update_trace
+from repro.obs.spans import NULL_ROW, PAIR_ROOT, update_trace
 from repro.sim.events import Event
 from repro.sim.process import Process
 
@@ -357,18 +357,17 @@ class Accelerator:
     def _root_span(self, req: UpdateRequest, kind: UpdateKind):
         """Open the update's root span — every child (checking, AV
         round-trips at either site, lock waits, applies) hangs off its
-        trace id — and record the checking function's verdict under it."""
+        trace id — and record the checking function's verdict under it:
+        one span pair, closed by :meth:`_run`. Returns the root's row
+        (:data:`NULL_ROW` when unobserved)."""
         rec = self.obs.recorder
         if not rec.enabled:
-            return NULL_SPAN
-        now = self.env.now
-        root = rec.start(
-            "update", self.site, now,
+            return NULL_ROW
+        root, _ = rec.open_pair(
+            PAIR_ROOT, self.site, self.env._now,
+            (req.item, req.delta, kind.value),
             trace=update_trace(req.site, req.request_id),
-            item=req.item, delta=req.delta,
         )
-        rec.write_row(rec.open_row(root), "av.checking", self.site, now, now,
-                      ("verdict",), (kind.value,))
         return root
 
     def _run(self, req: UpdateRequest):
@@ -410,8 +409,10 @@ class Accelerator:
         finally:
             if ovl is not None:
                 ovl.end(self.env.now)
-        if root is not NULL_SPAN:  # unobserved: not even a null call
-            root.finish(self.env.now, outcome=result.outcome.value)
+        if root is not NULL_ROW:  # unobserved: not even a null call
+            self.obs.recorder.close_pair(
+                root, self.env._now, "outcome", result.outcome.value
+            )
         return result
 
     # ---------------------------------------------------------------- #

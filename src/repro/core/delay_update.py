@@ -40,6 +40,7 @@ from repro.core.types import (
 from repro.net.endpoint import RequestTimeout
 from repro.obs.spans import (
     NULL_ROW,
+    PAIR_ROUND,
     TREE_APPLIED,
     TREE_APPLYING,
     TREE_CHECKED,
@@ -94,8 +95,9 @@ class DelayUpdateProtocol:
 
         Wraps the protocol body with the freeze gate (reclassification
         stops new updates) and in-flight accounting (so `quiesce` can
-        wait for the protocol to drain). ``span`` is the update's root
-        span (or ``NULL_SPAN``); protocol phases open children of it.
+        wait for the protocol to drain). ``span`` is the row of the
+        update's root span (:data:`~repro.obs.spans.NULL_ROW` when
+        unobserved); protocol phases open children of it.
         """
         accel = self.accel
         # Wait while the item is frozen (re-check: it may re-freeze).
@@ -193,11 +195,7 @@ class DelayUpdateProtocol:
             return self._done(req, UpdateOutcome.REJECTED)
 
         # Local AV insufficient: hold everything we have and go shopping.
-        hold_ctx = (
-            (span.trace_id, span.span_id)
-            if span is not None and span.span_id
-            else None
-        )
+        hold_ctx = span[:2] if span is not None and span[1] else None
         hold = av.hold(item, ctx=hold_ctx)
         hold.add(av.take_all(item))
 
@@ -207,28 +205,25 @@ class DelayUpdateProtocol:
         rounds = 0
         progress = False
 
+        # Unobserved, the round trip makes no recorder call at all.
+        observed = rec.enabled
         while hold.amount < need:
             now = accel.now  # fixed until the request below suspends us
-            select = rec.open_row(span) if rec.enabled else NULL_ROW
+            # Nothing in the selecting function opens a span, so its
+            # span takes its id once it has chosen: with the request, as
+            # one pair, or alone when nobody is left to ask.
             try:
                 target, use_pool = self._select(item, tried)
             except BaseException:
-                rec.keep_open(select, "av.selecting", accel.site, now)
+                if observed:
+                    rec.keep_open(rec.open_row(span), "av.selecting",
+                                  accel.site, now)
                 raise
-            if rec.enabled:
-                rec.write_row(select, "av.selecting", accel.site, now, now,
-                              ("target",), (target or "<none>",))
-            if target is not None and accel.obs.event_subscribers:
-                # The happens-before checker correlates this decision
-                # with the grants that shaped (or should have shaped)
-                # the belief it acted on.
-                accel.obs.emit(
-                    "av.select", now,
-                    site=accel.site, item=item, target=target,
-                    believed=accel.beliefs.believed_volume(target, item),
-                    trace=select[0], span=select[1],
-                )
             if target is None:
+                if observed:
+                    rec.write_row(rec.open_row(span), "av.selecting",
+                                  accel.site, now, now, ("target",),
+                                  ("<none>",))
                 # Everyone asked once this round. Retry only if somebody
                 # granted something (otherwise the system is dry).
                 if progress and rounds < accel.max_rounds:
@@ -254,19 +249,24 @@ class DelayUpdateProtocol:
                 # piggyback our level so the grantor's beliefs stay fresh
                 "requester_av": hold.amount,
             }
-            # Unobserved, the round trip makes no recorder call at all.
-            observed = rec.enabled
+            select = request = NULL_ROW
             if observed:
-                req_span = rec.start(
-                    "av.request", accel.site, now, parent=span,
-                    target=target, amount=ask,
+                select, request = rec.open_pair(
+                    PAIR_ROUND, accel.site, now, (target, ask), parent=span
                 )
                 # Cross-site span context: the grantor parents its
                 # av.grant span under this round-trip span.
-                payload["_obs"] = {
-                    "trace": req_span.trace_id,
-                    "span": req_span.span_id,
-                }
+                payload["_obs"] = {"trace": request[0], "span": request[1]}
+            if accel.obs.event_subscribers:
+                # The happens-before checker correlates this decision
+                # with the grants that shaped (or should have shaped)
+                # the belief it acted on.
+                accel.obs.emit(
+                    "av.select", now,
+                    site=accel.site, item=item, target=target,
+                    believed=accel.beliefs.believed_volume(target, item),
+                    trace=select[0], span=select[1],
+                )
             try:
                 if use_pool:
                     reply = yield accel.endpoint.request(
@@ -286,21 +286,21 @@ class DelayUpdateProtocol:
                     )
             except RequestTimeout:
                 if observed:
-                    req_span.finish(accel.now, timeout=True)
+                    rec.close_pair(request, accel.now, "timeout", True)
                 continue
             except BaseException:
                 # Typically CrashedEndpointError: we died mid-gathering.
                 # Return the held volume to the table so no AV leaks —
                 # the site's state must be exact when it restarts.
                 if observed:
-                    req_span.finish(accel.now, error=True)
+                    rec.close_pair(request, accel.now, "error", True)
                 hold.release()
                 raise
 
             now = accel.now
             granted = reply["granted"]
             if observed:
-                req_span.finish(now, granted=granted)
+                rec.close_pair(request, now, "granted", granted)
             lease_id = reply.get("lease")
             if lease_id is not None and accel.leases is not None:
                 # Record the receipt and ack the grantor's lease; a
@@ -367,14 +367,14 @@ class DelayUpdateProtocol:
         item = msg.payload["item"]
         requested = msg.payload["amount"]
         now = accel.now
-        # Nothing here waits: av.grant and av.deciding are rows.
-        grant = decide = NULL_ROW
-        if rec.enabled:
-            ctx = msg.payload.get("_obs")
-            grant = (
-                rec.open_row(ctx["span"], ctx["trace"]) if ctx
-                else rec.open_row()
-            )
+        # Nothing here waits or opens a span, so the spans take their
+        # ids when they are written: av.grant and av.deciding as one
+        # pair, or as the rows and open handles a raise leaves. The
+        # grant hangs off the requester's round-trip span when the
+        # request carries its context (parent id, trace id).
+        ctx = msg.payload.get("_obs")
+        link = (ctx["span"], ctx["trace"]) if ctx else ()
+        available = granted = None
         try:
             accel.beliefs.observe(
                 msg.src, item, msg.payload.get("requester_av", 0.0), now
@@ -382,26 +382,13 @@ class DelayUpdateProtocol:
             if not accel.av_table.defined(item):
                 if rec.enabled:
                     rec.write_row(
-                        grant, "av.grant", site, now, now,
+                        rec.open_row(*link), "av.grant", site, now, now,
                         ("item", "requester", "granted", "undefined"),
                         (item, msg.src, 0.0, True),
                     )
                 return {"granted": 0.0, "av_after": 0.0}
             available = accel.av_table.get(item)
-            if rec.enabled:
-                decide = rec.open_row(grant)
-            try:
-                granted = self._decide(available, requested, pool)
-            except BaseException:
-                rec.keep_open(decide, "av.deciding", site, now,
-                              ("available", "requested"), (available, requested))
-                raise
-            if rec.enabled:
-                rec.write_row(
-                    decide, "av.deciding", site, now, now,
-                    ("available", "requested", "granted"),
-                    (available, requested, granted),
-                )
+            granted = self._decide(available, requested, pool)
             if granted > 0:
                 if accel.inject != "av-double-grant":
                     # Planted bug (test-only, see SystemConfig.inject):
@@ -414,14 +401,29 @@ class DelayUpdateProtocol:
                 self.volume_granted += granted
             after = accel.av_table.get(item)
         except BaseException:
-            rec.keep_open(grant, "av.grant", site, now,
-                          ("item", "requester"), (item, msg.src))
+            if rec.enabled:
+                # What the grant's handle left: itself open, and its
+                # deciding open if the deciding function raised.
+                grant = rec.open_row(*link)
+                if available is not None:
+                    decide = rec.open_row(grant)
+                    if granted is None:
+                        rec.keep_open(decide, "av.deciding", site, now,
+                                      ("available", "requested"),
+                                      (available, requested))
+                    else:
+                        rec.write_row(
+                            decide, "av.deciding", site, now, now,
+                            ("available", "requested", "granted"),
+                            (available, requested, granted),
+                        )
+                rec.keep_open(grant, "av.grant", site, now,
+                              ("item", "requester"), (item, msg.src))
             raise
         if rec.enabled:
-            rec.write_row(
-                grant, "av.grant", site, now, now,
-                ("item", "requester", "granted", "av_after"),
-                (item, msg.src, granted, after),
+            rec.write_pair(
+                site, now,
+                (item, msg.src, granted, after, available, requested), *link,
             )
         reply = {"granted": granted, "av_after": after}
         if granted > 0 and accel.leases is not None:

@@ -75,10 +75,11 @@ class ImmediateUpdateProtocol:
     def execute(self, req: UpdateRequest, span=None):
         """Generator driving one Immediate Update as coordinator.
 
-        ``span`` is the update's root span (or ``NULL_SPAN``); the lock
-        wait, each prepare round-trip, and the decision phase open
-        children of it. Unobserved runs skip ``rec.start`` outright: its
-        keyword arguments cost more than the null span it returns.
+        ``span`` is the row of the update's root span (``NULL_ROW`` when
+        unobserved); the lock wait, each prepare round-trip, and the
+        decision phase open children of it. Unobserved runs skip
+        ``rec.start`` outright: its keyword arguments cost more than the
+        null span it returns.
         """
         accel = self.accel
         rec = accel.obs.recorder
