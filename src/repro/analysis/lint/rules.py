@@ -13,8 +13,8 @@ arguments lean on (see ``docs/analysis.md``):
   a span.
 * ``span-kind-registry`` — attribution: every span kind recorded in
   ``src/`` (started as a handle, written as a row, or named in a span
-  tree's ``TREE_KINDS``) must be declared
-  in the profiler's
+  tree's ``TREE_KINDS`` or a span pair's ``PAIR_KINDS``) must be
+  declared in the profiler's
   :data:`~repro.obs.profile.SPAN_SUBSYSTEMS` map, so new
   instrumentation can never silently fall outside the subsystem
   attribution (it would land in ``"other"`` and skew every dossier).
@@ -194,6 +194,18 @@ class SpanCoverageRule(Rule):
 _SPAN_KIND_ARG = {"start": 0, "write_row": 1, "keep_open": 1}
 
 
+#: module constants that declare the span kinds a record writer takes
+#: (flat, or a tuple of pairs)
+_KIND_TABLES = ("TREE_KINDS", "PAIR_KINDS")
+
+
+def _flat_elts(node: ast.AST) -> List[ast.AST]:
+    """The elements of a constant tuple or list, nested ones flattened."""
+    if not isinstance(node, (ast.Tuple, ast.List)):
+        return [node]
+    return [leaf for elt in node.elts for leaf in _flat_elts(elt)]
+
+
 class SpanKindRegistryRule(Rule):
     """Every span kind recorded in src/ is a registered subsystem kind.
 
@@ -201,8 +213,9 @@ class SpanKindRegistryRule(Rule):
     ``<expr>.start("kind", site, ...)`` for a handle, and
     ``<expr>.write_row(row, "kind", site, ...)`` /
     ``<expr>.keep_open(row, "kind", site, ...)`` for a span written
-    without one — and the kinds a tree writer records, declared as the
-    constant tuple ``TREE_KINDS = ("kind", ...)``, and requires each
+    without one — and the kinds the tree and pair writers record,
+    declared as the constant tuples ``TREE_KINDS = ("kind", ...)`` and
+    ``PAIR_KINDS = (("kind", "kind"), ...)``, and requires each
     constant kind to appear in the profiler's
     :data:`~repro.obs.profile.SPAN_SUBSYSTEMS` map. A call with no
     positional argument after the kind is ignored (schedulers, daemons
@@ -229,12 +242,9 @@ class SpanKindRegistryRule(Rule):
 
     def check(self, node: ast.AST, ctx: FileContext) -> None:
         if isinstance(node, ast.Assign):
-            if (
-                any(isinstance(t, ast.Name) and t.id == "TREE_KINDS"
-                    for t in node.targets)
-                and isinstance(node.value, (ast.Tuple, ast.List))
-            ):
-                for arg in node.value.elts:
+            if any(isinstance(t, ast.Name) and t.id in _KIND_TABLES
+                   for t in node.targets):
+                for arg in _flat_elts(node.value):
                     self._check_kind(arg, arg, ctx)
             return
         if not isinstance(node.func, ast.Attribute):

@@ -188,6 +188,27 @@ class TestSpanKindRegistry:
         assert "'av.checkng'" in findings[0].message
         assert findings[0].line == 3
 
+    def test_registered_pair_kinds_clean(self, tmp_path):
+        assert lint_source(tmp_path, """\
+            PAIR_KINDS = (
+                ("update", "av.checking"),
+                ("av.selecting", "av.request"),
+                ("av.grant", "av.deciding"),
+            )
+            """) == []
+
+    def test_misspelt_pair_kind_flagged(self, tmp_path):
+        findings = lint_source(tmp_path, """\
+            PAIR_KINDS = (
+                ("update", "av.checking"),
+                ("av.selecting", "av.requst"),
+            )
+            """)
+        assert rules_hit(findings) == ["span-kind-registry"]
+        assert len(findings) == 1
+        assert "'av.requst'" in findings[0].message
+        assert findings[0].line == 3
+
     def test_tests_exempt(self, tmp_path):
         assert lint_source(tmp_path, """\
             def go(rec, site):
