@@ -3,7 +3,8 @@
 1. **Disabled instrumentation makes no call** (``bench_obs_disabled_calls``):
    an unobserved fig6 run replays with a null recorder that counts every
    entry point — the recorder's ``start`` / ``open_row`` / ``write_row``
-   / ``keep_open`` / ``open_tree`` / ``write_tree`` / ``break_tree``, and
+   / ``keep_open`` / ``open_tree`` / ``write_tree`` / ``break_tree`` /
+   ``open_pair`` / ``close_pair`` / ``write_pair``, and
    ``finish`` / ``annotate`` on any null span, the shared ``NULL_SPAN``
    included. The gate is zero calls: every span site tests
    ``rec.enabled`` (or for a null root) first, so an unobserved run
@@ -38,7 +39,8 @@ N_ITEMS = 10
 
 #: every recorder entry point, then the null span's mutators
 ENTRY_POINTS = ("start", "open_row", "write_row", "keep_open", "open_tree",
-                "write_tree", "break_tree", "Span.finish", "Span.annotate")
+                "write_tree", "break_tree", "open_pair", "close_pair",
+                "write_pair", "Span.finish", "Span.annotate")
 
 
 class CountingNullRecorder(NullSpanRecorder):
@@ -71,6 +73,16 @@ class CountingNullRecorder(NullSpanRecorder):
 
     def break_tree(self, *args):
         self.calls["break_tree"] += 1
+
+    def open_pair(self, *args, **kwargs):
+        self.calls["open_pair"] += 1
+        return NULL_ROW, NULL_ROW
+
+    def close_pair(self, *args):
+        self.calls["close_pair"] += 1
+
+    def write_pair(self, *args, **kwargs):
+        self.calls["write_pair"] += 1
 
 
 def _count_null_calls() -> Counter:
