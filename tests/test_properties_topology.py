@@ -17,6 +17,10 @@ levels) and Zipf-skewed workloads:
 * **The chunked draw is the scalar stream** — ``TopologyWorkload.events``
   yields exactly the events of ``events_scalar`` and leaves the
   generator where it does.
+* **Set-up is the per-item reference** — interest sets, ``sites_for``,
+  ``serves`` and every table bootstrap fills equal the O(items × sites)
+  definitions and the per-item bootstrap loop kept here, in values, in
+  insertion order and in which sites share a deal object.
 
 ``derandomize=True`` keeps CI stable (same examples every run; each
 example is a deterministic simulation).
@@ -24,13 +28,24 @@ example is a deterministic simulation).
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import DistributedSystem, Topology, paper_config
+from repro.cluster import (
+    DistributedSystem,
+    SiteSpec,
+    Topology,
+    paper_config,
+    split_volume,
+)
+from repro.core.av_table import AVTable
+from repro.core.beliefs import Belief, BeliefTable
+from repro.db.storage import Store
+from repro.metrics.collector import GlobalLedger
 from repro.sim.rng import RngRegistry
 from repro.workload import generators
 from repro.workload.generators import DRAW_CHUNK, TopologyWorkload
@@ -326,3 +341,177 @@ class TestChunkedDraw:
             DRAW_CHUNK + 1,
         )
 
+
+
+# -------------------------------------------------------------------- #
+# set-up against the per-item reference
+# -------------------------------------------------------------------- #
+
+
+def reference_interest(specs, slices, items):
+    """Per-site interest, O(items × sites): the maker serves every item,
+    a leaf its slice and an aggregator its descendant leaves' slices,
+    each filtered from the catalogue so it comes out in catalogue
+    order."""
+    if items is None:
+        items = list(dict.fromkeys(i for s in specs if s.name in slices
+                                   for i in slices[s.name]))
+    children = {s.name: [c.name for c in specs if c.parent == s.name]
+                for s in specs}
+    role = {s.name: s.role for s in specs}
+
+    def leaves_under(name):
+        if role[name] == "retailer":
+            return [name]
+        return [leaf for c in children[name] for leaf in leaves_under(c)]
+
+    interest = {}
+    for s in specs:
+        if s.role == "maker":
+            interest[s.name] = tuple(items)
+            continue
+        union = set()
+        for leaf in leaves_under(s.name):
+            union.update(slices[leaf])
+        interest[s.name] = tuple(i for i in items if i in union)
+    return interest
+
+
+def reference_sites_for(specs, interest):
+    """item -> interested sites in topology order, by scanning every
+    site once per item."""
+    items = interest[specs[0].name]
+    return {
+        item: tuple(s.name for s in specs if item in set(interest[s.name]))
+        for item in items
+    }
+
+
+def reference_bootstrap(sites, catalog, ledger, sites_for, av_fraction,
+                        av_weights):
+    """The per-item bootstrap: one ``insert``, ``define`` and ``seed``
+    per (site, item), a deal built once per (pool, interest set)."""
+    weights = av_weights if av_weights is not None else {n: 1.0 for n in sites}
+    deals = {}
+    for product in catalog:
+        ledger.set_initial(product.item, product.initial_stock)
+        interested = sites_for[product.item]
+        for name in interested:
+            sites[name].store.insert(product.item, product.initial_stock)
+        if not product.regular:
+            continue
+        pool = product.initial_stock * av_fraction
+        if float(product.initial_stock).is_integer():
+            pool = float(math.floor(pool))
+        key = (pool, interested)
+        if key not in deals:
+            shares = split_volume(pool, weights, interested)
+            deals[key] = (
+                shares, {peer: Belief(v, 0.0) for peer, v in shares.items()}
+            )
+        shares, deal = deals[key]
+        for name in interested:
+            site = sites[name]
+            site.av_table.define(product.item, shares[name])
+            site.accelerator.beliefs.seed(product.item, deal)
+
+
+def _raw_inputs(topology):
+    """The (specs, slices) a topology was built from, up to slice order."""
+    data = topology.to_dict()
+    specs = [SiteSpec(*row) for row in data["sites"]]
+    return specs, data["slices"]
+
+
+def _sharing(sites_deals):
+    """Which (site, item) pairs read the same deal object, as a
+    partition labelled by first appearance."""
+    first = {}
+    return [
+        first.setdefault(id(deal), (name, item))
+        for name, deals in sites_deals for item, deal in deals.items()
+    ]
+
+
+class TestSetUpIsTheReference:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(topo_spec=topologies(), pass_items=st.booleans(), data=st.data())
+    def test_interest_and_sites_for(self, topo_spec, pass_items, data):
+        topology, spec = topo_spec
+        specs, slices = _raw_inputs(topology)
+        # Hand the slices over in any order: interest is catalogue order.
+        shuffled = {
+            leaf: data.draw(st.permutations(items))
+            for leaf, items in slices.items()
+        }
+        items = list(topology.items) if pass_items else None
+        rebuilt = Topology(specs, shuffled, items=items, spec=spec)
+        interest = reference_interest(specs, shuffled, items)
+        sites_for = reference_sites_for(specs, interest)
+
+        assert list(rebuilt.items) == list(sites_for)
+        for s in specs:
+            assert rebuilt.interest_of(s.name) == interest[s.name]
+        for item in rebuilt.items:
+            assert rebuilt.sites_for(item) == sites_for[item]
+        for s in specs:
+            view = rebuilt.view(s.name)
+            for item in rebuilt.items:
+                assert view.serves(item) == (item in interest[s.name])
+            assert view.serves("no-such-item") is False
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        topo_spec=topologies(),
+        weighted=st.booleans(),
+        regular_fraction=st.sampled_from([1.0, 0.75, 0.3, 0.0]),
+        initial_stock=st.sampled_from([100.0, 7.0, 12.5, 0.0]),
+        av_fraction=st.sampled_from([1.0, 0.6]),
+        data=st.data(),
+    )
+    def test_bootstrap_tables(self, topo_spec, weighted, regular_fraction,
+                              initial_stock, av_fraction, data):
+        topology, _spec = topo_spec
+        av_weights = None
+        if weighted:
+            av_weights = {
+                name: data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+                for name in topology.names
+            }
+        system = DistributedSystem.build(paper_config(
+            n_items=len(topology.items), topology=topology,
+            av_weights=av_weights, regular_fraction=regular_fraction,
+            initial_stock=initial_stock, av_fraction=av_fraction,
+        ))
+
+        specs, slices = _raw_inputs(topology)
+        sites_for = reference_sites_for(
+            specs, reference_interest(specs, slices, list(topology.items))
+        )
+        ref = {
+            name: SimpleNamespace(
+                store=Store(name), av_table=AVTable(name),
+                accelerator=SimpleNamespace(beliefs=BeliefTable(name)),
+            )
+            for name in topology.names
+        }
+        ledger = GlobalLedger()
+        reference_bootstrap(ref, system.catalog, ledger, sites_for,
+                            av_fraction, av_weights)
+
+        for name in topology.names:
+            got, want = system.sites[name], ref[name]
+            assert list(got.store.items()) == list(want.store.items())
+            assert list(got.av_table.items()) == list(want.av_table.items())
+            got_b, want_b = got.accelerator.beliefs, want.accelerator.beliefs
+            assert list(got_b._deals.items()) == list(want_b._deals.items())
+            assert got_b.observations == want_b.observations
+        assert _sharing(
+            (n, system.sites[n].accelerator.beliefs._deals)
+            for n in topology.names
+        ) == _sharing(
+            (n, ref[n].accelerator.beliefs._deals) for n in topology.names
+        )
+        got_ledger = system.collector.ledger
+        assert [(i, got_ledger.true_value(i)) for i in got_ledger.items()] \
+            == [(i, ledger.true_value(i)) for i in ledger.items()]
