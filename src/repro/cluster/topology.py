@@ -78,8 +78,6 @@ class InterestView:
     def __init__(self, topology: "Topology", name: str) -> None:
         self.topology = topology
         self.name = name
-        #: items this site replicates
-        self.items = frozenset(topology.interest_of(name))
         #: AV-supply parent (None for the maker)
         self.parent = topology.parent_of(name)
         #: direct children in the supply tree
@@ -97,7 +95,9 @@ class InterestView:
         self._neighbors: Optional[Tuple[str, ...]] = None
 
     def serves(self, item: str) -> bool:
-        return item in self.items
+        """Whether this site replicates ``item`` (read from the
+        topology's item -> sites index; ``False`` for unknown items)."""
+        return self.name in self.topology._sites_for.get(item, ())
 
     @property
     def neighbors(self) -> Tuple[str, ...]:
@@ -138,8 +138,9 @@ class Topology:
         retailer leaves; the maker always serves every item and each
         aggregator serves the union of its descendant leaves' slices.
     items:
-        Catalogue order for the item universe; defaults to first-seen
-        order across the slices.
+        Catalogue order for the item universe, each item once (a repeat
+        raises ``ValueError``); defaults to first-seen order across the
+        slices.
     spec:
         The parse string this topology came from, if any (diagnostics,
         fuzz-case serialisation).
@@ -195,44 +196,52 @@ class Topology:
         if items is None:
             seen: Dict[str, None] = {}
             for leaf in self.leaves:
-                for item in slices[leaf]:
-                    seen.setdefault(item)
+                seen.update(dict.fromkeys(slices[leaf]))
             items = list(seen)
         self.items: Tuple[str, ...] = tuple(items)
-        universe = set(self.items)
+        rank = {item: i for i, item in enumerate(self.items)}
+        if len(rank) != len(self.items):
+            repeated = list(dict.fromkeys(
+                i for k, i in enumerate(self.items) if rank[i] != k
+            ))
+            raise ValueError(f"duplicate items {repeated}")
         for leaf in self.leaves:
-            stray = [i for i in slices[leaf] if i not in universe]
+            stray = [i for i in slices[leaf] if i not in rank]
             if stray:
                 raise ValueError(f"{leaf!r} slice has unknown items {stray}")
 
         # Per-site interest: maker = everything; leaf = its slice;
-        # aggregator = union over descendant leaves, in catalogue order.
+        # aggregator = union over descendant leaves; each sorted by
+        # catalogue rank.
+        by_rank = rank.__getitem__
         self._interest: Dict[str, Tuple[str, ...]] = {
             self.maker: self.items
         }
         for leaf in self.leaves:
-            in_slice = set(slices[leaf])
-            self._interest[leaf] = tuple(
-                i for i in self.items if i in in_slice
-            )
+            self._interest[leaf] = tuple(sorted(set(slices[leaf]), key=by_rank))
         for name in self.aggregators:
-            union = set()
-            for leaf in self._descendant_leaves(name):
-                union.update(self._interest[leaf])
-            self._interest[name] = tuple(i for i in self.items if i in union)
+            union = set().union(
+                *(self._interest[leaf] for leaf in self._descendant_leaves(name))
+            )
+            self._interest[name] = tuple(sorted(union, key=by_rank))
 
         served = set().union(*(self._interest[leaf] for leaf in self.leaves))
-        orphaned = [i for i in self.items if i not in served]
-        if orphaned:
+        if len(served) != len(self.items):
+            orphaned = [i for i in self.items if i not in served]
             raise ValueError(f"items served by no leaf: {orphaned}")
 
-        # item -> interested sites, in topology (maker-first) order.
+        # item -> interested sites, in topology (maker-first) order: the
+        # interest sets inverted, one pass over each. Items with the same
+        # interest set share one tuple.
+        holders: Dict[str, List[str]] = {item: [] for item in self.items}
+        for name in self._specs:
+            for item in self._interest[name]:
+                holders[item].append(name)
+        shared: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._sites_for: Dict[str, Tuple[str, ...]] = {}
-        interest_sets = {n: set(v) for n, v in self._interest.items()}
-        for item in self.items:
-            self._sites_for[item] = tuple(
-                n for n in self._specs if item in interest_sets[n]
-            )
+        for item, names in holders.items():
+            key = tuple(names)
+            self._sites_for[item] = shared.setdefault(key, key)
         self._views: Dict[str, InterestView] = {}
 
     # ------------------------------------------------------------- #

@@ -1,8 +1,12 @@
-"""Record: one versioned numeric datum.
+"""Record: one numeric datum with its mutation count and time.
 
-The paper's database is a table of ``(product, stock amount)`` rows fully
-replicated at every site. Every mutation bumps the version, which the
-propagation and recovery machinery use to reason about staleness.
+The paper's database is a table of ``(product, stock amount)`` rows,
+replicated at every site of the item's interest set. A record reports
+one row: its value, how many times it was mutated (``version``) and when
+last (``updated_at``). Those two are diagnostics: no protocol layer
+reads them, and snapshots keep values only.
+:meth:`~repro.db.storage.Store.record` returns a record as a copy of a
+store row.
 """
 
 from __future__ import annotations
