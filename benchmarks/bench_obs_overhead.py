@@ -1,37 +1,23 @@
-"""Cost gates for the observability layer.
+"""Cost gate for the observability layer: disabled instrumentation
+makes no call (``bench_obs_disabled_calls``).
 
-1. **Disabled instrumentation makes no call** (``bench_obs_disabled_calls``):
-   an unobserved fig6 run replays with a null recorder that counts every
-   entry point — the recorder's ``start`` / ``open_row`` / ``write_row``
-   / ``keep_open`` / ``open_tree`` / ``write_tree`` / ``break_tree`` /
-   ``open_pair`` / ``close_pair`` / ``write_pair``, and
-   ``finish`` / ``annotate`` on any null span, the shared ``NULL_SPAN``
-   included. The gate is zero calls: every span site tests
-   ``rec.enabled`` (or for a null root) first, so an unobserved run
-   builds no span arguments and makes no recorder call.
-2. **Active profiler** (``bench_profiler_overhead``): with a
-   :class:`~repro.obs.profile.Profiler` attached, every kernel event
-   pays the step-timer + classification bookkeeping; count the events,
-   micro-time one, and assert ``events × per-event cost`` stays under
-   5% of the fig6-small workload (the CI ``profile-smoke`` shape). This
-   is tighter than timing two runs A/B, which mostly measures OS noise
-   at these durations.
+An unobserved fig6 run replays with a null recorder that counts every
+entry point — the recorder's ``start`` / ``open_row`` / ``write_row`` /
+``keep_open`` / ``open_tree`` / ``write_tree`` / ``break_tree`` /
+``open_pair`` / ``close_pair`` / ``write_pair``, and ``finish`` /
+``annotate`` on any null span, the shared ``NULL_SPAN`` included. The
+gate is zero calls: every span site tests ``rec.enabled`` (or for a
+null root) first, so an unobserved run builds no span arguments and
+makes no recorder call.
 """
 
-import time
-import timeit
 from collections import Counter
-
-from conftest import once
 
 from repro.cluster import build_paper_system
 from repro.experiments import make_paper_trace
 from repro.obs.hub import Observability
 from repro.obs.spans import NULL_ROW, NULL_SPAN, NullSpanRecorder, _NullSpan
 from repro.workload import run_closed
-
-#: the acceptance bound on the active profiler's cost
-MAX_OVERHEAD = 0.05
 
 N_UPDATES = 1000
 SEED = 0
@@ -126,93 +112,3 @@ def bench_obs_disabled_calls(save_result):
     report = "\n".join(report)
     save_result("obs_overhead", report)
     assert sum(calls.values()) == 0, report
-
-
-# -------------------------------------------------------------------- #
-# active profiler overhead (the CI profile-smoke workload)
-# -------------------------------------------------------------------- #
-
-PROFILE_UPDATES = 200  # fig6-small profile shape (repro profile fig6 --small)
-
-
-def _run_profile_workload() -> float:
-    """One fig6-small workload without the profiler; wall seconds."""
-    from repro.experiments import run_fig6
-
-    t0 = time.perf_counter()
-    run_fig6(n_updates=PROFILE_UPDATES, seed=SEED, n_items=N_ITEMS)
-    return time.perf_counter() - t0
-
-
-def _count_profiled_events() -> int:
-    """Events the profiler attributes on the same workload."""
-    from repro.experiments import run_fig6
-    from repro.obs.profile import Profiler
-
-    profiler = Profiler()
-    with profiler:
-        run_fig6(n_updates=PROFILE_UPDATES, seed=SEED, n_items=N_ITEMS)
-    return profiler.events_attributed
-
-
-def _per_event_profiler_cost() -> float:
-    """Micro-time the profiler's per-event bookkeeping.
-
-    Replicates exactly what the step wrapper and dispatch hook add per
-    kernel event: a (cached) classification of the event's code object
-    plus two clock reads and the stats update. The generator below plays
-    the resumed process; its code object is cache-warm after the first
-    call, matching the steady state of a real run.
-    """
-    from repro.obs.profile import Profiler
-
-    profiler = Profiler()
-
-    def _workload_gen():
-        yield  # pragma: no cover - never driven, only classified
-
-    generator = _workload_gen()
-
-    class _Event:
-        _generator = generator
-
-    event = _Event()
-    stats = profiler._stats
-    perf = time.perf_counter
-
-    def tick():
-        current = profiler._classify(event, ())
-        start = perf()
-        elapsed = perf() - start
-        stat = stats.get(current)
-        if stat is None:
-            stat = stats[current] = [0, 0.0]
-        stat[0] += 1
-        stat[1] += elapsed
-
-    tick()  # warm the code-object cache
-    reps = 100_000
-    return timeit.timeit(tick, number=reps) / reps
-
-
-def bench_profiler_overhead(benchmark, save_result):
-    run_seconds = min(
-        once(benchmark, _run_profile_workload), _run_profile_workload()
-    )
-
-    events = _count_profiled_events()
-    assert events > 0, "profiler attributed no events?"
-
-    per_event = _per_event_profiler_cost()
-    added = events * per_event
-    overhead = added / run_seconds
-    report = "\n".join([
-        f"workload             : fig6 proposal, n={PROFILE_UPDATES} updates",
-        f"run time (unprofiled): {run_seconds * 1e3:.1f} ms",
-        f"profiled events      : {events}",
-        f"per-event cost       : {per_event * 1e9:.0f} ns",
-        f"added cost           : {added * 1e6:.0f} us",
-        f"estimated overhead   : {overhead:.3%} (bound {MAX_OVERHEAD:.0%})",
-    ])
-    save_result("profiler_overhead", report)
-    assert overhead < MAX_OVERHEAD, report

@@ -1,4 +1,4 @@
-"""Sanitized experiment replays: ``python -m repro check <experiment>``.
+"""Sanitized paper-workload replays: ``python -m repro check``.
 
 Replays the frozen §4 paper workload (the one Fig. 6 and Table 1 both
 count) on a system built with ``sanitize=True`` **and** ``observe=True``
@@ -20,15 +20,10 @@ from repro.core.types import UpdateResult
 from repro.workload.driver import run_spaced
 from repro.workload.trace import WorkloadTrace
 
-#: experiments the check runner knows how to replay
-CHECKABLE_EXPERIMENTS = ("fig6", "table1")
-
-
 @dataclass
 class CheckRun:
     """One sanitized replay: system, per-update results, and the report."""
 
-    experiment: str
     system: DistributedSystem
     report: SanitizerReport
     results: List[UpdateResult] = field(default_factory=list)
@@ -41,15 +36,13 @@ class CheckRun:
 
     def render(self) -> str:
         header = (
-            f"check {self.experiment}"
-            f" (n={self.n_updates}, seed={self.seed}):"
+            f"check (n={self.n_updates}, seed={self.seed}):"
             f" {'PASS' if self.ok else 'FAIL'}"
         )
         return header + "\n" + self.report.render()
 
 
 def run_check(
-    experiment: str = "fig6",
     n_updates: int = 1000,
     seed: int = 0,
     n_items: int = 10,
@@ -59,12 +52,7 @@ def run_check(
     spacing: float = 1.0,
     trace: Optional[WorkloadTrace] = None,
 ) -> CheckRun:
-    """Replay ``experiment``'s workload under the runtime sanitizer."""
-    if experiment not in CHECKABLE_EXPERIMENTS:
-        raise ValueError(
-            f"unknown experiment {experiment!r};"
-            f" choose from {CHECKABLE_EXPERIMENTS}"
-        )
+    """Replay the frozen §4 paper workload under the runtime sanitizer."""
     if trace is None:
         from repro.experiments.fig6 import make_paper_trace
 
@@ -88,7 +76,7 @@ def run_check(
         system, trace, "workload.check", sync_interval, spacing
     )
     return CheckRun(
-        experiment=experiment, system=system,
+        system=system,
         report=system.sanitizer.finish(),
         results=results, n_updates=len(trace), seed=seed,
     )

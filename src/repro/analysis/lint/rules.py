@@ -11,13 +11,12 @@ arguments lean on (see ``docs/analysis.md``):
 * ``span-coverage`` — observability: public protocol entry points must
   route through the span recorder so sanitizer findings can always name
   a span.
-* ``span-kind-registry`` — attribution: every span kind recorded in
-  ``src/`` (started as a handle, written as a row, or named in a span
-  tree's ``TREE_KINDS`` or a span pair's ``PAIR_KINDS``) must be
-  declared in the profiler's
-  :data:`~repro.obs.profile.SPAN_SUBSYSTEMS` map, so new
-  instrumentation can never silently fall outside the subsystem
-  attribution (it would land in ``"other"`` and skew every dossier).
+* ``span-kind-registry`` — a closed span-name vocabulary: every span
+  kind recorded in ``src/`` (started as a handle, written as a row, or
+  named in a span tree's ``TREE_KINDS`` or a span pair's
+  ``PAIR_KINDS``) must be declared in
+  :data:`~repro.obs.spans.SPAN_KINDS`, so a misspelt kind can never
+  quietly become a new span name.
 * ``unbounded-queue`` — overload robustness: message-queue/backlog
   state in ``src/`` must grow under a budget. A surge workload turns
   any unbounded ``.append`` into silent memory growth and unbounded
@@ -207,7 +206,7 @@ def _flat_elts(node: ast.AST) -> List[ast.AST]:
 
 
 class SpanKindRegistryRule(Rule):
-    """Every span kind recorded in src/ is a registered subsystem kind.
+    """Every span kind recorded in src/ is a registered span kind.
 
     Matches the span recorder's calls that name a kind —
     ``<expr>.start("kind", site, ...)`` for a handle, and
@@ -216,8 +215,8 @@ class SpanKindRegistryRule(Rule):
     without one — and the kinds the tree and pair writers record,
     declared as the constant tuples ``TREE_KINDS = ("kind", ...)`` and
     ``PAIR_KINDS = (("kind", "kind"), ...)``, and requires each
-    constant kind to appear in the profiler's
-    :data:`~repro.obs.profile.SPAN_SUBSYSTEMS` map. A call with no
+    constant kind to appear in :data:`~repro.obs.spans.SPAN_KINDS`,
+    the recorder's closed vocabulary. A call with no
     positional argument after the kind is ignored (schedulers, daemons
     and other non-span ``start`` methods share the name).
     """
@@ -230,11 +229,11 @@ class SpanKindRegistryRule(Rule):
 
     def _known_kinds(self) -> Set[str]:
         if self._registry is None:
-            # Deferred import: the linter must not drag the profiler in
+            # Deferred import: the linter must not drag the recorder in
             # unless this rule actually fires on a .start( call.
-            from repro.obs.profile import SPAN_SUBSYSTEMS
+            from repro.obs.spans import SPAN_KINDS
 
-            self._registry = set(SPAN_SUBSYSTEMS)
+            self._registry = set(SPAN_KINDS)
         return self._registry
 
     def applies_to(self, path: str) -> bool:
@@ -265,8 +264,8 @@ class SpanKindRegistryRule(Rule):
         ctx.report(
             self.name, node,
             f"span kind {kind!r} is not declared in"
-            " repro.obs.profile.SPAN_SUBSYSTEMS — add it to the"
-            " subsystem map so profiler attribution stays complete",
+            " repro.obs.spans.SPAN_KINDS — add it to the vocabulary"
+            " if it is a new kind, or fix the spelling",
         )
 
 

@@ -40,7 +40,6 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     from repro.experiments import run_observed
 
     run = run_observed(
-        experiment=args.experiment,
         n_updates=args.updates,
         seed=args.seed,
         n_items=args.items,
@@ -52,87 +51,6 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     if args.jsonl_out:
         n = run.write_jsonl(args.jsonl_out)
         print(f"wrote {n} JSONL records to {args.jsonl_out}")
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.profile import COVERAGE_TARGET, run_profiled
-    from repro.obs.report import render_profile_text
-
-    run = run_profiled(
-        args.experiment,
-        n_updates=args.updates,
-        seed=args.seed,
-        small=args.small,
-        verify_digest=args.check,
-        # coverage is a wall-time ratio, so under --check take the best
-        # of a few attempts (OS preemption noise, not code, is what a
-        # single low reading usually measures)
-        best_of=3 if args.check else 1,
-    )
-    report = run.report
-    print(render_profile_text(report))
-
-    if args.flame:
-        with open(args.flame, "w", encoding="utf-8") as fh:
-            for line in run.flame:
-                fh.write(line + "\n")
-        print(f"\nwrote {len(run.flame)} collapsed-stack lines to {args.flame}")
-    if args.trace_out:
-        from repro.obs.export import SIM_UNIT_US
-        from repro.obs.profile import profiled_chrome_trace
-
-        events = []
-        for group in run.span_groups:
-            events.extend(profiled_chrome_trace(group))
-        document = {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {
-                "exporter": "repro.obs.profile",
-                "sim_unit_us": SIM_UNIT_US,
-            },
-        }
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            json.dump(document, fh)
-        print(f"wrote {len(events)} trace events to {args.trace_out}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        print(f"wrote profile report to {args.out}")
-
-    if args.check:
-        attributed = [
-            name for name, row in report["subsystems"].items()
-            if row["events"] > 0
-        ]
-        failures = []
-        if len(attributed) < 4:
-            failures.append(
-                f"only {len(attributed)} subsystems attributed"
-                f" ({', '.join(attributed)}); expected >= 4"
-            )
-        if report["wall"]["coverage"] < COVERAGE_TARGET:
-            failures.append(
-                f"attribution coverage {report['wall']['coverage']:.1%}"
-                f" below the {COVERAGE_TARGET:.0%} gate"
-            )
-        if not report.get("digest_match", False):
-            failures.append(
-                "profiled digest differs from the unprofiled run"
-            )
-        if failures:
-            for failure in failures:
-                print(f"profile check FAILED: {failure}")
-            return 1
-        print(
-            f"\nprofile check ok: {len(attributed)} subsystems,"
-            f" coverage {report['wall']['coverage']:.1%},"
-            " digest identical to unprofiled run"
-        )
     return 0
 
 
@@ -152,16 +70,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.static:
         return _static_check()
-    if args.experiment is None:
-        print("check: an experiment is required unless --static is given")
-        return 2
     from repro.analysis import run_check
 
     updates = args.updates
     if args.small:
         updates = min(updates, 150)
     run = run_check(
-        experiment=args.experiment,
         n_updates=updates,
         seed=args.seed,
         n_items=args.items,
@@ -514,11 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "observe",
-        help="replay an experiment with the observability layer on",
-    )
-    p.add_argument(
-        "experiment", choices=["fig6", "table1"],
-        help="whose workload to replay",
+        help=(
+            "replay the frozen §4 paper workload (Fig. 6 / Table 1)"
+            " with the observability layer on"
+        ),
     )
     common(p, updates=300)
     p.add_argument("--sample-interval", type=float, default=25.0,
@@ -531,56 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_observe)
 
     p = sub.add_parser(
-        "profile",
-        help=(
-            "run an experiment under the subsystem profiler: wall-time"
-            " attribution, span rollups, flamegraph + Chrome-trace export"
-        ),
-    )
-    p.add_argument(
-        "experiment", choices=["fig6", "table1", "chaos"],
-        help="which experiment to profile",
-    )
-    p.add_argument(
-        "--updates", type=int, default=None,
-        help="total updates (default: experiment's profile default)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="root seed")
-    p.add_argument(
-        "--small", action="store_true",
-        help="CI-smoke workload size (and the chaos small suite)",
-    )
-    p.add_argument(
-        "--flame", default=None, metavar="PATH",
-        help="write flamegraph collapsed stacks (flamegraph.pl/speedscope)",
-    )
-    p.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write the subsystem-enriched Chrome trace JSON",
-    )
-    p.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the profile report JSON (input to `repro report`)",
-    )
-    p.add_argument(
-        "--check", action="store_true",
-        help=(
-            "gate the run: >= 4 subsystems attributed, coverage >= 95%%,"
-            " and digest byte-identical to an unprofiled rerun"
-        ),
-    )
-    p.set_defaults(fn=_cmd_profile)
-
-    p = sub.add_parser(
         "report",
         help=(
-            "render a run dossier (text or HTML) from a profile report"
-            " JSON, a sweep canonical JSON, or a run directory"
+            "render a sweep dossier (text or HTML) from a sweep"
+            " canonical JSON"
         ),
     )
     p.add_argument(
-        "path",
-        help="profile JSON, sweep JSON, or directory with profile.json",
+        "path", help="sweep canonical JSON (`repro sweep ... --out`)",
     )
     p.add_argument(
         "--html", default=None, metavar="PATH",
@@ -590,12 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="replay an experiment under the runtime protocol sanitizer,"
-        " or run the static suite with --static",
-    )
-    p.add_argument(
-        "experiment", choices=["fig6", "table1"], nargs="?", default=None,
-        help="whose workload to replay (omit with --static)",
+        help="replay the frozen §4 paper workload under the runtime"
+        " protocol sanitizer, or run the static suite with --static",
     )
     p.add_argument(
         "--static", action="store_true",

@@ -22,16 +22,7 @@ from repro.experiments.faults import (
     run_partition_experiment,
 )
 from repro.experiments.fig6 import make_paper_trace, run_fig6
-from repro.experiments.observe import (
-    OBSERVABLE_EXPERIMENTS,
-    ObservedRun,
-    run_observed,
-)
-from repro.experiments.profile import (
-    PROFILE_EXPERIMENTS,
-    ProfiledRun,
-    run_profiled,
-)
+from repro.experiments.observe import ObservedRun, run_observed
 from repro.experiments.latency_exp import (
     LATENCY_HEADERS,
     LatencyResult,
@@ -66,11 +57,8 @@ __all__ = [
     "FaultResult",
     "LATENCY_HEADERS",
     "LatencyResult",
-    "OBSERVABLE_EXPERIMENTS",
     "ObservedRun",
-    "PROFILE_EXPERIMENTS",
     "PairedResult",
-    "ProfiledRun",
     "SWEEP_HEADERS",
     "SweepPoint",
     "ablate_escrow",
@@ -89,7 +77,6 @@ __all__ = [
     "run_latency_experiment",
     "run_observed",
     "run_paired",
-    "run_profiled",
     "run_table1",
     "sweep_av_fraction",
     "sweep_items",

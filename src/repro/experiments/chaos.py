@@ -86,8 +86,8 @@ class ChaosResult:
     events_processed: int = 0
     #: full telemetry snapshot of the end state (see repro.obs.snapshot)
     telemetry: Dict[str, object] = field(default_factory=dict)
-    #: the run's observability hub (chaos always observes), for span
-    #: rollups in the profiler CLI
+    #: the run's observability hub (chaos always observes): its span
+    #: store, registry and series, for export
     obs: Optional[object] = None
     #: end-state findings (see repro.analysis.end_state)
     findings: List[Violation] = field(default_factory=list)

@@ -1,4 +1,4 @@
-"""Observed runs: replay an experiment's workload with observability on.
+"""Observed runs: replay the paper workload with observability on.
 
 ``run_observed`` drives the same frozen paper workload the figure
 experiments use through a proposal system built with
@@ -10,7 +10,7 @@ snapshots per-site AV levels, belief staleness, lock-wait depth and
 sync-queue backlog as time series.
 
 The result object exports every format in :mod:`repro.obs.export`; the
-``python -m repro observe <experiment>`` subcommand is a thin wrapper
+``python -m repro observe`` subcommand is a thin wrapper
 around it.
 """
 
@@ -28,15 +28,10 @@ from repro.workload.trace import WorkloadTrace
 
 from repro.experiments.fig6 import make_paper_trace
 
-#: experiments the observe runner knows how to replay
-OBSERVABLE_EXPERIMENTS = ("fig6", "table1")
-
-
 @dataclass
 class ObservedRun:
     """One observed replay: the system (with its obs hub) plus results."""
 
-    experiment: str
     system: DistributedSystem
     results: List[UpdateResult] = field(default_factory=list)
     n_updates: int = 0
@@ -48,7 +43,7 @@ class ObservedRun:
 
     def render(self) -> str:
         """Aligned-table summary (spans, metrics, time series)."""
-        title = f"observe {self.experiment} (n={self.n_updates}, seed={self.seed})"
+        title = f"observe (n={self.n_updates}, seed={self.seed})"
         return render_summary(self.obs, title=title)
 
     def write_chrome_trace(self, path: str) -> Dict[str, Any]:
@@ -66,7 +61,6 @@ class ObservedRun:
 
 
 def run_observed(
-    experiment: str = "fig6",
     n_updates: int = 300,
     seed: int = 0,
     n_items: int = 10,
@@ -78,7 +72,7 @@ def run_observed(
     trace: Optional[WorkloadTrace] = None,
     max_spans: Optional[int] = None,
 ) -> ObservedRun:
-    """Replay ``experiment``'s proposal-system workload, observed.
+    """Replay the paper's proposal-system workload, observed.
 
     The workload is the frozen §4 paper trace both Fig. 6 and Table 1
     replay (so observed runs see exactly the traffic those figures
@@ -86,11 +80,6 @@ def run_observed(
     passes appear as spans, and the sampler snapshots system state
     every ``sample_interval``.
     """
-    if experiment not in OBSERVABLE_EXPERIMENTS:
-        raise ValueError(
-            f"unknown experiment {experiment!r};"
-            f" choose from {OBSERVABLE_EXPERIMENTS}"
-        )
     if trace is None:
         trace = make_paper_trace(
             n_updates, seed, n_items=n_items,
@@ -116,6 +105,6 @@ def run_observed(
         sampler=PeriodicSampler(system, interval=sample_interval),
     )
     return ObservedRun(
-        experiment=experiment, system=system, results=results,
+        system=system, results=results,
         n_updates=len(trace), seed=seed,
     )

@@ -13,13 +13,10 @@ over time. This package makes that story first-class:
   AV levels, belief staleness, lock-wait depth, and sync backlog;
 * :mod:`repro.obs.export` — JSONL, Chrome trace-event JSON (openable in
   Perfetto / ``chrome://tracing``), and aligned text summaries;
-* :mod:`repro.obs.profile` — subsystem profiler: wall-time/event
-  attribution via the kernel dispatch hook, span-kind sim-time rollups,
-  flamegraph collapsed stacks, subsystem-enriched Chrome traces;
 * :mod:`repro.obs.snapshot` — mergeable telemetry snapshots the sharded
   sweep runner ships from workers and folds shard-invariantly;
-* :mod:`repro.obs.report` — run dossiers (text + self-contained HTML)
-  rendered from profile reports and sweep telemetry.
+* :mod:`repro.obs.report` — sweep dossiers (text + self-contained HTML)
+  rendered from a sweep's canonical JSON.
 
 Instrumentation follows the null-object pattern: a disabled
 :class:`Observability` hub routes every call to no-op recorders, so hot
@@ -35,14 +32,6 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.hub import NULL_OBS, Observability
-from repro.obs.profile import (
-    SPAN_SUBSYSTEMS,
-    Profiler,
-    collapsed_stacks,
-    span_rollups,
-    write_collapsed_stacks,
-    write_profiled_chrome_trace,
-)
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -52,7 +41,13 @@ from repro.obs.registry import (
 from repro.obs.report import load_report, render_html, render_text
 from repro.obs.sampler import PeriodicSampler, TimeSeriesStore
 from repro.obs.snapshot import TelemetrySnapshot, merge_telemetry
-from repro.obs.spans import NULL_SPAN, NullSpanRecorder, Span, SpanRecorder
+from repro.obs.spans import (
+    NULL_SPAN,
+    SPAN_KINDS,
+    NullSpanRecorder,
+    Span,
+    SpanRecorder,
+)
 
 __all__ = [
     "Counter",
@@ -63,24 +58,19 @@ __all__ = [
     "NullSpanRecorder",
     "Observability",
     "PeriodicSampler",
-    "Profiler",
-    "SPAN_SUBSYSTEMS",
+    "SPAN_KINDS",
     "Span",
     "SpanRecorder",
     "StreamingHistogram",
     "TelemetrySnapshot",
     "TimeSeriesStore",
     "chrome_trace_events",
-    "collapsed_stacks",
     "jsonl_lines",
     "load_report",
     "merge_telemetry",
     "render_html",
     "render_summary",
     "render_text",
-    "span_rollups",
     "write_chrome_trace",
-    "write_collapsed_stacks",
     "write_jsonl",
-    "write_profiled_chrome_trace",
 ]

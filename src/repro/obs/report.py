@@ -1,15 +1,10 @@
-"""Run dossiers: render profile reports and sweep telemetry.
+"""Sweep dossiers: render a sweep's tasks and merged telemetry.
 
-``python -m repro report PATH`` points here. ``PATH`` may be:
-
-* a profile report JSON (``repro profile ... --out profile.json``),
-* a sweep canonical JSON (``repro sweep ... --out sweep.json``),
-* a directory containing ``profile.json``.
-
-Both kinds render as aligned text tables (the default) or as one
-self-contained HTML file (``--html OUT``) with no external assets, so
-the dossier can be archived next to the run artifacts and opened
-anywhere.
+``python -m repro report PATH`` points here. ``PATH`` is a sweep
+canonical JSON (``repro sweep ... --out sweep.json``). It renders as
+aligned text tables (the default) or as one self-contained HTML file
+(``--html OUT``) with no external assets, so the dossier can be
+archived next to the run artifacts and opened anywhere.
 
 Everything rendered here is a pure function of the input payload — the
 dossier for a given run is byte-stable, like every other observability
@@ -20,42 +15,22 @@ from __future__ import annotations
 
 import html as html_mod
 import json
-import os
 from typing import Any, Dict, List
 
 from repro.metrics.report import text_table
 from repro.obs.snapshot import merge_telemetry, telemetry_rows
 
-#: hotspots shown in the dossier tables
-TOP_N = 10
-
 
 def load_report(path: str) -> Dict[str, Any]:
-    """Load a dossier payload from a file or run directory."""
-    if os.path.isdir(path):
-        candidate = os.path.join(path, "profile.json")
-        if not os.path.isfile(candidate):
-            raise FileNotFoundError(
-                f"{path!r} is a directory without a profile.json"
-            )
-        path = candidate
+    """Load a sweep canonical JSON payload."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path!r} does not contain a JSON object")
+    if not isinstance(payload, dict) or "results" not in payload:
+        raise ValueError(
+            f"{path!r} is not a sweep canonical JSON (an object with"
+            " 'results')"
+        )
     return payload
-
-
-def report_kind(payload: Dict[str, Any]) -> str:
-    """``"profile"`` or ``"sweep"`` — how to render this payload."""
-    if payload.get("kind") == "profile":
-        return "profile"
-    if "results" in payload:
-        return "sweep"
-    raise ValueError(
-        "unrecognised report payload: expected a profile report"
-        " (kind='profile') or a sweep canonical JSON (with 'results')"
-    )
 
 
 def _fmt_site_value(value: Any) -> str:
@@ -76,85 +51,6 @@ def _site_rows(sites: Dict[str, Any]) -> List[List[Any]]:
             rows.append([name, field, _fmt_site_value(sites[name][field])])
     return rows
 
-
-# ------------------------------------------------------------------ #
-# profile dossier
-# ------------------------------------------------------------------ #
-
-def _profile_sections(report: Dict[str, Any]) -> List[tuple]:
-    """``(title, headers, rows)`` sections shared by text and HTML."""
-    wall = report.get("wall", {})
-    head_rows = [
-        ["experiment", report.get("experiment", "?")],
-        ["updates", report.get("n_updates", "?")],
-        ["seed", report.get("seed", "?")],
-        ["kernel events", report.get("events_processed", "?")],
-        ["run wall (s)", f"{wall.get('run_s', 0.0):.4f}"],
-        ["attributed (s)", f"{wall.get('attributed_s', 0.0):.4f}"],
-        ["coverage", f"{wall.get('coverage', 0.0):.1%}"],
-        ["digest", report.get("digest", "?")],
-    ]
-    if "digest_match" in report:
-        head_rows.append([
-            "digest vs unprofiled",
-            "IDENTICAL" if report["digest_match"] else "MISMATCH",
-        ])
-
-    sub_rows = [
-        [
-            name,
-            row["events"],
-            f"{row['wall_s']:.4f}",
-            f"{row['wall_pct']:.1f}",
-            f"{row.get('sim_time', 0.0):g}",
-            row.get("spans", 0),
-        ]
-        for name, row in sorted(report.get("subsystems", {}).items())
-    ]
-
-    hot_rows = [
-        [
-            h["name"],
-            h["subsystem"],
-            h["count"],
-            f"{h['self_sim']:g}",
-            f"{h['cum_sim']:g}",
-        ]
-        for h in report.get("hotspots", [])[:TOP_N]
-    ]
-
-    return [
-        ("Run", ["field", "value"], head_rows),
-        (
-            "Wall-time attribution by subsystem",
-            ["subsystem", "events", "wall_s", "wall_%", "sim_time", "spans"],
-            sub_rows,
-        ),
-        (
-            f"Top {len(hot_rows)} hotspots (span self sim-time)",
-            ["kind", "subsystem", "count", "self_sim", "cum_sim"],
-            hot_rows,
-        ),
-        (
-            "Per-site end state",
-            ["site", "field", "value"],
-            _site_rows(report.get("sites", {})),
-        ),
-    ]
-
-
-def render_profile_text(report: Dict[str, Any]) -> str:
-    blocks = [
-        text_table(headers, rows, title=title)
-        for title, headers, rows in _profile_sections(report)
-        if rows
-    ]
-    return "\n\n".join(blocks)
-
-
-# ------------------------------------------------------------------ #
-# sweep dossier
-# ------------------------------------------------------------------ #
 
 def _sweep_sections(sweep: Dict[str, Any]) -> List[tuple]:
     results = sweep.get("results", [])
@@ -197,7 +93,8 @@ def _sweep_sections(sweep: Dict[str, Any]) -> List[tuple]:
     ]
 
 
-def render_sweep_text(sweep: Dict[str, Any]) -> str:
+def render_text(sweep: Dict[str, Any]) -> str:
+    """Text sweep dossier."""
     blocks = [
         text_table(headers, rows, title=title)
         for title, headers, rows in _sweep_sections(sweep)
@@ -236,23 +133,13 @@ def _html_table(headers: List[str], rows: List[List[Any]]) -> str:
 
 
 def render_html(payload: Dict[str, Any]) -> str:
-    """One self-contained HTML dossier for either payload kind."""
-    kind = report_kind(payload)
-    if kind == "profile":
-        title = (
-            f"Profile dossier — {payload.get('experiment', '?')}"
-            f" (n={payload.get('n_updates', '?')},"
-            f" seed={payload.get('seed', '?')})"
-        )
-        sections = _profile_sections(payload)
-    else:
-        title = (
-            f"Sweep dossier — {payload.get('grid', '?')}"
-            f" (root seed {payload.get('root_seed', '?')})"
-        )
-        sections = _sweep_sections(payload)
+    """One self-contained HTML sweep dossier."""
+    title = (
+        f"Sweep dossier — {payload.get('grid', '?')}"
+        f" (root seed {payload.get('root_seed', '?')})"
+    )
     body = [f"<h1>{html_mod.escape(title)}</h1>"]
-    for section_title, headers, rows in sections:
+    for section_title, headers, rows in _sweep_sections(payload):
         if not rows:
             continue
         body.append(f"<h2>{html_mod.escape(section_title)}</h2>")
@@ -264,10 +151,3 @@ def render_html(payload: Dict[str, Any]) -> str:
         + "".join(body)
         + "</body></html>"
     )
-
-
-def render_text(payload: Dict[str, Any]) -> str:
-    """Text dossier for either payload kind."""
-    if report_kind(payload) == "profile":
-        return render_profile_text(payload)
-    return render_sweep_text(payload)

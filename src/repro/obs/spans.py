@@ -141,6 +141,23 @@ ParentLike = Union[Span, Row, int, None]
 #: ``parent_id`` column value of a root span
 _NO_PARENT = -1
 
+#: every span kind ``src/`` records: a closed vocabulary, so a misspelt
+#: kind is a lint finding, never a new span name (the
+#: ``span-kind-registry`` rule checks every constant kind against it)
+SPAN_KINDS = (
+    # the update root + delay-update (AV) chain
+    "update", "read", "av.checking", "av.selecting", "av.request",
+    "av.grant", "av.deciding", "av.push.apply", "delay.apply",
+    # reclassification (regular <-> non-regular migration)
+    "cls.regular", "cls.nonregular", "cls.lock", "cls.apply",
+    # AV rebalancing daemon
+    "rebal.pass",
+    # immediate update: 2PC + lock manager
+    "imm.lock", "imm.prepare", "imm.commit", "imm.abort", "imm.apply",
+    # replica synchronisation (lazy sync + eager propagation)
+    "sync.pass", "sync.push", "prop.push", "prop.apply",
+)
+
 #: the spans of a covered update's tree, by span id from its root: the
 #: update, the checking function's verdict, the apply and, under eager
 #: propagation only, the push. All start and end at the same instant.

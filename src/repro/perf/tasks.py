@@ -92,12 +92,11 @@ def _update_tags(results) -> list:
     ]
 
 
-def _sanitize(experiment: str, task: "SweepTask") -> Dict[str, int]:
+def _sanitize(task: "SweepTask") -> Dict[str, int]:
     """Replay the task's workload under the runtime sanitizer."""
     from repro.analysis.check import run_check
 
     run = run_check(
-        experiment=experiment,
         n_updates=task.n_updates,
         seed=task.seed,
         n_items=task.n_items,
@@ -231,5 +230,5 @@ def run_task(task: SweepTask) -> Dict[str, Any]:
     payload = runner(task)
     payload["task"] = asdict(task)
     if task.check and task.experiment in ("fig6", "table1"):
-        payload["sanitizer"] = _sanitize(task.experiment, task)
+        payload["sanitizer"] = _sanitize(task)
     return payload

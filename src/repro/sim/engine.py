@@ -85,16 +85,16 @@ class Environment:
         #: total number of events processed (diagnostic)
         self.events_processed: int = 0
 
-    #: Optional dispatch hook for subsystem profiling (see
-    #: :mod:`repro.obs.profile`). When set, :meth:`step` delegates the
-    #: callback loop to ``profile_dispatch(event, callbacks)`` instead of
-    #: running it inline, letting the profiler time and attribute each
-    #: event without touching scheduling. Class-level on purpose: the
-    #: profiler activates for *every* environment in the process
-    #: (experiments build several — proposal, baseline, per scenario)
-    #: without any constructor threading. Must execute the callbacks
-    #: exactly as the inline loop would; purely observational hooks keep
-    #: runs bit-identical to unprofiled execution.
+    #: Optional dispatch hook, installed by the repo benchmark's tracer
+    #: (``benchmarks/e2e/tracer.py``) as its engine -> callback
+    #: boundary. When set, :meth:`step` delegates the callback loop to
+    #: ``profile_dispatch(event, callbacks)`` instead of running it
+    #: inline, letting the tracer time each event without touching
+    #: scheduling. Class-level on purpose: one assignment covers *every*
+    #: environment in the process (experiments build several —
+    #: proposal, baseline, per scenario) without any constructor
+    #: threading. Must execute the callbacks exactly as the inline loop
+    #: would, so a traced run stays bit-identical to an untraced one.
     profile_dispatch = None
 
     # ------------------------------------------------------------------ #

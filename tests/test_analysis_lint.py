@@ -138,7 +138,7 @@ class TestSpanKindRegistry:
                 span.finish(1.0)
             """)
         assert rules_hit(findings) == ["span-kind-registry"]
-        assert "SPAN_SUBSYSTEMS" in findings[0].message
+        assert "SPAN_KINDS" in findings[0].message
 
     def test_registered_kind_clean(self, tmp_path):
         assert lint_source(tmp_path, """\

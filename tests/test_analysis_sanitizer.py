@@ -26,7 +26,7 @@ def sanitized_system(**overrides):
 
 class TestCleanRun:
     def test_paper_workload_sanitizes_clean(self):
-        run = run_check(experiment="fig6", n_updates=120, seed=0)
+        run = run_check(n_updates=120, seed=0)
         assert run.ok, run.render()
         assert run.report.violations == []
         counters = run.report.counters
@@ -34,18 +34,14 @@ class TestCleanRun:
         assert counters["unsynced_balances"] == 0
         assert counters["events"] > 0
 
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(ValueError):
-            run_check(experiment="fig9")
-
     def test_finish_is_idempotent(self):
-        run = run_check(experiment="fig6", n_updates=30, seed=1)
+        run = run_check(n_updates=30, seed=1)
         again = run.system.sanitizer.finish()
         assert again is run.report
         assert again.violations == run.report.violations
 
     def test_render_names_the_verdict(self):
-        run = run_check(experiment="fig6", n_updates=30, seed=2)
+        run = run_check(n_updates=30, seed=2)
         out = run.render()
         assert "PASS" in out
         assert "protocol sanitizer report" in out

@@ -137,14 +137,9 @@ class TestFiguresCommand:
 
 class TestObserveCommand:
     def test_observe_defaults(self):
-        args = build_parser().parse_args(["observe", "fig6"])
-        assert args.experiment == "fig6"
+        args = build_parser().parse_args(["observe"])
         assert args.updates == 300 and args.sample_interval == 25.0
         assert args.trace_out is None and args.jsonl_out is None
-
-    def test_observe_experiment_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["observe", "bogus"])
 
     def test_fig6_accepts_trace_out(self):
         args = build_parser().parse_args(["fig6", "--trace-out", "/tmp/x.json"])
@@ -154,7 +149,7 @@ class TestObserveCommand:
         trace_path = tmp_path / "t.json"
         jsonl_path = tmp_path / "t.jsonl"
         code = main([
-            "observe", "fig6", "--updates", "60", "--items", "5",
+            "observe", "--updates", "60", "--items", "5",
             "--trace-out", str(trace_path), "--jsonl-out", str(jsonl_path),
         ])
         assert code == 0
@@ -177,48 +172,19 @@ class TestObserveCommand:
         assert trace_path.exists()
 
 
-class TestProfileCommand:
-    def test_profile_defaults(self):
-        args = build_parser().parse_args(["profile", "fig6"])
-        assert args.experiment == "fig6"
-        assert args.updates is None and args.seed == 0
-        assert not args.small and not args.check
-        assert args.flame is None and args.trace_out is None
-        assert args.out is None
+class TestRemovedCommands:
+    def test_profile_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
 
-    def test_profile_experiment_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["profile", "bogus"])
-
-    def test_profile_runs_with_artifacts_and_check(self, capsys, tmp_path):
-        import json
-
-        flame = tmp_path / "flame.txt"
-        trace = tmp_path / "trace.json"
-        out = tmp_path / "profile.json"
-        code = main([
-            "profile", "fig6", "--small", "--check",
-            "--flame", str(flame),
-            "--trace-out", str(trace),
-            "--out", str(out),
-        ])
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "Wall-time attribution" in printed
-        assert "profile check ok" in printed
-        # flamegraph collapsed stacks: "frame;frame value" per line
-        lines = flame.read_text().splitlines()
-        assert lines
-        assert all(line.rsplit(" ", 1)[1].isdigit() for line in lines)
-        doc = json.loads(trace.read_text())
-        assert doc["traceEvents"]
-        assert any(
-            e.get("cat") in ("av", "locks", "sync")
-            for e in doc["traceEvents"]
-        )
-        report = json.loads(out.read_text())
-        assert report["kind"] == "profile"
-        assert report["digest_match"] is True
+    def test_check_and_observe_take_no_experiment(self, capsys):
+        for argv in (["check", "fig6"], ["observe", "table1"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReportCommand:
@@ -226,20 +192,31 @@ class TestReportCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["report"])
 
-    def test_report_renders_profile_json(self, capsys, tmp_path):
-        out = tmp_path / "profile.json"
-        assert main([
-            "profile", "fig6", "--small", "--out", str(out),
-        ]) == 0
+    def test_report_renders_sweep_json(self, capsys, tmp_path):
+        import json
+
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "fig6-small", "--out", str(out)]) == 0
         capsys.readouterr()
+        sweep = json.loads(out.read_text())
 
         html = tmp_path / "dossier.html"
         assert main(["report", str(out), "--html", str(html)]) == 0
         printed = capsys.readouterr().out
-        assert "Wall-time attribution" in printed
+        for title in ("Sweep", "Tasks", "Merged telemetry"):
+            assert title in printed
+        assert "fig6-small" in printed
+        events = sum(
+            r["telemetry"]["events_processed"] for r in sweep["results"]
+        )
+        assert str(events) in printed
         document = html.read_text()
         assert document.startswith("<!doctype html>")
-        assert "<script" not in document  # self-contained, no JS
+        assert document.endswith("</html>")
+        assert "Sweep dossier — fig6-small" in document
+        # self-contained: no script, stylesheet link or remote asset
+        for external in ("<script", "<link", "src=", "http"):
+            assert external not in document
 
     def test_report_rejects_non_report_json(self, capsys, tmp_path):
         bad = tmp_path / "x.json"

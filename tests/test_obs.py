@@ -481,7 +481,7 @@ class TestObservedSystem:
 
     def test_av_transfer_chain_reconstructs(self):
         """The acceptance chain: request -> grant -> apply, one trace."""
-        run = run_observed("fig6", n_updates=200, seed=0, n_items=10)
+        run = run_observed(n_updates=200, seed=0, n_items=10)
         rec = run.obs.recorder
         chains = 0
         for trace_id, spans in rec.traces().items():
@@ -502,7 +502,7 @@ class TestObservedSystem:
         assert chains >= 1
 
     def test_observed_run_exports(self, tmp_path):
-        run = run_observed("fig6", n_updates=60, seed=1, n_items=5)
+        run = run_observed(n_updates=60, seed=1, n_items=5)
         doc = run.write_chrome_trace(str(tmp_path / "t.json"))
         assert any(e["ph"] == "X" for e in doc["traceEvents"])
         n = run.write_jsonl(str(tmp_path / "t.jsonl"))
@@ -511,7 +511,7 @@ class TestObservedSystem:
 
     def test_sampler_series_recorded(self):
         run = run_observed(
-            "fig6", n_updates=100, seed=2, n_items=5, sample_interval=10.0
+            n_updates=100, seed=2, n_items=5, sample_interval=10.0
         )
         series = run.obs.series
         for prefix in ("av.level", "belief.error", "belief.age",
@@ -521,34 +521,30 @@ class TestObservedSystem:
         assert len(series.series("av.level.site0")) >= 2
 
     def test_sync_spans_present_in_lazy_mode(self):
-        run = run_observed("fig6", n_updates=150, seed=0, n_items=5,
+        run = run_observed(n_updates=150, seed=0, n_items=5,
                            sync_interval=20.0)
         names = run.obs.recorder.names()
         assert names.get("sync.pass", 0) > 0
         assert names.get("sync.push", 0) > 0
 
     def test_registry_shared_with_collector(self):
-        run = run_observed("fig6", n_updates=60, seed=1, n_items=5)
+        run = run_observed(n_updates=60, seed=1, n_items=5)
         system = run.system
         assert system.collector.registry is system.obs.registry
         committed = system.collector.registry.counter("updates.committed")
         assert committed.value == sum(1 for r in run.results if r.committed)
 
     def test_max_spans_cap_respected(self):
-        run = run_observed("fig6", n_updates=80, seed=0, n_items=5,
+        run = run_observed(n_updates=80, seed=0, n_items=5,
                            max_spans=50)
         rec = run.obs.recorder
         assert len(rec) == 50 and rec.dropped > 0
-
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(ValueError):
-            run_observed("bogus", n_updates=10)
 
 
 class TestSpanDeterminism:
     def test_same_seed_same_span_fingerprint(self):
         def run():
-            r = run_observed("fig6", n_updates=150, seed=11, n_items=5)
+            r = run_observed(n_updates=150, seed=11, n_items=5)
             return r.obs.recorder.fingerprint(), len(r.obs.recorder)
 
         assert run() == run()
@@ -558,15 +554,15 @@ class TestSpanDeterminism:
         that kept every span as an object, so they prove the packed store
         replays it exactly, and (hashlib, not ``hash()``) hold in any
         process whatever its ``PYTHONHASHSEED``."""
-        rec = run_observed("fig6", n_updates=150, seed=11, n_items=5).obs.recorder
+        rec = run_observed(n_updates=150, seed=11, n_items=5).obs.recorder
         assert (len(rec), rec.fingerprint()) == (666, 13184414697047811627)
         maker = next(s for s in SMALL_SCENARIOS if s.name == "maker-crash")
         rec = run_chaos_scenario(maker, n_updates=300, seed=0).obs.recorder
         assert (len(rec), rec.fingerprint()) == (1637, 4753417666164750786)
 
     def test_different_seed_different_fingerprint(self):
-        a = run_observed("fig6", n_updates=150, seed=11, n_items=5)
-        b = run_observed("fig6", n_updates=150, seed=12, n_items=5)
+        a = run_observed(n_updates=150, seed=11, n_items=5)
+        b = run_observed(n_updates=150, seed=12, n_items=5)
         assert a.obs.recorder.fingerprint() != b.obs.recorder.fingerprint()
 
     def test_fingerprint_deterministic_under_faults(self):
@@ -766,7 +762,7 @@ class TestSpanPathPins:
     the attribute key order, which ``fingerprint`` sorts away."""
 
     def test_fig6_and_maker_crash_key_order(self):
-        rec = run_observed("fig6", n_updates=150, seed=11, n_items=5).obs.recorder
+        rec = run_observed(n_updates=150, seed=11, n_items=5).obs.recorder
         assert ordered_digest(rec) == "6ab1f1c50332a365"
         maker = next(s for s in SMALL_SCENARIOS if s.name == "maker-crash")
         rec = run_chaos_scenario(maker, n_updates=300, seed=0).obs.recorder

@@ -10,11 +10,15 @@ complete pop order, tie-breaking included.
 
 Also here: regression tests for the seq-uniqueness invariant (queue
 keys must never compare equal, because tuple comparison would then fall
-through to the :class:`Event` objects, which define no ordering).
+through to the :class:`Event` objects, which define no ordering), and
+for ``Environment.profile_dispatch``, the class-wide hook the repo
+benchmark's tracer installs as its engine boundary: a pass-through hook
+must leave every run exactly as it was.
 """
 
 import itertools
 import random
+from contextlib import contextmanager
 from heapq import heappush
 
 import pytest
@@ -225,3 +229,89 @@ def test_seq_is_per_engine():
         b.schedule(Event(b), delay=2.0)
     assert [e[2] for e in sorted(a._queue)] == list(range(5))
     assert [e[2] for e in sorted(b._queue)] == list(range(5))
+
+
+# --------------------------------------------------------------------- #
+# the dispatch hook
+# --------------------------------------------------------------------- #
+
+class RecordingDispatch:
+    """A pass-through ``profile_dispatch``: runs an event's callbacks
+    exactly as the inline loop does and records what it was given."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, event, callbacks):
+        self.calls.append((event, list(callbacks)))
+        for callback in callbacks:
+            callback(event)
+
+
+@contextmanager
+def dispatch_hook(dispatch):
+    """Install ``dispatch`` class-wide the way the tracer does (as a
+    staticmethod), and put the class attribute back afterwards."""
+    Environment.profile_dispatch = staticmethod(dispatch)
+    try:
+        yield dispatch
+    finally:
+        Environment.profile_dispatch = None
+
+
+def run_multi_callback_schedule(seed, n_events=300):
+    """Seeded events with 1-3 callbacks each. Returns the callback log,
+    each event's callbacks as attached (by event id), and the engine."""
+    env = Environment()
+    rng = random.Random(seed)
+    log, attached = [], {}
+    for eid in range(n_events):
+        event = Event(env)
+        for k in range(rng.randrange(1, 4)):
+            event.callbacks.append(lambda _e, eid=eid, k=k: log.append((eid, k)))
+        attached[id(event)] = list(event.callbacks)
+        env.schedule(
+            event, priority=rng.choice(PRIORITIES),
+            delay=rng.choice(DELAY_CHOICES),
+        )
+    env.run()
+    return log, attached, env
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dispatch_hook_runs_each_callback_once_in_order(seed):
+    plain_log, _, plain_env = run_multi_callback_schedule(seed)
+    with dispatch_hook(RecordingDispatch()) as hook:
+        hooked_log, attached, hooked_env = run_multi_callback_schedule(seed)
+    assert hooked_log == plain_log
+    assert len(set(hooked_log)) == len(hooked_log)  # each callback once
+    # one hook call per processed event, handed exactly the callbacks
+    # attached to it, in attachment order
+    assert len(hook.calls) == hooked_env.events_processed
+    assert hooked_env.events_processed == plain_env.events_processed
+    assert len({id(event) for event, _ in hook.calls}) == len(attached)
+    for event, callbacks in hook.calls:
+        assert callbacks == attached[id(event)]
+    # a cascading workload pops in the same order under the hook
+    plain = run_random_schedule(Environment, seed)
+    with dispatch_hook(RecordingDispatch()):
+        assert run_random_schedule(Environment, seed) == plain
+
+
+def test_dispatch_hook_leaves_fig6_result_identical():
+    from repro.perf.tasks import SweepTask, digest, run_task
+
+    task = SweepTask(index=0, experiment="fig6", seed=0, n_updates=200)
+    plain = run_task(task)
+    with dispatch_hook(RecordingDispatch()) as hook:
+        hooked = run_task(task)
+    events = plain["telemetry"]["events_processed"]
+    assert events > 0
+    assert hooked["telemetry"]["events_processed"] == events
+    assert digest(hooked) == digest(plain)
+    # the proposal and conventional environments both dispatch via it
+    assert len(hook.calls) == events
+    # and the inline loop is back afterwards
+    assert vars(Environment)["profile_dispatch"] is None
+    assert Environment().profile_dispatch is None
+
