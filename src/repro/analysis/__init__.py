@@ -11,12 +11,11 @@ Its parts (see ``docs/analysis.md``):
   and the fuzzer share;
 * the **static lint pass** (:mod:`repro.analysis.lint`) enforces
   repo-specific determinism and instrumentation rules over the source
-  tree — run with ``python -m repro.analysis.lint src tests``;
+  tree;
 * the **protocol-flow analyzer** (:mod:`repro.analysis.protoflow`)
   checks the whole tree against the declared message registry
-  (:mod:`repro.net.protocol`) — run with
-  ``python -m repro.analysis.protoflow src`` or, together with lint in
-  one parse, ``python -m repro check --static``;
+  (:mod:`repro.net.protocol`); both run in one parse with
+  ``python -m repro check --static``;
 * executable **sequence diagrams** from live traces
   (:mod:`repro.analysis.sequence`).
 """

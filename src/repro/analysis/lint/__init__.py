@@ -1,4 +1,5 @@
-"""Static lint pass: ``python -m repro.analysis.lint src tests``.
+"""Static lint pass, run with the protocol-flow checks by
+``python -m repro check --static``.
 
 See :mod:`repro.analysis.lint.rules` for the rules and
 ``docs/analysis.md`` for rationale and the suppression syntax.

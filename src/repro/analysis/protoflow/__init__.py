@@ -22,26 +22,16 @@ nondeterminism taint — and the flow checks
 
 The same engine drives the per-file lint rules
 (:func:`repro.analysis.lint.lint_paths` delegates here), so the whole
-static suite is one parse of the tree. CLI::
-
-    PYTHONPATH=src python -m repro.analysis.protoflow src
-
-and ``python -m repro check --static`` runs lint + protoflow together.
+static suite is one parse of the tree, run by
+``python -m repro check --static`` (lint + protoflow together).
 Suppressions reuse the lint syntax (``# repro-lint: disable=proto-taint
-(why)``); known findings can also be carried in a committed baseline
-file (``protoflow-baseline.json``).
+(why)``).
 """
 
 from __future__ import annotations
 
 from repro.analysis.protoflow.checks import ProtoFinding, run_checks
 from repro.analysis.protoflow.ir import ProjectIR, index_project
-from repro.analysis.protoflow.report import (
-    apply_baseline,
-    load_baseline,
-    render_json,
-    render_text,
-)
 
 
 def analyze(paths, registry=None, rules=()):
@@ -68,10 +58,6 @@ __all__ = [
     "ProjectIR",
     "ProtoFinding",
     "analyze",
-    "apply_baseline",
     "index_project",
-    "load_baseline",
-    "render_json",
-    "render_text",
     "run_checks",
 ]

@@ -61,8 +61,7 @@ REGISTRY_PATH = "src/repro/net/protocol.py"
 
 @dataclass(frozen=True)
 class ProtoFinding:
-    """One flow-check hit. ``symbol`` (usually the message kind) keys
-    baseline entries, so line drift never invalidates a baseline."""
+    """One flow-check hit. ``symbol`` is usually the message kind."""
 
     rule: str
     path: str
@@ -73,10 +72,6 @@ class ProtoFinding:
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
-
-    @property
-    def key(self) -> Tuple[str, str, str]:
-        return (self.rule, self.path, self.symbol)
 
 
 class _Resolver:

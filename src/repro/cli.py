@@ -89,24 +89,17 @@ def _static_check() -> int:
 
     Lint covers ``src`` and ``tests``; the protocol-flow checks cover
     ``src`` only (fixtures under ``tests/`` plant deliberate protocol
-    defects). Honours a committed ``protoflow-baseline.json`` when one
-    exists in the working directory.
+    defects).
     """
-    from pathlib import Path
-
     from repro.analysis.lint import default_rules
     from repro.analysis.protoflow import run_checks
     from repro.analysis.protoflow.ir import index_project
-    from repro.analysis.protoflow.report import apply_baseline, load_baseline
     from repro.net.protocol import PROTOCOL
 
     lint_findings, ir = index_project(
         ["src", "tests"], rules=default_rules(), flow_paths=["src"]
     )
     flow_findings = run_checks(ir, PROTOCOL)
-    baseline = Path("protoflow-baseline.json")
-    if baseline.exists():
-        flow_findings = apply_baseline(flow_findings, load_baseline(baseline))
     findings = sorted(
         [*lint_findings, *flow_findings],
         key=lambda f: (f.path, f.line, f.col, f.rule),
@@ -467,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--static", action="store_true",
         help="run the static suite instead: lint rules + protocol-flow"
-        " analysis in one parse (honours protoflow-baseline.json)",
+        " analysis in one parse",
     )
     common(p)
     p.add_argument(

@@ -14,13 +14,6 @@ from repro.db.errors import (
 from repro.db.locks import LockManager, LockMode
 from repro.db.record import Record
 from repro.db.recovery import RecoveryReport, recover
-from repro.db.snapshot import (
-    Snapshot,
-    diff_stores,
-    restore_snapshot,
-    stores_equal,
-    take_snapshot,
-)
 from repro.db.storage import Store
 from repro.db.transaction import Transaction, TransactionManager, TxnState
 from repro.db.wal import WalEntry, WalOp, WriteAheadLog
@@ -35,7 +28,6 @@ __all__ = [
     "NegativeValue",
     "Record",
     "RecoveryReport",
-    "Snapshot",
     "Store",
     "Transaction",
     "TransactionAborted",
@@ -47,9 +39,5 @@ __all__ = [
     "WalEntry",
     "WalOp",
     "WriteAheadLog",
-    "diff_stores",
     "recover",
-    "restore_snapshot",
-    "stores_equal",
-    "take_snapshot",
 ]

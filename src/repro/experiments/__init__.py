@@ -33,6 +33,7 @@ from repro.experiments.runner import (
     CountedRun,
     PairedResult,
     checkpoint_schedule,
+    correspondence_reduction,
     run_counted,
     run_paired,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "ablate_stale_beliefs",
     "ablate_update_mix",
     "checkpoint_schedule",
+    "correspondence_reduction",
     "make_paper_trace",
     "run_chaos",
     "run_chaos_scenario",

@@ -7,8 +7,8 @@ reports a ≈75% reduction with "most of the update ... completed within
 the local site".
 
 :func:`run_fig6` regenerates the two curves on identical workload traces
-and returns everything the bench prints: both series, the reduction
-ratio, and the local-completion ratio (a
+and returns everything the bench prints: both runs' checkpoints, the
+reduction ratio, and the local-completion ratio (a
 :class:`~repro.experiments.runner.PairedResult`).
 """
 

@@ -20,7 +20,6 @@ from repro.baselines.centralized import CentralizedSystem
 from repro.cluster import DistributedSystem, SystemConfig
 from repro.core.assurance import AssuranceReport, assurance_report
 from repro.core.types import UPDATE_TAGS, UpdateKind, UpdateResult
-from repro.metrics.correspondence import CorrespondenceSeries, reduction_ratio
 from repro.metrics.report import text_table
 from repro.obs.snapshot import TelemetrySnapshot
 from repro.workload.driver import run_closed
@@ -44,17 +43,19 @@ class CountedRun:
     checkpoints: List[Checkpoint] = field(default_factory=list)
     results: List[UpdateResult] = field(default_factory=list)
 
-    def series(self) -> CorrespondenceSeries:
-        """The (updates, correspondences) growth curve."""
-        series = CorrespondenceSeries(self.label)
-        for cp in self.checkpoints:
-            series.sample(cp.updates, cp.total_correspondences)
-        return series
-
     def final(self) -> Checkpoint:
         if not self.checkpoints:
             raise ValueError(f"run {self.label!r} sampled no checkpoints")
         return self.checkpoints[-1]
+
+
+def correspondence_reduction(proposal: float, conventional: float) -> float:
+    """Fractional saving of the proposal's correspondences vs the
+    conventional total — the paper's "decreases the correspondences by
+    75%". A zero conventional total saves nothing (0.0)."""
+    if conventional == 0:
+        return 0.0
+    return 1.0 - proposal / conventional
 
 
 def checkpoint_schedule(n_updates: int, every: int) -> List[int]:
@@ -163,17 +164,12 @@ class PairedResult:
         return self.config.retailers
 
     @property
-    def proposal_series(self) -> CorrespondenceSeries:
-        return self.proposal.series()
-
-    @property
-    def conventional_series(self) -> CorrespondenceSeries:
-        return self.conventional.series()
-
-    @property
     def reduction(self) -> float:
         """Fractional saving vs conventional (paper: ≈0.75)."""
-        return reduction_ratio(self.proposal_series, self.conventional_series)
+        return correspondence_reduction(
+            self.proposal.final().total_correspondences,
+            self.conventional.final().total_correspondences,
+        )
 
     @property
     def local_ratio(self) -> float:

@@ -9,7 +9,7 @@ from repro.cluster import SystemConfig, paper_config
 from repro.workload.trace import WorkloadTrace
 
 from repro.experiments.fig6 import make_paper_trace
-from repro.experiments.runner import run_paired
+from repro.experiments.runner import correspondence_reduction, run_paired
 
 
 @dataclass
@@ -25,9 +25,9 @@ class SweepPoint:
 
     @property
     def reduction(self) -> float:
-        if self.conventional_correspondences == 0:
-            return 0.0
-        return 1.0 - self.proposal_correspondences / self.conventional_correspondences
+        return correspondence_reduction(
+            self.proposal_correspondences, self.conventional_correspondences
+        )
 
 
 def _point(

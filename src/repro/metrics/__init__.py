@@ -1,28 +1,18 @@
-"""Instrumentation: collectors, correspondence series, latency, availability."""
+"""Instrumentation: the update collector, latency, availability, tables."""
 
 from repro.metrics.availability import AvailabilityTracker, WindowStats
 from repro.metrics.collector import GlobalLedger, MetricsCollector
-from repro.metrics.correspondence import (
-    CorrespondenceSeries,
-    is_monotonic,
-    reduction_ratio,
-)
 from repro.metrics.latency import EMPTY_SUMMARY, LatencySummary, summarize
-from repro.metrics.report import csv_table, format_cell, series_block, text_table
+from repro.metrics.report import format_cell, text_table
 
 __all__ = [
     "AvailabilityTracker",
-    "CorrespondenceSeries",
     "EMPTY_SUMMARY",
     "GlobalLedger",
     "LatencySummary",
     "MetricsCollector",
     "WindowStats",
-    "csv_table",
     "format_cell",
-    "is_monotonic",
-    "reduction_ratio",
-    "series_block",
     "summarize",
     "text_table",
 ]

@@ -6,13 +6,14 @@ site's partial view. The conservation and non-negativity invariants are
 checked against it.
 
 :class:`MetricsCollector` accumulates one
-:class:`~repro.core.types.UpdateResult` per finished update and offers
-the aggregates the experiment harness reports.
+:class:`~repro.core.types.UpdateResult` per finished update. That list
+is the run's one record of updates: the registry's ``updates.<outcome>``
+counters, ``av.requests`` and ``update.latency`` histograms are folded
+from it, and every other figure is a scan of it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.types import UpdateKind, UpdateOutcome, UpdateResult
@@ -25,7 +26,6 @@ class GlobalLedger:
     def __init__(self) -> None:
         self._initial: Dict[str, float] = {}
         self._delta_sum: Dict[str, float] = {}
-        self.committed_deltas = 0
 
     def set_initial(self, item: str, value: float) -> None:
         self._initial[item] = value
@@ -35,25 +35,12 @@ class GlobalLedger:
         if item not in self._initial:
             raise KeyError(f"ledger has no initial value for {item!r}")
         self._delta_sum[item] += delta
-        self.committed_deltas += 1
 
     def true_value(self, item: str) -> float:
         return self._initial[item] + self._delta_sum[item]
 
-    def initial_value(self, item: str) -> float:
-        return self._initial[item]
-
     def items(self) -> Iterable[str]:
         return self._initial.keys()
-
-    def total(self) -> float:
-        return sum(self.true_value(i) for i in self._initial)
-
-    def __contains__(self, item: str) -> bool:
-        return item in self._initial
-
-    def __len__(self) -> int:
-        return len(self._initial)
 
 
 class _ResultFold:
@@ -149,110 +136,12 @@ class MetricsCollector:
         self._fold = _ResultFold(self.results)
         self.registry.add_feeder(self._fold)
 
-    # ---------------------------------------------------------------- #
-    # recording
-    # ---------------------------------------------------------------- #
-
     def record(self, result: UpdateResult) -> None:
         """Account one finished update (and its delta, if committed)."""
         self.results.append(result)
         if result.committed:
             self.ledger.record_delta(result.request.item, result.request.delta)
 
-    # ---------------------------------------------------------------- #
-    # aggregates
-    # ---------------------------------------------------------------- #
-
     @property
     def total(self) -> int:
         return len(self.results)
-
-    # by_outcome / by_kind are derived at report time rather than
-    # maintained per record: enum-keyed Counter updates go through the
-    # Python-level ``Enum.__hash__`` on every finished update, and no
-    # caller reads these during the run — only summaries do.
-
-    @property
-    def by_outcome(self) -> Counter:
-        return Counter(r.outcome for r in self.results)
-
-    @property
-    def by_kind(self) -> Counter:
-        return Counter(r.kind for r in self.results)
-
-    @property
-    def committed(self) -> int:
-        return self.by_outcome[UpdateOutcome.COMMITTED]
-
-    @property
-    def rejected(self) -> int:
-        return self.by_outcome[UpdateOutcome.REJECTED]
-
-    def count(self, kind: Optional[UpdateKind] = None, outcome: Optional[UpdateOutcome] = None) -> int:
-        # Single-axis queries count through by_kind / by_outcome; the
-        # (kind AND outcome) combination scans once without building a
-        # Counter.
-        if kind is None and outcome is None:
-            return len(self.results)
-        if outcome is None:
-            return self.by_kind[kind]
-        if kind is None:
-            return self.by_outcome[outcome]
-        n = 0
-        for r in self.results:
-            if r.kind is kind and r.outcome is outcome:
-                n += 1
-        return n
-
-    def latency_summary(self, kind: Optional[UpdateKind] = None) -> Dict[str, float]:
-        """Streaming p50/p90/p99/max of committed-update latency.
-
-        Served from the registry's log-bucketed histograms — no scan
-        over :attr:`results`, percentiles accurate to the histogram's
-        bucket growth (~2.5% relative).
-        """
-        name = "update.latency" if kind is None else f"update.latency.{kind.value}"
-        return self.registry.histogram(name).summary()
-
-    @property
-    def local_delay_updates(self) -> int:
-        """Delay updates completed with zero communication."""
-        return sum(
-            1 for r in self.results if r.kind is UpdateKind.DELAY and r.local_only
-        )
-
-    @property
-    def delay_updates(self) -> int:
-        return self.by_kind[UpdateKind.DELAY]
-
-    @property
-    def local_ratio(self) -> float:
-        """Fraction of delay updates that never touched the network."""
-        delay = self.delay_updates
-        return self.local_delay_updates / delay if delay else 1.0
-
-    def latencies(
-        self,
-        site: Optional[str] = None,
-        kind: Optional[UpdateKind] = None,
-        committed_only: bool = True,
-    ) -> List[float]:
-        out = []
-        for r in self.results:
-            if site is not None and r.request.site != site:
-                continue
-            if kind is not None and r.kind is not kind:
-                continue
-            if committed_only and not r.committed:
-                continue
-            out.append(r.latency)
-        return out
-
-    def av_requests_total(self) -> int:
-        return sum(r.av_requests for r in self.results)
-
-    def __repr__(self) -> str:
-        return (
-            f"<MetricsCollector total={self.total} committed={self.committed}"
-            f" rejected={self.rejected} local_ratio={self.local_ratio:.2f}>"
-        )

@@ -1,4 +1,4 @@
-"""Plain-text table and CSV rendering for experiment output.
+"""Plain-text table rendering for experiment output.
 
 The benchmark harness prints the same rows/series the paper reports;
 these helpers keep that output aligned and diff-friendly.
@@ -54,21 +54,3 @@ def text_table(
             " | ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
         )
     return out.getvalue().rstrip("\n")
-
-
-def csv_table(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """Minimal CSV rendering (no quoting needed for our numeric output)."""
-    lines = [",".join(headers)]
-    for row in rows:
-        cells = [format_cell(c, ndigits=6) for c in row]
-        if any("," in c for c in cells):
-            raise ValueError("cell contains a comma; use text_table instead")
-        lines.append(",".join(cells))
-    return "\n".join(lines)
-
-
-def series_block(label: str, xs: Sequence[Any], ys: Sequence[Any]) -> str:
-    """Render one labelled (x, y) series as two aligned columns."""
-    if len(xs) != len(ys):
-        raise ValueError("series length mismatch")
-    return text_table(["updates", label], zip(xs, ys))

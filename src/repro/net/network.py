@@ -156,7 +156,7 @@ class Network:
 
         faults = self.faults
         if not faults.quiet and faults.should_drop(msg.src, msg.dst):
-            self.stats.record_drop(msg, size=size)
+            self.stats.record_drop(msg)
             if self.observers:
                 self._notify("drop", msg)
             return
@@ -187,12 +187,7 @@ class Network:
         faults = self.faults
         if not faults.quiet and faults.is_crashed(msg.dst):
             # Crashed while the message was in flight.
-            size = (
-                self.size_model.message_size(msg)
-                if self.size_model is not None
-                else None
-            )
-            self.stats.record_drop(msg, size=size)
+            self.stats.record_drop(msg)
             self._notify("drop", msg)
             return
         if self.observers:

@@ -4,7 +4,7 @@ One :class:`Observability` object per system bundles the span recorder,
 the metric registry, and the time-series store, so constructors thread a
 single handle instead of three. :data:`NULL_OBS` is the shared disabled
 hub: its recorder is a :class:`~repro.obs.spans.NullSpanRecorder` and
-its ``count``/``observe_value`` helpers return immediately, making the
+its ``count``/``gauge_set`` helpers return immediately, making the
 default (unobserved) configuration near-zero-cost.
 """
 
@@ -60,11 +60,6 @@ class Observability:
         """Increment counter ``name`` (no-op when disabled)."""
         if self.enabled:
             self.registry.counter(name).inc(n)
-
-    def observe_value(self, name: str, value: float) -> None:
-        """Fold ``value`` into histogram ``name`` (no-op when disabled)."""
-        if self.enabled:
-            self.registry.histogram(name).observe(value)
 
     def gauge_set(self, name: str, value: float, now: Optional[float] = None) -> None:
         """Set gauge ``name`` (no-op when disabled)."""

@@ -198,6 +198,8 @@ class SCMOutcome:
     retailer_reports: Dict[str, SalesReport]
     manufactured_units: float
     correspondences: float
+    #: delay updates completed without communication, as a fraction of
+    #: all delay updates (1.0 when there were none)
     local_ratio: float
 
     @property
@@ -255,13 +257,18 @@ class SCMSimulation:
         # past the horizon, so this only completes open transactions
         # (checking consistency mid-2PC would be a false alarm).
         self.system.run()
-        from repro.core.types import UPDATE_TAGS
+        from repro.core.types import UPDATE_TAGS, UpdateKind
 
+        delay = [
+            r for r in self.system.collector.results
+            if r.kind is UpdateKind.DELAY
+        ]
+        local = sum(1 for r in delay if r.local_only)
         return SCMOutcome(
             retailer_reports={
                 a.site: a.report for a in self.retailer_agents
             },
             manufactured_units=self.maker_agent.manufactured_units,
             correspondences=self.system.stats.correspondences_for_tags(UPDATE_TAGS),
-            local_ratio=self.system.collector.local_ratio,
+            local_ratio=local / len(delay) if delay else 1.0,
         )

@@ -7,7 +7,6 @@ each plant exactly one defect class; every one must be flagged by its
 rule, and the shipped ``src/`` tree must analyze clean.
 """
 
-import json
 import subprocess
 import sys
 import textwrap
@@ -18,13 +17,6 @@ import pytest
 
 from repro.analysis.protoflow import run_checks
 from repro.analysis.protoflow.ir import index_project
-from repro.analysis.protoflow.report import (
-    apply_baseline,
-    load_baseline,
-    render_json,
-    render_text,
-    write_baseline,
-)
 from repro.net.protocol import (
     PROTOCOL,
     MessageSpec,
@@ -201,61 +193,6 @@ class TestSuppressionAndBaseline:
             """, make_registry([]))
         assert findings == []
 
-    def test_baseline_round_trip(self, tmp_path):
-        findings = analyze_snippet(tmp_path, """\
-            def go(endpoint, peer):
-                endpoint.send(peer, "zz.mystery", {})
-            """, make_registry([]))
-        assert findings
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(findings, baseline_file)
-        baseline = load_baseline(baseline_file)
-        assert apply_baseline(findings, baseline) == []
-
-    def test_baseline_keys_survive_line_drift(self, tmp_path):
-        first = analyze_snippet(tmp_path, """\
-            def go(endpoint, peer):
-                endpoint.send(peer, "zz.mystery", {})
-            """, make_registry([]))
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(first, baseline_file)
-        shifted = analyze_snippet(tmp_path, """\
-
-
-            def go(endpoint, peer):
-                endpoint.send(peer, "zz.mystery", {})
-            """, make_registry([]))
-        assert shifted[0].line != first[0].line
-        assert apply_baseline(shifted, load_baseline(baseline_file)) == []
-
-    def test_unknown_baseline_version_rejected(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(bad)
-
-
-class TestReporters:
-    def _one_finding(self, tmp_path):
-        return analyze_snippet(tmp_path, """\
-            def go(endpoint, peer):
-                endpoint.send(peer, "zz.mystery", {})
-            """, make_registry([]))
-
-    def test_text_reporter(self, tmp_path):
-        findings = self._one_finding(tmp_path)
-        out = render_text(findings)
-        assert "proto-unregistered-kind" in out
-        assert ":2:" in out
-
-    def test_json_reporter(self, tmp_path):
-        findings = self._one_finding(tmp_path)
-        payload = json.loads(render_json(findings))
-        assert payload["version"] == 1
-        entry = payload["findings"][0]
-        assert entry["rule"] == "proto-unregistered-kind"
-        assert entry["symbol"] == "zz.mystery"
-
 
 class TestRepoGate:
     """The acceptance gates CI enforces."""
@@ -266,27 +203,6 @@ class TestRepoGate:
         elapsed = time.perf_counter() - started
         assert findings == [], "\n".join(f.render() for f in findings)
         assert elapsed < 5.0, f"full-repo analysis took {elapsed:.2f}s"
-
-    def test_cli_clean_on_repo(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis.protoflow", "src"],
-            cwd=REPO_ROOT, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
-    def test_cli_flags_fixture_and_exits_nonzero(self):
-        # the repo registry knows nothing about zz.* kinds
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis.protoflow",
-             str(FIXTURES / "unregistered_kind"), "--json"],
-            cwd=REPO_ROOT, capture_output=True, text=True,
-        )
-        assert proc.returncode == 1
-        payload = json.loads(proc.stdout)
-        assert any(
-            e["rule"] == "proto-unregistered-kind"
-            for e in payload["findings"]
-        )
 
     def test_repro_check_static_clean(self):
         proc = subprocess.run(

@@ -100,7 +100,9 @@ class TestTransferPath:
 
     def test_rejected_update_recorded(self, system):
         run_one(system, "site1", ITEM, -91)
-        assert system.collector.rejected == 1
+        assert [r.outcome for r in system.collector.results] == [
+            UpdateOutcome.REJECTED
+        ]
         assert system.collector.ledger.true_value(ITEM) == 90.0
 
     def test_exact_total_av_commits(self, system):

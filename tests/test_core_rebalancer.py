@@ -93,7 +93,7 @@ class TestRebalancing:
 
             system.env.process(driver(system.env))
             system.run(until=400)
-            return system.collector.av_requests_total()
+            return sum(r.av_requests for r in system.collector.results)
 
         assert run(True) < run(False)
 

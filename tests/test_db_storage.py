@@ -6,22 +6,6 @@ from repro.db import DuplicateItem, NegativeValue, Record, Store, UnknownItem
 
 
 class TestRecord:
-    def test_apply_bumps_version_and_time(self):
-        rec = Record("A", 10)
-        assert rec.apply(5, now=3.0) == 15
-        assert rec.version == 1 and rec.updated_at == 3.0
-
-    def test_set_overwrites(self):
-        rec = Record("A", 10)
-        rec.set(99, now=1.0)
-        assert rec.value == 99 and rec.version == 1
-
-    def test_copy_is_independent(self):
-        rec = Record("A", 10)
-        dup = rec.copy()
-        rec.apply(1)
-        assert dup.value == 10 and dup.version == 0
-
     def test_str(self):
         assert str(Record("A", 10)) == "A=10 (v0)"
 

@@ -1,4 +1,4 @@
-"""Unit tests for WAL, transactions, recovery, snapshots."""
+"""Unit tests for WAL, transactions, recovery."""
 
 import pytest
 
@@ -10,11 +10,7 @@ from repro.db import (
     TxnState,
     WalOp,
     WriteAheadLog,
-    diff_stores,
     recover,
-    restore_snapshot,
-    stores_equal,
-    take_snapshot,
 )
 
 
@@ -190,36 +186,3 @@ class TestRecovery:
         report = recover(store, tm.wal)
         assert sorted(report.recovered_txns) == [t1.txn_id, t2.txn_id]
         assert store.value("A") == 100 and store.value("B") == 50
-
-
-class TestSnapshot:
-    def test_take_and_restore(self, store):
-        snap = take_snapshot(store, now=1.0)
-        store.apply_delta("A", -40)
-        restore_snapshot(store, snap, now=2.0)
-        assert store.value("A") == 100
-
-    def test_restore_item_mismatch_rejected(self, store):
-        snap = take_snapshot(store)
-        store.insert("C", 1)
-        with pytest.raises(ValueError, match="extra"):
-            restore_snapshot(store, snap)
-
-    def test_snapshot_mapping_protocol(self, store):
-        snap = take_snapshot(store)
-        assert snap["A"] == 100 and "B" in snap and len(snap) == 2
-
-    def test_diff_and_equal(self, store):
-        other = Store("s1")
-        other.insert("A", 100)
-        other.insert("B", 50)
-        assert stores_equal(store, other)
-        other.apply_delta("B", 1)
-        assert diff_stores(store, other) == {"B": (50, 51)}
-        assert not stores_equal(store, other)
-
-    def test_diff_missing_items(self, store):
-        other = Store("s1")
-        other.insert("A", 100)
-        d = diff_stores(store, other)
-        assert set(d) == {"B"}

@@ -19,7 +19,6 @@ from repro.experiments.sweep import (
     sweep_rows,
 )
 from repro.cluster import DistributedSystem, paper_config
-from repro.metrics.correspondence import is_monotonic
 
 
 class TestCheckpointSchedule:
@@ -51,34 +50,30 @@ class TestRunCounted:
         with pytest.raises(ValueError):
             run_counted(system, trace, "x", checkpoints=[11])
 
-    def test_series_conversion(self):
-        trace = make_paper_trace(30, seed=0, n_items=5)
-        system = DistributedSystem.build(paper_config(n_items=5, seed=0))
-        run = run_counted(system, trace, "lbl", checkpoints=[15, 30])
-        series = run.series()
-        assert series.label == "lbl"
-        assert len(series) == 2
-
 
 class TestFig6:
     def test_structure_and_claims_small(self):
         result = run_fig6(n_updates=300, seed=0, n_items=10)
         assert result.reduction > 0.4
         assert result.local_ratio > 0.5
-        assert is_monotonic(result.proposal_series)
-        assert result.conventional_series.slope() == 1.0
+        corr = [cp.total_correspondences for cp in result.proposal.checkpoints]
+        assert all(b >= a for a, b in zip(corr, corr[1:]))
+        final = result.conventional.final()
+        assert final.total_correspondences / final.updates == 1.0
         assert "Fig. 6" in result.render()
 
     def test_same_seed_reproduces(self):
         a = run_fig6(n_updates=200, seed=3, n_items=10)
         b = run_fig6(n_updates=200, seed=3, n_items=10)
-        assert a.proposal_series.points == b.proposal_series.points
-        assert a.conventional_series.points == b.conventional_series.points
+        assert a.proposal.checkpoints == b.proposal.checkpoints
+        assert a.conventional.checkpoints == b.conventional.checkpoints
 
     def test_different_seeds_differ(self):
         a = run_fig6(n_updates=200, seed=3, n_items=10)
         b = run_fig6(n_updates=200, seed=4, n_items=10)
-        assert a.proposal_series.points != b.proposal_series.points
+        assert [cp.total_correspondences for cp in a.proposal.checkpoints] != [
+            cp.total_correspondences for cp in b.proposal.checkpoints
+        ]
 
 
 class TestTable1:
@@ -164,9 +159,12 @@ class TestPaperShape:
 
     def test_conventional_pays_one_correspondence_per_update(self, fig6_runs):
         for result in fig6_runs:
-            series = result.conventional_series
-            assert all(corr == updates for updates, corr in series.points)
-            assert series.slope() == 1.0
+            checkpoints = result.conventional.checkpoints
+            assert all(
+                cp.total_correspondences == cp.updates for cp in checkpoints
+            )
+            final = checkpoints[-1]
+            assert final.total_correspondences / final.updates == 1.0
 
     def test_retailers_stay_even_and_grow_slowly(self, table1_runs):
         for seed, result in zip(SHAPE_SEEDS, table1_runs):

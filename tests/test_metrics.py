@@ -8,15 +8,11 @@ from repro.core.types import (
     UpdateRequest,
     UpdateResult,
 )
+from repro.experiments.runner import CountedRun, correspondence_reduction
 from repro.metrics import (
     AvailabilityTracker,
-    CorrespondenceSeries,
     GlobalLedger,
     MetricsCollector,
-    csv_table,
-    is_monotonic,
-    reduction_ratio,
-    series_block,
     summarize,
     text_table,
 )
@@ -50,8 +46,6 @@ class TestGlobalLedger:
         ledger.record_delta("A", -30)
         ledger.record_delta("A", +5)
         assert ledger.true_value("A") == 75.0
-        assert ledger.initial_value("A") == 100.0
-        assert ledger.committed_deltas == 2
 
     def test_unknown_item_rejected(self):
         with pytest.raises(KeyError):
@@ -61,9 +55,9 @@ class TestGlobalLedger:
         ledger = GlobalLedger()
         ledger.set_initial("A", 10.0)
         ledger.set_initial("B", 20.0)
-        assert ledger.total() == 30.0
-        assert "A" in ledger and len(ledger) == 2
-        assert set(ledger.items()) == {"A", "B"}
+        ledger.record_delta("B", -5.0)
+        assert list(ledger.items()) == ["A", "B"]
+        assert sum(ledger.true_value(i) for i in ledger.items()) == 25.0
 
 
 class TestMetricsCollector:
@@ -74,39 +68,32 @@ class TestMetricsCollector:
         c.record(make_result(outcome=UpdateOutcome.REJECTED))
         c.record(make_result(kind=UpdateKind.IMMEDIATE))
         assert c.total == 3
-        assert c.committed == 2
-        assert c.rejected == 1
-        assert c.delay_updates == 2
-        assert c.local_delay_updates == 1
-        assert c.local_ratio == 0.5
+        assert c.registry.counter("updates.committed").value == 2
+        assert c.registry.counter("updates.rejected").value == 1
         # only committed deltas hit the ledger
         assert c.ledger.true_value("A") == 90.0
 
-    def test_count_filters(self):
-        c = MetricsCollector()
-        c.ledger.set_initial("A", 100.0)
-        c.record(make_result())
-        c.record(make_result(kind=UpdateKind.IMMEDIATE))
-        assert c.count(kind=UpdateKind.DELAY) == 1
-        assert c.count(outcome=UpdateOutcome.COMMITTED) == 2
-        assert c.count(kind=UpdateKind.DELAY, outcome=UpdateOutcome.REJECTED) == 0
-
     def test_latencies_filtering(self):
+        """Only committed updates reach the latency histograms."""
         c = MetricsCollector()
         c.ledger.set_initial("A", 100.0)
         c.record(make_result(issued=0, finished=4))
         c.record(make_result(site="site2", issued=0, finished=2))
         c.record(make_result(outcome=UpdateOutcome.REJECTED, issued=0, finished=9))
-        assert c.latencies() == [4.0, 2.0]
-        assert c.latencies(site="site2") == [2.0]
-        assert c.latencies(committed_only=False) == [4.0, 2.0, 9.0]
+        c.record(make_result(kind=UpdateKind.IMMEDIATE, issued=0, finished=3))
+        latency = c.registry.histogram("update.latency")
+        assert (latency.count, latency.max) == (3, 4.0)
+        delay = c.registry.histogram("update.latency.delay")
+        assert (delay.count, delay.max) == (2, 4.0)
+        immediate = c.registry.histogram("update.latency.immediate")
+        assert (immediate.count, immediate.max) == (1, 3.0)
 
-    def test_av_requests_total(self):
+    def test_av_requests_counter(self):
         c = MetricsCollector()
         c.ledger.set_initial("A", 100.0)
         c.record(make_result(av_requests=3))
         c.record(make_result(av_requests=2))
-        assert c.av_requests_total() == 5
+        assert c.registry.counter("av.requests").value == 5
 
     @pytest.mark.parametrize("read_at", [None, 0, 7, 20])
     def test_lazy_private_registry_equals_eager_shared_one(self, read_at):
@@ -140,57 +127,27 @@ class TestMetricsCollector:
             lazy.record(result)
             eager.record(result)
         assert lazy.registry.snapshot() == eager.registry.snapshot()
-        assert lazy.latency_summary() == eager.latency_summary()
         assert lazy.registry.counter("updates.committed").value == sum(
             r.committed for r in results
         )
         assert lazy.ledger.true_value("A") == eager.ledger.true_value("A")
         assert lazy.results == eager.results
 
-    def test_empty_local_ratio(self):
-        assert MetricsCollector().local_ratio == 1.0
 
-
-class TestCorrespondenceSeries:
-    def test_sample_and_views(self):
-        s = CorrespondenceSeries("x")
-        s.sample(10, 5.0)
-        s.sample(20, 7.0)
-        assert s.updates == [10, 20]
-        assert s.correspondences == [5.0, 7.0]
-        assert s.final() == (20, 7.0)
-        assert s.slope() == 0.35
-        assert len(s) == 2
-
-    def test_nondecreasing_updates_enforced(self):
-        s = CorrespondenceSeries("x")
-        s.sample(10, 5.0)
-        with pytest.raises(ValueError):
-            s.sample(5, 6.0)
+class TestCorrespondenceReduction:
+    """The Fig. 6 curve is a run's checkpoints; the reduction is taken
+    from the two runs' final totals."""
 
     def test_final_on_empty(self):
         with pytest.raises(ValueError):
-            CorrespondenceSeries("x").final()
+            CountedRun("x").final()
 
-    def test_reduction_ratio(self):
-        prop, conv = CorrespondenceSeries("p"), CorrespondenceSeries("c")
-        prop.sample(100, 25.0)
-        conv.sample(100, 100.0)
-        assert reduction_ratio(prop, conv) == 0.75
+    def test_reduction(self):
+        assert correspondence_reduction(25.0, 100.0) == 0.75
 
-    def test_reduction_ratio_zero_baseline(self):
-        prop, conv = CorrespondenceSeries("p"), CorrespondenceSeries("c")
-        prop.sample(10, 0.0)
-        conv.sample(10, 0.0)
-        assert reduction_ratio(prop, conv) == 0.0
-
-    def test_is_monotonic(self):
-        s = CorrespondenceSeries("x")
-        s.sample(1, 1.0)
-        s.sample(2, 2.0)
-        assert is_monotonic(s)
-        s.sample(3, 1.5)
-        assert not is_monotonic(s)
+    def test_reduction_zero_baseline(self):
+        assert correspondence_reduction(0.0, 0.0) == 0.0
+        assert correspondence_reduction(3.0, 0.0) == 0.0
 
 
 class TestLatencySummary:
@@ -263,17 +220,3 @@ class TestReport:
     def test_row_width_mismatch(self):
         with pytest.raises(ValueError):
             text_table(["a", "b"], [[1]])
-
-    def test_csv(self):
-        out = csv_table(["a", "b"], [[1, 2.5]])
-        assert out == "a,b\n1,2.500000"
-
-    def test_csv_comma_rejected(self):
-        with pytest.raises(ValueError):
-            csv_table(["a"], [["x,y"]])
-
-    def test_series_block(self):
-        out = series_block("corr", [1, 2], [3.0, 4.0])
-        assert "corr" in out
-        with pytest.raises(ValueError):
-            series_block("x", [1], [1, 2])

@@ -389,7 +389,6 @@ class TestObservabilityHub:
     def test_disabled_hub_is_free(self):
         hub = Observability(enabled=False)
         hub.count("x")
-        hub.observe_value("y", 1.0)
         hub.gauge_set("z", 2.0)
         assert len(hub.registry) == 0
         assert isinstance(hub.recorder, NullSpanRecorder)
@@ -401,9 +400,9 @@ class TestObservabilityHub:
     def test_enabled_hub_records(self):
         hub = Observability()
         hub.count("x", 2)
-        hub.observe_value("y", 1.5)
+        hub.gauge_set("z", 1.5, now=3.0)
         assert hub.registry.counter("x").value == 2
-        assert hub.registry.histogram("y").count == 1
+        assert hub.registry.gauge("z").value == 1.5
 
 
 class TestTimeSeriesStore:
@@ -974,33 +973,45 @@ class TestProcessPathPins:
 
 
 class TestCollectorRegistryIntegration:
+    """The registry's update instruments are folded from
+    ``collector.results``; each must equal a scan of that record."""
+
     def test_count_fast_paths_match_scan(self):
-        from repro.core.types import UpdateKind, UpdateOutcome
+        from repro.core.types import UpdateOutcome
 
         system = build_paper_system(n_items=5, seed=4)
         trace = make_paper_trace(120, seed=4, n_items=5)
         run_closed(system, trace)
         collector = system.collector
-        for kind in (None, UpdateKind.DELAY, UpdateKind.IMMEDIATE):
-            for outcome in (None, UpdateOutcome.COMMITTED,
-                            UpdateOutcome.REJECTED):
-                expected = sum(
-                    1 for r in collector.results
-                    if (kind is None or r.kind is kind)
-                    and (outcome is None or r.outcome is outcome)
-                )
-                assert collector.count(kind, outcome) == expected
+        registry = collector.registry
+        assert collector.total == len(trace)
+        for outcome in UpdateOutcome:
+            expected = sum(1 for r in collector.results if r.outcome is outcome)
+            assert registry.counter(f"updates.{outcome.value}").value == expected
+        assert registry.counter("av.requests").value == sum(
+            r.av_requests for r in collector.results
+        )
 
-    def test_latency_summary_matches_exact_percentiles(self):
+    def test_latency_histograms_match_scan(self):
+        from repro.core.types import UpdateKind
+
         system = build_paper_system(n_items=5, seed=4)
         trace = make_paper_trace(200, seed=4, n_items=5)
         run_closed(system, trace)
         collector = system.collector
-        latencies = collector.latencies()
-        summary = collector.latency_summary()
-        assert summary["count"] == len(latencies)
-        assert summary["max"] == max(latencies)
-        assert summary["mean"] == pytest.approx(statistics.mean(latencies))
+        for kind in (None, *UpdateKind):
+            latencies = [
+                r.latency for r in collector.results
+                if r.committed and (kind is None or r.kind is kind)
+            ]
+            name = "update.latency" if kind is None else f"update.latency.{kind.value}"
+            summary = collector.registry.histogram(name).summary()
+            assert summary["count"] == len(latencies), name
+            if latencies:
+                assert summary["max"] == max(latencies), name
+                assert summary["mean"] == pytest.approx(
+                    statistics.mean(latencies)
+                ), name
 
 
 class RowRecorder(SpanRecorder):

@@ -14,7 +14,6 @@ from repro.db import (
     WalOp,
     WriteAheadLog,
     recover,
-    take_snapshot,
 )
 
 # Deltas that keep values in safe integer territory.
@@ -182,18 +181,6 @@ def test_commit_equals_plain_application(ops):
             txn.apply(item, delta, force=True)
             mirror[item] += delta
     assert store.as_dict() == mirror
-
-
-@given(st.lists(st.tuples(st.sampled_from(["A", "B"]), deltas), max_size=20))
-def test_snapshot_restore_round_trip(ops):
-    store = fresh_store()
-    snap = take_snapshot(store)
-    for item, delta in ops:
-        store.apply_delta(item, delta, force=True)
-    from repro.db import restore_snapshot
-
-    restore_snapshot(store, snap)
-    assert store.as_dict() == snap.values
 
 
 # Amounts mix exact integers with repr-awkward decimals: totals must

@@ -75,6 +75,14 @@ class TestSCMSimulation:
         assert set(outcome.retailer_reports) == {"site1", "site2"}
         system.check_invariants()
 
+    def test_local_ratio_without_delay_updates(self):
+        """No regular items means no delay updates: nothing needed the
+        network that could have avoided it, so the ratio is 1.0."""
+        system = make_system(regular_fraction=0.0)
+        outcome = SCMSimulation(system, mean_interarrival=10.0).run(until=100.0)
+        assert system.collector.total > 0
+        assert outcome.local_ratio == 1.0
+
     def test_quiescent_after_run(self):
         """The drain pass leaves no in-flight protocol state."""
         system = make_system(regular_fraction=0.5)
