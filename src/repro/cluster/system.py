@@ -22,7 +22,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.obs.hub import NULL_OBS, Observability
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, collect_young_after
 from repro.sim.events import Event
 from repro.sim.rng import RngRegistry
 
@@ -65,6 +65,7 @@ class DistributedSystem:
     # ---------------------------------------------------------------- #
 
     @classmethod
+    @collect_young_after
     def build(
         cls,
         config: Optional[SystemConfig] = None,

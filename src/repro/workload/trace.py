@@ -11,6 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Iterator, List, Union
 
+from repro.sim.engine import collect_young_after
 from repro.workload.generators import WorkloadEvent, WorkloadGenerator
 
 
@@ -21,6 +22,7 @@ class WorkloadTrace(WorkloadGenerator):
         self._events: List[WorkloadEvent] = list(events)
 
     @classmethod
+    @collect_young_after
     def capture(cls, generator: WorkloadGenerator, n: int) -> "WorkloadTrace":
         """Materialise the first ``n`` events of ``generator``."""
         return cls(generator.events(n))

@@ -141,3 +141,63 @@ def test_events_processed_counter():
     env.timeout(2)
     env.run()
     assert env.events_processed == 2
+
+
+def _collections_during(fn):
+    """Run ``fn`` and return the generations collected while it ran."""
+    import gc
+
+    seen = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    gc.callbacks.append(on_gc)
+    try:
+        fn()
+    finally:
+        gc.callbacks.remove(on_gc)
+    return seen
+
+
+def test_collect_young_after_defers_collection_to_one_young_pass():
+    import gc
+
+    from repro.sim.engine import collect_young_after
+
+    inside = []
+
+    @collect_young_after
+    def allocate():
+        inside.append(gc.isenabled())
+        inside.append(_collections_during(lambda: [[i] for i in range(20_000)]))
+        return "built"
+
+    assert gc.isenabled()
+    seen = _collections_during(lambda: inside.append(allocate()))
+    # 20 000 survivors would trigger ~28 automatic collections; none ran
+    # during the pass, and the pass ended with one young collection.
+    assert inside == [False, [], "built"]
+    assert seen == [0]
+    assert gc.isenabled()
+
+
+def test_collect_young_after_respects_a_caller_that_has_gc_off():
+    import gc
+
+    from repro.sim.engine import collect_young_after
+
+    @collect_young_after
+    def fail():
+        raise ValueError("pass failed")
+
+    gc.disable()
+    try:
+        assert _collections_during(lambda: pytest.raises(ValueError, fail)) == []
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    with pytest.raises(ValueError):
+        fail()
+    assert gc.isenabled()
