@@ -9,12 +9,20 @@ entry point — the recorder's ``start`` / ``open_row`` / ``write_row`` /
 gate is zero calls: every span site tests ``rec.enabled`` (or for a
 null root) first, so an unobserved run builds no span arguments and
 makes no recorder call.
+
+The same gate covers the event stream: with no subscriber, every emit
+site tests ``obs.event_subscribers`` first, so an unobserved run makes
+no ``Observability.emit`` call. It is counted on the fig6 run and on a
+run with the robustness layers on (reliability and overload, half the
+catalogue non-regular), whose leases and overload controller emit.
 """
 
 from collections import Counter
 
 from repro.cluster import build_paper_system
+from repro.core.overload import OverloadParams
 from repro.experiments import make_paper_trace
+from repro.net import ReliabilityParams
 from repro.obs.hub import Observability
 from repro.obs.spans import NULL_ROW, NULL_SPAN, NullSpanRecorder, _NullSpan
 from repro.workload import run_closed
@@ -22,6 +30,8 @@ from repro.workload import run_closed
 N_UPDATES = 1000
 SEED = 0
 N_ITEMS = 10
+#: the robustness-on run's size
+ROBUST_UPDATES = 500
 
 #: every recorder entry point, then the null span's mutators
 ENTRY_POINTS = ("start", "open_row", "write_row", "keep_open", "open_tree",
@@ -76,10 +86,7 @@ def _count_null_calls() -> Counter:
     the null span's mutators included (counted on the class, so the
     shared ``NULL_SPAN`` a disabled root returns counts too)."""
     system = build_paper_system(n_items=N_ITEMS, seed=SEED)
-    counting = Observability(enabled=False)
-    recorder = counting.recorder = CountingNullRecorder()
-    for site in system.sites.values():
-        site.accelerator.obs = counting
+    recorder = system.obs.recorder = CountingNullRecorder()
     trace = make_paper_trace(N_UPDATES, seed=SEED, n_items=N_ITEMS)
     finish, annotate = _NullSpan.finish, _NullSpan.annotate
 
@@ -98,8 +105,37 @@ def _count_null_calls() -> Counter:
     return recorder.calls
 
 
+def _count_emits(system, n_updates: int) -> int:
+    """Replay ``n_updates`` paper updates on ``system`` counting every
+    ``Observability.emit`` call (counted on the class, so every hub)."""
+    calls = 0
+    emit = Observability.emit
+
+    def counted(hub, kind, now, **fields):
+        nonlocal calls
+        calls += 1
+        emit(hub, kind, now, **fields)
+
+    Observability.emit = counted
+    try:
+        run_closed(system, make_paper_trace(n_updates, seed=SEED, n_items=N_ITEMS))
+    finally:
+        Observability.emit = emit
+    return calls
+
+
 def bench_obs_disabled_calls(save_result):
     calls = _count_null_calls()
+    fig6_emits = _count_emits(
+        build_paper_system(n_items=N_ITEMS, seed=SEED), N_UPDATES
+    )
+    robust_emits = _count_emits(
+        build_paper_system(
+            n_items=N_ITEMS, seed=SEED, regular_fraction=0.5,
+            reliability=ReliabilityParams(), overload=OverloadParams(),
+        ),
+        ROBUST_UPDATES,
+    )
     report = [
         f"workload             : fig6 proposal, n={N_UPDATES} updates, unobserved",
         "null entry point     :    calls",
@@ -109,6 +145,13 @@ def bench_obs_disabled_calls(save_result):
         f"null calls per update: {sum(calls.values()) / N_UPDATES:.3f}"
         " (gate: 0)"
     )
+    report += [
+        "emit calls (gate: 0) :    calls",
+        f"  fig6 proposal      : {fig6_emits:>8}",
+        f"  robustness on      : {robust_emits:>8}"
+        f"  (reliability + overload, regular 0.5, n={ROBUST_UPDATES})",
+    ]
     report = "\n".join(report)
     save_result("obs_overhead", report)
     assert sum(calls.values()) == 0, report
+    assert fig6_emits == 0 and robust_emits == 0, report

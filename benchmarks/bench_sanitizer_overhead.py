@@ -1,15 +1,14 @@
 """Disabled-path overhead bound for the runtime protocol sanitizer.
 
-The sanitizer hooks stay in the hot paths even when ``config.sanitize``
-is off: AV tables and lock managers check a ``monitor`` slot, protocols
-call ``obs.emit`` into an empty event bus, and the network walks an
-empty observer list. Same method as ``bench_obs_overhead``:
+The sanitizer's event sources stay in the hot paths even when
+``config.sanitize`` is off: AV tables, lock managers, the network and
+the protocols each test their hub's ``event_subscribers`` before
+building an event. Same method as ``bench_obs_overhead``:
 
 1. run the Fig. 6 proposal workload unsanitized and time it;
-2. replay the workload with counting hooks installed to census how many
-   times each hook site fires;
-3. micro-time each disabled hook (``monitor is None`` guard, empty-bus
-   ``emit``, empty observer loop);
+2. replay the workload with one counting subscriber on the system's
+   hub to census how many events, and so how many guards, fire;
+3. micro-time the one disabled guard (an empty subscriber list);
 4. assert the summed added cost is under 5% of the run time.
 """
 
@@ -20,7 +19,6 @@ from conftest import once
 
 from repro.cluster import build_paper_system
 from repro.experiments import make_paper_trace
-from repro.obs.hub import Observability
 from repro.workload import run_closed
 
 #: the acceptance bound: disabled sanitizer hooks must stay under this
@@ -29,21 +27,6 @@ MAX_OVERHEAD = 0.05
 N_UPDATES = 1000
 SEED = 0
 N_ITEMS = 10
-
-
-class CountingMonitor:
-    """Counts every monitor notification (hook-site census)."""
-
-    def __init__(self):
-        self.av_events = 0
-        self.lock_events = 0
-
-    def av_event(self, table, op, item, amount, hold=None):
-        self.av_events += 1
-
-    def lock_event(self, manager, op, item, owner, mode, span_id,
-                   holders, queue):
-        self.lock_events += 1
 
 
 def _run_unsanitized() -> float:
@@ -55,65 +38,42 @@ def _run_unsanitized() -> float:
     return time.perf_counter() - t0
 
 
-def _census():
-    """Replay the workload counting every hook-site activation."""
+def _census() -> int:
+    """Replay the workload counting every event its guards let through."""
     system = build_paper_system(n_items=N_ITEMS, seed=SEED)
-    monitor = CountingMonitor()
-    counts = {"emits": 0, "net": 0}
+    events = 0
 
-    hub = Observability(enabled=False)
-    hub.event_subscribers.append(
-        lambda kind, now, fields: counts.__setitem__(
-            "emits", counts["emits"] + 1
-        )
-    )
-    for site in system.sites.values():
-        site.accelerator.obs = hub
-        site.accelerator.av_table.monitor = monitor
-        site.accelerator.locks.monitor = monitor
-    system.network.observers.append(
-        lambda event, now, msg: counts.__setitem__("net", counts["net"] + 1)
-    )
+    def count(kind, now, fields):
+        nonlocal events
+        events += 1
 
+    system.obs.event_subscribers.append(count)
     trace = make_paper_trace(N_UPDATES, seed=SEED, n_items=N_ITEMS)
     run_closed(system, trace)
-    return monitor.av_events + monitor.lock_events, counts["emits"], counts["net"]
+    return events
 
 
 def bench_sanitizer_disabled_overhead(benchmark, save_result):
     run_seconds = min(once(benchmark, _run_unsanitized), _run_unsanitized())
 
-    guards, emits, net_msgs = _census()
-    assert guards > 0 and emits > 0 and net_msgs > 0, (
-        "hooked paths never fired?"
-    )
+    guards = _census()
+    assert guards > 0, "hooked paths never fired?"
 
     reps = 100_000
     table = build_paper_system(n_items=1).site("site0").av_table
-    per_guard = timeit.timeit(
-        lambda: table.monitor is None, number=reps
-    ) / reps
-    empty_hub = Observability(enabled=False)
-    per_emit = timeit.timeit(
-        lambda: empty_hub.emit("av.mint", 0.0, site="s", item="i", amount=1.0),
-        number=reps,
-    ) / reps
-    no_observers = []
 
-    def _walk():
-        for fn in no_observers:
-            fn(None, None, None)
+    def _guard():
+        if table.obs.event_subscribers:
+            pass
 
-    per_net = timeit.timeit(_walk, number=reps) / reps
+    per_guard = timeit.timeit(_guard, number=reps) / reps
 
-    added = guards * per_guard + emits * per_emit + net_msgs * per_net
+    added = guards * per_guard
     overhead = added / run_seconds
     report = "\n".join([
         f"workload               : fig6 proposal, n={N_UPDATES} updates",
         f"run time (unsanitized) : {run_seconds * 1e3:.1f} ms",
-        f"monitor guard checks   : {guards} x {per_guard * 1e9:.0f} ns",
-        f"empty-bus emits        : {emits} x {per_emit * 1e9:.0f} ns",
-        f"observer-list walks    : {net_msgs} x {per_net * 1e9:.0f} ns",
+        f"subscriber-list guards : {guards} x {per_guard * 1e9:.0f} ns",
         f"added cost             : {added * 1e6:.0f} us",
         f"estimated overhead     : {overhead:.3%} (bound {MAX_OVERHEAD:.0%})",
     ])

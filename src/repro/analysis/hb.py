@@ -18,7 +18,7 @@ flavours deserve different treatment when auditing a run:
 
 Clock discipline: each site ticks on every send and on every receive
 (after merging the sender's snapshot), the standard construction, driven
-entirely from the network observer tap — no protocol changes needed.
+entirely from the run's ``msg.*`` events — no protocol changes needed.
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ class GrantRecord:
 
 
 class CausalOrder:
-    """Happens-before bookkeeping over the message tap + select events.
+    """Happens-before bookkeeping over message + select events.
 
     Fed by the sanitizer: :meth:`on_send`/:meth:`on_recv`/:meth:`on_drop`
-    from the network observer, :meth:`on_grant` when an ``av.request``
+    from the ``msg.*`` events, :meth:`on_grant` when an ``av.request``
     reply leaves the grantor, and :meth:`on_select` from the protocol's
     ``av.select`` event.  Findings accumulate as ``(kind, detail)``
     warning tuples pulled by the sanitizer.
@@ -97,7 +97,7 @@ class CausalOrder:
         return clock
 
     # ------------------------------------------------------------- #
-    # network tap
+    # message events
     # ------------------------------------------------------------- #
 
     def on_send(self, src: str, msg_id: int) -> None:

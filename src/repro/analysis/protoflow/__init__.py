@@ -20,10 +20,10 @@ nondeterminism taint — and the flow checks
 * ``proto-taint`` — no wall-clock / unseeded-rng / unordered-set values
   flow into message payloads.
 
-The same engine drives the per-file lint rules
-(:func:`repro.analysis.lint.lint_paths` delegates here), so the whole
-static suite is one parse of the tree, run by
-``python -m repro check --static`` (lint + protoflow together).
+The same engine drives the per-file lint rules (:func:`index_project`
+takes them as ``rules``), so the whole static suite is one parse of the
+tree, run by ``python -m repro check --static`` (lint + protoflow
+together).
 Suppressions reuse the lint syntax (``# repro-lint: disable=proto-taint
 (why)``).
 """
@@ -33,31 +33,9 @@ from __future__ import annotations
 from repro.analysis.protoflow.checks import ProtoFinding, run_checks
 from repro.analysis.protoflow.ir import ProjectIR, index_project
 
-
-def analyze(paths, registry=None, rules=()):
-    """Run the flow checks over ``paths``; returns post-suppression findings.
-
-    ``registry`` defaults to the full accelerator protocol
-    (:data:`repro.net.protocol.PROTOCOL`). ``rules`` optionally adds
-    lint rules to the same single-parse pass (their findings are
-    returned too, interleaved by location).
-    """
-    if registry is None:
-        from repro.net.protocol import PROTOCOL
-
-        registry = PROTOCOL
-    lint_findings, ir = index_project(paths, rules=rules)
-    flow_findings = run_checks(ir, registry)
-    return sorted(
-        [*lint_findings, *flow_findings],
-        key=lambda f: (f.path, f.line, f.col, f.rule),
-    )
-
-
 __all__ = [
     "ProjectIR",
     "ProtoFinding",
-    "analyze",
     "index_project",
     "run_checks",
 ]

@@ -1,14 +1,13 @@
 """The runtime protocol sanitizer.
 
 Opt-in (``SystemConfig.sanitize=True`` or ``python -m repro check``): a
-:class:`ProtocolSanitizer` attaches to a built system through three
-existing hook layers — the duck-typed ``monitor`` slots on every site's
-:class:`~repro.core.av_table.AVTable` and
-:class:`~repro.db.locks.LockManager`, the network's observer tap, and
-the observability hub's event bus — and audits every event against the
-paper's invariants (see :mod:`repro.analysis.invariants` and
-:mod:`repro.analysis.hb`).  No protocol code changes behaviour when the
-sanitizer is absent; each hook costs one ``is None`` check.
+:class:`ProtocolSanitizer` subscribes to a built system's one event
+stream, the hub's :meth:`~repro.obs.hub.Observability.emit` bus, which
+carries the AV tables' ``av.*``, the lock managers' ``lock.*``, the
+network's ``msg.*`` and the protocols' policy events. It audits every
+event against the paper's invariants (see :mod:`repro.analysis.invariants`
+and :mod:`repro.analysis.hb`).  No protocol code changes behaviour when
+the sanitizer is absent; each emit site costs one subscriber-list check.
 
 Severity policy
 ---------------
@@ -64,7 +63,6 @@ class ProtocolSanitizer:
         self.rel_covered_drops = 0
         self.events = 0
         self.system = None
-        self._env = None
         #: defined sites per item (tracks full undefinition epochs)
         self._defined: Dict[str, set] = {}
         #: av.request msg_id -> item (to classify the reply)
@@ -76,72 +74,106 @@ class ProtocolSanitizer:
         #: in-flight propagation deltas: msg_id -> (item, delta, dst, ctx)
         self._props: Dict[int, tuple] = {}
         self._finished = False
+        #: event kind -> handler(kind, now, fields); every other kind is
+        #: counted and otherwise ignored
+        self._handlers = {
+            "av.define": self._av_define,
+            "av.undefine": self._av_undefine,
+            "av.add": self._av_add,
+            "av.take": self._av_take,
+            "av.hold.open": self._hold_open,
+            "av.hold.add": self._hold_add,
+            "av.hold.consume": self._hold_consume,
+            "av.hold.release": self._hold_release,
+            "av.hold.reclose": self._hold_reclose,
+            "av.mint": self._av_mint,
+            "av.spend": self._av_spend,
+            "av.select": self._av_select,
+            "av.lease.open": self._lease_open,
+            "av.lease.discharge": self._lease_resolve,
+            "av.lease.revert": self._lease_resolve,
+            "av.lease.conflict": self._lease_conflict,
+            "ovl.shed": self._ovl_shed,
+            "ovl.transition": self._ovl_transition,
+            "ovl.demote": self._ovl_demote,
+            "ovl.promote": self._ovl_promote,
+            "ovl.trip": self._ovl_trip,
+            **dict.fromkeys(("lock.grant", "lock.wait", "lock.release"), self._lock),
+            **dict.fromkeys(("msg.send", "msg.recv", "msg.drop"), self._message),
+        }
 
     # ------------------------------------------------------------- #
     # wiring
     # ------------------------------------------------------------- #
 
     def attach(self, system) -> "ProtocolSanitizer":
-        """Install hooks on every site and fold in the bootstrap state."""
+        """Subscribe to the system's event stream and fold in the
+        bootstrap state."""
         self.system = system
-        self._env = system.env
         for name in sorted(system.sites):
-            site = system.sites[name]
-            accel = site.accelerator
-            accel.av_table.monitor = self
-            accel.locks.monitor = self
-            for item, volume in sorted(accel.av_table.items()):
+            table = system.sites[name].accelerator.av_table
+            for item, volume in sorted(table.items()):
                 self.conservation.baseline(item, volume)
                 self._defined.setdefault(item, set()).add(name)
-        system.network.observers.append(self._on_message)
         system.obs.event_subscribers.append(self._on_emit)
         return self
 
-    @property
-    def now(self) -> float:
-        return self._env.now if self._env is not None else 0.0
-
-    # ------------------------------------------------------------- #
-    # AVTable monitor (duck-typed)
-    # ------------------------------------------------------------- #
-
-    def av_event(self, table, op: str, item: str, amount: float, hold=None) -> None:
+    def _on_emit(self, kind: str, now: float, fields: dict) -> None:
+        """The one subscriber: count the event, then audit it by kind."""
         self.events += 1
-        site, now, cons = table.site, self.now, self.conservation
-        if op == "add":
-            cons.table_delta(item, amount, site, now)
-        elif op == "take":
-            cons.table_delta(item, -amount, site, now)
-        elif op == "define":
-            # New headroom first, then the table entry: the sum never
-            # transiently exceeds the bound.
-            cons.headroom_delta(item, amount, site, now)
-            cons.table_delta(item, amount, site, now)
-            self._defined.setdefault(item, set()).add(site)
-        elif op == "undefine":
-            cons.table_delta(item, -amount, site, now)
-            cons.headroom_delta(item, -amount, site, now)
-            defined = self._defined.get(item)
-            if defined is not None:
-                defined.discard(site)
-                if not defined:
-                    self._end_epoch(item, now)
-        elif op == "hold.open":
-            self.holds.on_open(site, hold, now)
-        elif op == "hold.add":
-            cons.holds_delta(item, amount, site, now)
-        elif op == "hold.consume":
-            # The full held volume leaves the holds account and the
-            # needed part leaves headroom; the excess re-enters the
-            # table via a separate "add" right after.
-            cons.holds_delta(item, -hold.amount, site, now)
-            cons.headroom_delta(item, -amount, site, now)
-            self.holds.on_close(site, hold, now)
-        elif op == "hold.release":
-            cons.holds_delta(item, -amount, site, now)
-            self.holds.on_close(site, hold, now)
-        elif op == "hold.reclose":
-            self.holds.on_reclose(site, hold, now)
+        handler = self._handlers.get(kind)
+        if handler is not None:
+            handler(kind, now, fields)
+
+    # ------------------------------------------------------------- #
+    # AV table and holds (av.define/undefine/add/take, av.hold.*)
+    # ------------------------------------------------------------- #
+
+    def _av_add(self, kind: str, now: float, f: dict) -> None:
+        self.conservation.table_delta(f["item"], f["amount"], f["site"], now)
+
+    def _av_take(self, kind: str, now: float, f: dict) -> None:
+        self.conservation.table_delta(f["item"], -f["amount"], f["site"], now)
+
+    def _av_define(self, kind: str, now: float, f: dict) -> None:
+        # New headroom first, then the table entry: the sum never
+        # transiently exceeds the bound.
+        item, amount, site = f["item"], f["amount"], f["site"]
+        self.conservation.headroom_delta(item, amount, site, now)
+        self.conservation.table_delta(item, amount, site, now)
+        self._defined.setdefault(item, set()).add(site)
+
+    def _av_undefine(self, kind: str, now: float, f: dict) -> None:
+        item, amount, site = f["item"], f["amount"], f["site"]
+        self.conservation.table_delta(item, -amount, site, now)
+        self.conservation.headroom_delta(item, -amount, site, now)
+        defined = self._defined.get(item)
+        if defined is not None:
+            defined.discard(site)
+            if not defined:
+                self._end_epoch(item, now)
+
+    def _hold_open(self, kind: str, now: float, f: dict) -> None:
+        self.holds.on_open(f["site"], f["hold"], now)
+
+    def _hold_add(self, kind: str, now: float, f: dict) -> None:
+        self.conservation.holds_delta(f["item"], f["amount"], f["site"], now)
+
+    def _hold_consume(self, kind: str, now: float, f: dict) -> None:
+        # The full held volume leaves the holds account and the needed
+        # part leaves headroom; the excess re-enters the table via a
+        # separate av.add right after.
+        item, site, hold = f["item"], f["site"], f["hold"]
+        self.conservation.holds_delta(item, -hold.amount, site, now)
+        self.conservation.headroom_delta(item, -f["amount"], site, now)
+        self.holds.on_close(site, hold, now)
+
+    def _hold_release(self, kind: str, now: float, f: dict) -> None:
+        self.conservation.holds_delta(f["item"], -f["amount"], f["site"], now)
+        self.holds.on_close(f["site"], f["hold"], now)
+
+    def _hold_reclose(self, kind: str, now: float, f: dict) -> None:
+        self.holds.on_reclose(f["site"], f["hold"], now)
 
     def _end_epoch(self, item: str, now: float) -> None:
         """No site defines ``item`` any more: close its AV epoch.
@@ -164,22 +196,60 @@ class ProtocolSanitizer:
         cons.av_sum[item] = 0.0
 
     # ------------------------------------------------------------- #
-    # LockManager monitor (duck-typed)
+    # protocol policy (av.mint/spend/select, av.lease.*, ovl.*)
     # ------------------------------------------------------------- #
 
-    def lock_event(self, manager, op, item, owner, mode, span_id,
-                   holders, queue) -> None:
-        self.events += 1
-        name = manager.name
-        site = name[:-len(".locks")] if name.endswith(".locks") else name
-        self.locks.on_event(site, op, item, owner, span_id, holders, queue, self.now)
+    def _av_mint(self, kind: str, now: float, f: dict) -> None:
+        self.conservation.headroom_delta(f["item"], f["amount"], f["site"], now)
+
+    def _av_spend(self, kind: str, now: float, f: dict) -> None:
+        self.conservation.headroom_delta(f["item"], -f["amount"], f["site"], now)
+
+    def _av_select(self, kind: str, now: float, f: dict) -> None:
+        self.causal.on_select(
+            f["site"], f["item"], f["target"], f.get("believed"), now,
+            trace=f.get("trace"), span=f.get("span"),
+        )
+
+    def _lease_open(self, kind: str, now: float, f: dict) -> None:
+        self.leases.on_open(
+            f["site"], f["lease"], f["item"], f["amount"], f["holder"], now
+        )
+
+    def _lease_resolve(self, kind: str, now: float, f: dict) -> None:
+        # kind is av.lease.discharge or av.lease.revert
+        self.leases.on_resolve(f["site"], f["lease"], kind[9:], now)
+
+    def _lease_conflict(self, kind: str, now: float, f: dict) -> None:
+        self.leases.on_conflict(f["site"], f["holder"], f["lease"], now)
+
+    def _ovl_shed(self, kind: str, now: float, f: dict) -> None:
+        self.overload.on_shed(f["site"], f["retry_after"], now)
+
+    def _ovl_transition(self, kind: str, now: float, f: dict) -> None:
+        self.overload.on_transition(f["site"], f["src"], f["dst"], now)
+
+    def _ovl_demote(self, kind: str, now: float, f: dict) -> None:
+        self.overload.on_demote(f["site"], f["item"], now)
+
+    def _ovl_promote(self, kind: str, now: float, f: dict) -> None:
+        self.overload.on_promote(f["site"], f["item"], now)
+
+    def _ovl_trip(self, kind: str, now: float, f: dict) -> None:
+        self.overload.on_trip(f["site"], now)
 
     # ------------------------------------------------------------- #
-    # network observer
+    # locks and messages (lock.*, msg.*)
     # ------------------------------------------------------------- #
 
-    def _on_message(self, event: str, now: float, msg) -> None:
-        self.events += 1
+    def _lock(self, kind: str, now: float, f: dict) -> None:
+        self.locks.on_event(
+            f["site"], kind[5:], f["item"], f["owner"], f["span_id"],
+            f["holders"], f["queue"], now,
+        )
+
+    def _message(self, kind: str, now: float, f: dict) -> None:
+        event, msg = kind[4:], f["msg"]
         if event == "send":
             self.causal.on_send(msg.src, msg.msg_id)
         elif event == "recv":
@@ -301,52 +371,6 @@ class ProtocolSanitizer:
         ))
 
     # ------------------------------------------------------------- #
-    # obs event bus
-    # ------------------------------------------------------------- #
-
-    def _on_emit(self, kind: str, now: float, fields: dict) -> None:
-        self.events += 1
-        if kind == "av.mint":
-            self.conservation.headroom_delta(
-                fields["item"], fields["amount"], fields["site"], now
-            )
-        elif kind == "av.spend":
-            self.conservation.headroom_delta(
-                fields["item"], -fields["amount"], fields["site"], now
-            )
-        elif kind == "av.select":
-            self.causal.on_select(
-                fields["site"], fields["item"], fields["target"],
-                fields.get("believed"), now,
-                trace=fields.get("trace"), span=fields.get("span"),
-            )
-        elif kind == "av.lease.open":
-            self.leases.on_open(
-                fields["site"], fields["lease"], fields["item"],
-                fields["amount"], fields["holder"], now,
-            )
-        elif kind == "av.lease.discharge":
-            self.leases.on_resolve(fields["site"], fields["lease"], "discharge", now)
-        elif kind == "av.lease.revert":
-            self.leases.on_resolve(fields["site"], fields["lease"], "revert", now)
-        elif kind == "av.lease.conflict":
-            self.leases.on_conflict(
-                fields["site"], fields["holder"], fields["lease"], now
-            )
-        elif kind == "ovl.shed":
-            self.overload.on_shed(fields["site"], fields["retry_after"], now)
-        elif kind == "ovl.transition":
-            self.overload.on_transition(
-                fields["site"], fields["src"], fields["dst"], now
-            )
-        elif kind == "ovl.demote":
-            self.overload.on_demote(fields["site"], fields["item"], now)
-        elif kind == "ovl.promote":
-            self.overload.on_promote(fields["site"], fields["item"], now)
-        elif kind == "ovl.trip":
-            self.overload.on_trip(fields["site"], now)
-
-    # ------------------------------------------------------------- #
     # teardown
     # ------------------------------------------------------------- #
 
@@ -355,7 +379,7 @@ class ProtocolSanitizer:
         if self._finished:
             return self.report
         self._finished = True
-        now = self.now
+        now = self.system.env.now if self.system is not None else 0.0
         report = self.report
 
         self.holds.finish(now)
@@ -434,7 +458,7 @@ class ProtocolSanitizer:
     def _drift_audit(self, now: float) -> None:
         """Cross-check the incremental table sums against ground truth.
 
-        A mismatch means an AV mutation bypassed the monitor — an
+        A mismatch means an AV mutation bypassed the event stream — an
         instrumentation gap, reported so it cannot silently rot.
         """
         if self.system is None:
@@ -453,7 +477,7 @@ class ProtocolSanitizer:
                     time=now,
                     detail=(
                         f"tracked table sum {tracked:g} != actual {real:g}"
-                        " — an AV mutation bypassed the monitor"
+                        " — an AV mutation bypassed the event stream"
                     ),
                 ))
 

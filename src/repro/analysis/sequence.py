@@ -2,8 +2,9 @@
 
 The paper's Figs. 3-5 are hand-drawn message-sequence sketches of the
 Delay Update (local and with AV transfer) and the Immediate Update.
-Here they are *generated*: a :class:`SequenceRecorder` taps the
-network's observer hook, and :func:`render_sequence` lays the captured
+Here they are *generated*: a :class:`SequenceRecorder` subscribes to a
+hub's event stream and keeps its ``msg.*`` events, and
+:func:`render_sequence` lays the captured
 messages out as a text sequence diagram — so the diagrams in
 ``docs/figures/`` are guaranteed to match what the implementation
 actually does (the protocol-figures bench regenerates and checks them).
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.net.message import Message
-from repro.net.network import Network
+from repro.obs.hub import Observability
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,20 +36,21 @@ class SequenceEvent:
 
 
 class SequenceRecorder:
-    """Observer collecting message events for diagram rendering."""
+    """Subscriber collecting a hub's message events for diagram rendering."""
 
-    def __init__(self, network: Network) -> None:
-        self.network = network
+    def __init__(self, obs: Observability) -> None:
+        self.obs = obs
         self.events: List[SequenceEvent] = []
-        network.observers.append(self._observe)
+        obs.event_subscribers.append(self._observe)
 
-    def _observe(self, event: str, time: float, msg: Message) -> None:
-        self.events.append(SequenceEvent(event, time, msg))
+    def _observe(self, kind: str, time: float, fields: dict) -> None:
+        if kind.startswith("msg."):
+            self.events.append(SequenceEvent(kind[4:], time, fields["msg"]))
 
     def detach(self) -> None:
         """Stop recording."""
         try:
-            self.network.observers.remove(self._observe)
+            self.obs.event_subscribers.remove(self._observe)
         except ValueError:  # pragma: no cover - double detach
             pass
 
@@ -162,7 +164,7 @@ def record_scenario(system, scenario, participants=None, **render_kwargs) -> str
 
     Convenience wrapper used by the protocol-figure benches and docs.
     """
-    recorder = SequenceRecorder(system.network)
+    recorder = SequenceRecorder(system.obs)
     proc = system.env.process(scenario(system.env), name="scenario")
     system.run(until=proc)
     recorder.detach()

@@ -58,9 +58,9 @@ class SystemConfig:
     max_rounds, max_immediate_retries:
         Protocol retry bounds (see :class:`~repro.core.accelerator.Accelerator`).
 
-    A run's record is ``observe`` (spans, ``obs.emit`` events and the
-    metric registry) plus :attr:`~repro.net.network.Network.observers`
-    (every send, receive and drop); see ``docs/observability.md``.
+    A run's record is ``observe`` (spans and the metric registry) plus
+    its one ``obs.emit`` event stream (AV-table, lock, message and policy
+    events), which any run carries; see ``docs/observability.md``.
     """
 
     n_retailers: int = 2

@@ -55,7 +55,8 @@ class DistributedSystem:
         self.catalog = catalog
         self.sites = sites
         self.collector = collector
-        #: the run's observability hub (NULL_OBS when config.observe off)
+        #: the run's observability hub; its event bus is the run's one
+        #: event stream
         self.obs = obs if obs is not None else NULL_OBS
         #: the runtime sanitizer (set by build() when config.sanitize)
         self.sanitizer = None
@@ -83,28 +84,22 @@ class DistributedSystem:
         rngs = RngRegistry(config.seed)
         from repro.net.sizes import SizeModel
 
+        # Every system gets its own hub, so any run can be subscribed to
+        # without touching the shared NULL_OBS; recording stays off
+        # unless config.observe.
+        obs = Observability(enabled=config.observe)
         network = Network(
             env,
             latency=ConstantLatency(config.latency_mean),
             rng=rngs.stream("net.latency"),
             size_model=SizeModel() if config.count_bytes else None,
+            obs=obs,
         )
         catalog = make_catalog(
             config.n_items,
             initial_stock=config.initial_stock,
             regular_fraction=config.regular_fraction,
         )
-        # NULL_OBS is a shared singleton, so the collector must only be
-        # handed the registry of a run-private (enabled) hub — otherwise
-        # every unobserved run would accumulate into one global registry.
-        # The sanitizer subscribes to the hub's event bus, so it too
-        # needs a run-private hub (possibly with recording disabled).
-        if config.observe:
-            obs = Observability(enabled=True)
-        elif config.sanitize:
-            obs = Observability(enabled=False)
-        else:
-            obs = NULL_OBS
         collector = MetricsCollector(
             registry=obs.registry if config.observe else None
         )

@@ -117,10 +117,12 @@ class Accelerator:
         #: aggregator to ask FIRST in the Delay gather loop (hierarchical
         #: AV); ``None`` keeps the paper's strategy-only gather
         self.pool_parent = interest.pool_parent
-        self.av_table = AVTable(self.site)
+        self.obs = obs if obs is not None else NULL_OBS
+        clock = lambda: self.env.now
+        self.av_table = AVTable(self.site, obs=self.obs, clock=clock)
         self.beliefs = BeliefTable(self.site)
-        self.locks = LockManager(self.env, name=f"{self.site}.locks")
-        self.txns = TransactionManager(store, clock=lambda: self.env.now)
+        self.locks = LockManager(self.env, self.site, obs=self.obs)
+        self.txns = TransactionManager(store, clock=clock)
         self.strategy = strategy if strategy is not None else BelievedRichestStrategy()
         self.policy = policy if policy is not None else Soda99Policy()
         if rng is None:
@@ -131,7 +133,6 @@ class Accelerator:
                 f"Accelerator {self.site!r} requires an explicit rng stream"
             )
         self.rng = rng
-        self.obs = obs if obs is not None else NULL_OBS
         self.propagate = propagate
         self.request_timeout = request_timeout
         self.max_rounds = max_rounds

@@ -11,13 +11,19 @@ accelerator moves local AV into a hold so concurrent local updates cannot
 double-spend it, yet without locking the item (paper: "it is not
 necessary to lock the AV exclusively until the completion of whole
 transaction").
+
+Every mutation is published on the owning hub's event bus
+(``av.define``, ``av.undefine``, ``av.add``, ``av.take`` and
+``av.hold.{open,add,consume,release,reclose}``) when it has subscribers;
+the runtime sanitizer audits AV conservation from these events.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.core.errors import AVUndefined, InsufficientAV, InvalidVolume
+from repro.obs.hub import NULL_OBS, Observability
 
 
 class Hold:
@@ -52,9 +58,8 @@ class Hold:
         if amount < 0:
             raise InvalidVolume(f"cannot hold negative volume {amount}")
         self.amount += amount
-        m = self.table.monitor
-        if m is not None:
-            m.av_event(self.table, "hold.add", self.item, amount, hold=self)
+        if self.table.obs.event_subscribers:
+            self.table._emit("av.hold.add", self.item, amount, self)
 
     def consume(self, needed: float) -> None:
         """Spend ``needed`` from the hold; excess returns to the table."""
@@ -63,26 +68,20 @@ class Hold:
             raise InvalidVolume(f"cannot consume negative volume {needed}")
         if needed > self.amount + 1e-9:
             raise InsufficientAV(self.item, self.amount, needed)
-        excess = self.amount - needed
-        # Notify before mutating: the monitor sees the hold's full volume
-        # leave the holds account before the excess re-enters the table,
-        # so the conservation sum only ever dips (safe for a <= bound).
-        m = self.table.monitor
-        if m is not None:
-            m.av_event(self.table, "hold.consume", self.item, needed, hold=self)
-        self.amount = 0.0
-        self.closed = True
-        self.table.open_holds -= 1
-        if excess > 0:
-            self.table.add(self.item, excess)
+        self._close("av.hold.consume", needed, self.amount - needed)
 
     def release(self) -> None:
         """Return the entire hold to the table (update gave up)."""
         self._check_open()
-        returned = self.amount
-        m = self.table.monitor
-        if m is not None:
-            m.av_event(self.table, "hold.release", self.item, returned, hold=self)
+        self._close("av.hold.release", self.amount, self.amount)
+
+    def _close(self, kind: str, amount: float, returned: float) -> None:
+        # Emit before mutating: a subscriber sees the hold's full volume
+        # leave the holds account before ``returned`` re-enters the
+        # table, so the conservation sum only ever dips (safe for a <=
+        # bound).
+        if self.table.obs.event_subscribers:
+            self.table._emit(kind, self.item, amount, self)
         self.amount = 0.0
         self.closed = True
         self.table.open_holds -= 1
@@ -91,9 +90,8 @@ class Hold:
 
     def _check_open(self) -> None:
         if self.closed:
-            m = self.table.monitor
-            if m is not None:
-                m.av_event(self.table, "hold.reclose", self.item, 0.0, hold=self)
+            if self.table.obs.event_subscribers:
+                self.table._emit("av.hold.reclose", self.item, 0.0, self)
             raise InvalidVolume(f"hold on {self.item!r} already closed")
 
     def __repr__(self) -> str:
@@ -107,20 +105,33 @@ class AVTable:
     Parameters
     ----------
     site:
-        Owning site's name (for error messages and traces).
+        Owning site's name (for error messages and events).
+    obs:
+        Hub whose event bus carries the table's ``av.*`` events.
+    clock:
+        Zero-argument callable giving the simulated time of an event.
     """
 
-    def __init__(self, site: str = "site") -> None:
+    def __init__(
+        self,
+        site: str = "site",
+        obs: Observability = NULL_OBS,
+        clock: Optional[Callable[[], float]] = None,
+    ) -> None:
         self.site = site
+        self.obs = obs
+        self._clock = clock if clock is not None else (lambda: 0.0)
         self._av: Dict[str, float] = {}
         #: open holds (diagnostic; should be empty at quiescence)
         self.open_holds = 0
-        #: optional duck-typed observer with an
-        #: ``av_event(table, op, item, amount, hold=None)`` method; the
-        #: runtime sanitizer installs one. ``None`` keeps every op at a
-        #: single extra attribute check.
-        self.monitor = None
         self._hold_seq = 0
+
+    def _emit(self, kind: str, item: str, amount: float, hold=None) -> None:
+        """Publish one ``av.*`` event; callers test for subscribers."""
+        self.obs.emit(
+            kind, self._clock(), site=self.site, item=item, amount=amount,
+            hold=hold,
+        )
 
     # ---------------------------------------------------------------- #
     # the checking-function predicate
@@ -140,8 +151,8 @@ class AVTable:
 
     def define_many(self, volumes: Mapping[str, float]) -> None:
         """Register every item of ``volumes`` with its initial volume, in
-        its order; all or nothing. An attached monitor sees one
-        ``define`` event per item."""
+        its order; all or nothing. A subscriber sees one ``av.define``
+        event per item."""
         av = self._av
         if not av.keys().isdisjoint(volumes):
             item = next(i for i in volumes if i in av)
@@ -149,10 +160,10 @@ class AVTable:
         if volumes and min(volumes.values()) < 0:
             initial = next(v for v in volumes.values() if v < 0)
             raise InvalidVolume(f"negative initial AV {initial}")
-        monitor = self.monitor
+        subscribed = bool(self.obs.event_subscribers)
         for item, initial in volumes.items():
-            if monitor is not None:
-                monitor.av_event(self, "define", item, float(initial))
+            if subscribed:
+                self._emit("av.define", item, float(initial))
             av[item] = float(initial)
 
     def undefine(self, item: str) -> float:
@@ -160,8 +171,8 @@ class AVTable:
         if item not in self._av:
             raise AVUndefined(item)
         dropped = self._av.pop(item)
-        if self.monitor is not None:
-            self.monitor.av_event(self, "undefine", item, dropped)
+        if self.obs.event_subscribers:
+            self._emit("av.undefine", item, dropped)
         return dropped
 
     # ---------------------------------------------------------------- #
@@ -182,8 +193,8 @@ class AVTable:
         if item not in self._av:
             raise AVUndefined(item)
         self._av[item] += amount
-        if self.monitor is not None:
-            self.monitor.av_event(self, "add", item, amount)
+        if self.obs.event_subscribers:
+            self._emit("av.add", item, amount)
         return self._av[item]
 
     def take(self, item: str, amount: float) -> float:
@@ -194,16 +205,16 @@ class AVTable:
         if amount > available + 1e-9:
             raise InsufficientAV(item, available, amount)
         self._av[item] = available - amount
-        if self.monitor is not None:
-            self.monitor.av_event(self, "take", item, amount)
+        if self.obs.event_subscribers:
+            self._emit("av.take", item, amount)
         return amount
 
     def take_if_covered(self, item: str, amount: float) -> bool:
         """Fused ``get`` + ``take``: spend ``amount`` iff fully covered.
 
         The Delay decrement hot path's single-lookup form of
-        ``if av.get(item) >= need: av.take(item, need)`` — same monitor
-        event, same arithmetic, one dict probe instead of three.
+        ``if av.get(item) >= need: av.take(item, need)`` — same
+        ``av.take`` event, same arithmetic, one dict probe instead of three.
         Returns whether the take happened.
         """
         try:
@@ -215,8 +226,8 @@ class AVTable:
         if available < amount:
             return False
         self._av[item] = available - amount
-        if self.monitor is not None:
-            self.monitor.av_event(self, "take", item, amount)
+        if self.obs.event_subscribers:
+            self._emit("av.take", item, amount)
         return True
 
     def take_up_to(self, item: str, amount: float) -> float:
@@ -226,16 +237,16 @@ class AVTable:
         available = self.get(item)
         taken = min(amount, available)
         self._av[item] = available - taken
-        if self.monitor is not None:
-            self.monitor.av_event(self, "take", item, taken)
+        if self.obs.event_subscribers:
+            self._emit("av.take", item, taken)
         return taken
 
     def take_all(self, item: str) -> float:
         """Drain the item's AV (paper: "holds all the AV at the site")."""
         available = self.get(item)
         self._av[item] = 0.0
-        if self.monitor is not None:
-            self.monitor.av_event(self, "take", item, available)
+        if self.obs.event_subscribers:
+            self._emit("av.take", item, available)
         return available
 
     def hold(self, item: str, ctx: Optional[Tuple[str, int]] = None) -> Hold:
@@ -249,8 +260,8 @@ class AVTable:
         self._hold_seq += 1
         self.open_holds += 1
         h = Hold(self, item, hold_id=self._hold_seq, ctx=ctx)
-        if self.monitor is not None:
-            self.monitor.av_event(self, "hold.open", item, 0.0, hold=h)
+        if self.obs.event_subscribers:
+            self._emit("av.hold.open", item, 0.0, h)
         return h
 
     # ---------------------------------------------------------------- #

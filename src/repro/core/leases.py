@@ -112,11 +112,12 @@ class LeaseTable:
         lease = Lease(next(self._ids), item, float(amount), holder, self.env.now)
         self._open[lease.lease_id] = lease
         self.opened += 1
-        self.accel.obs.emit(
-            "av.lease.open", self.env.now,
-            site=self.accel.site, item=item, amount=lease.amount,
-            holder=holder, lease=lease.lease_id,
-        )
+        if self.accel.obs.event_subscribers:
+            self.accel.obs.emit(
+                "av.lease.open", self.env.now,
+                site=self.accel.site, item=item, amount=lease.amount,
+                holder=holder, lease=lease.lease_id,
+            )
         self.env.process(
             self._expiry(lease),
             name=f"{self.accel.site}.lease#{lease.lease_id}",
@@ -130,11 +131,12 @@ class LeaseTable:
             return False
         self._resolved[lease_id] = "discharged"
         self.discharged += 1
-        self.accel.obs.emit(
-            "av.lease.discharge", self.env.now,
-            site=self.accel.site, item=lease.item, amount=lease.amount,
-            holder=lease.holder, lease=lease_id,
-        )
+        if self.accel.obs.event_subscribers:
+            self.accel.obs.emit(
+                "av.lease.discharge", self.env.now,
+                site=self.accel.site, item=lease.item, amount=lease.amount,
+                holder=lease.holder, lease=lease_id,
+            )
         return True
 
     def _revert(self, lease: Lease) -> None:
@@ -146,11 +148,12 @@ class LeaseTable:
         # Emit before the table add: the conservation sum only dips in
         # between (the revert raises the LHS back by exactly the leased
         # amount the in-transit account gave up at the drop).
-        self.accel.obs.emit(
-            "av.lease.revert", self.env.now,
-            site=self.accel.site, item=lease.item, amount=lease.amount,
-            holder=lease.holder, lease=lease.lease_id,
-        )
+        if self.accel.obs.event_subscribers:
+            self.accel.obs.emit(
+                "av.lease.revert", self.env.now,
+                site=self.accel.site, item=lease.item, amount=lease.amount,
+                holder=lease.holder, lease=lease.lease_id,
+            )
         self.accel.av_table.add(lease.item, lease.amount)
 
     def _expiry(self, lease: Lease):
@@ -199,10 +202,11 @@ class LeaseTable:
             # volume now exists twice. Only reachable when a message
             # outlives lease_timeout in flight — which ReliabilityParams
             # forbids — so surface it loudly.
-            self.accel.obs.emit(
-                "av.lease.conflict", self.env.now,
-                site=self.accel.site, holder=msg.src, lease=lease_id,
-            )
+            if self.accel.obs.event_subscribers:
+                self.accel.obs.emit(
+                    "av.lease.conflict", self.env.now,
+                    site=self.accel.site, holder=msg.src, lease=lease_id,
+                )
         # acks for already-discharged leases (re_ack replays) are normal
 
     # ---------------------------------------------------------------- #

@@ -298,9 +298,10 @@ class OverloadController:
         """Account one shed request (admission or breaker)."""
         self.shed += 1
         obs = self.accel.obs
-        obs.emit(
-            "ovl.shed", now, site=self.accel.site, retry_after=retry_after
-        )
+        if obs.event_subscribers:
+            obs.emit(
+                "ovl.shed", now, site=self.accel.site, retry_after=retry_after
+            )
         obs.count("overload.shed")
 
     # ---------------------------------------------------------------- #
@@ -313,7 +314,8 @@ class OverloadController:
     def record_2pc_timeout(self, now: float) -> None:
         if self.breaker.record_failure(now):
             obs = self.accel.obs
-            obs.emit("ovl.trip", now, site=self.accel.site)
+            if obs.event_subscribers:
+                obs.emit("ovl.trip", now, site=self.accel.site)
             obs.count("overload.trip")
             self.evaluate(now)
 
@@ -425,10 +427,11 @@ class OverloadController:
         self.state = to
         self.transitions.append((now, frm.value, to.value))
         obs = self.accel.obs
-        obs.emit(
-            "ovl.transition", now,
-            site=self.accel.site, src=frm.value, dst=to.value,
-        )
+        if obs.event_subscribers:
+            obs.emit(
+                "ovl.transition", now,
+                site=self.accel.site, src=frm.value, dst=to.value,
+            )
         obs.count(f"overload.transition.{to.value}")
         # Tell the peers: their selecting strategies steer AV requests
         # away from a DEGRADED site while alternatives exist.
@@ -519,7 +522,8 @@ class OverloadController:
         self._demoted_set.add(item)
         self.demotions += 1
         obs = accel.obs
-        obs.emit("ovl.demote", accel.now, site=accel.site, item=item)
+        if obs.event_subscribers:
+            obs.emit("ovl.demote", accel.now, site=accel.site, item=item)
         obs.count("overload.demote")
 
     def _promote_all(self) -> List:
@@ -554,7 +558,8 @@ class OverloadController:
             self._demoted.remove(item)
             self.promotions += 1
             obs = accel.obs
-            obs.emit("ovl.promote", accel.now, site=accel.site, item=item)
+            if obs.event_subscribers:
+                obs.emit("ovl.promote", accel.now, site=accel.site, item=item)
             obs.count("overload.promote")
 
     @property

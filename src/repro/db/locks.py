@@ -9,6 +9,11 @@ it.
 Fairness: requests queue FIFO; a grant wave admits the longest-waiting
 request plus any immediately following compatible ones (no starvation, no
 barging).
+
+Every grant, wait and release is published on the hub's event bus
+(``lock.grant``, ``lock.wait``, ``lock.release``) with the item's
+holders and queue at that moment, when the bus has subscribers; the
+runtime sanitizer rebuilds wait-for edges from them.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Optional
 
 from repro.db.errors import LockError, LockUpgradeError
+from repro.obs.hub import NULL_OBS, Observability
 from repro.sim.engine import Environment
 from repro.sim.events import Event
 
@@ -59,38 +65,25 @@ class _ItemLock:
 class LockManager:
     """Per-item S/X locks for one site's store."""
 
-    def __init__(self, env: Environment, name: str = "locks") -> None:
+    def __init__(
+        self, env: Environment, site: str = "site", obs: Observability = NULL_OBS
+    ) -> None:
         self.env = env
-        self.name = name
+        self.site = site
+        self.obs = obs
         self._locks: Dict[str, _ItemLock] = {}
         #: grants performed (diagnostic)
         self.grants = 0
         #: maximum simultaneous waiters observed (diagnostic)
         self.max_queue = 0
-        #: optional duck-typed observer with a
-        #: ``lock_event(manager, op, item, owner, mode, span_id, holders,
-        #: queue)`` method; the runtime sanitizer installs one to rebuild
-        #: wait-for edges. ``None`` keeps every op at one extra check.
-        self.monitor = None
 
-    def _notify(
-        self,
-        op: str,
-        item: str,
-        owner: str,
-        mode: Optional[LockMode],
-        span_id: Optional[int],
-        lock: _ItemLock,
-    ) -> None:
-        self.monitor.lock_event(
-            self,
-            op,
-            item,
-            owner,
-            mode,
-            span_id,
-            dict(lock.holders),
-            [(w.owner, w.mode) for w in lock.queue],
+    def _emit(self, kind: str, item: str, owner: str, mode: Optional[LockMode],
+              span_id: Optional[int], lock: _ItemLock) -> None:
+        """Publish one ``lock.*`` event; callers test for subscribers."""
+        self.obs.emit(
+            kind, self.env.now, site=self.site, item=item, owner=owner,
+            mode=mode, span_id=span_id, holders=dict(lock.holders),
+            queue=[(w.owner, w.mode) for w in lock.queue],
         )
 
     # ---------------------------------------------------------------- #
@@ -118,44 +111,31 @@ class LockManager:
             # No holder and no queue (release drops such state): grant.
             lock = self._locks[item] = _ItemLock()
             lock.holders[owner] = mode
-            self.grants += 1
-            if self.monitor is not None:
-                self._notify("grant", item, owner, mode, span_id, lock)
-            return Event(self.env).succeed((item, mode))
-
-        event = Event(self.env)
-        held = lock.holders.get(owner)
-
-        if held is not None:
-            if held is mode or held is LockMode.EXCLUSIVE:
-                # Reentrant or downgrade-as-noop: grant immediately.
-                self.grants += 1
-                if self.monitor is not None:
-                    self._notify("grant", item, owner, mode, span_id, lock)
-                return event.succeed((item, mode))
-            # Upgrade S -> X.
-            if len(lock.holders) == 1:
-                lock.holders[owner] = LockMode.EXCLUSIVE
-                self.grants += 1
-                if self.monitor is not None:
-                    self._notify("grant", item, owner, mode, span_id, lock)
-                return event.succeed((item, mode))
-            raise LockUpgradeError(
-                f"{owner!r} cannot upgrade {item!r}: {len(lock.holders) - 1} other holder(s)"
-            )
-
-        if not lock.queue and self._grantable(lock, mode):
-            lock.holders[owner] = mode
-            self.grants += 1
-            if self.monitor is not None:
-                self._notify("grant", item, owner, mode, span_id, lock)
-            return event.succeed((item, mode))
-
-        lock.queue.append(_Waiter(owner, mode, event))
-        self.max_queue = max(self.max_queue, len(lock.queue))
-        if self.monitor is not None:
-            self._notify("wait", item, owner, mode, span_id, lock)
-        return event
+        else:
+            held = lock.holders.get(owner)
+            if held is not None:
+                # Re-acquiring what is held (or less) is a no-op grant;
+                # an S -> X upgrade needs ``owner`` to be the sole holder.
+                if held is not mode and held is not LockMode.EXCLUSIVE:
+                    if len(lock.holders) != 1:
+                        raise LockUpgradeError(
+                            f"{owner!r} cannot upgrade {item!r}:"
+                            f" {len(lock.holders) - 1} other holder(s)"
+                        )
+                    lock.holders[owner] = LockMode.EXCLUSIVE
+            elif not lock.queue and self._grantable(lock, mode):
+                lock.holders[owner] = mode
+            else:
+                event = Event(self.env)
+                lock.queue.append(_Waiter(owner, mode, event))
+                self.max_queue = max(self.max_queue, len(lock.queue))
+                if self.obs.event_subscribers:
+                    self._emit("lock.wait", item, owner, mode, span_id, lock)
+                return event
+        self.grants += 1
+        if self.obs.event_subscribers:
+            self._emit("lock.grant", item, owner, mode, span_id, lock)
+        return Event(self.env).succeed((item, mode))
 
     def release(self, item: str, owner: str) -> None:
         """Drop ``owner``'s lock on ``item`` and run the grant wave."""
@@ -164,8 +144,8 @@ class LockManager:
             raise LockError(f"{owner!r} does not hold a lock on {item!r}")
         del lock.holders[owner]
         self._grant_wave(item, lock)
-        if self.monitor is not None:
-            self._notify("release", item, owner, None, None, lock)
+        if self.obs.event_subscribers:
+            self._emit("lock.release", item, owner, None, None, lock)
         if not lock.holders and not lock.queue:
             del self._locks[item]
 
@@ -202,12 +182,12 @@ class LockManager:
             waiter = lock.queue.popleft()
             lock.holders[waiter.owner] = waiter.mode
             self.grants += 1
-            if self.monitor is not None:
-                self._notify("grant", item, waiter.owner, waiter.mode, None, lock)
+            if self.obs.event_subscribers:
+                self._emit("lock.grant", item, waiter.owner, waiter.mode, None, lock)
             waiter.event.succeed((item, waiter.mode))
             if waiter.mode is LockMode.EXCLUSIVE:
                 break
 
     def __repr__(self) -> str:
         locked = sum(1 for l in self._locks.values() if l.holders)
-        return f"<LockManager {self.name!r} locked={locked} grants={self.grants}>"
+        return f"<LockManager {self.site!r} locked={locked} grants={self.grants}>"

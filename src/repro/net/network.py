@@ -4,6 +4,8 @@
 a pluggable latency model, counts every transmitted message (the paper's
 metric), and consults a :class:`~repro.net.faults.FaultInjector` on each
 send. Delivery is an event scheduled on the simulation environment.
+Every send, delivery and drop is published on the hub's event bus
+(``msg.send``, ``msg.recv``, ``msg.drop``) when it has subscribers.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.net.faults import FaultInjector
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.message import Message
 from repro.net.stats import NetworkStats
+from repro.obs.hub import NULL_OBS, Observability
 from repro.sim.engine import Environment
 from repro.sim.events import Event
 
@@ -55,6 +58,9 @@ class Network:
         but can never violate the per-channel ordering the reliable
         session and lease probes depend on. Must be deterministic given
         its own seed.
+    obs:
+        Hub whose event bus carries the ``msg.*`` events; each carries
+        the message and the site it happened at.
     """
 
     def __init__(
@@ -66,6 +72,7 @@ class Network:
         faults: Optional[FaultInjector] = None,
         size_model=None,
         perturb=None,
+        obs: Observability = NULL_OBS,
     ) -> None:
         self.env = env
         self.latency = latency if latency is not None else ConstantLatency(1.0)
@@ -79,6 +86,7 @@ class Network:
         self.channels = ChannelTable(fifo=fifo)
         self.faults = faults if faults is not None else FaultInjector(rng=self.rng)
         self.perturb = perturb
+        self.obs = obs
         #: optional repro.net.sizes.SizeModel enabling byte accounting
         self.size_model = size_model
         self._endpoints: dict[str, "Endpoint"] = {}
@@ -86,19 +94,11 @@ class Network:
         #: peer views on this (the set only grows; there is no
         #: unregister, so a version match proves the cache is current)
         self.registrations = 0
-        #: observers called as ``fn(event, time, msg)`` for every
-        #: ``"send"`` / ``"recv"`` / ``"drop"`` — structured message
-        #: taps for analysis tools (sequence diagrams etc.)
-        self.observers: list = []
         # Per-network message ids: two identical runs in one process get
         # identical ids (the module-global fallback in Message does not).
         from itertools import count as _count
 
         self._msg_ids = _count(1)
-
-    def _notify(self, event: str, msg: Message) -> None:
-        for observer in self.observers:
-            observer(event, self.env.now, msg)
 
     def next_msg_id(self) -> int:
         """Allocate the next message id for this network."""
@@ -151,14 +151,15 @@ class Network:
             else None
         )
         self.stats.record_send(msg, size=size)
-        if self.observers:
-            self._notify("send", msg)
+        obs = self.obs
+        if obs.event_subscribers:
+            obs.emit("msg.send", self.env.now, site=msg.src, msg=msg)
 
         faults = self.faults
         if not faults.quiet and faults.should_drop(msg.src, msg.dst):
             self.stats.record_drop(msg)
-            if self.observers:
-                self._notify("drop", msg)
+            if obs.event_subscribers:
+                obs.emit("msg.drop", self.env.now, site=msg.src, msg=msg)
             return
 
         delay = self.latency.sample(msg.src, msg.dst, self.rng)
@@ -188,10 +189,11 @@ class Network:
         if not faults.quiet and faults.is_crashed(msg.dst):
             # Crashed while the message was in flight.
             self.stats.record_drop(msg)
-            self._notify("drop", msg)
+            if self.obs.event_subscribers:
+                self.obs.emit("msg.drop", self.env.now, site=msg.dst, msg=msg)
             return
-        if self.observers:
-            self._notify("recv", msg)
+        if self.obs.event_subscribers:
+            self.obs.emit("msg.recv", self.env.now, site=msg.dst, msg=msg)
         endpoint._receive(msg)
 
     def __repr__(self) -> str:

@@ -2,10 +2,13 @@
 
 One :class:`Observability` object per system bundles the span recorder,
 the metric registry, and the time-series store, so constructors thread a
-single handle instead of three. :data:`NULL_OBS` is the shared disabled
-hub: its recorder is a :class:`~repro.obs.spans.NullSpanRecorder` and
-its ``count``/``gauge_set`` helpers return immediately, making the
-default (unobserved) configuration near-zero-cost.
+single handle instead of three. Its :meth:`Observability.emit` bus is
+the run's one event stream: AV-table, lock, message and policy events
+all reach their subscribers through it. :data:`NULL_OBS` is the shared
+disabled hub: its recorder is a :class:`~repro.obs.spans.NullSpanRecorder`,
+its ``count``/``gauge_set`` helpers return immediately, and it takes no
+subscribers, making the default (unobserved) configuration
+near-zero-cost.
 """
 
 from __future__ import annotations
@@ -36,22 +39,22 @@ class Observability:
         )
         self.registry = MetricRegistry()
         self.series = TimeSeriesStore()
-        #: protocol-event subscribers, called as ``fn(kind, now, fields)``.
+        #: event subscribers, called as ``fn(kind, now, fields)``.
         #: Independent of ``enabled`` — the runtime sanitizer listens here
-        #: even when span recording is off. Empty list ⇒ emit() is one
-        #: truthiness check.
+        #: even when span recording is off. Every emit site tests this
+        #: list first, so with no subscriber no event is built.
         self.event_subscribers: list = []
 
     def emit(self, kind: str, now: float, **fields) -> None:
-        """Publish a semantic protocol event (AV mint/spend, selection, …).
+        """Publish one event of the run (AV table, lock, message, policy).
 
         Spans capture *timing*; these events capture *accounting* facts
-        the sanitizer folds into its invariants. With no subscribers the
-        call costs a single attribute check.
+        the sanitizer folds into its invariants. Callers test
+        :attr:`event_subscribers` first, so an unsubscribed run never
+        calls this.
         """
-        if self.event_subscribers:
-            for fn in self.event_subscribers:
-                fn(kind, now, fields)
+        for fn in self.event_subscribers:
+            fn(kind, now, fields)
 
     # Convenience wrappers that keep call sites one-liners and free when
     # disabled (a single attribute check).
@@ -74,5 +77,8 @@ class Observability:
         )
 
 
-#: the shared disabled hub; never records, safe as a default argument
+#: the shared disabled hub; never records, safe as a default argument.
+#: Its subscriber tuple cannot be appended to, so no run's events can
+#: leak into every other run that shares it.
 NULL_OBS = Observability(enabled=False)
+NULL_OBS.event_subscribers = ()

@@ -17,7 +17,6 @@ import html as html_mod
 import json
 from typing import Any, Dict, List
 
-from repro.metrics.report import text_table
 from repro.obs.snapshot import merge_telemetry, telemetry_rows
 
 
@@ -95,6 +94,10 @@ def _sweep_sections(sweep: Dict[str, Any]) -> List[tuple]:
 
 def render_text(sweep: Dict[str, Any]) -> str:
     """Text sweep dossier."""
+    # Imported here: the metrics package imports the protocol core,
+    # whose lock manager and AV table import this package's hub.
+    from repro.metrics.report import text_table
+
     blocks = [
         text_table(headers, rows, title=title)
         for title, headers, rows in _sweep_sections(sweep)

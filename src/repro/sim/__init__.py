@@ -2,9 +2,8 @@
 
 The kernel is the substrate every other subsystem runs on: a virtual clock,
 an event queue ordered by ``(time, priority, sequence)``, generator-driven
-processes and named seeded RNG streams. What a run records (spans,
-network observer events, ``obs.emit`` events, metric instruments) lives
-in :mod:`repro.obs` and :attr:`repro.net.network.Network.observers`.
+processes and named seeded RNG streams. What a run records (spans, the
+``obs.emit`` event stream, metric instruments) lives in :mod:`repro.obs`.
 """
 
 from repro.sim.engine import Environment

@@ -3,7 +3,15 @@
 import textwrap
 from pathlib import Path
 
-from repro.analysis.lint import LintFinding, Linter, default_rules, lint_paths
+from repro.analysis.lint import LintFinding, Linter, default_rules
+from repro.analysis.protoflow.ir import index_project
+
+
+def lint(paths):
+    """The lint half of ``repro check --static``: the default rules on
+    the shared protoflow parse, with no flow checks."""
+    findings, _ir = index_project(paths, rules=default_rules(), flow_paths=())
+    return findings
 
 
 def lint_source(tmp_path, source, relpath="src/mod.py"):
@@ -11,7 +19,7 @@ def lint_source(tmp_path, source, relpath="src/mod.py"):
     target = tmp_path / relpath
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source))
-    return lint_paths([str(tmp_path)])
+    return lint([str(tmp_path)])
 
 
 def rules_hit(findings):
@@ -383,12 +391,12 @@ class TestFramework:
                 return [x for x in set(xs)]
             """))
         legacy = Linter(default_rules()).run([str(tmp_path)])
-        shared = lint_paths([str(tmp_path)])
+        shared = lint([str(tmp_path)])
         assert [f.render() for f in legacy] == [f.render() for f in shared]
         assert rules_hit(shared) == ["unordered-iter", "wall-clock"]
 
     def test_repo_tree_is_lint_clean(self):
         """The gate CI enforces: the shipped tree has zero findings."""
         root = Path(__file__).resolve().parent.parent
-        findings = lint_paths([str(root / "src"), str(root / "tests")])
+        findings = lint([str(root / "src"), str(root / "tests")])
         assert findings == [], "\n".join(f.render() for f in findings)

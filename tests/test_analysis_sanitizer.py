@@ -13,6 +13,7 @@ from repro.analysis.hb import CausalOrder
 from repro.cluster import build_paper_system
 from repro.core import InvalidVolume
 from repro.db.locks import LockManager
+from repro.obs.hub import Observability
 from repro.sim import Environment
 
 
@@ -143,13 +144,16 @@ class TestDroppedPropagation:
 
 class TestLockAudit:
     def make_sanitizer(self):
-        return ProtocolSanitizer()
+        """A sanitizer subscribed to a fresh hub (no system attached)."""
+        san = ProtocolSanitizer()
+        hub = Observability(enabled=False)
+        hub.event_subscribers.append(san._on_emit)
+        return san, hub
 
     def test_wait_cycle_reported_as_deadlock(self):
         env = Environment()
-        locks = LockManager(env, "site9.locks")
-        san = self.make_sanitizer()
-        locks.monitor = san
+        san, hub = self.make_sanitizer()
+        locks = LockManager(env, "site9", obs=hub)
         locks.acquire("i1", "imm:T1", span_id=7)
         locks.acquire("i2", "imm:T2", span_id=8)
         locks.acquire("i2", "imm:T1", span_id=7)  # T1 waits on T2
@@ -165,11 +169,9 @@ class TestLockAudit:
 
     def test_out_of_order_site_acquisition_reported(self):
         env = Environment()
-        a = LockManager(env, "site1.locks")
-        b = LockManager(env, "site2.locks")
-        san = self.make_sanitizer()
-        a.monitor = san
-        b.monitor = san
+        san, hub = self.make_sanitizer()
+        a = LockManager(env, "site1", obs=hub)
+        b = LockManager(env, "site2", obs=hub)
         b.acquire("x", "imm:T9", span_id=3)
         a.acquire("x", "imm:T9", span_id=3)  # site1 after site2: descending
         findings = san.report.by_rule("lock.order")
@@ -180,11 +182,9 @@ class TestLockAudit:
 
     def test_canonical_order_and_release_stay_clean(self):
         env = Environment()
-        a = LockManager(env, "site1.locks")
-        b = LockManager(env, "site2.locks")
-        san = self.make_sanitizer()
-        a.monitor = san
-        b.monitor = san
+        san, hub = self.make_sanitizer()
+        a = LockManager(env, "site1", obs=hub)
+        b = LockManager(env, "site2", obs=hub)
         a.acquire("x", "imm:T1", span_id=1)
         b.acquire("x", "imm:T1", span_id=1)
         a.release("x", "imm:T1")

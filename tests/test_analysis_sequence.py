@@ -9,6 +9,7 @@ from repro.analysis import (
 )
 from repro.cluster import build_paper_system
 from repro.net import ConstantLatency, Network
+from repro.obs.hub import Observability
 from repro.sim import Environment, RngRegistry
 
 
@@ -18,6 +19,7 @@ def make_net():
         env,
         latency=ConstantLatency(1.0),
         rng=RngRegistry(0).stream("net.latency"),
+        obs=Observability(enabled=False),
     )
     a, b = net.endpoint("a"), net.endpoint("b")
     b.on("ping", lambda m: "pong")
@@ -27,7 +29,7 @@ def make_net():
 class TestRecorder:
     def test_records_send_and_recv(self):
         env, net, a = make_net()
-        recorder = SequenceRecorder(net)
+        recorder = SequenceRecorder(net.obs)
         a.send("b", "ping")
         env.run()
         assert [e.event for e in recorder.events] == ["send", "recv"]
@@ -36,7 +38,7 @@ class TestRecorder:
 
     def test_records_drops(self):
         env, net, a = make_net()
-        recorder = SequenceRecorder(net)
+        recorder = SequenceRecorder(net.obs)
         net.faults.crash("b")
         a.send("b", "ping")
         env.run()
@@ -44,7 +46,7 @@ class TestRecorder:
 
     def test_detach_stops_recording(self):
         env, net, a = make_net()
-        recorder = SequenceRecorder(net)
+        recorder = SequenceRecorder(net.obs)
         a.send("b", "ping")
         recorder.detach()
         a.send("b", "ping")
@@ -55,7 +57,7 @@ class TestRecorder:
 
     def test_clear(self):
         env, net, a = make_net()
-        recorder = SequenceRecorder(net)
+        recorder = SequenceRecorder(net.obs)
         a.send("b", "ping")
         env.run()
         recorder.clear()
@@ -65,7 +67,7 @@ class TestRecorder:
 class TestRender:
     def render_round_trip(self, **kwargs):
         env, net, a = make_net()
-        recorder = SequenceRecorder(net)
+        recorder = SequenceRecorder(net.obs)
 
         def client(env):
             return (yield a.request("b", "ping"))
@@ -109,10 +111,11 @@ class TestRender:
             env,
             latency=ConstantLatency(1.0),
             rng=RngRegistry(0).stream("net.latency"),
+            obs=Observability(enabled=False),
         )
         a, b = net.endpoint("a"), net.endpoint("b")
         b.on("averyveryveryverylongkindname", lambda m: None)
-        recorder = SequenceRecorder(net)
+        recorder = SequenceRecorder(net.obs)
         a.send("b", "averyveryveryverylongkindname")
         env.run()
         out = render_sequence(recorder.events, width=16)

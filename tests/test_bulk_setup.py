@@ -30,16 +30,19 @@ from repro.core.beliefs import Belief, BeliefTable
 from repro.core.errors import InvalidVolume
 from repro.db import DuplicateItem, NegativeValue, Record, Store
 from repro.metrics.collector import GlobalLedger
+from repro.obs.hub import Observability
 
 
 class _Events:
-    """An AV-table monitor that keeps every event."""
+    """A subscriber on its own hub that keeps every event."""
 
     def __init__(self):
+        self.obs = Observability(enabled=False)
+        self.obs.event_subscribers.append(self._on_emit)
         self.events = []
 
-    def av_event(self, table, op, item, amount, hold=None):
-        self.events.append((table.site, op, item, amount))
+    def _on_emit(self, kind, now, fields):
+        self.events.append((fields["site"], kind, fields["item"], fields["amount"]))
 
 
 class TestCountGate:
@@ -135,11 +138,11 @@ class TestAVTableBulk:
         ]
 
     def test_one_monitor_event_per_item(self):
-        t = AVTable("s")
-        t.monitor = monitor = _Events()
+        monitor = _Events()
+        t = AVTable("s", obs=monitor.obs)
         t.define_many({"B": 2, "A": 1.5})
         assert monitor.events == [
-            ("s", "define", "B", 2.0), ("s", "define", "A", 1.5)
+            ("s", "av.define", "B", 2.0), ("s", "av.define", "A", 1.5)
         ]
 
 
@@ -178,15 +181,15 @@ class TestCatalogBulk:
 
 class TestBootstrapMonitor:
     def test_bootstrap_sends_one_define_per_site_item(self):
-        """With monitors attached before bootstrap, every (site, regular
-        item) pair still reports its ``define``, slice by slice."""
+        """With a subscriber attached before bootstrap, every (site,
+        regular item) pair still reports its ``av.define``, slice by
+        slice."""
         topology = Topology.parse("regional:2x2:s2", item_ids(6))
         catalog = make_catalog(6, initial_stock=10.0, regular_fraction=0.5)
         monitor = _Events()
         sites = {}
         for name in topology.names:
-            table = AVTable(name)
-            table.monitor = monitor
+            table = AVTable(name, obs=monitor.obs)
             sites[name] = SimpleNamespace(
                 store=Store(name), av_table=table,
                 accelerator=SimpleNamespace(beliefs=BeliefTable(name)),
@@ -198,7 +201,7 @@ class TestBootstrapMonitor:
             for name in topology.names
             for item in topology.interest_of(name) if item in regular
         ]
-        assert {op for _s, op, _i, _v in monitor.events} == {"define"}
+        assert {op for _s, op, _i, _v in monitor.events} == {"av.define"}
 
 
 class TestTopologyItems:

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import build_paper_system
 from repro.net import ReliabilityParams
 from repro.net.message import Message
+from repro.obs.hub import Observability
 
 PARAMS = ReliabilityParams(
     ack_timeout=3.0,
@@ -33,12 +34,14 @@ def make_system(**kw):
 
 
 class _Recorder:
-    """Stand-in obs hub capturing lease lifecycle events."""
+    """A subscriber on a real hub capturing lease lifecycle events."""
 
     def __init__(self):
+        self.obs = Observability(enabled=False)
+        self.obs.event_subscribers.append(self._on_emit)
         self.events = []
 
-    def emit(self, name, now, **fields):
+    def _on_emit(self, name, now, fields):
         self.events.append((name, fields))
 
     def names(self):
@@ -100,7 +103,7 @@ class TestLeaseLifecycle:
         system = make_system()
         maker = system.site("site0").accelerator
         recorder = _Recorder()
-        maker.obs = recorder
+        maker.obs = recorder.obs
         lease = maker.leases.grant(ITEM, 5.0, "site1")
         maker.leases._revert(lease)
         maker.leases._handle_ack(

@@ -22,6 +22,7 @@ from repro.core.overload import (
     OverloadStateError,
 )
 from repro.core.types import UpdateOutcome
+from repro.obs.hub import Observability
 
 # ---------------------------------------------------------------------- #
 # stub accelerator: just enough surface for the controller
@@ -40,23 +41,6 @@ class StubEndpoint:
         self.sent.append((dst, kind, payload))
 
 
-class StubObs:
-    enabled = False  # no registry: the pressure gauge is never looked up
-
-    def __init__(self):
-        self.events = []
-        self.counts = {}
-
-    def emit(self, kind, now, **fields):
-        self.events.append((kind, now, fields))
-
-    def count(self, name, n=1):
-        self.counts[name] = self.counts.get(name, 0) + n
-
-    def gauge_set(self, name, value, now):
-        pass
-
-
 class StubLocks:
     def __init__(self):
         self.waiting = 0
@@ -71,7 +55,13 @@ class StubAccel:
 
     def __init__(self):
         self.endpoint = StubEndpoint()
-        self.obs = StubObs()
+        # A disabled hub: no registry, so the pressure gauge is never
+        # looked up; a subscriber keeps the controller's events.
+        self.obs = Observability(enabled=False)
+        self.events = []
+        self.obs.event_subscribers.append(
+            lambda kind, now, fields: self.events.append((kind, now, fields))
+        )
         self.locks = StubLocks()
         self.owed = {}
         self.now = 0.0
@@ -190,9 +180,9 @@ class TestAdmission:
         accel, ctl = make_controller()
         ctl.record_shed(3.0, 5.0)
         assert ctl.shed == 1
-        kinds = [k for k, _t, _f in accel.obs.events]
+        kinds = [k for k, _t, _f in accel.events]
         assert "ovl.shed" in kinds
-        _, _, fields = accel.obs.events[0]
+        _, _, fields = accel.events[0]
         assert fields["retry_after"] == 5.0
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db import LockError, LockManager, LockMode, LockUpgradeError
+from repro.obs.hub import Observability
 from repro.sim import Environment
 
 
@@ -132,24 +133,32 @@ def test_process_integration(env, lm):
 
 
 class _Monitor:
+    """A subscriber on its own hub that keeps every event."""
+
     def __init__(self):
+        self.obs = Observability(enabled=False)
+        self.obs.event_subscribers.append(self._on_emit)
         self.events = []
 
-    def lock_event(self, manager, op, item, owner, mode, span_id, holders, queue):
-        self.events.append((op, item, owner, mode, span_id, holders, queue))
+    def _on_emit(self, kind, now, f):
+        self.events.append((
+            kind, f["site"], f["item"], f["owner"], f["mode"], f["span_id"],
+            f["holders"], f["queue"],
+        ))
 
 
 @pytest.mark.parametrize("mode", [LockMode.SHARED, LockMode.EXCLUSIVE])
 def test_grant_on_an_item_without_lock_state(env, lm, mode):
     """The first acquire of an item, and the first after its state was
     dropped, is a plain grant: counted, reported and already succeeded."""
-    lm.monitor = _Monitor()
+    monitor = _Monitor()
+    lm.obs = monitor.obs
     for expected_grants in (1, 2):
         ev = lm.acquire("A", "p1", mode, span_id=9)
         assert ev.triggered and ev.ok and ev.value == ("A", mode)
         assert lm.grants == expected_grants
-        assert lm.monitor.events[-1] == (
-            "grant", "A", "p1", mode, 9, {"p1": mode}, []
+        assert monitor.events[-1] == (
+            "lock.grant", "site", "A", "p1", mode, 9, {"p1": mode}, []
         )
         lm.release("A", "p1")
         assert lm._locks == {}

@@ -24,11 +24,13 @@ class TestPaperScenarioEndToEnd:
         def run():
             system = build_paper_system(n_items=5, seed=9, observe=True)
             messages = []
-            system.network.observers.append(
-                lambda event, time, msg: messages.append(
-                    (event, time, msg.src, msg.dst, msg.kind)
-                )
-            )
+
+            def on_message(kind, time, fields):
+                if kind.startswith("msg."):
+                    msg = fields["msg"]
+                    messages.append((kind, time, msg.src, msg.dst, msg.kind))
+
+            system.obs.event_subscribers.append(on_message)
             trace = make_paper_trace(200, seed=9, n_items=5)
             run_closed(system, trace)
             recorder = system.obs.recorder

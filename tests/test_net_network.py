@@ -12,6 +12,7 @@ from repro.net import (
     RequestTimeout,
     UniformLatency,
 )
+from repro.obs.hub import Observability
 from repro.sim import Environment
 
 
@@ -248,11 +249,11 @@ def test_peers_excludes_self():
 
 
 def test_observers_see_send_recv_and_drop():
-    env, net = make_net()
+    env, net = make_net(obs=Observability(enabled=False))
     seen = []
-    net.observers.append(
-        lambda event, time, msg: seen.append(
-            (event, time, msg.src, msg.dst, msg.kind)
+    net.obs.event_subscribers.append(
+        lambda kind, time, f: seen.append(
+            (kind, time, f["site"], f["msg"].src, f["msg"].dst, f["msg"].kind)
         )
     )
     a, b = net.endpoint("a"), net.endpoint("b")
@@ -262,11 +263,17 @@ def test_observers_see_send_recv_and_drop():
     net.faults.crash("b")
     a.send("b", "ping")
     env.run()
+    net.faults.recover("b")
+    a.send("b", "ping")
+    net.faults.crash("b")  # crashes while the message is in flight
+    env.run()
     assert seen == [
-        ("send", 0.0, "a", "b", "ping"),
-        ("recv", 1.0, "a", "b", "ping"),
-        ("send", 1.0, "a", "b", "ping"),
-        ("drop", 1.0, "a", "b", "ping"),
+        ("msg.send", 0.0, "a", "a", "b", "ping"),
+        ("msg.recv", 1.0, "b", "a", "b", "ping"),
+        ("msg.send", 1.0, "a", "a", "b", "ping"),
+        ("msg.drop", 1.0, "a", "a", "b", "ping"),
+        ("msg.send", 1.0, "a", "a", "b", "ping"),
+        ("msg.drop", 2.0, "b", "a", "b", "ping"),
     ]
 
 
@@ -308,7 +315,7 @@ def test_observer_and_identity_perturbation_change_nothing():
             paper_config(n_items=10, n_retailers=4, seed=3)
         )
         if watched:
-            system.network.observers.append(lambda *a: None)
+            system.obs.event_subscribers.append(lambda *a: None)
             system.network.perturb = lambda msg, delay: delay
         run_closed(system, make_paper_trace(400, 3, n_items=10, n_retailers=4))
         stores = {

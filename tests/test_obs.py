@@ -397,6 +397,13 @@ class TestObservabilityHub:
         assert not NULL_OBS.enabled
         assert NULL_OBS.recorder.start("x", "s", 0.0) is NULL_SPAN
 
+    def test_null_obs_takes_no_subscriber(self):
+        """The shared hub's subscribers are an empty tuple: subscribing
+        raises instead of leaking one run's events into every run."""
+        with pytest.raises(AttributeError):
+            NULL_OBS.event_subscribers.append(lambda kind, now, fields: None)
+        assert NULL_OBS.event_subscribers == ()
+
     def test_enabled_hub_records(self):
         hub = Observability()
         hub.count("x", 2)
@@ -469,7 +476,7 @@ class TestObservedSystem:
         system = build_paper_system(n_items=5, seed=3)
         trace = make_paper_trace(50, seed=3, n_items=5)
         run_closed(system, trace)
-        assert system.obs is NULL_OBS
+        assert not system.obs.enabled and system.obs is not NULL_OBS
         assert len(system.obs.recorder) == 0
 
     def test_unobserved_collectors_do_not_share_a_registry(self):

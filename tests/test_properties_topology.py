@@ -104,7 +104,10 @@ def _drive(topology, seed: int, n_updates: int):
 
     breaches = []
 
-    def check_interest(event, now, msg):
+    def check_interest(kind, now, fields):
+        if not kind.startswith("msg."):
+            return
+        msg = fields["msg"]
         item = (
             msg.payload.get("item")
             if isinstance(msg.payload, dict) and msg.kind in ITEM_BEARING
@@ -115,11 +118,11 @@ def _drive(topology, seed: int, n_updates: int):
         for endpoint_name in (msg.src, msg.dst):
             if item not in topology.interest_of(endpoint_name):
                 breaches.append(
-                    f"{event} {msg.kind} {msg.src}->{msg.dst}: {item!r}"
+                    f"{kind} {msg.kind} {msg.src}->{msg.dst}: {item!r}"
                     f" outside {endpoint_name!r} interest set"
                 )
 
-    system.network.observers.append(check_interest)
+    system.obs.event_subscribers.append(check_interest)
 
     rngs = RngRegistry(seed + 1)
     workload = TopologyWorkload(

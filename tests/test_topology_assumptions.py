@@ -41,13 +41,14 @@ def _observe_items(system):
     """Record every delivered item-bearing message as (kind, dst, item)."""
     seen = []
 
-    def observer(event, now, msg):
-        if event == "recv" and isinstance(msg.payload, dict):
+    def observer(kind, now, fields):
+        msg = fields.get("msg")
+        if kind == "msg.recv" and isinstance(msg.payload, dict):
             item = msg.payload.get("item")
             if item is not None:
                 seen.append((msg.kind, msg.dst, item))
 
-    system.network.observers.append(observer)
+    system.obs.event_subscribers.append(observer)
     return seen
 
 
