@@ -1,14 +1,17 @@
 """Cost gate for the observability layer: disabled instrumentation
 makes no call (``bench_obs_disabled_calls``).
 
-An unobserved fig6 run replays with a null recorder that counts every
-entry point — the recorder's ``start`` / ``open_row`` / ``write_row`` /
-``keep_open`` / ``open_tree`` / ``write_tree`` / ``break_tree`` /
-``open_pair`` / ``close_pair`` / ``write_pair``, and ``finish`` /
-``annotate`` on any null span, the shared ``NULL_SPAN`` included. The
-gate is zero calls: every span site tests ``rec.enabled`` (or for a
-null root) first, so an unobserved run builds no span arguments and
-makes no recorder call.
+Two unobserved runs replay with a null recorder that counts every entry
+point — the recorder's ``start`` / ``open_span`` / ``close_span`` /
+``open_row`` / ``write_row`` / ``keep_open`` / ``open_tree`` /
+``write_tree`` / ``break_tree`` / ``open_pair`` / ``write_pair``, and
+``finish`` on the null handle ``start`` returns, wherever it is called.
+One is a fig6 run, which has no non-regular item; the other an
+all-immediate open-loop run, where every update is a 2PC round (lock
+waits, prepares, the commit or abort, each participant's apply). The
+gate is zero calls on both: every span site tests ``rec.enabled`` first,
+so an unobserved run builds no span arguments and makes no recorder
+call.
 
 The same gate covers the event stream: with no subscriber, every emit
 site tests ``obs.event_subscribers`` first, so an unobserved run makes
@@ -24,19 +27,26 @@ from repro.core.overload import OverloadParams
 from repro.experiments import make_paper_trace
 from repro.net import ReliabilityParams
 from repro.obs.hub import Observability
-from repro.obs.spans import NULL_ROW, NULL_SPAN, NullSpanRecorder, _NullSpan
+from repro.obs.spans import NULL_ROW, NullSpanRecorder
 from repro.workload import run_closed
+from repro.workload.driver import run_open, split_by_site
 
 N_UPDATES = 1000
 SEED = 0
 N_ITEMS = 10
 #: the robustness-on run's size
 ROBUST_UPDATES = 500
+#: the all-immediate run's size and arrival spacing
+IMMEDIATE_UPDATES = 400
+IMMEDIATE_INTERARRIVAL = 0.5
 
-#: every recorder entry point, then the null span's mutators
-ENTRY_POINTS = ("start", "open_row", "write_row", "keep_open", "open_tree",
-                "write_tree", "break_tree", "open_pair", "close_pair",
-                "write_pair", "Span.finish", "Span.annotate")
+#: every recorder entry point, then the null handle's ``finish``
+ENTRY_POINTS = ("start", "open_span", "close_span", "open_row", "write_row",
+                "keep_open", "open_tree", "write_tree", "break_tree",
+                "open_pair", "write_pair", "handle.finish")
+
+#: the class of the null handle ``NullSpanRecorder.start`` returns
+NullHandle = type(NullSpanRecorder().start("probe", "site0", 0.0))
 
 
 class CountingNullRecorder(NullSpanRecorder):
@@ -46,18 +56,25 @@ class CountingNullRecorder(NullSpanRecorder):
         super().__init__()
         self.calls = Counter()
 
-    def start(self, name, site, now, trace=None, parent=None, **attrs):
+    def start(self, *args, **kwargs):
         self.calls["start"] += 1
-        return NULL_SPAN
+        return super().start(*args, **kwargs)
+
+    def open_span(self, *args, **kwargs):
+        self.calls["open_span"] += 1
+        return NULL_ROW
+
+    def close_span(self, *args):
+        self.calls["close_span"] += 1
 
     def open_row(self, parent=None, trace=None):
         self.calls["open_row"] += 1
         return NULL_ROW
 
-    def write_row(self, row, name, site, start, end, keys=(), values=()):
+    def write_row(self, *args):
         self.calls["write_row"] += 1
 
-    def keep_open(self, row, name, site, start, keys=(), values=()):
+    def keep_open(self, *args):
         self.calls["keep_open"] += 1
 
     def open_tree(self, push):
@@ -74,35 +91,44 @@ class CountingNullRecorder(NullSpanRecorder):
         self.calls["open_pair"] += 1
         return NULL_ROW, NULL_ROW
 
-    def close_pair(self, *args):
-        self.calls["close_pair"] += 1
-
     def write_pair(self, *args, **kwargs):
         self.calls["write_pair"] += 1
 
 
-def _count_null_calls() -> Counter:
-    """Replay an unobserved Fig. 6 workload counting every null call,
-    the null span's mutators included (counted on the class, so the
-    shared ``NULL_SPAN`` a disabled root returns counts too)."""
-    system = build_paper_system(n_items=N_ITEMS, seed=SEED)
+def _count_null_calls(system, run) -> Counter:
+    """Run ``run()`` on the unobserved ``system`` counting every null
+    call, the null handle's ``finish`` included (counted on its class,
+    so a handle from anywhere counts)."""
     recorder = system.obs.recorder = CountingNullRecorder()
-    trace = make_paper_trace(N_UPDATES, seed=SEED, n_items=N_ITEMS)
-    finish, annotate = _NullSpan.finish, _NullSpan.annotate
+    finish = NullHandle.finish
 
-    def counted_finish(span, now, **attrs):
-        recorder.calls["Span.finish"] += 1
-        return span
+    def counted_finish(handle, now, **attrs):
+        recorder.calls["handle.finish"] += 1
+        return handle
 
-    def counted_annotate(span, **attrs):
-        recorder.calls["Span.annotate"] += 1
-
-    _NullSpan.finish, _NullSpan.annotate = counted_finish, counted_annotate
+    NullHandle.finish = counted_finish
     try:
-        run_closed(system, trace)
+        run()
     finally:
-        _NullSpan.finish, _NullSpan.annotate = finish, annotate
+        NullHandle.finish = finish
     return recorder.calls
+
+
+def _fig6_calls() -> Counter:
+    """An unobserved Fig. 6 replay."""
+    system = build_paper_system(n_items=N_ITEMS, seed=SEED)
+    trace = make_paper_trace(N_UPDATES, seed=SEED, n_items=N_ITEMS)
+    return _count_null_calls(system, lambda: run_closed(system, trace))
+
+
+def _immediate_calls() -> Counter:
+    """An unobserved all-immediate open-loop run: every update is 2PC."""
+    system = build_paper_system(n_items=N_ITEMS, seed=SEED,
+                                regular_fraction=0.0)
+    trace = make_paper_trace(IMMEDIATE_UPDATES, seed=SEED, n_items=N_ITEMS)
+    return _count_null_calls(system, lambda: run_open(
+        system, split_by_site(trace), interarrival=IMMEDIATE_INTERARRIVAL,
+    ))
 
 
 def _count_emits(system, n_updates: int) -> int:
@@ -125,7 +151,11 @@ def _count_emits(system, n_updates: int) -> int:
 
 
 def bench_obs_disabled_calls(save_result):
-    calls = _count_null_calls()
+    runs = (
+        (f"fig6 proposal, n={N_UPDATES}", N_UPDATES, _fig6_calls()),
+        (f"all-immediate 2PC, open loop, n={IMMEDIATE_UPDATES}",
+         IMMEDIATE_UPDATES, _immediate_calls()),
+    )
     fig6_emits = _count_emits(
         build_paper_system(n_items=N_ITEMS, seed=SEED), N_UPDATES
     )
@@ -136,15 +166,18 @@ def bench_obs_disabled_calls(save_result):
         ),
         ROBUST_UPDATES,
     )
-    report = [
-        f"workload             : fig6 proposal, n={N_UPDATES} updates, unobserved",
-        "null entry point     :    calls",
-    ]
-    report += [f"  {name:<19}: {calls[name]:>8}" for name in ENTRY_POINTS]
-    report.append(
-        f"null calls per update: {sum(calls.values()) / N_UPDATES:.3f}"
-        " (gate: 0)"
-    )
+    report = []
+    for name, n_updates, calls in runs:
+        report += [
+            f"workload             : {name} updates, unobserved",
+            "null entry point     :    calls",
+        ]
+        report += [f"  {point:<19}: {calls[point]:>8}"
+                   for point in ENTRY_POINTS]
+        report.append(
+            f"null calls per update: {sum(calls.values()) / n_updates:.3f}"
+            " (gate: 0)"
+        )
     report += [
         "emit calls (gate: 0) :    calls",
         f"  fig6 proposal      : {fig6_emits:>8}",
@@ -153,5 +186,5 @@ def bench_obs_disabled_calls(save_result):
     ]
     report = "\n".join(report)
     save_result("obs_overhead", report)
-    assert sum(calls.values()) == 0, report
+    assert all(sum(calls.values()) == 0 for _, _, calls in runs), report
     assert fig6_emits == 0 and robust_emits == 0, report

@@ -137,7 +137,7 @@ class SpanCoverageRule(Rule):
 
     Applies to classes named ``*Protocol``: their ``execute``,
     ``make_*`` and ``handle_*`` methods must touch the span recorder
-    (a ``.start(`` call, a ``*span*`` identifier, or ``.recorder``
+    (a ``*span*`` identifier or attribute, or ``.recorder``
     access) somewhere in their body. Pure-read handlers can opt out
     with ``# repro-lint: disable=span-coverage`` plus a justification.
     """
@@ -164,11 +164,6 @@ class SpanCoverageRule(Rule):
             if isinstance(node, ast.Attribute):
                 if node.attr == "recorder" or "span" in node.attr.lower():
                     return True
-                if (
-                    node.attr == "start"
-                    and isinstance(getattr(node, "ctx", None), ast.Load)
-                ):
-                    return True
             elif isinstance(node, ast.Name) and "span" in node.id.lower():
                 return True
         return False
@@ -190,7 +185,7 @@ class SpanCoverageRule(Rule):
 
 #: span-recorder calls that name a span kind: method -> index of the
 #: kind among the positional arguments (a site argument follows it)
-_SPAN_KIND_ARG = {"start": 0, "write_row": 1, "keep_open": 1}
+_SPAN_KIND_ARG = {"open_span": 0, "write_row": 1, "keep_open": 1}
 
 
 #: module constants that declare the span kinds a record writer takes
@@ -209,16 +204,15 @@ class SpanKindRegistryRule(Rule):
     """Every span kind recorded in src/ is a registered span kind.
 
     Matches the span recorder's calls that name a kind —
-    ``<expr>.start("kind", site, ...)`` for a handle, and
+    ``<expr>.open_span("kind", site, ...)`` for a span that waits, and
     ``<expr>.write_row(row, "kind", site, ...)`` /
-    ``<expr>.keep_open(row, "kind", site, ...)`` for a span written
-    without one — and the kinds the tree and pair writers record,
+    ``<expr>.keep_open(row, "kind", site, ...)`` for a row — and the
+    kinds the tree and pair writers record,
     declared as the constant tuples ``TREE_KINDS = ("kind", ...)`` and
     ``PAIR_KINDS = (("kind", "kind"), ...)``, and requires each
     constant kind to appear in :data:`~repro.obs.spans.SPAN_KINDS`,
     the recorder's closed vocabulary. A call with no
-    positional argument after the kind is ignored (schedulers, daemons
-    and other non-span ``start`` methods share the name).
+    positional argument after the kind is ignored.
     """
 
     name = "span-kind-registry"
@@ -230,7 +224,7 @@ class SpanKindRegistryRule(Rule):
     def _known_kinds(self) -> Set[str]:
         if self._registry is None:
             # Deferred import: the linter must not drag the recorder in
-            # unless this rule actually fires on a .start( call.
+            # unless this rule actually fires on a recorder call.
             from repro.obs.spans import SPAN_KINDS
 
             self._registry = set(SPAN_KINDS)

@@ -411,8 +411,8 @@ class Accelerator:
             if ovl is not None:
                 ovl.end(self.env.now)
         if root is not NULL_ROW:  # unobserved: not even a null call
-            self.obs.recorder.close_pair(
-                root, self.env._now, "outcome", result.outcome.value
+            self.obs.recorder.close_span(
+                root, self.env._now, ("outcome",), (result.outcome.value,)
             )
         return result
 
@@ -583,9 +583,8 @@ class Accelerator:
         rec = self.obs.recorder
         observed = rec.enabled
         if observed:
-            span = rec.start(
-                "sync.push", self.site, self.now, parent=parent, item=item
-            )
+            span = rec.open_span("sync.push", self.site, self.now,
+                                 ("item",), (item,), parent=parent)
         for peer in live:
             if only is not None and peer not in only:
                 continue
@@ -595,7 +594,7 @@ class Accelerator:
                 continue
             payload = {"item": item, "delta": delta}
             if observed:
-                payload["_obs"] = {"trace": span.trace_id, "span": span.span_id}
+                payload["_obs"] = {"trace": span[0], "span": span[1]}
             if self.reliable is not None:
                 if key in self._sync_inflight:
                     continue  # this balance is already on the wire
@@ -613,7 +612,7 @@ class Accelerator:
                 self.endpoint.send(peer, "prop.push", payload, tag=TAG_PROPAGATE)
             sent += 1
         if observed:
-            span.finish(self.now, messages=sent)
+            rec.close_span(span, self.now, ("messages",), (sent,))
         return sent
 
     def _settle_sync(self, key: tuple[str, str], delta: float, event) -> None:

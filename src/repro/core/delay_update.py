@@ -286,21 +286,21 @@ class DelayUpdateProtocol:
                     )
             except RequestTimeout:
                 if observed:
-                    rec.close_pair(request, accel.now, "timeout", True)
+                    rec.close_span(request, accel.now, ("timeout",), (True,))
                 continue
             except BaseException:
                 # Typically CrashedEndpointError: we died mid-gathering.
                 # Return the held volume to the table so no AV leaks —
                 # the site's state must be exact when it restarts.
                 if observed:
-                    rec.close_pair(request, accel.now, "error", True)
+                    rec.close_span(request, accel.now, ("error",), (True,))
                 hold.release()
                 raise
 
             now = accel.now
             granted = reply["granted"]
             if observed:
-                rec.close_pair(request, now, "granted", granted)
+                rec.close_span(request, now, ("granted",), (granted,))
             lease_id = reply.get("lease")
             if lease_id is not None and accel.leases is not None:
                 # Record the receipt and ack the grantor's lease; a
@@ -530,12 +530,12 @@ class DelayUpdateProtocol:
         if not rec.enabled:
             self._take_push(msg)
             return
-        push_span = rec.start(
+        push_span = rec.open_span(
             "av.push.apply", accel.site, accel.now,
-            item=msg.payload["item"], amount=msg.payload["amount"],
-            sender=msg.src,
+            ("item", "amount", "sender"),
+            (msg.payload["item"], msg.payload["amount"], msg.src),
         )
-        push_span.finish(accel.now, **{self._take_push(msg): True})
+        rec.close_span(push_span, accel.now, (self._take_push(msg),), (True,))
 
     def _take_push(self, msg) -> str:
         """:meth:`handle_av_push`'s body; returns what became of the

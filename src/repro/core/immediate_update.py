@@ -38,7 +38,7 @@ from repro.core.types import (
 from repro.db.locks import LockMode
 from repro.db.transaction import Transaction
 from repro.net.endpoint import CrashedEndpointError, RequestTimeout
-from repro.obs.spans import NULL_SPAN
+from repro.obs.spans import NULL_ROW
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.accelerator import Accelerator
@@ -77,12 +77,12 @@ class ImmediateUpdateProtocol:
 
         ``span`` is the row of the update's root span (``NULL_ROW`` when
         unobserved); the lock wait, each prepare round-trip, and the
-        decision phase open children of it. Unobserved runs skip
-        ``rec.start`` outright: its keyword arguments cost more than the
-        null span it returns.
+        decision phase open children of it. Unobserved runs make no
+        recorder call.
         """
         accel = self.accel
         rec = accel.obs.recorder
+        observed = rec.enabled
         item, delta = req.item, req.delta
         token = f"imm:{req.request_id}:{req.site}"
         ovl = accel.overload
@@ -119,14 +119,16 @@ class ImmediateUpdateProtocol:
         # counts as a no vote.
         for site in order:
             if site == accel.site:
-                lock_span = rec.start(
-                    "imm.lock", accel.site, accel.now, parent=span, item=item
-                ) if rec.enabled else NULL_SPAN
+                lock_span = rec.open_span(
+                    "imm.lock", accel.site, accel.now, ("item",), (item,),
+                    parent=span,
+                ) if observed else NULL_ROW
                 yield accel.locks.acquire(
                     item, token, LockMode.EXCLUSIVE,
-                    span_id=lock_span.span_id or None,
+                    span_id=lock_span[1] or None,
                 )
-                lock_span.finish(accel.now)
+                if observed:
+                    rec.close_span(lock_span, accel.now)
                 if ovl is not None and accel.av_table.defined(item):
                     # The item was demoted to regular (overload
                     # degradation) while we queued for the lock; a
@@ -143,18 +145,16 @@ class ImmediateUpdateProtocol:
                     break
             else:
                 payload = {"item": item, "delta": delta, "token": token}
-                prep_span = NULL_SPAN
-                if rec.enabled:
-                    prep_span = rec.start(
-                        "imm.prepare", accel.site, accel.now, parent=span,
-                        target=site,
+                prep_span = NULL_ROW
+                if observed:
+                    prep_span = rec.open_span(
+                        "imm.prepare", accel.site, accel.now, ("target",),
+                        (site,), parent=span,
                     )
                     # Cross-site span context: the participant parents
                     # its lock-wait span under this round-trip span.
-                    payload["_obs"] = {
-                        "trace": prep_span.trace_id,
-                        "span": prep_span.span_id,
-                    }
+                    payload["_obs"] = {"trace": prep_span[0],
+                                       "span": prep_span[1]}
                 try:
                     reply = yield accel.endpoint.request(
                         site,
@@ -164,12 +164,16 @@ class ImmediateUpdateProtocol:
                         timeout=accel.request_timeout,
                     )
                 except RequestTimeout:
-                    prep_span.finish(accel.now, timeout=True)
+                    if observed:
+                        rec.close_span(prep_span, accel.now, ("timeout",),
+                                       (True,))
                     if ovl is not None:
                         ovl.record_2pc_timeout(accel.now)
                     ready = False
                     break
-                prep_span.finish(accel.now, ready=reply["ready"])
+                if observed:
+                    rec.close_span(prep_span, accel.now, ("ready",),
+                                   (reply["ready"],))
                 if not reply["ready"]:
                     ready = False
                     break
@@ -181,18 +185,16 @@ class ImmediateUpdateProtocol:
             # participant resolves to abort via the status query.
             self.decisions[token] = "abort"
             self.in_progress.discard(token)
-            abort_span = rec.start(
-                "imm.abort", accel.site, accel.now, parent=span,
-                peers=len(prepared_peers),
-            ) if rec.enabled else NULL_SPAN
+            abort_span = rec.open_span(
+                "imm.abort", accel.site, accel.now, ("peers",),
+                (len(prepared_peers),), parent=span,
+            ) if observed else NULL_ROW
             if accel.request_timeout is None:
                 abort_payload = {"token": token}
-                if rec.enabled:
+                if observed:
                     # Participants parent their imm.apply span here.
-                    abort_payload["_obs"] = {
-                        "trace": abort_span.trace_id,
-                        "span": abort_span.span_id,
-                    }
+                    abort_payload["_obs"] = {"trace": abort_span[0],
+                                             "span": abort_span[1]}
                 acks = [
                     accel.endpoint.request(
                         peer, "imm.abort", abort_payload, tag=TAG_IMMEDIATE
@@ -209,7 +211,8 @@ class ImmediateUpdateProtocol:
                     for peer in prepared_peers
                 ]
                 yield accel.env.all_of(deliveries)
-            abort_span.finish(accel.now)
+            if observed:
+                rec.close_span(abort_span, accel.now)
             if holds_local:
                 accel.locks.release(item, token)
             return UpdateResult(
@@ -225,18 +228,16 @@ class ImmediateUpdateProtocol:
         self.decisions[token] = "commit"
         self.in_progress.discard(token)
         accel.txns.apply_atomic(item, delta)
-        commit_span = rec.start(
-            "imm.commit", accel.site, accel.now, parent=span,
-            peers=len(prepared_peers),
-        ) if rec.enabled else NULL_SPAN
+        commit_span = rec.open_span(
+            "imm.commit", accel.site, accel.now, ("peers",),
+            (len(prepared_peers),), parent=span,
+        ) if observed else NULL_ROW
         if accel.request_timeout is None:
             commit_payload = {"token": token}
-            if rec.enabled:
+            if observed:
                 # Participants parent their imm.apply span here.
-                commit_payload["_obs"] = {
-                    "trace": commit_span.trace_id,
-                    "span": commit_span.span_id,
-                }
+                commit_payload["_obs"] = {"trace": commit_span[0],
+                                          "span": commit_span[1]}
             acks = [
                 accel.endpoint.request(
                     peer, "imm.commit", commit_payload, tag=TAG_IMMEDIATE
@@ -263,7 +264,8 @@ class ImmediateUpdateProtocol:
                 for peer in prepared_peers
             ]
             yield accel.env.all_of(deliveries)
-        commit_span.finish(accel.now)
+        if observed:
+            rec.close_span(commit_span, accel.now)
         if ovl is not None:
             ovl.record_2pc_success(accel.now)
         accel.locks.release(item, token)
@@ -313,19 +315,19 @@ class ImmediateUpdateProtocol:
         delta = msg.payload["delta"]
         token = msg.payload["token"]
 
-        lock_span = NULL_SPAN
+        lock_span = NULL_ROW
         if rec.enabled:
             ctx = msg.payload.get("_obs")
-            lock_span = rec.start(
-                "imm.lock", accel.site, accel.now,
+            lock_span = rec.open_span(
+                "imm.lock", accel.site, accel.now, ("item",), (item,),
                 trace=ctx["trace"] if ctx else None,
                 parent=ctx["span"] if ctx else None,
-                item=item,
             )
         yield accel.locks.acquire(
-            item, token, LockMode.EXCLUSIVE, span_id=lock_span.span_id or None
+            item, token, LockMode.EXCLUSIVE, span_id=lock_span[1] or None
         )
-        lock_span.finish(accel.now)
+        if rec.enabled:
+            rec.close_span(lock_span, accel.now)
         if accel.store.value(item) + delta < 0:
             accel.locks.release(item, token)
             return {"ready": False}
@@ -360,14 +362,14 @@ class ImmediateUpdateProtocol:
         accel = self.accel
         rec = accel.obs.recorder
         token = msg.payload["token"]
-        apply_span = NULL_SPAN
+        apply_span = NULL_ROW
         if rec.enabled:
             ctx = msg.payload.get("_obs")
-            apply_span = rec.start(
+            apply_span = rec.open_span(
                 "imm.apply", accel.site, accel.now,
+                ("token", "decision"), (token, "commit" if commit else "abort"),
                 trace=ctx["trace"] if ctx else None,
                 parent=ctx["span"] if ctx else None,
-                token=token, decision="commit" if commit else "abort",
             )
         entry = self._pending.pop(token, None)
         if entry is not None:
@@ -377,7 +379,9 @@ class ImmediateUpdateProtocol:
             else:
                 txn.abort()
             accel.locks.release(item, token)
-        apply_span.finish(accel.now, applied=entry is not None)
+        if rec.enabled:
+            rec.close_span(apply_span, accel.now, ("applied",),
+                           (entry is not None,))
         return {"done": True}
 
     # Pure read of the decision log — nothing timed happens, so a span
@@ -504,6 +508,10 @@ class ImmediateUpdateProtocol:
                 )
             except RequestTimeout:
                 continue  # coordinator still down: classic 2PC blocking
+            except CrashedEndpointError:
+                # We crashed between status queries; our restart's
+                # termination protocol resolves the token.
+                return None
             if reply["decision"] == "pending":
                 # Coordinator alive but undecided: keep waiting.
                 yield accel.env.timeout(accel.request_timeout or 1.0)

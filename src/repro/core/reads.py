@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.db.locks import LockMode
+from repro.obs.spans import NULL_ROW
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.accelerator import Accelerator
@@ -108,15 +109,15 @@ class ReadProtocol:
                     staleness_bound=bound,
                 )
 
-        span = rec.start(
-            "read", accel.site, accel.now,
-            item=item, consistency=consistency.value,
-        )
+        span = rec.open_span(
+            "read", accel.site, accel.now, ("item", "consistency"),
+            (item, consistency.value),
+        ) if rec.enabled else NULL_ROW
         token = f"read:{accel.site}:{item}:{next(accel._req_ids)}"
         locked = consistency is ReadConsistency.LOCKED
         if locked:
             yield accel.locks.acquire(
-                item, token, LockMode.EXCLUSIVE, span_id=span.span_id or None
+                item, token, LockMode.EXCLUSIVE, span_id=span[1] or None
             )
         try:
             # Only the item's replicas can owe us deltas for it.
@@ -134,7 +135,8 @@ class ReadProtocol:
         finally:
             if locked:
                 accel.locks.release(item, token)
-        span.finish(accel.now, peers=len(peers))
+        if rec.enabled:
+            rec.close_span(span, accel.now, ("peers",), (len(peers),))
         return ReadResult(
             item=item,
             value=value,

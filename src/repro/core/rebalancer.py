@@ -105,7 +105,9 @@ class AVRebalancer:
     def rebalance_once(self) -> int:
         """Inspect every AV entry; push surpluses. Returns pushes sent."""
         accel = self.accel
-        span = accel.obs.recorder.start("rebal.pass", accel.site, accel.now)
+        rec = accel.obs.recorder
+        if rec.enabled:
+            span = rec.open_span("rebal.pass", accel.site, accel.now)
         sent = 0
         for item, own in list(accel.av_table.items()):
             if accel.frozen_gate(item) is not None:
@@ -152,7 +154,8 @@ class AVRebalancer:
             self.pushes_sent += 1
             self.volume_pushed += amount
             sent += 1
-        span.finish(accel.now, pushes=sent)
+        if rec.enabled:
+            rec.close_span(span, accel.now, ("pushes",), (sent,))
         return sent
 
     def __repr__(self) -> str:

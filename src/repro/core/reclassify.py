@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.errors import CoreError
 from repro.db.locks import LockMode
+from repro.obs.spans import NULL_ROW
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.accelerator import Accelerator
@@ -81,7 +82,9 @@ class ReclassificationProtocol:
             raise ReclassificationError(f"av_fraction {av_fraction} not in [0, 1]")
         self.coordinated += 1
         token = f"cls:{accel.site}:{item}:{next(accel._req_ids)}"
-        root = rec.start("cls.regular", accel.site, accel.now, item=item)
+        root = rec.open_span(
+            "cls.regular", accel.site, accel.now, ("item",), (item,)
+        ) if rec.enabled else NULL_ROW
 
         # Reclassification involves exactly the item's replicas.
         order = sorted([accel.site, *accel.live_peers_for(item)])
@@ -93,16 +96,13 @@ class ReclassificationProtocol:
             if site == accel.site:
                 yield accel.locks.acquire(
                     item, token, LockMode.EXCLUSIVE,
-                    span_id=root.span_id or None,
+                    span_id=root[1] or None,
                 )
             else:
                 payload = {"item": item, "token": token}
                 if rec.enabled:
                     # Participants parent their cls.lock span here.
-                    payload["_obs"] = {
-                        "trace": root.trace_id,
-                        "span": root.span_id,
-                    }
+                    payload["_obs"] = {"trace": root[0], "span": root[1]}
                 yield accel.endpoint.request(
                     site, "cls.lock", payload, tag=TAG_RECLASS
                 )
@@ -135,7 +135,8 @@ class ReclassificationProtocol:
         yield accel.env.all_of(acks)
         accel.av_table.define(item, shares[accel.site])
         accel.locks.release(item, token)
-        root.finish(accel.now, sites=len(order))
+        if rec.enabled:
+            rec.close_span(root, accel.now, ("sites",), (len(order),))
         return shares
 
     def make_non_regular(self, item: str):
@@ -146,7 +147,9 @@ class ReclassificationProtocol:
             raise ReclassificationError(f"{item!r} is already non-regular")
         self.coordinated += 1
         token = f"cls:{accel.site}:{item}:{next(accel._req_ids)}"
-        root = rec.start("cls.nonregular", accel.site, accel.now, item=item)
+        root = rec.open_span(
+            "cls.nonregular", accel.site, accel.now, ("item",), (item,)
+        ) if rec.enabled else NULL_ROW
 
         # Reclassification involves exactly the item's replicas.
         order = sorted([accel.site, *accel.live_peers_for(item)])
@@ -161,16 +164,13 @@ class ReclassificationProtocol:
                 yield accel.quiesce(item)
                 yield accel.locks.acquire(
                     item, token, LockMode.EXCLUSIVE,
-                    span_id=root.span_id or None,
+                    span_id=root[1] or None,
                 )
             else:
                 payload = {"item": item, "token": token}
                 if rec.enabled:
                     # Participants parent their cls.lock span here.
-                    payload["_obs"] = {
-                        "trace": root.trace_id,
-                        "span": root.span_id,
-                    }
+                    payload["_obs"] = {"trace": root[0], "span": root[1]}
                 reply = yield accel.endpoint.request(
                     site, "cls.lock", payload, tag=TAG_RECLASS
                 )
@@ -197,7 +197,9 @@ class ReclassificationProtocol:
         accel.store.set_value(item, true_value, now=accel.now)
         accel.unfreeze(item)
         accel.locks.release(item, token)
-        root.finish(accel.now, sites=len(order), value=true_value)
+        if rec.enabled:
+            rec.close_span(root, accel.now, ("sites", "value"),
+                           (len(order), true_value))
         return true_value
 
     # ---------------------------------------------------------------- #
@@ -217,18 +219,20 @@ class ReclassificationProtocol:
         ctx = msg.payload.get("_obs") if rec.enabled else None
 
         def locker():
-            span = rec.start(
-                "cls.lock", accel.site, accel.now,
-                trace=ctx["trace"] if ctx else None,
-                parent=ctx["span"] if ctx else None,
-                item=item,
-            )
+            span = NULL_ROW
+            if rec.enabled:
+                span = rec.open_span(
+                    "cls.lock", accel.site, accel.now, ("item",), (item,),
+                    trace=ctx["trace"] if ctx else None,
+                    parent=ctx["span"] if ctx else None,
+                )
             accel.freeze(item)
             yield accel.quiesce(item)
             yield accel.locks.acquire(
-                item, token, LockMode.EXCLUSIVE, span_id=span.span_id or None
+                item, token, LockMode.EXCLUSIVE, span_id=span[1] or None
             )
-            span.finish(accel.now)
+            if rec.enabled:
+                rec.close_span(span, accel.now)
             # Report the balance owed to the coordinator; everything
             # owed to other peers is superseded by the value the commit
             # installs, so it is dropped there.
@@ -238,27 +242,31 @@ class ReclassificationProtocol:
 
     def handle_to_regular(self, msg):
         accel = self.accel
+        rec = accel.obs.recorder
         item = msg.payload["item"]
-        span = accel.obs.recorder.start(
-            "cls.apply", accel.site, accel.now, item=item, to="regular"
-        )
+        if rec.enabled:
+            span = rec.open_span("cls.apply", accel.site, accel.now,
+                                 ("item", "to"), (item, "regular"))
         accel.av_table.define(item, msg.payload["share"])
         accel.unfreeze(item)
         accel.locks.release(item, msg.payload["token"])
-        span.finish(accel.now)
+        if rec.enabled:
+            rec.close_span(span, accel.now)
         return {"done": True}
 
     def handle_to_nonregular(self, msg):
         accel = self.accel
+        rec = accel.obs.recorder
         item = msg.payload["item"]
-        span = accel.obs.recorder.start(
-            "cls.apply", accel.site, accel.now, item=item, to="nonregular"
-        )
+        if rec.enabled:
+            span = rec.open_span("cls.apply", accel.site, accel.now,
+                                 ("item", "to"), (item, "nonregular"))
         if accel.av_table.defined(item):
             accel.av_table.undefine(item)
         accel.clear_owed_item(item)  # superseded by the installed value
         accel.store.set_value(item, msg.payload["value"], now=accel.now)
         accel.unfreeze(item)
         accel.locks.release(item, msg.payload["token"])
-        span.finish(accel.now)
+        if rec.enabled:
+            rec.close_span(span, accel.now)
         return {"done": True}

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.obs.spans import NULL_ROW
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.accelerator import Accelerator
 
@@ -65,11 +67,13 @@ class SyncScheduler:
                 yield accel.env.timeout(interval)
                 if accel.endpoint.crashed:
                     continue
-                span = accel.obs.recorder.start(
+                rec = accel.obs.recorder
+                span = rec.open_span(
                     "sync.pass", accel.site, accel.now
-                )
+                ) if rec.enabled else NULL_ROW
                 sent = accel.sync_all(parent=span)
-                span.finish(accel.now, messages=sent)
+                if rec.enabled:
+                    rec.close_span(span, accel.now, ("messages",), (sent,))
                 self.messages_sent += sent
                 self.passes += 1
                 if ovl is not None:

@@ -209,6 +209,7 @@ class Endpoint:
 
     def _reply_on_success(self, msg: Message, proc: Event) -> None:
         """Completion callback of a generator handler: reply with its
-        return value (a failed handler sends nothing)."""
-        if proc._ok:
+        return value (a failed handler sends nothing, nor does one that
+        finishes after its site crashed)."""
+        if proc._ok and not self.crashed:
             self.reply(msg, proc._value)

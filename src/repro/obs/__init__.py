@@ -42,7 +42,7 @@ from repro.obs.report import load_report, render_html, render_text
 from repro.obs.sampler import PeriodicSampler, TimeSeriesStore
 from repro.obs.snapshot import TelemetrySnapshot, merge_telemetry
 from repro.obs.spans import (
-    NULL_SPAN,
+    NULL_ROW,
     SPAN_KINDS,
     NullSpanRecorder,
     Span,
@@ -54,7 +54,7 @@ __all__ = [
     "Gauge",
     "MetricRegistry",
     "NULL_OBS",
-    "NULL_SPAN",
+    "NULL_ROW",
     "NullSpanRecorder",
     "Observability",
     "PeriodicSampler",

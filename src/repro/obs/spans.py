@@ -13,22 +13,27 @@ on protocol payloads (only when recording is enabled, so the disabled
 wire format is byte-identical to an uninstrumented run); the remote
 handler opens its span with that context as parent.
 
-A span that opens and closes with no ``yield`` in between needs no
-handle: :meth:`SpanRecorder.open_row` takes its id (where ``start``
-would) and returns a :data:`Row`, and :meth:`SpanRecorder.write_row`
-writes it when it closes — the same row ``Span.finish`` writes. The
-covered update's whole tree (:data:`TREE_KINDS`) never waits either:
-:meth:`SpanRecorder.open_tree` reserves its ids at once and
-:meth:`SpanRecorder.write_tree` writes it as one record, which readers
-expand into the spans its rows would have been. Two spans that open
-back to back are one record too (:data:`PAIR_KINDS`): an update that
-waits and its checking verdict, each AV round's selecting and request,
-and a grant and its deciding (:meth:`SpanRecorder.open_pair`,
-:meth:`SpanRecorder.close_pair`, :meth:`SpanRecorder.write_pair`).
+Writers hold a span by its :data:`Row`, ``(trace_id, span_id,
+parent_id)``, never by an object. A span that may wait is opened by
+:meth:`SpanRecorder.open_span` and closed by
+:meth:`SpanRecorder.close_span`; while it waits it is one entry in the
+recorder's one open-span table. A span that opens and closes with no
+``yield`` in between is not entered there at all:
+:meth:`SpanRecorder.open_row` takes its id and
+:meth:`SpanRecorder.write_row` writes it when it closes — the same row
+``close_span`` writes. The covered update's whole tree
+(:data:`TREE_KINDS`) never waits either: :meth:`SpanRecorder.open_tree`
+reserves its ids at once and :meth:`SpanRecorder.write_tree` writes it
+as one record, which readers expand into the spans its rows would have
+been. Two spans that open back to back are one record too
+(:data:`PAIR_KINDS`): an update that waits and its checking verdict,
+each AV round's selecting and request, and a grant and its deciding
+(:meth:`SpanRecorder.open_pair`, closed by ``close_span``, and
+:meth:`SpanRecorder.write_pair`).
 
-:class:`NullSpanRecorder` is the disabled implementation: ``start``
-returns the shared :data:`NULL_SPAN` whose mutators are no-ops, keeping
-instrumented hot paths near-zero-cost when observability is off.
+:class:`NullSpanRecorder` is the disabled implementation; every call
+site tests ``recorder.enabled`` first, so an unobserved run makes no
+recorder call at all.
 """
 
 from __future__ import annotations
@@ -40,14 +45,12 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 
 class Span:
-    """One timed interval of work, linked into a per-trace tree.
-
-    A finished span is immutable: a second :meth:`finish`, or an
-    :meth:`annotate` after the first, raises :class:`ValueError`.
-    """
+    """One timed interval of work, linked into a per-trace tree, as the
+    recorder's readers rebuild it (``end`` is ``None`` while the span is
+    open). Writers hold a span by its :data:`Row`."""
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "site",
-                 "start", "end", "attrs", "_recorder")
+                 "start", "end", "attrs")
 
     def __init__(
         self,
@@ -57,8 +60,8 @@ class Span:
         name: str,
         site: str,
         start: float,
-        attrs: Optional[Dict[str, Any]] = None,
-        recorder: Optional["SpanRecorder"] = None,
+        end: Optional[float],
+        attrs: Optional[Dict[str, Any]],
     ) -> None:
         self.trace_id = trace_id
         self.span_id = span_id
@@ -66,35 +69,8 @@ class Span:
         self.name = name
         self.site = site
         self.start = start
-        self.end: Optional[float] = None
+        self.end = end
         self.attrs = attrs
-        self._recorder = recorder
-
-    def finish(self, now: float, **attrs: Any) -> "Span":
-        """Close the span at ``now``, merging any final attributes."""
-        if self.end is not None:
-            raise ValueError(f"{self!r} is already finished")
-        self.end = now
-        if attrs:
-            if self.attrs is None:
-                self.attrs = attrs
-            else:
-                self.attrs.update(attrs)
-        if self._recorder is not None:
-            self._recorder._pack(self)
-        return self
-
-    def annotate(self, **attrs: Any) -> None:
-        """Attach key/value attributes to the (still open) span."""
-        if self.end is not None:
-            raise ValueError(f"{self!r} is already finished")
-        if self.attrs is None:
-            self.attrs = {}
-        self.attrs.update(attrs)
-
-    @property
-    def finished(self) -> bool:
-        return self.end is not None
 
     @property
     def duration(self) -> float:
@@ -110,33 +86,15 @@ class Span:
         )
 
 
-class _NullSpan(Span):
-    """The shared do-nothing span returned by a disabled recorder."""
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__("", 0, None, "", "", 0.0)
-
-    def finish(self, now: float, **attrs: Any) -> "Span":
-        return self
-
-    def annotate(self, **attrs: Any) -> None:
-        return None
-
-
-#: singleton no-op span; safe to use as a parent (treated as "no parent")
-NULL_SPAN = _NullSpan()
-
-#: a span with no handle, from :meth:`SpanRecorder.open_row`:
-#: ``(trace_id, span_id, parent_id)``. A parent wherever a :class:`Span` is.
+#: how a writer holds a span, from :meth:`SpanRecorder.open_row` or
+#: :meth:`SpanRecorder.open_span`: ``(trace_id, span_id, parent_id)``
 Row = Tuple[str, int, Optional[int]]
 
 #: the row of a span the cap dropped (or a disabled recorder's): as a
-#: parent it means "no parent", exactly like :data:`NULL_SPAN`
+#: parent it means "no parent"
 NULL_ROW: Row = ("", 0, None)
 
-ParentLike = Union[Span, Row, int, None]
+ParentLike = Union[Row, int, None]
 
 #: ``parent_id`` column value of a root span
 _NO_PARENT = -1
@@ -212,18 +170,16 @@ def _tree_spans(
     update, checking, apply, push = TREE_KINDS
     item, delta, outcome = values[:3]
     spans = [
-        Span(trace, base, None, update, site, now,
+        Span(trace, base, None, update, site, now, now,
              {"item": item, "delta": delta, "outcome": outcome}),
-        Span(trace, base + 1, base, checking, site, now,
+        Span(trace, base + 1, base, checking, site, now, now,
              {"verdict": _TREE_VERDICT[0]}),
-        Span(trace, base + 2, base, apply, site, now,
+        Span(trace, base + 2, base, apply, site, now, now,
              {"item": item, "delta": delta}),
     ]
     if len(values) == 4:
-        spans.append(Span(trace, base + 3, base, push, site, now,
+        spans.append(Span(trace, base + 3, base, push, site, now, now,
                           {"item": item, "peers": values[3]}))
-    for span in spans:
-        span.end = now
     return spans
 
 
@@ -241,8 +197,8 @@ def _pair_spans(
     """Expand one span pair (see :meth:`SpanRecorder.open_pair`) into its
     spans, in id order. While the pair is open, ``end`` and ``key`` are
     ``None`` and ``values`` stop short of the closing value; the open
-    span keeps ``start`` as given, as a handle would, and its finished
-    partner reads it as a ``float``, as a row would.
+    span keeps ``start`` as given, as any open span does, and its
+    finished partner reads it as a ``float``, as a row would.
 
     The values are, by kind: item, delta, verdict and the outcome (root
     pair); target, amount and the request's closing value (round pair);
@@ -256,49 +212,43 @@ def _pair_spans(
         attrs = {"item": item, "delta": delta}
         if key is not None:
             attrs[key] = values[3]
-        first = Span(first_trace, base, parent_id, first_name, site, start,
-                     attrs)
-        first.end = end
-        second = Span(first_trace, base + 1, base, second_name, site,
-                      instant, {"verdict": verdict})
-        second.end = instant
-        return first, second
+        return (
+            Span(first_trace, base, parent_id, first_name, site, start, end,
+                 attrs),
+            Span(first_trace, base + 1, base, second_name, site, instant,
+                 instant, {"verdict": verdict}),
+        )
     if kind == PAIR_ROUND:
         target, amount = values[:2]
-        first = Span(first_trace, base, parent_id, first_name, site, instant,
-                     {"target": target})
-        first.end = instant
         attrs = {"target": target, "amount": amount}
         if key is not None:
             attrs[key] = values[2]
-        second = Span(trace or f"t{base + 1}", base + 1, parent_id,
-                      second_name, site, start, attrs)
-        second.end = end
-        return first, second
+        return (
+            Span(first_trace, base, parent_id, first_name, site, instant,
+                 instant, {"target": target}),
+            Span(trace or f"t{base + 1}", base + 1, parent_id, second_name,
+                 site, start, end, attrs),
+        )
     item, requester, granted, after, available, requested = values
-    first = Span(first_trace, base, parent_id, first_name, site, instant,
-                 {"item": item, "requester": requester, "granted": granted,
-                  "av_after": after})
-    first.end = instant
-    second = Span(first_trace, base + 1, base, second_name, site, instant,
-                  {"available": available, "requested": requested,
-                   "granted": granted})
-    second.end = instant
-    return first, second
+    return (
+        Span(first_trace, base, parent_id, first_name, site, instant, instant,
+             {"item": item, "requester": requester, "granted": granted,
+              "av_after": after}),
+        Span(first_trace, base + 1, base, second_name, site, instant, instant,
+             {"available": available, "requested": requested,
+              "granted": granted}),
+    )
 
 
 def _link(parent: ParentLike, trace: Optional[str]):
     """``(parent_id, trace)`` of a span opened under ``parent``: a
-    :class:`Span` or :data:`Row` parent lends its trace id when
-    ``trace`` is omitted; a raw span id (cross-site context) does not."""
+    :data:`Row` parent lends its trace id when ``trace`` is omitted; a
+    raw span id (cross-site context) does not."""
     if parent is None:
         return None, trace
-    if isinstance(parent, tuple):
-        parent_trace, parent_id, _ = parent
-    elif isinstance(parent, Span):
-        parent_trace, parent_id = parent.trace_id, parent.span_id
-    else:
+    if parent.__class__ is not tuple:
         return parent, trace
+    parent_trace, parent_id, _ = parent
     if trace is None and parent_trace:
         trace = parent_trace
     return parent_id or None, trace
@@ -311,19 +261,24 @@ class SpanRecorder:
     """Collects spans; every view yields them in start (= span id) order,
     deterministic under a fixed seed.
 
-    Storage model: an open span is a :class:`Span` handle (``start``
-    returned it; held in ``_open``) or an open pair entry (see
-    :meth:`open_pair`; held in ``_open_pairs``). A finished span is part
-    of one record of flat columns — ``array`` ids, parents, start and
-    end times, one string (shared with the caller, not copied), an index
+    Storage model: an open span is one entry in ``_open``, keyed by its
+    span id: ``(name, site, start, trace, parent_id, keys, values)``,
+    its opening attributes as names and values. An open pair's entry
+    (see :meth:`open_pair`) is keyed by its open span's id and holds the
+    pair kind as its name, an empty trace for a fresh trace, no keys and
+    the pair's opening values. :meth:`open_span` opens an entry,
+    :meth:`keep_open` leaves one for a span whose body raised, and
+    :meth:`close_span` closes either kind. A finished span is part of
+    one record of flat columns — ``array`` ids, parents, start and end
+    times, one string (shared with the caller, not copied), an index
     into a small table of shape keys, and the attribute values in one
     list — so it leaves no Python container behind. Three record kinds
     share the columns, told apart by their shape key:
 
     * a *row* is one span: its trace id is its string, and its shape key
       is ``(name, site, keys)``. One writer, :meth:`write_row`, appends
-      every row: ``Span.finish`` packs a handle through it, and a span
-      that never waits calls it directly (see :meth:`open_row`);
+      every row: :meth:`close_span` writes an open span through it, and
+      a span that never waits calls it directly (see :meth:`open_row`);
     * a *tree* is a covered update's whole span tree (:meth:`write_tree`):
       its root id, its request id in the parent column, its one instant,
       its site as its string, and its item, delta, outcome (and push
@@ -334,20 +289,19 @@ class SpanRecorder:
       trace) as its string, and shape key ``(pair kind, site, closing
       key)``.
 
-    One reader expands all three. Readers rebuild finished spans on
-    demand: no identity is promised for them (two reads give equal,
-    distinct objects), times come back as ``float``, and attribute keys
-    keep their order (``start`` keys, then ``finish`` keys; a repeated
-    key keeps its first position and takes the last value). An open span
-    comes back as its live handle, or, for an open pair, as a fresh
-    unfinished :class:`Span` beside its finished partner.
+    One reader expands all three. Readers rebuild spans on demand: no
+    identity is promised for them (two reads give equal, distinct
+    objects), a finished span's times come back as ``float`` and an open
+    span's start as given, and attribute keys keep their order (opening
+    keys, then closing keys; a repeated key keeps its first position and
+    takes the last value).
 
     Parameters
     ----------
     max_spans:
-        Optional cap; further ``start`` calls return :data:`NULL_SPAN`
-        (``open_row`` calls :data:`NULL_ROW`) and are counted in
-        :attr:`dropped`; :meth:`fingerprint` still covers that count.
+        Optional cap; further opens return :data:`NULL_ROW` and are
+        counted in :attr:`dropped`; :meth:`fingerprint` still covers
+        that count.
     """
 
     enabled = True
@@ -357,10 +311,8 @@ class SpanRecorder:
         self.dropped = 0
         #: spans started (open + finished); also the last span id
         self._started = 0
-        self._open: Dict[int, Span] = {}
-        #: open pairs by the id of their open span: pair kind, first id,
-        #: parent id, trace id ("" for a fresh trace), site, start, values
-        self._open_pairs: Dict[int, tuple] = {}
+        #: open spans and pairs by span id (see the class docstring)
+        self._open: Dict[int, tuple] = {}
         # finished spans, one record each, in finish order
         self._ids = array("q")
         self._parents = array("q")
@@ -378,42 +330,40 @@ class SpanRecorder:
     # recording
     # ---------------------------------------------------------------- #
 
-    def start(
+    def open_span(
         self,
         name: str,
         site: str,
         now: float,
-        trace: Optional[str] = None,
+        keys: Tuple[str, ...] = (),
+        values: Tuple[Any, ...] = (),
         parent: ParentLike = None,
-        **attrs: Any,
-    ) -> Span:
-        """Open a span; the caller must ``finish()`` it.
+        trace: Optional[str] = None,
+    ) -> Row:
+        """Open a span that may wait; :meth:`close_span` closes it.
 
-        ``parent`` may be a :class:`Span` or a :data:`Row` (its trace id
-        is inherited when ``trace`` is omitted), a raw span id
-        (cross-site context — pass ``trace`` too), or
-        ``None``/:data:`NULL_SPAN`/:data:`NULL_ROW` for a root. A root
-        with no ``trace`` starts a fresh trace (id ``t<span_id>``).
+        Takes its id as :meth:`open_row` does and keeps ``keys`` /
+        ``values`` as its opening attributes. Returns its row (past the
+        cap, :data:`NULL_ROW`). A body that raises before the close
+        leaves the span open, which is what it was.
         """
-        trace, span_id, parent_id = self.open_row(parent, trace)
-        if not span_id:
-            return NULL_SPAN
-        span = Span(
-            trace, span_id, parent_id, name, site, now, attrs or None, self
-        )
-        self._open[span_id] = span
-        return span
+        row = self.open_row(parent, trace)
+        self.keep_open(row, name, site, now, keys, values)
+        return row
 
     def open_row(
         self, parent: ParentLike = None, trace: Optional[str] = None
     ) -> Row:
-        """Open a span that needs no handle: one that closes before
-        anything can suspend, so nothing outside the caller sees it open.
+        """Take the id of a span that closes before anything can
+        suspend, so nothing outside the caller sees it open, and return
+        its row; the caller closes it with :meth:`write_row`, or with
+        :meth:`keep_open` if its body raised.
 
-        Takes the span id :meth:`start` would take, with the same
-        ``parent``/``trace`` rules and the same cap (past it, returns
-        :data:`NULL_ROW` and counts a drop). The caller closes it with
-        :meth:`write_row`, or with :meth:`keep_open` if its body raised.
+        ``parent`` may be a :data:`Row` (its trace id is inherited when
+        ``trace`` is omitted), a raw span id (cross-site context — pass
+        ``trace`` too), or ``None``/:data:`NULL_ROW` for a root. A root
+        with no ``trace`` starts a fresh trace (id ``t<span_id>``). Past
+        the cap, returns :data:`NULL_ROW` and counts a drop.
         """
         if self.max_spans is not None and self._started >= self.max_spans:
             self.dropped += 1
@@ -436,9 +386,10 @@ class SpanRecorder:
     ) -> None:
         """Append a finished span as one row: the one writer.
 
-        ``keys`` are the attribute names in order (distinct; ``start``
-        keys, then ``finish`` keys) and ``values`` theirs. A dropped
-        row (:data:`NULL_ROW`) writes nothing.
+        ``keys`` are the attribute names in order (opening keys, then
+        closing keys; readers keep a repeated key at its first position,
+        with its last value) and ``values`` theirs. A dropped row
+        (:data:`NULL_ROW`) writes nothing.
         """
         trace, span_id, parent_id = row
         if not span_id:
@@ -471,17 +422,42 @@ class SpanRecorder:
         site: str,
         start: float,
         keys: Tuple[str, ...] = (),
-        values: Iterable[Any] = (),
+        values: Tuple[Any, ...] = (),
     ) -> None:
-        """The body of an :meth:`open_row` span raised: keep the span
-        open, with its ``start`` attributes, as the handle :meth:`start`
-        returned would have stayed."""
+        """Keep the span of ``row`` open, with its opening attributes:
+        :meth:`open_span`'s entry, or what the body of an
+        :meth:`open_row` span leaves when it raises."""
         trace, span_id, parent_id = row
         if span_id:
-            self._open[span_id] = Span(
-                trace, span_id, parent_id, name, site, start,
-                dict(zip(keys, values)) or None, self,
-            )
+            self._open[span_id] = (name, site, start, trace, parent_id,
+                                   keys, values)
+
+    def close_span(
+        self,
+        row: Row,
+        end: float,
+        keys: Tuple[str, ...] = (),
+        values: Tuple[Any, ...] = (),
+    ) -> None:
+        """Close the open span of ``row`` at ``end``, adding ``keys`` /
+        ``values`` to its attributes, and write it: a span as the row
+        :meth:`write_row` writes, the open span of a pair (the update's
+        or the request's row, closed by one key: ``outcome``, or
+        ``granted``, ``timeout`` or ``error``) as the pair's one record.
+        A row the cap dropped closes nothing."""
+        span_id = row[1]
+        entry = self._open.pop(span_id, None)
+        if entry is None:
+            return
+        name, site, start, trace, parent_id, opened, held = entry
+        if name.__class__ is int:
+            self._append_pair(name, span_id - (name == PAIR_ROUND),
+                              parent_id, trace, site, start, end, keys[0],
+                              held)
+            self._values += values
+            return
+        self.write_row((trace, span_id, parent_id), name, site, start, end,
+                       opened + keys, (*held, *values))
 
     def open_pair(
         self,
@@ -498,13 +474,13 @@ class SpanRecorder:
 
         Takes the two ids :meth:`open_row` would take for them, back to
         back, with the same ``parent``/``trace`` rules; ``values`` are
-        the pair's opening values (see :func:`_pair_spans`). No
-        :class:`Span` is made: the open span is an entry that readers
-        expand, and :meth:`close_pair` writes the pair as one record.
-        Returns the two spans' rows. Where the cap falls between or
-        before the ids, writes what :meth:`open_row` and
-        :meth:`write_row` would have left instead: the update kept open
-        as a handle, the selecting as a row, and a drop for each id cut.
+        the pair's opening values (see :func:`_pair_spans`). The open
+        span is one entry that readers expand into both spans, and
+        :meth:`close_span` writes the pair as one record. Returns the
+        two spans' rows. Where the cap falls between or before the ids,
+        writes what :meth:`open_row` and :meth:`write_row` would have
+        left instead: the update kept open as a span, the selecting as a
+        row, and a drop for each id cut.
         """
         started = self._started
         if self.max_spans is not None and started + 2 > self.max_spans:
@@ -519,13 +495,12 @@ class SpanRecorder:
         else:  # the open request is the selecting's sibling
             second = (trace or f"t{base + 1}", base + 1, parent_id)
             opened = base + 1
-        self._open_pairs[opened] = (
-            kind, base, parent_id, trace or "", site, now, values,
-        )
+        self._open[opened] = (kind, site, now, trace or "", parent_id, (),
+                              values)
         return first, second
 
     def _cut_pair(self, kind, site, now, values, parent, trace):
-        """A pair the cap cuts: its spans as rows and handles, each id
+        """A pair the cap cuts: its spans as rows and open spans, each id
         past the cap dropped. The second span never gets an id, so only
         the first is written: the update kept open, the selecting or
         the grant as a row."""
@@ -543,24 +518,6 @@ class SpanRecorder:
                            ("item", "requester", "granted", "av_after"),
                            values[:4])
         return first, second
-
-    def close_pair(self, row: Row, end: float, key: str, value: Any) -> None:
-        """Close the open span of a pair :meth:`open_pair` opened at
-        ``end``, adding ``key=value`` to its attributes (``outcome`` for
-        the update; ``granted``, ``timeout`` or ``error`` for the
-        request), and write the pair as one record. ``row`` is the open
-        span's row: the update's, or the request's. A pair the cap cut
-        closes its update handle, or nothing."""
-        entry = self._open_pairs.pop(row[1], None)
-        if entry is None:
-            span = self._open.get(row[1])
-            if span is not None:
-                span.finish(end, **{key: value})
-            return
-        kind, base, parent_id, trace, site, start, values = entry
-        self._append_pair(kind, base, parent_id, trace, site, start, end,
-                          key, values)
-        self._values.append(value)
 
     def write_pair(
         self,
@@ -678,16 +635,6 @@ class SpanRecorder:
                            ("item",), (item,))
         self._started = base + _TREE_LAST[step]
 
-    def _pack(self, span: Span) -> None:
-        """Move a just-finished span from ``_open`` into the columns."""
-        del self._open[span.span_id]
-        attrs = span.attrs
-        self.write_row(
-            (span.trace_id, span.span_id, span.parent_id), span.name,
-            span.site, span.start, span.end,
-            tuple(attrs) if attrs else (), attrs.values() if attrs else (),
-        )
-
     # ---------------------------------------------------------------- #
     # views
     # ---------------------------------------------------------------- #
@@ -722,12 +669,7 @@ class SpanRecorder:
             if keys:
                 attrs = dict(zip(keys, values[at:at + len(keys)]))
                 at += len(keys)
-            span = Span(text, span_id, parent, name, site, start, attrs)
-            span.end = end
-            yield span
-
-    def by_trace(self, trace_id: str) -> List[Span]:
-        return [s for s in self if s.trace_id == trace_id]
+            yield Span(text, span_id, parent, name, site, start, end, attrs)
 
     def traces(self) -> Dict[str, List[Span]]:
         """All spans grouped by trace id (insertion-ordered)."""
@@ -775,17 +717,32 @@ class SpanRecorder:
 
     def __iter__(self) -> Iterator[Span]:
         spans = list(self._finished())
-        spans += self._open.values()
-        for kind, base, parent_id, trace, site, start, values in (
-            self._open_pairs.values()
-        ):
-            spans += _pair_spans(kind, base, parent_id, trace, site, start,
-                                 None, None, values)
+        for span_id, entry in self._open.items():
+            name, site, start, trace, parent_id, keys, values = entry
+            if name.__class__ is int:
+                spans += _pair_spans(name, span_id - (name == PAIR_ROUND),
+                                     parent_id, trace, site, start, None,
+                                     None, values)
+            else:
+                spans.append(Span(trace, span_id, parent_id, name, site,
+                                  start, None, dict(zip(keys, values)) or None))
         spans.sort(key=_span_id)
         return iter(spans)
 
     def __repr__(self) -> str:
         return f"<SpanRecorder spans={len(self)} dropped={self.dropped}>"
+
+
+class _NullHandle:
+    """What :meth:`NullSpanRecorder.start` returns."""
+
+    __slots__ = ()
+
+    def finish(self, now: float, **attrs: Any) -> "_NullHandle":
+        return self
+
+
+_NULL_HANDLE = _NullHandle()
 
 
 class NullSpanRecorder(SpanRecorder):
@@ -797,7 +754,11 @@ class NullSpanRecorder(SpanRecorder):
         super().__init__(max_spans=None)
 
     def start(self, name, site, now, trace=None, parent=None, **attrs):
-        return NULL_SPAN
+        """A no-op handle: ``src/`` opens spans with :meth:`open_span`
+        and never calls this. It is kept for the e2e benchmark's
+        ``probe.obs_null_span_ns``, which times ``start(...).finish(...)``
+        on the disabled hub."""
+        return _NULL_HANDLE
 
     def open_row(self, parent=None, trace=None):
         return NULL_ROW

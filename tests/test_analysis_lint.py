@@ -126,8 +126,8 @@ class TestSpanCoverage:
         assert lint_source(tmp_path, """\
             class FooProtocol:
                 def execute(self, accel, item):
-                    span = accel.obs.recorder.start("read", accel.site, 0.0)
-                    span.finish(1.0)
+                    rec = accel.obs.recorder
+                    rec.close_span(rec.open_span("read", accel.site, 0.0), 1.0)
             """) == []
 
     def test_non_protocol_classes_exempt(self, tmp_path):
@@ -142,17 +142,30 @@ class TestSpanKindRegistry:
     def test_unregistered_kind_flagged(self, tmp_path):
         findings = lint_source(tmp_path, """\
             def go(rec, site):
-                span = rec.start("made.up.kind", site, 0.0)
-                span.finish(1.0)
+                span = rec.open_span("made.up.kind", site, 0.0)
+                rec.close_span(span, 1.0)
             """)
         assert rules_hit(findings) == ["span-kind-registry"]
         assert "SPAN_KINDS" in findings[0].message
 
+    def test_misspelt_open_span_kind_flagged(self, tmp_path):
+        findings = lint_source(tmp_path, """\
+            def go(rec, site, parent, item):
+                span = rec.open_span("imm.lcok", site, 0.0, ("item",),
+                                     (item,), parent=parent)
+                yield wait()
+                rec.close_span(span, 1.0)
+            """)
+        assert rules_hit(findings) == ["span-kind-registry"]
+        assert len(findings) == 1
+        assert "'imm.lcok'" in findings[0].message
+        assert findings[0].line == 2
+
     def test_registered_kind_clean(self, tmp_path):
         assert lint_source(tmp_path, """\
             def go(rec, site):
-                span = rec.start("read", site, 0.0)
-                span.finish(1.0)
+                span = rec.open_span("read", site, 0.0)
+                rec.close_span(span, 1.0)
             """) == []
 
     def test_unregistered_row_kind_flagged(self, tmp_path):
@@ -220,12 +233,11 @@ class TestSpanKindRegistry:
     def test_tests_exempt(self, tmp_path):
         assert lint_source(tmp_path, """\
             def go(rec, site):
-                rec.start("made.up.kind", site, 0.0)
+                rec.open_span("made.up.kind", site, 0.0)
             """, relpath="tests/test_x.py") == []
 
     def test_non_span_start_methods_ignored(self, tmp_path):
-        # Schedulers/daemons also expose .start(); with fewer than two
-        # positional args it cannot be the span-recorder signature.
+        # Schedulers/daemons expose .start(); it names no span kind.
         assert lint_source(tmp_path, """\
             def go(daemon):
                 daemon.start("worker-1")
@@ -234,13 +246,13 @@ class TestSpanKindRegistry:
     def test_dynamic_kinds_ignored(self, tmp_path):
         assert lint_source(tmp_path, """\
             def go(rec, site, kind):
-                rec.start(kind, site, 0.0)
+                rec.open_span(kind, site, 0.0)
             """) == []
 
     def test_suppressible(self, tmp_path):
         assert lint_source(tmp_path, """\
             def go(rec, site):
-                rec.start("one.off", site, 0.0)  # repro-lint: disable=span-kind-registry (debug probe)
+                rec.open_span("one.off", site, 0.0)  # repro-lint: disable=span-kind-registry (debug probe)
             """) == []
 
 

@@ -202,3 +202,36 @@ class TestTerminationEndState:
         system = self._run(_crash_prepared_participant)
         record = system.site("site2").store.record(ITEM)
         assert (record.updated_at, record.version) == (107.5, 2)
+
+
+class TestCrashMidResolution:
+    """A site that crashes while the termination protocol runs sends
+    nothing more; its restart resolves the token."""
+
+    def test_participant_crashing_between_status_queries(self):
+        """site0's commit is lost, so its watchdog queries site1 (whose
+        replies are lost too) until site0 itself crashes between two
+        queries. The query loop ends there instead of raising out of
+        the simulation; site0's restart resolves the commit."""
+        system = make_system()
+        proc = system.update("site1", ITEM, -5)
+        faults = system.network.faults
+
+        def fault(env):
+            yield env.timeout(3.5)
+            faults.link_down("site1", "site0")
+            yield env.timeout(30.0)  # site0's watchdog fired at ~21
+            faults.crash("site0")
+            yield env.timeout(40.0)
+            faults.link_up("site1", "site0")
+            system.site("site0").restart()
+
+        system.env.process(fault(system.env))
+        system.run()
+        assert proc.value.committed
+        for site in system.sites.values():
+            assert site.value(ITEM) == 45.0
+            assert not site.accelerator.immediate._pending
+            assert not site.accelerator.locks.is_locked(ITEM)
+        system.check_invariants()
+

@@ -83,6 +83,30 @@ def test_failed_generator_handler_sends_no_reply():
     assert net.stats.sent_total == 1 and not reply.triggered
 
 
+def test_generator_handler_finishing_on_a_crashed_site_sends_nothing():
+    env, net = make_net(ConstantLatency(1.0))
+    a, b = net.endpoint("a"), net.endpoint("b")
+
+    def slow_handler(msg):
+        yield env.timeout(5)
+        return "late"
+
+    b.on("slow", slow_handler)
+
+    def client(env):
+        try:
+            yield a.request("b", "slow", timeout=20.0)
+        except RequestTimeout:
+            return env.now
+
+    p = env.process(client(env))
+    env.run(until=3.0)  # b is running the handler
+    net.faults.crash("b")
+    env.run()
+    assert p.value == 20.0
+    assert net.stats.sent_total == 1
+
+
 def test_unknown_destination_raises():
     env, net = make_net()
     a = net.endpoint("a")

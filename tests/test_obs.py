@@ -16,7 +16,7 @@ from repro.experiments import make_paper_trace, run_observed
 from repro.experiments.chaos import SMALL_SCENARIOS, run_chaos_scenario
 from repro.obs import (
     NULL_OBS,
-    NULL_SPAN,
+    NULL_ROW,
     MetricRegistry,
     NullSpanRecorder,
     Observability,
@@ -30,61 +30,71 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.spans import NULL_ROW, PAIR_ROOT, PAIR_ROUND
+from repro.obs.spans import PAIR_ROOT, PAIR_ROUND
 from repro.workload import run_closed
+
+
+def closed(rec, name, site, start, end, keys=(), values=(), **link):
+    """Open a span with :meth:`SpanRecorder.open_span` and close it."""
+    row = rec.open_span(name, site, start, keys, values, **link)
+    rec.close_span(row, end)
+    return row
 
 
 class TestSpanRecorder:
     def test_parent_links_and_trace_inheritance(self):
         rec = SpanRecorder()
-        root = rec.start("update", "site1", 0.0, trace="t-1")
-        child = rec.start("av.request", "site1", 1.0, parent=root)
-        assert child.trace_id == "t-1"
-        assert child.parent_id == root.span_id
-        assert rec.children(root) == [child]
-        assert rec.roots() == [root]
+        root = rec.open_span("update", "site1", 0.0, trace="t-1")
+        child = rec.open_span("av.request", "site1", 1.0, parent=root)
+        assert child[0] == "t-1"
+        assert child[2] == root[1]
+        [back_root] = rec.roots()
+        assert rows(rec.children(back_root)) == [child]
+        assert rows([back_root]) == [root]
 
     def test_raw_span_id_parent_for_cross_site_context(self):
         rec = SpanRecorder()
-        root = rec.start("av.request", "site1", 0.0)
-        remote = rec.start(
-            "av.grant", "site0", 1.0, trace=root.trace_id, parent=root.span_id
+        root = rec.open_span("av.request", "site1", 0.0)
+        remote = rec.open_span(
+            "av.grant", "site0", 1.0, trace=root[0], parent=root[1]
         )
-        assert remote.parent_id == root.span_id
-        assert remote.trace_id == root.trace_id
+        assert remote[2] == root[1]
+        assert remote[0] == root[0]
 
     def test_finish_sets_end_and_attrs(self):
         rec = SpanRecorder()
-        span = rec.start("x", "s", 2.0, item="a")
-        span.finish(5.0, outcome="committed")
-        assert span.finished and span.duration == 3.0
+        row = rec.open_span("x", "s", 2.0, ("item",), ("a",))
+        rec.close_span(row, 5.0, ("outcome",), ("committed",))
+        [span] = rec
+        assert span.end == 5.0 and span.duration == 3.0
         assert span.attrs == {"item": "a", "outcome": "committed"}
 
     def test_null_parent_means_root(self):
         rec = SpanRecorder()
-        span = rec.start("x", "s", 0.0, parent=NULL_SPAN)
-        assert span.parent_id is None
+        row = rec.open_span("x", "s", 0.0, parent=NULL_ROW)
+        assert row[2] is None
 
     def test_max_spans_cap_returns_null_span(self):
         rec = SpanRecorder(max_spans=1)
-        first = rec.start("a", "s", 0.0)
-        second = rec.start("b", "s", 0.0)
-        assert first is not NULL_SPAN and second is NULL_SPAN
+        first = rec.open_span("a", "s", 0.0)
+        second = rec.open_span("b", "s", 0.0)
+        assert first != NULL_ROW and second == NULL_ROW
+        rec.close_span(second, 1.0, ("late",), (True,))  # closes nothing
         assert rec.dropped == 1 and len(rec) == 1
 
     def test_dropped_spans_change_fingerprint(self):
         full = SpanRecorder()
         capped = SpanRecorder(max_spans=1)
         for rec in (full, capped):
-            rec.start("a", "s", 0.0).finish(1.0)
-            rec.start("b", "s", 0.0).finish(1.0)
+            closed(rec, "a", "s", 0.0, 1.0)
+            closed(rec, "b", "s", 0.0, 1.0)
         assert full.fingerprint() != capped.fingerprint()
 
     def test_fingerprint_deterministic_and_order_sensitive(self):
         def build(order):
             rec = SpanRecorder()
             for name in order:
-                rec.start(name, "s", 0.0).finish(1.0)
+                closed(rec, name, "s", 0.0, 1.0)
             return rec.fingerprint()
 
         assert build(["a", "b"]) == build(["a", "b"])
@@ -92,16 +102,16 @@ class TestSpanRecorder:
 
     def test_null_recorder_records_nothing(self):
         rec = NullSpanRecorder()
-        span = rec.start("x", "s", 0.0, item="a")
-        assert span is NULL_SPAN
-        span.finish(1.0, ignored=True)  # no-op, must not raise
-        assert len(rec) == 0 and not rec.enabled
+        row = rec.open_span("x", "s", 0.0, ("item",), ("a",))
+        assert row == NULL_ROW
+        rec.close_span(row, 1.0, ("ignored",), (True,))  # must not raise
+        assert len(rec) == 0 and list(rec) == [] and not rec.enabled
 
     def test_names_and_traces_views(self):
         rec = SpanRecorder()
-        r1 = rec.start("update", "s", 0.0)
-        rec.start("apply", "s", 0.0, parent=r1)
-        rec.start("update", "s", 1.0)
+        r1 = rec.open_span("update", "s", 0.0)
+        rec.open_span("apply", "s", 0.0, parent=r1)
+        rec.open_span("update", "s", 1.0)
         assert rec.names() == {"update": 2, "apply": 1}
         assert len(rec.traces()) == 2
 
@@ -114,73 +124,69 @@ def fields(span):
     return tuple(getattr(span, name) for name in FIELDS)
 
 
+def rows(spans):
+    """The rows the writers held the read-back ``spans`` by."""
+    return [(s.trace_id, s.span_id, s.parent_id) for s in spans]
+
+
 class TestPackedSpanStore:
     """Finished spans are rows in flat columns, rebuilt on read."""
 
     def test_finished_span_reads_back_with_all_fields(self):
         rec = SpanRecorder()
-        root = rec.start("update", "site1", 2, trace="site1:u7", b=1, a=2)
-        child = rec.start("av.request", "site1", 3.5, parent=root.span_id,
-                          trace=root.trace_id)
-        child.finish(4.0)
-        root.finish(9, c=3, b=4)
+        root = rec.open_span("update", "site1", 2, ("b", "a"), (1, 2),
+                             trace="site1:u7")
+        child = rec.open_span("av.request", "site1", 3.5, parent=root[1],
+                              trace=root[0])
+        rec.close_span(child, 4.0)
+        rec.close_span(root, 9, ("c", "b"), (3, 4))
         back_root, back_child = list(rec)
-        assert fields(back_root) == fields(root)
-        assert fields(back_child) == fields(child)
-        # start keys, then finish keys; a repeated key keeps its first
+        assert fields(back_root) == ("site1:u7", 1, None, "update", "site1",
+                                     2.0, 9.0, {"b": 4, "a": 2, "c": 3})
+        assert fields(back_child) == ("site1:u7", 2, 1, "av.request",
+                                      "site1", 3.5, 4.0, None)
+        # opening keys, then closing keys; a repeated key keeps its first
         # position and takes the last value
         assert list(back_root.attrs.items()) == [("b", 4), ("a", 2), ("c", 3)]
-        assert back_child.attrs is None
         # times are stored as floats
         assert type(back_root.start) is float and back_root.start == 2.0
         assert type(back_root.end) is float and back_root.end == 9.0
 
     def test_reads_follow_span_id_order_not_finish_order(self):
         rec = SpanRecorder()
-        root = rec.start("update", "s", 0.0)
-        kids = [rec.start("av.request", "s", float(i), parent=root)
+        root = rec.open_span("update", "s", 0.0)
+        kids = [rec.open_span("av.request", "s", float(i), parent=root)
                 for i in range(4)]
         for kid in (kids[2], kids[0], kids[3]):
-            kid.finish(9.0)
+            rec.close_span(kid, 9.0)
         spans = list(rec)
         assert [s.span_id for s in spans] == [1, 2, 3, 4, 5]
-        assert spans[0] is root and spans[2] is kids[1]  # open: live handles
-        assert [s.span_id for s in rec.children(root)] == [2, 3, 4, 5]
+        assert [s.end for s in spans] == [None, 9.0, None, 9.0, 9.0]
+        assert [s.span_id for s in rec.children(spans[0])] == [2, 3, 4, 5]
 
-    def test_open_spans_come_back_as_live_handles(self):
+    def test_open_spans_read_back_unfinished(self):
         rec = SpanRecorder()
-        root = rec.start("update", "site1", 0.0)
-        child = rec.start("av.request", "site1", 1.0, parent=root)
-        assert rec.children(root) == [child]
-        assert rec.roots() == [root]
-        assert rec.traces() == {root.trace_id: [root, child]}
+        root = rec.open_span("update", "site1", 0, ("item",), ("a",))
+        child = rec.open_span("av.request", "site1", 1.0, parent=root)
+        [back_root] = rec.roots()
+        assert fields(back_root) == (root[0], 1, None, "update", "site1", 0,
+                                     None, {"item": "a"})
+        assert rows(rec.children(back_root)) == [child]
+        assert list(rec.traces()) == [root[0]]
         events = chrome_trace_events(rec)
         assert [e["dur"] for e in events if e["ph"] == "X"] == [0.0, 0.0]
-        child.finish(2.0, granted=1.0)
-        [back] = rec.children(root)
-        assert fields(back) == fields(child)
-        assert rec.roots() == [root]
+        rec.close_span(child, 2.0, ("granted",), (1.0,))
+        [back] = rec.children(back_root)
+        assert (back.end, back.attrs) == (2.0, {"granted": 1.0})
+        assert rows(rec.roots()) == [root]
 
     def test_cap_counts_open_and_finished_spans(self):
         rec = SpanRecorder(max_spans=2)
-        rec.start("a", "s", 0.0).finish(1.0)
-        rec.start("b", "s", 1.0)
-        assert rec.start("c", "s", 2.0) is NULL_SPAN
+        closed(rec, "a", "s", 0.0, 1.0)
+        rec.open_span("b", "s", 1.0)
+        assert rec.open_span("c", "s", 2.0) == NULL_ROW
         assert len(rec) == 2 and rec.dropped == 1
         assert [s.name for s in rec] == ["a", "b"]
-
-    def test_finished_span_is_immutable(self):
-        rec = SpanRecorder()
-        span = rec.start("x", "s", 0.0)
-        span.finish(1.0, outcome="committed")
-        with pytest.raises(ValueError):
-            span.finish(2.0)
-        with pytest.raises(ValueError):
-            span.annotate(late=True)
-        [back] = list(rec)
-        with pytest.raises(ValueError):
-            back.finish(3.0)
-        assert fields(back) == fields(span) and len(rec) == 1
 
     def test_finished_span_keeps_no_python_object(self):
         """≤ 128 B and zero GC-tracked objects retained per finished span
@@ -191,15 +197,15 @@ class TestPackedSpanStore:
         def record(rec, first, n):
             for i in range(first, first + n):
                 now = float(i)
-                root = rec.start(
-                    "update", "site1", now, trace=f"site1:u{i}",
-                    item=items[i % 10], delta=deltas[i % 5],
+                root = rec.open_span(
+                    "update", "site1", now, ("item", "delta"),
+                    (items[i % 10], deltas[i % 5]), trace=f"site1:u{i}",
                 )
-                rec.start(
-                    "av.checking", "site1", now, parent=root,
-                ).finish(now, verdict="delay")
-                rec.start("delay.apply", "site1", now, parent=root).finish(now)
-                root.finish(now + 1.0, outcome="committed")
+                checking = rec.open_span("av.checking", "site1", now,
+                                         parent=root)
+                rec.close_span(checking, now, ("verdict",), ("delay",))
+                closed(rec, "delay.apply", "site1", now, now, parent=root)
+                rec.close_span(root, now + 1.0, ("outcome",), ("committed",))
 
         n = 20_000
         # the columns are allocated under tracing, so their reallocations
@@ -395,7 +401,7 @@ class TestObservabilityHub:
 
     def test_null_obs_shared_and_disabled(self):
         assert not NULL_OBS.enabled
-        assert NULL_OBS.recorder.start("x", "s", 0.0) is NULL_SPAN
+        assert NULL_OBS.recorder.open_span("x", "s", 0.0) == NULL_ROW
 
     def test_null_obs_takes_no_subscriber(self):
         """The shared hub's subscribers are an empty tuple: subscribing
@@ -427,9 +433,9 @@ class TestTimeSeriesStore:
 class TestExport:
     def _spans(self):
         rec = SpanRecorder()
-        root = rec.start("update", "site1", 0.0, item="item0")
-        rec.start("av.request", "site1", 0.5, parent=root).finish(2.5)
-        root.finish(3.0, outcome="committed")
+        root = rec.open_span("update", "site1", 0.0, ("item",), ("item0",))
+        closed(rec, "av.request", "site1", 0.5, 2.5, parent=root)
+        rec.close_span(root, 3.0, ("outcome",), ("committed",))
         return rec
 
     def test_chrome_events_structure(self):
@@ -461,7 +467,7 @@ class TestExport:
 
     def test_render_summary_sections(self):
         hub = Observability()
-        hub.recorder.start("update", "s", 0.0).finish(1.0)
+        closed(hub.recorder, "update", "s", 0.0, 1.0)
         hub.count("c")
         hub.series.record("ts", 0.0, 1.0)
         text = render_summary(hub, title="T")
@@ -645,36 +651,43 @@ class TestRowSpans:
     """A span that never waits is written as a row, with no handle."""
 
     def test_row_and_handle_write_the_same_span(self):
-        by_handle, by_row = SpanRecorder(), SpanRecorder()
+        by_handle, by_row, by_span = (HandleRecorder(), SpanRecorder(),
+                                      SpanRecorder())
         root = by_handle.start("update", "s1", 1.0, trace="s1:u1", item="a")
-        by_handle.start("delay.apply", "s1", 1.0, parent=root).finish(2.0)
+        by_handle.start("delay.apply", "s1", 1.0, parent=root.row).finish(2.0)
         root.finish(3.0, outcome="committed")
         row = by_row.open_row(trace="s1:u1")
         by_row.write_row(by_row.open_row(row), "delay.apply", "s1", 1.0, 2.0)
         by_row.write_row(row, "update", "s1", 1.0, 3.0,
                          ("item", "outcome"), ("a", "committed"))
-        assert stream(by_row) == stream(by_handle)
+        span = by_span.open_span("update", "s1", 1.0, ("item",), ("a",),
+                                 trace="s1:u1")
+        closed(by_span, "delay.apply", "s1", 1.0, 2.0, parent=span)
+        by_span.close_span(span, 3.0, ("outcome",), ("committed",))
+        assert stream(by_row) == stream(by_handle) == stream(by_span)
         assert by_row.fingerprint() == by_handle.fingerprint()
+        assert by_span.fingerprint() == by_handle.fingerprint()
 
-    def test_row_parent_accepted_by_start(self):
+    def test_row_parent_accepted_by_open_span(self):
         rec = SpanRecorder()
         row = rec.open_row(trace="s1:u1")
-        child = rec.start("av.request", "s1", 0.0, parent=row)
-        assert (child.trace_id, child.parent_id) == ("s1:u1", row[1])
+        child = rec.open_span("av.request", "s1", 0.0, parent=row)
+        assert (child[0], child[2]) == ("s1:u1", row[1])
         remote = rec.open_row(parent=row[1], trace=row[0])
         assert remote[0] == "s1:u1" and remote[2] == row[1]
 
     def test_dropped_row_is_no_parent(self):
         rec = SpanRecorder(max_spans=1)
-        rec.start("a", "s", 0.0)
+        rec.open_span("a", "s", 0.0)
         assert rec.open_row(trace="s1:u1") == NULL_ROW
         rec.write_row(NULL_ROW, "update", "s", 0.0, 1.0)
         assert rec.dropped == 1 and len(rec) == 1
         free = SpanRecorder()
-        for parent in (NULL_ROW, NULL_SPAN):
-            span = free.start("x", "s", 0.0, parent=parent)
-            assert span.parent_id is None
-            assert span.trace_id == f"t{span.span_id}"
+        for open_ in (free.open_row, lambda parent: free.open_span(
+                "x", "s", 0.0, parent=parent)):
+            trace, span_id, parent_id = open_(NULL_ROW)
+            assert parent_id is None
+            assert trace == f"t{span_id}"
 
     def test_null_recorder_opens_only_null_rows(self):
         rec = NullSpanRecorder()
@@ -1127,30 +1140,78 @@ class TestSpanTrees:
         assert len(system.obs.recorder) == (11 if eager else 9)
 
 
+class Handle:
+    """The reference's span handle: one object per open span, its
+    attributes one dict, written as a row when it finishes."""
+
+    def __init__(self, recorder, row, name, site, start, attrs):
+        self.recorder, self.row = recorder, row
+        self.name, self.site, self.start, self.attrs = name, site, start, attrs
+
+    def finish(self, now, **attrs):
+        del self.recorder.handles[self.row[1]]
+        if attrs:
+            if self.attrs is None:
+                self.attrs = attrs
+            else:
+                self.attrs.update(attrs)
+        keys = tuple(self.attrs) if self.attrs else ()
+        self.recorder.write_row(self.row, self.name, self.site, self.start,
+                                now, keys, self.attrs.values() if keys else ())
+
+    def read(self):
+        trace, span_id, parent_id = self.row
+        return Span(trace, span_id, parent_id, self.name, self.site,
+                    self.start, None, self.attrs)
+
+
 class HandleRecorder(SpanRecorder):
-    """The reference: writes every span pair as the rows and handles the
-    process path wrote one span at a time."""
+    """The reference: every span that stays open is a :class:`Handle`,
+    and every span pair is written as the rows and handles the process
+    path wrote one span at a time. It shares only the row, tree and
+    column code with :class:`SpanRecorder`, never its open-span table."""
+
+    def __init__(self, max_spans=None):
+        super().__init__(max_spans)
+        self.handles = {}
+
+    def start(self, name, site, now, trace=None, parent=None, **attrs):
+        row = self.open_row(parent, trace)
+        handle = Handle(self, row, name, site, now, attrs or None)
+        if row[1]:
+            self.handles[row[1]] = handle
+        return handle
+
+    def open_span(self, name, site, now, keys=(), values=(), parent=None,
+                  trace=None):
+        return self.start(name, site, now, trace, parent,
+                          **dict(zip(keys, values))).row
+
+    def keep_open(self, row, name, site, start, keys=(), values=()):
+        if row[1]:
+            self.handles[row[1]] = Handle(self, row, name, site, start,
+                                          dict(zip(keys, values)) or None)
+
+    def close_span(self, row, end, keys=(), values=()):
+        if row[1] in self.handles:
+            self.handles[row[1]].finish(end, **dict(zip(keys, values)))
 
     def open_pair(self, kind, site, now, values, parent=None, trace=None):
         if kind == PAIR_ROOT:
             item, delta, verdict = values
             root = self.start("update", site, now, trace=trace, parent=parent,
-                              item=item, delta=delta)
+                              item=item, delta=delta).row
             verdict_row = self.open_row(root)
             self.write_row(verdict_row, "av.checking", site, now, now,
                            ("verdict",), (verdict,))
-            return row_of(root), verdict_row
+            return root, verdict_row
         target, amount = values
         select = self.open_row(parent, trace)
         self.write_row(select, "av.selecting", site, now, now, ("target",),
                        (target,))
         request = self.start("av.request", site, now, trace=trace,
                              parent=parent, target=target, amount=amount)
-        return select, row_of(request)
-
-    def close_pair(self, row, end, key, value):
-        if row[1]:
-            self._open[row[1]].finish(end, **{key: value})
+        return select, request.row
 
     def write_pair(self, site, now, values, parent=None, trace=None):
         item, requester, granted, after, available, requested = values
@@ -1163,10 +1224,11 @@ class HandleRecorder(SpanRecorder):
                        ("item", "requester", "granted", "av_after"),
                        (item, requester, granted, after))
 
-
-def row_of(span):
-    return (span.trace_id, span.span_id, span.parent_id) if span.span_id \
-        else NULL_ROW
+    def __iter__(self):
+        spans = list(self._finished())
+        spans += [handle.read() for handle in self.handles.values()]
+        spans.sort(key=lambda span: span.span_id)
+        return iter(spans)
 
 
 def same_record(a, b):
@@ -1217,11 +1279,11 @@ def drive_pairs(rec, ops, check=None):
             if requests and pick % 4:
                 key, closing = [("granted", value), ("timeout", True),
                                 ("error", True)][pick % 3]
-                rec.close_pair(requests.pop(pick % len(requests)), now,
-                               key, closing)
+                rec.close_span(requests.pop(pick % len(requests)), now,
+                               (key,), (closing,))
             elif roots:
-                rec.close_pair(roots.pop(pick % len(roots)), now, "outcome",
-                               ["committed", "rejected"][pick % 2])
+                rec.close_span(roots.pop(pick % len(roots)), now,
+                               ("outcome",), (["committed", "rejected"][pick % 2],))
         elif op == "grant":
             link = ()
             if requests and pick % 2:
@@ -1327,9 +1389,138 @@ class TestSpanPairs:
         rec = NullSpanRecorder()
         assert rec.open_pair(PAIR_ROOT, "s", 0.0, ("a", 1.0, "delay"),
                              trace="s:u1") == (NULL_ROW, NULL_ROW)
-        rec.close_pair(NULL_ROW, 1.0, "outcome", "committed")
+        rec.close_span(NULL_ROW, 1.0, ("outcome",), ("committed",))
         rec.write_pair("s", 0.0, ("a", "s1", 1.0, 2.0, 3.0, 1.0))
         assert len(rec) == 0 and list(rec) == []
+
+
+#: one step of an open-table sequence: an op, a draw it picks with, and
+#: how long its span waits
+OPEN_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["span", "span", "nested", "root", "round",
+                         "grant", "row", "raise"]),
+        st.integers(0, 7),
+        st.sampled_from([0.0, 0.5, 2.0, 7.0]),
+    ),
+    max_size=30,
+)
+
+#: closing keys by draw: none, a new key, a repeat of an opening key
+#: first, and two repeats in the other order
+CLOSING_KEYS = ((), ("ready",), ("item", "ready"), ("delta", "item"))
+
+
+def drive_open(rec, ops, until):
+    """Run ``ops`` as processes on their own clock, one starting every
+    0.25: a span that waits across a ``yield`` and then closes, one
+    opened under a span still open, a root or round pair that waits, a
+    grant pair, a row, and a span whose body raises before it closes.
+    ``until`` may cut the run with spans still open. Returns the reads
+    taken every 1.5 and at the end."""
+    from repro.sim import Environment
+
+    env = Environment()
+    live, reads = [], []
+
+    def run(at, op, pick, wait):
+        yield env.timeout(at)
+        site, now = SITES[pick % 3], env.now
+        parent = live[pick % len(live)] if live and pick % 2 else None
+        if op in ("span", "nested"):
+            keys = ("item", "delta")[:pick % 3]
+            row = rec.open_span(
+                "imm.lock", site, now, keys, (f"item{pick}", -1.0)[:len(keys)],
+                parent=parent if op == "nested" else None,
+            )
+            live.append(row)
+            yield env.timeout(wait)
+            closing = CLOSING_KEYS[pick % 4]
+            rec.close_span(row, env.now, closing, tuple(range(len(closing))))
+            live.remove(row)
+        elif op == "root":
+            root, _ = rec.open_pair(PAIR_ROOT, site, now,
+                                    (f"item{pick}", -1.0, "delay"),
+                                    trace=f"{site}:u{pick}")
+            live.append(root)
+            yield env.timeout(wait)
+            rec.close_span(root, env.now, ("outcome",), ("committed",))
+            live.remove(root)
+        elif op == "round":
+            _, request = rec.open_pair(PAIR_ROUND, site, now,
+                                       (SITES[(pick + 1) % 3], 5.0),
+                                       parent=parent)
+            yield env.timeout(wait)
+            key = ("granted", "timeout", "error")[pick % 3]
+            rec.close_span(request, env.now, (key,), (wait,))
+        elif op == "grant":
+            link = (parent[1], parent[0]) if parent else ()
+            rec.write_pair(site, now, ("item0", "site1", 1.0, 6.0, 7.0, 4.0),
+                           *link)
+        elif op == "row":
+            rec.write_row(rec.open_row(parent), "delay.apply", site, now, now,
+                          ("item", "delta"), ("item0", -1.0))
+        else:  # the body raised: the span stays open
+            rec.open_span("read", site, now, ("item",), ("item0",),
+                          parent=parent)
+
+    def reader():
+        while True:
+            yield env.timeout(1.5)
+            reads.append((stream(rec), stream_pin(rec)))
+
+    for i, (op, pick, wait) in enumerate(ops):
+        env.process(run(0.25 * i, op, pick, wait))
+    env.process(reader())
+    env.run(until=until)
+    reads.append((stream(rec), stream_pin(rec)))
+    return reads
+
+
+class TestOpenTable:
+    """Every open span is one entry in one table, opened by one call and
+    closed by one: it writes what the handle reference writes."""
+
+    @given(cap=st.one_of(st.none(), st.integers(0, 12)), ops=OPEN_OPS,
+           until=st.sampled_from([3.0, 6.5, 20.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_open_table_writes_what_handles_wrote(self, cap, ops, until):
+        table, handles = SpanRecorder(cap), HandleRecorder(cap)
+        assert drive_open(table, ops, until) == drive_open(handles, ops, until)
+        assert stream(table) == stream(handles)
+        assert table.fingerprint() == handles.fingerprint()
+        assert (len(table), table.dropped) == (len(handles), handles.dropped)
+
+    @pytest.mark.parametrize("kind", [PAIR_ROOT, PAIR_ROUND])
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
+    def test_cap_before_between_and_after_a_pair(self, kind, cap):
+        """A span, then a pair, then a span, each left open and then
+        closed; the cap falls before the pair (1), between its ids (2),
+        after it (3) and past everything (4, 5)."""
+        def drive(rec):
+            first = rec.open_span("read", "s", 0.0, ("item",), ("a",))
+            values = ((("a", 1.0, "delay"), ("outcome",)) if kind == PAIR_ROOT
+                      else (("site0", 5.0), ("granted",)))
+            pair = rec.open_pair(kind, "s", 1.0, values[0], parent=first)
+            last = rec.open_span("imm.lock", "s", 2, parent=pair[0])
+            reads = [stream(rec)]
+            rec.close_span(pair[kind], 3.0, values[1], (2.0,))
+            reads.append(stream(rec))
+            rec.close_span(last, 4.0, ("item",), ("b",))
+            rec.close_span(first, 5.0, ("item", "peers"), ("c", 2))
+            return reads + [stream(rec), rec.fingerprint(), rec.dropped]
+
+        assert drive(SpanRecorder(cap)) == drive(HandleRecorder(cap))
+
+    def test_spans_open_at_the_end_read_back_open(self):
+        rec = SpanRecorder()
+        drive_open(rec, [("span", 1, 7.0), ("root", 2, 7.0),
+                         ("round", 3, 7.0), ("raise", 0, 0.0)], until=2.0)
+        assert [(s.name, s.end) for s in rec] == [
+            ("imm.lock", None), ("update", None), ("av.checking", 0.25),
+            ("av.selecting", 0.5), ("av.request", None), ("read", None),
+        ]
+        assert len(rec._open) == 4
 
 
 def crash_at(env, faults, site, at):
