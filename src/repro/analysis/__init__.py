@@ -22,7 +22,7 @@ Its parts (see ``docs/analysis.md``):
 
 from repro.analysis.check import CheckRun, run_check
 from repro.analysis.end_state import end_state
-from repro.analysis.hb import CausalOrder, VectorClock
+from repro.analysis.hb import CausalOrder
 from repro.analysis.invariants import SanitizerReport, Violation
 from repro.analysis.sanitizer import ProtocolSanitizer
 from repro.analysis.sequence import (
@@ -39,7 +39,6 @@ __all__ = [
     "SanitizerReport",
     "SequenceEvent",
     "SequenceRecorder",
-    "VectorClock",
     "Violation",
     "end_state",
     "record_scenario",

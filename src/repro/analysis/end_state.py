@@ -173,14 +173,13 @@ def _settled_conservation(system, strict: bool, add) -> None:
     Without the reliability layer, conservative in-transit loss is legal
     and only the ``<=`` bound holds.
     """
-    conservation = system.sanitizer.conservation
+    accounts = system.sanitizer.conservation.accounts
     sites = [system.sites[name] for name in sorted(system.sites)]
-    for item in sorted(set(conservation.headroom) | set(conservation.av_sum)):
-        in_flight = conservation.in_flight.get(item, 0.0)
+    for item in sorted(accounts):
+        _tables, held, in_flight, bound = accounts[item]
         if abs(in_flight) > EPS:
             add("oracle.settle",
                 f"{in_flight:g} AV still in transit at settle", item)
-        held = conservation.holds_sum.get(item, 0.0)
         if abs(held) > EPS:
             add("oracle.settle", f"{held:g} AV still held at settle", item)
 
@@ -195,7 +194,6 @@ def _settled_conservation(system, strict: bool, add) -> None:
             if site.accelerator.leases is not None
         )
         total = tables + leased
-        bound = conservation.headroom.get(item, 0.0)
         if total > bound + EPS:
             add("oracle.conservation",
                 f"settled AV {total:g} exceeds headroom {bound:g}"

@@ -23,97 +23,50 @@ entirely from the run's ``msg.*`` events — no protocol changes needed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
+
+#: a vector clock: site -> counter, a missing site counting 0
+Clock = Dict[str, int]
 
 
-class VectorClock:
-    """A plain site-name → counter vector clock."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: Optional[Dict[str, int]] = None) -> None:
-        self.counts: Dict[str, int] = dict(counts) if counts else {}
-
-    def tick(self, site: str) -> None:
-        self.counts[site] = self.counts.get(site, 0) + 1
-
-    def merge(self, other: "VectorClock") -> None:
-        for site, n in other.counts.items():
-            if n > self.counts.get(site, 0):
-                self.counts[site] = n
-
-    def copy(self) -> "VectorClock":
-        return VectorClock(self.counts)
-
-    def dominates(self, other: "VectorClock") -> bool:
-        """``True`` iff ``self`` >= ``other`` pointwise (other ⪯ self)."""
-        return all(self.counts.get(s, 0) >= n for s, n in other.counts.items())
-
-    def __repr__(self) -> str:
-        inner = ",".join(f"{s}:{n}" for s, n in sorted(self.counts.items()))
-        return f"<VC {inner}>"
-
-
-class GrantRecord:
-    """The last AV grant served by one (grantor, item) pair."""
-
-    __slots__ = ("clock", "av_after", "time", "msg_id")
-
-    def __init__(self, clock: VectorClock, av_after: float, time: float, msg_id: int) -> None:
-        self.clock = clock
-        self.av_after = av_after
-        self.time = time
-        self.msg_id = msg_id
+def dominates(clock: Clock, other: Clock) -> bool:
+    """``True`` iff ``clock`` >= ``other`` pointwise (other ⪯ clock)."""
+    return all(clock.get(s, 0) >= n for s, n in other.items())
 
 
 class CausalOrder:
     """Happens-before bookkeeping over message + select events.
 
-    Fed by the sanitizer: :meth:`on_send`/:meth:`on_recv`/:meth:`on_drop`
-    from the ``msg.*`` events, :meth:`on_grant` when an ``av.request``
-    reply leaves the grantor, and :meth:`on_select` from the protocol's
-    ``av.select`` event.  Findings accumulate as ``(kind, detail)``
-    warning tuples pulled by the sanitizer.
+    The sanitizer keeps :attr:`clocks` and :attr:`msg_clocks` up as it
+    folds the ``msg.*`` events: a sender ticks its clock and the message
+    carries a copy; a receiver merges the copy into its own clock, then
+    ticks. On top of those clocks, :meth:`on_grant` records each
+    ``av.request`` reply as it leaves the grantor and :meth:`on_select`
+    classifies each ``av.select`` event against the target's latest
+    grant. Findings accumulate as counts and samples pulled by the
+    sanitizer.
     """
 
     #: tolerance when comparing believed levels against granted-after levels
     EPS = 1e-9
 
     def __init__(self, max_samples: int = 10) -> None:
-        self.clocks: Dict[str, VectorClock] = {}
-        self._msg_clocks: Dict[int, VectorClock] = {}
-        #: last grant per (grantor, item)
-        self.last_grant: Dict[tuple, GrantRecord] = {}
+        #: site -> its vector clock
+        self.clocks: Dict[str, Clock] = {}
+        #: in-flight message id -> a copy of its sender's clock at send
+        self.msg_clocks: Dict[int, Clock] = {}
+        #: last grant per (grantor, item): (clock at its send, av_after)
+        self.last_grant: Dict[tuple, Tuple[Clock, float]] = {}
         self.stale_races = 0
         self.belief_lags = 0
         self.samples: list = []
         self._max_samples = max_samples
 
-    def _clock(self, site: str) -> VectorClock:
+    def _clock(self, site: str) -> Clock:
         clock = self.clocks.get(site)
         if clock is None:
-            clock = VectorClock()
-            self.clocks[site] = clock
+            clock = self.clocks[site] = {}
         return clock
-
-    # ------------------------------------------------------------- #
-    # message events
-    # ------------------------------------------------------------- #
-
-    def on_send(self, src: str, msg_id: int) -> None:
-        clock = self._clock(src)
-        clock.tick(src)
-        self._msg_clocks[msg_id] = clock.copy()
-
-    def on_recv(self, dst: str, msg_id: int) -> None:
-        snapshot = self._msg_clocks.pop(msg_id, None)
-        clock = self._clock(dst)
-        if snapshot is not None:
-            clock.merge(snapshot)
-        clock.tick(dst)
-
-    def on_drop(self, msg_id: int) -> None:
-        self._msg_clocks.pop(msg_id, None)
 
     # ------------------------------------------------------------- #
     # protocol events
@@ -121,11 +74,13 @@ class CausalOrder:
 
     def on_grant(self, grantor: str, item: str, av_after: float,
                  time: float, msg_id: int) -> None:
-        """Record a grant at the moment its reply is sent (the snapshot
-        for ``msg_id`` must already exist, i.e. call after ``on_send``)."""
-        snapshot = self._msg_clocks.get(msg_id)
-        clock = snapshot if snapshot is not None else self._clock(grantor).copy()
-        self.last_grant[(grantor, item)] = GrantRecord(clock, av_after, time, msg_id)
+        """Record a grant at the moment its reply is sent (after the
+        reply's ``msg.send`` put its clock in :attr:`msg_clocks`)."""
+        # A snapshot is never changed once taken, so the grant keeps it.
+        clock = self.msg_clocks.get(msg_id)
+        if clock is None:
+            clock = self._clock(grantor).copy()
+        self.last_grant[(grantor, item)] = (clock, av_after)
 
     def on_select(self, site: str, item: str, target: str,
                   believed: Optional[float], time: float,
@@ -134,12 +89,15 @@ class CausalOrder:
         if believed is None:
             return
         grant = self.last_grant.get((target, item))
-        if grant is None or believed <= grant.av_after + self.EPS:
+        if grant is None:
+            return
+        clock, av_after = grant
+        if believed <= av_after + self.EPS:
             return
         # The selector believes the target holds more than it did after
         # its most recent grant: the belief is stale. HB decides which
         # flavour.
-        ordered = self._clock(site).dominates(grant.clock)
+        ordered = dominates(self._clock(site), clock)
         kind = "hb.belief-lag" if ordered else "hb.stale-belief-race"
         if ordered:
             self.belief_lags += 1
@@ -152,7 +110,7 @@ class CausalOrder:
                 "item": item,
                 "target": target,
                 "believed": believed,
-                "av_after": grant.av_after,
+                "av_after": av_after,
                 "time": time,
                 "trace": trace,
                 "span": span,

@@ -1,13 +1,13 @@
 """The runtime protocol sanitizer.
 
 Opt-in (``SystemConfig.sanitize=True`` or ``python -m repro check``): a
-:class:`ProtocolSanitizer` subscribes to a built system's one event
-stream, the hub's :meth:`~repro.obs.hub.Observability.emit` bus, which
-carries the AV tables' ``av.*``, the lock managers' ``lock.*``, the
-network's ``msg.*`` and the protocols' policy events. It audits every
-event against the paper's invariants (see :mod:`repro.analysis.invariants`
-and :mod:`repro.analysis.hb`).  No protocol code changes behaviour when
-the sanitizer is absent; each emit site costs one subscriber-list check.
+:class:`ProtocolSanitizer` subscribes one method to each kind of a built
+system's event taps (:data:`~repro.obs.hub.EVENT_KINDS`): the AV tables'
+``av.*``, the lock managers' ``lock.*``, the network's ``msg.*`` and the
+protocols' policy events. It audits every event against the paper's
+invariants (see :mod:`repro.analysis.invariants` and
+:mod:`repro.analysis.hb`).  No protocol code changes behaviour when the
+sanitizer is absent; each emit site costs one subscriber-list check.
 
 Severity policy
 ---------------
@@ -34,6 +34,10 @@ from typing import Dict, Optional, Tuple
 
 from repro.analysis.hb import CausalOrder
 from repro.analysis.invariants import (
+    HEADROOM,
+    HOLDS,
+    IN_FLIGHT,
+    TABLES,
     AVConservation,
     HoldRegistry,
     LeaseAudit,
@@ -42,10 +46,31 @@ from repro.analysis.invariants import (
     SanitizerReport,
     Violation,
 )
+from repro.obs.hub import EVENT_KINDS
+
+
+#: the conservation tolerance (AVConservation.EPS), for the inline folds
+EPS = AVConservation.EPS
+
+#: message kinds whose reply carries granted AV (the hierarchical pool
+#: kinds move AV exactly like a peer grant, so the same request/reply
+#: transit accounting covers every level)
+_AV_REQUESTS = frozenset(("av.request", "av.pool.request", "av.pool.refill"))
+_AV_GRANTS = frozenset((
+    "av.request.reply", "av.pool.request.reply", "av.pool.refill.reply",
+))
 
 
 class ProtocolSanitizer:
-    """Attaches to a :class:`~repro.cluster.system.DistributedSystem`."""
+    """Attaches to a :class:`~repro.cluster.system.DistributedSystem`.
+
+    One method per event kind, named after it (``av.hold.add`` is folded
+    by ``_av_hold_add``), takes the kind's fields positionally. Each
+    counts the event in :attr:`events` and audits it in place. The six
+    hottest kinds (``av.take``, ``av.add``, ``av.spend``, ``av.mint``,
+    ``av.hold.add``, ``av.hold.release``) inline
+    :meth:`~repro.analysis.invariants.AVConservation.fold`.
+    """
 
     EPS = 1e-6
 
@@ -57,6 +82,9 @@ class ProtocolSanitizer:
         self.leases = LeaseAudit(self.report)
         self.overload = OverloadAudit(self.report)
         self.causal = CausalOrder(max_samples=max_hb_samples)
+        # the vector clocks the msg.* folds keep up
+        self._clocks = self.causal.clocks
+        self._msg_clocks = self.causal.msg_clocks
         #: drops of leased transfers (reverted, not lost) and of
         #: reliable-session messages (retransmitted) — counted non-events
         self.lease_covered_drops = 0
@@ -74,40 +102,13 @@ class ProtocolSanitizer:
         #: in-flight propagation deltas: msg_id -> (item, delta, dst, ctx)
         self._props: Dict[int, tuple] = {}
         self._finished = False
-        #: event kind -> handler(kind, now, fields); every other kind is
-        #: counted and otherwise ignored
-        self._handlers = {
-            "av.define": self._av_define,
-            "av.undefine": self._av_undefine,
-            "av.add": self._av_add,
-            "av.take": self._av_take,
-            "av.hold.open": self._hold_open,
-            "av.hold.add": self._hold_add,
-            "av.hold.consume": self._hold_consume,
-            "av.hold.release": self._hold_release,
-            "av.hold.reclose": self._hold_reclose,
-            "av.mint": self._av_mint,
-            "av.spend": self._av_spend,
-            "av.select": self._av_select,
-            "av.lease.open": self._lease_open,
-            "av.lease.discharge": self._lease_resolve,
-            "av.lease.revert": self._lease_resolve,
-            "av.lease.conflict": self._lease_conflict,
-            "ovl.shed": self._ovl_shed,
-            "ovl.transition": self._ovl_transition,
-            "ovl.demote": self._ovl_demote,
-            "ovl.promote": self._ovl_promote,
-            "ovl.trip": self._ovl_trip,
-            **dict.fromkeys(("lock.grant", "lock.wait", "lock.release"), self._lock),
-            **dict.fromkeys(("msg.send", "msg.recv", "msg.drop"), self._message),
-        }
 
     # ------------------------------------------------------------- #
     # wiring
     # ------------------------------------------------------------- #
 
     def attach(self, system) -> "ProtocolSanitizer":
-        """Subscribe to the system's event stream and fold in the
+        """Subscribe to the system's event taps and fold in the
         bootstrap state."""
         self.system = system
         for name in sorted(system.sites):
@@ -115,65 +116,94 @@ class ProtocolSanitizer:
             for item, volume in sorted(table.items()):
                 self.conservation.baseline(item, volume)
                 self._defined.setdefault(item, set()).add(name)
-        system.obs.event_subscribers.append(self._on_emit)
+        self.listen(system.obs)
         return self
 
-    def _on_emit(self, kind: str, now: float, fields: dict) -> None:
-        """The one subscriber: count the event, then audit it by kind."""
-        self.events += 1
-        handler = self._handlers.get(kind)
-        if handler is not None:
-            handler(kind, now, fields)
+    def listen(self, obs) -> None:
+        """Subscribe one method to every declared event kind."""
+        for kind in EVENT_KINDS:
+            obs.subscribe(kind, getattr(self, "_" + kind.replace(".", "_")))
 
     # ------------------------------------------------------------- #
     # AV table and holds (av.define/undefine/add/take, av.hold.*)
     # ------------------------------------------------------------- #
 
-    def _av_add(self, kind: str, now: float, f: dict) -> None:
-        self.conservation.table_delta(f["item"], f["amount"], f["site"], now)
+    def _av_add(self, now: float, site: str, item: str, amount: float) -> None:
+        self.events += 1
+        cons = self.conservation
+        acct = cons.accounts[item]
+        acct[TABLES] += amount
+        cons.checks += 1
+        if acct[TABLES] + acct[HOLDS] + acct[IN_FLIGHT] > acct[HEADROOM] + EPS:
+            cons.exceeded(item, site, now)
 
-    def _av_take(self, kind: str, now: float, f: dict) -> None:
-        self.conservation.table_delta(f["item"], -f["amount"], f["site"], now)
+    def _av_take(self, now: float, site: str, item: str, amount: float) -> None:
+        self.events += 1
+        cons = self.conservation
+        acct = cons.accounts[item]
+        acct[TABLES] -= amount
+        cons.checks += 1
+        if acct[TABLES] + acct[HOLDS] + acct[IN_FLIGHT] > acct[HEADROOM] + EPS:
+            cons.exceeded(item, site, now)
 
-    def _av_define(self, kind: str, now: float, f: dict) -> None:
+    def _av_define(self, now: float, site: str, item: str, amount: float) -> None:
+        self.events += 1
         # New headroom first, then the table entry: the sum never
         # transiently exceeds the bound.
-        item, amount, site = f["item"], f["amount"], f["site"]
-        self.conservation.headroom_delta(item, amount, site, now)
-        self.conservation.table_delta(item, amount, site, now)
+        self.conservation.fold(item, HEADROOM, amount, site, now)
+        self.conservation.fold(item, TABLES, amount, site, now)
         self._defined.setdefault(item, set()).add(site)
 
-    def _av_undefine(self, kind: str, now: float, f: dict) -> None:
-        item, amount, site = f["item"], f["amount"], f["site"]
-        self.conservation.table_delta(item, -amount, site, now)
-        self.conservation.headroom_delta(item, -amount, site, now)
+    def _av_undefine(self, now: float, site: str, item: str, amount: float) -> None:
+        self.events += 1
+        self.conservation.fold(item, TABLES, -amount, site, now)
+        self.conservation.fold(item, HEADROOM, -amount, site, now)
         defined = self._defined.get(item)
         if defined is not None:
             defined.discard(site)
             if not defined:
                 self._end_epoch(item, now)
 
-    def _hold_open(self, kind: str, now: float, f: dict) -> None:
-        self.holds.on_open(f["site"], f["hold"], now)
+    def _av_hold_open(self, now: float, site: str, item: str, amount: float,
+                      hold) -> None:
+        self.events += 1
+        self.holds.on_open(site, hold, now)
 
-    def _hold_add(self, kind: str, now: float, f: dict) -> None:
-        self.conservation.holds_delta(f["item"], f["amount"], f["site"], now)
+    def _av_hold_add(self, now: float, site: str, item: str, amount: float,
+                     hold) -> None:
+        self.events += 1
+        cons = self.conservation
+        acct = cons.accounts[item]
+        acct[HOLDS] += amount
+        cons.checks += 1
+        if acct[TABLES] + acct[HOLDS] + acct[IN_FLIGHT] > acct[HEADROOM] + EPS:
+            cons.exceeded(item, site, now)
 
-    def _hold_consume(self, kind: str, now: float, f: dict) -> None:
+    def _av_hold_consume(self, now: float, site: str, item: str, amount: float,
+                         hold) -> None:
+        self.events += 1
         # The full held volume leaves the holds account and the needed
         # part leaves headroom; the excess re-enters the table via a
         # separate av.add right after.
-        item, site, hold = f["item"], f["site"], f["hold"]
-        self.conservation.holds_delta(item, -hold.amount, site, now)
-        self.conservation.headroom_delta(item, -f["amount"], site, now)
+        self.conservation.fold(item, HOLDS, -hold.amount, site, now)
+        self.conservation.fold(item, HEADROOM, -amount, site, now)
         self.holds.on_close(site, hold, now)
 
-    def _hold_release(self, kind: str, now: float, f: dict) -> None:
-        self.conservation.holds_delta(f["item"], -f["amount"], f["site"], now)
-        self.holds.on_close(f["site"], f["hold"], now)
+    def _av_hold_release(self, now: float, site: str, item: str, amount: float,
+                         hold) -> None:
+        self.events += 1
+        cons = self.conservation
+        acct = cons.accounts[item]
+        acct[HOLDS] -= amount
+        cons.checks += 1
+        if acct[TABLES] + acct[HOLDS] + acct[IN_FLIGHT] > acct[HEADROOM] + EPS:
+            cons.exceeded(item, site, now)
+        self.holds.on_close(site, hold, now)
 
-    def _hold_reclose(self, kind: str, now: float, f: dict) -> None:
-        self.holds.on_reclose(f["site"], f["hold"], now)
+    def _av_hold_reclose(self, now: float, site: str, item: str, amount: float,
+                         hold) -> None:
+        self.events += 1
+        self.holds.on_reclose(site, hold, now)
 
     def _end_epoch(self, item: str, now: float) -> None:
         """No site defines ``item`` any more: close its AV epoch.
@@ -183,8 +213,8 @@ class ProtocolSanitizer:
         item, so the accounts reset to zero.  A *negative* residual
         would mean more AV existed than headroom — report it.
         """
-        cons = self.conservation
-        residual = cons.headroom.get(item, 0.0)
+        acct = self.conservation.accounts[item]
+        residual = acct[HEADROOM]
         if residual < -self.EPS:
             self.report.violations.append(Violation(
                 rule="av.conservation",
@@ -192,110 +222,193 @@ class ProtocolSanitizer:
                 time=now,
                 detail=f"negative residual headroom {residual:g} at undefinition",
             ))
-        cons.headroom[item] = 0.0
-        cons.av_sum[item] = 0.0
+        acct[HEADROOM] = 0.0
+        acct[TABLES] = 0.0
 
     # ------------------------------------------------------------- #
-    # protocol policy (av.mint/spend/select, av.lease.*, ovl.*)
+    # protocol policy (av.mint/spend/refill/select, av.lease.*, ovl.*)
     # ------------------------------------------------------------- #
 
-    def _av_mint(self, kind: str, now: float, f: dict) -> None:
-        self.conservation.headroom_delta(f["item"], f["amount"], f["site"], now)
+    def _av_mint(self, now: float, site: str, item: str, amount: float) -> None:
+        self.events += 1
+        cons = self.conservation
+        acct = cons.accounts[item]
+        acct[HEADROOM] += amount
+        cons.checks += 1
+        if acct[TABLES] + acct[HOLDS] + acct[IN_FLIGHT] > acct[HEADROOM] + EPS:
+            cons.exceeded(item, site, now)
 
-    def _av_spend(self, kind: str, now: float, f: dict) -> None:
-        self.conservation.headroom_delta(f["item"], -f["amount"], f["site"], now)
+    def _av_spend(self, now: float, site: str, item: str, amount: float) -> None:
+        self.events += 1
+        cons = self.conservation
+        acct = cons.accounts[item]
+        acct[HEADROOM] -= amount
+        cons.checks += 1
+        if acct[TABLES] + acct[HOLDS] + acct[IN_FLIGHT] > acct[HEADROOM] + EPS:
+            cons.exceeded(item, site, now)
 
-    def _av_select(self, kind: str, now: float, f: dict) -> None:
+    def _av_refill(self, now: float, site: str, item: str, amount: float) -> None:
+        # Counted only: the refilled volume enters the table through
+        # the av.add that follows.
+        self.events += 1
+
+    def _av_select(self, now: float, site: str, item: str, target: str,
+                   believed: Optional[float], trace: Optional[str],
+                   span: Optional[int]) -> None:
+        self.events += 1
         self.causal.on_select(
-            f["site"], f["item"], f["target"], f.get("believed"), now,
-            trace=f.get("trace"), span=f.get("span"),
+            site, item, target, believed, now, trace=trace, span=span,
         )
 
-    def _lease_open(self, kind: str, now: float, f: dict) -> None:
-        self.leases.on_open(
-            f["site"], f["lease"], f["item"], f["amount"], f["holder"], now
-        )
+    def _av_lease_open(self, now: float, site: str, item: str, amount: float,
+                       holder: str, lease: int) -> None:
+        self.events += 1
+        self.leases.on_open(site, lease, item, amount, holder, now)
 
-    def _lease_resolve(self, kind: str, now: float, f: dict) -> None:
-        # kind is av.lease.discharge or av.lease.revert
-        self.leases.on_resolve(f["site"], f["lease"], kind[9:], now)
+    def _av_lease_discharge(self, now: float, site: str, item: str,
+                            amount: float, holder: str, lease: int) -> None:
+        self.events += 1
+        self.leases.on_resolve(site, lease, "discharge", now)
 
-    def _lease_conflict(self, kind: str, now: float, f: dict) -> None:
-        self.leases.on_conflict(f["site"], f["holder"], f["lease"], now)
+    def _av_lease_revert(self, now: float, site: str, item: str, amount: float,
+                         holder: str, lease: int) -> None:
+        self.events += 1
+        self.leases.on_resolve(site, lease, "revert", now)
 
-    def _ovl_shed(self, kind: str, now: float, f: dict) -> None:
-        self.overload.on_shed(f["site"], f["retry_after"], now)
+    def _av_lease_conflict(self, now: float, site: str, holder: str,
+                           lease: int) -> None:
+        self.events += 1
+        self.leases.on_conflict(site, holder, lease, now)
 
-    def _ovl_transition(self, kind: str, now: float, f: dict) -> None:
-        self.overload.on_transition(f["site"], f["src"], f["dst"], now)
+    def _ovl_shed(self, now: float, site: str, retry_after: float) -> None:
+        self.events += 1
+        self.overload.on_shed(site, retry_after, now)
 
-    def _ovl_demote(self, kind: str, now: float, f: dict) -> None:
-        self.overload.on_demote(f["site"], f["item"], now)
+    def _ovl_transition(self, now: float, site: str, src: str, dst: str) -> None:
+        self.events += 1
+        self.overload.on_transition(site, src, dst, now)
 
-    def _ovl_promote(self, kind: str, now: float, f: dict) -> None:
-        self.overload.on_promote(f["site"], f["item"], now)
+    def _ovl_demote(self, now: float, site: str, item: str) -> None:
+        self.events += 1
+        self.overload.on_demote(site, item, now)
 
-    def _ovl_trip(self, kind: str, now: float, f: dict) -> None:
-        self.overload.on_trip(f["site"], now)
+    def _ovl_promote(self, now: float, site: str, item: str) -> None:
+        self.events += 1
+        self.overload.on_promote(site, item, now)
+
+    def _ovl_trip(self, now: float, site: str) -> None:
+        self.events += 1
+        self.overload.on_trip(site, now)
 
     # ------------------------------------------------------------- #
-    # locks and messages (lock.*, msg.*)
+    # locks (lock.*)
     # ------------------------------------------------------------- #
 
-    def _lock(self, kind: str, now: float, f: dict) -> None:
-        self.locks.on_event(
-            f["site"], kind[5:], f["item"], f["owner"], f["span_id"],
-            f["holders"], f["queue"], now,
-        )
+    def _lock_grant(self, now, site, item, owner, mode, span_id, holders,
+                    queue) -> None:
+        self.events += 1
+        self.locks.on_event(site, "grant", item, owner, span_id, holders,
+                            queue, now)
 
-    def _message(self, kind: str, now: float, f: dict) -> None:
-        event, msg = kind[4:], f["msg"]
-        if event == "send":
-            self.causal.on_send(msg.src, msg.msg_id)
-        elif event == "recv":
-            self.causal.on_recv(msg.dst, msg.msg_id)
-        else:
-            self.causal.on_drop(msg.msg_id)
+    def _lock_wait(self, now, site, item, owner, mode, span_id, holders,
+                   queue) -> None:
+        self.events += 1
+        self.locks.on_event(site, "wait", item, owner, span_id, holders,
+                            queue, now)
+
+    def _lock_release(self, now, site, item, owner, mode, span_id, holders,
+                      queue) -> None:
+        self.events += 1
+        self.locks.on_event(site, "release", item, owner, span_id, holders,
+                            queue, now)
+
+    # ------------------------------------------------------------- #
+    # messages (msg.*): vector clocks (see CausalOrder), then AV and
+    # propagation deltas in transit
+    # ------------------------------------------------------------- #
+
+    def _msg_send(self, now: float, site: str, msg) -> None:
+        self.events += 1
+        # The sender ticks; the message carries a copy of its clock.
+        src = msg.src
+        clock = self._clocks.get(src)
+        if clock is None:
+            clock = self._clocks[src] = {}
+        clock[src] = clock.get(src, 0) + 1
+        self._msg_clocks[msg.msg_id] = clock.copy()
 
         kind = msg.kind
-        # The hierarchical pool kinds (leaf→aggregator ask, aggregator→
-        # parent refill) move AV exactly like a peer grant, so the same
-        # request/reply transit accounting covers every level.
-        if kind in ("av.request", "av.pool.request", "av.pool.refill"):
-            if event == "send":
-                self._av_requests[msg.msg_id] = msg.payload["item"]
-            elif event == "drop":
-                self._av_requests.pop(msg.msg_id, None)
-        elif kind in (
-            "av.request.reply",
-            "av.pool.request.reply",
-            "av.pool.refill.reply",
-        ):
-            self._track_grant(event, now, msg)
+        if kind in _AV_REQUESTS:
+            self._av_requests[msg.msg_id] = msg.payload["item"]
+        elif kind in _AV_GRANTS:
+            self._grant_sent(now, msg)
         elif kind == "av.push":
-            self._track_push(event, now, msg)
+            item, amount = msg.payload["item"], msg.payload["amount"]
+            if amount > 0:
+                self._pushes[msg.msg_id] = (item, amount)
+                self.conservation.fold(item, IN_FLIGHT, amount, None, now)
         elif kind == "prop.push":
-            self._track_prop(event, now, msg)
-
-    def _track_grant(self, event: str, now: float, msg) -> None:
-        if event == "send":
-            item = self._av_requests.pop(msg.reply_to, None)
-            if item is None:
-                return
-            granted = msg.payload.get("granted", 0.0)
-            self.causal.on_grant(
-                msg.src, item, msg.payload.get("av_after", 0.0), now, msg.msg_id
+            self._props[msg.msg_id] = (
+                msg.payload["item"], msg.payload["delta"], msg.dst,
+                msg.payload.get("_obs"),
             )
-            if granted > 0:
-                self._grants[msg.msg_id] = (item, granted)
-                self.conservation.transit_delta(item, granted, now)
+
+    def _msg_recv(self, now: float, site: str, msg) -> None:
+        self.events += 1
+        # The receiver merges the message's clock, then ticks.
+        snapshot = self._msg_clocks.pop(msg.msg_id, None)
+        dst = msg.dst
+        clock = self._clocks.get(dst)
+        if clock is None:
+            clock = self._clocks[dst] = {}
+        get = clock.get
+        if snapshot is not None:
+            for other, n in snapshot.items():
+                if n > get(other, 0):
+                    clock[other] = n
+        clock[dst] = get(dst, 0) + 1
+
+        kind = msg.kind
+        if kind in _AV_GRANTS:
+            self._grant_landed(now, msg, dropped=False)
+        elif kind == "av.push":
+            self._push_landed(now, msg, dropped=False)
+        elif kind == "prop.push":
+            self._props.pop(msg.msg_id, None)
+
+    def _msg_drop(self, now: float, site: str, msg) -> None:
+        self.events += 1
+        self._msg_clocks.pop(msg.msg_id, None)
+
+        kind = msg.kind
+        if kind in _AV_REQUESTS:
+            self._av_requests.pop(msg.msg_id, None)
+        elif kind in _AV_GRANTS:
+            self._grant_landed(now, msg, dropped=True)
+        elif kind == "av.push":
+            self._push_landed(now, msg, dropped=True)
+        elif kind == "prop.push":
+            self._prop_dropped(now, msg)
+
+    def _grant_sent(self, now: float, msg) -> None:
+        item = self._av_requests.pop(msg.reply_to, None)
+        if item is None:
             return
+        granted = msg.payload.get("granted", 0.0)
+        self.causal.on_grant(
+            msg.src, item, msg.payload.get("av_after", 0.0), now, msg.msg_id
+        )
+        if granted > 0:
+            self._grants[msg.msg_id] = (item, granted)
+            self.conservation.fold(item, IN_FLIGHT, granted, None, now)
+
+    def _grant_landed(self, now: float, msg, dropped: bool) -> None:
         entry = self._grants.pop(msg.msg_id, None)
         if entry is None:
             return
         item, granted = entry
-        self.conservation.transit_delta(item, -granted, now)
-        if event == "drop":
+        self.conservation.fold(item, IN_FLIGHT, -granted, None, now)
+        if dropped:
             if msg.payload.get("lease") is not None:
                 # The grantor's lease reverts this volume; counted, not
                 # warned — the chaos harness asserts no warning fires.
@@ -312,19 +425,13 @@ class ProtocolSanitizer:
                 detail=f"grant of {granted:g} dropped in transit to {msg.dst}",
             ))
 
-    def _track_push(self, event: str, now: float, msg) -> None:
-        if event == "send":
-            item, amount = msg.payload["item"], msg.payload["amount"]
-            if amount > 0:
-                self._pushes[msg.msg_id] = (item, amount)
-                self.conservation.transit_delta(item, amount, now)
-            return
+    def _push_landed(self, now: float, msg, dropped: bool) -> None:
         entry = self._pushes.pop(msg.msg_id, None)
         if entry is None:
             return
         item, amount = entry
-        self.conservation.transit_delta(item, -amount, now)
-        if event == "drop":
+        self.conservation.fold(item, IN_FLIGHT, -amount, None, now)
+        if dropped:
             if msg.payload.get("lease") is not None:
                 self.lease_covered_drops += 1
                 return
@@ -338,15 +445,9 @@ class ProtocolSanitizer:
                 detail=f"rebalancer push of {amount:g} dropped in transit to {msg.dst}",
             ))
 
-    def _track_prop(self, event: str, now: float, msg) -> None:
-        if event == "send":
-            ctx = msg.payload.get("_obs")
-            self._props[msg.msg_id] = (
-                msg.payload["item"], msg.payload["delta"], msg.dst, ctx
-            )
-            return
+    def _prop_dropped(self, now: float, msg) -> None:
         entry = self._props.pop(msg.msg_id, None)
-        if entry is None or event == "recv":
+        if entry is None:
             return
         if isinstance(msg.payload, dict) and "_rel" in msg.payload:
             # Reliable-session delivery: the sender retransmits (the
@@ -388,8 +489,8 @@ class ProtocolSanitizer:
         self._drift_audit(now)
         self._headroom_audit(now)
 
-        for item in sorted(self.conservation.in_flight):
-            amount = self.conservation.in_flight[item]
+        for item, acct in sorted(self.conservation.accounts.items()):
+            amount = acct[IN_FLIGHT]
             if abs(amount) > self.EPS:
                 report.warnings.append(Violation(
                     rule="net.in-flight",
@@ -467,8 +568,9 @@ class ProtocolSanitizer:
         for site in self.system.sites.values():
             for item, volume in site.accelerator.av_table.items():
                 actual[item] = actual.get(item, 0.0) + volume
-        for item in sorted(set(self.conservation.av_sum) | set(actual)):
-            tracked = self.conservation.av_sum.get(item, 0.0)
+        tables = self.conservation.column(TABLES)
+        for item in sorted(set(tables) | set(actual)):
+            tracked = tables.get(item, 0.0)
             real = actual.get(item, 0.0)
             if abs(tracked - real) > self.EPS:
                 self.report.violations.append(Violation(
@@ -486,13 +588,14 @@ class ProtocolSanitizer:
         if self.system is None:
             return
         ledger = self.system.collector.ledger
+        headrooms = self.conservation.column(HEADROOM)
         for item in sorted(self._defined):
             if not self._defined[item]:
                 continue
             bound = ledger.true_value(item) if item in ledger.items() else None
             if bound is None:
                 continue
-            headroom = self.conservation.headroom.get(item, 0.0)
+            headroom = headrooms.get(item, 0.0)
             if headroom > bound + self.EPS:
                 self.report.violations.append(Violation(
                     rule="av.headroom",

@@ -3,7 +3,7 @@
 The paper's Figs. 3-5 are hand-drawn message-sequence sketches of the
 Delay Update (local and with AV transfer) and the Immediate Update.
 Here they are *generated*: a :class:`SequenceRecorder` subscribes to a
-hub's event stream and keeps its ``msg.*`` events, and
+hub's ``msg.*`` taps and keeps their events, and
 :func:`render_sequence` lays the captured
 messages out as a text sequence diagram — so the diagrams in
 ``docs/figures/`` are guaranteed to match what the implementation
@@ -39,20 +39,17 @@ class SequenceRecorder:
     """Subscriber collecting a hub's message events for diagram rendering."""
 
     def __init__(self, obs: Observability) -> None:
-        self.obs = obs
         self.events: List[SequenceEvent] = []
-        obs.event_subscribers.append(self._observe)
+        self._detach = obs.subscribe_fields(
+            self._observe, ("msg.send", "msg.recv", "msg.drop")
+        )
 
     def _observe(self, kind: str, time: float, fields: dict) -> None:
-        if kind.startswith("msg."):
-            self.events.append(SequenceEvent(kind[4:], time, fields["msg"]))
+        self.events.append(SequenceEvent(kind[4:], time, fields["msg"]))
 
     def detach(self) -> None:
-        """Stop recording."""
-        try:
-            self.obs.event_subscribers.remove(self._observe)
-        except ValueError:  # pragma: no cover - double detach
-            pass
+        """Stop recording (once)."""
+        self._detach()
 
     def clear(self) -> None:
         self.events.clear()

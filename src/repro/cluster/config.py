@@ -59,8 +59,8 @@ class SystemConfig:
         Protocol retry bounds (see :class:`~repro.core.accelerator.Accelerator`).
 
     A run's record is ``observe`` (spans and the metric registry) plus
-    its one ``obs.emit`` event stream (AV-table, lock, message and policy
-    events), which any run carries; see ``docs/observability.md``.
+    its event taps (AV-table, lock, message and policy events), which
+    any run carries; see ``docs/observability.md``.
     """
 
     n_retailers: int = 2

@@ -118,7 +118,8 @@ class Accelerator:
         #: AV); ``None`` keeps the paper's strategy-only gather
         self.pool_parent = interest.pool_parent
         self.obs = obs if obs is not None else NULL_OBS
-        clock = lambda: self.env.now
+        env = self.env
+        clock = lambda: env._now  # what Environment.now returns, one call less
         self.av_table = AVTable(self.site, obs=self.obs, clock=clock)
         self.beliefs = BeliefTable(self.site)
         self.locks = LockManager(self.env, self.site, obs=self.obs)

@@ -85,6 +85,11 @@ class DelayUpdateProtocol:
         #: second pool request for the same item must not trigger a
         #: concurrent (duplicate) refill
         self._refill_inflight: set[str] = set()
+        obs = accel.obs
+        self._on_mint = obs.tap("av.mint")
+        self._on_spend = obs.tap("av.spend")
+        self._on_select = obs.tap("av.select")
+        self._on_refill = obs.tap("av.refill")
 
     # ---------------------------------------------------------------- #
     # requester side
@@ -144,16 +149,20 @@ class DelayUpdateProtocol:
                 # Mint raises the conserved headroom; announce it before
                 # the table grows so the conservation sum never
                 # transiently exceeds the bound.
-                if obs.event_subscribers:
-                    obs.emit("av.mint", accel.now, site=accel.site, item=item, amount=delta)
+                if self._on_mint:
+                    now = accel.now
+                    for fn in self._on_mint:
+                        fn(now, accel.site, item, delta)
                 accel.av_table.add(item, delta)
             elif accel.av_table.take_if_covered(item, -delta):
                 # The paper's headline path: complete within the local
                 # site. The fused probe spends the AV in one dict lookup.
                 # Spend shrinks headroom; announce after the take so the
                 # sum only dips in between.
-                if obs.event_subscribers:
-                    obs.emit("av.spend", accel.now, site=accel.site, item=item, amount=-delta)
+                if self._on_spend:
+                    now = accel.now
+                    for fn in self._on_spend:
+                        fn(now, accel.site, item, -delta)
                 step = TREE_APPLYING
                 self._apply(item, delta, parent)
                 step = TREE_APPLIED
@@ -257,16 +266,14 @@ class DelayUpdateProtocol:
                 # Cross-site span context: the grantor parents its
                 # av.grant span under this round-trip span.
                 payload["_obs"] = {"trace": request[0], "span": request[1]}
-            if accel.obs.event_subscribers:
+            if self._on_select:
                 # The happens-before checker correlates this decision
                 # with the grants that shaped (or should have shaped)
                 # the belief it acted on.
-                accel.obs.emit(
-                    "av.select", now,
-                    site=accel.site, item=item, target=target,
-                    believed=accel.beliefs.believed_volume(target, item),
-                    trace=select[0], span=select[1],
-                )
+                believed = accel.beliefs.believed_volume(target, item)
+                for fn in self._on_select:
+                    fn(now, accel.site, item, target, believed,
+                       select[0], select[1])
             try:
                 if use_pool:
                     reply = yield accel.endpoint.request(
@@ -510,11 +517,10 @@ class DelayUpdateProtocol:
                     parent, item, reply["av_after"], accel.now
                 )
                 if granted > 0:
-                    if accel.obs.event_subscribers:
-                        accel.obs.emit(
-                            "av.refill", accel.now, site=accel.site,
-                            item=item, amount=granted,
-                        )
+                    if self._on_refill:
+                        now = accel.now
+                        for fn in self._on_refill:
+                            fn(now, accel.site, item, granted)
                     accel.av_table.add(item, granted)
         return self._grant_from_table(msg, pool=True)
 

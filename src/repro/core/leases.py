@@ -89,6 +89,11 @@ class LeaseTable:
         self._resolved: Dict[int, str] = {}
         #: transfers we received and applied: (grantor, lease_id) -> time
         self._receipts: Dict[Tuple[str, int], float] = {}
+        obs = accel.obs
+        self._on_open = obs.tap("av.lease.open")
+        self._on_discharge = obs.tap("av.lease.discharge")
+        self._on_revert = obs.tap("av.lease.revert")
+        self._on_conflict = obs.tap("av.lease.conflict")
         #: diagnostics
         self.opened = 0
         self.discharged = 0
@@ -112,12 +117,11 @@ class LeaseTable:
         lease = Lease(next(self._ids), item, float(amount), holder, self.env.now)
         self._open[lease.lease_id] = lease
         self.opened += 1
-        if self.accel.obs.event_subscribers:
-            self.accel.obs.emit(
-                "av.lease.open", self.env.now,
-                site=self.accel.site, item=item, amount=lease.amount,
-                holder=holder, lease=lease.lease_id,
-            )
+        if self._on_open:
+            now = self.env.now
+            for fn in self._on_open:
+                fn(now, self.accel.site, item, lease.amount, holder,
+                   lease.lease_id)
         self.env.process(
             self._expiry(lease),
             name=f"{self.accel.site}.lease#{lease.lease_id}",
@@ -131,12 +135,11 @@ class LeaseTable:
             return False
         self._resolved[lease_id] = "discharged"
         self.discharged += 1
-        if self.accel.obs.event_subscribers:
-            self.accel.obs.emit(
-                "av.lease.discharge", self.env.now,
-                site=self.accel.site, item=lease.item, amount=lease.amount,
-                holder=lease.holder, lease=lease_id,
-            )
+        if self._on_discharge:
+            now = self.env.now
+            for fn in self._on_discharge:
+                fn(now, self.accel.site, lease.item, lease.amount,
+                   lease.holder, lease_id)
         return True
 
     def _revert(self, lease: Lease) -> None:
@@ -148,12 +151,11 @@ class LeaseTable:
         # Emit before the table add: the conservation sum only dips in
         # between (the revert raises the LHS back by exactly the leased
         # amount the in-transit account gave up at the drop).
-        if self.accel.obs.event_subscribers:
-            self.accel.obs.emit(
-                "av.lease.revert", self.env.now,
-                site=self.accel.site, item=lease.item, amount=lease.amount,
-                holder=lease.holder, lease=lease.lease_id,
-            )
+        if self._on_revert:
+            now = self.env.now
+            for fn in self._on_revert:
+                fn(now, self.accel.site, lease.item, lease.amount,
+                   lease.holder, lease.lease_id)
         self.accel.av_table.add(lease.item, lease.amount)
 
     def _expiry(self, lease: Lease):
@@ -202,11 +204,10 @@ class LeaseTable:
             # volume now exists twice. Only reachable when a message
             # outlives lease_timeout in flight — which ReliabilityParams
             # forbids — so surface it loudly.
-            if self.accel.obs.event_subscribers:
-                self.accel.obs.emit(
-                    "av.lease.conflict", self.env.now,
-                    site=self.accel.site, holder=msg.src, lease=lease_id,
-                )
+            if self._on_conflict:
+                now = self.env.now
+                for fn in self._on_conflict:
+                    fn(now, self.accel.site, msg.src, lease_id)
         # acks for already-discharged leases (re_ack replays) are normal
 
     # ---------------------------------------------------------------- #

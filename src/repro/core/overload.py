@@ -260,6 +260,12 @@ class OverloadController:
         self._demoted_set: set = set()
         self._demote_inflight: set = set()
         self._promote_inflight: set = set()
+        obs = accel.obs
+        self._on_shed = obs.tap("ovl.shed")
+        self._on_transition = obs.tap("ovl.transition")
+        self._on_demote = obs.tap("ovl.demote")
+        self._on_promote = obs.tap("ovl.promote")
+        self._on_trip = obs.tap("ovl.trip")
         #: this site's ``overload.pressure`` gauge, looked up on the
         #: first observed evaluate (every update evaluates at least twice)
         self._pressure_gauge = None
@@ -297,12 +303,10 @@ class OverloadController:
     def record_shed(self, now: float, retry_after: float) -> None:
         """Account one shed request (admission or breaker)."""
         self.shed += 1
-        obs = self.accel.obs
-        if obs.event_subscribers:
-            obs.emit(
-                "ovl.shed", now, site=self.accel.site, retry_after=retry_after
-            )
-        obs.count("overload.shed")
+        if self._on_shed:
+            for fn in self._on_shed:
+                fn(now, self.accel.site, retry_after)
+        self.accel.obs.count("overload.shed")
 
     # ---------------------------------------------------------------- #
     # circuit breaker (immediate-update 2PC path)
@@ -313,10 +317,10 @@ class OverloadController:
 
     def record_2pc_timeout(self, now: float) -> None:
         if self.breaker.record_failure(now):
-            obs = self.accel.obs
-            if obs.event_subscribers:
-                obs.emit("ovl.trip", now, site=self.accel.site)
-            obs.count("overload.trip")
+            if self._on_trip:
+                for fn in self._on_trip:
+                    fn(now, self.accel.site)
+            self.accel.obs.count("overload.trip")
             self.evaluate(now)
 
     def record_2pc_success(self, now: float) -> None:
@@ -426,13 +430,10 @@ class OverloadController:
             self._calm_since = now
         self.state = to
         self.transitions.append((now, frm.value, to.value))
-        obs = self.accel.obs
-        if obs.event_subscribers:
-            obs.emit(
-                "ovl.transition", now,
-                site=self.accel.site, src=frm.value, dst=to.value,
-            )
-        obs.count(f"overload.transition.{to.value}")
+        if self._on_transition:
+            for fn in self._on_transition:
+                fn(now, self.accel.site, frm.value, to.value)
+        self.accel.obs.count(f"overload.transition.{to.value}")
         # Tell the peers: their selecting strategies steer AV requests
         # away from a DEGRADED site while alternatives exist.
         payload = {"state": to.value, "since": now}
@@ -521,10 +522,11 @@ class OverloadController:
         self._demoted.append(item)
         self._demoted_set.add(item)
         self.demotions += 1
-        obs = accel.obs
-        if obs.event_subscribers:
-            obs.emit("ovl.demote", accel.now, site=accel.site, item=item)
-        obs.count("overload.demote")
+        if self._on_demote:
+            now = accel.now
+            for fn in self._on_demote:
+                fn(now, accel.site, item)
+        accel.obs.count("overload.demote")
 
     def _promote_all(self) -> List:
         """Spawn one re-promotion per demoted item; returns processes."""
@@ -557,10 +559,11 @@ class OverloadController:
             self._demoted_set.discard(item)
             self._demoted.remove(item)
             self.promotions += 1
-            obs = accel.obs
-            if obs.event_subscribers:
-                obs.emit("ovl.promote", accel.now, site=accel.site, item=item)
-            obs.count("overload.promote")
+            if self._on_promote:
+                now = accel.now
+                for fn in self._on_promote:
+                    fn(now, accel.site, item)
+            accel.obs.count("overload.promote")
 
     @property
     def demoted_items(self) -> Tuple[str, ...]:

@@ -4,8 +4,8 @@
 a pluggable latency model, counts every transmitted message (the paper's
 metric), and consults a :class:`~repro.net.faults.FaultInjector` on each
 send. Delivery is an event scheduled on the simulation environment.
-Every send, delivery and drop is published on the hub's event bus
-(``msg.send``, ``msg.recv``, ``msg.drop``) when it has subscribers.
+Every send, delivery and drop is published on the hub's taps
+(``msg.send``, ``msg.recv``, ``msg.drop``) when they have subscribers.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class Network:
         session and lease probes depend on. Must be deterministic given
         its own seed.
     obs:
-        Hub whose event bus carries the ``msg.*`` events; each carries
-        the message and the site it happened at.
+        Hub whose taps carry the ``msg.*`` events; each carries the
+        site it happened at and the message.
     """
 
     def __init__(
@@ -87,6 +87,9 @@ class Network:
         self.faults = faults if faults is not None else FaultInjector(rng=self.rng)
         self.perturb = perturb
         self.obs = obs
+        self._on_send = obs.tap("msg.send")
+        self._on_recv = obs.tap("msg.recv")
+        self._on_drop = obs.tap("msg.drop")
         #: optional repro.net.sizes.SizeModel enabling byte accounting
         self.size_model = size_model
         self._endpoints: dict[str, "Endpoint"] = {}
@@ -151,15 +154,18 @@ class Network:
             else None
         )
         self.stats.record_send(msg, size=size)
-        obs = self.obs
-        if obs.event_subscribers:
-            obs.emit("msg.send", self.env.now, site=msg.src, msg=msg)
+        if self._on_send:
+            now = self.env.now
+            for fn in self._on_send:
+                fn(now, msg.src, msg)
 
         faults = self.faults
         if not faults.quiet and faults.should_drop(msg.src, msg.dst):
             self.stats.record_drop(msg)
-            if obs.event_subscribers:
-                obs.emit("msg.drop", self.env.now, site=msg.src, msg=msg)
+            if self._on_drop:
+                now = self.env.now
+                for fn in self._on_drop:
+                    fn(now, msg.src, msg)
             return
 
         delay = self.latency.sample(msg.src, msg.dst, self.rng)
@@ -189,11 +195,15 @@ class Network:
         if not faults.quiet and faults.is_crashed(msg.dst):
             # Crashed while the message was in flight.
             self.stats.record_drop(msg)
-            if self.obs.event_subscribers:
-                self.obs.emit("msg.drop", self.env.now, site=msg.dst, msg=msg)
+            if self._on_drop:
+                now = self.env.now
+                for fn in self._on_drop:
+                    fn(now, msg.dst, msg)
             return
-        if self.obs.event_subscribers:
-            self.obs.emit("msg.recv", self.env.now, site=msg.dst, msg=msg)
+        if self._on_recv:
+            now = self.env.now
+            for fn in self._on_recv:
+                fn(now, msg.dst, msg)
         endpoint._receive(msg)
 
     def __repr__(self) -> str:

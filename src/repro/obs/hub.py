@@ -2,22 +2,66 @@
 
 One :class:`Observability` object per system bundles the span recorder,
 the metric registry, and the time-series store, so constructors thread a
-single handle instead of three. Its :meth:`Observability.emit` bus is
-the run's one event stream: AV-table, lock, message and policy events
-all reach their subscribers through it. :data:`NULL_OBS` is the shared
-disabled hub: its recorder is a :class:`~repro.obs.spans.NullSpanRecorder`,
-its ``count``/``gauge_set`` helpers return immediately, and it takes no
-subscribers, making the default (unobserved) configuration
-near-zero-cost.
+single handle instead of three. It also carries the run's event taps:
+one subscriber list per kind of :data:`EVENT_KINDS`, the AV-table, lock,
+message and policy events. Each emitter binds its kinds' lists once,
+when it is constructed, and an emit site tests its list and calls every
+subscriber with the event's time and the kind's fields, positionally.
+:data:`NULL_OBS` is the shared disabled hub: its recorder is a
+:class:`~repro.obs.spans.NullSpanRecorder`, its ``count``/``gauge_set``
+helpers return immediately, and its taps are empty tuples that take no
+subscriber, making the default (unobserved) configuration near-zero-cost.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.obs.registry import MetricRegistry
 from repro.obs.sampler import TimeSeriesStore
 from repro.obs.spans import NullSpanRecorder, SpanRecorder
+
+#: The run's event vocabulary: kind -> the names of the fields its emit
+#: sites pass, positionally and in this order, after the event's time.
+#: Spans capture *timing*; these events capture the *accounting* facts
+#: the sanitizer folds into its invariants.
+EVENT_KINDS: Dict[str, Tuple[str, ...]] = {
+    # AV table (repro.core.av_table.AVTable)
+    "av.define": ("site", "item", "amount"),
+    "av.undefine": ("site", "item", "amount"),
+    "av.add": ("site", "item", "amount"),
+    "av.take": ("site", "item", "amount"),
+    # holds (repro.core.av_table.Hold; opened by the table)
+    "av.hold.open": ("site", "item", "amount", "hold"),
+    "av.hold.add": ("site", "item", "amount", "hold"),
+    "av.hold.consume": ("site", "item", "amount", "hold"),
+    "av.hold.release": ("site", "item", "amount", "hold"),
+    "av.hold.reclose": ("site", "item", "amount", "hold"),
+    # the Delay protocol (repro.core.delay_update.DelayUpdateProtocol)
+    "av.mint": ("site", "item", "amount"),
+    "av.spend": ("site", "item", "amount"),
+    "av.refill": ("site", "item", "amount"),
+    "av.select": ("site", "item", "target", "believed", "trace", "span"),
+    # grant leases (repro.core.leases.LeaseTable)
+    "av.lease.open": ("site", "item", "amount", "holder", "lease"),
+    "av.lease.discharge": ("site", "item", "amount", "holder", "lease"),
+    "av.lease.revert": ("site", "item", "amount", "holder", "lease"),
+    "av.lease.conflict": ("site", "holder", "lease"),
+    # the overload controller (repro.core.overload.OverloadController)
+    "ovl.shed": ("site", "retry_after"),
+    "ovl.transition": ("site", "src", "dst"),
+    "ovl.demote": ("site", "item"),
+    "ovl.promote": ("site", "item"),
+    "ovl.trip": ("site",),
+    # locks (repro.db.locks.LockManager)
+    "lock.grant": ("site", "item", "owner", "mode", "span_id", "holders", "queue"),
+    "lock.wait": ("site", "item", "owner", "mode", "span_id", "holders", "queue"),
+    "lock.release": ("site", "item", "owner", "mode", "span_id", "holders", "queue"),
+    # messages (repro.net.network.Network)
+    "msg.send": ("site", "msg"),
+    "msg.recv": ("site", "msg"),
+    "msg.drop": ("site", "msg"),
+}
 
 
 class Observability:
@@ -39,22 +83,52 @@ class Observability:
         )
         self.registry = MetricRegistry()
         self.series = TimeSeriesStore()
-        #: event subscribers, called as ``fn(kind, now, fields)``.
-        #: Independent of ``enabled`` — the runtime sanitizer listens here
-        #: even when span recording is off. Every emit site tests this
-        #: list first, so with no subscriber no event is built.
-        self.event_subscribers: list = []
+        #: kind -> subscriber list. Independent of ``enabled`` — the
+        #: runtime sanitizer listens here even when span recording is
+        #: off. Emitters bind these lists when they are constructed.
+        self.taps: Dict[str, list] = {kind: [] for kind in EVENT_KINDS}
 
-    def emit(self, kind: str, now: float, **fields) -> None:
-        """Publish one event of the run (AV table, lock, message, policy).
+    def tap(self, kind: str) -> list:
+        """The subscriber list of ``kind``, for an emitter to bind.
 
-        Spans capture *timing*; these events capture *accounting* facts
-        the sanitizer folds into its invariants. Callers test
-        :attr:`event_subscribers` first, so an unsubscribed run never
-        calls this.
+        An emit site tests the list first and then calls each
+        subscriber as ``fn(now, *fields)``, the fields in
+        ``EVENT_KINDS[kind]`` order; with no subscriber it builds
+        nothing and calls nothing.
         """
-        for fn in self.event_subscribers:
-            fn(kind, now, fields)
+        return self.taps[kind]
+
+    def subscribe(self, kind: str, fn: Callable) -> None:
+        """Call ``fn(now, *fields)`` on every ``kind`` event."""
+        self.taps[kind].append(fn)
+
+    def subscribe_fields(
+        self, fn: Callable, kinds: Optional[Iterable[str]] = None
+    ) -> Callable[[], None]:
+        """Call ``fn(kind, now, fields)`` on every event of ``kinds``
+        (default: every kind), ``fields`` a dict rebuilt from the kind's
+        declared field names. Returns a callable that unsubscribes
+        (once; a second call does nothing).
+
+        The adapter costs a dict per event; the sanitizer subscribes
+        positionally instead.
+        """
+        bound = []
+        for kind in EVENT_KINDS if kinds is None else kinds:
+            names = EVENT_KINDS[kind]
+
+            def deliver(now, *values, kind=kind, names=names):
+                fn(kind, now, dict(zip(names, values, strict=True)))
+
+            self.subscribe(kind, deliver)
+            bound.append((kind, deliver))
+
+        def detach() -> None:
+            while bound:
+                kind, deliver = bound.pop()
+                self.taps[kind].remove(deliver)
+
+        return detach
 
     # Convenience wrappers that keep call sites one-liners and free when
     # disabled (a single attribute check).
@@ -78,7 +152,7 @@ class Observability:
 
 
 #: the shared disabled hub; never records, safe as a default argument.
-#: Its subscriber tuple cannot be appended to, so no run's events can
-#: leak into every other run that shares it.
+#: Its taps are empty tuples that cannot be subscribed to, so no run's
+#: events can leak into every other run that shares it.
 NULL_OBS = Observability(enabled=False)
-NULL_OBS.event_subscribers = ()
+NULL_OBS.taps = dict.fromkeys(EVENT_KINDS, ())

@@ -3,7 +3,7 @@
 The kernel is the substrate every other subsystem runs on: a virtual clock,
 an event queue ordered by ``(time, priority, sequence)``, generator-driven
 processes and named seeded RNG streams. What a run records (spans, the
-``obs.emit`` event stream, metric instruments) lives in :mod:`repro.obs`.
+event taps, metric instruments) lives in :mod:`repro.obs`.
 """
 
 from repro.sim.engine import Environment

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import json
 import os
+import textwrap
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional
 
 from repro.perf.runner import run_sweep
 from repro.perf.tasks import SweepTask
@@ -58,6 +59,8 @@ class FuzzReport:
     replay_ok: Optional[bool] = None
     elapsed_s: float = 0.0
     events_processed: int = 0
+    #: messages sent per message kind, summed over every case run
+    sent_kinds: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -70,6 +73,17 @@ class FuzzReport:
             f" ({self.cases_run} cases, {self.events_processed} kernel"
             f" events, {self.elapsed_s:.1f}s)"
         ]
+        if self.sent_kinds:
+            census = ", ".join(
+                f"{kind}={n}" for kind, n in sorted(self.sent_kinds.items())
+            )
+            lines.append(
+                f"  message kinds sent ({len(self.sent_kinds)}):"
+            )
+            lines += textwrap.wrap(
+                census, width=76, initial_indent="    ",
+                subsequent_indent="    ",
+            )
         if self.violating is not None:
             index = self.violating.get("task", {}).get("index", "?")
             lines.append(
@@ -218,6 +232,10 @@ def run_fuzz(
         report.cases_run += len(sweep.results)
         report.events_processed += sweep.events_processed
         index += batch_size
+        sent_kinds = report.sent_kinds
+        for payload in sweep.results:
+            for kind, n in payload["sent_kinds"].items():
+                sent_kinds[kind] = sent_kinds.get(kind, 0) + n
         for payload in sweep.results:
             if not payload["ok"]:
                 report.violating = payload

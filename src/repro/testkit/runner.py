@@ -50,6 +50,10 @@ class CaseOutcome:
     counters: Dict[str, int] = field(default_factory=dict)
     update_tags: List[str] = field(default_factory=list)
     replicas: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: messages sent per message kind — a census of the protocol paths
+    #: the case reached, outside the determinism surface (so a repro
+    #: artifact's digest does not depend on it)
+    sent_kinds: Dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -107,6 +111,7 @@ class CaseOutcome:
             "replicas": self.replicas,
             "counters": self.counters,
             "case": self.case.to_dict(),
+            "sent_kinds": self.sent_kinds,
         }
 
     def render(self) -> str:
@@ -149,6 +154,12 @@ def run_case(case: FuzzCase) -> CaseOutcome:
     )
     _validate(case, config)
     system = DistributedSystem.build(config)
+    sent_kinds: Dict[str, int] = {}
+
+    def count_sent(now, site, msg) -> None:
+        sent_kinds[msg.kind] = sent_kinds.get(msg.kind, 0) + 1
+
+    system.obs.subscribe("msg.send", count_sent)
     Perturbation(
         case.perturb_seed, case.latency_amp, case.timer_amp
     ).install(system)
@@ -220,4 +231,5 @@ def run_case(case: FuzzCase) -> CaseOutcome:
         counters=counters,
         update_tags=_update_tags(results),
         replicas=replicas,
+        sent_kinds=dict(sorted(sent_kinds.items())),
     )

@@ -38,7 +38,7 @@ class _Events:
 
     def __init__(self):
         self.obs = Observability(enabled=False)
-        self.obs.event_subscribers.append(self._on_emit)
+        self.obs.subscribe_fields(self._on_emit)
         self.events = []
 
     def _on_emit(self, kind, now, fields):

@@ -240,7 +240,7 @@ class TestStraightLineLocalPath:
             if kind in seen:
                 seen[kind] += 1
 
-        system.obs.event_subscribers.append(count)
+        system.obs.subscribe_fields(count)
         results = run_closed(system, make_paper_trace(1000, 2, n_items=10))
         assert len(results) == 1000
         assert system.sanitizer.finish().violations == []

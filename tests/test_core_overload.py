@@ -59,7 +59,7 @@ class StubAccel:
         # looked up; a subscriber keeps the controller's events.
         self.obs = Observability(enabled=False)
         self.events = []
-        self.obs.event_subscribers.append(
+        self.obs.subscribe_fields(
             lambda kind, now, fields: self.events.append((kind, now, fields))
         )
         self.locks = StubLocks()

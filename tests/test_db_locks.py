@@ -137,7 +137,7 @@ class _Monitor:
 
     def __init__(self):
         self.obs = Observability(enabled=False)
-        self.obs.event_subscribers.append(self._on_emit)
+        self.obs.subscribe_fields(self._on_emit)
         self.events = []
 
     def _on_emit(self, kind, now, f):
@@ -148,11 +148,11 @@ class _Monitor:
 
 
 @pytest.mark.parametrize("mode", [LockMode.SHARED, LockMode.EXCLUSIVE])
-def test_grant_on_an_item_without_lock_state(env, lm, mode):
+def test_grant_on_an_item_without_lock_state(env, mode):
     """The first acquire of an item, and the first after its state was
     dropped, is a plain grant: counted, reported and already succeeded."""
     monitor = _Monitor()
-    lm.obs = monitor.obs
+    lm = LockManager(env, "site", obs=monitor.obs)
     for expected_grants in (1, 2):
         ev = lm.acquire("A", "p1", mode, span_id=9)
         assert ev.triggered and ev.ok and ev.value == ("A", mode)

@@ -30,7 +30,7 @@ class TestPaperScenarioEndToEnd:
                     msg = fields["msg"]
                     messages.append((kind, time, msg.src, msg.dst, msg.kind))
 
-            system.obs.event_subscribers.append(on_message)
+            system.obs.subscribe_fields(on_message)
             trace = make_paper_trace(200, seed=9, n_items=5)
             run_closed(system, trace)
             recorder = system.obs.recorder

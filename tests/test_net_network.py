@@ -275,7 +275,7 @@ def test_peers_excludes_self():
 def test_observers_see_send_recv_and_drop():
     env, net = make_net(obs=Observability(enabled=False))
     seen = []
-    net.obs.event_subscribers.append(
+    net.obs.subscribe_fields(
         lambda kind, time, f: seen.append(
             (kind, time, f["site"], f["msg"].src, f["msg"].dst, f["msg"].kind)
         )
@@ -339,7 +339,7 @@ def test_observer_and_identity_perturbation_change_nothing():
             paper_config(n_items=10, n_retailers=4, seed=3)
         )
         if watched:
-            system.obs.event_subscribers.append(lambda *a: None)
+            system.obs.subscribe_fields(lambda *a: None)
             system.network.perturb = lambda msg, delay: delay
         run_closed(system, make_paper_trace(400, 3, n_items=10, n_retailers=4))
         stores = {

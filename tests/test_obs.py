@@ -30,6 +30,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.hub import EVENT_KINDS
 from repro.obs.spans import PAIR_ROOT, PAIR_ROUND
 from repro.workload import run_closed
 
@@ -404,11 +405,47 @@ class TestObservabilityHub:
         assert NULL_OBS.recorder.open_span("x", "s", 0.0) == NULL_ROW
 
     def test_null_obs_takes_no_subscriber(self):
-        """The shared hub's subscribers are an empty tuple: subscribing
-        raises instead of leaking one run's events into every run."""
+        """The shared hub's taps are empty tuples: subscribing raises
+        instead of leaking one run's events into every run."""
         with pytest.raises(AttributeError):
-            NULL_OBS.event_subscribers.append(lambda kind, now, fields: None)
-        assert NULL_OBS.event_subscribers == ()
+            NULL_OBS.subscribe("av.take", lambda now, site, item, amount: None)
+        with pytest.raises(AttributeError):
+            NULL_OBS.subscribe_fields(lambda kind, now, fields: None)
+        assert set(NULL_OBS.taps.values()) == {()}
+
+    def test_every_declared_event_kind_has_an_emit_site(self):
+        """Each kind of EVENT_KINDS is bound by an emitter in src/ (an
+        ``obs.tap("kind")`` call), and nothing else is."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        bound = set()
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "tap" and node.args
+                        and isinstance(node.args[0], ast.Constant)):
+                    bound.add(node.args[0].value)
+        assert bound == set(EVENT_KINDS)
+
+    def test_fields_adapter_rebuilds_the_declared_fields(self):
+        hub = Observability(enabled=False)
+        seen = []
+        detach = hub.subscribe_fields(
+            lambda kind, now, fields: seen.append((kind, now, fields)),
+            ["av.take"],
+        )
+        for fn in hub.tap("av.take"):
+            fn(2.0, "site1", "item0", 5.0)
+        detach()
+        detach()
+        assert hub.tap("av.take") == []
+        assert seen == [
+            ("av.take", 2.0, {"site": "site1", "item": "item0", "amount": 5.0})
+        ]
 
     def test_enabled_hub_records(self):
         hub = Observability()
@@ -1071,7 +1108,7 @@ def run_ops(recorder, eager, ops):
             armed.clear()
             raise RuntimeError("subscriber bug")
 
-    system.obs.event_subscribers.append(announce)
+    system.obs.subscribe_fields(announce)
     for site, item, delta, fault in ops:
         accel = system.sites[site].accelerator
         item = f"item{item}"

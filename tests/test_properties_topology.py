@@ -122,7 +122,7 @@ def _drive(topology, seed: int, n_updates: int):
                     f" outside {endpoint_name!r} interest set"
                 )
 
-    system.obs.event_subscribers.append(check_interest)
+    system.obs.subscribe_fields(check_interest)
 
     rngs = RngRegistry(seed + 1)
     workload = TopologyWorkload(

@@ -142,6 +142,27 @@ def test_campaign_clean_on_correct_protocol():
     assert "clean" in report.render()
 
 
+def test_campaign_sums_the_sent_kind_census_over_its_cases():
+    report = run_fuzz(root_seed=0, max_cases=8, n_ops=24, shards=2)
+    expected = {}
+    for index in range(8):
+        outcome = run_case(make_case(0, index, n_ops=24))
+        for kind, n in outcome.sent_kinds.items():
+            expected[kind] = expected.get(kind, 0) + n
+    assert report.sent_kinds == expected
+    assert expected.get("prop.push", 0) > 0
+    assert f"message kinds sent ({len(expected)})" in report.render()
+
+
+def test_sent_kind_census_stays_out_of_the_replay_digest():
+    outcome = run_case(make_case(0, 1, n_ops=24))
+    assert outcome.sent_kinds
+    assert "sent_kinds" not in outcome.canonical()
+    digest = outcome.digest()
+    outcome.sent_kinds = {}
+    assert outcome.digest() == digest
+
+
 def test_campaign_needs_a_bound():
     with pytest.raises(ValueError, match="budget"):
         run_fuzz(root_seed=0)

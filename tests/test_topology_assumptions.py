@@ -48,7 +48,7 @@ def _observe_items(system):
             if item is not None:
                 seen.append((msg.kind, msg.dst, item))
 
-    system.obs.event_subscribers.append(observer)
+    system.obs.subscribe_fields(observer)
     return seen
 
 
