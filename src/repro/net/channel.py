@@ -23,9 +23,14 @@ class Channel:
         self.delivered = 0
 
     def delivery_time(self, now: float, latency: float) -> float:
-        """Compute (and remember) the delivery time of the next message."""
-        if latency < 0:
-            raise ValueError(f"negative latency {latency}")
+        """Compute (and remember) the delivery time of the next message.
+
+        A negative or NaN ``latency`` raises :class:`ValueError`: a NaN
+        delivery time would also disable the FIFO clamp for good, since
+        every comparison with a NaN ``_last_delivery`` is false.
+        """
+        if not latency >= 0:
+            raise ValueError(f"negative or NaN latency {latency}")
         when = now + latency
         if self.fifo and when < self._last_delivery:
             when = self._last_delivery

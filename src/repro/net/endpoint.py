@@ -21,7 +21,7 @@ from typing import Any, Callable, Optional
 
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.sim.events import LATE, Event
+from repro.sim.events import _PENDING, LATE, Event
 
 Handler = Callable[[Message], Any]
 
@@ -132,21 +132,15 @@ class Endpoint:
         :class:`RequestTimeout` if no reply arrives in time — the caller
         handles it with ``try:/except RequestTimeout:`` around the yield.
         """
-        faults = self.network.faults
+        network = self.network
+        faults = network.faults
         if not faults.quiet and faults.is_crashed(self.name):
             raise CrashedEndpointError(f"{self.name} is crashed")
-        msg = Message(
-            src=self.name,
-            dst=dst,
-            kind=kind,
-            payload=payload,
-            tag=tag,
-            expects_reply=True,
-            msg_id=self.network.next_msg_id(),
-        )
+        msg_id = next(network._msg_ids)
+        msg = Message(self.name, dst, kind, payload, tag, msg_id, None, True)
         result = Event(self.env)
-        self._pending[msg.msg_id] = result
-        self.network.send(msg)
+        self._pending[msg_id] = result
+        network.send(msg)
 
         if timeout is not None:
             # The deadline runs at LATE priority so a reply delivered at
@@ -165,10 +159,11 @@ class Endpoint:
 
     def reply(self, to: Message, payload: Any = None) -> None:
         """Send the reply to a request message."""
-        faults = self.network.faults
+        network = self.network
+        faults = network.faults
         if not faults.quiet and faults.is_crashed(self.name):
             raise CrashedEndpointError(f"{self.name} is crashed")
-        self.network.send(
+        network.send(
             Message(
                 src=self.name,
                 dst=to.src,
@@ -176,7 +171,7 @@ class Endpoint:
                 payload=payload,
                 tag=to.tag,
                 reply_to=to.msg_id,
-                msg_id=self.network.next_msg_id(),
+                msg_id=next(network._msg_ids),
             )
         )
 
@@ -188,7 +183,7 @@ class Endpoint:
         reply_to = msg.reply_to
         if reply_to is not None:
             waiter = self._pending.pop(reply_to, None)
-            if waiter is not None and not waiter.triggered:
+            if waiter is not None and waiter._value is _PENDING:
                 waiter.succeed(msg.payload)
             return
 

@@ -84,6 +84,8 @@ class Network:
         self.rng = rng
         self.stats = NetworkStats()
         self.channels = ChannelTable(fifo=fifo)
+        # the table's own dict: a known pair costs one lookup per send
+        self._channels = self.channels._channels
         self.faults = faults if faults is not None else FaultInjector(rng=self.rng)
         self.perturb = perturb
         self.obs = obs
@@ -171,23 +173,26 @@ class Network:
         delay = self.latency.sample(msg.src, msg.dst, self.rng)
         if self.perturb is not None:
             delay = self.perturb(msg, delay)
-            if delay < 0:
-                raise ValueError(f"perturbation produced negative delay {delay}")
+            if not delay >= 0:
+                raise ValueError(
+                    f"perturbation produced negative or NaN delay {delay}"
+                )
         env = self.env
-        now = env.now
-        when = self.channels.get(msg.src, msg.dst).delivery_time(now, delay)
+        now = env._now
+        channel = self._channels.get((msg.src, msg.dst)) or self.channels.get(
+            msg.src, msg.dst
+        )
+        when = channel.delivery_time(now, delay)
 
         # A fresh Event is already ok; setting its value triggers it.
         delivery = Event(env)
-        delivery.callbacks.append(self._deliver_event)
+        delivery.callbacks.append(self._deliver)
         delivery._value = msg
         env.schedule(delivery, delay=when - now)
 
-    def _deliver_event(self, delivery: Event) -> None:
+    def _deliver(self, delivery: Event) -> None:
         """Callback of the delivery event, which carries the message."""
-        self._deliver(delivery._value)
-
-    def _deliver(self, msg: Message) -> None:
+        msg = delivery._value
         endpoint = self._endpoints.get(msg.dst)
         if endpoint is None:  # pragma: no cover - unregister race
             return

@@ -21,15 +21,11 @@ declared once with
   therefore carry a ``RequestTimeout`` fallback);
 * its accounting **tag** (the Fig. 6 message-count family).
 
-Two consumers:
-
-* the **protoflow static analyzer** (:mod:`repro.analysis.protoflow`)
-  checks the whole source tree against this registry — undeclared
-  kinds, schema drift, unpaired requests — so the registry can never
-  silently rot;
-* the planned **runtime-agnostic protocol core** (ROADMAP item 5) will
-  use the same registry as the wire contract the asyncio runtime is
-  verified against.
+The **protoflow static analyzer** (:mod:`repro.analysis.protoflow`)
+checks the whole source tree against this registry — undeclared kinds,
+schema drift, unpaired requests — so the registry can never silently
+rot. It would also be the wire contract of an asyncio runtime, which
+ROADMAP lists as parked.
 
 This module is intentionally dependency-free (stdlib only) so both
 ``net/`` and ``analysis/`` can import it without cycles. It is also the

@@ -5,22 +5,14 @@ ordered by ``(time, priority, sequence)`` — the sequence number makes the
 simulation fully deterministic: two runs with the same seed execute the same
 events in the same order and produce bit-identical traces.
 
-Two structures back the queue:
-
-* a binary heap for events scheduled into the future (``delay > 0``);
-* per-priority FIFO *buckets* for events scheduled at the current
-  timestamp (``delay == 0``) — the overwhelmingly common case (every
-  ``Event.succeed``, process resumption and zero-delay cascade), which
-  would otherwise churn the heap with O(log n) pushes and pops.
-
-Because the sequence number increases monotonically, appending a
-zero-delay event to its priority bucket preserves exactly the
-``(time, priority, sequence)`` order the heap would have produced:
-within one bucket FIFO order *is* sequence order, and :meth:`step`
-compares the candidate bucket head against the heap head by the full
-key before popping either. The fast path is therefore bit-identical to
-the pure-heap engine (property-tested in
-``tests/test_sim_engine_fastpath.py``).
+One binary heap of ``(time, priority, sequence, event)`` entries backs
+the queue, and :meth:`run` pops and dispatches every event in one
+loop; :meth:`step` is that loop limited to one event. The clock holds
+one float object per distinct time: a zero-delay event's key reuses
+it, and popping an event at the current time keeps it, so the
+timestamps a run stores (``finished_at``, belief times) share it rather
+than each holding a copy. Pop order is checked against a plain
+``heapq`` drain in ``tests/test_sim_engine_fastpath.py``.
 
 Example
 -------
@@ -38,14 +30,16 @@ Example
 from __future__ import annotations
 
 import gc
-from collections import deque
 from functools import wraps
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional, Union
 
 from repro.sim.errors import EmptySchedule, StopSimulation
-from repro.sim.events import AllOf, AnyOf, Event, LATE, NORMAL, URGENT, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, NORMAL, Timeout
 from repro.sim.process import Process, ProcessGenerator
+
+_INF = float("inf")
+
 
 def collect_young_after(fn: Callable) -> Callable:
     """Run ``fn`` with the cyclic collector off, then collect the young
@@ -91,15 +85,9 @@ class Environment:
         # Every scheduled event consumes one, so two queue keys can never
         # compare equal and tuple comparison can never fall through to
         # the Event objects (which define no ordering). Kept as a plain
-        # int (not itertools.count) so the invariant is explicit and the
-        # fast path can allocate inline.
+        # int (not itertools.count) so the invariant is explicit and
+        # ``schedule`` can allocate inline.
         self._eseq: int = 0
-        # Same-timestamp FIFO buckets, one per priority level, valid for
-        # time ``_bucket_time``. ``_bucket_count`` tracks total entries
-        # so emptiness checks stay O(1).
-        self._buckets: tuple[deque, deque, deque] = (deque(), deque(), deque())  # repro-lint: disable=unbounded-queue (same-timestamp staging only: drained to empty before the clock advances)
-        self._bucket_time: float = self._now
-        self._bucket_count: int = 0
         self._active_process: Optional[Process] = None
         #: Optional scheduling perturbation hook for schedule-space
         #: fuzzing (see :mod:`repro.testkit`). Called as
@@ -116,8 +104,8 @@ class Environment:
 
     #: Optional dispatch hook, installed by the repo benchmark's tracer
     #: (``benchmarks/e2e/tracer.py``) as its engine -> callback
-    #: boundary. When set, :meth:`step` delegates the callback loop to
-    #: ``profile_dispatch(event, callbacks)`` instead of running it
+    #: boundary. When set, the dispatch loop hands the callbacks to
+    #: ``profile_dispatch(event, callbacks)`` instead of running them
     #: inline, letting the tracer time each event without touching
     #: scheduling. Class-level on purpose: one assignment covers *every*
     #: environment in the process (experiments build several —
@@ -142,15 +130,10 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._bucket_count:
-            # Bucket entries live at the current timestamp, which never
-            # exceeds the heap minimum while buckets are non-empty.
-            return self._bucket_time
-        return self._queue[0][0] if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else _INF
 
     def __repr__(self) -> str:
-        queued = len(self._queue) + self._bucket_count
-        return f"<Environment now={self._now} queued={queued}>"
+        return f"<Environment now={self._now} queued={len(self._queue)}>"
 
     # ------------------------------------------------------------------ #
     # factories
@@ -185,87 +168,42 @@ class Environment:
     def schedule(
         self, event: Event, priority: int = NORMAL, delay: float = 0.0
     ) -> None:
-        """Queue ``event`` to be processed after ``delay`` time units."""
+        """Queue ``event`` to be processed after ``delay`` time units.
+
+        Raises :class:`ValueError` for a negative or NaN ``delay`` (NaN
+        compares false with everything, so it would pass a ``< 0`` test
+        and put a NaN key on the heap: the clock would run backwards).
+        """
         seq = self._eseq
         self._eseq = seq + 1
-        if delay == 0.0 and URGENT <= priority <= LATE:
-            # Same-timestamp fast path: the new key (now, priority, seq)
-            # is strictly greater than every already-queued key with the
-            # same (now, priority), so a FIFO append preserves heap
-            # order. Rebase the buckets lazily — they are provably empty
-            # whenever the clock has advanced past them (step() drains a
-            # bucket before the clock can move).
-            if not self._bucket_count:
-                self._bucket_time = self._now
-            self._buckets[priority].append((seq, event))
-            self._bucket_count += 1
+        if delay == 0.0:
+            # The clock's own float object, not a fresh ``now + 0.0``:
+            # every timestamp stored at this instant shares it.
+            heappush(self._queue, (self._now, priority, seq, event))
             return
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN delay {delay}")
         perturb = self.perturb
         if perturb is not None:
             delay = perturb(event, priority, delay)
-            if delay < 0:
-                raise ValueError(f"perturbation produced negative delay {delay}")
+            if not delay >= 0:
+                raise ValueError(
+                    f"perturbation produced negative or NaN delay {delay}"
+                )
         heappush(self._queue, (self._now + delay, priority, seq, event))
 
     def step(self) -> None:
-        """Process the single next event.
+        """Process the single next event: :meth:`run`'s dispatch loop,
+        limited to one event.
 
         Raises
         ------
         EmptySchedule
             If no events remain.
         """
-        event: Optional[Event] = None
-        queue = self._queue
-        if self._bucket_count:
-            buckets = self._buckets
-            if buckets[0]:
-                prio = 0
-            elif buckets[1]:
-                prio = 1
-            else:
-                prio = 2
-            bucket = buckets[prio]
-            btime = self._bucket_time
-            if queue:
-                # A heap entry can share the bucket timestamp (a timeout
-                # scheduled earlier that lands exactly now) — take
-                # whichever is smaller by the full (time, priority, seq)
-                # key so tie-breaking matches the pure-heap engine.
-                head = queue[0]
-                htime = head[0]
-                if htime < btime or (
-                    htime == btime
-                    and (head[1], head[2]) < (prio, bucket[0][0])
-                ):
-                    self._now, _, _, event = heappop(queue)
-            if event is None:
-                _, event = bucket.popleft()
-                self._bucket_count -= 1
-                self._now = btime
-        else:
-            try:
-                self._now, _, _, event = heappop(queue)
-            except IndexError:
-                raise EmptySchedule("no scheduled events") from None
-
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:  # pragma: no cover - double-schedule guard
-            return
-        dispatch = self.profile_dispatch
-        if dispatch is not None:
-            dispatch(event, callbacks)
-        else:
-            for callback in callbacks:
-                callback(event)
-        self.events_processed += 1
-
-        if not event._ok and not event.defused:
-            # Nobody handled this failure: crash the simulation loudly.
-            exc = event.value
-            raise exc
+        if not self._queue:
+            raise EmptySchedule("no scheduled events")
+        self._drain(_INF, True)
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
@@ -285,40 +223,66 @@ class Environment:
         -------
         The ``until`` event's value, if an event was given; else ``None``.
         """
-        stop_at: Optional[float] = None
-        if until is not None:
-            if isinstance(until, Event):
-                if until.callbacks is None:
-                    # Already processed.
-                    if until.ok:
-                        return until.value
-                    raise until.value
-                until.callbacks.append(_stop_simulation)
-            else:
-                stop_at = float(until)
-                if stop_at < self._now:
-                    raise ValueError(
-                        f"until ({stop_at}) must not be before now ({self._now})"
-                    )
+        stop_at = _INF
+        if isinstance(until, Event):
+            if until.callbacks is None:
+                # Already processed.
+                if until.ok:
+                    return until.value
+                raise until.value
+            until.callbacks.append(_stop_simulation)
+        elif until is not None:
+            stop_at = float(until)
+            if not stop_at >= self._now:
+                raise ValueError(
+                    f"until ({stop_at}) must not be before now ({self._now})"
+                )
 
         try:
-            step = self.step  # bound once: the loop body is one call
-            while self._queue or self._bucket_count:
-                if stop_at is not None and self.peek() > stop_at:
-                    break
-                step()
+            self._drain(stop_at, False)
         except StopSimulation as stop:
             return stop.args[0]
-        except EmptySchedule:  # pragma: no cover - guarded by while
-            pass
 
-        if stop_at is not None:
+        if isinstance(until, Event):
+            if not until.triggered:
+                raise RuntimeError(
+                    f"simulation ended but {until!r} was never triggered"
+                )
+        elif until is not None:
             self._now = stop_at
-        elif isinstance(until, Event) and not until.triggered:
-            raise RuntimeError(
-                f"simulation ended but {until!r} was never triggered"
-            )
         return None
+
+    def _drain(self, stop_at: float, once: bool) -> None:
+        """The dispatch loop: pop and process events in key order until
+        the queue is empty or the next one lies after ``stop_at`` (after
+        one event when ``once``)."""
+        queue = self._queue
+        dispatch = self.profile_dispatch
+        while queue:
+            now, priority, seq, event = heappop(queue)
+            if now > stop_at:
+                # Put it back: keys are unique, so the pop order of the
+                # heap's contents does not depend on its layout.
+                heappush(queue, (now, priority, seq, event))
+                return
+            if now != self._now:
+                # The clock changes object only when it advances, so
+                # events popped at one time share one float: every
+                # timestamp stored from the clock holds no copy.
+                self._now = now
+            callbacks, event.callbacks = event.callbacks, None
+            if callbacks is not None:  # else: a double-schedule, skipped
+                if dispatch is None:
+                    for callback in callbacks:
+                        callback(event)
+                else:
+                    dispatch(event, callbacks)
+                self.events_processed += 1
+                if not event._ok and not event._defused:
+                    # Nobody handled this failure: crash the run loudly.
+                    raise event._value
+            if once:
+                return
 
 
 def _stop_simulation(event: Event) -> None:

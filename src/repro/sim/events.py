@@ -123,8 +123,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN delay {delay}")
         super().__init__(env)
         self.delay = delay
         self._ok = True

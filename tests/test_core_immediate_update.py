@@ -1,11 +1,15 @@
 """Behavioural tests for the Immediate Update (primary-copy) protocol."""
 
+import gc
 import hashlib
+import sys
 from collections import Counter
 
 import pytest
 
 from repro.cluster import DistributedSystem, build_paper_system, paper_config
+from repro.cluster.catalog import item_ids
+from repro.cluster.topology import Topology
 from repro.core import UpdateKind, UpdateOutcome
 from repro.db.locks import LockManager
 from repro.experiments.fig6 import make_paper_trace
@@ -151,6 +155,48 @@ class TestContention:
             len(site.accelerator.txns.wal) for site in system.sites.values()
         ) == 5319
         assert len(waits) == 101
+
+    def test_open_loop_2pc_python_calls_are_pinned(self):
+        """The same 600-update run, counted in Python calls: every
+        ``sys.setprofile`` "call" event around ``run_open``. An exact,
+        host-independent count of the work the kernel and the transport
+        do per update (the same under any ``PYTHONHASHSEED``).
+
+        The kernel with same-timestamp FIFO buckets made 196 616 calls
+        here: one ``Environment.step`` per event, a delivery trampoline
+        and a channel-table call per message, a ``next_msg_id`` call per
+        request and reply. A rise means per-event or per-message work
+        came back; a fall is a change to re-pin with a CHANGES.md note.
+        """
+        # A fresh layout, not the one paper_config shares per shape: its
+        # sites cache their peer lists on first use, so a shared one
+        # would count fewer calls after any earlier run of this shape.
+        system = DistributedSystem.build(paper_config(
+            n_items=10, n_retailers=2, regular_fraction=0.0, seed=0,
+            topology=Topology.paper(2, item_ids(10)),
+        ))
+        streams = split_by_site(make_paper_trace(600, 0, n_items=10, n_retailers=2))
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        # A cyclic collection would finalise whatever suspended
+        # generators the process left behind, inside the count, at a
+        # point set by everything allocated before this test.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        sys.setprofile(count)
+        try:
+            run_open(system, streams, interarrival=0.5)
+        finally:
+            sys.setprofile(None)
+            if gc_was_enabled:
+                gc.enable()
+        assert system.env.events_processed == 13689
+        assert calls == 159783
 
     def test_interleaved_with_racing_aborts(self, system):
         """Overdraw races: exactly the affordable prefix commits."""

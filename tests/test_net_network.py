@@ -356,3 +356,38 @@ def test_observer_and_identity_perturbation_change_nothing():
     assert list(watched_stats.by_site_tag.items()) == list(
         stats.by_site_tag.items()
     )
+
+
+class ScriptedLatency:
+    """Latency model returning the given delays in turn."""
+
+    def __init__(self, *delays):
+        self.delays = list(delays)
+
+    def sample(self, src, dst, rng):
+        return self.delays.pop(0)
+
+
+def test_nan_latency_rejected_and_fifo_clamp_kept():
+    """A NaN latency used to be scheduled (``nan < 0`` is false) and
+    left the channel's last delivery time NaN, which turned its FIFO
+    clamp off for good: every later ``when < nan`` test is false."""
+    env, net = make_net(ScriptedLatency(5.0, float("nan"), 1.0))
+    a, b = net.endpoint("a"), net.endpoint("b")
+    got = []
+    b.on("ping", lambda msg: got.append((env.now, msg.payload)))
+    a.send("b", "ping", 1)
+    with pytest.raises(ValueError, match="NaN"):
+        a.send("b", "ping", 2)
+    a.send("b", "ping", 3)  # 1 tick, clamped behind the first
+    env.run()
+    assert got == [(5.0, 1), (5.0, 3)]
+
+
+def test_nan_delivery_perturbation_rejected():
+    env, net = make_net(perturb=lambda msg, delay: float("nan"))
+    a, b = net.endpoint("a"), net.endpoint("b")
+    b.on("ping", lambda msg: None)
+    with pytest.raises(ValueError, match="NaN"):
+        a.send("b", "ping")
+    assert env.peek() == float("inf")

@@ -91,6 +91,53 @@ def test_negative_delay_rejected():
         env.schedule(Event(env), delay=-0.5)
 
 
+NAN = float("nan")
+
+
+def test_nan_delay_rejected():
+    """NaN passes a ``delay < 0`` test (every comparison with it is
+    false); queued, it broke the heap's order and the clock ran
+    backwards: processes waiting ``timeout(5)``, ``timeout(nan)``,
+    ``timeout(1)``, ``timeout(2)`` and ``timeout(3)``, started in that
+    order, logged the clock as ``1.0, 3.0, 2.0, nan, 5.0``."""
+    env = Environment()
+    with pytest.raises(ValueError, match="NaN"):
+        env.timeout(NAN)
+    with pytest.raises(ValueError, match="NaN"):
+        env.schedule(Event(env), delay=NAN)
+    assert env.peek() == float("inf")  # nothing was queued
+    clock = []
+
+    def waiter(delay):
+        yield env.timeout(delay)
+        clock.append(env.now)
+
+    for delay in (5, 1, 2, 3):
+        env.process(waiter(delay))
+    env.run()
+    assert clock == [1, 2, 3, 5]
+
+
+def test_perturbation_producing_nan_rejected():
+    env = Environment()
+    env.perturb = lambda event, priority, delay: NAN
+    with pytest.raises(ValueError, match="NaN"):
+        env.schedule(Event(env), delay=1.0)
+    assert env.peek() == float("inf")
+    env.schedule(Event(env), delay=0.0)  # zero-delay events are exempt
+    env.run()
+    assert env.now == 0.0
+
+
+def test_run_until_nan_rejected():
+    env = Environment()
+    env.timeout(1)
+    with pytest.raises(ValueError):
+        env.run(until=NAN)
+    env.run()
+    assert env.now == 1
+
+
 def test_events_fire_in_time_order():
     env = Environment()
     order = []

@@ -1,25 +1,29 @@
-"""Differential tests for the same-timestamp FIFO fast path.
+"""Differential tests for the kernel's event queue.
 
-The optimized :class:`~repro.sim.engine.Environment` routes zero-delay
-events through per-priority FIFO buckets instead of the heap. These
-tests pin down its headline claim — the fast path is **bit-identical**
-to the pure-heap engine — by driving both through identical randomly
-generated schedules (seeded ``random.Random``; the workloads here model
-adversarial schedules, not simulation randomness) and comparing the
-complete pop order, tie-breaking included.
+:class:`~repro.sim.engine.Environment` keeps one ``(time, priority,
+sequence, event)`` heap and pops and dispatches from one loop. These
+tests pin its pop order against an independent reference, a plain
+``heapq`` that the test drains itself, by driving both through
+identical randomly generated schedules (seeded ``random.Random``; the
+workloads here model adversarial schedules, not simulation randomness)
+and comparing the complete pop order, tie-breaking included, under
+every way of running the engine: ``run()``, ``run(until=<number>)``,
+``run(until=<event>)``, repeated ``step()`` and a pass-through
+``profile_dispatch``.
 
 Also here: regression tests for the seq-uniqueness invariant (queue
 keys must never compare equal, because tuple comparison would then fall
-through to the :class:`Event` objects, which define no ordering), and
-for ``Environment.profile_dispatch``, the class-wide hook the repo
-benchmark's tracer installs as its engine boundary: a pass-through hook
-must leave every run exactly as it was.
+through to the :class:`Event` objects, which define no ordering), for
+``Environment.profile_dispatch``, the class-wide hook the repo
+benchmark's tracer installs as its engine boundary (a pass-through hook
+must leave every run exactly as it was), and a memory guard: zero-delay
+keys reuse the clock's own float object.
 """
 
 import itertools
 import random
 from contextlib import contextmanager
-from heapq import heappush
+from heapq import heappop, heappush
 
 import pytest
 
@@ -29,38 +33,47 @@ from repro.sim.events import Event, LATE, NORMAL, URGENT
 
 PRIORITIES = (URGENT, NORMAL, LATE)
 
-# Heavily weighted toward 0.0 (the fast path) with a few positive
-# delays from a small lattice so heap events frequently land exactly on
-# a bucket timestamp — the tie the full-key comparison must get right.
+# Heavily weighted toward 0.0 (same-timestamp cascades, the dominant
+# pattern in the real system) with a few positive delays from a small
+# lattice so that events scheduled at different times frequently land on
+# one timestamp: the ties the (time, priority, seq) key must break.
 DELAY_CHOICES = (0.0, 0.0, 0.0, 0.0, 0.25, 0.5, 1.0, 1.0)
 
 
-class HeapqEnvironment(Environment):
-    """Reference engine: the seed's pure-heap ``schedule``.
+class HeapqReference:
+    """Reference queue: a plain ``heapq`` of ``(time, priority, seq,
+    fire)`` entries that the test pops itself. It shares nothing with
+    the engine but the key definition."""
 
-    Inherits everything else — ``step`` never touches the buckets when
-    they are empty, so with every event heap-routed this is exactly the
-    pre-optimization engine, while sharing the seq-allocation behaviour
-    of the subject engine.
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._seq = itertools.count()
+
+    def schedule(self, fire, priority, delay):
+        heappush(self._heap, (self.now + delay, priority, next(self._seq), fire))
+
+    def peek(self):
+        return self._heap[0][0] if self._heap else float("inf")
+
+    def step(self):
+        self.now, _, _, fire = heappop(self._heap)
+        fire()
+
+    def drain(self):
+        while self._heap:
+            self.step()
+
+
+def random_schedule(seed, now, schedule, n_roots=24, max_depth=4):
+    """Seed a cascade workload onto a queue given as ``now()`` and
+    ``schedule(fire, priority, delay)``.
+
+    Returns the execution trace ``[(event_id, time), ...]``, which fills
+    as the queue fires events. Each fired event may schedule further
+    events; event ids follow schedule order, so the roots are
+    ``0 .. n_roots - 1``.
     """
-
-    def schedule(self, event, priority=NORMAL, delay=0.0):
-        seq = self._eseq
-        self._eseq = seq + 1
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        heappush(self._queue, (self._now + delay, priority, seq, event))
-
-
-def run_random_schedule(env_cls, seed, n_roots=24, max_depth=4):
-    """Drive ``env_cls`` through a seeded random cascade workload.
-
-    Returns the full execution trace ``[(event_id, time), ...]``. Each
-    executed event may schedule further events (mostly zero-delay, the
-    dominant pattern in the real system); delays are drawn from a small
-    lattice so distinct scheduling sites collide on the same timestamp.
-    """
-    env = env_cls()
     rng = random.Random(seed)
     ids = itertools.count()
     trace = []
@@ -68,20 +81,46 @@ def run_random_schedule(env_cls, seed, n_roots=24, max_depth=4):
     def spawn(depth):
         eid = next(ids)
 
-        def fire(event, eid=eid, depth=depth):
-            trace.append((eid, env.now))
+        def fire():
+            trace.append((eid, now()))
             if depth < max_depth:
                 for _ in range(rng.randrange(0, 4)):
-                    child, prio, delay = spawn(depth + 1)
-                    env.schedule(child, priority=prio, delay=delay)
+                    spawn(depth + 1)
 
-        event = Event(env)
-        event.callbacks.append(fire)
-        return event, rng.choice(PRIORITIES), rng.choice(DELAY_CHOICES)
+        schedule(fire, rng.choice(PRIORITIES), rng.choice(DELAY_CHOICES))
 
     for _ in range(n_roots):
-        root, prio, delay = spawn(0)
-        env.schedule(root, priority=prio, delay=delay)
+        spawn(0)
+    return trace
+
+
+def reference_trace(seed):
+    ref = HeapqReference()
+    trace = random_schedule(seed, lambda: ref.now, ref.schedule)
+    ref.drain()
+    return trace
+
+
+def engine_schedule(seed):
+    """The workload of ``seed`` on a fresh engine: ``(env, trace,
+    events)``, with ``events[eid]`` the kernel event of ``eid``."""
+    env = Environment()
+    events = []
+
+    def schedule(fire, priority, delay):
+        event = Event(env)
+        event._value = len(events)  # triggered, with its eid as value
+        event.callbacks.append(lambda _e: fire())
+        env.schedule(event, priority=priority, delay=delay)
+        events.append(event)
+
+    trace = random_schedule(seed, lambda: env.now, schedule)
+    return env, trace, events
+
+
+def run_random_schedule(seed):
+    """The engine's trace of the workload of ``seed`` under ``run()``."""
+    env, trace, _ = engine_schedule(seed)
     env.run()
     return trace
 
@@ -89,35 +128,111 @@ def run_random_schedule(env_cls, seed, n_roots=24, max_depth=4):
 @pytest.mark.parametrize("seed", range(25))
 def test_fastpath_identical_to_heapq_reference(seed):
     """Property: identical pop order (ids *and* timestamps) per seed."""
-    fast = run_random_schedule(Environment, seed)
-    reference = run_random_schedule(HeapqEnvironment, seed)
-    assert fast == reference
-    assert len(fast) > 0
+    trace = run_random_schedule(seed)
+    assert trace == reference_trace(seed)
+    assert len(trace) > 0
+
+
+def run_until_number(env, trace, events):
+    until = 1.0  # on the delay lattice: events land exactly on it
+    env.run(until=until)
+    assert env.now == until
+    split = len(trace)
+    env.run()
+    assert all(t <= until for _, t in trace[:split])
+    assert all(t > until for _, t in trace[split:])
+
+
+def run_until_event(env, trace, events):
+    target = events[12]  # a root, so it exists before the run starts
+    assert env.run(until=target) == 12
+    assert trace[-1][0] == 12
+    env.run()
+
+
+def run_by_steps(env, trace, events):
+    while True:
+        try:
+            env.step()
+        except EmptySchedule:
+            break
+
+
+def run_with_dispatch_hook(env, trace, events):
+    with dispatch_hook(RecordingDispatch()) as hook:
+        env.run()
+    assert len(hook.calls) == env.events_processed == len(trace)
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [run_until_number, run_until_event, run_by_steps, run_with_dispatch_hook],
+)
+@pytest.mark.parametrize("seed", range(5))
+def test_every_run_mode_pops_in_reference_order(drive, seed):
+    env, trace, events = engine_schedule(seed)
+    drive(env, trace, events)
+    assert trace == reference_trace(seed)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_fastpath_peek_matches_reference(seed):
     """``peek`` agrees with the reference at every step of a run."""
+    env, ref = Environment(), HeapqReference()
+    rng = random.Random(seed)
+    for _ in range(100):
+        priority, delay = rng.choice(PRIORITIES), rng.choice(DELAY_CHOICES)
+        env.schedule(Event(env), priority=priority, delay=delay)
+        ref.schedule(lambda: None, priority, delay)
+    while True:
+        assert env.peek() == ref.peek()
+        try:
+            env.step()
+        except EmptySchedule:
+            break
+        ref.step()
+    assert ref.peek() == float("inf")
 
-    def peeks(env_cls):
-        env = env_cls()
-        rng = random.Random(seed)
-        for _ in range(100):
-            env.schedule(
-                Event(env),
-                priority=rng.choice(PRIORITIES),
-                delay=rng.choice(DELAY_CHOICES),
-            )
-        seen = []
-        while True:
-            seen.append(env.peek())
-            try:
-                env.step()
-            except EmptySchedule:
-                break
-        return seen
 
-    assert peeks(Environment) == peeks(HeapqEnvironment)
+def test_zero_delay_keys_share_the_clock_float():
+    """10 000 zero-delay events at one timestamp leave ``env.now`` one
+    float object. A key built as ``now + 0.0`` would give each event,
+    and every timestamp a run stores from it, its own copy."""
+    env = Environment()
+    seen = []
+
+    def burst(_event):
+        for _ in range(10_000):
+            event = Event(env)
+            event.callbacks.append(lambda _e: seen.append(env.now))
+            env.schedule(event)
+
+    start = Event(env)
+    start.callbacks.append(burst)
+    env.schedule(start, delay=1.5)
+    env.run()
+    assert len(seen) == 10_000
+    assert all(now is seen[0] for now in seen)
+    assert env.now is seen[0]
+
+
+def test_events_popped_at_one_time_share_the_clock_float():
+    """Timeouts set at different times that land on one time (each key
+    a fresh float) leave the clock one float object while it stays
+    there."""
+    env = Environment()
+    seen = []
+
+    def waiter(start, delay):
+        yield env.timeout(start)
+        yield env.timeout(delay)
+        seen.append(env.now)
+
+    for start, delay in ((0.0, 1.5), (0.5, 1.0), (1.0, 0.5), (1.25, 0.25)):
+        env.process(waiter(start, delay))
+    env.run()
+    assert seen == [1.5] * 4
+    assert all(now is seen[0] for now in seen)
 
 
 def test_zero_delay_fifo_order_within_priority():
@@ -147,9 +262,11 @@ def test_priorities_interleave_like_heap_at_same_timestamp():
 
 
 def test_heap_event_beats_bucket_event_on_equal_time_and_priority():
-    """A heap entry landing exactly on the bucket timestamp, with equal
-    priority, must win iff its seq is lower — the exact tie the fast
-    path's full-key comparison exists for."""
+    """An event scheduled earlier with a delay that lands exactly on
+    the current timestamp, with equal priority, must pop before a
+    zero-delay event scheduled at that timestamp: the full
+    (time, priority, seq) key decides, and its seq is lower. (Named
+    after the same-timestamp buckets this once checked against.)"""
     env = Environment()
     trace = []
 
@@ -162,9 +279,9 @@ def test_heap_event_beats_bucket_event_on_equal_time_and_priority():
     env.schedule(tagged("heap"), priority=NORMAL, delay=1.0)
 
     def at_t1(_event):
-        # Now at t=1.0: this zero-delay event enters the bucket with a
-        # *higher* seq than the pending heap entry at the same key
-        # prefix (1.0, NORMAL) — heap entry must pop first.
+        # Now at t=1.0: this zero-delay event gets a *higher* seq than
+        # the pending entry with the same key prefix (1.0, NORMAL),
+        # which must pop first.
         env.schedule(tagged("bucket"), priority=NORMAL, delay=0.0)
 
     starter = Event(env)
@@ -293,9 +410,9 @@ def test_dispatch_hook_runs_each_callback_once_in_order(seed):
     for event, callbacks in hook.calls:
         assert callbacks == attached[id(event)]
     # a cascading workload pops in the same order under the hook
-    plain = run_random_schedule(Environment, seed)
+    plain = run_random_schedule(seed)
     with dispatch_hook(RecordingDispatch()):
-        assert run_random_schedule(Environment, seed) == plain
+        assert run_random_schedule(seed) == plain
 
 
 def test_dispatch_hook_leaves_fig6_result_identical():
