@@ -62,9 +62,7 @@ class CentralClient:
         return self.endpoint.crashed
 
     def _handle_replicate(self, msg) -> None:
-        self.store.apply_delta(
-            msg.payload["item"], msg.payload["delta"], now=self.env.now, force=True
-        )
+        self.store.apply_delta(msg.payload["item"], msg.payload["delta"], force=True)
 
     def update(self, item: str, delta: float) -> Process:
         req = UpdateRequest(
@@ -115,9 +113,7 @@ class CentralServer:
         self.system = system
         self.endpoint = endpoint
         self.store = Store(CENTER)
-        self.txns = TransactionManager(
-            self.store, clock=lambda: endpoint.env.now
-        )
+        self.txns = TransactionManager(self.store)
         endpoint.on("central.update", self._handle_update)
 
     def _handle_update(self, msg) -> dict:

@@ -131,8 +131,12 @@ class SystemConfig:
             )
         if not 0.0 <= self.av_fraction <= 1.0:
             raise ValueError(f"av_fraction {self.av_fraction} not in [0, 1]")
-        if self.latency_mean < 0:
-            raise ValueError("negative latency")
+        if not self.latency_mean >= 0:
+            raise ValueError(f"negative or NaN latency_mean {self.latency_mean}")
+        if self.request_timeout is not None and not self.request_timeout > 0:
+            raise ValueError(
+                f"request_timeout {self.request_timeout} is not positive"
+            )
 
     @property
     def n_sites(self) -> int:

@@ -111,9 +111,7 @@ class Site:
         in_doubt = frozenset(
             txn.txn_id for txn, _item in accel.immediate._pending.values()
         )
-        report = recover(
-            self.store, accel.txns.wal, now=self.env.now, exclude=in_doubt
-        )
+        report = recover(self.store, accel.txns.wal, exclude=in_doubt)
         if accel.overload is not None:
             # Our peer-degradation map is stale by a whole outage; ask
             # every live peer where it stands before steering AV asks.

@@ -242,7 +242,6 @@ class Topology:
         for item, names in holders.items():
             key = tuple(names)
             self._sites_for[item] = shared.setdefault(key, key)
-        self._views: Dict[str, InterestView] = {}
 
     # ------------------------------------------------------------- #
     # tree walks
@@ -306,12 +305,10 @@ class Topology:
         return self._sites_for[item]
 
     def view(self, name: str) -> InterestView:
-        """The per-site view the accelerator consumes (cached)."""
-        view = self._views.get(name)
-        if view is None:
-            view = InterestView(self, name)
-            self._views[name] = view
-        return view
+        """A fresh per-site view for one accelerator. Views cache their
+        peer lists, and configs of one shape share a topology, so a
+        shared view would carry one run's caches into the next."""
+        return InterestView(self, name)
 
     # ------------------------------------------------------------- #
     # serialisation

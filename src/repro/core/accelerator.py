@@ -41,9 +41,6 @@ from repro.obs.spans import NULL_ROW, PAIR_ROOT, update_trace
 from repro.sim.events import Event
 from repro.sim.process import Process
 
-#: the ``av.checking`` row values of an update routed to Delay
-_DELAY_VERDICT = (UpdateKind.DELAY.value,)
-
 
 class Accelerator:
     """Per-site protocol engine.
@@ -123,7 +120,7 @@ class Accelerator:
         self.av_table = AVTable(self.site, obs=self.obs, clock=clock)
         self.beliefs = BeliefTable(self.site)
         self.locks = LockManager(self.env, self.site, obs=self.obs)
-        self.txns = TransactionManager(store, clock=clock)
+        self.txns = TransactionManager(store)
         self.strategy = strategy if strategy is not None else BelievedRichestStrategy()
         self.policy = policy if policy is not None else Soda99Policy()
         if rng is None:
@@ -304,9 +301,8 @@ class Accelerator:
 
         Nothing here waits, so the span tree needs no handles: its ids
         are reserved at once and :meth:`DelayUpdateProtocol.local`
-        writes it as one record. Where the span cap would cut it, it is
-        written as rows, each ending when it starts. A body that raises
-        leaves the root open, as :meth:`_run`'s would stay."""
+        writes it as one record. A body that raises leaves the root
+        open, as :meth:`_run`'s would stay."""
         env = self.env
         done = Event(env)
         rec = self.obs.recorder
@@ -316,15 +312,8 @@ class Accelerator:
         try:
             if rec.enabled:
                 tree = rec.open_tree(self.propagate and req.delta != 0)
-                if not tree:
-                    root = rec.open_row(
-                        None, update_trace(req.site, req.request_id)
-                    )
-                    rec.write_row(rec.open_row(root), "av.checking",
-                                  self.site, now, now, ("verdict",),
-                                  _DELAY_VERDICT)
             try:
-                result = self.delay.local(req, root, tree)
+                result = self.delay.local(req, tree=tree)
             except BaseException as exc:
                 if tree:  # local() broke the tree into rows, but its root
                     root = (update_trace(req.site, req.request_id), tree, None)

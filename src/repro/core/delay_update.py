@@ -127,8 +127,8 @@ class DelayUpdateProtocol:
         spend local AV that covers a decrease, then apply and propagate.
         Never suspends. Returns ``None``, having changed nothing, when
         local AV falls short of the decrease. ``parent`` is the update's
-        root span, a handle or a row (``None`` when unobserved, or when
-        ``tree`` is given).
+        root span's row (``None`` when unobserved, or when ``tree`` is
+        given).
 
         ``tree`` is the root id of the update's span tree, reserved by
         :meth:`~repro.obs.spans.SpanRecorder.open_tree`. The steps then
@@ -585,13 +585,13 @@ class DelayUpdateProtocol:
         item, delta = msg.payload["item"], msg.payload["delta"]
         if not rec.enabled:
             # force: replicas may transiently dip negative (module docs).
-            accel.store.apply_delta(item, delta, now=accel.now, force=True)
+            accel.store.apply_delta(item, delta, force=True)
             return
         ctx = msg.payload.get("_obs")
         row = rec.open_row(ctx["span"], ctx["trace"]) if ctx else rec.open_row()
         now = accel.now
         try:
-            accel.store.apply_delta(item, delta, now=now, force=True)
+            accel.store.apply_delta(item, delta, force=True)
         except BaseException:
             rec.keep_open(row, "prop.apply", accel.site, now,
                           ("item", "delta", "src"), (item, delta, msg.src))

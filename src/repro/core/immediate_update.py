@@ -470,7 +470,7 @@ class ImmediateUpdateProtocol:
                 return applied  # nobody reachable; stay stale for now
             for item, value in reply["values"].items():
                 if item in missing and not accel.av_table.defined(item):
-                    accel.store.set_value(item, value, now=accel.now)
+                    accel.store.set_value(item, value)
                     missing.discard(item)
                     applied += 1
             if missing:

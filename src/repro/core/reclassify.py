@@ -194,7 +194,7 @@ class ReclassificationProtocol:
         ]
         yield accel.env.all_of(acks)
         accel.av_table.undefine(item)
-        accel.store.set_value(item, true_value, now=accel.now)
+        accel.store.set_value(item, true_value)
         accel.unfreeze(item)
         accel.locks.release(item, token)
         if rec.enabled:
@@ -264,7 +264,7 @@ class ReclassificationProtocol:
         if accel.av_table.defined(item):
             accel.av_table.undefine(item)
         accel.clear_owed_item(item)  # superseded by the installed value
-        accel.store.set_value(item, msg.payload["value"], now=accel.now)
+        accel.store.set_value(item, msg.payload["value"])
         accel.unfreeze(item)
         accel.locks.release(item, msg.payload["token"])
         if rec.enabled:

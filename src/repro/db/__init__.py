@@ -1,4 +1,4 @@
-"""Per-site transactional store: records, locks, WAL, transactions, recovery."""
+"""Per-site transactional store: values, locks, WAL, transactions, recovery."""
 
 from repro.db.errors import (
     DatabaseError,
@@ -12,7 +12,6 @@ from repro.db.errors import (
     UnknownItem,
 )
 from repro.db.locks import LockManager, LockMode
-from repro.db.record import Record
 from repro.db.recovery import RecoveryReport, recover
 from repro.db.storage import Store
 from repro.db.transaction import Transaction, TransactionManager, TxnState
@@ -26,7 +25,6 @@ __all__ = [
     "LockMode",
     "LockUpgradeError",
     "NegativeValue",
-    "Record",
     "RecoveryReport",
     "Store",
     "Transaction",

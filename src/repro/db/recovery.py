@@ -30,7 +30,6 @@ class RecoveryReport:
 def recover(
     store: Store,
     wal: WriteAheadLog,
-    now: float = 0.0,
     exclude: frozenset = frozenset(),
 ) -> RecoveryReport:
     """Undo all in-flight transactions recorded in ``wal``.
@@ -51,7 +50,7 @@ def recover(
     for entry in reversed(list(wal)):
         if entry.op is WalOp.DELTA and entry.txn_id in in_flight:
             assert entry.item is not None
-            store.apply_delta(entry.item, -entry.delta, now=now, force=True)
+            store.apply_delta(entry.item, -entry.delta, force=True)
             report.compensations_applied += 1
 
     for txn_id in sorted(in_flight):

@@ -2,11 +2,7 @@
 
 A thin, well-checked ``{item: value}`` dictionary. All protocol layers
 mutate values exclusively through :meth:`apply_delta` /
-:meth:`set_value` so non-negativity stays enforced in one place. Each
-mutation also counts a per-item version and stamps its simulation time.
-Those two are diagnostics nothing in the protocol reads, so a store keeps
-them only for items mutated (or inserted at a time other than 0) and
-:meth:`Store.record` reports them as a :class:`~repro.db.record.Record`.
+:meth:`set_value` so non-negativity stays enforced in one place.
 """
 
 from __future__ import annotations
@@ -14,7 +10,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 from repro.db.errors import DuplicateItem, NegativeValue, UnknownItem
-from repro.db.record import Record
 
 
 class Store:
@@ -34,25 +29,18 @@ class Store:
         self.name = name
         self.allow_negative = allow_negative
         self._values: Dict[str, float] = {}
-        #: item -> (version, updated_at); absent = (0, 0.0)
-        self._stamps: Dict[str, Tuple[int, float]] = {}
-        #: mutation counter across all items (diagnostic)
-        self.mutations = 0
 
     # ---------------------------------------------------------------- #
     # schema
     # ---------------------------------------------------------------- #
 
-    def insert(self, item: str, value: float, now: float = 0.0) -> Record:
-        """Create a new item; the id must be fresh. Returns its record."""
+    def insert(self, item: str, value: float) -> None:
+        """Create a new item; the id must be fresh."""
         self.insert_many({item: value})
-        if now:
-            self._stamps[item] = (0, now)
-        return Record(item, value, version=0, updated_at=now)
 
     def insert_many(self, values: Mapping[str, float]) -> None:
-        """Create every item of ``values`` at version 0, time 0, in its
-        order; all or nothing. Every id must be fresh."""
+        """Create every item of ``values`` in its order; all or nothing.
+        Every id must be fresh."""
         own = self._values
         if not own.keys().isdisjoint(values):
             item = next(i for i in values if i in own)
@@ -66,20 +54,10 @@ class Store:
         if item not in self._values:
             raise UnknownItem(item)
         del self._values[item]
-        self._stamps.pop(item, None)
 
     # ---------------------------------------------------------------- #
     # access
     # ---------------------------------------------------------------- #
-
-    def record(self, item: str) -> Record:
-        """A copy of ``item``'s value, version and last-mutation time."""
-        try:
-            value = self._values[item]
-        except KeyError:
-            raise UnknownItem(item) from None
-        version, updated_at = self._stamps.get(item, (0, 0.0))
-        return Record(item, value, version, updated_at)
 
     def value(self, item: str) -> float:
         try:
@@ -104,9 +82,7 @@ class Store:
     # mutation
     # ---------------------------------------------------------------- #
 
-    def apply_delta(
-        self, item: str, delta: float, now: float = 0.0, force: bool = False
-    ) -> float:
+    def apply_delta(self, item: str, delta: float, force: bool = False) -> float:
         """Add ``delta`` to an item's value; returns the new value.
 
         ``force=True`` bypasses the non-negativity check. Replication of
@@ -122,15 +98,11 @@ class Store:
             raise UnknownItem(item) from None
         if not force and not self.allow_negative and value + delta < 0:
             raise NegativeValue(item, value, delta)
-        self.mutations += 1
         value += delta
         values[item] = value
-        stamps = self._stamps
-        stamp = stamps.get(item)
-        stamps[item] = (1 if stamp is None else stamp[0] + 1, now)
         return value
 
-    def set_value(self, item: str, value: float, now: float = 0.0) -> None:
+    def set_value(self, item: str, value: float) -> None:
         """Overwrite an item's value (replication/recovery path)."""
         try:
             old = self._values[item]
@@ -138,10 +110,7 @@ class Store:
             raise UnknownItem(item) from None
         if not self.allow_negative and value < 0:
             raise NegativeValue(item, old, value - old)
-        self.mutations += 1
         self._values[item] = value
-        stamp = self._stamps.get(item)
-        self._stamps[item] = (1 if stamp is None else stamp[0] + 1, now)
 
     # ---------------------------------------------------------------- #
     # bulk views
@@ -156,4 +125,4 @@ class Store:
         return sum(self._values.values())
 
     def __repr__(self) -> str:
-        return f"<Store {self.name!r} items={len(self._values)} mutations={self.mutations}>"
+        return f"<Store {self.name!r} items={len(self._values)}>"

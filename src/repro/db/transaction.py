@@ -37,13 +37,11 @@ class Transaction:
         txn_id: int,
         store: Store,
         wal: WriteAheadLog,
-        clock: Callable[[], float],
         on_finish: Optional[Callable[["Transaction"], None]] = None,
     ) -> None:
         self.txn_id = txn_id
         self.store = store
         self.wal = wal
-        self._clock = clock
         self._on_finish = on_finish
         self.state = TxnState.ACTIVE
         #: (item, delta) pairs applied so far, in order
@@ -64,7 +62,7 @@ class Transaction:
         self._check_active()
         # WAL first (write-ahead), then the store mutation.
         self.wal.log_delta(self.txn_id, item, delta)
-        value = self.store.apply_delta(item, delta, now=self._clock(), force=force)
+        value = self.store.apply_delta(item, delta, force=force)
         self.deltas.append((item, delta))
         return value
 
@@ -86,7 +84,7 @@ class Transaction:
             self.wal.log_delta(self.txn_id, item, -delta)
             # Compensation must always succeed: it restores committed
             # state, so the negativity guard does not apply.
-            self.store.apply_delta(item, -delta, now=self._clock(), force=True)
+            self.store.apply_delta(item, -delta, force=True)
         self.wal.log_abort(self.txn_id)
         self.state = TxnState.ABORTED
         if self._on_finish is not None:
@@ -103,11 +101,9 @@ class TransactionManager:
         self,
         store: Store,
         wal: Optional[WriteAheadLog] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.store = store
         self.wal = wal if wal is not None else WriteAheadLog(f"{store.name}.wal")
-        self._clock = clock if clock is not None else (lambda: 0.0)
         self._ids = count(1)
         self.begun = 0
         self.committed = 0
@@ -115,9 +111,7 @@ class TransactionManager:
 
     def begin(self) -> Transaction:
         self.begun += 1
-        return Transaction(
-            next(self._ids), self.store, self.wal, self._clock, self._finished
-        )
+        return Transaction(next(self._ids), self.store, self.wal, self._finished)
 
     def atomic(self) -> "_Atomic":
         """``with tm.atomic() as txn:`` — commits on success, aborts on error."""
@@ -131,17 +125,15 @@ class TransactionManager:
         object churn while leaving every observable surface identical
         to ``with self.atomic() as txn: txn.apply(item, delta, force)``
         — same txn id consumed, same three WAL records and lsns, same
-        begun/committed counters, same store mutation with the same
-        clock read. A store error propagates after BEGIN/DELTA/COMMIT
-        are logged; the caller treats it exactly as the unfused abort
-        path would have left the store (no delta was applied).
+        begun/committed counters, same store mutation. A store error
+        propagates after BEGIN/DELTA/COMMIT are logged; the caller
+        treats it exactly as the unfused abort path would have left the
+        store (no delta was applied).
         """
         self.begun += 1
         txn_id = next(self._ids)
         self.wal.log_atomic(txn_id, item, delta)
-        value = self.store.apply_delta(
-            item, delta, now=self._clock(), force=force
-        )
+        value = self.store.apply_delta(item, delta, force=force)
         self.committed += 1
         return value
 

@@ -70,7 +70,6 @@ def run_observed(
     sync_interval: float = 50.0,
     spacing: float = 1.0,
     trace: Optional[WorkloadTrace] = None,
-    max_spans: Optional[int] = None,
 ) -> ObservedRun:
     """Replay the paper's proposal-system workload, observed.
 
@@ -93,13 +92,6 @@ def run_observed(
         observe=True,
     )
     system = DistributedSystem.build(config)
-    if max_spans is not None:
-        # Swap in a capped recorder before any span starts. Protocols
-        # fetch ``obs.recorder`` at call time, so this is safe.
-        from repro.obs.spans import SpanRecorder
-
-        system.obs.recorder = SpanRecorder(max_spans)
-
     results = run_spaced(
         system, trace, "workload.observed", sync_interval, spacing,
         sampler=PeriodicSampler(system, interval=sample_interval),

@@ -1,6 +1,5 @@
-"""Simulated network substrate: endpoints, channels, latency, faults, stats."""
+"""Simulated network substrate: endpoints, latency, faults, stats."""
 
-from repro.net.channel import Channel, ChannelTable
 from repro.net.endpoint import CrashedEndpointError, Endpoint, RequestTimeout
 from repro.net.faults import FaultInjector, FaultSchedule, FaultStep
 from repro.net.latency import (
@@ -21,8 +20,6 @@ from repro.net.stats import (
 )
 
 __all__ = [
-    "Channel",
-    "ChannelTable",
     "ConstantLatency",
     "CrashedEndpointError",
     "Endpoint",

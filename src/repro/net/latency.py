@@ -8,6 +8,7 @@ interleavings of the AV-transfer protocol. All models draw from an injected
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -28,8 +29,8 @@ class ConstantLatency(LatencyModel):
     """Every message takes exactly ``delay`` time units."""
 
     def __init__(self, delay: float = 1.0) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN delay {delay}")
         self.delay = float(delay)
 
     def sample(self, src: str, dst: str, rng: np.random.Generator) -> float:
@@ -43,7 +44,7 @@ class UniformLatency(LatencyModel):
     """Delay drawn uniformly from ``[low, high]``."""
 
     def __init__(self, low: float = 0.5, high: float = 1.5) -> None:
-        if low < 0 or high < low:
+        if not (low >= 0 and high >= low):
             raise ValueError(f"invalid range [{low}, {high}]")
         self.low = float(low)
         self.high = float(high)
@@ -59,8 +60,8 @@ class LognormalLatency(LatencyModel):
     """Heavy-tailed delay: ``exp(N(mu, sigma))``, typical of WANs."""
 
     def __init__(self, mu: float = 0.0, sigma: float = 0.5) -> None:
-        if sigma < 0:
-            raise ValueError(f"negative sigma {sigma}")
+        if math.isnan(mu) or not sigma >= 0:
+            raise ValueError(f"invalid lognormal mu={mu}, sigma={sigma}")
         self.mu = float(mu)
         self.sigma = float(sigma)
 

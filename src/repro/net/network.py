@@ -1,9 +1,10 @@
 """The simulated message-passing network.
 
-:class:`Network` connects named endpoints over directed FIFO channels with
-a pluggable latency model, counts every transmitted message (the paper's
-metric), and consults a :class:`~repro.net.faults.FaultInjector` on each
-send. Delivery is an event scheduled on the simulation environment.
+:class:`Network` connects named endpoints with a pluggable latency model,
+delivers in send order on every directed pair, counts every transmitted
+message (the paper's metric), and consults a
+:class:`~repro.net.faults.FaultInjector` on each send. Delivery is an
+event scheduled on the simulation environment.
 Every send, delivery and drop is published on the hub's taps
 (``msg.send``, ``msg.recv``, ``msg.drop``) when they have subscribers.
 """
@@ -14,7 +15,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.net.channel import ChannelTable
 from repro.net.faults import FaultInjector
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.message import Message
@@ -46,8 +46,6 @@ class Network:
         stream (e.g. ``rngs.stream("net.latency")``). There is
         deliberately no seeded default — two networks in one simulation
         would silently share stream 0.
-    fifo:
-        Enforce per-directed-pair in-order delivery (default ``True``).
     faults:
         Fault injector; a benign one is created if omitted.
     perturb:
@@ -55,7 +53,7 @@ class Network:
         (see :mod:`repro.testkit`): called as ``perturb(msg, delay) ->
         delay`` on every non-dropped send, *before* the per-pair FIFO
         clamp — so jittered latencies reorder deliveries across pairs
-        but can never violate the per-channel ordering the reliable
+        but can never violate the per-pair ordering the reliable
         session and lease probes depend on. Must be deterministic given
         its own seed.
     obs:
@@ -68,7 +66,6 @@ class Network:
         env: Environment,
         latency: Optional[LatencyModel] = None,
         rng: Optional[np.random.Generator] = None,
-        fifo: bool = True,
         faults: Optional[FaultInjector] = None,
         size_model=None,
         perturb=None,
@@ -83,9 +80,8 @@ class Network:
             )
         self.rng = rng
         self.stats = NetworkStats()
-        self.channels = ChannelTable(fifo=fifo)
-        # the table's own dict: a known pair costs one lookup per send
-        self._channels = self.channels._channels
+        #: (src, dst) -> last scheduled delivery time on that pair
+        self._last_delivery: dict[tuple[str, str], float] = {}
         self.faults = faults if faults is not None else FaultInjector(rng=self.rng)
         self.perturb = perturb
         self.obs = obs
@@ -177,12 +173,21 @@ class Network:
                 raise ValueError(
                     f"perturbation produced negative or NaN delay {delay}"
                 )
+        # A NaN delivery time would also disable the FIFO clamp for
+        # good, since every comparison with a NaN last delivery is false.
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN latency {delay}")
         env = self.env
         now = env._now
-        channel = self._channels.get((msg.src, msg.dst)) or self.channels.get(
-            msg.src, msg.dst
-        )
-        when = channel.delivery_time(now, delay)
+        # Per-pair FIFO: no delivery earlier than the pair's last one.
+        # Unconditional, because ``rel.probe``'s answer is definitive
+        # only if nothing sent before it can arrive after it.
+        pair = (msg.src, msg.dst)
+        when = now + delay
+        last = self._last_delivery.get(pair, when)
+        if when < last:
+            when = last
+        self._last_delivery[pair] = when
 
         # A fresh Event is already ok; setting its value triggers it.
         delivery = Event(env)

@@ -158,8 +158,7 @@ def render_summary(obs: "Observability", title: str = "Observability") -> str:
             rows,
             title=(
                 f"{title} — spans ({len(recorder)} total,"
-                f" {len(recorder.traces())} traces,"
-                f" {recorder.dropped} dropped)"
+                f" {len(recorder.traces())} traces)"
             ),
         ))
 

@@ -72,14 +72,12 @@ class Observability:
     enabled:
         ``False`` installs the null recorder and turns the metric
         helpers into no-ops.
-    max_spans:
-        Optional span cap (see :class:`~repro.obs.spans.SpanRecorder`).
     """
 
-    def __init__(self, enabled: bool = True, max_spans: Optional[int] = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.recorder: SpanRecorder = (
-            SpanRecorder(max_spans) if enabled else NullSpanRecorder()
+            SpanRecorder() if enabled else NullSpanRecorder()
         )
         self.registry = MetricRegistry()
         self.series = TimeSeriesStore()

@@ -90,8 +90,7 @@ class Span:
 #: :meth:`SpanRecorder.open_span`: ``(trace_id, span_id, parent_id)``
 Row = Tuple[str, int, Optional[int]]
 
-#: the row of a span the cap dropped (or a disabled recorder's): as a
-#: parent it means "no parent"
+#: a disabled recorder's row: as a parent it means "no parent"
 NULL_ROW: Row = ("", 0, None)
 
 ParentLike = Union[Row, int, None]
@@ -295,20 +294,11 @@ class SpanRecorder:
     span's start as given, and attribute keys keep their order (opening
     keys, then closing keys; a repeated key keeps its first position and
     takes the last value).
-
-    Parameters
-    ----------
-    max_spans:
-        Optional cap; further opens return :data:`NULL_ROW` and are
-        counted in :attr:`dropped`; :meth:`fingerprint` still covers
-        that count.
     """
 
     enabled = True
 
-    def __init__(self, max_spans: Optional[int] = None) -> None:
-        self.max_spans = max_spans
-        self.dropped = 0
+    def __init__(self) -> None:
         #: spans started (open + finished); also the last span id
         self._started = 0
         #: open spans and pairs by span id (see the class docstring)
@@ -343,9 +333,9 @@ class SpanRecorder:
         """Open a span that may wait; :meth:`close_span` closes it.
 
         Takes its id as :meth:`open_row` does and keeps ``keys`` /
-        ``values`` as its opening attributes. Returns its row (past the
-        cap, :data:`NULL_ROW`). A body that raises before the close
-        leaves the span open, which is what it was.
+        ``values`` as its opening attributes. Returns its row. A body
+        that raises before the close leaves the span open, which is what
+        it was.
         """
         row = self.open_row(parent, trace)
         self.keep_open(row, name, site, now, keys, values)
@@ -362,12 +352,8 @@ class SpanRecorder:
         ``parent`` may be a :data:`Row` (its trace id is inherited when
         ``trace`` is omitted), a raw span id (cross-site context — pass
         ``trace`` too), or ``None``/:data:`NULL_ROW` for a root. A root
-        with no ``trace`` starts a fresh trace (id ``t<span_id>``). Past
-        the cap, returns :data:`NULL_ROW` and counts a drop.
+        with no ``trace`` starts a fresh trace (id ``t<span_id>``).
         """
-        if self.max_spans is not None and self._started >= self.max_spans:
-            self.dropped += 1
-            return NULL_ROW
         self._started = span_id = self._started + 1
         if parent is None:
             return (trace or f"t{span_id}"), span_id, None
@@ -388,8 +374,8 @@ class SpanRecorder:
 
         ``keys`` are the attribute names in order (opening keys, then
         closing keys; readers keep a repeated key at its first position,
-        with its last value) and ``values`` theirs. A dropped row
-        (:data:`NULL_ROW`) writes nothing.
+        with its last value) and ``values`` theirs. :data:`NULL_ROW`
+        writes nothing.
         """
         trace, span_id, parent_id = row
         if not span_id:
@@ -444,7 +430,7 @@ class SpanRecorder:
         :meth:`write_row` writes, the open span of a pair (the update's
         or the request's row, closed by one key: ``outcome``, or
         ``granted``, ``timeout`` or ``error``) as the pair's one record.
-        A row the cap dropped closes nothing."""
+        :data:`NULL_ROW` closes nothing."""
         span_id = row[1]
         entry = self._open.pop(span_id, None)
         if entry is None:
@@ -477,14 +463,9 @@ class SpanRecorder:
         the pair's opening values (see :func:`_pair_spans`). The open
         span is one entry that readers expand into both spans, and
         :meth:`close_span` writes the pair as one record. Returns the
-        two spans' rows. Where the cap falls between or before the ids,
-        writes what :meth:`open_row` and :meth:`write_row` would have
-        left instead: the update kept open as a span, the selecting as a
-        row, and a drop for each id cut.
+        two spans' rows.
         """
         started = self._started
-        if self.max_spans is not None and started + 2 > self.max_spans:
-            return self._cut_pair(kind, site, now, values, parent, trace)
         base = started + 1
         self._started = started + 2
         parent_id, trace = _link(parent, trace)
@@ -499,26 +480,6 @@ class SpanRecorder:
                               values)
         return first, second
 
-    def _cut_pair(self, kind, site, now, values, parent, trace):
-        """A pair the cap cuts: its spans as rows and open spans, each id
-        past the cap dropped. The second span never gets an id, so only
-        the first is written: the update kept open, the selecting or
-        the grant as a row."""
-        first = self.open_row(parent, trace)
-        second = self.open_row(parent if kind == PAIR_ROUND else first)
-        name = PAIR_KINDS[kind][0]
-        if kind == PAIR_ROOT:
-            self.keep_open(first, name, site, now, ("item", "delta"),
-                           values[:2])
-        elif kind == PAIR_ROUND:
-            self.write_row(first, name, site, now, now, ("target",),
-                           values[:1])
-        else:
-            self.write_row(first, name, site, now, now,
-                           ("item", "requester", "granted", "av_after"),
-                           values[:4])
-        return first, second
-
     def write_pair(
         self,
         site: str,
@@ -531,12 +492,8 @@ class SpanRecorder:
         grant pair — as one record, taking the two ids
         :meth:`open_row` would take for it, with the same
         ``parent``/``trace`` rules. ``values`` are the pair's values
-        (see :func:`_pair_spans`). Where the cap cuts the pair, writes
-        the grant as a row and drops what is past the cap."""
+        (see :func:`_pair_spans`)."""
         started = self._started
-        if self.max_spans is not None and started + 2 > self.max_spans:
-            self._cut_pair(PAIR_GRANT, site, now, values, parent, trace)
-            return
         self._started = started + 2
         parent_id, trace = _link(parent, trace)
         self._append_pair(PAIR_GRANT, started + 1, parent_id, trace or "",
@@ -561,18 +518,13 @@ class SpanRecorder:
         """Reserve a covered update's span ids at once, where
         :meth:`open_row` would take its root's: the root,
         ``av.checking``, ``delay.apply`` and, if ``push``, ``prop.push``
-        (:data:`TREE_KINDS`). Returns the root's id, or 0 when the cap
-        would cut the tree; the caller then writes it as rows, which
-        drop where the cap falls.
+        (:data:`TREE_KINDS`). Returns the root's id.
 
         Nothing may open a span before the caller writes the tree
         (:meth:`write_tree`) or breaks it (:meth:`break_tree`).
         """
         started = self._started
-        end = started + (4 if push else 3)
-        if self.max_spans is not None and end > self.max_spans:
-            return 0
-        self._started = end
+        self._started = started + (4 if push else 3)
         return started + 1
 
     def write_tree(
@@ -697,8 +649,8 @@ class SpanRecorder:
     def fingerprint(self) -> int:
         """Order-sensitive digest of the whole span tree.
 
-        Covers trace/parent linkage, timing, attributes and the drop
-        count; the determinism tests compare it across runs (same seed
+        Covers trace/parent linkage, timing and attributes; the
+        determinism tests compare it across runs (same seed
         ⇒ same value). It hashes a
         canonical ``repr`` of each span with ``hashlib``, never
         ``hash()``, so the value is stable across processes too.
@@ -709,7 +661,9 @@ class SpanRecorder:
             key = (s.trace_id, s.span_id, s.parent_id, s.name, s.site,
                    s.start, s.end, attrs)
             digest.update(repr(key).encode() + b"\n")
-        digest.update(repr(self.dropped).encode())
+        # Where a removed span cap's drop count (0 for every run) was
+        # hashed: the constant keeps every pinned fingerprint valid.
+        digest.update(b"0")
         return int.from_bytes(digest.digest(), "big")
 
     def __len__(self) -> int:
@@ -730,7 +684,7 @@ class SpanRecorder:
         return iter(spans)
 
     def __repr__(self) -> str:
-        return f"<SpanRecorder spans={len(self)} dropped={self.dropped}>"
+        return f"<SpanRecorder spans={len(self)}>"
 
 
 class _NullHandle:
@@ -749,9 +703,6 @@ class NullSpanRecorder(SpanRecorder):
     """A recorder that never records (the disabled fast path)."""
 
     enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(max_spans=None)
 
     def start(self, name, site, now, trace=None, parent=None, **attrs):
         """A no-op handle: ``src/`` opens spans with :meth:`open_span`

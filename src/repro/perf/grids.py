@@ -21,7 +21,9 @@ import numpy as np
 
 from repro.perf.tasks import SweepTask
 
-#: the chaos scenario names, in suite order (mirrors experiments.chaos)
+#: the chaos scenario names, in suite order: experiments.chaos's
+#: SMALL_SCENARIOS and FULL_SCENARIOS without ``overload``, whose
+#: surge the sweep grids do not run
 _CHAOS_SMALL = ("maker-crash", "retailer-crash", "partition-loss")
 _CHAOS_FULL = _CHAOS_SMALL + ("crash-storm", "flaky-links")
 

@@ -2,14 +2,11 @@
 
 from repro.workload.driver import run_closed, run_open, split_by_site
 from repro.workload.generators import (
-    HotspotWorkload,
-    MixedKindWorkload,
     PaperWorkload,
     TopologyWorkload,
     WorkloadEvent,
     WorkloadGenerator,
     ZipfSampler,
-    ZipfWorkload,
     normalize_mix,
 )
 from repro.workload.scm import (
@@ -22,9 +19,7 @@ from repro.workload.scm import (
 from repro.workload.trace import TraceSummary, WorkloadTrace
 
 __all__ = [
-    "HotspotWorkload",
     "MakerAgent",
-    "MixedKindWorkload",
     "PaperWorkload",
     "RetailerAgent",
     "SCMOutcome",
@@ -36,7 +31,6 @@ __all__ = [
     "WorkloadGenerator",
     "WorkloadTrace",
     "ZipfSampler",
-    "ZipfWorkload",
     "normalize_mix",
     "run_closed",
     "run_open",

@@ -36,25 +36,18 @@ def run_closed(
     system: DistributedSystem,
     events: Iterable[WorkloadEvent],
     on_complete: Optional[CompletionHook] = None,
-    spacing: float = 0.0,
 ) -> list[UpdateResult]:
-    """Issue events sequentially; returns all results in order.
-
-    ``spacing`` adds idle time between updates (lets propagation traffic
-    drain so replica-convergence checks see quiescence).
-    """
+    """Issue events sequentially; returns all results in order."""
     results: list[UpdateResult] = []
 
-    def driver(env):
+    def driver():
         for i, event in enumerate(events):
             result = yield system.update(event.site, event.item, event.delta)
             results.append(result)
             if on_complete is not None:
                 on_complete(i, event, result)
-            if spacing > 0:
-                yield env.timeout(spacing)
 
-    proc = system.env.process(driver(system.env), name="workload.closed")
+    proc = system.env.process(driver(), name="workload.closed")
     system.run()
     if not proc.triggered:  # pragma: no cover - deadlock guard
         raise RuntimeError("workload driver did not finish (protocol hang?)")
@@ -68,16 +61,13 @@ def run_open(
     per_site_events: dict[str, Iterable[WorkloadEvent]],
     interarrival: float,
     on_complete: Optional[CompletionHook] = None,
-    jitter: float = 0.0,
     until: Optional[float] = None,
     open_loop: bool = False,
 ) -> list[UpdateResult]:
     """Run one arrival process per site, updates overlapping freely.
 
-    Each site's stream is issued with fixed ``interarrival`` spacing
-    (plus uniform jitter drawn from the site's RNG stream to avoid
-    lockstep artifacts). Events in a site's stream must belong to that
-    site.
+    Each site's stream is issued with fixed ``interarrival`` spacing.
+    Events in a site's stream must belong to that site.
 
     By default each site's driver waits for an update to finish before
     issuing the next (closed per site, overlap only across sites). With
@@ -106,16 +96,12 @@ def run_open(
         return collect
 
     def site_driver(env, site_name, events):
-        rng = system.rngs.stream(f"{site_name}.arrivals")
         for event in events:
             if event.site != site_name:
                 raise ValueError(
                     f"event {event} routed to wrong site {site_name!r}"
                 )
-            wait = interarrival
-            if jitter > 0:
-                wait += float(rng.uniform(0.0, jitter))
-            yield env.timeout(wait)
+            yield env.timeout(interarrival)
             if system.sites[site_name].crashed:
                 continue  # a crashed site generates no load
             if open_loop:

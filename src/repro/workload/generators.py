@@ -504,82 +504,6 @@ def _bounded(halves: np.ndarray, bounds: np.ndarray) -> Optional[np.ndarray]:
     return scaled >> 32
 
 
-class ZipfWorkload(WorkloadGenerator):
-    """Paper-style deltas with Zipf-skewed item popularity.
-
-    Real retail demand is heavy-tailed; this stresses per-item AV
-    circulation on the hot items.
-    """
-
-    def __init__(
-        self,
-        maker: str,
-        retailers: Sequence[str],
-        items: Sequence[str],
-        initial_stock: float,
-        rng: np.random.Generator,
-        skew: float = 1.2,
-        **paper_kwargs,
-    ) -> None:
-        if skew <= 1.0:
-            raise ValueError(f"zipf skew must be > 1, got {skew}")
-        self._inner = PaperWorkload(
-            maker, retailers, items, initial_stock, rng, **paper_kwargs
-        )
-        self.skew = skew
-        self.rng = rng
-        self.items = list(items)
-
-    def _pick_item(self) -> str:
-        while True:
-            rank = int(self.rng.zipf(self.skew))
-            if rank <= len(self.items):
-                return self.items[rank - 1]
-
-    def events(self, n: int) -> Iterator[WorkloadEvent]:
-        # _pick_item draws from the shared rng between the inner events.
-        for event in self._inner.events_scalar(n):
-            yield WorkloadEvent(event.site, self._pick_item(), event.delta)
-
-
-class HotspotWorkload(WorkloadGenerator):
-    """One retailer generates a demand spike on a small hot set.
-
-    Used by the fault and strategy benches: the hot retailer drains its
-    AV fast and must pull volume across the network.
-    """
-
-    def __init__(
-        self,
-        base: WorkloadGenerator,
-        hot_site: str,
-        hot_items: Sequence[str],
-        hot_fraction: float,
-        rng: np.random.Generator,
-    ) -> None:
-        if not 0.0 <= hot_fraction <= 1.0:
-            raise ValueError(f"hot_fraction {hot_fraction} not in [0, 1]")
-        if not hot_items:
-            raise ValueError("hot set is empty")
-        self.base = base
-        self.hot_site = hot_site
-        self.hot_items = list(hot_items)
-        self.hot_fraction = hot_fraction
-        self.rng = rng
-
-    def events(self, n: int) -> Iterator[WorkloadEvent]:
-        for event in self.base.events(n):
-            if (
-                event.site == self.hot_site
-                and event.delta < 0
-                and self.rng.random() < self.hot_fraction
-            ):
-                item = self.hot_items[int(self.rng.integers(len(self.hot_items)))]
-                yield WorkloadEvent(event.site, item, event.delta)
-            else:
-                yield event
-
-
 class FlashSaleWorkload(WorkloadGenerator):
     """A flash sale: Zipf-hot items hit by dense unit-decrement bursts.
 
@@ -660,18 +584,3 @@ class FlashSaleWorkload(WorkloadGenerator):
             if bursts % self.restock_every == 0 and emitted < n:
                 yield WorkloadEvent(self.maker, self.hot[0], self.restock_amount)
                 emitted += 1
-
-
-class MixedKindWorkload(WorkloadGenerator):
-    """Paper deltas over a catalogue with regular *and* non-regular items.
-
-    The generator is item-class agnostic (routing is the checking
-    function's job); this class simply draws from the full item list so
-    the immediate/delay-mix ablation exercises both paths.
-    """
-
-    def __init__(self, inner: PaperWorkload) -> None:
-        self.inner = inner
-
-    def events(self, n: int) -> Iterator[WorkloadEvent]:
-        return self.inner.events(n)

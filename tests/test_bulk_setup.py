@@ -2,7 +2,7 @@
 
 Building a system installs each site's slice with one bulk call per
 table (``Store.insert_many``, ``AVTable.define_many``,
-``BeliefTable.seed_many``) and builds no per-item ``Record``. The bulk
+``BeliefTable.seed_many``), with no per-item call. The bulk
 paths keep every check of the per-item ones: duplicate ids, negative
 values and volumes, and one monitor ``define`` event per item.
 """
@@ -28,7 +28,7 @@ from repro.cluster.topology import SiteSpec, Topology
 from repro.core.av_table import AVTable
 from repro.core.beliefs import Belief, BeliefTable
 from repro.core.errors import InvalidVolume
-from repro.db import DuplicateItem, NegativeValue, Record, Store
+from repro.db import DuplicateItem, NegativeValue, Store
 from repro.metrics.collector import GlobalLedger
 from repro.obs.hub import Observability
 
@@ -48,8 +48,8 @@ class _Events:
 class TestCountGate:
     def test_scale_build_makes_no_per_item_calls(self, monkeypatch):
         """``regional:7x6:s2`` over 10**4 items: 41 666 (site, item)
-        pairs, each of which used to cost a ``Record``, an ``insert``, a
-        ``define`` and a ``seed``."""
+        pairs, each of which used to cost an ``insert``, a ``define``
+        and a ``seed``."""
         calls = {}
 
         def count(cls, name):
@@ -62,7 +62,7 @@ class TestCountGate:
             monkeypatch.setattr(cls, name, counted)
 
         for cls, name in [
-            (Record, "__init__"), (Store, "insert"), (Store, "insert_many"),
+            (Store, "insert"), (Store, "insert_many"),
             (AVTable, "define"), (AVTable, "define_many"),
             (BeliefTable, "seed"), (BeliefTable, "seed_many"),
         ]:
@@ -86,22 +86,7 @@ class TestStoreBulk:
         s = Store("s")
         s.insert_many({"B": 2.0, "A": 1.0})
         assert list(s.items()) == [("B", 2.0), ("A", 1.0)]
-        rec = s.record("A")
-        assert (rec.item, rec.value, rec.version, rec.updated_at) == (
-            "A", 1.0, 0, 0.0
-        )
-
-    def test_record_counts_mutations_since_insert(self):
-        s = Store("s")
-        s.insert_many({"A": 10.0})
-        s.insert("B", 5.0, now=2.5)
-        s.apply_delta("A", -3.0, now=4.0)
-        s.set_value("A", 1.0, now=6.0)
-        assert s.record("A") == Record("A", 1.0, 2, 6.0)
-        assert s.record("B") == Record("B", 5.0, 0, 2.5)
-        s.drop("A")
-        s.insert("A", 9.0)
-        assert s.record("A") == Record("A", 9.0, 0, 0.0)
+        assert s.value("A") == 1.0
 
     def test_duplicate_is_all_or_nothing(self):
         s = Store("s")

@@ -68,6 +68,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             SystemConfig(latency_mean=-1)
 
+    @pytest.mark.parametrize("bad", [
+        {"latency_mean": float("nan")},
+        {"request_timeout": float("nan")},
+        {"request_timeout": 0.0},
+        {"request_timeout": -1.0},
+    ], ids=["latency-nan", "timeout-nan", "timeout-zero", "timeout-negative"])
+    def test_invalid_latency_or_timeout_rejected_at_construction(self, bad):
+        """Not at the first remote request, as a kernel delay error."""
+        with pytest.raises(ValueError):
+            paper_config(**bad)
+
     def test_paper_config_defaults(self):
         config = paper_config()
         assert config.n_retailers == 2

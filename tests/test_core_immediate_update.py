@@ -8,8 +8,6 @@ from collections import Counter
 import pytest
 
 from repro.cluster import DistributedSystem, build_paper_system, paper_config
-from repro.cluster.catalog import item_ids
-from repro.cluster.topology import Topology
 from repro.core import UpdateKind, UpdateOutcome
 from repro.db.locks import LockManager
 from repro.experiments.fig6 import make_paper_trace
@@ -32,6 +30,40 @@ def run_one(system, site, item, delta):
     system.run()
     assert proc.ok
     return proc.value
+
+
+#: Python calls of the pinned open-loop 2PC run (see
+#: ``TestContention.test_open_loop_2pc_python_calls_are_pinned``)
+CALLS_2PC = 153234
+
+
+def open_loop_2pc_calls():
+    """Build the pinned 600-update open-loop 2PC run and count the
+    Python calls ``run_open`` makes; returns the system and the count."""
+    system = DistributedSystem.build(paper_config(
+        n_items=10, n_retailers=2, regular_fraction=0.0, seed=0,
+    ))
+    streams = split_by_site(make_paper_trace(600, 0, n_items=10, n_retailers=2))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    # A cyclic collection would finalise whatever suspended generators
+    # the process left behind, inside the count, at a point set by
+    # everything allocated before this call.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        run_open(system, streams, interarrival=0.5)
+    finally:
+        sys.setprofile(None)
+        if gc_was_enabled:
+            gc.enable()
+    return system, calls
 
 
 class TestCommitPath:
@@ -168,35 +200,16 @@ class TestContention:
         request and reply. A rise means per-event or per-message work
         came back; a fall is a change to re-pin with a CHANGES.md note.
         """
-        # A fresh layout, not the one paper_config shares per shape: its
-        # sites cache their peer lists on first use, so a shared one
-        # would count fewer calls after any earlier run of this shape.
-        system = DistributedSystem.build(paper_config(
-            n_items=10, n_retailers=2, regular_fraction=0.0, seed=0,
-            topology=Topology.paper(2, item_ids(10)),
-        ))
-        streams = split_by_site(make_paper_trace(600, 0, n_items=10, n_retailers=2))
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            if event == "call":
-                calls += 1
-
-        # A cyclic collection would finalise whatever suspended
-        # generators the process left behind, inside the count, at a
-        # point set by everything allocated before this test.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        sys.setprofile(count)
-        try:
-            run_open(system, streams, interarrival=0.5)
-        finally:
-            sys.setprofile(None)
-            if gc_was_enabled:
-                gc.enable()
+        system, calls = open_loop_2pc_calls()
         assert system.env.events_processed == 13689
-        assert calls == 159783
+        assert calls == CALLS_2PC
+
+    def test_open_loop_2pc_same_shape_twice_makes_equal_calls(self):
+        """Two runs of one config shape in one process do the same work:
+        configs of one shape share a topology, and nothing a run caches
+        (per-site peer lists) may carry into the next."""
+        counts = [open_loop_2pc_calls()[1] for _ in range(2)]
+        assert counts == [CALLS_2PC, CALLS_2PC]
 
     def test_interleaved_with_racing_aborts(self, system):
         """Overdraw races: exactly the affordable prefix commits."""

@@ -1,13 +1,8 @@
-"""Unit tests for Store and Record."""
+"""Unit tests for Store."""
 
 import pytest
 
-from repro.db import DuplicateItem, NegativeValue, Record, Store, UnknownItem
-
-
-class TestRecord:
-    def test_str(self):
-        assert str(Record("A", 10)) == "A=10 (v0)"
+from repro.db import DuplicateItem, NegativeValue, Store, UnknownItem
 
 
 class TestStore:
@@ -35,9 +30,8 @@ class TestStore:
     def test_apply_delta(self):
         s = Store()
         s.insert("A", 100)
-        assert s.apply_delta("A", -30, now=2.0) == 70
-        assert s.record("A").version == 1
-        assert s.mutations == 1
+        assert s.apply_delta("A", -30) == 70
+        assert s.value("A") == 70
 
     def test_negative_guard(self):
         s = Store()

@@ -93,14 +93,6 @@ class TestTransaction:
         # BEGIN, DELTA -3, compensation DELTA +3, ABORT
         assert len(tm.wal) == 4
 
-    def test_clock_stamps_updates(self, store):
-        t = [0.0]
-        tm = TransactionManager(store, clock=lambda: t[0])
-        txn = tm.begin()
-        t[0] = 4.5
-        txn.apply("A", 1)
-        assert store.record("A").updated_at == 4.5
-
 
 class TestWal:
     def test_in_flight_tracking(self):

@@ -198,10 +198,24 @@ class TestTerminationEndState:
         # every resend of the commit to the unreachable peer timed out
         assert system.site("site1").accelerator.immediate.retries == 10
 
-    def test_crashed_participant_catch_up_writes_the_item(self):
-        system = self._run(_crash_prepared_participant)
-        record = system.site("site2").store.record(ITEM)
-        assert (record.updated_at, record.version) == (107.5, 2)
+    def test_crashed_participant_catch_up_writes_the_item(self, monkeypatch):
+        """The restarted participant's catch-up overwrites its replica
+        once, with the committed value, when it learns the outcome."""
+        system = make_system()
+        store = system.site("site2").store
+        writes = []
+        set_value = store.set_value
+
+        def spy(item, value):
+            writes.append((system.env.now, item, value))
+            set_value(item, value)
+
+        monkeypatch.setattr(store, "set_value", spy)
+        proc = system.update("site1", ITEM, -5)
+        _crash_prepared_participant(system)
+        system.run()
+        assert proc.value.committed
+        assert writes == [(107.5, ITEM, 45.0)]
 
 
 class TestCrashMidResolution:

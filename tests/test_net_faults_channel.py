@@ -1,9 +1,11 @@
-"""Direct unit tests for FaultInjector and Channel (no network needed)."""
+"""Unit tests for FaultInjector, and for the per-pair FIFO clamp every
+``Network`` send goes through."""
 
 import numpy as np
 import pytest
 
-from repro.net import Channel, ChannelTable, FaultInjector
+from repro.net import FaultInjector, Network
+from repro.sim import Environment
 
 
 class TestFaultInjector:
@@ -64,32 +66,59 @@ class TestFaultInjector:
         assert "z" in repr(f)
 
 
+class ScriptedLatency:
+    """Latency model returning the given delays in turn."""
+
+    def __init__(self, *delays):
+        self.delays = list(delays)
+
+    def sample(self, src, dst, rng):
+        return self.delays.pop(0)
+
+
 class TestChannel:
+    """A directed pair ``src -> dst``: no delivery on it is earlier than
+    the one sent before it."""
+
+    def _net(self, *delays):
+        env = Environment()
+        net = Network(env, latency=ScriptedLatency(*delays),
+                      rng=np.random.default_rng(0))
+        got = []
+        for name in ("a", "b"):
+            net.endpoint(name).on(
+                "seq", lambda msg: got.append((env.now, msg.src, msg.payload))
+            )
+        return env, net, got
+
     def test_delivery_time_plain(self):
-        c = Channel("a", "b")
-        assert c.delivery_time(now=10.0, latency=2.0) == 12.0
-        assert c.delivered == 1
+        env, net, got = self._net(2.0)
+        env.run(until=10.0)
+        net.get("a").send("b", "seq", 1)
+        env.run()
+        assert got == [(12.0, "a", 1)]
 
     def test_fifo_clamps_reordering(self):
-        c = Channel("a", "b", fifo=True)
-        first = c.delivery_time(now=0.0, latency=10.0)
-        second = c.delivery_time(now=1.0, latency=2.0)  # would arrive at 3
-        assert first == 10.0 and second == 10.0
+        env, net, got = self._net(10.0, 2.0)
+        net.get("a").send("b", "seq", 1)
+        env.run(until=1.0)
+        net.get("a").send("b", "seq", 2)  # would arrive at 3
+        env.run()
+        assert got == [(10.0, "a", 1), (10.0, "a", 2)]
 
-    def test_non_fifo_allows_reordering(self):
-        c = Channel("a", "b", fifo=False)
-        c.delivery_time(now=0.0, latency=10.0)
-        assert c.delivery_time(now=1.0, latency=2.0) == 3.0
+    def test_reverse_pair_is_not_clamped(self):
+        env, net, got = self._net(10.0, 2.0, 1.0)
+        a, b = net.get("a"), net.get("b")
+        a.send("b", "seq", 1)
+        env.run(until=1.0)
+        a.send("b", "seq", 2)
+        b.send("a", "seq", 3)  # b -> a is its own pair
+        env.run()
+        assert got == [(2.0, "b", 3), (10.0, "a", 1), (10.0, "a", 2)]
 
     def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            Channel("a", "b").delivery_time(0.0, -1.0)
-
-    def test_table_lazily_creates_directed_channels(self):
-        table = ChannelTable()
-        ab = table.get("a", "b")
-        ba = table.get("b", "a")
-        assert ab is not ba
-        assert table.get("a", "b") is ab
-        assert len(table) == 2
-        assert set(c.src for c in table) == {"a", "b"}
+        env, net, got = self._net(-1.0)
+        with pytest.raises(ValueError, match="negative or NaN latency -1.0"):
+            net.get("a").send("b", "seq", 1)
+        env.run()
+        assert got == []

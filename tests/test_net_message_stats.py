@@ -15,6 +15,8 @@ from repro.net import (
     correspondences,
 )
 
+NAN = float("nan")
+
 
 class TestMessage:
     def test_unique_ids(self):
@@ -161,6 +163,20 @@ class TestLatencyModels:
         assert all(m.sample("a", "b", self.rng) > 0 for _ in range(100))
         with pytest.raises(ValueError):
             LognormalLatency(0.0, -1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ConstantLatency(NAN),
+        lambda: UniformLatency(NAN, 1.0),
+        lambda: UniformLatency(0.5, NAN),
+        lambda: LognormalLatency(NAN, 0.5),
+        lambda: LognormalLatency(0.0, NAN),
+    ], ids=["constant", "uniform-low", "uniform-high", "lognormal-mu",
+            "lognormal-sigma"])
+    def test_nan_parameters_rejected(self, make):
+        """A NaN passes a ``< 0`` test, so it used to be accepted here
+        and fail only at the first send."""
+        with pytest.raises(ValueError):
+            make()
 
     def test_pairwise_override_and_symmetry(self):
         m = PairwiseLatency(ConstantLatency(1.0))

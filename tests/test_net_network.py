@@ -148,24 +148,6 @@ def test_fifo_ordering_with_random_latency():
     assert got == list(range(50))
 
 
-def test_non_fifo_can_reorder():
-    env = Environment()
-    net = Network(
-        env,
-        latency=UniformLatency(0.1, 5.0),
-        rng=np.random.default_rng(3),
-        fifo=False,
-    )
-    a, b = net.endpoint("a"), net.endpoint("b")
-    got = []
-    b.on("seq", lambda msg: got.append(msg.payload))
-    for i in range(50):
-        a.send("b", "seq", i)
-    env.run()
-    assert sorted(got) == list(range(50))
-    assert got != list(range(50))
-
-
 def test_crashed_destination_drops_message():
     env, net = make_net()
     a, b = net.endpoint("a"), net.endpoint("b")

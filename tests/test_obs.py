@@ -31,7 +31,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.hub import EVENT_KINDS
-from repro.obs.spans import PAIR_ROOT, PAIR_ROUND
+from repro.obs.spans import PAIR_ROOT, PAIR_ROUND, update_trace
 from repro.workload import run_closed
 
 
@@ -74,22 +74,6 @@ class TestSpanRecorder:
         rec = SpanRecorder()
         row = rec.open_span("x", "s", 0.0, parent=NULL_ROW)
         assert row[2] is None
-
-    def test_max_spans_cap_returns_null_span(self):
-        rec = SpanRecorder(max_spans=1)
-        first = rec.open_span("a", "s", 0.0)
-        second = rec.open_span("b", "s", 0.0)
-        assert first != NULL_ROW and second == NULL_ROW
-        rec.close_span(second, 1.0, ("late",), (True,))  # closes nothing
-        assert rec.dropped == 1 and len(rec) == 1
-
-    def test_dropped_spans_change_fingerprint(self):
-        full = SpanRecorder()
-        capped = SpanRecorder(max_spans=1)
-        for rec in (full, capped):
-            closed(rec, "a", "s", 0.0, 1.0)
-            closed(rec, "b", "s", 0.0, 1.0)
-        assert full.fingerprint() != capped.fingerprint()
 
     def test_fingerprint_deterministic_and_order_sensitive(self):
         def build(order):
@@ -180,14 +164,6 @@ class TestPackedSpanStore:
         [back] = rec.children(back_root)
         assert (back.end, back.attrs) == (2.0, {"granted": 1.0})
         assert rows(rec.roots()) == [root]
-
-    def test_cap_counts_open_and_finished_spans(self):
-        rec = SpanRecorder(max_spans=2)
-        closed(rec, "a", "s", 0.0, 1.0)
-        rec.open_span("b", "s", 1.0)
-        assert rec.open_span("c", "s", 2.0) == NULL_ROW
-        assert len(rec) == 2 and rec.dropped == 1
-        assert [s.name for s in rec] == ["a", "b"]
 
     def test_finished_span_keeps_no_python_object(self):
         """≤ 128 B and zero GC-tracked objects retained per finished span
@@ -583,12 +559,6 @@ class TestObservedSystem:
         committed = system.collector.registry.counter("updates.committed")
         assert committed.value == sum(1 for r in run.results if r.committed)
 
-    def test_max_spans_cap_respected(self):
-        run = run_observed(n_updates=80, seed=0, n_items=5,
-                           max_spans=50)
-        rec = run.obs.recorder
-        assert len(rec) == 50 and rec.dropped > 0
-
 
 class TestSpanDeterminism:
     def test_same_seed_same_span_fingerprint(self):
@@ -658,10 +628,10 @@ def text_digest(text):
 
 
 def stream_pin(rec):
-    return len(rec), rec.fingerprint(), rec.dropped, ordered_digest(rec)
+    return len(rec), rec.fingerprint(), ordered_digest(rec)
 
 
-def eager_system(max_spans=None, drop=0.0):
+def eager_system(drop=0.0):
     """Eager propagation: each covered update's ``prop.push`` fans out to
     a ``prop.apply`` at both replicas, parented across sites. A lossy
     network needs a request timeout, or a lost AV request hangs."""
@@ -669,8 +639,6 @@ def eager_system(max_spans=None, drop=0.0):
         n_items=5, seed=7, observe=True, sanitize=True, propagate=True,
         request_timeout=8.0 if drop else None,
     )
-    if max_spans is not None:
-        system.obs.recorder = SpanRecorder(max_spans)
     system.network.faults.drop_probability = drop
     run_closed(system, make_paper_trace(150, seed=7, n_items=5))
     return system
@@ -714,11 +682,10 @@ class TestRowSpans:
         assert remote[0] == "s1:u1" and remote[2] == row[1]
 
     def test_dropped_row_is_no_parent(self):
-        rec = SpanRecorder(max_spans=1)
+        rec = SpanRecorder()
         rec.open_span("a", "s", 0.0)
-        assert rec.open_row(trace="s1:u1") == NULL_ROW
         rec.write_row(NULL_ROW, "update", "s", 0.0, 1.0)
-        assert rec.dropped == 1 and len(rec) == 1
+        assert len(rec) == 1 and [s.name for s in rec] == ["a"]
         free = SpanRecorder()
         for open_ in (free.open_row, lambda parent: free.open_span(
                 "x", "s", 0.0, parent=parent)):
@@ -827,7 +794,7 @@ class TestSpanPathPins:
     def test_eager_propagation(self):
         system = eager_system()
         assert stream_pin(system.obs.recorder) == (
-            948, 9148190890274669139, 0, "db226ded1ff35313"
+            948, 9148190890274669139, "db226ded1ff35313"
         )
         names = system.obs.recorder.names()
         assert names["prop.push"] == 150 and names["prop.apply"] == 300
@@ -835,31 +802,17 @@ class TestSpanPathPins:
     def test_eager_propagation_losses_name_the_push(self):
         system = eager_system(drop=0.1)
         assert stream_pin(system.obs.recorder) == (
-            967, 8679188710008775380, 0, "d84383041737343b"
+            967, 8679188710008775380, "d84383041737343b"
         )
         report = system.sanitizer.finish()
         assert len(report.by_rule("prop.lost")) == 28
         assert text_digest(report.render()) == "b08ce2647f535533"
 
-    @pytest.mark.parametrize("cap, pin", [
-        # root 285 kept, its av.checking / delay.apply / prop.push dropped
-        (285, (285, 16407688728515716456, 663, "9bdb2950a7dedf19")),
-        # root and av.checking kept; delay.apply and prop.push dropped
-        (286, (286, 12935192183760376600, 662, "5bc404ed4e77e1f0")),
-        # everything but prop.push kept
-        (287, (287, 9058979847999248697, 661, "2533d20d979dbbfa")),
-    ])
-    def test_cap_cuts_through_a_local_update(self, cap, pin):
-        system = eager_system(max_spans=cap)
-        assert stream_pin(system.obs.recorder) == pin
-        [root] = [s for s in system.obs.recorder if s.span_id == 285]
-        assert root.name == "update" and root.attrs["outcome"] == "committed"
-
     def test_overload_scenario(self):
         overload = next(s for s in SMALL_SCENARIOS if s.name == "overload")
         rec = run_chaos_scenario(overload, n_updates=600, seed=3).obs.recorder
         assert stream_pin(rec) == (
-            1833, 5838327627918628694, 0, "fc690d1e33c18e56"
+            1833, 5838327627918628694, "fc690d1e33c18e56"
         )
         names = rec.names()
         for kind in ("av.grant", "av.deciding", "imm.lock", "imm.prepare",
@@ -877,7 +830,7 @@ class TestSpanPathPins:
         run_closed(system, make_scale_trace(topology, 300, 5))
         rec = system.obs.recorder
         assert stream_pin(rec) == (
-            1256, 16598785375828692646, 0, "f177ac9e7a38c9ee"
+            1256, 16598785375828692646, "f177ac9e7a38c9ee"
         )
         pool_grants = [s for s in rec if s.name == "av.grant"
                        and s.site.startswith("agg")]
@@ -901,7 +854,7 @@ class TestSpanPathPins:
         assert all(s["span"] for s in report.hb_samples)
 
 
-def wide_system(until=None, max_spans=None):
+def wide_system(until=None):
     """Eight retailers on four items, open loop: about half the updates
     gather AV, so many roots and AV requests are in flight at once.
     ``until`` cuts the run mid-flight."""
@@ -909,8 +862,6 @@ def wide_system(until=None, max_spans=None):
 
     system = build_paper_system(n_retailers=8, n_items=4, seed=5,
                                 observe=True)
-    if max_spans is not None:
-        system.obs.recorder = SpanRecorder(max_spans)
     trace = make_paper_trace(400, seed=5, n_items=4, n_retailers=8)
     run_open(system, split_by_site(trace), interarrival=1.0, until=until,
              open_loop=True)
@@ -922,12 +873,12 @@ class TestProcessPathPins:
     round trips and the grants that serve them. Every value was computed
     over the recorder that wrote these spans as rows and handles."""
 
-    WIDE = (4355, 10393213040671736438, 0, "e84ae22a49c3e4de")
+    WIDE = (4355, 10393213040671736438, "e84ae22a49c3e4de")
 
     @pytest.mark.parametrize("until, pin, still_open", [
-        (20, (1175, 5579210259076125503, 0, "8c586c1ca7feec73"), 70),
-        (40.5, (2953, 1304685415903597279, 0, "2912c68438b3cdb0"), 66),
-        (90, (4284, 3468963900801973462, 0, "b989ef6ec4bcc328"), 2),
+        (20, (1175, 5579210259076125503, "8c586c1ca7feec73"), 70),
+        (40.5, (2953, 1304685415903597279, "2912c68438b3cdb0"), 66),
+        (90, (4284, 3468963900801973462, "b989ef6ec4bcc328"), 2),
     ])
     def test_read_mid_flight(self, until, pin, still_open):
         system = wide_system(until)
@@ -938,21 +889,6 @@ class TestProcessPathPins:
         assert {s.name for s in open_spans} == {"update", "av.request"}
         system.run()
         assert stream_pin(rec) == self.WIDE
-
-    @pytest.mark.parametrize("cap, pin, kept", [
-        # the root of a waiting update kept, its av.checking dropped
-        (61, (61, 16579409154721504061, 4294, "b4ada6691b6d32cb"), "update"),
-        # an av.selecting kept, the av.request it chose dropped
-        (63, (63, 16045878185002134703, 4292, "e88dc80de7801176"),
-         "av.selecting"),
-        # an av.grant kept, its av.deciding dropped
-        (93, (93, 8675578583276521874, 4262, "8206eb688cccb988"), "av.grant"),
-    ])
-    def test_cap_between_the_two_ids(self, cap, pin, kept):
-        rec = wide_system(max_spans=cap).obs.recorder
-        assert stream_pin(rec) == pin
-        [last] = [s for s in rec if s.span_id == cap]
-        assert last.name == kept and last.end is not None
 
     def test_grant_on_an_undefined_item(self):
         from repro.net.message import Message
@@ -1072,11 +1008,22 @@ class TestCollectorRegistryIntegration:
 
 
 class RowRecorder(SpanRecorder):
-    """The reference: never reserves a tree, so a covered update writes
-    its spans one ``write_row`` at a time."""
+    """The reference: a covered update's tree written as the rows the
+    protocol wrote before trees, one ``write_row`` per span, in the
+    order they closed."""
 
-    def open_tree(self, push):
-        return 0
+    def write_tree(self, base, site, request_id, now, item, delta, outcome,
+                   pushed=None):
+        trace = update_trace(site, request_id)
+        self.write_row((trace, base + 1, base), "av.checking", site, now,
+                       now, ("verdict",), ("delay",))
+        self.write_row((trace, base + 2, base), "delay.apply", site, now,
+                       now, ("item", "delta"), (item, delta))
+        if pushed is not None:
+            self.write_row((trace, base + 3, base), "prop.push", site, now,
+                           now, ("item", "peers"), (item, pushed))
+        self.write_row((trace, base, None), "update", site, now, now,
+                       ("item", "delta", "outcome"), (item, delta, outcome))
 
 
 SITES = ("site0", "site1", "site2")
@@ -1137,7 +1084,6 @@ class TestSpanTrees:
 
     @given(
         eager=st.booleans(),
-        cap=st.one_of(st.none(), st.integers(0, 60)),
         ops=st.lists(
             st.tuples(
                 st.sampled_from(SITES),
@@ -1149,12 +1095,12 @@ class TestSpanTrees:
         ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_trees_read_back_as_rows(self, eager, cap, ops):
-        tree = run_ops(SpanRecorder(cap), eager, ops)
-        rows = run_ops(RowRecorder(cap), eager, ops)
+    def test_trees_read_back_as_rows(self, eager, ops):
+        tree = run_ops(SpanRecorder(), eager, ops)
+        rows = run_ops(RowRecorder(), eager, ops)
         assert stream(tree) == stream(rows)
         assert tree.fingerprint() == rows.fingerprint()
-        assert (len(tree), tree.dropped) == (len(rows), rows.dropped)
+        assert len(tree) == len(rows)
 
     @pytest.mark.parametrize("eager", [False, True])
     def test_covered_update_writes_no_row(self, eager, monkeypatch):
@@ -1208,8 +1154,8 @@ class HandleRecorder(SpanRecorder):
     path wrote one span at a time. It shares only the row, tree and
     column code with :class:`SpanRecorder`, never its open-span table."""
 
-    def __init__(self, max_spans=None):
-        super().__init__(max_spans)
+    def __init__(self):
+        super().__init__()
         self.handles = {}
 
     def start(self, name, site, now, trace=None, parent=None, **attrs):
@@ -1352,11 +1298,10 @@ class TestSpanPairs:
     """Two spans that open back to back are one record, which reads back
     as the rows and handles it replaces."""
 
-    @given(cap=st.one_of(st.none(), st.integers(0, 5), st.integers(0, 30)),
-           ops=PAIR_OPS)
+    @given(ops=PAIR_OPS)
     @settings(max_examples=150, deadline=None)
-    def test_pairs_read_back_as_rows_and_handles(self, cap, ops):
-        pairs, handles = SpanRecorder(cap), HandleRecorder(cap)
+    def test_pairs_read_back_as_rows_and_handles(self, ops):
+        pairs, handles = SpanRecorder(), HandleRecorder()
         reads = {pairs: [], handles: []}
         for rec in (pairs, handles):
             drive_pairs(rec, ops, lambda: reads[rec].append(stream_pin(rec)))
@@ -1364,17 +1309,16 @@ class TestSpanPairs:
         same_record(pairs, handles)
 
     @given(
-        cap=st.one_of(st.none(), st.integers(0, 900)),
         until=st.one_of(st.none(), st.floats(0.0, 40.0)),
         drop=st.sampled_from([0.0, 0.3]),
         crash=st.one_of(st.none(), st.tuples(st.sampled_from(SITES),
                                              st.floats(0.0, 30.0))),
     )
     @settings(max_examples=25, deadline=None)
-    def test_protocol_writes_what_handles_wrote(self, cap, until, drop, crash):
+    def test_protocol_writes_what_handles_wrote(self, until, drop, crash):
         """The whole process path, through both recorders: requests that
         time out on a lossy network, sites that crash with requests in
-        flight, caps anywhere and reads before the run is over."""
+        flight, and reads before the run is over."""
         def run(recorder):
             from repro.workload.driver import run_open, split_by_site
 
@@ -1394,7 +1338,7 @@ class TestSpanPairs:
                      until=until, open_loop=True)
             return system
 
-        pairs, handles = run(SpanRecorder(cap)), run(HandleRecorder(cap))
+        pairs, handles = run(SpanRecorder()), run(HandleRecorder())
         same_record(pairs.obs.recorder, handles.obs.recorder)
 
     def test_waiting_delay_update_allocates_no_span(self, monkeypatch):
@@ -1518,36 +1462,14 @@ class TestOpenTable:
     """Every open span is one entry in one table, opened by one call and
     closed by one: it writes what the handle reference writes."""
 
-    @given(cap=st.one_of(st.none(), st.integers(0, 12)), ops=OPEN_OPS,
-           until=st.sampled_from([3.0, 6.5, 20.0]))
+    @given(ops=OPEN_OPS, until=st.sampled_from([3.0, 6.5, 20.0]))
     @settings(max_examples=150, deadline=None)
-    def test_open_table_writes_what_handles_wrote(self, cap, ops, until):
-        table, handles = SpanRecorder(cap), HandleRecorder(cap)
+    def test_open_table_writes_what_handles_wrote(self, ops, until):
+        table, handles = SpanRecorder(), HandleRecorder()
         assert drive_open(table, ops, until) == drive_open(handles, ops, until)
         assert stream(table) == stream(handles)
         assert table.fingerprint() == handles.fingerprint()
-        assert (len(table), table.dropped) == (len(handles), handles.dropped)
-
-    @pytest.mark.parametrize("kind", [PAIR_ROOT, PAIR_ROUND])
-    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
-    def test_cap_before_between_and_after_a_pair(self, kind, cap):
-        """A span, then a pair, then a span, each left open and then
-        closed; the cap falls before the pair (1), between its ids (2),
-        after it (3) and past everything (4, 5)."""
-        def drive(rec):
-            first = rec.open_span("read", "s", 0.0, ("item",), ("a",))
-            values = ((("a", 1.0, "delay"), ("outcome",)) if kind == PAIR_ROOT
-                      else (("site0", 5.0), ("granted",)))
-            pair = rec.open_pair(kind, "s", 1.0, values[0], parent=first)
-            last = rec.open_span("imm.lock", "s", 2, parent=pair[0])
-            reads = [stream(rec)]
-            rec.close_span(pair[kind], 3.0, values[1], (2.0,))
-            reads.append(stream(rec))
-            rec.close_span(last, 4.0, ("item",), ("b",))
-            rec.close_span(first, 5.0, ("item", "peers"), ("c", 2))
-            return reads + [stream(rec), rec.fingerprint(), rec.dropped]
-
-        assert drive(SpanRecorder(cap)) == drive(HandleRecorder(cap))
+        assert len(table) == len(handles)
 
     def test_spans_open_at_the_end_read_back_open(self):
         rec = SpanRecorder()

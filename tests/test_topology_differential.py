@@ -166,6 +166,6 @@ class TestQuiescentCheck:
         s.run()
         s.check_invariants(quiescent=True)
         # One replica drifts from the ledger while its peers agree.
-        s.sites["site2"].store.apply_delta("item1", -1.0, now=s.env.now)
+        s.sites["site2"].store.apply_delta("item1", -1.0)
         with pytest.raises(InvariantViolation, match="site2 .* at quiescence"):
             s.check_invariants(quiescent=True)

@@ -7,11 +7,9 @@ import pytest
 
 from repro.cluster import build_paper_system
 from repro.workload import (
-    HotspotWorkload,
     PaperWorkload,
     WorkloadEvent,
     WorkloadTrace,
-    ZipfWorkload,
     run_closed,
     run_open,
     split_by_site,
@@ -119,65 +117,6 @@ class TestPaperWorkload:
             make_paper(increase_fraction=0.0)
 
 
-class TestZipfAndHotspot:
-    def test_zipf_skews_item_popularity(self):
-        gen = ZipfWorkload(
-            maker="site0",
-            retailers=["site1"],
-            items=[f"i{k}" for k in range(20)],
-            initial_stock=100.0,
-            rng=np.random.default_rng(0),
-            skew=1.5,
-        )
-        from collections import Counter
-
-        counts = Counter(e.item for e in gen.events(2000))
-        assert counts["i0"] > counts.get("i19", 0) * 2
-
-    def test_zipf_interleaves_its_draws_with_the_inner_stream(self):
-        """Zipf draws an item from the shared rng after every inner
-        event, so the inner stream must stay one variate at a time."""
-        items = [f"i{k}" for k in range(5)]
-        kw = dict(maker="site0", retailers=["site1"], items=items,
-                  initial_stock=100.0)
-        gen = ZipfWorkload(rng=np.random.default_rng(3), skew=1.5, **kw)
-        rng = np.random.default_rng(3)
-        expected = []
-        for i in range(60):
-            rng.integers(len(items))  # the inner item draw, discarded
-            if i % 2 == 0:
-                delta = float(rng.integers(1, 21))
-            else:
-                delta = -float(rng.integers(1, 11))
-            while (rank := int(rng.zipf(1.5))) > len(items):
-                pass
-            expected.append(
-                WorkloadEvent(f"site{i % 2}", items[rank - 1], delta)
-            )
-        assert list(gen.events(60)) == expected
-
-    def test_zipf_validation(self):
-        with pytest.raises(ValueError):
-            ZipfWorkload(
-                maker="m", retailers=["r"], items=["A"],
-                initial_stock=1.0, rng=np.random.default_rng(0), skew=1.0,
-            )
-
-    def test_hotspot_redirects_hot_site_decrements(self):
-        rng = np.random.default_rng(0)
-        base = make_paper(rng=np.random.default_rng(1))
-        hot = HotspotWorkload(base, "site1", ["A"], hot_fraction=1.0, rng=rng)
-        for e in hot.events(100):
-            if e.site == "site1" and e.delta < 0:
-                assert e.item == "A"
-
-    def test_hotspot_validation(self):
-        with pytest.raises(ValueError):
-            HotspotWorkload(make_paper(), "site1", [], 0.5, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            HotspotWorkload(make_paper(), "site1", ["A"], 2.0, np.random.default_rng(0))
-
-
 class TestTrace:
     def test_capture_and_replay(self):
         trace = WorkloadTrace.capture(make_paper(), 20)
@@ -237,13 +176,6 @@ class TestDrivers:
             on_complete=lambda i, e, r: seen.append(i),
         )
         assert seen == [0, 1, 2]
-
-    def test_run_closed_spacing_advances_clock(self):
-        system = build_paper_system(n_items=1, initial_stock=100.0)
-        run_closed(
-            system, [WorkloadEvent("site1", "item0", -1)] * 4, spacing=10.0
-        )
-        assert system.env.now >= 30.0
 
     def test_run_open_routes_streams(self):
         system = build_paper_system(n_items=2, initial_stock=100.0)
