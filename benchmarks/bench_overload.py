@@ -53,7 +53,7 @@ def _run(overload):
     return elapsed, counts, controllers
 
 
-def bench_overload_overhead(benchmark, save_result):
+def bench_overload_overhead(benchmark):
     base_time, base_counts, _ = once(benchmark, _run, None)
     base_time = min(base_time, _run(None)[0])
 
@@ -78,7 +78,7 @@ def bench_overload_overhead(benchmark, save_result):
         f" ({overhead:.3%}, bound {MAX_OVERHEAD:.0%}"
         f" or {ABS_FLOOR * 1e3:.0f} ms floor)",
     ])
-    save_result("overload_overhead", report)
+    print(f"\n{report}\n")
 
     assert base_counts == on_counts, report
     assert sheds == 0 and demotions == 0 and transitions == 0, report

@@ -48,7 +48,7 @@ def _run(reliability):
     return elapsed, counts
 
 
-def bench_reliability_overhead(benchmark, save_result):
+def bench_reliability_overhead(benchmark):
     base_time, base_counts = once(benchmark, _run, None)
     base_time = min(base_time, _run(None)[0])
 
@@ -66,7 +66,7 @@ def bench_reliability_overhead(benchmark, save_result):
         f" ({overhead:.3%}, bound {MAX_OVERHEAD:.0%}"
         f" or {ABS_FLOOR * 1e3:.0f} ms floor)",
     ])
-    save_result("reliability_overhead", report)
+    print(f"\n{report}\n")
 
     assert base_counts == on_counts, report
     assert overhead < MAX_OVERHEAD or added < ABS_FLOOR, report

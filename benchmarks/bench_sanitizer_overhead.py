@@ -58,7 +58,7 @@ def _census() -> int:
     return events
 
 
-def bench_sanitizer_disabled_overhead(benchmark, save_result):
+def bench_sanitizer_disabled_overhead(benchmark):
     run_seconds = min(once(benchmark, _run_unsanitized), _run_unsanitized())
 
     guards = _census()
@@ -91,5 +91,5 @@ def bench_sanitizer_disabled_overhead(benchmark, save_result):
         f" sanitized vs {min(plain) * 1e3:.1f} ms unsanitized"
         f" ({enabled:+.1%}, not gated)",
     ])
-    save_result("sanitizer_overhead", report)
+    print(f"\n{report}\n")
     assert overhead < MAX_OVERHEAD, report

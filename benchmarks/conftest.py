@@ -2,7 +2,8 @@
 
 Each bench regenerates one table/figure (or ablation) and both prints it
 and persists it under ``benchmarks/results/`` so the reproduced artifact
-survives pytest's output capture.
+survives pytest's output capture. The overhead gates, whose reports are
+this host's timings, only print theirs: a run leaves the tree clean.
 """
 
 from pathlib import Path

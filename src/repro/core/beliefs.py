@@ -17,12 +17,12 @@ the item's interest set, instead of holding a copy per site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import (
+    Collection, Dict, Iterable, Mapping, NamedTuple, Optional, Tuple,
+)
 
 
-@dataclass(frozen=True, slots=True)
-class Belief:
+class Belief(NamedTuple):
     """One remembered observation of a peer's AV for an item."""
 
     volume: float
@@ -75,7 +75,7 @@ class BeliefTable:
             existing = self._deals.get(item, _NO_DEAL).get(peer)
         if existing is not None and existing.observed_at > now:
             return
-        self._beliefs[key] = Belief(volume, now)
+        self._beliefs[key] = tuple.__new__(Belief, (volume, now))
         self.observations += 1
 
     def believed_volume(self, peer: str, item: str) -> Optional[float]:
@@ -91,30 +91,33 @@ class BeliefTable:
             belief = self._deals.get(item, _NO_DEAL).get(peer)
         return belief
 
-    def rank_key(self, item: str):
-        """Sort key putting peers richest-believed-first for ``item``.
+    def richest(
+        self, item: str, candidates: Iterable[str], tried: Collection[str]
+    ) -> Optional[str]:
+        """The untried candidate believed to hold the most AV for ``item``.
 
         Unknown peers rank *above* peers believed empty (an unknown peer
         might have plenty; a known-empty one almost surely does not) but
         below peers with known positive volume. Ties break by name so the
-        ordering — and hence the whole simulation — is deterministic.
+        choice — and hence the whole simulation — is deterministic.
+        ``None`` once every candidate is in ``tried``.
         """
         beliefs = self._beliefs
         deal = self._deals.get(item, _NO_DEAL)
         site = self.site
-
-        def key(peer: str) -> tuple[float, str]:
+        best = None
+        top = 0.0
+        for peer in candidates:
+            if peer in tried:
+                continue
             belief = beliefs.get((peer, item))
             if belief is None and peer != site:
                 belief = deal.get(peer)
             # unknown: between "known empty" and "known ≥ 1"
-            return (-belief.volume if belief is not None else -0.5, peer)
-
-        return key
-
-    def ranked_peers(self, item: str, candidates: list[str]) -> list[str]:
-        """``candidates`` ordered by :meth:`rank_key`."""
-        return sorted(candidates, key=self.rank_key(item))
+            volume = 0.5 if belief is None else belief[0]
+            if best is None or volume > top or volume == top and peer < best:
+                best, top = peer, volume
+        return best
 
     def entries(self):
         """Iterate ``(peer, item, Belief)`` over every held belief.

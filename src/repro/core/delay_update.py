@@ -346,9 +346,7 @@ class DelayUpdateProtocol:
         pool = accel.pool_parent
         if pool is not None and pool not in tried and pool in candidates:
             return pool, True
-        target = accel.strategy.select(
-            item, candidates, frozenset(tried), accel.beliefs
-        )
+        target = accel.strategy.select(item, candidates, tried, accel.beliefs)
         return target, False
 
     # ---------------------------------------------------------------- #

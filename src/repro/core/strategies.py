@@ -9,7 +9,7 @@ selection-strategy ablation (DESIGN.md, Ablation B).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +20,8 @@ class SelectionStrategy(ABC):
     """Chooses the next peer to ask for AV for ``item``.
 
     ``tried`` holds the peers already asked during the current gathering
-    round; implementations must never return one of them.
+    round, in a read-only container (not necessarily a ``frozenset``);
+    implementations must never return one of them.
     """
 
     @abstractmethod
@@ -28,7 +29,7 @@ class SelectionStrategy(ABC):
         self,
         item: str,
         candidates: Sequence[str],
-        tried: frozenset[str],
+        tried: Collection[str],
         beliefs: BeliefTable,
     ) -> Optional[str]:
         """Return the next peer to ask, or ``None`` if nobody is left."""
@@ -41,11 +42,7 @@ class BelievedRichestStrategy(SelectionStrategy):
     """The paper's strategy: ask the peer believed to hold the most AV."""
 
     def select(self, item, candidates, tried, beliefs):
-        remaining = [c for c in candidates if c not in tried]
-        if not remaining:
-            return None
-        # The key is a total order, so this is ranked_peers(...)[0].
-        return min(remaining, key=beliefs.rank_key(item))
+        return beliefs.richest(item, candidates, tried)
 
 
 class RoundRobinStrategy(SelectionStrategy):

@@ -18,6 +18,28 @@ from repro.core import (
 )
 
 
+def reference_order(table, item, candidates):
+    """The selecting function's order, stated as a sort: the richest
+    believed volume first, an unknown peer counting as 0.5, ties by name."""
+
+    def key(peer):
+        volume = table.believed_volume(peer, item)
+        return (-volume if volume is not None else -0.5, peer)
+
+    return sorted(candidates, key=key)
+
+
+def richest_order(table, item, candidates):
+    """Every candidate in the order ``richest`` picks them, each pick
+    joining a plain ``tried`` set before the next."""
+    tried, order = set(), []
+    while (peer := table.richest(item, candidates, tried)) is not None:
+        assert peer not in tried
+        tried.add(peer)
+        order.append(peer)
+    return order
+
+
 class TestBeliefTable:
     def test_observe_and_lookup(self):
         b = BeliefTable("site1")
@@ -43,17 +65,20 @@ class TestBeliefTable:
         b.observe("poor", "A", 1.0, now=0)
         b.observe("rich", "A", 50.0, now=0)
         b.observe("empty", "A", 0.0, now=0)
-        ranked = b.ranked_peers("A", ["poor", "rich", "empty", "unknown"])
+        candidates = ["poor", "rich", "empty", "unknown"]
+        ranked = reference_order(b, "A", candidates)
         assert ranked[0] == "rich"
         assert ranked[1] == "poor"
         # unknown ranks above known-empty
         assert ranked.index("unknown") < ranked.index("empty")
+        assert richest_order(b, "A", candidates) == ranked
 
     def test_ranked_ties_break_by_name(self):
         b = BeliefTable()
         b.observe("b", "A", 5.0, now=0)
         b.observe("a", "A", 5.0, now=0)
-        assert b.ranked_peers("A", ["b", "a"]) == ["a", "b"]
+        assert reference_order(b, "A", ["b", "a"]) == ["a", "b"]
+        assert richest_order(b, "A", ["b", "a"]) == ["a", "b"]
 
     def test_forget_peer(self):
         b = BeliefTable()
@@ -64,6 +89,18 @@ class TestBeliefTable:
         assert b.believed_volume("p", "A") is None
         assert b.believed_volume("q", "A") == 3.0
         assert len(b) == 1
+
+    def test_belief_is_an_immutable_pair(self):
+        b = BeliefTable()
+        b.observe("p", "A", 2.5, now=3.0)
+        observed = b.belief("p", "A")
+        assert observed == Belief(2.5, 3.0)
+        assert (observed.volume, observed.observed_at) == (2.5, 3.0)
+        with pytest.raises(AttributeError):
+            observed.volume = 9.0
+        with pytest.raises(AttributeError):
+            Belief(1.0, 0.0).observed_at = 1.0
+        assert b.belief("p", "A") == Belief(2.5, 3.0)
 
 
 class TestSeededDeal:
@@ -101,7 +138,9 @@ class TestSeededDeal:
         assert len(table) == 2
         assert table.observations == 2
         # unknown (-0.5) ranks between known-positive and known-empty
-        assert table.ranked_peers("A", ["s2", "s1", "s0"]) == ["s0", "s2", "s1"]
+        candidates = ["s2", "s1", "s0"]
+        assert reference_order(table, "A", candidates) == ["s0", "s2", "s1"]
+        assert richest_order(table, "A", candidates) == ["s0", "s2", "s1"]
 
     def test_stale_observation_does_not_regress_the_deal(self):
         table = BeliefTable("s1")
@@ -206,28 +245,43 @@ class TestStrategies:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_believed_richest_is_the_head_of_the_ranking(self, seed):
-        """Random tables with unknown peers, known-empty peers and ties:
-        the selected peer is ``ranked_peers(item, remaining)[0]``."""
+        """Random tables with a seeded deal that names the holder (itself
+        a candidate), unknown peers, known-empty peers, fractional
+        volumes and ties: the selected peer is the head of the reference
+        order over the untried candidates, ``tried`` a plain set."""
         rng = np.random.default_rng(seed)
         peers = [f"s{i}" for i in range(9)]
-        beliefs = BeliefTable()
+        holder = str(rng.choice(peers))
+        # few distinct volumes, so ties — among known peers and, at
+        # exactly 0.5, with unknown ones — and known-empty are common
+        volumes = [0.0, 0.25, 0.5, 1.0, 1.5, 3.0]
+        deal = {
+            peer: Belief(float(rng.choice(volumes)), 0.0)
+            for peer in peers
+            if peer == holder or rng.random() < 0.5
+        }
+        beliefs = BeliefTable(holder)
+        beliefs.seed("A", deal)
         for peer in peers:
-            if rng.random() < 0.3:
-                continue  # never observed
-            # few distinct volumes, so ties (and known-empty) are common
-            beliefs.observe(peer, "A", float(rng.integers(0, 4)), now=0)
+            if rng.random() < 0.4:
+                continue  # the deal, if any, is all that is known
+            beliefs.observe(peer, "A", float(rng.choice(volumes)), now=1.0)
             beliefs.observe(peer, "B", 99.0, now=0)  # another item: ignored
         strategy = BelievedRichestStrategy()
         candidates = [str(p) for p in rng.permutation(peers)]
+        assert holder in candidates
         tried: set[str] = set()
         while True:
             remaining = [c for c in candidates if c not in tried]
-            got = strategy.select("A", candidates, frozenset(tried), beliefs)
+            got = strategy.select("A", candidates, tried, beliefs)
             if not remaining:
                 assert got is None
                 break
-            assert got == beliefs.ranked_peers("A", remaining)[0]
+            assert got == reference_order(beliefs, "A", remaining)[0]
             tried.add(got)
+        assert richest_order(beliefs, "A", candidates) == reference_order(
+            beliefs, "A", candidates
+        )
 
     def test_round_robin_cycles(self):
         s = RoundRobinStrategy()

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.db import (
-    RecoveryReport,
     Store,
     TransactionClosed,
     TransactionManager,

@@ -7,7 +7,6 @@ from repro.net import (
     ConstantLatency,
     CrashedEndpointError,
     EndpointNotFound,
-    Message,
     Network,
     RequestTimeout,
     UniformLatency,

@@ -3,7 +3,6 @@
 import gc
 import hashlib
 import json
-import math
 import statistics
 import tracemalloc
 
@@ -25,7 +24,6 @@ from repro.obs import (
     StreamingHistogram,
     TimeSeriesStore,
     chrome_trace_events,
-    jsonl_lines,
     render_summary,
     write_chrome_trace,
     write_jsonl,
