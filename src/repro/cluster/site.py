@@ -70,8 +70,10 @@ class Site:
         return done
 
     def _record(self, event) -> None:
-        if event.ok and isinstance(event.value, UpdateResult):
-            self.collector.record(event.value)
+        # The event's slots, not its guarded properties: it has fired.
+        result = event._value
+        if event._ok and isinstance(result, UpdateResult):
+            self.collector.record(result)
 
     def value(self, item: str) -> float:
         """The site's current replica value for ``item``."""

@@ -220,22 +220,21 @@ class Accelerator:
     def update(self, item: str, delta: float) -> Event:
         """Start an update; the returned event's value is the UpdateResult.
 
-        An update nothing can suspend — no admission bracket, no closed
-        gate, local AV that covers it — is the paper's zero-communication
-        case and runs here, without a process; anything else gets one.
+        An update nothing can suspend — no closed gate, local AV that
+        covers it — is the paper's zero-communication case and runs
+        here, without a process; anything else gets one.
         """
         req = UpdateRequest(
             site=self.site,
             item=item,
             delta=delta,
-            issued_at=self.env.now,
+            issued_at=self.env._now,
             request_id=next(self._req_ids),
         )
         self.updates_started += 1
         av = self.av_table
         if (
-            self.overload is None
-            and self._rejoin_gate is None
+            self._rejoin_gate is None
             and item not in self._frozen
             and av.defined(item)
             and (delta >= 0 or av.get(item) >= -delta)
@@ -302,14 +301,24 @@ class Accelerator:
         Nothing here waits, so the span tree needs no handles: its ids
         are reserved at once and :meth:`DelayUpdateProtocol.local`
         writes it as one record. A body that raises leaves the root
-        open, as :meth:`_run`'s would stay."""
+        open, as :meth:`_run`'s would stay. With the overload layer on,
+        :meth:`_run`'s admission bracket runs here as well."""
         env = self.env
         done = Event(env)
         rec = self.obs.recorder
         now = env._now
+        ovl = self.overload
         root = None
         tree = 0
         try:
+            if ovl is not None:
+                retry = ovl.admit(now)
+                if retry is not None:
+                    ovl.record_shed(now, retry)
+                    return done.succeed(UpdateResult(
+                        req, UpdateKind.DELAY, UpdateOutcome.SHED,
+                        finished_at=now, retry_after=retry))
+                ovl.begin(now)
             if rec.enabled:
                 tree = rec.open_tree(self.propagate and req.delta != 0)
             try:
@@ -324,6 +333,9 @@ class Accelerator:
                     raise
                 # an eager push from a dead site
                 result = self._failed(req, UpdateKind.DELAY)
+            finally:
+                if ovl is not None:
+                    ovl.end(env._now)
             if root is not None:
                 rec.write_row(
                     root, "update", self.site, now, now,
@@ -447,9 +459,10 @@ class Accelerator:
         return self._live(self.interest.neighbors)
 
     def live_peers_for(self, item: str) -> Sequence[str]:
-        """`replica_peers` minus known-crashed sites (gather candidates).
-        """
-        return self._live(self.interest.peers_for(item))
+        """`replica_peers` minus known-crashed sites (gather candidates):
+        the view's tuple itself while no fault is active, with no call."""
+        peers = self.interest.peers_for(item)
+        return peers if self.endpoint.network.faults.quiet else self._live(peers)
 
     # ---------------------------------------------------------------- #
     # lazy propagation (batched sync)

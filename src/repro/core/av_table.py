@@ -201,6 +201,10 @@ class AVTable:
         except KeyError:
             raise AVUndefined(item) from None
 
+    def level(self, item: str) -> Optional[float]:
+        """Local AV for ``item``, ``None`` if undefined: one probe."""
+        return self._av.get(item)
+
     def add(self, item: str, amount: float) -> float:
         """Increase local AV (minting at the maker, or a received grant)."""
         if amount < 0:

@@ -216,8 +216,9 @@ class DelayUpdateProtocol:
 
         # Unobserved, the round trip makes no recorder call at all.
         observed = rec.enabled
+        env = accel.env
         while hold.amount < need:
-            now = accel.now  # fixed until the request below suspends us
+            now = env._now  # fixed until the request below suspends us
             # Nothing in the selecting function opens a span, so its
             # span takes its id once it has chosen: with the request, as
             # one pair, or alone when nobody is left to ask.
@@ -304,7 +305,7 @@ class DelayUpdateProtocol:
                 hold.release()
                 raise
 
-            now = accel.now
+            now = env._now
             granted = reply["granted"]
             if observed:
                 rec.close_span(request, now, ("granted",), (granted,))
@@ -353,38 +354,37 @@ class DelayUpdateProtocol:
     # grantor side
     # ---------------------------------------------------------------- #
 
-    # Spans for the grant are recorded in _grant_from_table.
-    def handle_av_request(self, msg):  # repro-lint: disable=span-coverage
-        """Serve an AV transfer: grant per policy, piggyback our level."""
-        return self._grant_from_table(msg, pool=False)
+    def handle_av_request(self, msg, pool: bool = False):
+        """Serve an AV transfer: grant per policy, piggyback our level.
 
-    def _grant_from_table(self, msg, pool: bool):
-        """Shared grantor body for peer asks and hierarchical pool asks.
-
-        Peer grants follow the deciding policy (SODA'99 half-split: the
-        grantor keeps working capital). A *pool* grant fills the request
-        outright — an aggregator's table exists to absorb its subtree's
-        demand, and haggling would only add round trips.
+        The registered ``av.request`` handler, and the grantor body the
+        pool handlers share (``pool=True``). Peer grants follow the
+        deciding policy (SODA'99 half-split: the grantor keeps working
+        capital). A *pool* grant fills the request outright — an
+        aggregator's table exists to absorb its subtree's demand, and
+        haggling would only add round trips.
         """
         accel = self.accel
         rec = accel.obs.recorder
         site = accel.site
-        item = msg.payload["item"]
-        requested = msg.payload["amount"]
-        now = accel.now
+        payload = msg.payload
+        item = payload["item"]
+        requested = payload["amount"]
+        now = accel.env._now
         # Nothing here waits or opens a span, so the spans take their
         # ids when they are written: av.grant and av.deciding as one
         # pair, or as the rows and open handles a raise leaves. The
         # grant hangs off the requester's round-trip span when the
         # request carries its context (parent id, trace id).
-        ctx = msg.payload.get("_obs")
+        ctx = payload.get("_obs")
         link = (ctx["span"], ctx["trace"]) if ctx else ()
         available = granted = None
         try:
             accel.beliefs.observe(
-                msg.src, item, msg.payload.get("requester_av", 0.0), now
+                msg.src, item, payload.get("requester_av", 0.0), now
             )
-            if not accel.av_table.defined(item):
+            available = accel.av_table.level(item)
+            if available is None:
                 if rec.enabled:
                     rec.write_row(
                         rec.open_row(*link), "av.grant", site, now, now,
@@ -392,8 +392,18 @@ class DelayUpdateProtocol:
                         (item, msg.src, 0.0, True),
                     )
                 return {"granted": 0.0, "av_after": 0.0}
-            available = accel.av_table.get(item)
-            granted = self._decide(available, requested, pool)
+            # The deciding function at the grantor: how much to grant.
+            if pool:
+                granted = min(available, requested)
+            else:
+                granted = accel.policy.grant_amount(available, requested)
+                if accel.overload is not None:
+                    # Under strain, widen the grant past the half-split:
+                    # one round trip settles what repeat asks would.
+                    widened = accel.overload.widened_grant(available, requested)
+                    if widened is not None:
+                        granted = widened
+            after = available
             if granted > 0:
                 if accel.inject != "av-double-grant":
                     # Planted bug (test-only, see SystemConfig.inject):
@@ -402,9 +412,9 @@ class DelayUpdateProtocol:
                     # sites — the exact double-count the AV-conservation
                     # oracle must catch.
                     accel.av_table.take(item, granted)
+                    after = available - granted  # what take() stored
                 self.grants_served += 1
                 self.volume_granted += granted
-            after = accel.av_table.get(item)
         except BaseException:
             if rec.enabled:
                 # What the grant's handle left: itself open, and its
@@ -437,21 +447,7 @@ class DelayUpdateProtocol:
             reply["lease"] = accel.leases.grant(item, granted, msg.src).lease_id
         return reply
 
-    def _decide(self, available: float, requested: float, pool: bool) -> float:
-        """The deciding function at the grantor: how much to grant."""
-        if pool:
-            return min(available, requested)
-        accel = self.accel
-        granted = accel.policy.grant_amount(available, requested)
-        if accel.overload is not None:
-            # Under strain, widen the grant past the half-split policy:
-            # one round trip settles what repeat correspondence would.
-            widened = accel.overload.widened_grant(available, requested)
-            if widened is not None:
-                granted = widened
-        return granted
-
-    # Spans for the grant are recorded in _grant_from_table.
+    # Spans for the grant are recorded in handle_av_request.
     def handle_pool_refill(self, msg):  # repro-lint: disable=span-coverage
         """Serve a downstream aggregator's top-up from our own table.
 
@@ -459,9 +455,9 @@ class DelayUpdateProtocol:
         refill, so an ask chain is bounded by the tree depth (the leaf's
         strategy fallback covers a dry chain).
         """
-        return self._grant_from_table(msg, pool=True)
+        return self.handle_av_request(msg, pool=True)
 
-    # Spans for the grant are recorded in _grant_from_table.
+    # Spans for the grant are recorded in handle_av_request.
     def handle_pool_request(self, msg):  # repro-lint: disable=span-coverage
         """Aggregator side of hierarchical AV: serve a leaf from the
         regional pool, refilling from our supply parent first when dry.
@@ -520,7 +516,7 @@ class DelayUpdateProtocol:
                         for fn in self._on_refill:
                             fn(now, accel.site, item, granted)
                     accel.av_table.add(item, granted)
-        return self._grant_from_table(msg, pool=True)
+        return self.handle_av_request(msg, pool=True)
 
     def handle_av_push(self, msg):
         """Accept unsolicited AV (from a proactive rebalancer, see
@@ -710,7 +706,7 @@ class DelayUpdateProtocol:
             kind=UpdateKind.DELAY,
             outcome=outcome,
             local_only=local,
-            finished_at=self.accel.now,
+            finished_at=self.accel.env._now,
             av_requests=av_requests,
             av_obtained=av_obtained,
         )

@@ -15,9 +15,8 @@ order, which is all :func:`repro.db.recovery.recover` sweeps.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 
 class WalOp(enum.Enum):
@@ -27,9 +26,8 @@ class WalOp(enum.Enum):
     ABORT = "abort"
 
 
-@dataclass(frozen=True, slots=True)
-class WalEntry:
-    """One log record.
+class WalEntry(NamedTuple):
+    """One log record (a tuple the log builds with ``tuple.__new__``).
 
     ``lsn`` (log sequence number) is assigned by the log; ``item`` and
     ``delta`` are only meaningful for :attr:`WalOp.DELTA` entries.
@@ -59,7 +57,7 @@ class WriteAheadLog:
         self._next_lsn = 1
 
     def _write(self, op: WalOp, txn_id: int, item: Optional[str] = None, delta: float = 0.0) -> WalEntry:
-        entry = WalEntry(self._next_lsn, op, txn_id, item, delta)
+        entry = tuple.__new__(WalEntry, (self._next_lsn, op, txn_id, item, delta))
         self._next_lsn += 1
         return entry
 

@@ -139,8 +139,9 @@ class MetricsCollector:
     def record(self, result: UpdateResult) -> None:
         """Account one finished update (and its delta, if committed)."""
         self.results.append(result)
-        if result.committed:
-            self.ledger.record_delta(result.request.item, result.request.delta)
+        if result.outcome is UpdateOutcome.COMMITTED:  # no property call
+            request = result.request
+            self.ledger.record_delta(request.item, request.delta)
 
     @property
     def total(self) -> int:

@@ -15,15 +15,22 @@ message is still individually transmitted, latency-delayed, and counted.
 
 from __future__ import annotations
 
+import sys
 from functools import partial
 from types import GeneratorType
 from typing import Any, Callable, Optional
 
-from repro.net.message import Message
+from repro.net.message import _KINDS, Message, _kind_names, _new_tuple
 from repro.net.network import Network
 from repro.sim.events import _PENDING, LATE, Event
 
 Handler = Callable[[Message], Any]
+
+#: request kind -> its reply kind's :data:`~repro.net.message._KINDS`
+#: entry; filled when a handler for the kind registers
+_REPLY_NAMES: dict[str, tuple[str, str]] = {}
+
+_new_object = object.__new__
 
 
 class RequestTimeout(Exception):
@@ -89,6 +96,10 @@ class Endpoint:
         if kind in self._handlers:
             raise ValueError(f"handler for {kind!r} already registered on {self.name}")
         self._handlers[kind] = handler
+        # Fill the envelope memos now: no send in a run pays for a first
+        # use, so a run's work does not depend on what ran before it.
+        _kind_names(kind)
+        _REPLY_NAMES[kind] = _kind_names(f"{kind}.reply")
 
     def handler(self, kind: str) -> Callable[[Handler], Handler]:
         """Decorator form of :meth:`on`."""
@@ -103,20 +114,20 @@ class Endpoint:
     # sending
     # ---------------------------------------------------------------- #
 
+    # send, request and reply build the envelope Message(...) builds.
+
     def send(self, dst: str, kind: str, payload: Any = None, tag: str = "") -> None:
         """Fire-and-forget one-way message."""
-        if self.crashed:
+        network = self.network
+        faults = network.faults
+        if not faults.quiet and faults.is_crashed(self.name):
             raise CrashedEndpointError(f"{self.name} is crashed")
-        self.network.send(
-            Message(
-                src=self.name,
-                dst=dst,
-                kind=kind,
-                payload=payload,
-                tag=tag,
-                msg_id=self.network.next_msg_id(),
-            )
-        )
+        names = _KINDS.get(kind) or _kind_names(kind)
+        network.send(_new_tuple(Message, (
+            self.name, dst, names[0], payload,
+            sys.intern(tag) if tag else names[1],
+            next(network._msg_ids), None, False,
+        )))
 
     def request(
         self,
@@ -137,8 +148,14 @@ class Endpoint:
         if not faults.quiet and faults.is_crashed(self.name):
             raise CrashedEndpointError(f"{self.name} is crashed")
         msg_id = next(network._msg_ids)
-        msg = Message(self.name, dst, kind, payload, tag, msg_id, None, True)
-        result = Event(self.env)
+        names = _KINDS.get(kind) or _kind_names(kind)
+        msg = _new_tuple(Message, (
+            self.name, dst, names[0], payload,
+            sys.intern(tag) if tag else names[1], msg_id, None, True,
+        ))
+        result = _new_object(Event)  # Event(self.env), with no call
+        result.env, result.callbacks, result._value = self.env, [], _PENDING
+        result._ok, result._defused = True, False
         self._pending[msg_id] = result
         network.send(msg)
 
@@ -163,17 +180,21 @@ class Endpoint:
         faults = network.faults
         if not faults.quiet and faults.is_crashed(self.name):
             raise CrashedEndpointError(f"{self.name} is crashed")
-        network.send(
-            Message(
-                src=self.name,
-                dst=to.src,
-                kind=f"{to.kind}.reply",
-                payload=payload,
-                tag=to.tag,
-                reply_to=to.msg_id,
-                msg_id=next(network._msg_ids),
-            )
-        )
+        names = _REPLY_NAMES.get(to.kind)
+        if names is None:
+            # No handler registered the kind (a reply sent by hand): the
+            # constructor interns the reply kind, the memo keeps it.
+            msg = Message(self.name, to.src, kind=f"{to.kind}.reply",
+                          payload=payload, tag=to.tag, reply_to=to.msg_id,
+                          msg_id=next(network._msg_ids))
+            _REPLY_NAMES[to.kind] = _KINDS[msg.kind]
+        else:
+            # ``to.tag`` is an envelope's, so already interned.
+            msg = _new_tuple(Message, (
+                self.name, to.src, names[0], payload, to.tag or names[1],
+                next(network._msg_ids), to.msg_id, False,
+            ))
+        network.send(msg)
 
     # ---------------------------------------------------------------- #
     # receiving

@@ -22,6 +22,15 @@ _KINDS: dict[str, tuple[str, str]] = {}
 _new_tuple = tuple.__new__
 
 
+def _kind_names(kind: str) -> tuple[str, str]:
+    """``kind``'s :data:`_KINDS` entry, filled on its first use."""
+    names = _KINDS.get(kind)
+    if names is None:
+        kind = sys.intern(kind)
+        names = _KINDS[kind] = (kind, sys.intern(kind.split(".", 1)[0]))
+    return names
+
+
 class Message(
     namedtuple(
         "Message", "src dst kind payload tag msg_id reply_to expects_reply"
@@ -69,10 +78,7 @@ class Message(
         # Kinds and tags come from a small fixed vocabulary but are
         # compared and hashed on every dispatch/accounting step; intern
         # them so those operations hit the pointer-equality fast path.
-        names = _KINDS.get(kind)
-        if names is None:
-            kind = sys.intern(kind)
-            names = _KINDS[kind] = (kind, sys.intern(kind.split(".", 1)[0]))
+        names = _KINDS.get(kind) or _kind_names(kind)
         return _new_tuple(cls, (
             src,
             dst,

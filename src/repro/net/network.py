@@ -11,6 +11,7 @@ Every send, delivery and drop is published on the hub's taps
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -21,10 +22,12 @@ from repro.net.message import Message
 from repro.net.stats import NetworkStats
 from repro.obs.hub import NULL_OBS, Observability
 from repro.sim.engine import Environment
-from repro.sim.events import Event
+from repro.sim.events import NORMAL, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.endpoint import Endpoint
+
+_new_object = object.__new__
 
 
 class EndpointNotFound(KeyError):
@@ -101,10 +104,6 @@ class Network:
 
         self._msg_ids = _count(1)
 
-    def next_msg_id(self) -> int:
-        """Allocate the next message id for this network."""
-        return next(self._msg_ids)
-
     # ---------------------------------------------------------------- #
     # topology
     # ---------------------------------------------------------------- #
@@ -144,29 +143,30 @@ class Network:
 
     def send(self, msg: Message) -> None:
         """Transmit ``msg``: count it, maybe drop it, else schedule delivery."""
-        if msg.dst not in self._endpoints:
-            raise EndpointNotFound(msg.dst)
-        size = (
-            self.size_model.message_size(msg)
-            if self.size_model is not None
-            else None
-        )
-        self.stats.record_send(msg, size=size)
+        src, dst, kind, _payload, tag, _id, _reply_to, _expects = msg
+        if dst not in self._endpoints:
+            raise EndpointNotFound(dst)
+        # What stats.record_send(msg, size) counts, inline.
+        stats = self.stats
+        if self.size_model is not None:
+            stats.bytes_total += self.size_model.message_size(msg)
+        stats.sent_total += 1
+        stats._ledger[(src, dst, tag, kind)] += 1
+        env = self.env
+        now = env._now
         if self._on_send:
-            now = self.env.now
             for fn in self._on_send:
-                fn(now, msg.src, msg)
+                fn(now, src, msg)
 
         faults = self.faults
-        if not faults.quiet and faults.should_drop(msg.src, msg.dst):
-            self.stats.record_drop(msg)
+        if not faults.quiet and faults.should_drop(src, dst):
+            stats.record_drop(msg)
             if self._on_drop:
-                now = self.env.now
                 for fn in self._on_drop:
-                    fn(now, msg.src, msg)
+                    fn(now, src, msg)
             return
 
-        delay = self.latency.sample(msg.src, msg.dst, self.rng)
+        delay = self.latency.sample(src, dst, self.rng)
         if self.perturb is not None:
             delay = self.perturb(msg, delay)
             if not delay >= 0:
@@ -177,23 +177,28 @@ class Network:
         # good, since every comparison with a NaN last delivery is false.
         if not delay >= 0:
             raise ValueError(f"negative or NaN latency {delay}")
-        env = self.env
-        now = env._now
         # Per-pair FIFO: no delivery earlier than the pair's last one.
         # Unconditional, because ``rel.probe``'s answer is definitive
         # only if nothing sent before it can arrive after it.
-        pair = (msg.src, msg.dst)
+        pair = (src, dst)
         when = now + delay
         last = self._last_delivery.get(pair, when)
         if when < last:
             when = last
         self._last_delivery[pair] = when
 
-        # A fresh Event is already ok; setting its value triggers it.
-        delivery = Event(env)
-        delivery.callbacks.append(self._deliver)
-        delivery._value = msg
-        env.schedule(delivery, delay=when - now)
+        # The delivery event, carrying the message, built and pushed
+        # with the key env.schedule(delivery, delay=delay) makes (the
+        # kernel's perturbation hook, when set, must see the delay).
+        delivery = _new_object(Event)
+        delivery.env, delivery.callbacks, delivery._value = env, [self._deliver], msg
+        delivery._ok, delivery._defused = True, False
+        delay = when - now
+        if env.perturb is not None:
+            return env.schedule(delivery, delay=delay)
+        seq = env._eseq
+        env._eseq = seq + 1
+        heappush(env._queue, (now + delay if delay else now, NORMAL, seq, delivery))
 
     def _deliver(self, delivery: Event) -> None:
         """Callback of the delivery event, which carries the message."""

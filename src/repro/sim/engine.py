@@ -12,7 +12,9 @@ one float object per distinct time: a zero-delay event's key reuses
 it, and popping an event at the current time keeps it, so the
 timestamps a run stores (``finished_at``, belief times) share it rather
 than each holding a copy. Pop order is checked against a plain
-``heapq`` drain in ``tests/test_sim_engine_fastpath.py``.
+``heapq`` drain in ``tests/test_sim_engine_fastpath.py``. ``succeed``,
+``fail``, a process spawn and a network delivery push the key
+:meth:`schedule` would make themselves; every other caller schedules.
 
 Example
 -------

@@ -9,6 +9,7 @@ not triggered), *triggered* (scheduled with a value or an exception), and
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro.sim.errors import AlreadyTriggered
@@ -89,7 +90,10 @@ class Event:
             raise AlreadyTriggered(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        env = self.env  # pushed with the key env.schedule(self) makes
+        seq = env._eseq
+        env._eseq = seq + 1
+        heappush(env._queue, (env._now, NORMAL, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -105,7 +109,10 @@ class Event:
             raise AlreadyTriggered(f"{self!r} has already been triggered")
         self._ok = False
         self._value = exception
-        self.env.schedule(self)
+        env = self.env  # pushed with the key env.schedule(self) makes
+        seq = env._eseq
+        env._eseq = seq + 1
+        heappush(env._queue, (env._now, NORMAL, seq, self))
         return self
 
     def defuse(self) -> None:

@@ -9,6 +9,7 @@ return value — so processes compose: one process can ``yield`` another.
 
 from __future__ import annotations
 
+from heapq import heappush
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
@@ -22,18 +23,9 @@ ProcessGenerator = Generator[Event, Any, Any]
 
 
 class Initialize(Event):
-    """Internal event that starts a process at creation time."""
+    """Internal event that starts a process (which builds it)."""
 
     __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process") -> None:
-        # Event's slots set here: one call fewer per spawned process.
-        self.env = env
-        self.callbacks = [process._resume]
-        self._value = None
-        self._ok = True
-        self._defused = False
-        env.schedule(self, URGENT)
 
 
 class Process(Event):
@@ -54,12 +46,20 @@ class Process(Event):
     ) -> None:
         if not isinstance(generator, GeneratorType):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        # Event's slots, then the Initialize event, pushed with the key
+        # env.schedule(init, URGENT) makes: a spawn calls nothing more.
+        self.env, self.callbacks, self._value = env, [], _PENDING
+        self._ok, self._defused = True, False
         self._generator = generator
         #: the event this process currently waits on (None when running)
         self._target: Optional[Event] = None
         self.name = name or generator.__name__
-        Initialize(env, self)
+        init = object.__new__(Initialize)
+        init.env, init.callbacks, init._value = env, [self._resume], None
+        init._ok, init._defused = True, False
+        seq = env._eseq
+        env._eseq = seq + 1
+        heappush(env._queue, (env._now, URGENT, seq, init))
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} at {id(self):#x}>"

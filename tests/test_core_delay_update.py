@@ -1,6 +1,8 @@
 """Behavioural tests for the Delay Update protocol on a real 3-site system."""
 
+import gc
 import hashlib
+import sys
 from collections import Counter
 
 import pytest
@@ -34,6 +36,61 @@ def system():
 
 
 ITEM = "item0"
+
+
+#: Python calls of the pinned 8-retailer episode (see ``TestAskPathWork``)
+CALLS_WIDE = 263813
+
+
+def wide_episode_calls():
+    """Build the pinned 3 000-update 8-retailer episode and count the
+    Python calls ``run_closed`` makes; returns the system and the count."""
+    system = DistributedSystem.build(
+        paper_config(n_items=10, n_retailers=8, seed=0)
+    )
+    trace = make_paper_trace(3000, 0, n_items=10, n_retailers=8)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    # As in the 2PC pin: no cyclic collection may run inside the count.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        run_closed(system, trace)
+    finally:
+        sys.setprofile(None)
+        if gc_was_enabled:
+            gc.enable()
+    return system, calls
+
+
+class TestAskPathWork:
+    """The AV ask's round trip, counted in Python calls: the episode
+    asks a peer for AV 5 809 times in 3 000 updates, so its count is
+    dominated by the requester's loop, the grantor's handler, the
+    envelopes and their delivery events. An exact,
+    host-independent count (the same under any ``PYTHONHASHSEED``).
+
+    Building each envelope, kernel event and spawn where it is used
+    took it from 406 316 calls to the pinned count. A rise means
+    per-ask or per-message work came back; a fall is a change to
+    re-pin with a CHANGES.md note.
+    """
+
+    def test_wide_episode_python_calls_are_pinned(self):
+        system, calls = wide_episode_calls()
+        assert system.env.events_processed == 21729
+        assert system.network.stats.sent_total == 11618
+        assert calls == CALLS_WIDE
+
+    def test_wide_episode_same_shape_twice_makes_equal_calls(self):
+        counts = [wide_episode_calls()[1] for _ in range(2)]
+        assert counts == [CALLS_WIDE, CALLS_WIDE]
 
 
 class TestLocalPath:
@@ -212,14 +269,31 @@ class TestStraightLineLocalPath:
         assert done.value.committed and done.value.local_only
 
     def test_overload_sites_keep_the_admission_bracket(self):
+        """A covered update on an overload site runs without a process,
+        inside the admission bracket: in flight while its body runs, and
+        shed with a retry-after hint while the budget is full."""
         system = DistributedSystem.build(SystemConfig(
-            n_items=1, initial_stock=90.0, seed=0, overload=OverloadParams(),
+            n_items=1, initial_stock=90.0, seed=0,
+            overload=OverloadParams(inflight_budget=1),
         ))
+        ovl = system.site("site1").accelerator.overload
         done = system.update("site1", ITEM, -5)
-        assert isinstance(done, Process)
+        assert done.triggered  # the body already ran
         system.run()
         assert done.value.committed and done.value.local_only
-        assert system.site("site1").accelerator.overload.peak_inflight == 1
+        assert ovl.peak_inflight == 1 and ovl.inflight == 0
+        remote = system.update("site1", ITEM, -45)  # waits for AV
+        system.env.step()
+        assert ovl.inflight == 1
+        shed = system.update("site1", ITEM, 5)
+        assert shed.triggered
+        system.run()
+        assert shed.value.outcome is UpdateOutcome.SHED
+        assert shed.value.kind is UpdateKind.DELAY
+        assert shed.value.retry_after == ovl.params.retry_after
+        assert shed.value.finished_at == shed.value.request.issued_at
+        assert ovl.shed == 1
+        assert remote.value.committed and ovl.inflight == 0
 
     def test_non_regular_item_is_a_process(self):
         system = build_paper_system(

@@ -9,11 +9,15 @@ from repro.net import (
     ConstantLatency,
     LognormalLatency,
     Message,
+    Network,
     NetworkStats,
     PairwiseLatency,
     UniformLatency,
     correspondences,
 )
+from repro.net.message import _KINDS
+from repro.obs.hub import Observability
+from repro.sim import Environment
 
 NAN = float("nan")
 
@@ -107,6 +111,86 @@ class TestEnvelopeContract:
         assert not Message("a", "b", "x", expects_reply=True).is_reply
         assert Message("b", "a", "x.reply", reply_to=0).is_reply
         assert not Message("b", "a", "x.reply").is_reply
+
+
+def _wired_pair():
+    """Endpoints ``a`` and ``b`` on one network, and the list of every
+    envelope the network is handed (its ``msg.send`` tap)."""
+    env = Environment()
+    net = Network(env, rng=np.random.default_rng(0),
+                  obs=Observability(enabled=False))
+    sent = []
+    net.obs.subscribe_fields(
+        lambda kind, _now, fields: kind == "msg.send" and sent.append(fields["msg"])
+    )
+    return env, net.endpoint("a"), net.endpoint("b"), sent
+
+
+def _assert_same_envelope(msg, expected):
+    """Equal field by field, and the same kind and tag objects."""
+    assert type(msg) is Message
+    assert tuple(msg) == tuple(expected)
+    assert msg.kind is expected.kind and msg.tag is expected.tag
+
+
+class TestEndpointEnvelopes:
+    """``send``, ``request`` and ``reply`` build their envelopes from the
+    kind memo without calling the constructor; each must be the
+    envelope ``Message(...)`` builds from the same fields."""
+
+    def test_send_default_and_explicit_tag(self):
+        env, a, b, sent = _wired_pair()
+        b.on("env.note", lambda msg: None)
+        a.send("b", "env.note", {"n": 1})
+        a.send("b", "".join(["env.", "note"]), 2, tag="".join(["ac", "ct"]))
+        env.run()
+        first, second = sent
+        _assert_same_envelope(
+            first, Message("a", "b", "env.note", {"n": 1}, "", first.msg_id))
+        _assert_same_envelope(
+            second, Message("a", "b", "env.note", 2, "acct", second.msg_id))
+        assert (first.tag, second.tag) == ("env", "acct")
+
+    def test_request_and_reply(self):
+        env, a, b, sent = _wired_pair()
+        b.on("env.ask", lambda msg: msg.payload + 1)
+
+        def client():
+            yield a.request("b", "env.ask", 1)
+            return (yield a.request("b", "env.ask", 2, tag="ctl"))
+
+        proc = env.process(client())
+        env.run()
+        assert proc.value == 3
+        ask, answer, tagged_ask, tagged_answer = sent
+        for req, rep in ((ask, answer), (tagged_ask, tagged_answer)):
+            _assert_same_envelope(req, Message(
+                "a", "b", "env.ask", req.payload, req.tag, req.msg_id,
+                None, True))
+            _assert_same_envelope(rep, Message(
+                "b", "a", "env.ask.reply", req.payload + 1, req.tag,
+                rep.msg_id, req.msg_id))
+        assert (ask.tag, tagged_answer.tag) == ("env", "ctl")
+
+    def test_kind_seen_for_the_first_time(self):
+        """A kind no handler registered: ``send`` fills the memo on
+        first use; a reply sent by hand goes through the constructor
+        once, then through the memo."""
+        env, a, b, sent = _wired_pair()
+        kind = "".join(["env.", "unseen", str(id(sent))])
+        assert kind not in _KINDS
+        a.send("b", kind, tag="")
+        request = Message("b", "a", kind, expects_reply=True, msg_id=90)
+        a.reply(request, "first")
+        a.reply(request, "again")
+        sent_msg, *replies = sent
+        assert kind in _KINDS and len(replies) == 2
+        _assert_same_envelope(
+            sent_msg, Message("a", "b", kind, None, "", sent_msg.msg_id))
+        for rep, payload in zip(replies, ("first", "again")):
+            _assert_same_envelope(rep, Message(
+                "a", "b", kind + ".reply", payload, request.tag,
+                rep.msg_id, 90))
 
 
 class TestNetworkStats:

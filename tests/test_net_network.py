@@ -13,6 +13,7 @@ from repro.net import (
 )
 from repro.obs.hub import Observability
 from repro.sim import Environment
+from repro.sim.events import NORMAL
 
 
 def make_net(latency=None, **kw):
@@ -111,6 +112,9 @@ def test_unknown_destination_raises():
     a = net.endpoint("a")
     with pytest.raises(EndpointNotFound):
         a.send("ghost", "ping")
+    with pytest.raises(EndpointNotFound):
+        a.request("ghost", "ping")
+    assert net.stats.sent_total == 0 and env.peek() == float("inf")
 
 
 def test_missing_handler_raises():
@@ -353,7 +357,7 @@ def test_nan_latency_rejected_and_fifo_clamp_kept():
     """A NaN latency used to be scheduled (``nan < 0`` is false) and
     left the channel's last delivery time NaN, which turned its FIFO
     clamp off for good: every later ``when < nan`` test is false."""
-    env, net = make_net(ScriptedLatency(5.0, float("nan"), 1.0))
+    env, net = make_net(ScriptedLatency(5.0, float("nan"), 1.0, float("nan")))
     a, b = net.endpoint("a"), net.endpoint("b")
     got = []
     b.on("ping", lambda msg: got.append((env.now, msg.payload)))
@@ -361,6 +365,8 @@ def test_nan_latency_rejected_and_fifo_clamp_kept():
     with pytest.raises(ValueError, match="NaN"):
         a.send("b", "ping", 2)
     a.send("b", "ping", 3)  # 1 tick, clamped behind the first
+    with pytest.raises(ValueError, match="NaN"):
+        a.request("b", "ping", 4)
     env.run()
     assert got == [(5.0, 1), (5.0, 3)]
 
@@ -372,3 +378,30 @@ def test_nan_delivery_perturbation_rejected():
     with pytest.raises(ValueError, match="NaN"):
         a.send("b", "ping")
     assert env.peek() == float("inf")
+
+
+def test_kernel_perturbation_sees_every_nonzero_delivery_delay():
+    """Network.send pushes a delivery's heap key itself, but with the
+    kernel's perturbation hook set it schedules through
+    ``env.schedule``: the hook sees each delivery with a nonzero delay
+    (after the per-pair FIFO clamp), in send order, and no zero-delay
+    one."""
+    env, net = make_net(ScriptedLatency(2.0, 0.0, 0.5, 1.5))
+    a, b, c = net.endpoint("a"), net.endpoint("b"), net.endpoint("c")
+    seen, got = [], []
+
+    def perturb(event, priority, delay):
+        seen.append((event.value.payload, priority, delay))
+        return delay + 1.0
+
+    env.perturb = perturb
+    for endpoint in (a, b, c):
+        endpoint.on("ping", lambda msg: got.append((msg.payload, env.now)))
+    a.send("b", "ping", 1)
+    a.send("c", "ping", 2)  # zero latency: exempt from the hook
+    a.send("b", "ping", 3)  # 0.5, clamped behind the first: 2.0
+    b.send("a", "ping", 4)
+    env.run()
+    assert seen == [(1, NORMAL, 2.0), (3, NORMAL, 2.0), (4, NORMAL, 1.5)]
+    assert got == [(2, 0.0), (4, 2.5), (1, 3.0), (3, 3.0)]
+

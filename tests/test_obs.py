@@ -1357,12 +1357,14 @@ class TestSpanPairs:
         }
 
     def test_overload_scenario_record_count(self):
-        """1 833 spans; the process path's pairs make them 1 230 column
-        records (one span per record, 1 833 records, before pairs)."""
+        """1 833 spans in 935 column records: a covered update writes
+        its span tree as one record, the process path's pairs share one
+        (1 230 records while every overload update took the process
+        path; one span per record, 1 833, before pairs)."""
         overload = next(s for s in SMALL_SCENARIOS if s.name == "overload")
         rec = run_chaos_scenario(overload, n_updates=600, seed=3).obs.recorder
         assert len(rec) == 1833
-        assert len(rec._ids) == 1230
+        assert len(rec._ids) == 935
 
     def test_null_recorder_writes_no_pair(self):
         rec = NullSpanRecorder()

@@ -28,7 +28,7 @@ from heapq import heappop, heappush
 import pytest
 
 from repro.sim.engine import Environment
-from repro.sim.errors import EmptySchedule
+from repro.sim.errors import AlreadyTriggered, EmptySchedule
 from repro.sim.events import Event, LATE, NORMAL, URGENT
 
 PRIORITIES = (URGENT, NORMAL, LATE)
@@ -432,3 +432,71 @@ def test_dispatch_hook_leaves_fig6_result_identical():
     assert vars(Environment)["profile_dispatch"] is None
     assert Environment().profile_dispatch is None
 
+
+
+# --------------------------------------------------------------------- #
+# inline pushes: succeed/fail and process spawns build their own keys
+# --------------------------------------------------------------------- #
+
+
+def test_succeed_and_fail_push_the_key_schedule_makes():
+    """``succeed``/``fail`` push ``(now, NORMAL, seq, event)`` themselves;
+    an event scheduled through ``schedule`` gets the same key shape and
+    the next seq, and the time is the clock's own float."""
+    env = Environment()
+    start = Event(env)
+
+    def at_t(_event):
+        ok, failed, plain = Event(env), Event(env), Event(env)
+        failed.defuse()
+        ok.succeed("v")
+        failed.fail(RuntimeError("x"))
+        env.schedule(plain)
+        keys = sorted(env._queue)
+        assert [key[1:] for key in keys] == [
+            (NORMAL, 1, ok), (NORMAL, 2, failed), (NORMAL, 3, plain),
+        ]
+        assert all(key[0] is env._now for key in keys)
+
+    start.callbacks.append(at_t)
+    env.schedule(start, delay=2.5)
+    env.run()
+    assert env.events_processed == 4
+
+
+def test_triggering_a_triggered_event_still_raises():
+    env = Environment()
+    event = env.event()
+    event.succeed(1)
+    with pytest.raises(AlreadyTriggered):
+        event.succeed(2)
+    with pytest.raises(AlreadyTriggered):
+        event.fail(RuntimeError("late"))
+    assert len(env._queue) == 1 and event.value == 1
+
+
+def test_spawned_process_starts_before_normal_events_at_its_time():
+    """A process spawned at t pushes its Initialize at URGENT: its first
+    step runs before every NORMAL event at t, even ones triggered
+    before the spawn."""
+    env = Environment()
+    order = []
+
+    def body():
+        order.append(("process", env.now))
+        yield env.timeout(0)
+
+    def spawn(_event):
+        normal = env.event()
+        normal.callbacks.append(lambda _e: order.append(("normal", env.now)))
+        normal.succeed()
+        proc = env.process(body())
+        [key] = [key for key in env._queue if key[3] is not normal]
+        assert key[:3] == (1.0, URGENT, 2) and key[0] is env._now
+        assert proc.callbacks == [] and proc.is_alive
+
+    start = Event(env)
+    start.callbacks.append(spawn)
+    env.schedule(start, delay=1.0)
+    env.run()
+    assert order == [("process", 1.0), ("normal", 1.0)]
