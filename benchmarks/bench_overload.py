@@ -14,6 +14,9 @@ with the layer attached at default budgets:
 2. **Wall time stays within 5%** (min-of-2 per side, with a small
    absolute floor so sub-millisecond jitter on a fast run cannot flake
    the job).
+3. **The kernel does the same work**: the layer-on run processes
+   exactly as many kernel events as the seed path. This half is exact,
+   so it fails on any host when the calm run gains an event.
 """
 
 import time
@@ -37,7 +40,8 @@ N_ITEMS = 10
 
 
 def _run(overload):
-    """One Fig. 6 workload; returns (wall s, tag counts, controllers)."""
+    """One Fig. 6 workload; returns (wall s, tag counts, controllers,
+    kernel events processed)."""
     system = build_paper_system(
         n_items=N_ITEMS, seed=SEED, overload=overload
     )
@@ -50,14 +54,14 @@ def _run(overload):
         system.sites[name].accelerator.overload
         for name in sorted(system.sites)
     ]
-    return elapsed, counts, controllers
+    return elapsed, counts, controllers, system.env.events_processed
 
 
 def bench_overload_overhead(benchmark):
-    base_time, base_counts, _ = once(benchmark, _run, None)
+    base_time, base_counts, _, base_events = once(benchmark, _run, None)
     base_time = min(base_time, _run(None)[0])
 
-    on_time, on_counts, controllers = _run(OverloadParams())
+    on_time, on_counts, controllers, on_events = _run(OverloadParams())
     on_time = min(on_time, _run(OverloadParams())[0])
 
     sheds = sum(c.shed for c in controllers)
@@ -72,6 +76,7 @@ def bench_overload_overhead(benchmark):
         f"run time (seed path) : {base_time * 1e3:.1f} ms",
         f"run time (overload)  : {on_time * 1e3:.1f} ms",
         f"update-tag messages  : off={base_counts} on={on_counts}",
+        f"kernel events        : off={base_events} on={on_events}",
         f"layer activity       : sheds={sheds} demotions={demotions}"
         f" transitions={transitions}",
         f"added wall time      : {added * 1e3:.1f} ms"
@@ -81,6 +86,7 @@ def bench_overload_overhead(benchmark):
     print(f"\n{report}\n")
 
     assert base_counts == on_counts, report
+    assert on_events == base_events, report
     assert sheds == 0 and demotions == 0 and transitions == 0, report
     assert all(s is DegradationState.NORMAL for s in states), report
     assert overhead < MAX_OVERHEAD or added < ABS_FLOOR, report

@@ -41,6 +41,8 @@ from repro.obs.spans import NULL_ROW, PAIR_ROOT, update_trace
 from repro.sim.events import Event
 from repro.sim.process import Process
 
+_new_tuple = tuple.__new__
+
 
 class Accelerator:
     """Per-site protocol engine.
@@ -224,13 +226,10 @@ class Accelerator:
         covers it — is the paper's zero-communication case and runs
         here, without a process; anything else gets one.
         """
-        req = UpdateRequest(
-            site=self.site,
-            item=item,
-            delta=delta,
-            issued_at=self.env._now,
-            request_id=next(self._req_ids),
-        )
+        # UpdateRequest(site, item, delta, issued_at, request_id)
+        req = _new_tuple(UpdateRequest, (
+            self.site, item, delta, self.env._now, next(self._req_ids),
+        ))
         self.updates_started += 1
         av = self.av_table
         if (
@@ -361,11 +360,9 @@ class Accelerator:
         """Open the update's root span — every child (checking, AV
         round-trips at either site, lock waits, applies) hangs off its
         trace id — and record the checking function's verdict under it:
-        one span pair, closed by :meth:`_run`. Returns the root's row
-        (:data:`NULL_ROW` when unobserved)."""
+        one span pair, closed by :meth:`_run`, which calls it only when
+        the recorder is on. Returns the root's row."""
         rec = self.obs.recorder
-        if not rec.enabled:
-            return NULL_ROW
         root, _ = rec.open_pair(
             PAIR_ROOT, self.site, self.env._now,
             (req.item, req.delta, kind.value),
@@ -399,7 +396,9 @@ class Accelerator:
             yield self._rejoin_gate
 
         kind = self.check(req.item)
-        root = self._root_span(req, kind)
+        root = NULL_ROW
+        if self.obs.recorder.enabled:
+            root = self._root_span(req, kind)
         if ovl is not None:
             ovl.begin(self.env.now)
         try:

@@ -36,6 +36,7 @@ from repro.core.types import (
     UpdateOutcome,
     UpdateRequest,
     UpdateResult,
+    _new_tuple,
 )
 from repro.net.endpoint import RequestTimeout
 from repro.obs.spans import (
@@ -701,12 +702,8 @@ class DelayUpdateProtocol:
         av_requests: int = 0,
         av_obtained: float = 0.0,
     ) -> UpdateResult:
-        return UpdateResult(
-            request=req,
-            kind=UpdateKind.DELAY,
-            outcome=outcome,
-            local_only=local,
-            finished_at=self.accel.env._now,
-            av_requests=av_requests,
-            av_obtained=av_obtained,
-        )
+        # UpdateResult(...) in field order, without its __new__ frame
+        return _new_tuple(UpdateResult, (
+            req, UpdateKind.DELAY, outcome, local, self.accel.env._now,
+            av_requests, av_obtained, 0.0,
+        ))

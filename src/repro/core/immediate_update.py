@@ -34,6 +34,7 @@ from repro.core.types import (
     UpdateOutcome,
     UpdateRequest,
     UpdateResult,
+    _new_tuple,
 )
 from repro.db.locks import LockMode
 from repro.db.transaction import Transaction
@@ -215,12 +216,11 @@ class ImmediateUpdateProtocol:
                 rec.close_span(abort_span, accel.now)
             if holds_local:
                 accel.locks.release(item, token)
-            return UpdateResult(
-                request=req,
-                kind=UpdateKind.IMMEDIATE,
-                outcome=UpdateOutcome.ABORTED,
-                finished_at=accel.now,
-            )
+            # UpdateResult(...) in field order, without its __new__ frame
+            return _new_tuple(UpdateResult, (
+                req, UpdateKind.IMMEDIATE, UpdateOutcome.ABORTED, False,
+                accel.env._now, 0, 0.0, 0.0,
+            ))
 
         # Phase 2b: decide, apply locally, then commit everywhere
         # simultaneously. The decision is logged before any message so a
@@ -244,11 +244,11 @@ class ImmediateUpdateProtocol:
                 )
                 for peer in prepared_peers
             ]
-            results = yield accel.env.all_of(acks)
+            yield accel.env.all_of(acks)
             # Paper: completion is judged by the base accelerator's message.
             base = accel.base_site
             if base != accel.site and base in prepared_peers:
-                base_ack = results[acks[prepared_peers.index(base)]]
+                base_ack = acks[prepared_peers.index(base)]._value
                 if not base_ack.get("done", False):  # pragma: no cover
                     raise RuntimeError(
                         f"base site {base} failed to confirm {req}"
@@ -269,12 +269,10 @@ class ImmediateUpdateProtocol:
         if ovl is not None:
             ovl.record_2pc_success(accel.now)
         accel.locks.release(item, token)
-        return UpdateResult(
-            request=req,
-            kind=UpdateKind.IMMEDIATE,
-            outcome=UpdateOutcome.COMMITTED,
-            finished_at=accel.now,
-        )
+        return _new_tuple(UpdateResult, (
+            req, UpdateKind.IMMEDIATE, UpdateOutcome.COMMITTED, False,
+            accel.env._now, 0, 0.0, 0.0,
+        ))
 
     def _deliver_decision(self, peer: str, kind: str, token: str):
         """Resend ``kind`` to ``peer`` until acked or retries exhausted.
@@ -348,17 +346,10 @@ class ImmediateUpdateProtocol:
         if token in self._pending and not accel.endpoint.crashed:
             yield from self._resolve(token)
 
-    # Thin wrappers: the shared _apply_decision body opens the imm.apply
-    # span for both outcomes.
-    def handle_commit(self, msg):  # repro-lint: disable=span-coverage
-        """Commit the provisional txn. Idempotent: a resend after the
-        token was already resolved (or after restart resolution) acks."""
-        return self._apply_decision(msg, commit=True)
-
-    def handle_abort(self, msg):  # repro-lint: disable=span-coverage
-        return self._apply_decision(msg, commit=False)
-
-    def _apply_decision(self, msg, commit: bool):
+    def handle_commit(self, msg, commit: bool = True):
+        """Commit (or, from :meth:`handle_abort`, abort) the provisional
+        txn. Idempotent: a resend after the token was already resolved
+        (or after restart resolution) acks."""
         accel = self.accel
         rec = accel.obs.recorder
         token = msg.payload["token"]
@@ -383,6 +374,11 @@ class ImmediateUpdateProtocol:
             rec.close_span(apply_span, accel.now, ("applied",),
                            (entry is not None,))
         return {"done": True}
+
+    # Thin wrapper: handle_commit's body opens the imm.apply span for
+    # both outcomes.
+    def handle_abort(self, msg):  # repro-lint: disable=span-coverage
+        return self.handle_commit(msg, commit=False)
 
     # Pure read of the decision log — nothing timed happens, so a span
     # would only add noise to traces.

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import count
-from typing import Optional
+from typing import NamedTuple, Optional
 
 #: message-tag constants used for correspondence accounting; canonically
 #: declared in the protocol registry, re-exported here for back-compat
@@ -48,24 +48,31 @@ class UpdateOutcome(enum.Enum):
 
 _request_ids = count(1)
 
+_new_tuple = tuple.__new__
 
-@dataclass(slots=True)
-class UpdateRequest:
-    """A user's request to change an item's stock by ``delta`` at ``site``."""
 
-    site: str
-    item: str
-    delta: float
-    issued_at: float = 0.0
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+class UpdateRequest(
+    namedtuple("UpdateRequest", "site item delta issued_at request_id")
+):
+    """A user's request to change an item's stock by ``delta`` at ``site``:
+    a tuple with read-only fields; ``request_id`` is drawn from a
+    module-wide counter when not given."""
+
+    __slots__ = ()
+
+    def __new__(cls, site: str, item: str, delta: float, issued_at: float = 0.0,
+                request_id: Optional[int] = None) -> "UpdateRequest":
+        if request_id is None:
+            request_id = next(_request_ids)
+        return _new_tuple(cls, (site, item, delta, issued_at, request_id))
 
     def __str__(self) -> str:
         return f"upd#{self.request_id} {self.item}{self.delta:+} @{self.site}"
 
 
-@dataclass(slots=True)
-class UpdateResult:
-    """Everything the harness wants to know about a finished update."""
+class UpdateResult(NamedTuple):
+    """Everything the harness wants to know about a finished update: a
+    tuple with read-only fields (hot paths build it with ``tuple.__new__``)."""
 
     request: UpdateRequest
     kind: UpdateKind

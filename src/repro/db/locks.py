@@ -21,12 +21,15 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional
+from heapq import heappush
+from typing import Dict, Optional
 
 from repro.db.errors import LockError, LockUpgradeError
 from repro.obs.hub import NULL_OBS, Observability
 from repro.sim.engine import Environment
-from repro.sim.events import Event
+from repro.sim.events import NORMAL, Event
+
+_new_object = object.__new__
 
 
 class LockMode(enum.Enum):
@@ -45,14 +48,10 @@ class _Waiter:
 
 
 class _ItemLock:
-    """Lock state for a single item."""
+    """Lock state for a single item, built by the grant that creates it:
+    ``holders`` maps owner -> mode, ``queue`` holds the waiters."""
 
     __slots__ = ("holders", "queue")
-
-    def __init__(self) -> None:
-        #: current holders: owner -> mode
-        self.holders: Dict[str, LockMode] = {}
-        self.queue: Deque[_Waiter] = deque()  # repro-lint: disable=unbounded-queue (wait depth is capped at admission — OverloadController.lock_wait_budget sheds before enqueue)
 
     def mode(self) -> Optional[LockMode]:
         if not self.holders:
@@ -78,6 +77,8 @@ class LockManager:
         self.grants = 0
         #: maximum simultaneous waiters observed (diagnostic)
         self.max_queue = 0
+        #: waiters queued across all items: what ``total_waiting`` reads
+        self._waiting = 0
 
     def _emit(self, tap: list, item: str, owner: str, mode: Optional[LockMode],
               span_id: Optional[int], lock: _ItemLock) -> None:
@@ -112,8 +113,9 @@ class LockManager:
         lock = self._locks.get(item)
         if lock is None:
             # No holder and no queue (release drops such state): grant.
-            lock = self._locks[item] = _ItemLock()
-            lock.holders[owner] = mode
+            lock = self._locks[item] = _new_object(_ItemLock)
+            lock.holders = {owner: mode}
+            lock.queue = deque()  # repro-lint: disable=unbounded-queue (wait depth is capped at admission — OverloadController.lock_wait_budget sheds before enqueue)
         else:
             held = lock.holders.get(owner)
             if held is not None:
@@ -131,6 +133,7 @@ class LockManager:
             else:
                 event = Event(self.env)
                 lock.queue.append(_Waiter(owner, mode, event))
+                self._waiting += 1
                 self.max_queue = max(self.max_queue, len(lock.queue))
                 if self._on_wait:
                     self._emit(self._on_wait, item, owner, mode, span_id, lock)
@@ -138,7 +141,15 @@ class LockManager:
         self.grants += 1
         if self._on_grant:
             self._emit(self._on_grant, item, owner, mode, span_id, lock)
-        return Event(self.env).succeed((item, mode))
+        # Event(env).succeed((item, mode)), built and pushed with its key.
+        env = self.env
+        event = _new_object(Event)
+        event.env, event.callbacks, event._value = env, [], (item, mode)
+        event._ok, event._defused = True, False
+        seq = env._eseq
+        env._eseq = seq + 1
+        heappush(env._queue, (env._now, NORMAL, seq, event))
+        return event
 
     def release(self, item: str, owner: str) -> None:
         """Drop ``owner``'s lock on ``item`` and run the grant wave."""
@@ -146,7 +157,8 @@ class LockManager:
         if lock is None or owner not in lock.holders:
             raise LockError(f"{owner!r} does not hold a lock on {item!r}")
         del lock.holders[owner]
-        self._grant_wave(item, lock)
+        if lock.queue:
+            self._grant_wave(item, lock)
         if self._on_release:
             self._emit(self._on_release, item, owner, None, None, lock)
         if not lock.holders and not lock.queue:
@@ -162,7 +174,7 @@ class LockManager:
 
     def total_waiting(self) -> int:
         """Waiters queued across all items (lock-wait depth sampling)."""
-        return sum(len(lock.queue) for lock in self._locks.values())
+        return self._waiting
 
     def is_locked(self, item: str) -> bool:
         lock = self._locks.get(item)
@@ -183,6 +195,7 @@ class LockManager:
         """Admit the queue head and following compatible requests."""
         while lock.queue and self._grantable(lock, lock.queue[0].mode):
             waiter = lock.queue.popleft()
+            self._waiting -= 1
             lock.holders[waiter.owner] = waiter.mode
             self.grants += 1
             if self._on_grant:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from itertools import count
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.db.errors import TransactionClosed
 from repro.db.storage import Store
@@ -32,34 +32,20 @@ class Transaction:
     manager's context-manager helper :meth:`TransactionManager.atomic`.
     """
 
-    def __init__(
-        self,
-        txn_id: int,
-        store: Store,
-        wal: WriteAheadLog,
-        on_finish: Optional[Callable[["Transaction"], None]] = None,
-    ) -> None:
-        self.txn_id = txn_id
-        self.store = store
-        self.wal = wal
-        self._on_finish = on_finish
-        self.state = TxnState.ACTIVE
-        #: (item, delta) pairs applied so far, in order
-        self.deltas: list[tuple[str, float]] = []
-        wal.log_begin(txn_id)
+    __slots__ = ("txn_id", "store", "wal", "manager", "state", "deltas")
 
-    def _check_active(self) -> None:
-        if self.state is not TxnState.ACTIVE:
-            raise TransactionClosed(
-                f"txn {self.txn_id} is {self.state.value}, not active"
-            )
+    def _closed(self) -> TransactionClosed:
+        return TransactionClosed(
+            f"txn {self.txn_id} is {self.state.value}, not active"
+        )
 
     def apply(self, item: str, delta: float, force: bool = False) -> float:
         """Apply a delta through the transaction; returns the new value.
 
         See :meth:`repro.db.storage.Store.apply_delta` for ``force``.
         """
-        self._check_active()
+        if self.state is not _ACTIVE:
+            raise self._closed()
         # WAL first (write-ahead), then the store mutation.
         self.wal.log_delta(self.txn_id, item, delta)
         value = self.store.apply_delta(item, delta, force=force)
@@ -67,19 +53,21 @@ class Transaction:
         return value
 
     def read(self, item: str) -> float:
-        self._check_active()
+        if self.state is not _ACTIVE:
+            raise self._closed()
         return self.store.value(item)
 
     def commit(self) -> None:
-        self._check_active()
+        if self.state is not _ACTIVE:
+            raise self._closed()
         self.wal.log_commit(self.txn_id)
         self.state = TxnState.COMMITTED
-        if self._on_finish is not None:
-            self._on_finish(self)
+        self.manager.committed += 1
 
     def abort(self) -> None:
         """Compensate every applied delta, newest first."""
-        self._check_active()
+        if self.state is not _ACTIVE:
+            raise self._closed()
         for item, delta in reversed(self.deltas):
             self.wal.log_delta(self.txn_id, item, -delta)
             # Compensation must always succeed: it restores committed
@@ -87,11 +75,14 @@ class Transaction:
             self.store.apply_delta(item, -delta, force=True)
         self.wal.log_abort(self.txn_id)
         self.state = TxnState.ABORTED
-        if self._on_finish is not None:
-            self._on_finish(self)
+        self.manager.aborted += 1
 
     def __repr__(self) -> str:
         return f"<Transaction {self.txn_id} {self.state.value} deltas={len(self.deltas)}>"
+
+
+_ACTIVE = TxnState.ACTIVE
+_new_object = object.__new__
 
 
 class TransactionManager:
@@ -110,8 +101,16 @@ class TransactionManager:
         self.aborted = 0
 
     def begin(self) -> Transaction:
+        """Open a transaction: its BEGIN record is written now."""
         self.begun += 1
-        return Transaction(next(self._ids), self.store, self.wal, self._finished)
+        txn = _new_object(Transaction)
+        txn.txn_id = txn_id = next(self._ids)
+        txn.store, txn.wal, txn.manager = self.store, self.wal, self
+        txn.state = _ACTIVE
+        #: (item, delta) pairs applied so far, in order
+        txn.deltas = []
+        self.wal.log_begin(txn_id)
+        return txn
 
     def atomic(self) -> "_Atomic":
         """``with tm.atomic() as txn:`` — commits on success, aborts on error."""
@@ -136,12 +135,6 @@ class TransactionManager:
         value = self.store.apply_delta(item, delta, force=force)
         self.committed += 1
         return value
-
-    def _finished(self, txn: Transaction) -> None:
-        if txn.state is TxnState.COMMITTED:
-            self.committed += 1
-        elif txn.state is TxnState.ABORTED:
-            self.aborted += 1
 
     def __repr__(self) -> str:
         return (

@@ -19,6 +19,9 @@ from itertools import chain
 from typing import Iterator, NamedTuple, Optional
 
 
+_new_tuple = tuple.__new__
+
+
 class WalOp(enum.Enum):
     BEGIN = "begin"
     DELTA = "delta"
@@ -56,37 +59,39 @@ class WriteAheadLog:
         self._open: dict[int, list[WalEntry]] = {}
         self._next_lsn = 1
 
-    def _write(self, op: WalOp, txn_id: int, item: Optional[str] = None, delta: float = 0.0) -> WalEntry:
-        entry = tuple.__new__(WalEntry, (self._next_lsn, op, txn_id, item, delta))
-        self._next_lsn += 1
-        return entry
-
-    def _records_of(self, txn_id: int, op: WalOp) -> list[WalEntry]:
-        if txn_id not in self._open:
-            raise ValueError(f"{self.name}: {op.value} for txn {txn_id}, which has no open BEGIN")
-        return self._open[txn_id]
-
-    def _close(self, op: WalOp, txn_id: int) -> WalEntry:
-        self._records_of(txn_id, op)
-        del self._open[txn_id]
-        return self._write(op, txn_id)
-
     def log_begin(self, txn_id: int) -> WalEntry:
-        entry = self._write(WalOp.BEGIN, txn_id)
+        lsn = self._next_lsn
+        self._next_lsn = lsn + 1
+        entry = _new_tuple(WalEntry, (lsn, WalOp.BEGIN, txn_id, None, 0.0))
         self._open[txn_id] = [entry]
         return entry
 
     def log_delta(self, txn_id: int, item: str, delta: float) -> WalEntry:
-        records = self._records_of(txn_id, WalOp.DELTA)
-        entry = self._write(WalOp.DELTA, txn_id, item, delta)
+        records = self._open.get(txn_id)
+        if records is None:
+            raise self._no_begin(WalOp.DELTA, txn_id)
+        lsn = self._next_lsn
+        self._next_lsn = lsn + 1
+        entry = _new_tuple(WalEntry, (lsn, WalOp.DELTA, txn_id, item, delta))
         records.append(entry)
         return entry
 
     def log_commit(self, txn_id: int) -> WalEntry:
-        return self._close(WalOp.COMMIT, txn_id)
+        if self._open.pop(txn_id, None) is None:
+            raise self._no_begin(WalOp.COMMIT, txn_id)
+        lsn = self._next_lsn
+        self._next_lsn = lsn + 1
+        return _new_tuple(WalEntry, (lsn, WalOp.COMMIT, txn_id, None, 0.0))
 
     def log_abort(self, txn_id: int) -> WalEntry:
-        return self._close(WalOp.ABORT, txn_id)
+        if self._open.pop(txn_id, None) is None:
+            raise self._no_begin(WalOp.ABORT, txn_id)
+        lsn = self._next_lsn
+        self._next_lsn = lsn + 1
+        return _new_tuple(WalEntry, (lsn, WalOp.ABORT, txn_id, None, 0.0))
+
+    def _no_begin(self, op: WalOp, txn_id: int) -> ValueError:
+        return ValueError(f"{self.name}: {op.value} for txn {txn_id}, which has no open BEGIN")
 
     def log_atomic(self, txn_id: int, item: str, delta: float) -> None:
         """Write BEGIN, DELTA, COMMIT for a one-delta transaction.

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import sys
 from functools import partial
+from heapq import heappush
 from types import GeneratorType
 from typing import Any, Callable, Optional
 
 from repro.net.message import _KINDS, Message, _kind_names, _new_tuple
 from repro.net.network import Network
-from repro.sim.events import _PENDING, LATE, Event
+from repro.sim.events import _PENDING, LATE, NORMAL, Event
 
 Handler = Callable[[Message], Any]
 
@@ -205,7 +206,12 @@ class Endpoint:
         if reply_to is not None:
             waiter = self._pending.pop(reply_to, None)
             if waiter is not None and waiter._value is _PENDING:
-                waiter.succeed(msg.payload)
+                # waiter.succeed(msg.payload), pushed with its key
+                waiter._value = msg.payload
+                env = self.env
+                seq = env._eseq
+                env._eseq = seq + 1
+                heappush(env._queue, (env._now, NORMAL, seq, waiter))
             return
 
         handler = self._handlers.get(msg.kind)
@@ -227,5 +233,6 @@ class Endpoint:
         """Completion callback of a generator handler: reply with its
         return value (a failed handler sends nothing, nor does one that
         finishes after its site crashed)."""
-        if proc._ok and not self.crashed:
+        faults = self.network.faults
+        if proc._ok and (faults.quiet or not faults.is_crashed(self.name)):
             self.reply(msg, proc._value)

@@ -166,7 +166,11 @@ class Network:
                     fn(now, src, msg)
             return
 
-        delay = self.latency.sample(src, dst, self.rng)
+        latency = self.latency  # read per send: it may be swapped
+        if type(latency) is ConstantLatency:
+            delay = latency.delay
+        else:
+            delay = latency.sample(src, dst, self.rng)
         if self.perturb is not None:
             delay = self.perturb(msg, delay)
             if not delay >= 0:

@@ -28,6 +28,8 @@ LATE = 2
 
 _PENDING = object()  #: sentinel for "not yet triggered"
 
+_new_object = object.__new__
+
 
 class Event:
     """A one-shot occurrence that may succeed with a value or fail.
@@ -132,11 +134,17 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if not delay >= 0:
             raise ValueError(f"negative or NaN delay {delay}")
-        super().__init__(env)
+        self.env, self.callbacks, self._value = env, [], value
+        self._ok, self._defused = True, False
         self.delay = delay
-        self._ok = True
-        self._value = value
-        env.schedule(self, priority=NORMAL, delay=delay)
+        if not delay or env.perturb is not None:
+            # The clock's own float object, or the fuzzer's hook.
+            env.schedule(self, priority=NORMAL, delay=delay)
+            return
+        # The key env.schedule(self, NORMAL, delay) makes, pushed here.
+        seq = env._eseq
+        env._eseq = seq + 1
+        heappush(env._queue, (env._now + delay, NORMAL, seq, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
@@ -203,7 +211,8 @@ class Condition(Event):
         evaluate: Callable[[list[Event], int], bool],
         events: Iterable[Event],
     ) -> None:
-        super().__init__(env)
+        self.env, self.callbacks, self._value = env, [], _PENDING
+        self._ok, self._defused = True, False
         self._events = list(events)
         self._count = 0
         self._evaluate = evaluate
@@ -222,20 +231,35 @@ class Condition(Event):
             else:
                 event.callbacks.append(self._check)
 
-    def _collect_values(self) -> ConditionValue:
-        # Only events whose callbacks already ran have truly *occurred*;
-        # a scheduled Timeout is "triggered" from birth but has not fired.
-        return ConditionValue([e for e in self._events if e.processed])
-
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         self._count += 1
-        if not event.ok:
-            event.defuse()
-            self.fail(event.value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
+        if not event._ok:
+            event._defused = True
+            self.fail(event._value)
+            return
+        evaluate = self._evaluate
+        if evaluate is _all_events:
+            if self._count != len(self._events):
+                return
+            # Every event has run its callbacks (this check among them).
+            events = self._events
+        elif evaluate(self._events, self._count):
+            # Only events whose callbacks already ran have truly
+            # *occurred*; a scheduled Timeout is "triggered" from birth
+            # but has not fired.
+            events = [e for e in self._events if e.callbacks is None]
+        else:
+            return
+        # succeed(ConditionValue(events)), built and pushed here
+        value = _new_object(ConditionValue)
+        value.events = events
+        self._value = value
+        env = self.env
+        seq = env._eseq
+        env._eseq = seq + 1
+        heappush(env._queue, (env._now, NORMAL, seq, self))
 
     @staticmethod
     def all_events(events: list[Event], count: int) -> bool:
@@ -244,6 +268,9 @@ class Condition(Event):
     @staticmethod
     def any_events(events: list[Event], count: int) -> bool:
         return count > 0 or not events
+
+
+_all_events = Condition.all_events
 
 
 class AllOf(Condition):

@@ -102,7 +102,8 @@ def run_open(
                     f"event {event} routed to wrong site {site_name!r}"
                 )
             yield env.timeout(interarrival)
-            if system.sites[site_name].crashed:
+            faults = system.network.faults  # what Site.crashed reads
+            if not faults.quiet and faults.is_crashed(site_name):
                 continue  # a crashed site generates no load
             if open_loop:
                 done = system.update(event.site, event.item, event.delta)

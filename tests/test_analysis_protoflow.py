@@ -233,7 +233,7 @@ class TestDriftRegressions:
             assert "reason" not in keys
 
     def test_decision_reply_has_no_dead_site_key(self):
-        facts = self._facts("_apply_decision")
+        facts = self._facts("handle_commit")
         for keys in facts.return_dict_keys:
             assert keys == frozenset({"done"})
 

@@ -39,7 +39,7 @@ ITEM = "item0"
 
 
 #: Python calls of the pinned 8-retailer episode (see ``TestAskPathWork``)
-CALLS_WIDE = 263813
+CALLS_WIDE = 239086
 
 
 def wide_episode_calls():
@@ -77,7 +77,9 @@ class TestAskPathWork:
     host-independent count (the same under any ``PYTHONHASHSEED``).
 
     Building each envelope, kernel event and spawn where it is used
-    took it from 406 316 calls to the pinned count. A rise means
+    took it from 406 316 calls to 263 813; building timers, update
+    tuples and constant-latency reads inline took it to the pinned
+    count. A rise means
     per-ask or per-message work came back; a fall is a change to
     re-pin with a CHANGES.md note.
     """

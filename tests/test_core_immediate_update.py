@@ -34,7 +34,7 @@ def run_one(system, site, item, delta):
 
 #: Python calls of the pinned open-loop 2PC run (see
 #: ``TestContention.test_open_loop_2pc_python_calls_are_pinned``)
-CALLS_2PC = 112200
+CALLS_2PC = 70890
 
 
 def open_loop_2pc_calls():
@@ -199,7 +199,9 @@ class TestContention:
         and a channel-table call per message, a ``next_msg_id`` call per
         request and reply. One kernel heap made 153 234; building each
         envelope, kernel event, spawn and WAL record where it is used
-        made the pinned count. A rise means per-event or per-message
+        made 112 200; building each WAL record, lock grant, commit
+        barrier, timer and update tuple inside the function that uses
+        it made the pinned count. A rise means per-event or per-message
         work came back; a fall is a change to re-pin with a CHANGES.md
         note.
         """

@@ -5,6 +5,7 @@ import pytest
 from repro.db import LockError, LockManager, LockMode, LockUpgradeError
 from repro.obs.hub import Observability
 from repro.sim import Environment
+from repro.sim.events import NORMAL
 
 
 @pytest.fixture
@@ -171,3 +172,40 @@ def test_exclusive_downgrade_request_is_noop(lm):
     ev = lm.acquire("A", "p1", LockMode.SHARED)
     assert ev.triggered
     assert lm.holders("A") == {"p1": LockMode.EXCLUSIVE}
+
+
+@pytest.mark.parametrize("case", ["free", "shared", "reentrant"])
+def test_immediate_grant_pushes_the_key_succeed_makes(env, case):
+    """An immediate grant is a succeeded event on the heap with the key
+    ``Event(env).succeed((item, mode))`` pushes: the clock's own float,
+    NORMAL, the next seq."""
+    lm = LockManager(env)
+    mode = LockMode.SHARED if case == "shared" else LockMode.EXCLUSIVE
+    if case != "free":
+        lm.acquire("A", "p0" if case == "shared" else "p1", mode)
+        env.run()
+    env.schedule(env.event(), delay=1.5)  # moves the clock off 0.0
+    env.run()
+    seq = env._eseq
+    ev = lm.acquire("A", "p1", mode)
+    reference = env.event().succeed(("A", mode))
+    assert ev.triggered and ev.ok and ev.value == ("A", mode)
+    assert ev.callbacks == [] and not ev.defused
+    keys = sorted(env._queue)
+    assert [key[1:] for key in keys] == [
+        (NORMAL, seq, ev), (NORMAL, seq + 1, reference),
+    ]
+    assert all(key[0] is env._now for key in keys)
+
+
+def test_total_waiting_counts_queued_waiters(env, lm):
+    lm.acquire("A", "p1", LockMode.EXCLUSIVE)
+    lm.acquire("B", "p1", LockMode.SHARED)
+    lm.acquire("A", "p2", LockMode.SHARED)
+    lm.acquire("A", "p3", LockMode.SHARED)
+    lm.acquire("B", "p4", LockMode.EXCLUSIVE)
+    assert lm.total_waiting() == 3
+    lm.release("A", "p1")  # the shared pair is admitted together
+    assert lm.total_waiting() == 1
+    lm.release("B", "p1")
+    assert lm.total_waiting() == 0

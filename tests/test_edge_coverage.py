@@ -143,6 +143,41 @@ class TestStrs:
         assert "local" in str(res) and "committed" in str(res)
         assert res.latency == 2.0
 
+    def test_update_request_and_result_fields_and_defaults(self):
+        a = UpdateRequest("site1", "A", -3.0)
+        b = UpdateRequest("site1", "A", -3.0, issued_at=1.5)
+        assert b.request_id == a.request_id + 1  # drawn when not given
+        req = UpdateRequest("site2", "B", 4.0, 1.0, request_id=7)
+        assert (req.site, req.item, req.delta, req.issued_at,
+                req.request_id) == ("site2", "B", 4.0, 1.0, 7)
+        assert str(req) == "upd#7 B+4.0 @site2"
+        assert repr(req) == (
+            "UpdateRequest(site='site2', item='B', delta=4.0,"
+            " issued_at=1.0, request_id=7)"
+        )
+        res = UpdateResult(req, UpdateKind.IMMEDIATE, UpdateOutcome.ABORTED)
+        assert (res.local_only, res.finished_at, res.av_requests,
+                res.av_obtained, res.retry_after) == (False, 0.0, 0, 0.0, 0.0)
+        assert not res.committed and res.latency == -1.0
+        assert str(res) == (
+            "upd#7 B+4.0 @site2 -> aborted [immediate, 0 av-req, t=0]"
+        )
+
+    @pytest.mark.parametrize("field", ["delta", "request_id", "site"])
+    def test_update_request_fields_are_read_only(self, field):
+        req = UpdateRequest("site1", "A", -3.0, request_id=1)
+        with pytest.raises(AttributeError):
+            setattr(req, field, 0)
+        assert req == UpdateRequest("site1", "A", -3.0, 0.0, 1)
+
+    @pytest.mark.parametrize("field", ["outcome", "finished_at", "local_only"])
+    def test_update_result_fields_are_read_only(self, field):
+        req = UpdateRequest("site1", "A", -3.0, request_id=1)
+        res = UpdateResult(req, UpdateKind.DELAY, UpdateOutcome.COMMITTED)
+        with pytest.raises(AttributeError):
+            setattr(res, field, None)
+        assert res.outcome is UpdateOutcome.COMMITTED and res.committed
+
     def test_message_reply_str(self):
         req = Message("a", "b", "k", expects_reply=True)
         rep = Message("b", "a", "k.reply", reply_to=req.msg_id)

@@ -405,3 +405,89 @@ def test_kernel_perturbation_sees_every_nonzero_delivery_delay():
     assert seen == [(1, NORMAL, 2.0), (3, NORMAL, 2.0), (4, NORMAL, 1.5)]
     assert got == [(2, 0.0), (4, 2.5), (1, 3.0), (3, 3.0)]
 
+
+
+def test_reply_wakes_its_waiter_with_the_key_succeed_makes():
+    """A delivered reply triggers the request's event with the key
+    ``succeed`` pushes: the clock's own float, NORMAL, the next seq."""
+    env, net = make_net(ConstantLatency(1.5))
+    a, b = net.endpoint("a"), net.endpoint("b")
+    b.on("double", lambda msg: msg.payload * 2)
+    result = a.request("b", "double", 21)
+    keys = []
+
+    def spy(msg, _receive=a._receive):
+        seq = env._eseq
+        _receive(msg)
+        keys.append(([k for k in env._queue if k[3] is result], seq))
+
+    a._receive = spy
+    env.run()
+    [([key], seq)] = keys
+    assert key[1:] == (NORMAL, seq, result) and key[0] is env._now
+    assert result.ok and result.value == 42 and env.now == 3.0
+
+
+def test_reply_after_its_request_timed_out_is_ignored():
+    env, net = make_net(ConstantLatency(1.0))
+    a, b = net.endpoint("a"), net.endpoint("b")
+
+    def slow(msg):
+        yield env.timeout(5)
+        return "late"
+
+    b.on("ping", slow)
+
+    def client(env):
+        try:
+            yield a.request("b", "ping", timeout=2)
+        except RequestTimeout:
+            return ("timed-out", env.now)
+
+    p = env.process(client(env))
+    env.run()
+    assert p.value == ("timed-out", 2)
+    assert net.stats.sent_total == 2 and env.now == 7.0
+    assert a._pending == {}
+
+
+def test_latency_model_assigned_after_build_is_used_on_next_send():
+    env, net = make_net(UniformLatency(0.5, 1.5))
+    a, b = net.endpoint("a"), net.endpoint("b")
+    got = []
+    b.on("ping", lambda msg: got.append((msg.payload, env.now)))
+    net.latency = ConstantLatency(3.0)
+    a.send("b", "ping", 1)
+    env.run()
+    net.latency = ConstantLatency(0.25)
+    a.send("b", "ping", 2)
+    env.run()
+    assert got == [(1, 3.0), (2, 3.25)]
+
+
+def test_uniform_latency_run_is_draw_for_draw_unchanged():
+    """A sampled latency model draws from the network's stream once per
+    send: a mixed Delay/2PC run with a uniform model, swapped in after
+    build, completes in the order (and at the times) it always has."""
+    import hashlib
+
+    from repro.cluster import DistributedSystem, paper_config
+    from repro.experiments.fig6 import make_paper_trace
+    from repro.workload.driver import run_open, split_by_site
+
+    system = DistributedSystem.build(paper_config(
+        n_items=10, n_retailers=2, regular_fraction=0.5, seed=0,
+    ))
+    system.network.latency = UniformLatency(0.5, 1.5)
+    trace = make_paper_trace(300, 0, n_items=10, n_retailers=2)
+    results = run_open(system, split_by_site(trace), interarrival=0.5)
+    rows = [
+        (r.request.site, r.request.request_id, r.outcome.value, r.finished_at)
+        for r in results
+    ]
+    assert len(rows) == 300
+    assert (system.env.events_processed, system.network.stats.sent_total) == (
+        3694, 1184)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "6b6970e7ec81602eee4ffaded6471316db5bf940d9a0a825d9b1af20e536339c"
+    )

@@ -85,6 +85,13 @@ class LockMachine(RuleBasedStateMachine):
             )
             assert self.lm.waiting(item) == ungranted
 
+    @invariant()
+    def total_waiting_is_the_sum_of_queues(self):
+        # The manager keeps a running count; every queue must agree.
+        assert self.lm.total_waiting() == sum(
+            self.lm.waiting(item) for item in ITEMS
+        )
+
     def teardown(self):
         # Drain: releasing every holder repeatedly must grant every
         # queued waiter (no starvation, no lost wakeups).

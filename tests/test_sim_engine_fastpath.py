@@ -500,3 +500,81 @@ def test_spawned_process_starts_before_normal_events_at_its_time():
     env.schedule(start, delay=1.0)
     env.run()
     assert order == [("process", 1.0), ("normal", 1.0)]
+
+
+# --------------------------------------------------------------------- #
+# timeouts push their own keys
+# --------------------------------------------------------------------- #
+
+
+def test_timeout_pushes_the_key_schedule_makes():
+    """A ``Timeout``'s heap entry equals the one
+    ``env.schedule(event, NORMAL, delay)`` makes at the same instant:
+    same time, priority and next seq."""
+    env = Environment()
+    start = Event(env)
+
+    def at_t(_event):
+        timeout = env.timeout(0.75, "v")
+        plain = Event(env)
+        env.schedule(plain, NORMAL, 0.75)
+        keys = sorted(env._queue)
+        assert [key[1:] for key in keys] == [
+            (NORMAL, 1, timeout), (NORMAL, 2, plain),
+        ]
+        assert keys[0][0] == keys[1][0] == env._now + 0.75
+        assert timeout.value == "v" and timeout.callbacks == []
+
+    start.callbacks.append(at_t)
+    env.schedule(start, delay=2.5)
+    env.run()
+    assert env.now == 3.25 and env.events_processed == 3
+
+
+def test_zero_delay_timeout_key_is_the_clock_float():
+    env = Environment()
+    start = Event(env)
+
+    def at_t(_event):
+        env.timeout(0)
+        env.timeout(0.0)
+        assert all(key[0] is env._now for key in env._queue)
+
+    start.callbacks.append(at_t)
+    env.schedule(start, delay=1.5)
+    env.run()
+    assert env.events_processed == 3
+
+
+def test_perturb_hook_sees_timeout_delays_in_creation_order():
+    """With ``env.perturb`` set every nonzero timeout delay reaches the
+    hook, in creation order, and the replacement delay sets the key."""
+    env = Environment()
+    seen = []
+
+    def perturb(event, priority, delay):
+        seen.append((type(event).__name__, priority, delay))
+        return delay * 2
+
+    env.perturb = perturb
+    fired = []
+    for delay in (0.5, 0.0, 1.0, 0.25):
+        env.timeout(delay).callbacks.append(
+            lambda _e, d=delay: fired.append((d, env.now))
+        )
+    env.run()
+    assert seen == [
+        ("Timeout", NORMAL, 0.5), ("Timeout", NORMAL, 1.0),
+        ("Timeout", NORMAL, 0.25),
+    ]
+    assert fired == [(0.0, 0.0), (0.25, 0.5), (0.5, 1.0), (1.0, 2.0)]
+
+
+@pytest.mark.parametrize("delay", [float("nan"), -1.0, -1e-9])
+def test_bad_timeout_delay_raises_before_anything_is_pushed(delay):
+    env = Environment()
+    calls = []
+    env.perturb = lambda event, priority, d: calls.append(d) or d
+    with pytest.raises(ValueError, match="negative or NaN"):
+        env.timeout(delay)
+    assert env._queue == [] and env._eseq == 0 and calls == []
