@@ -10,10 +10,11 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.chaos import (
     ChaosReport,
-    ChaosResult,
     ChaosScenario,
+    FaultedRun,
     run_chaos,
     run_chaos_scenario,
+    run_faulted,
 )
 from repro.experiments.faults import (
     FAULT_HEADERS,
@@ -50,12 +51,12 @@ from repro.experiments.table1 import run_table1
 __all__ = [
     "ABLATION_HEADERS",
     "ChaosReport",
-    "ChaosResult",
     "ChaosScenario",
     "Checkpoint",
     "CountedRun",
     "FAULT_HEADERS",
     "FaultResult",
+    "FaultedRun",
     "LATENCY_HEADERS",
     "LatencyResult",
     "ObservedRun",
@@ -74,6 +75,7 @@ __all__ = [
     "run_chaos_scenario",
     "run_counted",
     "run_fault_experiment",
+    "run_faulted",
     "run_partition_experiment",
     "run_fig6",
     "run_latency_experiment",

@@ -18,6 +18,9 @@ availability story implies but the seed reproduction could not meet:
   replicas identical and equal to the ground-truth ledger, AV conserved
   exactly, and — with the overload layer on — every controller at rest.
 
+A scenario only picks the config, the trace and the schedule; the run
+is :func:`run_faulted`, which the fuzzer's cases run through too.
+
 Run it via ``python -m repro chaos [--small]``; CI treats any failing
 scenario as a build failure.
 """
@@ -25,7 +28,7 @@ scenario as a build failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.end_state import LOSS_RULES, end_state
 from repro.analysis.invariants import SanitizerReport, Violation
@@ -33,11 +36,13 @@ from repro.cluster import DistributedSystem, paper_config
 from repro.cluster.config import SystemConfig
 from repro.core.overload import OverloadParams
 from repro.core.sync import SyncScheduler
+from repro.core.types import UpdateResult
 from repro.net.faults import FaultSchedule
 from repro.net.reliable import ReliabilityParams
+from repro.obs.snapshot import TelemetrySnapshot
 from repro.sim.rng import RngRegistry
 from repro.workload.driver import heal_and_settle, run_open, split_by_site
-from repro.workload.generators import FlashSaleWorkload
+from repro.workload.generators import FlashSaleWorkload, WorkloadEvent
 from repro.workload.trace import WorkloadTrace
 
 from repro.experiments.fig6 import make_paper_trace
@@ -57,42 +62,57 @@ class ChaosScenario:
     name: str
     #: builds the schedule for a concrete config (site names, windows)
     build: Callable[[SystemConfig], FaultSchedule]
-    description: str = ""
     #: extra ``paper_config`` keyword overrides (e.g. the overload layer)
     config_overrides: Optional[Dict[str, object]] = None
-    #: run-shape overrides: interarrival / horizon / settle / sync_interval
-    run_overrides: Optional[Dict[str, float]] = None
+    #: arrival spacing per site; None keeps the caller's
+    interarrival: Optional[float] = None
+    #: end of the driven (faulty) phase
+    horizon: float = 260.0
+    sync_interval: float = 30.0
     #: replaces :func:`make_paper_trace`: ``(n_updates, seed, config)``
     trace_factory: Optional[
         Callable[[int, int, SystemConfig], WorkloadTrace]
     ] = None
     #: the scenario's own end-state demands, run after the drain:
-    #: ``system`` → failure strings, folded into :attr:`ChaosResult.ok`
+    #: ``system`` → failure strings, folded into :attr:`FaultedRun.ok`
     extra_checks: Optional[Callable[[DistributedSystem], List[str]]] = None
     #: issue updates at the arrival rate instead of lock-step per site
     open_loop: bool = False
 
 
 @dataclass
-class ChaosResult:
-    """Outcome of one scenario."""
+class FaultedRun:
+    """One faulted run, driven to quiescence and judged (:func:`run_faulted`)."""
 
-    scenario: str
-    report: SanitizerReport
-    loss_warnings: List[Violation]
+    system: DistributedSystem
+    #: update results, in completion order
+    results: List[UpdateResult]
     updates_issued: int
-    updates_completed: int
-    #: kernel events processed by the scenario's simulation
-    events_processed: int = 0
-    #: full telemetry snapshot of the end state (see repro.obs.snapshot)
-    telemetry: Dict[str, object] = field(default_factory=dict)
-    #: the run's observability hub (chaos always observes): its span
-    #: store, registry and series, for export
-    obs: Optional[object] = None
+    report: SanitizerReport
     #: end-state findings (see repro.analysis.end_state)
-    findings: List[Violation] = field(default_factory=list)
+    findings: List[Violation]
+    #: the sanitizer's loss signals (``LOSS_RULES``); empty without the
+    #: robustness layer, where conservative in-transit loss is legal
+    loss_warnings: List[Violation]
+    #: full telemetry snapshot of the end state (see repro.obs.snapshot)
+    telemetry: Dict[str, object]
+    #: the chaos scenario's name, when a scenario ran
+    scenario: str = ""
     #: scenario-specific end-state failures (see ChaosScenario.extra_checks)
     extra_failures: List[str] = field(default_factory=list)
+
+    @property
+    def obs(self):
+        """The run's observability hub: span store, registry, series."""
+        return self.system.obs
+
+    @property
+    def events_processed(self) -> int:
+        return self.system.env.events_processed
+
+    @property
+    def updates_completed(self) -> int:
+        return len(self.results)
 
     @property
     def converged(self) -> bool:
@@ -134,7 +154,7 @@ class ChaosResult:
 class ChaosReport:
     """All scenarios of one ``run_chaos`` invocation."""
 
-    results: List[ChaosResult] = field(default_factory=list)
+    results: List[FaultedRun] = field(default_factory=list)
     n_updates: int = 0
     seed: int = 0
 
@@ -257,7 +277,6 @@ _OVERLOAD_PARAMS = OverloadParams(
 _OVERLOAD_SCENARIO = ChaosScenario(
     "overload",
     _no_faults,
-    "flash-sale surge: open-loop bursts shed, degrade, demote, recover",
     config_overrides={
         "overload": _OVERLOAD_PARAMS,
         # A mixed catalog (the surge must stress both paths) with stock
@@ -265,7 +284,7 @@ _OVERLOAD_SCENARIO = ChaosScenario(
         "regular_fraction": 0.5,
         "initial_stock": 400.0,
     },
-    run_overrides={"interarrival": 1.0, "horizon": 200.0, "sync_interval": 15.0},
+    interarrival=1.0, horizon=200.0, sync_interval=15.0,
     trace_factory=_overload_trace,
     extra_checks=_overload_checks,
     open_loop=True,
@@ -273,19 +292,15 @@ _OVERLOAD_SCENARIO = ChaosScenario(
 
 
 SMALL_SCENARIOS = (
-    ChaosScenario("maker-crash", _maker_crash, "base site down mid-run"),
-    ChaosScenario("retailer-crash", _retailer_crash, "replica down mid-run"),
-    ChaosScenario(
-        "partition-loss", _partition_loss, "maker isolated + 5% message loss"
-    ),
+    ChaosScenario("maker-crash", _maker_crash),
+    ChaosScenario("retailer-crash", _retailer_crash),
+    ChaosScenario("partition-loss", _partition_loss),
     _OVERLOAD_SCENARIO,
 )
 
 FULL_SCENARIOS = SMALL_SCENARIOS + (
-    ChaosScenario("crash-storm", _crash_storm, "overlapping crash windows"),
-    ChaosScenario(
-        "flaky-links", _flaky_links, "flapping maker link + 20% lossy link"
-    ),
+    ChaosScenario("crash-storm", _crash_storm),
+    ChaosScenario("flaky-links", _flaky_links),
 )
 
 
@@ -293,58 +308,33 @@ FULL_SCENARIOS = SMALL_SCENARIOS + (
 # the run shape
 # -------------------------------------------------------------------- #
 
-def run_chaos_scenario(
-    scenario: ChaosScenario,
-    n_updates: int = 120,
-    seed: int = 0,
-    n_items: int = 6,
-    n_retailers: int = 2,
-    interarrival: float = 4.0,
-    horizon: float = 260.0,
+def run_faulted(
+    config: SystemConfig,
+    events: Callable[[], Sequence[WorkloadEvent]],
+    schedule: FaultSchedule,
+    *,
+    interarrival: float,
+    horizon: float,
+    sync_interval: float,
+    open_loop: bool = False,
+    perturbation=None,
     settle: float = 150.0,
-    sync_interval: float = 30.0,
-    reliability: Optional[ReliabilityParams] = None,
-) -> ChaosResult:
-    """Drive one scenario to quiescence and audit the end state.
+) -> FaultedRun:
+    """Drive one faulted run to quiescence and judge its end state.
 
-    ``horizon`` bounds the driven (faulty) phase; the heal phase then
-    removes every fault, restarts still-crashed sites through the full
-    rejoin, lets ``settle`` sim-time pass, flushes all sync backlogs and
-    drains the event queue before judging (see
-    :func:`~repro.workload.driver.heal_and_settle`). A scenario may
-    override the config, the trace, the arrival discipline and the run
-    knobs (see :class:`ChaosScenario`).
+    ``config`` must sanitize. ``perturbation`` (anything with
+    ``install(system)``) is installed, and ``events`` called, after the
+    build: the capture order decides which garbage cycles are still
+    uncollected when the next run builds, and so a suite's peak memory.
+    The workload runs per site until ``horizon`` under ``schedule``,
+    then :func:`~repro.workload.driver.heal_and_settle` lets ``settle``
+    pass and drains. The judges are the sanitizer, its loss signals
+    (robustness layer on) and :func:`~repro.analysis.end_state.end_state`.
     """
-    run_cfg = dict(scenario.run_overrides) if scenario.run_overrides else {}
-    interarrival = run_cfg.get("interarrival", interarrival)
-    horizon = run_cfg.get("horizon", horizon)
-    settle = run_cfg.get("settle", settle)
-    sync_interval = run_cfg.get("sync_interval", sync_interval)
-    overrides = dict(scenario.config_overrides) if scenario.config_overrides else {}
-    config = paper_config(
-        n_items=n_items,
-        n_retailers=n_retailers,
-        seed=seed,
-        request_timeout=8.0,
-        observe=True,
-        sanitize=True,
-        reliability=reliability if reliability is not None else ReliabilityParams(),
-        **overrides,
-    )
     system = DistributedSystem.build(config)
-    faults = system.network.faults
-    if scenario.trace_factory is not None:
-        trace = scenario.trace_factory(n_updates, seed, config)
-    else:
-        trace = make_paper_trace(
-            n_updates, seed, n_items=n_items, n_retailers=n_retailers
-        )
-    per_site = split_by_site(trace)
-
-    completed = [0]
-
-    def on_complete(_i, _event, _result):
-        completed[0] += 1
+    if perturbation is not None:
+        perturbation.install(system)
+    trace = events()
 
     schedulers = [
         SyncScheduler(system.sites[name].accelerator, interval=sync_interval)
@@ -353,42 +343,85 @@ def run_chaos_scenario(
     for scheduler in schedulers:
         scheduler.start()
 
-    scenario.build(config).install(
-        system.env,
-        faults,
-        on_recover=lambda name: system.sites[name].restart(),
-    )
+    faults = system.network.faults
+
+    def on_recover(name: str) -> None:
+        # A recover step may have no crash before it (a shrunk case's
+        # orphan): restarting a site that is up must be a no-op.
+        if faults.is_crashed(name):
+            system.sites[name].restart()
+
+    schedule.install(system.env, faults, on_recover=on_recover)
 
     # Phase 1: drive the workload through the fault window.
-    run_open(
-        system, per_site, interarrival=interarrival,
-        on_complete=on_complete, until=horizon,
-        open_loop=scenario.open_loop,
+    results = run_open(
+        system, split_by_site(trace), interarrival=interarrival,
+        until=horizon, open_loop=open_loop,
     )
 
     # Phase 2: heal the world, settle and drain; then judge.
     heal_and_settle(system, schedulers, settle)
     findings = end_state(system, quiescent=True)
-
-    from repro.obs.snapshot import TelemetrySnapshot
-
     report = system.sanitizer.finish()
-    loss = [w for w in report.warnings if w.rule in LOSS_RULES]
-    extra_failures: List[str] = []
-    if scenario.extra_checks is not None:
-        extra_failures = list(scenario.extra_checks(system))
-    return ChaosResult(
-        scenario=scenario.name,
-        report=report,
-        loss_warnings=loss,
-        updates_issued=len(trace),
-        updates_completed=completed[0],
-        events_processed=system.env.events_processed,
-        telemetry=TelemetrySnapshot.capture(system).to_dict(),
-        obs=system.obs,
-        findings=findings,
-        extra_failures=extra_failures,
+    loss = (
+        [w for w in report.warnings if w.rule in LOSS_RULES]
+        if config.reliability is not None else []
     )
+    return FaultedRun(
+        system=system,
+        results=results,
+        updates_issued=len(trace),
+        report=report,
+        findings=findings,
+        loss_warnings=loss,
+        telemetry=TelemetrySnapshot.capture(system).to_dict(),
+    )
+
+
+def run_chaos_scenario(
+    scenario: ChaosScenario,
+    n_updates: int = 120,
+    seed: int = 0,
+    n_items: int = 6,
+    interarrival: float = 4.0,
+) -> FaultedRun:
+    """Run one scenario through :func:`run_faulted`.
+
+    The config has the robustness layer on, plus the scenario's
+    overrides; the trace, the arrival discipline and the run knobs are
+    the scenario's where it sets them (see :class:`ChaosScenario`).
+    """
+    config = paper_config(
+        n_items=n_items,
+        seed=seed,
+        request_timeout=8.0,
+        observe=True,
+        sanitize=True,
+        reliability=ReliabilityParams(),
+        **(scenario.config_overrides or {}),
+    )
+
+    def events() -> WorkloadTrace:
+        if scenario.trace_factory is not None:
+            return scenario.trace_factory(n_updates, seed, config)
+        return make_paper_trace(
+            n_updates, seed, n_items=n_items, n_retailers=config.n_retailers
+        )
+
+    run = run_faulted(
+        config, events, scenario.build(config),
+        interarrival=(
+            interarrival if scenario.interarrival is None
+            else scenario.interarrival
+        ),
+        horizon=scenario.horizon,
+        sync_interval=scenario.sync_interval,
+        open_loop=scenario.open_loop,
+    )
+    run.scenario = scenario.name
+    if scenario.extra_checks is not None:
+        run.extra_failures = list(scenario.extra_checks(run.system))
+    return run
 
 
 def run_chaos(
@@ -402,9 +435,7 @@ def run_chaos(
     updates = n_updates if n_updates is not None else (120 if small else 300)
     chaos = ChaosReport(n_updates=updates, seed=seed)
     for scenario in scenarios:
-        chaos.results.append(
-            run_chaos_scenario(
-                scenario, n_updates=updates, seed=seed, n_items=n_items
-            )
-        )
+        chaos.results.append(run_chaos_scenario(
+            scenario, n_updates=updates, seed=seed, n_items=n_items
+        ))
     return chaos

@@ -3,8 +3,8 @@
 The paper's evaluation metric is the *number of correspondences for
 update*, where **2 messages are counted as 1 correspondence** (Fig. 6
 caption). :class:`NetworkStats` counts raw transmitted messages per
-``tag``, per site and per (site, tag), and converts to correspondences
-on demand.
+``tag``, per site, per (site, tag) and per kind, and converts to
+correspondences on demand.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ class NetworkStats:
     transmitted, so they still cost a correspondence half.
 
     A send bumps ``sent_total`` and one slot of a ledger keyed
-    ``(src, dst, tag, kind)``. The three views the paper's artefacts are
-    counted in — ``by_tag`` (Fig. 6), ``by_site`` and ``by_site_tag``
-    (Table 1) — are read a few times per run, so reading one folds the
+    ``(src, dst, tag, kind)``. The views — ``by_tag`` (Fig. 6),
+    ``by_site`` and ``by_site_tag`` (Table 1), and the per-kind census
+    ``by_kind`` — are read a few times per run, so reading one folds the
     ledger into them first, in its insertion order: each view gets the
     key order eager counting would.
     """
@@ -48,6 +48,7 @@ class NetworkStats:
         self._by_tag: Counter = Counter()
         self._by_site: Counter = Counter()
         self._by_site_tag: Counter = Counter()
+        self._by_kind: Counter = Counter()
         #: (src, dst, tag, kind) -> sends not yet folded into the views
         self._ledger: Counter = Counter()
 
@@ -68,12 +69,13 @@ class NetworkStats:
 
     def _fold(self) -> None:
         """Bring the ``by_*`` views up to date with the ledger."""
-        for (src, dst, tag, _kind), n in self._ledger.items():
+        for (src, dst, tag, kind), n in self._ledger.items():
             self._by_tag[tag] += n
             self._by_site[src] += n
             self._by_site[dst] += n
             self._by_site_tag[(src, tag)] += n
             self._by_site_tag[(dst, tag)] += n
+            self._by_kind[kind] += n
         self._ledger.clear()
 
     @property
@@ -93,6 +95,12 @@ class NetworkStats:
         """(site, tag) -> messages the site sent or received under it."""
         self._fold()
         return self._by_site_tag
+
+    @property
+    def by_kind(self) -> Counter:
+        """message kind -> messages sent of it (a census of the paths run)."""
+        self._fold()
+        return self._by_kind
 
     @property
     def correspondences_total(self) -> float:

@@ -1,10 +1,10 @@
 """Execute one fuzz case to quiescence and judge the end state.
 
-The run shape is the chaos harness's — drive the workload through the
-fault window, then :func:`~repro.workload.driver.heal_and_settle` —
-with the case's perturbation vector installed in the kernel hooks
-before the first event fires. The outcome bundles the sanitizer report,
-the :func:`~repro.analysis.end_state.end_state` findings, and the
+The run is :func:`~repro.experiments.chaos.run_faulted`, the harness the
+chaos suite runs its scenarios through, with the case's perturbation
+vector installed in the kernel hooks before the first event fires. The
+outcome bundles the sanitizer report, the
+:func:`~repro.analysis.end_state.end_state` findings, and the
 determinism surface
 (update tags, replicas, counters) whose canonical digest is what
 ``--replay`` compares byte-for-byte.
@@ -15,16 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from repro.analysis.end_state import LOSS_RULES, end_state
 from repro.analysis.invariants import Violation
-from repro.cluster import DistributedSystem, Topology, paper_config
+from repro.cluster import Topology, paper_config
 from repro.core.overload import OverloadParams
-from repro.core.sync import SyncScheduler
+from repro.experiments.chaos import run_faulted
 from repro.net.reliable import ReliabilityParams
-from repro.perf.tasks import canonical_json, digest
+from repro.perf.tasks import _update_tags, canonical_json, digest
 from repro.testkit.perturb import Perturbation
 from repro.testkit.schedule import FuzzCase
-from repro.workload.driver import heal_and_settle, run_open, split_by_site
 from repro.workload.generators import WorkloadEvent
 
 #: overload layer attached to surge cases — budgets tight enough that
@@ -127,13 +125,6 @@ class CaseOutcome:
         return "\n".join(lines)
 
 
-def _validate(case: FuzzCase, config) -> None:
-    sites = set(config.site_names)
-    for site, item, _delta in case.ops:
-        if site not in sites:
-            raise ValueError(f"op references unknown site {site!r}")
-
-
 def run_case(case: FuzzCase) -> CaseOutcome:
     """Run one case end to end; pure function of the case."""
     config = paper_config(
@@ -152,60 +143,29 @@ def run_case(case: FuzzCase) -> CaseOutcome:
             if case.topology else None
         ),
     )
-    _validate(case, config)
-    system = DistributedSystem.build(config)
-    sent_kinds: Dict[str, int] = {}
-
-    def count_sent(now, site, msg) -> None:
-        sent_kinds[msg.kind] = sent_kinds.get(msg.kind, 0) + 1
-
-    system.obs.subscribe("msg.send", count_sent)
-    Perturbation(
-        case.perturb_seed, case.latency_amp, case.timer_amp
-    ).install(system)
-
+    sites = set(config.site_names)
+    for site, _item, _delta in case.ops:
+        if site not in sites:
+            raise ValueError(f"op references unknown site {site!r}")
     events = [WorkloadEvent(site, item, delta) for site, item, delta in case.ops]
-    per_site = split_by_site(events)
-
-    schedulers = [
-        SyncScheduler(
-            system.sites[name].accelerator, interval=case.sync_interval
-        )
-        for name in sorted(system.sites)
-    ]
-    for scheduler in schedulers:
-        scheduler.start()
-
-    faults = system.network.faults
-
-    def on_recover(name: str) -> None:
-        # The shrinker may orphan a recover step from its crash —
-        # restarting a site that never went down must be a no-op.
-        if faults.is_crashed(name):
-            system.sites[name].restart()
-
-    case.fault_schedule().install(system.env, faults, on_recover=on_recover)
-
-    # Phase 1: drive the workload through the fault window. Surge cases
-    # issue open-loop: bounding concurrency is the system's job.
-    results = run_open(
-        system, per_site, interarrival=case.interarrival, until=case.horizon,
-        open_loop=case.overload,
+    perturbation = (
+        Perturbation(case.perturb_seed, case.latency_amp, case.timer_amp)
+        if case.latency_amp or case.timer_amp else None
+    )
+    # Surge cases issue open-loop: bounding concurrency is the system's job.
+    run = run_faulted(
+        config, lambda: events, case.fault_schedule(),
+        interarrival=case.interarrival, horizon=case.horizon,
+        sync_interval=case.sync_interval, open_loop=case.overload,
+        perturbation=perturbation, settle=case.settle,
     )
 
-    # Phase 2: heal, settle, drain; then judge the end state.
-    heal_and_settle(system, schedulers, case.settle)
-    report = system.sanitizer.finish()
-    oracle_findings = end_state(system, quiescent=True)
-    findings = list(report.violations) + oracle_findings
-    if case.reliability:
-        findings += [w for w in report.warnings if w.rule in LOSS_RULES]
-
+    system, report = run.system, run.report
     counters = dict(report.counters)
-    counters["events_processed"] = system.env.events_processed
-    counters["updates_issued"] = len(events)
-    counters["updates_completed"] = len(results)
-    counters["oracle_findings"] = len(oracle_findings)
+    counters["events_processed"] = run.events_processed
+    counters["updates_issued"] = run.updates_issued
+    counters["updates_completed"] = run.updates_completed
+    counters["oracle_findings"] = len(run.findings)
 
     item_ids = sorted(system.collector.ledger.items())
     # With partial replication a site's store holds only its interest
@@ -219,17 +179,12 @@ def run_case(case: FuzzCase) -> CaseOutcome:
         }
         for name in sorted(system.sites)
     }
-    from repro.perf.tasks import _update_tags
-
     return CaseOutcome(
         case=case,
-        findings=findings,
-        warnings=len(report.warnings) - (
-            len([w for w in report.warnings if w.rule in LOSS_RULES])
-            if case.reliability else 0
-        ),
+        findings=[*report.violations, *run.findings, *run.loss_warnings],
+        warnings=len(report.warnings) - len(run.loss_warnings),
         counters=counters,
-        update_tags=_update_tags(results),
+        update_tags=_update_tags(run.results),
         replicas=replicas,
-        sent_kinds=dict(sorted(sent_kinds.items())),
+        sent_kinds=dict(sorted(system.network.stats.by_kind.items())),
     )

@@ -66,7 +66,8 @@ class FuzzCase:
     n_items, n_retailers, initial_stock:
         Topology/catalogue shape.
     interarrival, horizon, settle, sync_interval:
-        Run-shape timings (same three-phase shape as the chaos harness).
+        Run-shape timings, handed to the one faulted-run harness
+        (:func:`repro.experiments.chaos.run_faulted`).
     reliability:
         Run with the robustness layer on (the default; without it,
         conservative in-transit loss is legal and the conservation

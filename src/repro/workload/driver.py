@@ -14,8 +14,8 @@ Two arrival disciplines:
 
 :func:`run_spaced` is the closed discipline with the lazy-sync daemons
 running beside it — the replay ``repro check`` and ``repro observe``
-share. :func:`heal_and_settle` is the settle phase the chaos harness and
-the fuzzer both run before judging a faulted run's end state.
+share. :func:`heal_and_settle` is the settle phase
+:func:`~repro.experiments.chaos.run_faulted` runs before judging.
 """
 
 from __future__ import annotations

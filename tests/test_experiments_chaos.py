@@ -5,9 +5,11 @@ from repro.experiments.chaos import (
     FULL_SCENARIOS,
     LOSS_RULES,
     SMALL_SCENARIOS,
+    ChaosScenario,
     run_chaos,
     run_chaos_scenario,
 )
+from repro.net.faults import FaultSchedule
 
 
 class TestScenarios:
@@ -82,6 +84,26 @@ class TestChaosRuns:
         )
         assert result.converged, result.render()
         assert result.ok
+
+    def test_recover_step_for_a_live_site_is_a_no_op(self):
+        # A recover step with no crash before it must not restart the
+        # site: the run ends as if there were no schedule, but for the
+        # one kernel event of the schedule's own timer.
+        stray = run_chaos_scenario(ChaosScenario(
+            "stray-recover",
+            lambda config: FaultSchedule().recover(60.0, config.retailers[0]),
+        ))
+        calm = run_chaos_scenario(
+            ChaosScenario("calm", lambda config: FaultSchedule())
+        )
+        assert stray.ok and calm.ok
+        assert stray.events_processed == calm.events_processed + 1
+        assert stray.report.counters == calm.report.counters
+        assert stray.telemetry == {
+            **calm.telemetry, "events_processed": stray.events_processed
+        }
+        assert stray.obs.recorder.fingerprint() == calm.obs.recorder.fingerprint()
+        assert stray.render().replace("stray-recover", "calm") == calm.render()
 
     def test_small_report_aggregates(self):
         report = run_chaos(small=True, n_updates=45)

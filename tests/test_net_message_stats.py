@@ -354,6 +354,43 @@ class TestFoldedViews:
                 )
         _assert_views_equal(stats, reference)
 
+    def test_by_kind_counts_every_send_a_tap_sees_drops_included(self):
+        from repro.cluster import DistributedSystem, paper_config
+        from repro.net.reliable import ReliabilityParams
+        from repro.workload.driver import run_closed
+        from repro.experiments.fig6 import make_paper_trace
+
+        system = DistributedSystem.build(paper_config(
+            n_items=6, seed=0, observe=True, request_timeout=8.0,
+            reliability=ReliabilityParams(),
+        ))
+        tapped = Counter()
+        system.obs.subscribe(
+            "msg.send", lambda now, site, msg: tapped.update((msg.kind,))
+        )
+        system.network.faults.set_drop_probability(0.1)
+        run_closed(system, make_paper_trace(150, 0, n_items=6))
+        stats = system.network.stats
+        assert stats.dropped_total > 0
+        assert stats.by_kind == tapped
+        assert sum(stats.by_kind.values()) == stats.sent_total
+
+    def test_by_kind_leaves_the_other_views_unchanged(self):
+        rng = np.random.default_rng(0)
+        stats, reference = NetworkStats(), _EagerStats()
+        kinds = Counter()
+        for _ in range(300):
+            src, dst = rng.choice(self.SITES, size=2, replace=False)
+            kind = self.KINDS[int(rng.integers(len(self.KINDS)))]
+            msg = Message(str(src), str(dst), kind)
+            stats.record_send(msg)
+            reference.record_send(msg)
+            kinds[kind] += 1
+            if rng.random() < 0.1:
+                assert stats.by_kind == kinds
+        _assert_views_equal(stats, reference)
+        assert list(stats.by_kind.items()) == list(kinds.items())
+
     def test_str_sees_unfolded_sends(self):
         stats = NetworkStats()
         stats.record_send(Message("a", "b", "av.x"))
