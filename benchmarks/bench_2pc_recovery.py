@@ -47,8 +47,8 @@ def _run(seed=9, n_updates=160):
             yield env.timeout(40.0)
             system.sites[victim].restart()
 
-    system.env.process(workload(system.env), name="workload")
-    system.env.process(churn(system.env), name="churn")
+    system.env.process(workload(system.env))
+    system.env.process(churn(system.env))
     system.run()
 
     # Everyone is alive and drained now: replicas must agree.

@@ -72,9 +72,7 @@ def run_check(
 
     # run_spaced ends with the coarse whole-system assertions; the
     # sanitizer's audit refines them with per-event granularity.
-    results = run_spaced(
-        system, trace, "workload.check", sync_interval, spacing
-    )
+    results = run_spaced(system, trace, sync_interval, spacing)
     return CheckRun(
         system=system,
         report=system.sanitizer.finish(),

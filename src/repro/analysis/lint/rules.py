@@ -30,6 +30,10 @@ arguments lean on (see ``docs/analysis.md``):
   scope that also checks a budget, and ``deque()`` must be given a
   ``maxlen`` (or carry a justified suppression naming the external
   bound).
+* ``process-owner`` — crash scope: every process spawned in ``core/``,
+  ``cluster/``, ``net/`` or ``baselines/`` names the site that owns it
+  (``owner=site``, or ``owner=None`` for one no site owns), so
+  ``env.owned(site)`` lists everything a site is running.
 
 The old per-file ``message-handlers`` rule was retired in favour of the
 whole-program registry checks in :mod:`repro.analysis.protoflow`
@@ -40,6 +44,7 @@ per-file pass could not see.
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import List, Set, Tuple
 
 from repro.analysis.lint.visitor import FileContext, Rule, in_src
@@ -419,6 +424,36 @@ class UnboundedQueueRule(Rule):
             )
 
 
+class ProcessOwnerRule(Rule):
+    """Protocol code spawns processes with an explicit ``owner=``.
+
+    Flags ``<expr>.process(...)`` calls with no ``owner`` keyword in
+    the site-side packages. ``owner=None`` passes: it states that no
+    site owns the process (the fault schedule).
+    """
+
+    name = "process-owner"
+    nodes = (ast.Call,)
+
+    PACKAGES = frozenset(("core", "cluster", "net", "baselines"))
+
+    def applies_to(self, path: str) -> bool:
+        parts = Path(path).parts
+        return "src" in parts and not self.PACKAGES.isdisjoint(parts)
+
+    def check(self, node: ast.Call, ctx: FileContext) -> None:
+        if not (isinstance(node.func, ast.Attribute)
+                and node.func.attr == "process"):
+            return
+        if any(kw.arg == "owner" for kw in node.keywords):
+            return
+        ctx.report(
+            self.name, node,
+            "process spawned without owner= — pass the site it runs"
+            " for, or owner=None if no site owns it",
+        )
+
+
 def default_rules() -> List[Rule]:
     """Fresh instances of every repro lint rule."""
     return [
@@ -429,4 +464,5 @@ def default_rules() -> List[Rule]:
         SpanKindRegistryRule(),
         EventKindRegistryRule(),
         UnboundedQueueRule(),
+        ProcessOwnerRule(),
     ]

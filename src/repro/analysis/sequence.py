@@ -162,7 +162,7 @@ def record_scenario(system, scenario, participants=None, **render_kwargs) -> str
     Convenience wrapper used by the protocol-figure benches and docs.
     """
     recorder = SequenceRecorder(system.obs)
-    proc = system.env.process(scenario(system.env), name="scenario")
+    proc = system.env.process(scenario(system.env))
     system.run(until=proc)
     recorder.detach()
     if participants is None:

@@ -72,11 +72,7 @@ class CentralClient:
             issued_at=self.env.now,
             request_id=next(self._req_ids),
         )
-        # Id-based name: str(req) costs a float render per update and
-        # the name is only read by reprs and error messages.
-        return self.env.process(
-            self._run(req), name=f"{self.name}.upd#{req.request_id}"
-        )
+        return self.env.process(self._run(req), owner=self.name)
 
     def _run(self, req: UpdateRequest):
         try:

@@ -117,16 +117,14 @@ class Site:
         if accel.overload is not None:
             # Our peer-degradation map is stale by a whole outage; ask
             # every live peer where it stands before steering AV asks.
-            self.env.process(
-                accel.overload.probe_peers(), name=f"{self.name}.ovl.probe"
-            )
+            self.env.process(accel.overload.probe_peers(), owner=self.name)
         if accel.reliability is not None:
             from repro.cluster.rejoin import rejoin
 
             # Close the gate before the process is spawned so no update
             # issued this very step can slip past the rejoin round.
             accel._rejoin_gate = Event(self.env)
-            self.env.process(rejoin(self), name=f"{self.name}.rejoin")
+            self.env.process(rejoin(self), owner=self.name)
             return report
 
         def sequence(env):
@@ -140,7 +138,7 @@ class Site:
             # base, §3.2).
             yield from accel.immediate.catch_up()
 
-        self.env.process(sequence(self.env), name=f"{self.name}.restart")
+        self.env.process(sequence(self.env), owner=self.name)
 
         # Share what we committed before dying.
         accel.sync_all()

@@ -239,12 +239,7 @@ class Accelerator:
             and (delta >= 0 or av.get(item) >= -delta)
         ):
             return self._update_local(req)
-        # Name by request id, not str(req): rendering the full request
-        # (float formatting) on every issued update is pure overhead —
-        # the name only ever surfaces in reprs and error messages.
-        return self.env.process(
-            self._run(req), name=f"{self.site}.upd#{req.request_id}"
-        )
+        return self.env.process(self._run(req), owner=self.site)
 
     def read(self, item: str, consistency=None) -> Process:
         """Start a read; the process yields a ReadResult.
@@ -257,8 +252,7 @@ class Accelerator:
         if consistency is None:
             consistency = ReadConsistency.LOCAL
         return self.env.process(
-            self.reads.execute(item, consistency),
-            name=f"{self.site}.read({item},{consistency.value})",
+            self.reads.execute(item, consistency), owner=self.site
         )
 
     def make_regular(self, item: str, av_fraction: float = 1.0, weights=None) -> Process:
@@ -273,7 +267,7 @@ class Accelerator:
             raise ReclassificationError(f"{item!r} is already regular")
         return self.env.process(
             self.reclassify.make_regular(item, av_fraction, weights),
-            name=f"{self.site}.make_regular({item})",
+            owner=self.site,
         )
 
     def make_non_regular(self, item: str) -> Process:
@@ -287,8 +281,7 @@ class Accelerator:
         if not self.av_table.defined(item):
             raise ReclassificationError(f"{item!r} is already non-regular")
         return self.env.process(
-            self.reclassify.make_non_regular(item),
-            name=f"{self.site}.make_non_regular({item})",
+            self.reclassify.make_non_regular(item), owner=self.site
         )
 
     def _update_local(self, req: UpdateRequest) -> Event:

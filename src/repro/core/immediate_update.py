@@ -207,7 +207,7 @@ class ImmediateUpdateProtocol:
                 deliveries = [
                     accel.env.process(
                         self._deliver_decision(peer, "imm.abort", token),
-                        name=f"{accel.site}.abort->{peer}",
+                        owner=accel.site,
                     )
                     for peer in prepared_peers
                 ]
@@ -259,7 +259,7 @@ class ImmediateUpdateProtocol:
             deliveries = [
                 accel.env.process(
                     self._deliver_decision(peer, "imm.commit", token),
-                    name=f"{accel.site}.commit->{peer}",
+                    owner=accel.site,
                 )
                 for peer in prepared_peers
             ]
@@ -335,9 +335,7 @@ class ImmediateUpdateProtocol:
         if accel.request_timeout is not None:
             # Participant-side termination timer: if neither commit nor
             # abort arrives, learn the outcome from the coordinator.
-            accel.env.process(
-                self._watchdog(token), name=f"{accel.site}.watchdog({token})"
-            )
+            accel.env.process(self._watchdog(token), owner=accel.site)
         return {"ready": True}
 
     def _watchdog(self, token: str):
@@ -484,9 +482,7 @@ class ImmediateUpdateProtocol:
         then commits or aborts accordingly. Returns the processes.
         """
         return [
-            self.accel.env.process(
-                self._resolve(token), name=f"{self.accel.site}.resolve({token})"
-            )
+            self.accel.env.process(self._resolve(token), owner=self.accel.site)
             for token in list(self._pending)
         ]
 

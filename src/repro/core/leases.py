@@ -122,10 +122,7 @@ class LeaseTable:
             for fn in self._on_open:
                 fn(now, self.accel.site, item, lease.amount, holder,
                    lease.lease_id)
-        self.env.process(
-            self._expiry(lease),
-            name=f"{self.accel.site}.lease#{lease.lease_id}",
-        )
+        self.env.process(self._expiry(lease), owner=self.accel.site)
         return lease
 
     def discharge(self, lease_id: int) -> bool:

@@ -503,9 +503,7 @@ class OverloadController:
                 continue  # invariant headroom too thin to relax
             self._demote_inflight.add(item)
             budget -= 1
-            accel.env.process(
-                self._demote(item), name=f"{accel.site}.ovl.demote({item})"
-            )
+            accel.env.process(self._demote(item), owner=accel.site)
 
     def _demote(self, item: str):
         """Generator: convert one immediate-update item to delay-update."""
@@ -536,9 +534,9 @@ class OverloadController:
             if item in self._promote_inflight:
                 continue
             self._promote_inflight.add(item)
-            procs.append(accel.env.process(
-                self._promote(item), name=f"{accel.site}.ovl.promote({item})"
-            ))
+            procs.append(
+                accel.env.process(self._promote(item), owner=accel.site)
+            )
         return procs
 
     def _promote(self, item: str):

@@ -76,7 +76,7 @@ class AVRebalancer:
         """Spawn the periodic process (idempotent); returns it."""
         if self._proc is None or self._proc.triggered:
             self._proc = self.accel.env.process(
-                self._loop(), name=f"{self.accel.site}.rebalancer"
+                self._loop(), owner=self.accel.site
             )
         return self._proc
 

@@ -93,7 +93,7 @@ def run_observed(
     )
     system = DistributedSystem.build(config)
     results = run_spaced(
-        system, trace, "workload.observed", sync_interval, spacing,
+        system, trace, sync_interval, spacing,
         sampler=PeriodicSampler(system, interval=sample_interval),
     )
     return ObservedRun(

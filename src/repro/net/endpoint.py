@@ -223,7 +223,7 @@ class Endpoint:
         outcome = handler(msg)
 
         if isinstance(outcome, GeneratorType):
-            proc = self.env.process(outcome, name=f"{self.name}.{msg.kind}")
+            proc = self.env.process(outcome, owner=self.name)
             if msg.expects_reply:
                 proc.callbacks.append(partial(self._reply_on_success, msg))
         elif msg.expects_reply:

@@ -396,7 +396,7 @@ class FaultSchedule:
                     yield env.timeout(step.time - env.now)
                 self._apply(step, faults, on_recover)
 
-        return env.process(runner(), name="fault.schedule")
+        return env.process(runner(), owner=None)
 
     @staticmethod
     def _apply(

@@ -190,7 +190,7 @@ class ReliableSession:
         payload["_rel"] = {"seq": seq}
         return self.env.process(
             self._deliver(dst, kind, payload, tag, seq),
-            name=f"{self.endpoint.name}.rel.{kind}->{dst}#{seq}",
+            owner=self.endpoint.name,
         )
 
     def _deliver(self, dst: str, kind: str, payload: dict, tag: str, seq: int):

@@ -84,9 +84,7 @@ class PeriodicSampler:
     def start(self):
         """Spawn the periodic process (idempotent); returns it."""
         if self._proc is None or self._proc.triggered:
-            self._proc = self.system.env.process(
-                self._loop(), name="obs.sampler"
-            )
+            self._proc = self.system.env.process(self._loop())
         return self._proc
 
     def stop(self) -> None:

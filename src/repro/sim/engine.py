@@ -90,7 +90,9 @@ class Environment:
         # int (not itertools.count) so the invariant is explicit and
         # ``schedule`` can allocate inline.
         self._eseq: int = 0
-        self._active_process: Optional[Process] = None
+        #: owner -> its live processes in spawn order (a dict used as
+        #: an ordered set); Process maintains it, :meth:`owned` reads it
+        self._owned: dict[Optional[str], dict[Process, None]] = {}
         #: Optional scheduling perturbation hook for schedule-space
         #: fuzzing (see :mod:`repro.testkit`). Called as
         #: ``perturb(event, priority, delay) -> delay`` for every event
@@ -125,10 +127,10 @@ class Environment:
         """Current simulation time."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
+    def owned(self, owner: Optional[str]) -> list[Process]:
+        """The live processes ``owner`` spawned, in spawn order (a site
+        name, or ``None`` for the unowned ones)."""
+        return list(self._owned.get(owner, ()))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -150,10 +152,11 @@ class Environment:
         return Timeout(self, delay, value)
 
     def process(
-        self, generator: ProcessGenerator, name: Optional[str] = None
+        self, generator: ProcessGenerator, owner: Optional[str] = None
     ) -> Process:
-        """Start a new :class:`Process` driving ``generator``."""
-        return Process(self, generator, name=name)
+        """Start a new :class:`Process` driving ``generator`` for the
+        site ``owner`` (``None``: a process no site owns)."""
+        return Process(self, generator, owner)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when every event in ``events`` succeeded."""

@@ -36,13 +36,13 @@ class Process(Event):
     (fails with it). Other processes may ``yield`` it to join.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "owner")
 
     def __init__(
         self,
         env: "Environment",
         generator: ProcessGenerator,
-        name: Optional[str] = None,
+        owner: Optional[str] = None,
     ) -> None:
         if not isinstance(generator, GeneratorType):
             raise TypeError(f"{generator!r} is not a generator")
@@ -53,7 +53,16 @@ class Process(Event):
         self._generator = generator
         #: the event this process currently waits on (None when running)
         self._target: Optional[Event] = None
-        self.name = name or generator.__name__
+        #: the site this process runs for (None: the workload driver,
+        #: the fault schedule, a sampler)
+        self.owner = owner
+        # Enter the owner's census (a dict kept as an ordered set):
+        # _resume takes the process out where it settles.
+        owned = env._owned.get(owner)
+        if owned is None:
+            env._owned[owner] = {self: None}
+        else:
+            owned[self] = None
         init = object.__new__(Initialize)
         init.env, init.callbacks, init._value = env, [self._resume], None
         init._ok, init._defused = True, False
@@ -62,7 +71,10 @@ class Process(Event):
         heappush(env._queue, (env._now, URGENT, seq, init))
 
     def __repr__(self) -> str:
-        return f"<Process {self.name!r} at {id(self):#x}>"
+        return (
+            f"<Process {self.owner}:{self._generator.__qualname__}"
+            f" at {id(self):#x}>"
+        )
 
     @property
     def is_alive(self) -> bool:
@@ -101,57 +113,44 @@ class Process(Event):
         # e.g. interrupted to completion before a late event
         if self._value is not _PENDING:
             return
-        self.env._active_process = self
+        generator = self._generator
         while True:
             try:
                 # event is being dispatched, so its outcome is set:
                 # read _ok and _value directly, not the guarded properties.
                 if event._ok:
-                    next_event = self._generator.send(event._value)
+                    next_event = generator.send(event._value)
                 else:
                     # The process takes responsibility for the failure.
                     event.defuse()
-                    next_event = self._generator.throw(event._value)
+                    next_event = generator.throw(event._value)
+                while not isinstance(next_event, Event):
+                    # Misuse: inform the generator loudly; what it
+                    # yields in answer is checked like any other yield.
+                    next_event = generator.throw(TypeError(
+                        f"{self!r} yielded {next_event!r},"
+                        " which is not an Event"
+                    ))
             except StopIteration as exc:
-                # Generator finished: the process event succeeds.
-                self._target = None
-                self.env._active_process = None
-                self.succeed(exc.value)
-                return
+                ok, value = True, exc.value
+                break
             except BaseException as exc:
-                self._target = None
-                self.env._active_process = None
-                self.fail(exc)
-                return
-
-            if not isinstance(next_event, Event):
-                # Misuse: inform the generator loudly and keep draining.
-                try:
-                    self._generator.throw(
-                        TypeError(
-                            f"process {self.name!r} yielded {next_event!r},"
-                            " which is not an Event"
-                        )
-                    )
-                except StopIteration as exc:
-                    self._target = None
-                    self.env._active_process = None
-                    self.succeed(exc.value)
-                    return
-                except BaseException as exc:
-                    self._target = None
-                    self.env._active_process = None
-                    self.fail(exc)
-                    return
-                continue
+                ok, value = False, exc
+                break
 
             if next_event.callbacks is not None:
                 # Event pending, or triggered but not yet processed: wait.
                 next_event.callbacks.append(self._resume)
                 self._target = next_event
-                break
+                return
 
             # Event already processed: feed its outcome straight back in.
             event = next_event
 
-        self.env._active_process = None
+        # The generator has exited: settle the process, once, here.
+        self._target = None
+        del self.env._owned[self.owner][self]
+        if ok:
+            self.succeed(value)
+        else:
+            self.fail(value)

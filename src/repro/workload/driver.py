@@ -47,7 +47,7 @@ def run_closed(
             if on_complete is not None:
                 on_complete(i, event, result)
 
-    proc = system.env.process(driver(), name="workload.closed")
+    proc = system.env.process(driver())
     system.run()
     if not proc.triggered:  # pragma: no cover - deadlock guard
         raise RuntimeError("workload driver did not finish (protocol hang?)")
@@ -116,9 +116,7 @@ def run_open(
             counter[0] += 1
 
     procs = [
-        system.env.process(
-            site_driver(system.env, name, events), name=f"workload.{name}"
-        )
+        system.env.process(site_driver(system.env, name, events))
         for name, events in per_site_events.items()
     ]
     system.run(until=until)
@@ -134,7 +132,6 @@ def run_open(
 def run_spaced(
     system: DistributedSystem,
     events: Iterable[WorkloadEvent],
-    name: str,
     sync_interval: float,
     spacing: float,
     sampler: Optional[PeriodicSampler] = None,
@@ -146,9 +143,9 @@ def run_spaced(
     idles the driver between updates — without it, a mostly-local
     workload completes in almost no simulated time and the periodic
     processes never fire. ``sampler``, when given, snapshots system
-    state alongside and once more at the end of the workload. The
-    driver process is called ``name``. Ends quiescent, with the lazy
-    backlog flushed and ``check_invariants()`` passed.
+    state alongside and once more at the end of the workload. Ends
+    quiescent, with the lazy backlog flushed and ``check_invariants()``
+    passed.
     """
     results: list[UpdateResult] = []
 
@@ -166,7 +163,7 @@ def run_spaced(
     ]
     if sampler is not None:
         daemons.append(sampler)
-    proc = system.env.process(driver(system.env), name=name)
+    proc = system.env.process(driver(system.env))
     for daemon in daemons:
         daemon.start()
     # The periodic processes never finish on their own, so run to the

@@ -250,8 +250,8 @@ class SCMSimulation:
     def run(self, until: float) -> SCMOutcome:
         env = self.system.env
         for agent in self.retailer_agents:
-            env.process(agent.run(until), name=f"retailer.{agent.site}")
-        env.process(self.maker_agent.run(until), name="maker")
+            env.process(agent.run(until))
+        env.process(self.maker_agent.run(until))
         self.system.run(until=until)
         # Drain in-flight protocol traffic: agents stop generating load
         # past the horizon, so this only completes open transactions

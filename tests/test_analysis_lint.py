@@ -387,6 +387,34 @@ class TestUnboundedQueue:
             """) == []
 
 
+class TestProcessOwner:
+    SPAWN = """\
+        def start(env, gen, site):
+            return env.process(gen(){owner})
+        """
+
+    def test_spawn_without_owner_flagged(self, tmp_path):
+        findings = lint_source(
+            tmp_path, self.SPAWN.format(owner=""),
+            relpath="src/repro/core/mod.py",
+        )
+        assert rules_hit(findings) == ["process-owner"]
+        assert "owner=" in findings[0].message
+
+    def test_owner_site_and_owner_none_clean(self, tmp_path):
+        for owner in (", owner=site", ", owner=None"):
+            assert lint_source(
+                tmp_path, self.SPAWN.format(owner=owner),
+                relpath="src/repro/net/mod.py",
+            ) == []
+
+    def test_workload_not_checked(self, tmp_path):
+        assert lint_source(
+            tmp_path, self.SPAWN.format(owner=""),
+            relpath="src/repro/workload/mod.py",
+        ) == []
+
+
 class TestSuppression:
     def test_disable_comment_silences_one_rule(self, tmp_path):
         findings = lint_source(tmp_path, """\

@@ -111,7 +111,7 @@ class TestConservation:
             yield system.update("site1", "item0", -10.0)  # spend
             yield system.update("site0", "item0", +25.0)  # mint
 
-        system.env.process(flow(system.env), name="flow")
+        system.env.process(flow(system.env))
         system.run()
         report = system.sanitizer.finish()
         assert report.ok, report.render()
@@ -213,7 +213,7 @@ class TestDroppedPropagation:
             # Locally covered: only the propagation fan-out hits the wire.
             yield system.update("site1", "item0", -5.0)
 
-        system.env.process(flow(system.env), name="flow")
+        system.env.process(flow(system.env))
         system.run()
         report = system.sanitizer.finish()
         lost = report.by_rule("prop.lost")

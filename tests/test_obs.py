@@ -598,7 +598,7 @@ class TestSpanDeterminism:
                 yield env.timeout(40.0)
                 system.sites["site2"].restart()
 
-            system.env.process(chaos(system.env), name="chaos")
+            system.env.process(chaos(system.env))
             results = run_closed(system, trace)
             assert len(results) == 150
             return system.obs.recorder.fingerprint(), len(system.obs.recorder)

@@ -155,6 +155,26 @@ def test_yield_non_event_raises_inside_process():
     assert p.value == "typeerror: True"
 
 
+def test_yield_after_misuse_resumes_with_the_event():
+    """What a process yields in answer to the misuse TypeError is the
+    event it waits on; the stale event is not sent in again."""
+    env = Environment()
+    seen = []
+
+    def recovers(env):
+        try:
+            yield 42
+        except TypeError:
+            pass
+        value = yield env.timeout(5, value="five")
+        seen.append((env.now, value))
+
+    p = env.process(recovers(env))
+    env.run()
+    assert seen == [(5, "five")]
+    assert p.ok
+
+
 def test_is_alive_lifecycle():
     env = Environment()
 
@@ -167,31 +187,67 @@ def test_is_alive_lifecycle():
     assert not p.is_alive
 
 
-def test_process_name_defaults_to_generator_name():
+def test_process_owner_defaults_to_none():
     env = Environment()
 
     def my_process(env):
         yield env.timeout(0)
 
     p = env.process(my_process(env))
-    assert p.name == "my_process"
-    q = env.process(my_process(env), name="custom")
-    assert q.name == "custom"
+    assert p.owner is None
+    q = env.process(my_process(env), owner="site0")
+    assert q.owner == "site0"
+    assert repr(q).startswith(
+        "<Process site0:test_process_owner_defaults_to_none.<locals>.my_process"
+    )
     env.run()
 
 
-def test_active_process_visible_during_execution():
+def test_owned_lists_live_processes_in_spawn_order():
     env = Environment()
-    observed = []
 
-    def proc(env):
-        observed.append(env.active_process)
-        yield env.timeout(0)
+    def sleeper(env, delay):
+        yield env.timeout(delay)
 
-    p = env.process(proc(env))
+    a = env.process(sleeper(env, 3), owner="agg0")
+    b = env.process(sleeper(env, 1), owner="agg0.0")
+    c = env.process(sleeper(env, 2), owner="agg0")
+    d = env.process(sleeper(env, 1))
+    assert env.owned("agg0") == [a, c]
+    assert env.owned("agg0.0") == [b]
+    assert env.owned(None) == [d]
+    assert env.owned("site9") == []
+    env.run(until=2.5)
+    # A process leaves its owner's list when it ends.
+    assert env.owned("agg0") == [a]
+    assert env.owned("agg0.0") == [] and env.owned(None) == []
     env.run()
-    assert observed == [p]
-    assert env.active_process is None
+    assert env.owned("agg0") == []
+
+
+def test_failed_and_interrupted_processes_leave_the_census():
+    env = Environment()
+
+    def boom(env):
+        yield env.timeout(1)
+        raise ValueError("boom")
+
+    def joiner(env, proc):
+        with pytest.raises(ValueError):
+            yield proc
+
+    def forever(env):
+        yield env.event()
+
+    p = env.process(boom(env), owner="s")
+    env.process(joiner(env, p), owner="s")
+    q = env.process(forever(env), owner="s")
+    env.run(until=2)
+    assert env.owned("s") == [q]
+    q.interrupt("crash")
+    with pytest.raises(Interrupt):
+        env.run()
+    assert env.owned("s") == []
 
 
 def test_immediate_return_process():
