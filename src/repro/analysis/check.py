@@ -12,11 +12,11 @@ losses) are informational.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from repro.analysis.invariants import SanitizerReport
 from repro.cluster import DistributedSystem, paper_config
-from repro.core.types import UpdateResult
+from repro.metrics.collector import ResultLog
 from repro.workload.driver import run_spaced
 from repro.workload.trace import WorkloadTrace
 
@@ -26,7 +26,7 @@ class CheckRun:
 
     system: DistributedSystem
     report: SanitizerReport
-    results: List[UpdateResult] = field(default_factory=list)
+    results: ResultLog = field(default_factory=ResultLog)
     n_updates: int = 0
     seed: int = 0
 

@@ -144,9 +144,12 @@ def end_state(system, quiescent: bool) -> List[Violation]:
         product.item: float(product.initial_stock)
         for product in system.catalog
     }
-    for result in system.collector.results:
-        if result.outcome is UpdateOutcome.COMMITTED:
-            expected[result.request.item] += result.request.delta
+    committed = UpdateOutcome.COMMITTED
+    for outcome, item, delta in system.collector.results.columns(
+        "outcome", "item", "delta"
+    ):
+        if outcome is committed:
+            expected[item] += delta
     for item in sorted(expected):
         have = ledger.true_value(item)
         if abs(have - expected[item]) > EPS:
@@ -238,22 +241,24 @@ def _overload_rest_state(system, add) -> None:
                 f"peak backlog {ovl.peak_backlog} ran away"
                 f" (budget {params.backlog_budget})", site=name)
 
-    shed = [
-        r for r in system.collector.results
-        if r.outcome is UpdateOutcome.SHED
-    ]
-    if len(shed) != total_shed:
+    shed = 0
+    unhinted = None  # the item of the first SHED result with no hint
+    for outcome, retry_after, item in system.collector.results.columns(
+        "outcome", "retry_after", "item"
+    ):
+        if outcome is UpdateOutcome.SHED:
+            shed += 1
+            if retry_after <= 0 and unhinted is None:
+                unhinted = item
+    if shed != total_shed:
         add("oracle.overload-shed",
             f"controllers shed {total_shed} requests but only"
-            f" {len(shed)} surfaced as SHED results")
+            f" {shed} surfaced as SHED results")
     audit = system.sanitizer.overload if system.sanitizer is not None else None
     if audit is not None and audit.sheds != total_shed:
         add("oracle.overload-shed",
             f"sanitizer observed {audit.sheds} shed events but"
             f" controllers count {total_shed}")
-    for r in shed:
-        if r.retry_after <= 0:
-            add("oracle.overload-shed",
-                "shed result carries no positive retry-after hint",
-                r.request.item)
-            break
+    if unhinted is not None:
+        add("oracle.overload-shed",
+            "shed result carries no positive retry-after hint", unhinted)

@@ -28,7 +28,7 @@ from repro.core.strategies import (
     RandomStrategy,
     RoundRobinStrategy,
 )
-from repro.core.types import UPDATE_TAGS
+from repro.core.types import UPDATE_TAGS, UpdateOutcome
 
 from repro.experiments.fig6 import make_paper_trace
 from repro.experiments.runner import run_counted
@@ -45,12 +45,15 @@ ABLATION_HEADERS = [
 def _run_variant(system, trace, label: str) -> List[Any]:
     run = run_counted(system, trace, label, checkpoints=[len(trace)])
     results = run.results
-    committed = sum(1 for r in results if r.committed)
+    committed = sum(
+        outcome is UpdateOutcome.COMMITTED
+        for outcome in results.column("outcome")
+    )
     return [
         label,
         run.final().total_correspondences,
-        sum(r.av_requests for r in results),
-        round(sum(1 for r in results if r.local_only) / len(results), 3),
+        sum(results.column("av_requests")),
+        round(sum(results.column("local_only")) / len(results), 3),
         round(committed / len(results), 3),
     ]
 

@@ -36,7 +36,7 @@ from repro.cluster import DistributedSystem, paper_config
 from repro.cluster.config import SystemConfig
 from repro.core.overload import OverloadParams
 from repro.core.sync import SyncScheduler
-from repro.core.types import UpdateResult
+from repro.metrics.collector import ResultLog
 from repro.net.faults import FaultSchedule
 from repro.net.reliable import ReliabilityParams
 from repro.obs.snapshot import TelemetrySnapshot
@@ -85,8 +85,9 @@ class FaultedRun:
     """One faulted run, driven to quiescence and judged (:func:`run_faulted`)."""
 
     system: DistributedSystem
-    #: update results, in completion order
-    results: List[UpdateResult]
+    #: update results, in completion order: a live view of the
+    #: collector's log, so it counts what completes after the drive too
+    results: ResultLog
     updates_issued: int
     report: SanitizerReport
     #: end-state findings (see repro.analysis.end_state)

@@ -14,6 +14,7 @@ from typing import Dict, List
 
 from repro.baselines.centralized import CentralizedSystem
 from repro.cluster import DistributedSystem, paper_config
+from repro.core.types import UpdateOutcome
 from repro.metrics.latency import LatencySummary, summarize
 from repro.workload.driver import run_open, split_by_site
 
@@ -40,6 +41,17 @@ class LatencyResult:
         return conv / prop if prop > 0 else float("inf")
 
 
+def _committed_latencies(results) -> List[float]:
+    """Issue-to-finish times of the committed updates, read from the
+    result log's columns."""
+    return [
+        finished_at - issued_at
+        for outcome, finished_at, issued_at
+        in results.columns("outcome", "finished_at", "issued_at")
+        if outcome is UpdateOutcome.COMMITTED
+    ]
+
+
 def run_latency_experiment(
     n_updates: int = 900,
     n_items: int = 10,
@@ -55,14 +67,12 @@ def run_latency_experiment(
     summaries: Dict[str, LatencySummary] = {}
 
     system = DistributedSystem.build(config)
-    results = run_open(system, per_site, interarrival=interarrival)
-    summaries["proposal"] = summarize(
-        [r.latency for r in results if r.committed]
-    )
+    summaries["proposal"] = summarize(_committed_latencies(
+        run_open(system, per_site, interarrival=interarrival)
+    ))
 
     central = CentralizedSystem(config)
-    results_c = run_open(central, per_site, interarrival=interarrival)
-    summaries["centralized"] = summarize(
-        [r.latency for r in results_c if r.committed]
-    )
+    summaries["centralized"] = summarize(_committed_latencies(
+        run_open(central, per_site, interarrival=interarrival)
+    ))
     return LatencyResult(summaries=summaries)

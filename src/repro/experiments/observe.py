@@ -17,10 +17,10 @@ around it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.cluster import DistributedSystem, paper_config
-from repro.core.types import UpdateResult
+from repro.metrics.collector import ResultLog
 from repro.obs.export import render_summary, write_chrome_trace, write_jsonl
 from repro.obs.sampler import PeriodicSampler
 from repro.workload.driver import run_spaced
@@ -33,7 +33,7 @@ class ObservedRun:
     """One observed replay: the system (with its obs hub) plus results."""
 
     system: DistributedSystem
-    results: List[UpdateResult] = field(default_factory=list)
+    results: ResultLog = field(default_factory=ResultLog)
     n_updates: int = 0
     seed: int = 0
 

@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.baselines.centralized import CentralizedSystem
 from repro.cluster import DistributedSystem, SystemConfig
 from repro.core.assurance import AssuranceReport, assurance_report
-from repro.core.types import UPDATE_TAGS, UpdateKind, UpdateResult
+from repro.core.types import UPDATE_TAGS, UpdateKind, UpdateOutcome
+from repro.metrics.collector import ResultLog
 from repro.metrics.report import text_table
 from repro.obs.snapshot import TelemetrySnapshot
 from repro.workload.driver import run_closed
@@ -41,7 +42,7 @@ class CountedRun:
 
     label: str
     checkpoints: List[Checkpoint] = field(default_factory=list)
-    results: List[UpdateResult] = field(default_factory=list)
+    results: ResultLog = field(default_factory=ResultLog)
 
     def final(self) -> Checkpoint:
         if not self.checkpoints:
@@ -177,7 +178,7 @@ class PairedResult:
         results = self.proposal.results
         if not results:
             return 0.0
-        return sum(1 for r in results if r.local_only) / len(results)
+        return sum(results.column("local_only")) / len(results)
 
     @property
     def committed_ratio(self) -> float:
@@ -185,21 +186,29 @@ class PairedResult:
         results = self.proposal.results
         if not results:
             return 0.0
-        return sum(1 for r in results if r.committed) / len(results)
+        committed = UpdateOutcome.COMMITTED
+        return sum(
+            outcome is committed for outcome in results.column("outcome")
+        ) / len(results)
 
     def assurance(self) -> AssuranceReport:
         """The paper's assurance claim, quantified on the final checkpoint."""
         final = self.proposal.final()
-        delay_results = [
-            r for r in self.proposal.results if r.kind is UpdateKind.DELAY
-        ]
+        delay_total = delay_local = delay_committed = 0
+        for kind, local_only, outcome in self.proposal.results.columns(
+            "kind", "local_only", "outcome"
+        ):
+            if kind is UpdateKind.DELAY:
+                delay_total += 1
+                delay_local += local_only
+                delay_committed += outcome is UpdateOutcome.COMMITTED
         return assurance_report(
             retailer_correspondences={
                 s: final.per_site[s] for s in self.retailers
             },
-            delay_total=len(delay_results),
-            delay_local=sum(1 for r in delay_results if r.local_only),
-            delay_committed=sum(1 for r in delay_results if r.committed),
+            delay_total=delay_total,
+            delay_local=delay_local,
+            delay_committed=delay_committed,
         )
 
     def per_site_growth(self, site: str) -> float:

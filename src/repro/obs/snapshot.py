@@ -63,7 +63,7 @@ class TelemetrySnapshot:
         if registry is None:
             registry = system.collector.registry
         sites: Dict[str, Dict[str, float]] = {}
-        updates = Counter(r.request.site for r in system.collector.results)
+        updates = Counter(system.collector.results.column("site"))
         for name in sorted(system.sites):
             site = system.sites[name]
             accel = site.accelerator

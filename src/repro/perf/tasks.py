@@ -86,9 +86,12 @@ def _update_tags(results) -> list:
     flips the fingerprint.
     """
     return [
-        f"{r.kind.value}:{r.outcome.value}:{int(r.local_only)}"
-        f":{r.av_requests}:{r.finished_at!r}"
-        for r in results
+        f"{kind.value}:{outcome.value}:{int(local_only)}"
+        f":{av_requests}:{finished_at!r}"
+        for kind, outcome, local_only, av_requests, finished_at
+        in results.columns(
+            "kind", "outcome", "local_only", "av_requests", "finished_at"
+        )
     ]
 
 

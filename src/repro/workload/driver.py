@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Optional
 from repro.cluster.system import DistributedSystem
 from repro.core.sync import SyncScheduler
 from repro.core.types import UpdateResult
+from repro.metrics.collector import ResultLog
 from repro.obs.sampler import PeriodicSampler
 from repro.workload.generators import WorkloadEvent
 
@@ -36,14 +37,14 @@ def run_closed(
     system: DistributedSystem,
     events: Iterable[WorkloadEvent],
     on_complete: Optional[CompletionHook] = None,
-) -> list[UpdateResult]:
-    """Issue events sequentially; returns all results in order."""
-    results: list[UpdateResult] = []
+) -> ResultLog:
+    """Issue events sequentially; returns all results in order: a live
+    view of the collector's log from the run's first update on."""
+    start = len(system.collector.results)
 
     def driver():
         for i, event in enumerate(events):
             result = yield system.update(event.site, event.item, event.delta)
-            results.append(result)
             if on_complete is not None:
                 on_complete(i, event, result)
 
@@ -53,7 +54,7 @@ def run_closed(
         raise RuntimeError("workload driver did not finish (protocol hang?)")
     if not proc.ok:
         raise proc.value
-    return results
+    return system.collector.results.since(start)
 
 
 def run_open(
@@ -63,7 +64,7 @@ def run_open(
     on_complete: Optional[CompletionHook] = None,
     until: Optional[float] = None,
     open_loop: bool = False,
-) -> list[UpdateResult]:
+) -> ResultLog:
     """Run one arrival process per site, updates overlapping freely.
 
     Each site's stream is issued with fixed ``interarrival`` spacing.
@@ -74,23 +75,27 @@ def run_open(
     ``open_loop=True`` the driver issues at the arrival rate regardless
     of completion — the surge discipline: per-site concurrency is then
     unbounded unless the system itself sheds load (the overload layer's
-    admission control). Completions are collected via callbacks, so
-    ``results`` arrives in completion order and may be shorter than the
-    stream if ``until`` cuts updates off mid-flight.
+    admission control).
+
+    Returns the results in completion order: a live view of the
+    collector's log from the run's first update on, which may be shorter
+    than the stream if ``until`` cuts updates off mid-flight. Live means
+    it keeps growing while the system runs on: updates still in flight
+    at ``until`` join it when a later run completes them, which
+    :attr:`~repro.experiments.chaos.FaultedRun.updates_completed`
+    relies on.
 
     ``until`` bounds the simulation clock — required when background
     daemons (rebalancer, sync scheduler) run forever; without it the run
     lasts until the event queue drains.
     """
-    results: list[UpdateResult] = []
+    start = len(system.collector.results)
     counter = [0]
 
     def collector(event):
         def collect(ev):
             if ev.ok and isinstance(ev.value, UpdateResult):
-                results.append(ev.value)
-                if on_complete is not None:
-                    on_complete(counter[0], event, ev.value)
+                on_complete(counter[0], event, ev.value)
                 counter[0] += 1
 
         return collect
@@ -107,10 +112,10 @@ def run_open(
                 continue  # a crashed site generates no load
             if open_loop:
                 done = system.update(event.site, event.item, event.delta)
-                done.callbacks.append(collector(event))
+                if on_complete is not None:
+                    done.callbacks.append(collector(event))
                 continue
             result = yield system.update(event.site, event.item, event.delta)
-            results.append(result)
             if on_complete is not None:
                 on_complete(counter[0], event, result)
             counter[0] += 1
@@ -126,7 +131,7 @@ def run_open(
         # or if `until` cut the run short.
         if proc.triggered and not proc.ok:  # pragma: no cover - bug guard
             raise proc.value
-    return results
+    return system.collector.results.since(start)
 
 
 def run_spaced(
@@ -135,7 +140,7 @@ def run_spaced(
     sync_interval: float,
     spacing: float,
     sampler: Optional[PeriodicSampler] = None,
-) -> list[UpdateResult]:
+) -> ResultLog:
     """Closed replay with idle ``spacing`` and one sync daemon per site.
 
     Lazy sync runs on a real :class:`SyncScheduler` per site, so sync
@@ -145,15 +150,14 @@ def run_spaced(
     processes never fire. ``sampler``, when given, snapshots system
     state alongside and once more at the end of the workload. Ends
     quiescent, with the lazy backlog flushed and ``check_invariants()``
-    passed.
+    passed. Returns the run's results, as :func:`run_closed` does.
     """
-    results: list[UpdateResult] = []
+    start = len(system.collector.results)
 
     def driver(env):
-        # system.update already reports each result to the collector.
+        # system.update reports each result to the collector.
         for event in events:
-            result = yield system.update(event.site, event.item, event.delta)
-            results.append(result)
+            yield system.update(event.site, event.item, event.delta)
             if spacing > 0:
                 yield env.timeout(spacing)
 
@@ -178,7 +182,7 @@ def run_spaced(
         daemon.stop()
     system.run()
     system.check_invariants()
-    return results
+    return system.collector.results.since(start)
 
 
 def heal_and_settle(

@@ -259,16 +259,18 @@ class SCMSimulation:
         self.system.run()
         from repro.core.types import UPDATE_TAGS, UpdateKind
 
-        delay = [
-            r for r in self.system.collector.results
-            if r.kind is UpdateKind.DELAY
-        ]
-        local = sum(1 for r in delay if r.local_only)
+        delay = local = 0
+        for kind, local_only in self.system.collector.results.columns(
+            "kind", "local_only"
+        ):
+            if kind is UpdateKind.DELAY:
+                delay += 1
+                local += local_only
         return SCMOutcome(
             retailer_reports={
                 a.site: a.report for a in self.retailer_agents
             },
             manufactured_units=self.maker_agent.manufactured_units,
             correspondences=self.system.stats.correspondences_for_tags(UPDATE_TAGS),
-            local_ratio=local / len(delay) if delay else 1.0,
+            local_ratio=local / delay if delay else 1.0,
         )

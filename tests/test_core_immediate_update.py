@@ -34,7 +34,7 @@ def run_one(system, site, item, delta):
 
 #: Python calls of the pinned open-loop 2PC run (see
 #: ``TestContention.test_open_loop_2pc_python_calls_are_pinned``)
-CALLS_2PC = 70890
+CALLS_2PC = 70893
 
 
 def open_loop_2pc_calls():
@@ -201,7 +201,9 @@ class TestContention:
         envelope, kernel event, spawn and WAL record where it is used
         made 112 200; building each WAL record, lock grant, commit
         barrier, timer and update tuple inside the function that uses
-        it made the pinned count. A rise means per-event or per-message
+        it made 70 890; returning a view of the columnar result log
+        instead of the driver's own list made the pinned count. A rise
+        means per-event or per-message
         work came back; a fall is a change to re-pin with a CHANGES.md
         note.
         """
