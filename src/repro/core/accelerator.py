@@ -358,8 +358,7 @@ class Accelerator:
         rec = self.obs.recorder
         root, _ = rec.open_pair(
             PAIR_ROOT, self.site, self.env._now,
-            (req.item, req.delta, kind.value),
-            trace=update_trace(req.site, req.request_id),
+            (req.item, req.delta, kind.value), request=req.request_id,
         )
         return root
 

@@ -146,19 +146,24 @@ def render_summary(obs: "Observability", title: str = "Observability") -> str:
 
     recorder = obs.recorder
     if len(recorder):
+        # one walk: every read of the recorder rebuilds every span
+        counts: Dict[str, int] = {}
         durations: Dict[str, float] = {}
+        traces = set()
         for span in recorder:
+            counts[span.name] = counts.get(span.name, 0) + 1
             durations[span.name] = durations.get(span.name, 0.0) + span.duration
+            traces.add(span.trace_id)
         rows = [
             [name, count, f"{durations[name]:.1f}"]
-            for name, count in sorted(recorder.names().items())
+            for name, count in sorted(counts.items())
         ]
         blocks.append(text_table(
             ["span", "count", "total sim-time"],
             rows,
             title=(
                 f"{title} — spans ({len(recorder)} total,"
-                f" {len(recorder.traces())} traces)"
+                f" {len(traces)} traces)"
             ),
         ))
 
