@@ -526,7 +526,7 @@ class ProtocolSanitizer:
         backlog = 0
         if self.system is not None:
             for site in self.system.sites.values():
-                backlog += len(site.accelerator.owed)
+                backlog += site.accelerator.owed_pairs
 
         report.counters.update({
             "events": self.events,

@@ -91,7 +91,8 @@ class InterestView:
             and topology.role_of(self.parent) == ROLE_AGGREGATOR
             else None
         )
-        self._peers: Dict[str, Tuple[str, ...]] = {}
+        #: interest set (``Topology.sites_for``) -> its peers here
+        self._peers: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._neighbors: Optional[Tuple[str, ...]] = None
 
     def serves(self, item: str) -> bool:
@@ -115,13 +116,14 @@ class InterestView:
 
     def peers_for(self, item: str) -> Tuple[str, ...]:
         """Interested peers for ``item`` (excluding this site), in
-        topology order (maker, aggregators, then leaves)."""
-        cached = self._peers.get(item)
+        topology order (maker, aggregators, then leaves). Items with one
+        interest set share one tuple: the cache is keyed by the
+        topology's interned ``sites_for`` tuple, not by item."""
+        sites = self.topology._sites_for[item]
+        cached = self._peers.get(sites)
         if cached is None:
-            cached = tuple(
-                s for s in self.topology.sites_for(item) if s != self.name
-            )
-            self._peers[item] = cached
+            cached = tuple(s for s in sites if s != self.name)
+            self._peers[sites] = cached
         return cached
 
 

@@ -42,6 +42,8 @@ from repro.sim.events import Event
 from repro.sim.process import Process
 
 _new_tuple = tuple.__new__
+#: the balances of a peer owed nothing (never written to)
+_NO_BALANCES: dict[str, float] = {}
 
 
 class Accelerator:
@@ -188,17 +190,22 @@ class Accelerator:
         self._req_ids = _count(1)
 
         #: committed Delay deltas not yet pushed, **per peer**:
-        #: ``(peer, item) -> net delta``. Per-peer balances make batched
-        #: sync fault-tolerant: a crashed peer's balance is simply
-        #: retained until it recovers (a single aggregate would be lost
-        #: the first time a sync partially delivers). Eager propagation
-        #: keeps this empty.
-        self.owed: dict[tuple[str, str], float] = {}
+        #: ``peer -> {item: net delta}``, each balance non-zero. Per-peer
+        #: balances make batched sync fault-tolerant: a crashed peer's
+        #: balance is simply retained until it recovers (a single
+        #: aggregate would be lost the first time a sync partially
+        #: delivers). Keyed by peer, then item: a site has a handful of
+        #: peers, so a balance costs one dict slot and no key tuple.
+        #: Eager propagation keeps every peer's balances empty.
+        self.owed: dict[str, dict[str, float]] = {}
+        #: number of (peer, item) balances in ``owed`` (the backlog the
+        #: overload layer, the sampler and the sanitizer read)
+        self.owed_pairs = 0
         # Dirty-set index over `owed`: item -> number of (peer, item)
-        # balances currently non-zero. Maintained incrementally by
-        # `_set_owed` so the periodic sync scan touches only dirty items
-        # (O(dirty), O(1) when clean) instead of rescanning the whole
-        # ledger every pass.
+        # balances currently non-zero. Maintained incrementally with
+        # `owed_pairs` (see `_set_owed`) so the periodic sync scan
+        # touches only dirty items (O(dirty), O(1) when clean) instead of
+        # rescanning the whole ledger every pass.
         self._dirty_items: dict[str, int] = {}
         # Freeze/quiesce machinery for reclassification: a frozen item
         # admits no new Delay updates, and `quiesce` fires once in-flight
@@ -459,27 +466,35 @@ class Accelerator:
     # lazy propagation (batched sync)
     # ---------------------------------------------------------------- #
 
-    def _set_owed(self, key: tuple[str, str], balance: float) -> None:
-        """Write one owed balance, keeping the dirty-item index exact.
+    def _set_owed(self, peer: str, item: str, balance: float) -> None:
+        """Write one owed balance, keeping the pair count and the
+        dirty-item index exact.
 
-        Every mutation of ``self.owed`` must route through here (or
-        :meth:`_pop_owed`): the index is what makes the periodic sync
-        scan O(dirty) rather than O(all balances).
+        Every mutation of ``self.owed`` routes through here or
+        :meth:`_pop_owed`, or keeps the same books itself
+        (:meth:`record_unsynced`, :meth:`clear_owed_item`): the index is
+        what makes the periodic sync scan O(dirty) rather than O(all
+        balances).
         """
-        owed = self.owed
         if balance == 0.0:
-            self._pop_owed(key)
-        else:
-            if key not in owed:
-                item = key[1]
-                self._dirty_items[item] = self._dirty_items.get(item, 0) + 1
-            owed[key] = balance
+            self._pop_owed(peer, item)
+            return
+        balances = self.owed.get(peer)
+        if balances is None:
+            balances = self.owed[peer] = {}
+        if item not in balances:
+            self.owed_pairs += 1
+            self._dirty_items[item] = self._dirty_items.get(item, 0) + 1
+        balances[item] = balance
 
-    def _pop_owed(self, key: tuple[str, str]) -> float:
-        """Remove one owed balance (0.0 if absent), updating the index."""
-        balance = self.owed.pop(key, 0.0)
+    def _pop_owed(self, peer: str, item: str) -> float:
+        """Remove one owed balance (0.0 if absent), updating the books."""
+        balances = self.owed.get(peer)
+        if balances is None:
+            return 0.0
+        balance = balances.pop(item, 0.0)
         if balance != 0.0:
-            item = key[1]
+            self.owed_pairs -= 1
             remaining = self._dirty_items[item] - 1
             if remaining:
                 self._dirty_items[item] = remaining
@@ -503,20 +518,23 @@ class Accelerator:
         owed = self.owed
         added = 0
         for peer in self.replica_peers(item):
-            key = (peer, item)
-            old = owed.get(key)
+            balances = owed.get(peer)
+            if balances is None:
+                balances = owed[peer] = {}
+            old = balances.get(item)
             if old is None:
                 if delta != 0.0:
-                    owed[key] = delta
+                    balances[item] = delta
                     added += 1
             else:
                 balance = old + delta
                 if balance == 0.0:
-                    del owed[key]
+                    del balances[item]
                     added -= 1
                 else:
-                    owed[key] = balance
+                    balances[item] = balance
         if added:
+            self.owed_pairs += added
             dirty = self._dirty_items
             count = dirty.get(item, 0) + added
             if count:
@@ -530,21 +548,26 @@ class Accelerator:
 
     def owed_to(self, peer: str, item: str) -> float:
         """Net delta ``peer`` has not yet seen for ``item``."""
-        return self.owed.get((peer, item), 0.0)
+        return self.owed.get(peer, _NO_BALANCES).get(item, 0.0)
 
     def take_owed(self, peer: str, item: str) -> float:
         """Claim (and clear) the balance owed to ``peer`` for ``item``."""
-        return self._pop_owed((peer, item))
+        return self._pop_owed(peer, item)
 
     def retain_owed(self, peer: str, item: str, delta: float) -> None:
         """Fold a delta back into the owed ledger (undelivered push)."""
-        key = (peer, item)
-        self._set_owed(key, self.owed.get(key, 0.0) + delta)
+        self._set_owed(peer, item, self.owed_to(peer, item) + delta)
 
     def clear_owed_item(self, item: str) -> None:
-        """Drop every balance for ``item`` (its value was superseded)."""
-        for key in [k for k in self.owed if k[1] == item]:
-            self._pop_owed(key)
+        """Drop every balance for ``item`` (its value was superseded):
+        one pop per peer, not a scan of the ledger."""
+        cleared = 0
+        for balances in self.owed.values():
+            if balances.pop(item, 0.0) != 0.0:
+                cleared += 1
+        if cleared:
+            self.owed_pairs -= cleared
+            del self._dirty_items[item]  # it counted exactly these
 
     def unsynced_items(self) -> set[str]:
         """Items with any pending balance (O(dirty), via the index)."""
@@ -579,17 +602,18 @@ class Accelerator:
         if observed:
             span = rec.open_span("sync.push", self.site, self.now,
                                  ("item",), (item,), parent=parent)
+        owed = self.owed
         for peer in live:
             if only is not None and peer not in only:
                 continue
-            key = (peer, item)
-            delta = self.owed.get(key, 0.0)
+            delta = owed.get(peer, _NO_BALANCES).get(item, 0.0)
             if delta == 0.0:
                 continue
             payload = {"item": item, "delta": delta}
             if observed:
                 payload["_obs"] = {"trace": span[0], "span": span[1]}
             if self.reliable is not None:
+                key = (peer, item)
                 if key in self._sync_inflight:
                     continue  # this balance is already on the wire
                 self._sync_inflight.add(key)
@@ -602,7 +626,7 @@ class Accelerator:
                     )
                 )
             else:
-                self._pop_owed(key)
+                self._pop_owed(peer, item)
                 self.endpoint.send(peer, "prop.push", payload, tag=TAG_PROPAGATE)
             sent += 1
         if observed:
@@ -619,12 +643,12 @@ class Accelerator:
         way the push is off the wire, which may release a `quiesce`.
         """
         self._sync_inflight.discard(key)
+        peer, item = key
         if event.ok and event.value is True:
-            current = self.owed.get(key)
+            current = self.owed.get(peer, _NO_BALANCES).get(item)
             # None: superseded (e.g. clear_owed_item during reclassify)
             if current is not None:
-                self._set_owed(key, current - delta)
-        item = key[1]
+                self._set_owed(peer, item, current - delta)
         if (
             item in self._quiesce_waiters
             and item not in self._active_delay

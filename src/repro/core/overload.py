@@ -332,7 +332,7 @@ class OverloadController:
 
     def note_backlog(self, now: float) -> None:
         """Called after every ``record_unsynced``; flushes over budget."""
-        backlog = len(self.accel.owed)
+        backlog = self.accel.owed_pairs
         if backlog > self.peak_backlog:
             self.peak_backlog = backlog
         if backlog > self.params.backlog_budget and now > self._last_flush:
@@ -366,7 +366,7 @@ class OverloadController:
         accel = self.accel
         return max(
             self.inflight / p.inflight_budget,
-            len(accel.owed) / p.backlog_budget,
+            accel.owed_pairs / p.backlog_budget,
             accel.locks.total_waiting() / p.lock_wait_budget,
             self.breaker.pressure(now),
         )

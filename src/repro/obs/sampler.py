@@ -139,7 +139,7 @@ class PeriodicSampler:
             store.record(
                 f"lock.wait.{name}", now, float(accel.locks.total_waiting())
             )
-            store.record(f"sync.backlog.{name}", now, float(len(accel.owed)))
+            store.record(f"sync.backlog.{name}", now, float(accel.owed_pairs))
         self.passes += 1
 
     def __repr__(self) -> str:

@@ -28,6 +28,7 @@ from repro.core.types import UpdateResult
 from repro.metrics.collector import ResultLog
 from repro.obs.sampler import PeriodicSampler
 from repro.workload.generators import WorkloadEvent
+from repro.workload.trace import WorkloadTrace
 
 #: callback invoked after every finished update: (index, event, result)
 CompletionHook = Callable[[int, WorkloadEvent, UpdateResult], None]
@@ -41,10 +42,13 @@ def run_closed(
     """Issue events sequentially; returns all results in order: a live
     view of the collector's log from the run's first update on."""
     start = len(system.collector.results)
+    if on_complete is None and isinstance(events, WorkloadTrace):
+        events = events.rows()  # no hook reads the events: build none
 
     def driver():
         for i, event in enumerate(events):
-            result = yield system.update(event.site, event.item, event.delta)
+            site, item, delta = event
+            result = yield system.update(site, item, delta)
             if on_complete is not None:
                 on_complete(i, event, result)
 
@@ -236,9 +240,9 @@ def heal_and_settle(
         drain_sync()
 
 
-def split_by_site(events: Iterable[WorkloadEvent]) -> dict[str, list[WorkloadEvent]]:
-    """Partition one interleaved stream into per-site streams."""
-    out: dict[str, list[WorkloadEvent]] = {}
-    for event in events:
-        out.setdefault(event.site, []).append(event)
-    return out
+def split_by_site(events: Iterable[WorkloadEvent]) -> dict[str, WorkloadTrace]:
+    """Partition one interleaved stream into per-site traces (columns,
+    like the stream's own trace; sites in order of first appearance)."""
+    if not isinstance(events, WorkloadTrace):
+        events = WorkloadTrace(events)
+    return events.by_site()

@@ -17,10 +17,10 @@ import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from functools import cached_property
-from itertools import cycle, islice, repeat
+from itertools import chain, cycle, islice, repeat
 from typing import (
-    TYPE_CHECKING, Dict, Iterator, List, Mapping, NamedTuple, Optional,
-    Sequence,
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, NamedTuple,
+    Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -47,12 +47,49 @@ class WorkloadEvent(NamedTuple):
         return f"{self.site}: {self.item}{self.delta:+g}"
 
 
+#: a stream as three equal-length column tuples: ``(sites, items, deltas)``
+Columns = Tuple[Tuple[str, ...], Tuple[str, ...], Tuple[float, ...]]
+
+_new_tuple = tuple.__new__
+
+
+def events_of(sites: Iterable, items: Iterable, deltas: Iterable
+              ) -> Iterator[WorkloadEvent]:
+    """The events of three columns, built without a Python frame apiece
+    (``WorkloadEvent._make`` and ``__new__`` are Python functions)."""
+    return map(_new_tuple, repeat(WorkloadEvent), zip(sites, items, deltas))
+
+
+def transpose(events: Iterable[WorkloadEvent]) -> Columns:
+    """The columns of ``events`` as tuples, transposed a chunk of
+    :data:`DRAW_CHUNK` events at a time."""
+    it = iter(events)
+    chunks = iter(lambda: tuple(islice(it, DRAW_CHUNK)), ())
+    return concat([tuple(zip(*chunk)) for chunk in chunks])
+
+
+def concat(parts: Sequence[tuple]) -> Columns:
+    """One set of column tuples from consecutive chunks' columns."""
+    if not parts:
+        return (), (), ()
+    sites, items, deltas = (
+        tuple(chain.from_iterable(column)) for column in zip(*parts)
+    )
+    return sites, items, deltas
+
+
 class WorkloadGenerator(ABC):
     """Produces a deterministic stream of :class:`WorkloadEvent`."""
 
     @abstractmethod
     def events(self, n: int) -> Iterator[WorkloadEvent]:
         """Yield the first ``n`` events of the stream."""
+
+    def columns(self, n: int) -> Columns:
+        """The first ``n`` events as columns (what a trace keeps); a
+        generator that draws its stream in blocks hands them over as
+        drawn, with no event built."""
+        return transpose(self.events(n))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__}>"
@@ -132,9 +169,18 @@ class PaperWorkload(WorkloadGenerator):
         """Yield the first ``n`` events. A round-robin stream of integral
         deltas is drawn in one block at the first event: a caller drawing
         from the same ``rng`` between events needs :meth:`events_scalar`."""
-        if self.site_order == "roundrobin" and self.integer_deltas:
+        if self._drawn_in_blocks:
             return self._events_block(n)
         return self.events_scalar(n)
+
+    def columns(self, n: int) -> Columns:
+        if self._drawn_in_blocks:
+            return self._block_columns(n)
+        return super().columns(n)
+
+    @property
+    def _drawn_in_blocks(self) -> bool:
+        return self.site_order == "roundrobin" and self.integer_deltas
 
     def events_scalar(self, n: int) -> Iterator[WorkloadEvent]:
         """The stream drawn one variate at a time, each when it is used."""
@@ -147,6 +193,9 @@ class PaperWorkload(WorkloadGenerator):
             yield WorkloadEvent(site, item, self._delta(site))
 
     def _events_block(self, n: int) -> Iterator[WorkloadEvent]:
+        yield from events_of(*self._block_columns(n))
+
+    def _block_columns(self, n: int) -> Columns:
         # The draws alternate item index, magnitude; their bounds repeat
         # every round-robin cycle, and ``integers`` with array bounds
         # consumes the bit stream exactly as the scalar calls would.
@@ -160,11 +209,13 @@ class PaperWorkload(WorkloadGenerator):
         step = np.arange(2 * n) % len(high)
         draws = self.rng.integers(step % 2, np.asarray(high)[step])
         signs = np.asarray([int(sign) for _cap, sign in caps])
-        yield from map(WorkloadEvent._make, zip(
-            islice(cycle(sites), n),
-            map(self.items.__getitem__, draws[0::2].tolist()),
-            _shared_floats((signs[step[1::2] // 2] * draws[1::2]).tolist()),
-        ))
+        return (
+            tuple(islice(cycle(sites), n)),
+            tuple(map(self.items.__getitem__, draws[0::2].tolist())),
+            tuple(_shared_floats(
+                (signs[step[1::2] // 2] * draws[1::2]).tolist(), {}
+            )),
+        )
 
 
 class ZipfSampler:
@@ -340,14 +391,23 @@ class TopologyWorkload(WorkloadGenerator):
         of :data:`DRAW_CHUNK` events at a time from one block of raw PCG64
         words, starting at the first event: a caller drawing from the same
         ``rng`` between events needs :meth:`events_scalar`."""
-        if (
+        if self._drawn_in_chunks:
+            return self._events_chunked(n)
+        return self.events_scalar(n)
+
+    def columns(self, n: int) -> Columns:
+        if self._drawn_in_chunks:
+            return concat(list(self._chunk_columns(n)))
+        return super().columns(n)
+
+    @property
+    def _drawn_in_chunks(self) -> bool:
+        return (
             self.integer_deltas
             # numpy draws wider bounds from whole words
             and max(self._bounds()) <= 0xFFFFFFFF
             and self.rng.bit_generator.state["bit_generator"] == "PCG64"
-        ):
-            return self._events_chunked(n)
-        return self.events_scalar(n)
+        )
 
     def events_scalar(self, n: int) -> Iterator[WorkloadEvent]:
         """The stream drawn one variate at a time, each when it is used."""
@@ -369,27 +429,34 @@ class TopologyWorkload(WorkloadGenerator):
                 )
 
     def _events_chunked(self, n: int) -> Iterator[WorkloadEvent]:
+        for chunk in self._chunk_columns(n):
+            yield from events_of(*chunk)
+
+    def _chunk_columns(self, n: int) -> Iterator[tuple]:
+        """The columns (lists or tuples) of each chunk of the first ``n``
+        events, each drawn when it is reached."""
         bitgen = self.rng.bit_generator
+        floats: Dict[int, float] = {}  # one float per delta value
         for done in range(0, n, DRAW_CHUNK):
             k = min(DRAW_CHUNK, n - done)
             saved = bitgen.state
             words = bitgen.random_raw(4 * k)
             carried = saved["uinteger"] if saved["has_uint32"] else None
-            drawn = self._draw_chunk(words, k, carried)
+            drawn = self._draw_chunk(words, k, carried, floats)
             if drawn is None:  # a bounded draw rejects: numpy draws again
                 bitgen.state = saved
-                chunk = list(self.events_scalar(k))
-            else:
-                chunk, consumed, carried = drawn
-                bitgen.advance(consumed - len(words))
-                if carried is not None:
-                    state = bitgen.state
-                    state["has_uint32"], state["uinteger"] = 1, carried
-                    bitgen.state = state
-            yield from chunk
+                yield transpose(self.events_scalar(k))
+                continue
+            chunk, consumed, carried = drawn
+            bitgen.advance(consumed - len(words))
+            if carried is not None:
+                state = bitgen.state
+                state["has_uint32"], state["uinteger"] = 1, carried
+                bitgen.state = state
+            yield chunk
 
     @cached_property
-    def _columns(self) -> tuple:
+    def _tables(self) -> tuple:
         """What :meth:`_draw_chunk` reads: flat site and item tables, and
         per site code (0 the maker, c the leaf ``c - 1``) the offset of its
         items and the rank CDF it draws on."""
@@ -414,7 +481,8 @@ class TopologyWorkload(WorkloadGenerator):
         )
 
     def _draw_chunk(
-        self, words: np.ndarray, k: int, carried: Optional[int]
+        self, words: np.ndarray, k: int, carried: Optional[int],
+        floats: Dict[int, float],
     ) -> Optional[tuple]:
         """The ``k`` events the scalar loop draws from raw PCG64 ``words``.
 
@@ -422,10 +490,11 @@ class TopologyWorkload(WorkloadGenerator):
         for a leaf, a rank double and ``integers(1, bound + 1)``. That last
         takes the half-word ``carried`` over from the previous draw, or the
         low half of a new word and carries its high half on. Returns the
-        events, the words they consumed and the half-word then carried, or
-        ``None`` where numpy's bounded draw would reject and draw again.
+        events' columns, the words they consumed and the half-word then
+        carried, or ``None`` where numpy's bounded draw would reject and
+        draw again. A delta value already in ``floats`` reuses its float.
         """
-        sites, items, offsets, cdf_of, cdfs, leaf_cdf, bounds = self._columns
+        sites, items, offsets, cdf_of, cdfs, leaf_cdf, bounds = self._tables
         doubles = (words >> 11) * _DOUBLE_UNIT
         is_maker = doubles < self.maker_share
         flags = is_maker.tolist()
@@ -477,21 +546,25 @@ class TopologyWorkload(WorkloadGenerator):
             return None
         delta = (drawn + 1).astype(np.int64)
         delta[leaf] *= -1
-        events = list(map(WorkloadEvent._make, zip(
-            map(sites.__getitem__, code.tolist()),
-            map(items.__getitem__, index.tolist()),
-            _shared_floats(delta.tolist()),
-        )))
+        columns = (
+            list(map(sites.__getitem__, code.tolist())),
+            list(map(items.__getitem__, index.tolist())),
+            list(_shared_floats(delta.tolist(), floats)),
+        )
         if not buffered:
             carried = None
         elif last >= 0:
             carried = int(half32[last])
-        return events, pos, carried
+        return columns, pos, carried
 
 
-def _shared_floats(values: List[int]) -> Iterator[float]:
-    """``float(v)`` for each of ``values``: one float per distinct value."""
-    floats = {value: float(value) for value in dict.fromkeys(values)}
+def _shared_floats(values: List[int], floats: Dict[int, float]
+                   ) -> Iterator[float]:
+    """``float(v)`` for each of ``values``: one float per distinct value,
+    the one ``floats`` holds if it holds one (it gains the others)."""
+    for value in dict.fromkeys(values):
+        if value not in floats:
+            floats[value] = float(value)
     return map(floats.__getitem__, values)
 
 

@@ -1,6 +1,6 @@
 """Workload trace record/replay.
 
-A trace freezes a generated stream into a plain list that can be saved
+A trace freezes a generated stream into columns that can be saved
 to disk and replayed bit-identically — useful for regression-pinning a
 benchmark workload, for comparing two mechanisms on *exactly* the same
 updates (the fig6 harness does this), and for sharing failing cases.
@@ -8,45 +8,91 @@ updates (the fig6 harness does this), and for sharing failing cases.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+from itertools import compress, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, List, Union
+from typing import Dict, Iterable, Iterator, Union
 
 from repro.sim.engine import collect_young_after
-from repro.workload.generators import WorkloadEvent, WorkloadGenerator
+from repro.workload.generators import (
+    Columns, WorkloadEvent, WorkloadGenerator, events_of, transpose,
+)
 
 
 class WorkloadTrace(WorkloadGenerator):
-    """A frozen stream of events, itself usable as a generator."""
+    """A frozen stream of events, itself usable as a generator.
+
+    The events are kept as three columns — sites, items, deltas — of
+    references to shared objects: 24 B per event, one object per
+    distinct value. Each event read is built as it is read.
+    """
 
     def __init__(self, events: Iterable[WorkloadEvent] = ()) -> None:
-        self._events: List[WorkloadEvent] = list(events)
+        self._sites, self._items, self._deltas = transpose(events)
+
+    @classmethod
+    def of_columns(cls, columns: Columns) -> "WorkloadTrace":
+        """The trace of equal-length ``(sites, items, deltas)`` tuples."""
+        trace = cls.__new__(cls)
+        trace._sites, trace._items, trace._deltas = columns
+        return trace
 
     @classmethod
     @collect_young_after
     def capture(cls, generator: WorkloadGenerator, n: int) -> "WorkloadTrace":
         """Materialise the first ``n`` events of ``generator``."""
-        return cls(generator.events(n))
+        return cls.of_columns(generator.columns(n))
 
     def events(self, n: int) -> Iterator[WorkloadEvent]:
-        if n > len(self._events):
+        if n > len(self._sites):
             raise ValueError(
-                f"trace holds {len(self._events)} events, {n} requested"
+                f"trace holds {len(self._sites)} events, {n} requested"
             )
-        return iter(self._events[:n])
+        return islice(iter(self), n)
+
+    def by_site(self) -> Dict[str, "WorkloadTrace"]:
+        """One trace per site, each its site's events in order, sites in
+        order of first appearance."""
+        sites, items, deltas = self._sites, self._items, self._deltas
+        out: Dict[str, WorkloadTrace] = {}
+        for site in dict.fromkeys(sites):
+            mine = tuple(map(site.__eq__, sites))
+            out[site] = self.of_columns((
+                tuple(compress(sites, mine)),
+                tuple(compress(items, mine)),
+                tuple(compress(deltas, mine)),
+            ))
+        return out
+
+    def rows(self) -> Iterator[tuple]:
+        """The events as plain ``(site, item, delta)`` tuples: what a
+        driver reading no event attribute iterates, with no event built."""
+        return zip(self._sites, self._items, self._deltas)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._sites)
 
     def __iter__(self) -> Iterator[WorkloadEvent]:
-        return iter(self._events)
+        return events_of(self._sites, self._items, self._deltas)
 
-    def __getitem__(self, index: int) -> WorkloadEvent:
-        return self._events[index]
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(events_of(
+                self._sites[index], self._items[index], self._deltas[index]
+            ))
+        return WorkloadEvent(
+            self._sites[index], self._items[index], self._deltas[index]
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WorkloadTrace):
             return NotImplemented
-        return self._events == other._events
+        return (
+            self._sites == other._sites
+            and self._items == other._items
+            and self._deltas == other._deltas
+        )
 
     # ---------------------------------------------------------------- #
     # persistence (simple one-event-per-line text format)
@@ -54,22 +100,31 @@ class WorkloadTrace(WorkloadGenerator):
 
     def save(self, path: Union[str, Path]) -> None:
         """Write ``site<TAB>item<TAB>delta`` lines."""
-        lines = [f"{e.site}\t{e.item}\t{e.delta!r}" for e in self._events]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        lines = "\n".join(map(
+            "{}\t{}\t{!r}".format, self._sites, self._items, self._deltas
+        ))
+        Path(path).write_text(lines + ("\n" if self._sites else ""))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "WorkloadTrace":
         """Read a trace written by :meth:`save`."""
-        events = []
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: malformed trace line {line!r}")
-            site, item, delta = parts
-            events.append(WorkloadEvent(site, item, float(delta)))
-        return cls(events)
+        lines = Path(path).read_text().splitlines()
+        rows = list(map(str.split, filter(str.strip, lines), repeat("\t")))
+        if set(map(len, rows)) - {3}:
+            for lineno, line in enumerate(lines, 1):
+                if line.strip() and len(line.split("\t")) != 3:
+                    raise ValueError(
+                        f"{path}:{lineno}: malformed trace line {line!r}"
+                    )
+        if not rows:
+            return cls()
+        sites, items, texts = zip(*rows)
+        floats = {text: float(text) for text in dict.fromkeys(texts)}
+        return cls.of_columns((
+            tuple(map(sys.intern, sites)),
+            tuple(map(sys.intern, items)),
+            tuple(map(floats.__getitem__, texts)),
+        ))
 
     # ---------------------------------------------------------------- #
     # analysis
@@ -77,25 +132,21 @@ class WorkloadTrace(WorkloadGenerator):
 
     def summary(self) -> "TraceSummary":
         """Aggregate statistics of the frozen stream."""
-        per_site: dict[str, int] = {}
-        per_item: dict[str, int] = {}
         net_delta: dict[str, float] = {}
         increments = decrements = 0
         volume_in = volume_out = 0.0
-        for event in self._events:
-            per_site[event.site] = per_site.get(event.site, 0) + 1
-            per_item[event.item] = per_item.get(event.item, 0) + 1
-            net_delta[event.item] = net_delta.get(event.item, 0.0) + event.delta
-            if event.delta >= 0:
+        for item, delta in zip(self._items, self._deltas):
+            net_delta[item] = net_delta.get(item, 0.0) + delta
+            if delta >= 0:
                 increments += 1
-                volume_in += event.delta
+                volume_in += delta
             else:
                 decrements += 1
-                volume_out -= event.delta
+                volume_out -= delta
         return TraceSummary(
-            events=len(self._events),
-            per_site=per_site,
-            per_item=per_item,
+            events=len(self._sites),
+            per_site=dict(Counter(self._sites)),
+            per_item=dict(Counter(self._items)),
             net_delta=net_delta,
             increments=increments,
             decrements=decrements,
@@ -104,11 +155,10 @@ class WorkloadTrace(WorkloadGenerator):
         )
 
     def __repr__(self) -> str:
-        return f"<WorkloadTrace {len(self._events)} events>"
+        return f"<WorkloadTrace {len(self._sites)} events>"
 
 
-from dataclasses import dataclass, field  # noqa: E402
-from typing import Dict  # noqa: E402
+from dataclasses import dataclass  # noqa: E402
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ ITEM = "item0"
 
 
 #: Python calls of the pinned 8-retailer episode (see ``TestAskPathWork``)
-CALLS_WIDE = 239091
+CALLS_WIDE = 238272
 
 
 def wide_episode_calls():
@@ -80,7 +80,11 @@ class TestAskPathWork:
     took it from 406 316 calls to 263 813; building timers, update
     tuples and constant-latency reads inline took it to 239 086. The
     columnar result log adds 5: the driver's view of it (3) and one pack
-    per 1 024 results (2). A rise means
+    per 1 024 results (2), 239 091 in all. Caching peer tuples per
+    interest set rather than per item saves 819 (729 generator frames,
+    90 ``sites_for`` calls), and the driver iterates the trace's rows
+    (``rows``, one call) instead of a list of events (``__iter__``, one
+    call): 238 272. A rise means
     per-ask or per-message work came back; a fall is a change to
     re-pin with a CHANGES.md note.
     """

@@ -63,7 +63,7 @@ class StubAccel:
             lambda kind, now, fields: self.events.append((kind, now, fields))
         )
         self.locks = StubLocks()
-        self.owed = {}
+        self.owed_pairs = 0
         self.now = 0.0
         self.sync_calls = 0
 
@@ -72,7 +72,7 @@ class StubAccel:
 
     def sync_all(self):
         self.sync_calls += 1
-        self.owed.clear()
+        self.owed_pairs = 0
 
 
 def make_controller(**params):
@@ -189,19 +189,19 @@ class TestAdmission:
 class TestBackpressure:
     def test_backlog_over_budget_flushes_inline_once_per_timestamp(self):
         accel, ctl = make_controller(backlog_budget=2)
-        accel.owed = {"a": 1.0, "b": 1.0, "c": 1.0}
+        accel.owed_pairs = 3
         ctl.note_backlog(5.0)
         assert accel.sync_calls == 1
         assert ctl.flushes == 1
         # same timestamp again: no double flush
-        accel.owed = {"a": 1.0, "b": 1.0, "c": 1.0}
+        accel.owed_pairs = 3
         ctl.note_backlog(5.0)
         assert accel.sync_calls == 1
         assert ctl.peak_backlog == 3
 
     def test_under_budget_never_flushes(self):
         accel, ctl = make_controller(backlog_budget=4)
-        accel.owed = {"a": 1.0}
+        accel.owed_pairs = 1
         ctl.note_backlog(5.0)
         assert accel.sync_calls == 0
 
@@ -306,7 +306,7 @@ class TestStateMachine:
                 if ctl.inflight > 0:
                     ctl.end(now)
             elif op == "backlog":
-                accel.owed[f"item{len(accel.owed)}"] = 1.0
+                accel.owed_pairs += 1
                 ctl.note_backlog(now)
             elif op == "timeout":
                 ctl.record_2pc_timeout(now)
@@ -315,12 +315,12 @@ class TestStateMachine:
             else:  # calm: drain everything, let the hold elapse
                 while ctl.inflight:
                     ctl.end(now)
-                accel.owed.clear()
+                accel.owed_pairs = 0
                 now += ctl.params.recover_hold + 1.0
                 ctl.evaluate(now)
         while ctl.inflight:
             ctl.end(now)
-        accel.owed.clear()
+        accel.owed_pairs = 0
         ctl.finalize(now + 100.0)  # past any breaker cooldown
 
         prev = DegradationState.NORMAL.value

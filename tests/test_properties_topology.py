@@ -48,7 +48,7 @@ from repro.db.storage import Store
 from repro.metrics.collector import GlobalLedger
 from repro.sim.rng import RngRegistry
 from repro.workload import generators
-from repro.workload.generators import DRAW_CHUNK, TopologyWorkload
+from repro.workload.generators import DRAW_CHUNK, TopologyWorkload, events_of
 
 SETTINGS = settings(max_examples=10, deadline=None, derandomize=True)
 
@@ -284,13 +284,15 @@ class TestChunkedDraw:
         words = np.asarray([int(u * 2**53) << 11 for u in doubles],
                            dtype=np.uint64)
         k = 3 * len(on_entries)
-        events, consumed, _carried = chunked._draw_chunk(words, k, None)
+        columns, consumed, _carried = chunked._draw_chunk(words, k, None, {})
         assert consumed == len(words)
 
         fake = SimpleNamespace(random=iter(doubles).__next__,
                                integers=lambda low, high: low)
         scalar.rng = scalar._catalog_sampler.rng = fake
-        assert _event_rows(events) == _event_rows(scalar.events_scalar(k))
+        assert _event_rows(events_of(*columns)) == _event_rows(
+            scalar.events_scalar(k)
+        )
 
     def test_a_chunk_numpy_redraws_in_takes_the_reference(self, monkeypatch):
         """Both caps at 997 (2**32 mod 997 = 966, the widest rejection

@@ -61,7 +61,9 @@ class TestOwedBalanceFanOut:
         proc = system.update(leaf, item, -3.0)
         system.run()
         assert proc.value.committed
-        owed_peers = {peer for (peer, it), _ in accel.owed.items() if it == item}
+        owed_peers = {
+            peer for peer, balances in accel.owed.items() if item in balances
+        }
         interest = set(topology.sites_for(item)) - {leaf}
         assert owed_peers == interest
 

@@ -515,8 +515,10 @@ class TestTopologyWorkload:
         chunked = TopologyWorkload(topo, 100.0, np.random.default_rng(0), mix=mix)
         # an all-ones word is the double 1 - 2**-53 = u
         words = np.asarray([2**64 - 1] * 4, dtype=np.uint64)
-        (event,), _consumed, _carried = chunked._draw_chunk(words, 1, None)
-        assert event.site == leaves[6]
+        (sites, _items, _deltas), _consumed, _carried = chunked._draw_chunk(
+            words, 1, None, {}
+        )
+        assert sites == [leaves[6]]
 
     def test_rejects_mix_naming_non_leaves(self):
         from repro.workload import TopologyWorkload
@@ -526,3 +528,172 @@ class TestTopologyWorkload:
             TopologyWorkload(
                 topo, 100.0, np.random.default_rng(0), mix={"agg0": 1.0}
             )
+
+
+# -------------------------------------------------------------------- #
+# the columnar trace against the events it stands for
+# -------------------------------------------------------------------- #
+
+def _assert_same_trace(trace, events):
+    """Every read of ``trace`` returns what a list of ``events`` would."""
+    assert type(trace) is WorkloadTrace
+    assert len(trace) == len(events)
+    assert list(trace) == events
+    assert list(trace.rows()) == [tuple(e) for e in events]
+    assert all(type(e) is WorkloadEvent for e in trace)
+    rows = [(e.site, e.item, type(e.delta), repr(e.delta)) for e in events]
+    assert [(e.site, e.item, type(e.delta), repr(e.delta))
+            for e in trace] == rows
+    for i in (0, len(events) // 2, -1):
+        assert trace[i] == events[i] and type(trace[i]) is WorkloadEvent
+        assert repr(trace[i].delta) == repr(events[i].delta)
+    assert trace[1:4] == events[1:4]
+    assert list(trace.events(3)) == events[:3]
+    assert all(type(e) is WorkloadEvent for e in trace.events(3))
+    with pytest.raises(ValueError):
+        trace.events(len(events) + 1)
+    assert trace == WorkloadTrace(events)
+    # repr: a nan delta makes a summary unequal to itself
+    assert repr(trace.summary()) == repr(_summary_of(events))
+
+
+def _summary_of(events):
+    """The aggregates of :meth:`WorkloadTrace.summary`, one event at a time."""
+    from repro.workload import TraceSummary
+
+    per_site, per_item, net = {}, {}, {}
+    up = down = 0
+    vin = vout = 0.0
+    for e in events:
+        per_site[e.site] = per_site.get(e.site, 0) + 1
+        per_item[e.item] = per_item.get(e.item, 0) + 1
+        net[e.item] = net.get(e.item, 0.0) + e.delta
+        if e.delta >= 0:
+            up, vin = up + 1, vin + e.delta
+        else:
+            down, vout = down + 1, vout - e.delta
+    return TraceSummary(len(events), per_site, per_item, net, up, down, vin, vout)
+
+
+class TestColumnarTrace:
+    def test_paper_columns_equal_the_scalar_stream_and_a_reload(self, tmp_path):
+        captured = WorkloadTrace.capture(make_paper(), 500)
+        scalar = list(make_paper().events_scalar(500))
+        _assert_same_trace(captured, scalar)
+        path = tmp_path / "paper.tsv"
+        captured.save(path)
+        assert WorkloadTrace.load(path) == captured
+
+    def test_scale_columns_equal_the_scalar_stream_and_a_reload(self, tmp_path):
+        from repro.cluster import Topology
+        from repro.workload import TopologyWorkload
+
+        topo = Topology.parse("regional:2x3:s2", [f"i{k}" for k in range(30)])
+
+        def make():
+            return TopologyWorkload(topo, 100.0, np.random.default_rng(3))
+
+        n = 2 * 1024 + 7
+        captured = WorkloadTrace.capture(make(), n)
+        _assert_same_trace(captured, list(make().events_scalar(n)))
+        _assert_same_trace(captured, list(make().events(n)))
+        path = tmp_path / "scale.tsv"
+        captured.save(path)
+        assert WorkloadTrace.load(path) == captured
+
+    def test_a_rejecting_chunk_fills_its_columns_from_the_scalar_draw(
+        self, monkeypatch
+    ):
+        """Caps of 997 on seed 2787: the bounded draw of the first chunk
+        rejects (see ``test_properties_topology``), so that chunk's
+        columns come from the scalar stream."""
+        from repro.cluster import Topology
+        from repro.workload import TopologyWorkload, generators
+
+        bounded = generators._bounded
+        rejected = []
+
+        def spy(halves, bounds):
+            drawn = bounded(halves, bounds)
+            rejected.append(drawn is None)
+            return drawn
+
+        monkeypatch.setattr(generators, "_bounded", spy)
+        topo = Topology.parse("regional:2x3:s2", [f"i{k}" for k in range(30)])
+
+        def make():
+            return TopologyWorkload(
+                topo, 997.0, np.random.default_rng(2787),
+                increase_fraction=1.0, decrease_fraction=1.0,
+            )
+
+        n = generators.DRAW_CHUNK + 5
+        captured = WorkloadTrace.capture(make(), n)
+        assert rejected[0] is True
+        _assert_same_trace(captured, list(make().events_scalar(n)))
+
+    def test_deltas_read_back_with_their_type_and_repr(self, tmp_path):
+        events = [
+            WorkloadEvent("site1", "A", 5),
+            WorkloadEvent("site1", "B", 5.0),
+            WorkloadEvent("site2", "A", -0.0),
+            WorkloadEvent("site2", "B", 0.0),
+            WorkloadEvent("site1", "C", float("nan")),
+            WorkloadEvent("site0", "C", -2.5),
+        ]
+        trace = WorkloadTrace(events)
+        _assert_same_trace(trace, events)
+        split = split_by_site(trace)
+        assert list(split) == ["site1", "site2", "site0"]
+        for site, part in split.items():
+            mine = [e for e in events if e.site == site]
+            assert type(part) is WorkloadTrace
+            assert [(type(e.delta), repr(e.delta)) for e in part] == [
+                (type(e.delta), repr(e.delta)) for e in mine
+            ]
+        path = tmp_path / "deltas.tsv"
+        trace.save(path)
+        loaded = list(WorkloadTrace.load(path))
+        assert [repr(e.delta) for e in loaded] == [
+            "5.0", "5.0", "-0.0", "0.0", "nan", "-2.5"
+        ]
+        assert all(type(e.delta) is float for e in loaded)
+
+    def test_split_by_site_keeps_each_sites_order(self):
+        trace = WorkloadTrace.capture(make_paper(site_order="random"), 60)
+        split = split_by_site(trace)
+        assert list(split) == list(dict.fromkeys(e.site for e in trace))
+        for site, part in split.items():
+            assert list(part) == [e for e in trace if e.site == site]
+        assert split_by_site(list(trace)) == split
+
+
+#: trace bytes retained per event by ``make_scale_trace`` at 40 000
+#: events: 80.7 B as a list of ``WorkloadEvent``, 24.0 B in columns
+TRACE_BYTES_PER_EVENT = 28
+
+
+def test_trace_bytes_per_event_are_bounded():
+    """What a captured benchmark-size scale trace keeps, per event
+    (tracemalloc's count of what the capture leaves live)."""
+    import gc
+    import tracemalloc
+
+    from repro.cluster import Topology
+    from repro.experiments.scale import make_scale_trace
+
+    topo = Topology.parse(
+        "regional:7x6:s2", [f"item{i:04d}" for i in range(10_000)]
+    )
+    make_scale_trace(topo, 100, 1)  # what every capture shares
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = make_scale_trace(topo, 40_000, 0)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 40_000
+    assert retained / len(trace) <= TRACE_BYTES_PER_EVENT
