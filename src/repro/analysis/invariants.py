@@ -34,7 +34,7 @@ Three independent auditors, each fed by the sanitizer's hooks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,10 @@ class SanitizerReport:
 TABLES, HOLDS, IN_FLIGHT, HEADROOM = range(4)
 
 
+def _none() -> int:
+    return 0
+
+
 class _Accounts(dict):
     """item -> ``[tables, holds, in_flight, headroom]``, zeroed on first use."""
 
@@ -130,7 +134,16 @@ class AVConservation:
     def __init__(self, report: SanitizerReport) -> None:
         self.report = report
         self.accounts: Dict[str, List[float]] = _Accounts()
-        self.checks = 0
+        #: checks made by :meth:`fold`
+        self._checks = 0
+        #: how many checks a folder that inlines :meth:`fold` has made
+        #: (the sanitizer's closures count their own)
+        self.inline_checks: Callable[[], int] = _none
+
+    @property
+    def checks(self) -> int:
+        """Conservation checks made so far: one per fold."""
+        return self._checks + self.inline_checks()
 
     def baseline(self, item: str, volume: float) -> None:
         """Fold one site's bootstrap allocation into the accounts."""
@@ -143,7 +156,7 @@ class AVConservation:
         """Move ``item``'s ``account`` by ``delta``, then check the item."""
         acct = self.accounts[item]
         acct[account] += delta
-        self.checks += 1
+        self._checks += 1
         if acct[TABLES] + acct[HOLDS] + acct[IN_FLIGHT] > acct[HEADROOM] + self.EPS:
             self.exceeded(item, site, now)
 
@@ -479,21 +492,23 @@ class LockAudit:
     # ------------------------------------------------------------- #
 
     def _detect_cycle(self, start: str, now: float) -> None:
-        # DFS from the owner whose new edges might close a cycle.
+        # DFS from the owner whose new edges might close a cycle, each
+        # owner's blockers in sorted order. An owner that waits for
+        # nothing closes no cycle, so the search does not enter it.
+        wait_for = self.wait_for
         path: List[str] = []
         seen: set = set()
 
         def visit(owner: str) -> Optional[List[str]]:
-            if owner in path:
-                return path[path.index(owner):]
-            if owner in seen:
-                return None
             seen.add(owner)
             path.append(owner)
-            for blocker in sorted(self.wait_for.get(owner, ())):
-                cycle = visit(blocker)
-                if cycle is not None:
-                    return cycle
+            for blocker in sorted(wait_for[owner]):
+                if blocker in path:
+                    return path[path.index(blocker):]
+                if blocker in wait_for and blocker not in seen:
+                    cycle = visit(blocker)
+                    if cycle is not None:
+                        return cycle
             path.pop()
             return None
 

@@ -64,12 +64,15 @@ _AV_GRANTS = frozenset((
 class ProtocolSanitizer:
     """Attaches to a :class:`~repro.cluster.system.DistributedSystem`.
 
-    One method per event kind, named after it (``av.hold.add`` is folded
+    One fold per event kind, named after it (``av.hold.add`` is folded
     by ``_av_hold_add``), takes the kind's fields positionally. Each
-    counts the event in :attr:`events` and audits it in place. The six
-    hottest kinds (``av.take``, ``av.add``, ``av.spend``, ``av.mint``,
-    ``av.hold.add``, ``av.hold.release``) inline
-    :meth:`~repro.analysis.invariants.AVConservation.fold`.
+    counts the event in :attr:`events` and audits it in place. The folds
+    of the hottest kinds — the six conservation folds (``av.take``,
+    ``av.add``, ``av.spend``, ``av.mint``, ``av.hold.add``,
+    ``av.hold.release``, each an inline
+    :meth:`~repro.analysis.invariants.AVConservation.fold`) and the
+    three ``msg.*`` folds — are closures (see :meth:`_bind_folds`); the
+    rest are methods.
     """
 
     EPS = 1e-6
@@ -89,7 +92,8 @@ class ProtocolSanitizer:
         #: reliable-session messages (retransmitted) — counted non-events
         self.lease_covered_drops = 0
         self.rel_covered_drops = 0
-        self.events = 0
+        #: events folded by the methods (the closures count their own)
+        self._events = 0
         self.system = None
         #: defined sites per item (tracks full undefinition epochs)
         self._defined: Dict[str, set] = {}
@@ -102,6 +106,12 @@ class ProtocolSanitizer:
         #: in-flight propagation deltas: msg_id -> (item, delta, dst, ctx)
         self._props: Dict[int, tuple] = {}
         self._finished = False
+        self._bind_folds()
+
+    @property
+    def events(self) -> int:
+        """Events folded so far, of every kind."""
+        return self._events + self._counted()[0]
 
     # ------------------------------------------------------------- #
     # wiring
@@ -120,7 +130,7 @@ class ProtocolSanitizer:
         return self
 
     def listen(self, obs) -> None:
-        """Subscribe one method to every declared event kind."""
+        """Subscribe one fold to every declared event kind."""
         for kind in EVENT_KINDS:
             obs.subscribe(kind, getattr(self, "_" + kind.replace(".", "_")))
 
@@ -128,26 +138,8 @@ class ProtocolSanitizer:
     # AV table and holds (av.define/undefine/add/take, av.hold.*)
     # ------------------------------------------------------------- #
 
-    def _av_add(self, now: float, site: str, item: str, amount: float) -> None:
-        self.events += 1
-        cons = self.conservation
-        acct = cons.accounts[item]
-        acct[TABLES] += amount
-        cons.checks += 1
-        if acct[TABLES] + acct[HOLDS] + acct[IN_FLIGHT] > acct[HEADROOM] + EPS:
-            cons.exceeded(item, site, now)
-
-    def _av_take(self, now: float, site: str, item: str, amount: float) -> None:
-        self.events += 1
-        cons = self.conservation
-        acct = cons.accounts[item]
-        acct[TABLES] -= amount
-        cons.checks += 1
-        if acct[TABLES] + acct[HOLDS] + acct[IN_FLIGHT] > acct[HEADROOM] + EPS:
-            cons.exceeded(item, site, now)
-
     def _av_define(self, now: float, site: str, item: str, amount: float) -> None:
-        self.events += 1
+        self._events += 1
         # New headroom first, then the table entry: the sum never
         # transiently exceeds the bound.
         self.conservation.fold(item, HEADROOM, amount, site, now)
@@ -155,7 +147,7 @@ class ProtocolSanitizer:
         self._defined.setdefault(item, set()).add(site)
 
     def _av_undefine(self, now: float, site: str, item: str, amount: float) -> None:
-        self.events += 1
+        self._events += 1
         self.conservation.fold(item, TABLES, -amount, site, now)
         self.conservation.fold(item, HEADROOM, -amount, site, now)
         defined = self._defined.get(item)
@@ -166,22 +158,12 @@ class ProtocolSanitizer:
 
     def _av_hold_open(self, now: float, site: str, item: str, amount: float,
                       hold) -> None:
-        self.events += 1
+        self._events += 1
         self.holds.on_open(site, hold, now)
-
-    def _av_hold_add(self, now: float, site: str, item: str, amount: float,
-                     hold) -> None:
-        self.events += 1
-        cons = self.conservation
-        acct = cons.accounts[item]
-        acct[HOLDS] += amount
-        cons.checks += 1
-        if acct[TABLES] + acct[HOLDS] + acct[IN_FLIGHT] > acct[HEADROOM] + EPS:
-            cons.exceeded(item, site, now)
 
     def _av_hold_consume(self, now: float, site: str, item: str, amount: float,
                          hold) -> None:
-        self.events += 1
+        self._events += 1
         # The full held volume leaves the holds account and the needed
         # part leaves headroom; the excess re-enters the table via a
         # separate av.add right after.
@@ -189,20 +171,9 @@ class ProtocolSanitizer:
         self.conservation.fold(item, HEADROOM, -amount, site, now)
         self.holds.on_close(site, hold, now)
 
-    def _av_hold_release(self, now: float, site: str, item: str, amount: float,
-                         hold) -> None:
-        self.events += 1
-        cons = self.conservation
-        acct = cons.accounts[item]
-        acct[HOLDS] -= amount
-        cons.checks += 1
-        if acct[TABLES] + acct[HOLDS] + acct[IN_FLIGHT] > acct[HEADROOM] + EPS:
-            cons.exceeded(item, site, now)
-        self.holds.on_close(site, hold, now)
-
     def _av_hold_reclose(self, now: float, site: str, item: str, amount: float,
                          hold) -> None:
-        self.events += 1
+        self._events += 1
         self.holds.on_reclose(site, hold, now)
 
     def _end_epoch(self, item: str, now: float) -> None:
@@ -229,75 +200,57 @@ class ProtocolSanitizer:
     # protocol policy (av.mint/spend/refill/select, av.lease.*, ovl.*)
     # ------------------------------------------------------------- #
 
-    def _av_mint(self, now: float, site: str, item: str, amount: float) -> None:
-        self.events += 1
-        cons = self.conservation
-        acct = cons.accounts[item]
-        acct[HEADROOM] += amount
-        cons.checks += 1
-        if acct[TABLES] + acct[HOLDS] + acct[IN_FLIGHT] > acct[HEADROOM] + EPS:
-            cons.exceeded(item, site, now)
-
-    def _av_spend(self, now: float, site: str, item: str, amount: float) -> None:
-        self.events += 1
-        cons = self.conservation
-        acct = cons.accounts[item]
-        acct[HEADROOM] -= amount
-        cons.checks += 1
-        if acct[TABLES] + acct[HOLDS] + acct[IN_FLIGHT] > acct[HEADROOM] + EPS:
-            cons.exceeded(item, site, now)
-
     def _av_refill(self, now: float, site: str, item: str, amount: float) -> None:
         # Counted only: the refilled volume enters the table through
         # the av.add that follows.
-        self.events += 1
+        self._events += 1
 
     def _av_select(self, now: float, site: str, item: str, target: str,
                    believed: Optional[float], trace: Optional[str],
                    span: Optional[int]) -> None:
-        self.events += 1
+        self._events += 1
         self.causal.on_select(
             site, item, target, believed, now, trace=trace, span=span,
         )
 
     def _av_lease_open(self, now: float, site: str, item: str, amount: float,
                        holder: str, lease: int) -> None:
-        self.events += 1
+        self._events += 1
         self.leases.on_open(site, lease, item, amount, holder, now)
 
     def _av_lease_discharge(self, now: float, site: str, item: str,
                             amount: float, holder: str, lease: int) -> None:
-        self.events += 1
+        self._events += 1
         self.leases.on_resolve(site, lease, "discharge", now)
 
     def _av_lease_revert(self, now: float, site: str, item: str, amount: float,
                          holder: str, lease: int) -> None:
-        self.events += 1
+        self._events += 1
         self.leases.on_resolve(site, lease, "revert", now)
 
     def _av_lease_conflict(self, now: float, site: str, holder: str,
                            lease: int) -> None:
-        self.events += 1
+        self._events += 1
         self.leases.on_conflict(site, holder, lease, now)
 
     def _ovl_shed(self, now: float, site: str, retry_after: float) -> None:
-        self.events += 1
+        self._events += 1
         self.overload.on_shed(site, retry_after, now)
 
     def _ovl_transition(self, now: float, site: str, src: str, dst: str) -> None:
-        self.events += 1
+        self._events += 1
         self.overload.on_transition(site, src, dst, now)
 
     def _ovl_demote(self, now: float, site: str, item: str) -> None:
-        self.events += 1
+        self._events += 1
         self.overload.on_demote(site, item, now)
 
     def _ovl_promote(self, now: float, site: str, item: str) -> None:
-        self.events += 1
+        self._events += 1
         self.overload.on_promote(site, item, now)
 
     def _ovl_trip(self, now: float, site: str) -> None:
-        self.events += 1
+        self._events += 1
         self.overload.on_trip(site, now)
 
     # ------------------------------------------------------------- #
@@ -306,144 +259,233 @@ class ProtocolSanitizer:
 
     def _lock_grant(self, now, site, item, owner, mode, span_id, holders,
                     queue) -> None:
-        self.events += 1
+        self._events += 1
         self.locks.on_event(site, "grant", item, owner, span_id, holders,
                             queue, now)
 
     def _lock_wait(self, now, site, item, owner, mode, span_id, holders,
                    queue) -> None:
-        self.events += 1
+        self._events += 1
         self.locks.on_event(site, "wait", item, owner, span_id, holders,
                             queue, now)
 
     def _lock_release(self, now, site, item, owner, mode, span_id, holders,
                       queue) -> None:
-        self.events += 1
+        self._events += 1
         self.locks.on_event(site, "release", item, owner, span_id, holders,
                             queue, now)
 
     # ------------------------------------------------------------- #
-    # messages (msg.*): vector clocks (see CausalOrder), then AV and
-    # propagation deltas in transit
+    # the hot folds: the six conservation folds and msg.* (vector
+    # clocks, see CausalOrder, then AV and propagation deltas in transit)
     # ------------------------------------------------------------- #
 
-    def _msg_send(self, now: float, site: str, msg) -> None:
-        self.events += 1
-        # The sender ticks; the message carries a copy of its clock.
-        src = msg.src
-        clock = self._clocks.get(src)
-        if clock is None:
-            clock = self._clocks[src] = {}
-        clock[src] = clock.get(src, 0) + 1
-        self._msg_clocks[msg.msg_id] = clock.copy()
+    def _bind_folds(self) -> None:
+        """Bind the folds of the hottest kinds as closures over what
+        they touch — the conservation accounts, the vector clocks, the
+        in-flight tables — so an event reaches its account and its
+        counter through cells, not attributes. Three cells count: every
+        conservation fold (one event and one check), every ``msg.*``
+        event, and every in-flight check; :attr:`events` and
+        ``conservation.checks`` add them in (:meth:`_counted`).
 
-        kind = msg.kind
-        if kind in _AV_REQUESTS:
-            self._av_requests[msg.msg_id] = msg.payload["item"]
-        elif kind in _AV_GRANTS:
-            self._grant_sent(now, msg)
-        elif kind == "av.push":
-            item, amount = msg.payload["item"], msg.payload["amount"]
-            if amount > 0:
-                self._pushes[msg.msg_id] = (item, amount)
-                self.conservation.fold(item, IN_FLIGHT, amount, None, now)
-        elif kind == "prop.push":
-            self._props[msg.msg_id] = (
-                msg.payload["item"], msg.payload["delta"], msg.dst,
-                msg.payload.get("_obs"),
-            )
+        Each conservation fold unpacks the item's account in its order
+        (``TABLES`` … ``HEADROOM``), moves one, stores it back and checks
+        ``tables + holds + in_flight <= headroom``, summed in that order,
+        as :meth:`AVConservation.fold` does."""
+        cons = self.conservation
+        accounts, exceeded = cons.accounts, cons.exceeded
+        on_close = self.holds.on_close
+        on_grant = self.causal.on_grant
+        clocks, msg_clocks = self._clocks, self._msg_clocks
+        av_requests, grants = self._av_requests, self._grants
+        pushes, props = self._pushes, self._props
+        folds = msgs = transits = 0
 
-    def _msg_recv(self, now: float, site: str, msg) -> None:
-        self.events += 1
-        # The receiver merges the message's clock, then ticks.
-        snapshot = self._msg_clocks.pop(msg.msg_id, None)
-        dst = msg.dst
-        clock = self._clocks.get(dst)
-        if clock is None:
-            clock = self._clocks[dst] = {}
-        get = clock.get
-        if snapshot is not None:
-            for other, n in snapshot.items():
-                if n > get(other, 0):
-                    clock[other] = n
-        clock[dst] = get(dst, 0) + 1
+        def _av_add(now, site, item, amount):
+            nonlocal folds
+            folds += 1
+            acct = accounts[item]
+            tables, holds, in_flight, headroom = acct
+            acct[TABLES] = tables = tables + amount
+            if tables + holds + in_flight > headroom + EPS:
+                exceeded(item, site, now)
 
-        kind = msg.kind
-        if kind in _AV_GRANTS:
-            self._grant_landed(now, msg, dropped=False)
-        elif kind == "av.push":
-            self._push_landed(now, msg, dropped=False)
-        elif kind == "prop.push":
-            self._props.pop(msg.msg_id, None)
+        def _av_take(now, site, item, amount):
+            nonlocal folds
+            folds += 1
+            acct = accounts[item]
+            tables, holds, in_flight, headroom = acct
+            acct[TABLES] = tables = tables - amount
+            if tables + holds + in_flight > headroom + EPS:
+                exceeded(item, site, now)
 
-    def _msg_drop(self, now: float, site: str, msg) -> None:
-        self.events += 1
-        self._msg_clocks.pop(msg.msg_id, None)
+        def _av_hold_add(now, site, item, amount, hold):
+            nonlocal folds
+            folds += 1
+            acct = accounts[item]
+            tables, holds, in_flight, headroom = acct
+            acct[HOLDS] = holds = holds + amount
+            if tables + holds + in_flight > headroom + EPS:
+                exceeded(item, site, now)
 
-        kind = msg.kind
-        if kind in _AV_REQUESTS:
-            self._av_requests.pop(msg.msg_id, None)
-        elif kind in _AV_GRANTS:
-            self._grant_landed(now, msg, dropped=True)
-        elif kind == "av.push":
-            self._push_landed(now, msg, dropped=True)
-        elif kind == "prop.push":
-            self._prop_dropped(now, msg)
+        def _av_hold_release(now, site, item, amount, hold):
+            nonlocal folds
+            folds += 1
+            acct = accounts[item]
+            tables, holds, in_flight, headroom = acct
+            acct[HOLDS] = holds = holds - amount
+            if tables + holds + in_flight > headroom + EPS:
+                exceeded(item, site, now)
+            on_close(site, hold, now)
 
-    def _grant_sent(self, now: float, msg) -> None:
-        item = self._av_requests.pop(msg.reply_to, None)
-        if item is None:
+        def _av_mint(now, site, item, amount):
+            nonlocal folds
+            folds += 1
+            acct = accounts[item]
+            tables, holds, in_flight, headroom = acct
+            acct[HEADROOM] = headroom = headroom + amount
+            if tables + holds + in_flight > headroom + EPS:
+                exceeded(item, site, now)
+
+        def _av_spend(now, site, item, amount):
+            nonlocal folds
+            folds += 1
+            acct = accounts[item]
+            tables, holds, in_flight, headroom = acct
+            acct[HEADROOM] = headroom = headroom - amount
+            if tables + holds + in_flight > headroom + EPS:
+                exceeded(item, site, now)
+
+        def in_transit(item, amount, now):
+            """Fold ``amount`` into ``item``'s in-flight account."""
+            nonlocal transits
+            transits += 1
+            acct = accounts[item]
+            tables, holds, in_flight, headroom = acct
+            acct[IN_FLIGHT] = in_flight = in_flight + amount
+            if tables + holds + in_flight > headroom + EPS:
+                exceeded(item, None, now)
+
+        def _msg_send(now, site, msg):
+            nonlocal msgs
+            msgs += 1
+            # The sender ticks; the message carries a copy of its clock.
+            src, msg_id = msg.src, msg.msg_id
+            clock = clocks.get(src)
+            if clock is None:
+                clock = clocks[src] = {}
+            clock[src] = clock.get(src, 0) + 1
+            msg_clocks[msg_id] = clock.copy()
+
+            kind = msg.kind
+            if kind in _AV_REQUESTS:
+                av_requests[msg_id] = msg.payload["item"]
+            elif kind in _AV_GRANTS:
+                item = av_requests.pop(msg.reply_to, None)
+                if item is not None:
+                    payload = msg.payload
+                    granted = payload.get("granted", 0.0)
+                    on_grant(src, item, payload.get("av_after", 0.0), now,
+                             msg_id)
+                    if granted > 0:
+                        grants[msg_id] = (item, granted)
+                        in_transit(item, granted, now)
+            elif kind == "av.push":
+                item, amount = msg.payload["item"], msg.payload["amount"]
+                if amount > 0:
+                    pushes[msg_id] = (item, amount)
+                    in_transit(item, amount, now)
+            elif kind == "prop.push":
+                props[msg_id] = (
+                    msg.payload["item"], msg.payload["delta"], msg.dst,
+                    msg.payload.get("_obs"),
+                )
+
+        def _msg_recv(now, site, msg):
+            nonlocal msgs
+            msgs += 1
+            # The receiver merges the message's clock, then ticks.
+            msg_id = msg.msg_id
+            snapshot = msg_clocks.pop(msg_id, None)
+            dst = msg.dst
+            clock = clocks.get(dst)
+            if clock is None:
+                clock = clocks[dst] = {}
+            get = clock.get
+            if snapshot is not None:
+                for other, n in snapshot.items():
+                    if n > get(other, 0):
+                        clock[other] = n
+            clock[dst] = get(dst, 0) + 1
+
+            kind = msg.kind
+            if kind in _AV_GRANTS:
+                entry = grants.pop(msg_id, None)
+                if entry is not None:
+                    in_transit(entry[0], -entry[1], now)
+            elif kind == "av.push":
+                entry = pushes.pop(msg_id, None)
+                if entry is not None:
+                    in_transit(entry[0], -entry[1], now)
+            elif kind == "prop.push":
+                props.pop(msg_id, None)
+
+        def _msg_drop(now, site, msg):
+            nonlocal msgs
+            msgs += 1
+            msg_id = msg.msg_id
+            msg_clocks.pop(msg_id, None)
+
+            kind = msg.kind
+            if kind in _AV_REQUESTS:
+                av_requests.pop(msg_id, None)
+            elif kind in _AV_GRANTS:
+                entry = grants.pop(msg_id, None)
+                if entry is not None:
+                    in_transit(entry[0], -entry[1], now)
+                    self._transfer_lost(now, msg, *entry, "av.grant-lost",
+                                        "grant")
+            elif kind == "av.push":
+                entry = pushes.pop(msg_id, None)
+                if entry is not None:
+                    in_transit(entry[0], -entry[1], now)
+                    self._transfer_lost(now, msg, *entry, "av.push-lost",
+                                        "rebalancer push")
+            elif kind == "prop.push":
+                self._prop_dropped(now, msg)
+
+        def counted():
+            """(events, checks) the closures have folded."""
+            return folds + msgs, folds + transits
+
+        self._av_add, self._av_take = _av_add, _av_take
+        self._av_hold_add, self._av_hold_release = (_av_hold_add,
+                                                    _av_hold_release)
+        self._av_mint, self._av_spend = _av_mint, _av_spend
+        self._msg_send, self._msg_recv, self._msg_drop = (
+            _msg_send, _msg_recv, _msg_drop)
+        self._counted = counted
+        cons.inline_checks = lambda: counted()[1]
+
+    def _transfer_lost(self, now: float, msg, item: str, amount: float,
+                       rule: str, what: str) -> None:
+        """A grant or rebalancer push of ``amount`` was dropped in
+        transit: reverted by the grantor's lease (counted, not warned —
+        the chaos harness asserts no warning fires), else a conservative
+        loss, warned: the volume exists nowhere now."""
+        if msg.payload.get("lease") is not None:
+            self.lease_covered_drops += 1
             return
-        granted = msg.payload.get("granted", 0.0)
-        self.causal.on_grant(
-            msg.src, item, msg.payload.get("av_after", 0.0), now, msg.msg_id
-        )
-        if granted > 0:
-            self._grants[msg.msg_id] = (item, granted)
-            self.conservation.fold(item, IN_FLIGHT, granted, None, now)
-
-    def _grant_landed(self, now: float, msg, dropped: bool) -> None:
-        entry = self._grants.pop(msg.msg_id, None)
-        if entry is None:
-            return
-        item, granted = entry
-        self.conservation.fold(item, IN_FLIGHT, -granted, None, now)
-        if dropped:
-            if msg.payload.get("lease") is not None:
-                # The grantor's lease reverts this volume; counted, not
-                # warned — the chaos harness asserts no warning fires.
-                self.lease_covered_drops += 1
-                return
-            # Conservative loss: the granted volume exists nowhere now.
-            self.report.warnings.append(Violation(
-                rule="av.grant-lost",
-                item=item,
-                site=msg.dst,
-                msg_id=msg.msg_id,
-                time=now,
-                severity="warning",
-                detail=f"grant of {granted:g} dropped in transit to {msg.dst}",
-            ))
-
-    def _push_landed(self, now: float, msg, dropped: bool) -> None:
-        entry = self._pushes.pop(msg.msg_id, None)
-        if entry is None:
-            return
-        item, amount = entry
-        self.conservation.fold(item, IN_FLIGHT, -amount, None, now)
-        if dropped:
-            if msg.payload.get("lease") is not None:
-                self.lease_covered_drops += 1
-                return
-            self.report.warnings.append(Violation(
-                rule="av.push-lost",
-                item=item,
-                site=msg.dst,
-                msg_id=msg.msg_id,
-                time=now,
-                severity="warning",
-                detail=f"rebalancer push of {amount:g} dropped in transit to {msg.dst}",
-            ))
+        self.report.warnings.append(Violation(
+            rule=rule,
+            item=item,
+            site=msg.dst,
+            msg_id=msg.msg_id,
+            time=now,
+            severity="warning",
+            detail=f"{what} of {amount:g} dropped in transit to {msg.dst}",
+        ))
 
     def _prop_dropped(self, now: float, msg) -> None:
         entry = self._props.pop(msg.msg_id, None)

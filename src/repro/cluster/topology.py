@@ -91,8 +91,11 @@ class InterestView:
             and topology.role_of(self.parent) == ROLE_AGGREGATOR
             else None
         )
-        #: interest set (``Topology.sites_for``) -> its peers here
-        self._peers: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        #: item -> its interest set: the topology's index, shared
+        self.sites_of = topology._sites_for
+        #: interest set (``Topology.sites_for``) -> its peers here (a
+        #: cache :meth:`peers_for` fills; read it, never write it)
+        self.peers_by_set: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._neighbors: Optional[Tuple[str, ...]] = None
 
     def serves(self, item: str) -> bool:
@@ -119,11 +122,11 @@ class InterestView:
         topology order (maker, aggregators, then leaves). Items with one
         interest set share one tuple: the cache is keyed by the
         topology's interned ``sites_for`` tuple, not by item."""
-        sites = self.topology._sites_for[item]
-        cached = self._peers.get(sites)
+        sites = self.sites_of[item]
+        cached = self.peers_by_set.get(sites)
         if cached is None:
             cached = tuple(s for s in sites if s != self.name)
-            self._peers[sites] = cached
+            self.peers_by_set[sites] = cached
         return cached
 
 

@@ -37,7 +37,7 @@ from repro.db.transaction import TransactionManager
 from repro.net.endpoint import CrashedEndpointError, Endpoint
 from repro.net.reliable import ReliabilityParams
 from repro.obs.hub import NULL_OBS, Observability
-from repro.obs.spans import NULL_ROW, PAIR_ROOT, update_trace
+from repro.obs.spans import NULL_ROW, PAIR_ROOT
 from repro.sim.events import Event
 from repro.sim.process import Process
 
@@ -115,6 +115,9 @@ class Accelerator:
         #: this site's slice of the deployment topology (items served,
         #: per-item peers, supply-tree parent)
         self.interest = interest
+        # the view's peer cache and its key, read by record_unsynced
+        self._sites_of = interest.sites_of
+        self._peers_by_set = interest.peers_by_set
         #: aggregator to ask FIRST in the Delay gather loop (hierarchical
         #: AV); ``None`` keeps the paper's strategy-only gather
         self.pool_parent = interest.pool_parent
@@ -297,18 +300,15 @@ class Accelerator:
         kernel event, so callbacks run where the process event's did; an
         error fails that event instead of raising out of :meth:`update`.
 
-        Nothing here waits, so the span tree needs no handles: its ids
-        are reserved at once and :meth:`DelayUpdateProtocol.local`
-        writes it as one record. A body that raises leaves the root
-        open, as :meth:`_run`'s would stay. With the overload layer on,
-        :meth:`_run`'s admission bracket runs here as well."""
+        Nothing here waits, so the span tree needs no handles:
+        :meth:`DelayUpdateProtocol.local` writes it as one record, or,
+        if a step raises, the rows it reached and its root. With the
+        overload layer on, :meth:`_run`'s admission bracket runs here as
+        well."""
         env = self.env
         done = Event(env)
-        rec = self.obs.recorder
         now = env._now
         ovl = self.overload
-        root = None
-        tree = 0
         try:
             if ovl is not None:
                 retry = ovl.admit(now)
@@ -318,29 +318,13 @@ class Accelerator:
                         req, UpdateKind.DELAY, UpdateOutcome.SHED,
                         finished_at=now, retry_after=retry))
                 ovl.begin(now)
-            if rec.enabled:
-                tree = rec.open_tree(self.propagate and req.delta != 0)
             try:
-                result = self.delay.local(req, tree=tree)
-            except BaseException as exc:
-                if tree:  # local() broke the tree into rows, but its root
-                    root = (update_trace(req.site, req.request_id), tree, None)
-                if not isinstance(exc, CrashedEndpointError):
-                    if root is not None:
-                        rec.keep_open(root, "update", self.site, now,
-                                      ("item", "delta"), (req.item, req.delta))
-                    raise
-                # an eager push from a dead site
+                result = self.delay.local(req, tree=self.obs.recorder.enabled)
+            except CrashedEndpointError:  # an eager push from a dead site
                 result = self._failed(req, UpdateKind.DELAY)
             finally:
                 if ovl is not None:
                     ovl.end(env._now)
-            if root is not None:
-                rec.write_row(
-                    root, "update", self.site, now, now,
-                    ("item", "delta", "outcome"),
-                    (req.item, req.delta, result.outcome.value),
-                )
         except Exception as exc:
             return done.fail(exc)
         return done.succeed(result)
@@ -355,19 +339,6 @@ class Accelerator:
             request=req, kind=kind, outcome=UpdateOutcome.FAILED,
             finished_at=self.env.now,
         )
-
-    def _root_span(self, req: UpdateRequest, kind: UpdateKind):
-        """Open the update's root span — every child (checking, AV
-        round-trips at either site, lock waits, applies) hangs off its
-        trace id — and record the checking function's verdict under it:
-        one span pair, closed by :meth:`_run`, which calls it only when
-        the recorder is on. Returns the root's row."""
-        rec = self.obs.recorder
-        root, _ = rec.open_pair(
-            PAIR_ROOT, self.site, self.env._now,
-            (req.item, req.delta, kind.value), request=req.request_id,
-        )
-        return root
 
     def _run(self, req: UpdateRequest):
         ovl = self.overload
@@ -396,8 +367,17 @@ class Accelerator:
 
         kind = self.check(req.item)
         root = NULL_ROW
-        if self.obs.recorder.enabled:
-            root = self._root_span(req, kind)
+        rec = self.obs.recorder
+        if rec.enabled:
+            # The update's root span — every child (checking, AV
+            # round-trips at either site, lock waits, applies) hangs off
+            # its trace id — and the checking function's verdict under
+            # it: one pair, closed below. (``_value_`` is what the
+            # Python-level ``Enum.value`` property returns.)
+            root, _ = rec.open_pair(
+                PAIR_ROOT, self.site, self.env._now,
+                (req.item, req.delta, kind._value_), request=req.request_id,
+            )
         if ovl is not None:
             ovl.begin(self.env.now)
         try:
@@ -411,9 +391,8 @@ class Accelerator:
             if ovl is not None:
                 ovl.end(self.env.now)
         if root is not NULL_ROW:  # unobserved: not even a null call
-            self.obs.recorder.close_span(
-                root, self.env._now, ("outcome",), (result.outcome.value,)
-            )
+            rec.close_span(root, self.env._now, ("outcome",),
+                           (result.outcome._value_,))
         return result
 
     # ---------------------------------------------------------------- #
@@ -517,7 +496,12 @@ class Accelerator:
         """
         owed = self.owed
         added = 0
-        for peer in self.replica_peers(item):
+        # replica_peers(item), read in this frame: the view's cached
+        # tuple for the item's interest set (peers_for fills a miss)
+        peers = self._peers_by_set.get(self._sites_of[item])
+        if peers is None:
+            peers = self.interest.peers_for(item)
+        for peer in peers:
             balances = owed.get(peer)
             if balances is None:
                 balances = owed[peer] = {}

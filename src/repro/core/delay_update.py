@@ -38,7 +38,7 @@ from repro.core.types import (
     UpdateResult,
     _new_tuple,
 )
-from repro.net.endpoint import RequestTimeout
+from repro.net.endpoint import CrashedEndpointError, RequestTimeout
 from repro.obs.spans import (
     NULL_ROW,
     PAIR_ROUND,
@@ -55,6 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: the outcome a covered update's tree records (``Enum.value`` is a
 #: Python-level property, too slow to read once per update)
 _COMMITTED = UpdateOutcome.COMMITTED.value
+#: the outcome of an update whose site died under it
+_FAILED = UpdateOutcome.FAILED.value
 
 
 class DelayUpdateProtocol:
@@ -123,23 +125,24 @@ class DelayUpdateProtocol:
             accel._delay_end(req.item)
         return result
 
-    def local(self, req: UpdateRequest, parent=None, tree: int = 0):
+    def local(self, req: UpdateRequest, parent=None, tree: bool = False):
         """The zero-communication update: mint AV for an increase or
         spend local AV that covers a decrease, then apply and propagate.
         Never suspends. Returns ``None``, having changed nothing, when
         local AV falls short of the decrease. ``parent`` is the update's
-        root span's row (``None`` when unobserved, or when ``tree`` is
-        given).
+        root span's row (``None`` when unobserved, or with ``tree``).
 
-        ``tree`` is the root id of the update's span tree, reserved by
-        :meth:`~repro.obs.spans.SpanRecorder.open_tree`. The steps then
-        record nothing; the whole tree is written as one record at the
-        end, or, if a step raises, broken into the rows it had reached
-        (the root excepted: the caller closes it)."""
+        With ``tree``, the steps record nothing: the update's whole span
+        tree is written as one record at the end
+        (:meth:`~repro.obs.spans.SpanRecorder.write_tree`), taking its
+        ids then, or, under eager propagation, reserving them before the
+        push, whose span the receivers' spans hang off. If a step raises,
+        the tree breaks into the rows it had reached (see
+        :meth:`_break_tree`)."""
         accel = self.accel
-        obs = accel.obs
         item, delta = req.item, req.delta
         step = TREE_CHECKED
+        base = 0
         push = None
         try:
             if delta >= 0:
@@ -151,7 +154,7 @@ class DelayUpdateProtocol:
                 # the table grows so the conservation sum never
                 # transiently exceeds the bound.
                 if self._on_mint:
-                    now = accel.now
+                    now = accel.env._now
                     for fn in self._on_mint:
                         fn(now, accel.site, item, delta)
                 accel.av_table.add(item, delta)
@@ -161,7 +164,7 @@ class DelayUpdateProtocol:
                 # Spend shrinks headroom; announce after the take so the
                 # sum only dips in between.
                 if self._on_spend:
-                    now = accel.now
+                    now = accel.env._now
                     for fn in self._on_spend:
                         fn(now, accel.site, item, -delta)
                 step = TREE_APPLYING
@@ -171,22 +174,42 @@ class DelayUpdateProtocol:
                 return None
             if tree and delta and accel.propagate:
                 step = TREE_PUSHING
-                push = (update_trace(req.site, req.request_id), tree + 3, tree)
+                base = accel.obs.recorder.open_tree(True)
+                push = (update_trace(req.site, req.request_id), base + 3, base)
             pushed = self._propagate(item, delta, parent, push)
-        except BaseException:
+        except BaseException as exc:
             if tree:
-                obs.recorder.break_tree(
-                    tree, step, update_trace(req.site, req.request_id),
-                    accel.site, accel.now, item, delta,
-                )
+                self._break_tree(req, base, step, exc)
             raise
         result = self._done(req, UpdateOutcome.COMMITTED, local=True)
         if tree:
-            obs.recorder.write_tree(
-                tree, accel.site, req.request_id, accel.now, item, delta,
+            accel.obs.recorder.write_tree(
+                base, accel.site, req.request_id, accel.env._now, item, delta,
                 _COMMITTED, None if push is None else pushed,
             )
         return result
+
+    def _break_tree(self, req: UpdateRequest, base: int, step: int,
+                    exc: BaseException) -> None:
+        """A step of :meth:`local`'s tree raised ``exc`` after reaching
+        ``step``: write the rows it reached
+        (:meth:`~repro.obs.spans.SpanRecorder.break_tree`), and its
+        root as the update's span would be left: open, or, if the site
+        died (an eager push from a dead site, which the accelerator
+        fails), written with the failed outcome."""
+        accel = self.accel
+        rec = accel.obs.recorder
+        now = accel.env._now
+        trace = update_trace(req.site, req.request_id)
+        root = (trace, rec.break_tree(base, step, trace, accel.site, now,
+                                      req.item, req.delta), None)
+        if isinstance(exc, CrashedEndpointError):
+            rec.write_row(root, "update", accel.site, now, now,
+                          ("item", "delta", "outcome"),
+                          (req.item, req.delta, _FAILED))
+        else:
+            rec.keep_open(root, "update", accel.site, now, ("item", "delta"),
+                          (req.item, req.delta))
 
     def _execute(self, req: UpdateRequest, span=None):
         """The protocol body (see class docs)."""
@@ -232,9 +255,7 @@ class DelayUpdateProtocol:
                 raise
             if target is None:
                 if observed:
-                    rec.write_row(rec.open_row(span), "av.selecting",
-                                  accel.site, now, now, ("target",),
-                                  ("<none>",))
+                    rec.write_no_target(span, accel.site, now)
                 # Everyone asked once this round. Retry only if somebody
                 # granted something (otherwise the system is dry).
                 if progress and rounds < accel.max_rounds:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
 from heapq import heappush
 from typing import Dict, Optional
 
@@ -40,11 +39,12 @@ class LockMode(enum.Enum):
         return self is LockMode.SHARED and other is LockMode.SHARED
 
 
-@dataclass(slots=True)
 class _Waiter:
-    owner: str
-    mode: LockMode
-    event: Event
+    """One queued request: ``owner`` waits for ``mode``; ``event`` fires
+    on its grant. Built field by field where it is queued (no
+    ``__init__`` frame)."""
+
+    __slots__ = ("owner", "mode", "event")
 
 
 class _ItemLock:
@@ -132,7 +132,9 @@ class LockManager:
                 lock.holders[owner] = mode
             else:
                 event = Event(self.env)
-                lock.queue.append(_Waiter(owner, mode, event))
+                waiter = _new_object(_Waiter)
+                waiter.owner, waiter.mode, waiter.event = owner, mode, event
+                lock.queue.append(waiter)
                 self._waiting += 1
                 self.max_queue = max(self.max_queue, len(lock.queue))
                 if self._on_wait:

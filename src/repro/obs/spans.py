@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from operator import attrgetter
+from struct import error as StructError, pack
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 
@@ -234,6 +235,17 @@ _FRESH = (None, None)  # the trace code of a fresh pair
 
 _span_id = attrgetter("span_id")
 
+#: doubles the staging buffer holds before the recorder packs it into
+#: its columns; every record stages one at least, so this also bounds
+#: the records a run holds unpacked
+STAGE_FLOATS = 256
+
+#: the layout slot of a ``True`` closing value (a timeout or an error)
+_TRUE = (bool, True)
+
+#: the attributes of an ``av.selecting`` row whose function found nobody
+_TARGET, _NO_TARGET = ("target",), ("<none>",)
+
 
 class SpanRecorder:
     """Collects spans; every view yields them in start (= span id) order,
@@ -255,9 +267,16 @@ class SpanRecorder:
     prefix, has a parent, one time, *layout)``; the form is a span name,
     a pair kind or :data:`_TREE`, and a layout slot is ``float``, a
     string itself, or ``(type, value)`` (an int, a bool, ``None``). A
-    span that shares its open parent's trace reuses the parent's code;
-    the writers of trees, grants and closing pairs find a shape without
-    looping over values of the protocol's types.
+    span that shares its open parent's trace reuses the parent's code.
+
+    The writers of the records a run writes most (a lazy tree, a
+    closing root or round pair, a grant, an ``av.selecting`` row with no
+    target) find their shape in a memo keyed by what varies from record
+    to record, and append their ints and doubles to a staging buffer
+    (at most :data:`STAGE_FLOATS` doubles). The buffer is packed into
+    the columns in bulk, the ints of a chunk widened all or nothing,
+    before every read; other records take the general path, which loops
+    over their values to build the shape key.
 
     One reader expands all three. Readers rebuild spans on demand: no
     identity is promised for them (two reads give equal, distinct
@@ -275,17 +294,26 @@ class SpanRecorder:
         self._started = 0
         #: open spans and pairs by span id (see the class docstring)
         self._open: Dict[int, tuple] = {}
-        # finished spans, one record each, in finish order
-        self._records = 0
-        self._ints = array("i")
-        self._floats = array("d")
+        # finished records in finish order: the packed columns, then
+        # the staging buffer not yet packed into them
+        self._int_column = array("i")
+        self._float_column = array("d")
+        self._stage_ints: List[int] = []
+        self._stage_floats: List[float] = []
         #: shape index -> shape key, and back
         self._shape_keys: List[tuple] = []
         self._shape_index: Dict[tuple, int] = {}
         #: an update's trace prefix by site: ``site:u``
         self._update_prefix: Dict[str, str] = {}
-        #: a lazy tree's shape index by site, item and outcome
+        #: shape index by what varies: a lazy tree's by (site, item,
+        #: outcome); a closing pair's by (kind, site, trace prefix,
+        #: closing key, opening strs, closing slot, linked, instant); a
+        #: grant's by (site, trace prefix, item, requester); a row with
+        #: no target's by (site, trace prefix)
         self._trees: Dict[tuple, int] = {}
+        self._closes: Dict[tuple, int] = {}
+        self._grants: Dict[tuple, int] = {}
+        self._no_targets: Dict[tuple, int] = {}
 
     # ---------------------------------------------------------------- #
     # recording
@@ -357,8 +385,9 @@ class SpanRecorder:
 
     def _append(self, form, site, keys, values, trace, first, parent_id,
                 start, end) -> None:
-        """Append one record (see the class docstring). ``trace`` is its
-        trace id, ``None`` for a fresh pair, or its trace code."""
+        """Stage one record by the general path (see the class
+        docstring). ``trace`` is its trace id, ``None`` for a fresh
+        pair, or its trace code."""
         if trace is None:
             prefix = number = None
         elif trace.__class__ is tuple:
@@ -377,8 +406,16 @@ class SpanRecorder:
                 shape_key.append(value)
             else:
                 shape_key.append((cls, value))
-        self._put(self._shape(tuple(shape_key)), first, parent_id, number,
-                  floats)
+        ints = [self._shape(tuple(shape_key)), first]
+        if parent_id is not None:
+            ints.append(parent_id)
+        if number is not None:
+            ints.append(number)
+        self._stage_ints += ints
+        stage = self._stage_floats
+        stage += floats
+        if len(stage) >= STAGE_FLOATS:
+            self._flush()
 
     def _shape(self, shape_key: tuple) -> int:
         """The index of ``shape_key`` in the shape table, added if new."""
@@ -388,19 +425,27 @@ class SpanRecorder:
             self._shape_keys.append(shape_key)
         return shape
 
-    def _put(self, shape, first, parent_id, number, floats) -> None:
-        """Append one record's ints and doubles to the columns."""
-        ints = [shape, first] if parent_id is None else [shape, first,
-                                                         parent_id]
-        if number is not None:
-            ints.append(number)
-        self._floats.fromlist(floats)
+    def _flush(self) -> None:
+        """Pack the staging buffer into the columns: its ints all or
+        nothing, widening the int column to 64 bits when 32 do not hold
+        them. (``struct`` converts a value faster than ``fromlist``.)"""
+        ints, floats = self._stage_ints, self._stage_floats
+        column = self._int_column
         try:
-            self._ints.fromlist(ints)  # all or nothing
-        except OverflowError:  # past what a 32-bit column holds
-            self._ints = array("q", self._ints)
-            self._ints.fromlist(ints)
-        self._records += 1
+            packed = pack(f"{len(ints)}{column.typecode}", *ints)
+        except StructError:  # past what a 32-bit column holds
+            column = self._int_column = array("q", column)
+            packed = pack(f"{len(ints)}q", *ints)
+        column.frombytes(packed)
+        self._float_column.frombytes(pack(f"{len(floats)}d", *floats))
+        ints.clear()
+        floats.clear()
+
+    @property
+    def _ints(self) -> array:
+        """The int column, the staging buffer packed into it."""
+        self._flush()
+        return self._int_column
 
     def keep_open(self, row: Row, name: str, site: str, start: float,
                   keys: Tuple[str, ...] = (),
@@ -425,35 +470,62 @@ class SpanRecorder:
         if entry is None:
             return
         name, site, start, _, parent_id, opened, held, code = entry
-        if name.__class__ is int:
-            first, value = span_id - (name == PAIR_ROUND), values[0]
-            prefix, number = code
-            instant, linked = start is end, parent_id is not None
-            if name == PAIR_ROOT:  # item, delta, verdict; the outcome
-                item, delta, verdict = held
-                fused = (delta.__class__ is float and str is item.__class__
-                         is verdict.__class__ is value.__class__)
-                key = (name, site, keys[0], prefix, linked, instant, item,
-                       float, verdict, value)
-                floats = [start, delta] if instant else [start, end, delta]
-            else:  # target, amount; the closing value
-                item, delta = held
-                fused = (item.__class__ is str
-                         and float is delta.__class__ is value.__class__)
-                key = (name, site, keys[0], prefix, linked, instant, item,
-                       float, float)
-                floats = ([start, delta, value] if instant
-                          else [start, end, delta, value])
-            if fused:
-                shape = self._shape_index.get(key)
-                self._put(self._shape(key) if shape is None else shape,
-                          first, parent_id, number, floats)
-            else:
-                self._append(name, site, keys[0], (*held, value), code,
-                             first, parent_id, start, end)
-        else:
+        if name.__class__ is not int:
             self._append(name, site, opened + keys, (*held, *values), code,
                          span_id, parent_id, start, end)
+            return
+        value = values[0]
+        prefix, number = code
+        instant = start is end
+        if name == PAIR_ROOT:  # item, delta, verdict; the outcome
+            first = span_id
+            item, delta, verdict = held
+            if (number is not None and delta.__class__ is float
+                    and str is item.__class__ is verdict.__class__
+                    is value.__class__):
+                memo = (name, site, prefix, keys[0], item, verdict, value,
+                        parent_id is None, instant)
+                shape = self._closes.get(memo)
+                if shape is None:
+                    shape = self._closes[memo] = self._shape((
+                        name, site, keys[0], prefix, parent_id is not None,
+                        instant, item, float, verdict, value))
+                floats = (start, delta) if instant else (start, end, delta)
+            else:
+                shape = None
+        else:  # target, amount; the closing value
+            first = span_id - 1
+            item, delta = held
+            cls = value.__class__
+            slot = float if cls is float else _TRUE if value is True else None
+            if (number is not None and slot is not None
+                    and item.__class__ is str and delta.__class__ is float):
+                memo = (name, site, prefix, keys[0], item, slot,
+                        parent_id is None, instant)
+                shape = self._closes.get(memo)
+                if shape is None:
+                    shape = self._closes[memo] = self._shape((
+                        name, site, keys[0], prefix, parent_id is not None,
+                        instant, item, float, slot))
+                if slot is float:
+                    floats = ((start, delta, value) if instant
+                              else (start, end, delta, value))
+                else:
+                    floats = (start, delta) if instant else (start, end, delta)
+            else:
+                shape = None
+        if shape is None:
+            self._append(name, site, keys[0], (*held, value), code, first,
+                         parent_id, start, end)
+            return
+        if parent_id is None:
+            self._stage_ints += (shape, first, number)
+        else:
+            self._stage_ints += (shape, first, parent_id, number)
+        stage = self._stage_floats
+        stage += floats
+        if len(stage) >= STAGE_FLOATS:
+            self._flush()
 
     def open_pair(self, kind: int, site: str, now: float,
                   values: Tuple[Any, ...], parent: ParentLike = None,
@@ -470,25 +542,41 @@ class SpanRecorder:
         ``values`` are the opening values (see :func:`_pair_spans`); the
         open span is one entry, and :meth:`close_span` writes the pair
         as one record."""
-        started = self._started
-        base = started + 1
-        self._started = started + 2
-        parent_id, trace = _link(parent, trace)
-        if request is not None:
-            code = self._update_code(site, request)
-            trace = f"{code[0]}{request}"
+        base = self._started + 1
+        self._started = base + 1
+        if parent is None:
+            parent_id = None
+        elif parent.__class__ is tuple:  # _link(parent, trace), inline
+            parent_trace, parent_id, _ = parent
+            parent_id = parent_id or None
+            if trace is None and parent_trace:
+                trace = parent_trace
         else:
-            code = self._code(trace, parent_id) if trace else _FRESH
-        first = (trace or f"t{base}", base, parent_id)
+            parent_id = parent
+        if request is not None:
+            prefix = self._update_prefix.get(site)
+            if prefix is None:
+                prefix = self._update_prefix[site] = update_trace(site, "")
+            code = prefix, request
+            trace = f"{prefix}{request}"
+        elif trace:
+            entry = self._open.get(parent_id)
+            code = (entry[7] if entry is not None and entry[3] is trace
+                    else _trace_code(trace))
+        else:
+            code = _FRESH
         if kind == PAIR_ROOT:  # the verdict hangs off the open update
-            second = (first[0], base + 1, base)
-            opened = base
-        else:  # the open request is the selecting's sibling
-            second = (trace or f"t{base + 1}", base + 1, parent_id)
-            opened = base + 1
-        self._open[opened] = (kind, site, now, trace or None, parent_id, (),
-                              values, code)
-        return first, second
+            first = (trace or f"t{base}", base, parent_id)
+            self._open[base] = (kind, site, now, trace or None, parent_id, (),
+                                values, code)
+            return first, (first[0], base + 1, base)
+        # the open request is the selecting's sibling
+        self._open[base + 1] = (kind, site, now, trace or None, parent_id, (),
+                                values, code)
+        if trace:
+            return (trace, base, parent_id), (trace, base + 1, parent_id)
+        return (f"t{base}", base, parent_id), (f"t{base + 1}", base + 1,
+                                               parent_id)
 
     def write_pair(self, site: str, now: float, values: Tuple[Any, ...],
                    parent: ParentLike = None,
@@ -498,7 +586,10 @@ class SpanRecorder:
         its ``parent``/``trace`` rules (values: see :func:`_pair_spans`)."""
         started = self._started
         self._started = started + 2
-        parent_id, trace = _link(parent, trace)
+        if parent.__class__ is tuple:
+            parent_id, trace = _link(parent, trace)
+        else:  # a raw span id (cross-site context) or no parent
+            parent_id = parent
         entry = self._open.get(parent_id)
         item, requester, granted, after, available, requested = values
         if (entry is not None and entry[3] is trace
@@ -506,15 +597,51 @@ class SpanRecorder:
                 and float is granted.__class__ is after.__class__
                 is available.__class__ is requested.__class__):
             prefix, number = entry[7]
-            key = (PAIR_GRANT, site, None, prefix, True, True, item,
-                   requester, float, float, float, float)
-            shape = self._shape_index.get(key)
-            self._put(self._shape(key) if shape is None else shape,
-                      started + 1, parent_id, number,
-                      [now, granted, after, available, requested])
+            if number is not None:
+                memo = (site, prefix, item, requester)
+                shape = self._grants.get(memo)
+                if shape is None:
+                    shape = self._grants[memo] = self._shape((
+                        PAIR_GRANT, site, None, prefix, True, True, item,
+                        requester, float, float, float, float))
+                self._stage_ints += (shape, started + 1, parent_id, number)
+                stage = self._stage_floats
+                stage += (now, granted, after, available, requested)
+                if len(stage) >= STAGE_FLOATS:
+                    self._flush()
+                return
+        self._append(PAIR_GRANT, site, None, values, trace or None,
+                     started + 1, parent_id, now, now)
+
+    def write_no_target(self, parent: ParentLike, site: str,
+                        now: float) -> None:
+        """Append the ``av.selecting`` row of a selecting function that
+        found nobody to ask (target ``<none>``), opening and closing at
+        ``now``, taking the id :meth:`open_row` would take, with its
+        ``parent`` rule."""
+        self._started = span_id = self._started + 1
+        if parent.__class__ is tuple:  # _link(parent, None), inline
+            trace, parent_id, _ = parent
+            parent_id = parent_id or None
         else:
-            self._append(PAIR_GRANT, site, None, values, trace or None,
-                         started + 1, parent_id, now, now)
+            parent_id, trace = parent, None
+        entry = self._open.get(parent_id)
+        if trace and entry is not None and entry[3] is trace:
+            prefix, number = entry[7]
+            if number is not None:
+                shape = self._no_targets.get((site, prefix))
+                if shape is None:
+                    shape = self._no_targets[site, prefix] = self._shape((
+                        "av.selecting", site, _TARGET, prefix, True, True,
+                        _NO_TARGET[0]))
+                self._stage_ints += (shape, span_id, parent_id, number)
+                stage = self._stage_floats
+                stage.append(now)
+                if len(stage) >= STAGE_FLOATS:
+                    self._flush()
+                return
+        self._append("av.selecting", site, _TARGET, _NO_TARGET,
+                     trace or f"t{span_id}", span_id, parent_id, now, now)
 
     def open_tree(self, push: bool) -> int:
         """Reserve a covered update's span ids at once, where
@@ -532,12 +659,17 @@ class SpanRecorder:
     def write_tree(self, base: int, site: str, request_id: int, now: float,
                    item: str, delta: float, outcome: str,
                    pushed: Optional[int] = None) -> None:
-        """Append the covered update tree :meth:`open_tree` reserved at
-        ``base`` as one record, read back as its rows: trace
-        :func:`update_trace`, every span at ``now``; the root carries
-        ``item``, ``delta`` and ``outcome``, ``av.checking`` the Delay
-        verdict, ``delay.apply`` the item and delta, and ``prop.push``
-        (if ``pushed`` is given) the item and ``pushed`` as ``peers``."""
+        """Append a covered update's tree as one record, read back as
+        its rows: trace :func:`update_trace`, every span at ``now``; the
+        root carries ``item``, ``delta`` and ``outcome``,
+        ``av.checking`` the Delay verdict, ``delay.apply`` the item and
+        delta, and ``prop.push`` (if ``pushed`` is given) the item and
+        ``pushed`` as ``peers``. Its ids are those :meth:`open_tree`
+        reserved at ``base``, or, with ``base`` 0, taken now, as
+        :meth:`open_tree` would have."""
+        if not base:
+            base = self._started + 1
+            self._started = base + (2 if pushed is None else 3)
         if (pushed is None and delta.__class__ is float
                 and str is item.__class__ is outcome.__class__):
             shape = self._trees.get((site, item, outcome))
@@ -545,7 +677,11 @@ class SpanRecorder:
                 shape = self._trees[site, item, outcome] = self._shape(
                     (_TREE, site, None, self._update_code(site, 0)[0], False,
                      True, item, float, outcome))
-            self._put(shape, base, None, request_id, [now, delta])
+            self._stage_ints += (shape, base, request_id)
+            stage = self._stage_floats
+            stage += (now, delta)
+            if len(stage) >= STAGE_FLOATS:
+                self._flush()
         else:
             values = (item, delta, outcome)
             if pushed is not None:
@@ -555,13 +691,16 @@ class SpanRecorder:
                          now, now)
 
     def break_tree(self, base: int, step: int, trace: str, site: str,
-                   now: float, item: str, delta: float) -> None:
-        """A step of the tree reserved at ``base`` raised after reaching
-        ``step`` (``TREE_CHECKED`` … ``TREE_PUSHING``). Write what the
-        tree's rows would have left: the spans closed so far as rows and
-        the one in progress kept open, and give back the ids of the
-        steps never reached. The root is left to the caller, as an
-        :meth:`open_row` root would be."""
+                   now: float, item: str, delta: float) -> int:
+        """A step of the tree reserved at ``base`` (0: whose ids were
+        not taken yet) raised after reaching ``step`` (``TREE_CHECKED``
+        … ``TREE_PUSHING``). Write what the tree's rows would have left:
+        the spans closed so far as rows and the one in progress kept
+        open, and give back the ids of the steps never reached. The root
+        is left to the caller, as an :meth:`open_row` root would be;
+        returns its id."""
+        if not base:
+            base = self._started + 1
         self.write_row((trace, base + 1, base), "av.checking", site, now, now,
                        ("verdict",), _TREE_VERDICT)
         apply = (trace, base + 2, base)
@@ -575,6 +714,7 @@ class SpanRecorder:
             self.keep_open((trace, base + 3, base), "prop.push", site, now,
                            ("item",), (item,))
         self._started = base + _TREE_LAST[step]
+        return base
 
     # ---------------------------------------------------------------- #
     # views
@@ -583,7 +723,9 @@ class SpanRecorder:
     def _finished(self) -> Iterator[Span]:
         """Rebuild the finished spans, record by record in finish order
         (a tree's or a pair's spans in id order)."""
-        shape_keys, ints, floats = self._shape_keys, self._ints, self._floats
+        self._flush()
+        shape_keys = self._shape_keys
+        ints, floats = self._int_column, self._float_column
         i = f = 0
         while i < len(ints):
             shape_key = shape_keys[ints[i]]
@@ -618,7 +760,15 @@ class SpanRecorder:
     def records(self) -> int:
         """Finished records in the store: a row, a tree or a pair each
         (see the class docstring)."""
-        return self._records
+        self._flush()
+        widths = [2 + key[4] + (key[3].__class__ is str)
+                  for key in self._shape_keys]
+        ints = self._int_column
+        i = count = 0
+        while i < len(ints):
+            i += widths[ints[i]]
+            count += 1
+        return count
 
     def traces(self) -> Dict[str, List[Span]]:
         """All spans grouped by trace id (insertion-ordered)."""
@@ -719,4 +869,7 @@ class NullSpanRecorder(SpanRecorder):
         return NULL_ROW, NULL_ROW
 
     def write_pair(self, site, now, values, parent=None, trace=None):
+        return None
+
+    def write_no_target(self, parent, site, now):
         return None

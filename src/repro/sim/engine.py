@@ -37,7 +37,16 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional, Union
 
 from repro.sim.errors import EmptySchedule, StopSimulation
-from repro.sim.events import AllOf, AnyOf, Event, NORMAL, Timeout
+from repro.sim.events import (
+    NORMAL,
+    AllOf,
+    AnyOf,
+    Condition,
+    Event,
+    Timeout,
+    _all_events,
+    _new_object,
+)
 from repro.sim.process import Process, ProcessGenerator
 
 _INF = float("inf")
@@ -160,7 +169,10 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when every event in ``events`` succeeded."""
-        return AllOf(self, events)
+        # AllOf(self, events), built without its __init__'s hop
+        condition = _new_object(AllOf)
+        Condition.__init__(condition, self, _all_events, events)
+        return condition
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Event that fires when any event in ``events`` succeeded."""

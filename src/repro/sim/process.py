@@ -13,8 +13,8 @@ from heapq import heappush
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.sim.errors import Interrupt
-from repro.sim.events import _PENDING, Event, URGENT
+from repro.sim.errors import AlreadyTriggered, Interrupt
+from repro.sim.events import _PENDING, NORMAL, Event, URGENT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -149,8 +149,16 @@ class Process(Event):
 
         # The generator has exited: settle the process, once, here.
         self._target = None
-        del self.env._owned[self.owner][self]
-        if ok:
-            self.succeed(value)
-        else:
+        env = self.env
+        del env._owned[self.owner][self]
+        if not ok:
             self.fail(value)
+            return
+        # succeed(value), pushed here with the key env.schedule(self) makes
+        if self._value is not _PENDING:
+            raise AlreadyTriggered(f"{self!r} has already been triggered")
+        self._ok = True
+        self._value = value
+        seq = env._eseq
+        env._eseq = seq + 1
+        heappush(env._queue, (env._now, NORMAL, seq, self))

@@ -278,6 +278,68 @@ class TestLockAudit:
         assert san.report.ok
 
 
+def reference_cycle(wait_for, start):
+    """The first wait-for cycle a DFS from ``start`` meets, visiting each
+    owner's blockers in sorted order and entering every owner once."""
+    path, seen = [], set()
+
+    def visit(owner):
+        if owner in path:
+            return path[path.index(owner):]
+        if owner in seen:
+            return None
+        seen.add(owner)
+        path.append(owner)
+        for blocker in sorted(wait_for.get(owner, ())):
+            cycle = visit(blocker)
+            if cycle is not None:
+                return cycle
+        path.pop()
+        return None
+
+    return visit(start)
+
+
+class TestDeadlockSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["wait", "wait", "wait", "grant", "release"]),
+            st.sampled_from(["T1", "T2", "T3", "T4", "T5"]),
+            st.lists(st.sampled_from(["T1", "T2", "T3", "T4", "T5"]),
+                     max_size=3),
+        ),
+        max_size=40,
+    ))
+    def test_first_cycle_matches_a_full_search(self, steps):
+        """Random waits on random holders and queues, grants and
+        releases: the audit reports the cycle a search that enters
+        every owner would meet first, at every wait."""
+        san = ProtocolSanitizer()
+        locks = san.locks
+        graph, expected = {}, []
+        for now, (op, owner, others) in enumerate(steps):
+            holders = dict.fromkeys(others[:1], None)
+            queue = [(other, None) for other in others[1:]]
+            locks.on_event("s1", op, "x", owner, now, holders, queue, now)
+            if op != "wait":
+                graph.pop(owner, None)
+                continue
+            # the holder, and the queue ahead of the waiter's own entry
+            blockers = set(others[:1])
+            for other in others[1:]:
+                if other == owner:
+                    break
+                blockers.add(other)
+            graph[owner] = blockers - {owner}
+            cycle = reference_cycle(graph, owner)
+            if cycle is not None:
+                expected.append(" -> ".join(cycle + [cycle[0]]))
+        found = [v.detail for v in san.report.by_rule("lock.deadlock")]
+        assert found == ["wait-for cycle: " + c for c in expected]
+        assert locks.deadlocks == len(expected)
+
+
 class TestHappensBefore:
     """The vector clocks are kept up by the sanitizer's ``msg.*`` folds;
     :class:`CausalOrder` classifies selections against them."""

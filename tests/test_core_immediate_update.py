@@ -34,7 +34,7 @@ def run_one(system, site, item, delta):
 
 #: Python calls of the pinned open-loop 2PC run (see
 #: ``TestContention.test_open_loop_2pc_python_calls_are_pinned``)
-CALLS_2PC = 70788
+CALLS_2PC = 68293
 
 
 def open_loop_2pc_calls():
@@ -206,7 +206,11 @@ class TestContention:
         site's peer tuples per interest set rather than per item saves
         111 (81 generator frames, 30 ``sites_for`` calls); iterating the
         three per-site columnar traces adds 6 (``__iter__`` and
-        ``events_of`` each), which made the pinned count. A rise means
+        ``events_of`` each): 70 788. A process settling its own event
+        instead of calling ``succeed`` (1 794), ``env.all_of`` building
+        its ``AllOf`` without the ``__init__`` hop (600) and the lock
+        queue's waiter built without a dataclass ``__init__`` (101) save
+        2 495, which made the pinned count. A rise means
         per-event or per-message work came back; a fall is a change to
         re-pin with a CHANGES.md note.
         """

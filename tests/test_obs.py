@@ -3,7 +3,9 @@
 import gc
 import hashlib
 import json
+import os
 import statistics
+import sys
 import tracemalloc
 
 import pytest
@@ -28,6 +30,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs import spans
 from repro.obs.hub import EVENT_KINDS
 from repro.obs.spans import (
     PAIR_ROOT,
@@ -1019,6 +1022,8 @@ class RowRecorder(SpanRecorder):
 
     def write_tree(self, base, site, request_id, now, item, delta, outcome,
                    pushed=None):
+        if not base:  # a tree whose ids are taken at its write
+            base = self.open_tree(pushed is not None)
         trace = update_trace(site, request_id)
         self.write_row((trace, base + 1, base), "av.checking", site, now,
                        now, ("verdict",), ("delay",))
@@ -1203,6 +1208,10 @@ class HandleRecorder(SpanRecorder):
         request = self.start("av.request", site, now, trace=trace,
                              parent=parent, target=target, amount=amount)
         return select, request.row
+
+    def write_no_target(self, parent, site, now):
+        self.write_row(self.open_row(parent), "av.selecting", site, now, now,
+                       ("target",), ("<none>",))
 
     def write_pair(self, site, now, values, parent=None, trace=None):
         item, requester, granted, after, available, requested = values
@@ -1900,6 +1909,208 @@ class TestSpanStoreRoundTrip:
         same_reads(*recs)
 
 
+class StagedReference(ObjectRecorder):
+    """:class:`ObjectRecorder`, counting its records as the store does (a
+    row, a tree or a pair each), taking a tree's ids at its write when
+    none were reserved, and writing a row with no target as a row."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = 0
+
+    def records(self):
+        return self.written
+
+    def write_row(self, row, name, site, start, end, keys=(), values=()):
+        self.written += bool(row[1])
+        super().write_row(row, name, site, start, end, keys, values)
+
+    def close_span(self, row, end, keys=(), values=()):
+        span = self.spans.get(row[1])
+        self.written += span is not None and span.end is None
+        super().close_span(row, end, keys, values)
+
+    def write_pair(self, site, now, values, parent=None, trace=None):
+        self.written += 1
+        super().write_pair(site, now, values, parent, trace)
+
+    def write_no_target(self, parent, site, now):
+        self.write_row(self.open_row(parent), "av.selecting", site, now, now,
+                       ("target",), ("<none>",))
+
+    def write_tree(self, base, site, request_id, now, item, delta, outcome,
+                   pushed=None):
+        if not base:
+            base = self.open_tree(pushed is not None)
+        written = self.written
+        super().write_tree(base, site, request_id, now, item, delta, outcome,
+                           pushed)
+        self.written = written + 1
+
+    def break_tree(self, base, step, trace, site, now, item, delta):
+        if not base:
+            base = self._started + 1
+        super().break_tree(base, step, trace, site, now, item, delta)
+        return base
+
+
+#: request numbers: small, and either side of what 32 bits hold
+REQUESTS = st.sampled_from([7, 2 ** 31 - 2, 2 ** 31 - 1, 2 ** 31, 2 ** 40])
+
+#: one step of a staged-store sequence (see :func:`drive_staged`)
+STAGED_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("root"), st.sampled_from(SITES), TEXT, NUMBER,
+                  st.sampled_from(["delay", "immediate"]), REQUESTS),
+        st.tuples(st.just("round"), st.integers(0, 9), st.sampled_from(SITES),
+                  TEXT, NUMBER),
+        st.tuples(st.just("close"), st.integers(0, 9),
+                  st.sampled_from(["committed", "rejected", True, 2.5, 0])),
+        st.tuples(st.just("grant"), st.integers(0, 9), st.sampled_from(SITES),
+                  st.tuples(TEXT, TEXT, *[NUMBER] * 4)),
+        st.tuples(st.just("tree"), st.integers(0, 4), st.booleans(),
+                  REQUESTS, st.sampled_from(SITES), TEXT, NUMBER,
+                  st.one_of(st.none(), st.integers(0, 3))),
+        st.tuples(st.just("row"), st.integers(0, 9), st.sampled_from(SITES),
+                  ATTRS),
+        st.tuples(st.just("span"), st.integers(0, 9), st.sampled_from(SITES),
+                  ATTRS),
+        st.tuples(st.just("none"), st.integers(0, 9), st.sampled_from(SITES)),
+        st.tuples(st.just("tick")),
+    ),
+    max_size=30,
+)
+
+
+def drive_staged(rec, ops, check):
+    """Apply ``ops`` to ``rec`` as the protocol does: roots that wait,
+    rounds under them, requests closed granted, timed out or in error,
+    grants answering any request written so far (open, or closed: a
+    late grant), lazy and reserved trees written or broken at any step,
+    rows, spans that wait and rows with no target; ``check`` after each
+    step."""
+    now = 0.0
+    roots, requests, waiting = [], [], []
+
+    def under(pick):
+        return roots[pick % len(roots)] if roots and pick % 3 else None
+
+    for op in ops:
+        kind = op[0]
+        if kind == "tick":
+            now += 1.5
+        elif kind == "root":
+            _, site, item, delta, verdict, request = op
+            root, _ = rec.open_pair(PAIR_ROOT, site, now,
+                                    (item, delta, verdict), request=request)
+            roots.append(root)
+            waiting.append((root, "outcome"))
+        elif kind == "round":
+            _, pick, site, target, amount = op
+            _, request = rec.open_pair(PAIR_ROUND, site, now,
+                                       (target, amount), under(pick))
+            requests.append(request)
+            waiting.append((request, "granted"))
+        elif kind == "close" and waiting:
+            _, pick, value = op
+            row, key = waiting.pop(pick % len(waiting))
+            if key == "granted" and value is True:
+                key = ("timeout", "error")[pick % 2]
+            rec.close_span(row, now, (key,), (value,))
+        elif kind == "grant":
+            _, pick, site, values = op
+            if requests and pick % 4:
+                request = requests[pick % len(requests)]
+                rec.write_pair(site, now, values, request[1], request[0])
+            else:
+                rec.write_pair(site, now, values)
+        elif kind == "tree":
+            _, step, lazy, request, site, item, delta, pushed = op
+            base = 0 if lazy and pushed is None else rec.open_tree(
+                pushed is not None)
+            if step < 4:  # a step raised: the tree breaks into rows
+                last = 3 if pushed is not None else 2
+                rec.break_tree(base, min(step, last),
+                               update_trace(site, request), site, now, item,
+                               delta)
+            else:
+                rec.write_tree(base, site, request, now, item, delta,
+                               "committed", pushed)
+        elif kind == "row":
+            _, pick, site, (keys, values) = op
+            rec.write_row(rec.open_row(under(pick)), "prop.apply", site, now,
+                          now, keys, values)
+        elif kind == "span":
+            _, pick, site, (keys, values) = op
+            waiting.append((rec.open_span("imm.lock", site, now, keys, values,
+                                          under(pick)), "ready"))
+        elif kind == "none":
+            _, pick, site = op
+            rec.write_no_target(under(pick) or NULL_ROW, site, now)
+        check()
+    return rec
+
+
+def views(rec):
+    """Everything a reader sees: the spans, typed, with ``fingerprint``,
+    ``records``, ``len``, ``names`` and ``traces``."""
+    return (typed(rec), rec.fingerprint(), rec.records(), len(rec),
+            rec.names(),
+            {trace: [repr(s) for s in group]
+             for trace, group in rec.traces().items()})
+
+
+class TestStagedSpanStore:
+    """The writers stage their records and every reader packs the stage
+    first: after every step, the store reads back what a recorder that
+    keeps every span as an object reads back, and so does a store read
+    only at the end, whose chunks hold many records."""
+
+    @given(ops=STAGED_OPS, first=st.sampled_from([0, 2 ** 31 - 6]),
+           stage=st.sampled_from([3, 8, spans.STAGE_FLOATS]))
+    @settings(max_examples=200, deadline=None)
+    def test_staged_writes_read_back_as_objects(self, ops, first, stage):
+        default = spans.STAGE_FLOATS
+        spans.STAGE_FLOATS = stage
+        try:
+            stepped, late, ref = (SpanRecorder(), SpanRecorder(),
+                                  StagedReference())
+            for rec in (stepped, late, ref):
+                rec._started = first
+            reads = []
+            drive_staged(ref, ops, lambda: reads.append(views(ref)))
+            steps = iter(reads)
+            drive_staged(stepped, ops,
+                         lambda: assert_equal(views(stepped), next(steps)))
+            drive_staged(late, ops, lambda: None)
+            assert views(late) == views(ref)
+            same_reads(late, ref)
+        finally:
+            spans.STAGE_FLOATS = default
+
+    def test_a_chunk_crossing_32_bits_widens_whole(self):
+        """One staged chunk holds records on either side of 2**31 - 1:
+        it is packed into a 64-bit column at once, its ints in order."""
+        rec, ref = SpanRecorder(), StagedReference()
+        for r in (rec, ref):
+            r._started = 2 ** 31 - 4
+            root, _ = r.open_pair(PAIR_ROOT, "site1", 0.0,
+                                  ("item0", -4.0, "delay"), request=5)
+            r.write_tree(0, "site0", 2 ** 31 + 6, 1.0, "item1", 2.0,
+                         "committed")
+            r.write_no_target(root, "site1", 1.0)
+            r.close_span(root, 2.0, ("outcome",), ("committed",))
+        assert rec._stage_ints and rec._int_column.typecode == "i"
+        assert rec._ints.typecode == "q" and not rec._stage_ints
+        assert views(rec) == views(ref)
+        assert [s.span_id for s in rec] == [2 ** 31 - 3 + i
+                                            for i in range(6)]
+
+
+def assert_equal(got, want):
+    assert got == want
+
+
 #: span bytes retained per record by the ``overload`` scenario at 3 000
 #: updates, seed 0: 93.3 B when records kept their trace id and their
 #: attribute values as objects in lists, 43.7 B packed
@@ -1933,3 +2144,58 @@ def test_span_store_bytes_per_record_are_bounded(monkeypatch):
     records = run.obs.recorder.records()
     assert records == 9237
     assert (observed - unobserved) / records <= SPAN_BYTES_PER_RECORD
+
+
+#: Python calls into ``repro/obs/`` and ``repro/analysis/`` of the
+#: ``overload`` scenario at 3 000 updates, seed 0 (see
+#: :func:`test_observed_path_python_calls_are_pinned`)
+CALLS_OBSERVED = 63822
+
+#: the packages whose calls :data:`CALLS_OBSERVED` counts
+OBSERVED_PACKAGES = tuple(
+    os.sep + os.path.join("repro", package) + os.sep
+    for package in ("obs", "analysis")
+)
+
+
+def observed_path_calls():
+    """Run the ``overload`` scenario at 3 000 updates and count every
+    ``sys.setprofile`` "call" event whose code lives in ``repro/obs/``
+    or ``repro/analysis/``: the span recorder, the metric registry, the
+    sanitizer and its audits."""
+    overload = next(s for s in SMALL_SCENARIOS if s.name == "overload")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            path = frame.f_code.co_filename
+            if OBSERVED_PACKAGES[0] in path or OBSERVED_PACKAGES[1] in path:
+                calls += 1
+
+    # As in the 2PC pin: no cyclic collection may run inside the count.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        run = run_chaos_scenario(overload, n_updates=3000, seed=0)
+    finally:
+        sys.setprofile(None)
+        if gc_was_enabled:
+            gc.enable()
+    return run, calls
+
+
+def test_observed_path_python_calls_are_pinned():
+    """The observed path, counted in Python calls: an exact,
+    host-independent count (the same under any ``PYTHONHASHSEED``) of
+    the work spans and the sanitizer do on the only workload that runs
+    them. It read 111 880 before span records were staged and the hot
+    sanitizer folds became closures, and before the deadlock search
+    stopped entering owners that wait for nothing. A rise means work
+    came back on the observed path; a fall is a change to re-pin with a
+    CHANGES.md note."""
+    run, calls = observed_path_calls()
+    assert run.report.counters["events"] == 20885
+    assert len(run.system.obs.recorder) == 16749
+    assert calls == CALLS_OBSERVED
