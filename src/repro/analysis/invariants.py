@@ -495,7 +495,10 @@ class LockAudit:
         # DFS from the owner whose new edges might close a cycle, each
         # owner's blockers in sorted order. An owner that waits for
         # nothing closes no cycle, so the search does not enter it.
+        # Until a cycle is reported, a new one runs through ``start``.
         wait_for = self.wait_for
+        if not self.deadlocks and start not in set().union(*wait_for.values()):
+            return
         path: List[str] = []
         seen: set = set()
 

@@ -64,6 +64,7 @@ class Endpoint:
         self._peers_cache: list[str] = []
         self._peers_version = -1
         network.register(self)
+        self._links = network.stats.links.setdefault(name, {})  #: by dst
 
     def __repr__(self) -> str:
         return f"<Endpoint {self.name!r}>"
@@ -126,9 +127,9 @@ class Endpoint:
         names = _KINDS.get(kind) or _kind_names(kind)
         network.send(_new_tuple(Message, (
             self.name, dst, names[0], payload,
-            sys.intern(tag) if tag else names[1],
+            tag if tag is names[1] else sys.intern(tag) if tag else names[1],
             next(network._msg_ids), None, False,
-        )))
+        )), link=self._links.get(dst))
 
     def request(
         self,
@@ -152,13 +153,14 @@ class Endpoint:
         names = _KINDS.get(kind) or _kind_names(kind)
         msg = _new_tuple(Message, (
             self.name, dst, names[0], payload,
-            sys.intern(tag) if tag else names[1], msg_id, None, True,
+            tag if tag is names[1] else sys.intern(tag) if tag else names[1],
+            msg_id, None, True,
         ))
         result = _new_object(Event)  # Event(self.env), with no call
         result.env, result.callbacks, result._value = self.env, [], _PENDING
         result._ok, result._defused = True, False
         self._pending[msg_id] = result
-        network.send(msg)
+        network.send(msg, link=self._links.get(dst))
 
         if timeout is not None:
             # The deadline runs at LATE priority so a reply delivered at
@@ -195,7 +197,7 @@ class Endpoint:
                 self.name, to.src, names[0], payload, to.tag or names[1],
                 next(network._msg_ids), to.msg_id, False,
             ))
-        network.send(msg)
+        network.send(msg, link=self._links.get(to.src))
 
     # ---------------------------------------------------------------- #
     # receiving

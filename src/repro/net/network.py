@@ -12,14 +12,15 @@ Every send, delivery and drop is published on the hub's taps
 from __future__ import annotations
 
 from heapq import heappush
+from itertools import count
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.net.faults import FaultInjector
 from repro.net.latency import ConstantLatency, LatencyModel
-from repro.net.message import Message
-from repro.net.stats import NetworkStats
+from repro.net.message import _KINDS, Message
+from repro.net.stats import NetworkStats, _Link
 from repro.obs.hub import NULL_OBS, Observability
 from repro.sim.engine import Environment
 from repro.sim.events import NORMAL, Event
@@ -32,6 +33,14 @@ _new_object = object.__new__
 
 class EndpointNotFound(KeyError):
     """Raised when sending to an unregistered endpoint name."""
+
+
+class _Delivery(Event):
+    """A message's delivery (the message is its value): it always succeeds."""
+
+    __slots__ = ()
+    _ok = True
+    _defused = False
 
 
 class Network:
@@ -83,8 +92,8 @@ class Network:
             )
         self.rng = rng
         self.stats = NetworkStats()
-        #: (src, dst) -> last scheduled delivery time on that pair
-        self._last_delivery: dict[tuple[str, str], float] = {}
+        #: every delivery's callbacks (the kernel only reads them)
+        self._deliver_cbs = [self._deliver]
         self.faults = faults if faults is not None else FaultInjector(rng=self.rng)
         self.perturb = perturb
         self.obs = obs
@@ -100,9 +109,7 @@ class Network:
         self.registrations = 0
         # Per-network message ids: two identical runs in one process get
         # identical ids (the module-global fallback in Message does not).
-        from itertools import count as _count
-
-        self._msg_ids = _count(1)
+        self._msg_ids = count(1)
 
     # ---------------------------------------------------------------- #
     # topology
@@ -141,17 +148,23 @@ class Network:
     # transmission
     # ---------------------------------------------------------------- #
 
-    def send(self, msg: Message) -> None:
-        """Transmit ``msg``: count it, maybe drop it, else schedule delivery."""
+    def send(self, msg: Message, link: Optional[_Link] = None) -> None:
+        """Transmit ``msg``: count it, maybe drop it, else schedule delivery.
+        ``link`` is its pair's (an endpoint passes it once it exists)."""
         src, dst, kind, _payload, tag, _id, _reply_to, _expects = msg
-        if dst not in self._endpoints:
-            raise EndpointNotFound(dst)
+        if link is None:
+            if dst not in self._endpoints:
+                raise EndpointNotFound(dst)
+            link = self.stats.link(src, dst)
         # What stats.record_send(msg, size) counts, inline.
         stats = self.stats
         if self.size_model is not None:
             stats.bytes_total += self.size_model.message_size(msg)
         stats.sent_total += 1
-        stats._ledger[(src, dst, tag, kind)] += 1
+        try:
+            link[kind if tag is _KINDS[kind][1] else (kind, tag)] += 1
+        except KeyError:
+            stats.count(src, dst, link, kind, tag)
         env = self.env
         now = env._now
         if self._on_send:
@@ -184,19 +197,17 @@ class Network:
         # Per-pair FIFO: no delivery earlier than the pair's last one.
         # Unconditional, because ``rel.probe``'s answer is definitive
         # only if nothing sent before it can arrive after it.
-        pair = (src, dst)
         when = now + delay
-        last = self._last_delivery.get(pair, when)
+        last = link.last
         if when < last:
             when = last
-        self._last_delivery[pair] = when
+        link.last = when
 
         # The delivery event, carrying the message, built and pushed
         # with the key env.schedule(delivery, delay=delay) makes (the
         # kernel's perturbation hook, when set, must see the delay).
-        delivery = _new_object(Event)
-        delivery.env, delivery.callbacks, delivery._value = env, [self._deliver], msg
-        delivery._ok, delivery._defused = True, False
+        delivery = _new_object(_Delivery)
+        delivery.env, delivery.callbacks, delivery._value = env, self._deliver_cbs, msg
         delay = when - now
         if env.perturb is not None:
             return env.schedule(delivery, delay=delay)
@@ -207,9 +218,7 @@ class Network:
     def _deliver(self, delivery: Event) -> None:
         """Callback of the delivery event, which carries the message."""
         msg = delivery._value
-        endpoint = self._endpoints.get(msg.dst)
-        if endpoint is None:  # pragma: no cover - unregister race
-            return
+        endpoint = self._endpoints[msg.dst]  # registered for good
         faults = self.faults
         if not faults.quiet and faults.is_crashed(msg.dst):
             # Crashed while the message was in flight.

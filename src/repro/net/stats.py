@@ -10,10 +10,9 @@ correspondences on demand.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.message import Message
+from repro.net.message import _KINDS, Message, _kind_names
 
 #: messages per correspondence, per the paper's Fig. 6 caption
 MESSAGES_PER_CORRESPONDENCE = 2
@@ -24,17 +23,23 @@ def correspondences(message_count: float) -> float:
     return message_count / MESSAGES_PER_CORRESPONDENCE
 
 
+class _Link(dict):
+    """A directed pair's count cells since the last fold, and its FIFO clock."""
+
+    __slots__ = ("last",)
+
+
 class NetworkStats:
     """Counters for every message handed to the network.
 
     Dropped messages (faults) are counted separately — they were
     transmitted, so they still cost a correspondence half.
 
-    A send bumps ``sent_total`` and one slot of a ledger keyed
-    ``(src, dst, tag, kind)``. The views — ``by_tag`` (Fig. 6),
-    ``by_site`` and ``by_site_tag`` (Table 1), and the per-kind census
-    ``by_kind`` — are read a few times per run, so reading one folds the
-    ledger into them first, in its insertion order: each view gets the
+    A send bumps ``sent_total`` and one count cell of its pair's
+    :class:`_Link`. The views — ``by_tag`` (Fig. 6), ``by_site`` and
+    ``by_site_tag`` (Table 1), and the per-kind census ``by_kind`` — are
+    read a few times per run, so reading one folds the cells into them
+    first, in the order the cells were first used: each view gets the
     key order eager counting would.
     """
 
@@ -49,17 +54,37 @@ class NetworkStats:
         self._by_site: Counter = Counter()
         self._by_site_tag: Counter = Counter()
         self._by_kind: Counter = Counter()
-        #: (src, dst, tag, kind) -> sends not yet folded into the views
-        self._ledger: Counter = Counter()
+        #: src -> dst -> the pair's link; an endpoint keeps its own row
+        self.links: dict[str, dict[str, _Link]] = {}
+        #: each cell's src, dst, tag, kind, link and key, flat, by first use
+        self._first_use: list = []
 
-    def record_send(self, msg: "Message", size: Optional[int] = None) -> None:
+    def link(self, src: str, dst: str) -> _Link:
+        """The ``(src, dst)`` link, made on the pair's first send."""
+        links = self.links.setdefault(src, {})
+        if dst not in links:
+            link = links[dst] = _Link()
+            link.last = float("-inf")  # clamps nothing
+        return links[dst]
+
+    def count(self, src: str, dst: str, link: _Link, kind: str, tag: str) -> None:
+        """Count one send in ``link``'s cell for it, made on first use: the
+        kind, or ``(kind, tag)`` for a tag other than the kind's default."""
+        names = _KINDS.get(kind) or _kind_names(kind)
+        cell = kind if tag is names[1] else (kind, tag)
+        if cell not in link:
+            link[cell] = 0
+            self._first_use += (src, dst, tag, kind, link, cell)
+        link[cell] += 1
+
+    def record_send(self, msg: Message, size: Optional[int] = None) -> None:
         """Account one transmitted message (``size`` in wire bytes)."""
         self.sent_total += 1
-        self._ledger[(msg.src, msg.dst, msg.tag, msg.kind)] += 1
+        self.count(msg.src, msg.dst, self.link(msg.src, msg.dst), msg.kind, msg.tag)
         if size is not None:
             self.bytes_total += size
 
-    def record_drop(self, msg: "Message") -> None:
+    def record_drop(self, msg: Message) -> None:
         """Account a message lost to a fault (already counted as sent)."""
         self.dropped_total += 1
 
@@ -68,15 +93,16 @@ class NetworkStats:
     # -------------------------------------------------------------- #
 
     def _fold(self) -> None:
-        """Bring the ``by_*`` views up to date with the ledger."""
-        for (src, dst, tag, kind), n in self._ledger.items():
-            self._by_tag[tag] += n
-            self._by_site[src] += n
-            self._by_site[dst] += n
-            self._by_site_tag[(src, tag)] += n
-            self._by_site_tag[(dst, tag)] += n
-            self._by_kind[kind] += n
-        self._ledger.clear()
+        """Move the cells' counts into the ``by_*`` views."""
+        for src, dst, tag, kind, link, cell in zip(*[iter(self._first_use)] * 6):
+            n, link[cell] = link[cell], 0
+            if n:
+                self._by_tag[tag] += n
+                self._by_site[src] += n
+                self._by_site[dst] += n
+                self._by_site_tag[(src, tag)] += n
+                self._by_site_tag[(dst, tag)] += n
+                self._by_kind[kind] += n
 
     @property
     def by_tag(self) -> Counter:

@@ -39,7 +39,7 @@ ITEM = "item0"
 
 
 #: Python calls of the pinned 8-retailer episode (see ``TestAskPathWork``)
-CALLS_WIDE = 231542
+CALLS_WIDE = 231614
 
 
 def wide_episode_calls():
@@ -88,7 +88,10 @@ class TestAskPathWork:
     its own frame instead of through ``replica_peers`` and
     ``peers_for``: 2 per call of its 2 719, 1 for the 9 that fill the
     cache, 5 429 fewer; a process settles its own event instead of
-    calling ``succeed``, 1 301 fewer: 231 542. A rise means
+    calling ``succeed``, 1 301 fewer: 231 542. Per-pair links add 72,
+    one ``NetworkStats.link`` per directed pair's first send; each count
+    cell's first use calls ``first_use`` where the ledger called
+    ``Counter.__missing__`` (128 each): 231 614. A rise means
     per-ask or per-message work came back; a fall is a change to
     re-pin with a CHANGES.md note.
     """

@@ -34,7 +34,7 @@ def run_one(system, site, item, delta):
 
 #: Python calls of the pinned open-loop 2PC run (see
 #: ``TestContention.test_open_loop_2pc_python_calls_are_pinned``)
-CALLS_2PC = 68293
+CALLS_2PC = 68299
 
 
 def open_loop_2pc_calls():
@@ -210,7 +210,10 @@ class TestContention:
         instead of calling ``succeed`` (1 794), ``env.all_of`` building
         its ``AllOf`` without the ``__init__`` hop (600) and the lock
         queue's waiter built without a dataclass ``__init__`` (101) save
-        2 495, which made the pinned count. A rise means
+        2 495: 68 293. Per-pair links add 6 calls, one per directed
+        pair's first send (``NetworkStats.link``); each count cell's
+        first use calls ``first_use`` where the ledger called
+        ``Counter.__missing__`` (24 each): 68 299. A rise means
         per-event or per-message work came back; a fall is a change to
         re-pin with a CHANGES.md note.
         """

@@ -1,7 +1,11 @@
 """Integration tests for Network + Endpoint: RPC, FIFO, faults, timeouts."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import (
     ConstantLatency,
@@ -13,7 +17,7 @@ from repro.net import (
 )
 from repro.obs.hub import Observability
 from repro.sim import Environment
-from repro.sim.events import NORMAL
+from repro.sim.events import NORMAL, Event
 
 
 def make_net(latency=None, **kw):
@@ -491,3 +495,258 @@ def test_uniform_latency_run_is_draw_for_draw_unchanged():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "6b6970e7ec81602eee4ffaded6471316db5bf940d9a0a825d9b1af20e536339c"
     )
+
+
+# -------------------------------------------------------------------- #
+# the link path against the pair-keyed accounting it replaced
+# -------------------------------------------------------------------- #
+
+VIEWS = ("by_tag", "by_site", "by_site_tag", "by_kind")
+
+
+class _LedgerStats:
+    """The accounting ``NetworkStats`` kept before links: one ledger
+    keyed ``(src, dst, tag, kind)``, folded into the views on read in
+    its insertion order."""
+
+    def __init__(self):
+        self.sent_total = self.dropped_total = self.bytes_total = 0
+        self._ledger = Counter()
+        self._views = {name: Counter() for name in VIEWS}
+        self.links = {}  # the endpoints' link rows: never filled here
+
+    def record_send(self, msg, size=None):
+        self.sent_total += 1
+        self._ledger[(msg.src, msg.dst, msg.tag, msg.kind)] += 1
+
+    def record_drop(self, msg):
+        self.dropped_total += 1
+
+    def view(self, name):
+        views = self._views
+        for (src, dst, tag, kind), n in self._ledger.items():
+            views["by_tag"][tag] += n
+            views["by_site"][src] += n
+            views["by_site"][dst] += n
+            views["by_site_tag"][(src, tag)] += n
+            views["by_site_tag"][(dst, tag)] += n
+            views["by_kind"][kind] += n
+        self._ledger.clear()
+        return views[name]
+
+
+class _PairClockNetwork(Network):
+    """``Network.send`` as it was: the ledger above and a
+    ``{(src, dst): last delivery}`` FIFO clamp; ``link`` is ignored."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stats = _LedgerStats()
+        self._last_delivery = {}
+
+    def send(self, msg, link=None):
+        src, dst = msg.src, msg.dst
+        if dst not in self._endpoints:
+            raise EndpointNotFound(dst)
+        self.stats.record_send(msg)
+        now = self.env.now
+        for fn in self._on_send:
+            fn(now, src, msg)
+        if not self.faults.quiet and self.faults.should_drop(src, dst):
+            self.stats.record_drop(msg)
+            for fn in self._on_drop:
+                fn(now, src, msg)
+            return
+        delay = self.latency.sample(src, dst, self.rng)
+        if self.perturb is not None:
+            delay = self.perturb(msg, delay)
+        when = now + delay
+        when = max(when, self._last_delivery.get((src, dst), when))
+        self._last_delivery[(src, dst)] = when
+        delivery = Event(self.env)
+        delivery._value = msg
+        delivery.callbacks.append(self._deliver)
+        self.env.schedule(delivery, delay=when - now)
+
+
+LINK_SITES = ("s0", "s1", "s2")
+#: ``ping.a`` replies from a plain handler, ``job.b`` from a generator
+#: after a tick, ``note.c`` never replies
+LINK_KINDS = ("ping.a", "job.b", "note.c")
+#: "" and each kind's own prefix are default tags; the rest are not
+LINK_TAGS = ("", "ping", "job", "note", "x")
+
+_site = st.sampled_from(LINK_SITES)
+_kind = st.sampled_from(LINK_KINDS)
+_tag = st.sampled_from(LINK_TAGS)
+LINK_OPS = st.lists(st.one_of(
+    st.tuples(st.just("send"), _site, _site, _kind, _tag),
+    st.tuples(st.just("request"), _site, _site, _kind, _tag,
+              st.sampled_from([None, 2.0])),
+    # Network.send without a link, and record_send without a send
+    st.tuples(st.just("direct"), _site, _site, _kind, _tag),
+    st.tuples(st.just("record"), _site, _site, _kind, _tag),
+    st.tuples(st.just("crash"), _site),
+    st.tuples(st.just("recover"), _site),
+    st.tuples(st.just("drops"), st.sampled_from([0.0, 0.3])),
+    st.tuples(st.just("read"), st.sampled_from(VIEWS)),
+    st.tuples(st.just("wait"), st.sampled_from([0.5, 1.5])),
+), max_size=60)
+
+
+def _run_link_traffic(network_class, ops, perturb, seed):
+    """Drive ``ops`` through a fresh three-site network; returns every
+    tap event in order and what each ``read`` op saw."""
+    from repro.net.message import Message
+
+    env = Environment()
+    network = network_class(
+        env, latency=UniformLatency(0.1, 3.0),
+        rng=np.random.default_rng(seed), obs=Observability(enabled=False),
+    )
+    jitter = np.random.default_rng(seed + 1)
+    if perturb == "identity":
+        network.perturb = lambda msg, delay: delay
+    elif perturb == "jitter":
+        network.perturb = lambda msg, delay: delay + float(jitter.uniform(0, 2))
+    log = []
+    for tap in ("msg.send", "msg.recv", "msg.drop"):
+        network.obs.subscribe(
+            tap, lambda now, site, msg, tap=tap: log.append((tap, now, site, msg))
+        )
+    endpoints = {name: network.endpoint(name) for name in LINK_SITES}
+
+    def job(msg):
+        yield env.timeout(1.0)
+        return msg.payload
+
+    for endpoint in endpoints.values():
+        endpoint.on("ping.a", lambda msg: msg.payload)
+        endpoint.on("job.b", job)
+        endpoint.on("note.c", lambda msg: None)
+
+    def client(endpoint, dst, kind, payload, tag, timeout):
+        try:
+            reply = yield endpoint.request(dst, kind, payload, tag, timeout)
+        except (RequestTimeout, CrashedEndpointError) as exc:
+            reply = type(exc).__name__
+        log.append(("reply", env.now, endpoint.name, reply))
+
+    def driver():
+        for n, (op, *args) in enumerate(ops):
+            if op in ("send", "request", "direct", "record"):
+                src, dst, kind, tag, *timeout = args
+                endpoint = endpoints[src]
+                try:
+                    if op == "send":
+                        endpoint.send(dst, kind, n, tag)
+                    elif op == "request":
+                        env.process(client(endpoint, dst, kind, n, tag, *timeout))
+                    else:
+                        msg = Message(src, dst, kind, n, tag, msg_id=-n)
+                        if op == "direct":
+                            network.send(msg)
+                        else:
+                            network.stats.record_send(msg)
+                except CrashedEndpointError:
+                    log.append(("crashed", env.now, src, n))
+            elif op == "crash":
+                network.faults.crash(args[0])
+            elif op == "recover":
+                network.faults.recover(args[0])
+            elif op == "drops":
+                network.faults.set_drop_probability(args[0])
+            elif op == "read":
+                stats = network.stats
+                view = (
+                    stats.view(args[0]) if isinstance(stats, _LedgerStats)
+                    else getattr(stats, args[0])
+                )
+                log.append(("read", env.now, args[0], list(view.items())))
+            else:
+                yield env.timeout(args[0])
+
+    env.process(driver())
+    env.run()
+    return network, log
+
+
+class TestLinkPath:
+    """Per-pair links (FIFO clock and count cells on one object) deliver
+    and count exactly what the pair dict and the 4-tuple ledger did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=LINK_OPS, perturb=st.sampled_from([None, "identity", "jitter"]),
+           seed=st.integers(0, 3))
+    def test_links_deliver_and_count_as_the_pair_ledger_did(
+        self, ops, perturb, seed
+    ):
+        network, log = _run_link_traffic(Network, ops, perturb, seed)
+        reference, expected = _run_link_traffic(
+            _PairClockNetwork, ops, perturb, seed
+        )
+        assert log == expected  # every send, delivery, drop and read
+        stats, ref = network.stats, reference.stats
+        for name in VIEWS:
+            # list(items()) compares key order as well as values
+            assert list(getattr(stats, name).items()) == list(
+                ref.view(name).items()
+            ), name
+        assert (stats.sent_total, stats.dropped_total) == (
+            ref.sent_total, ref.dropped_total
+        )
+        assert network.env._eseq == reference.env._eseq
+        assert network.env.events_processed == reference.env.events_processed
+
+
+#: what the network keeps per active directed pair on the 10 000-update
+#: scale episode: 186 B (tracemalloc's count), each pair's link, count
+#: cells, FIFO clock, first-use entries and slot in its sender's row;
+#: the ``(src, dst)`` clock dict and the ``(src, dst, tag, kind)`` ledger
+#: kept 247 B
+NET_BYTES_PER_PAIR = 200
+
+
+def test_network_bytes_per_pair_are_bounded():
+    """What the network retains per directed pair that carried a
+    message: tracemalloc's count of the live blocks that
+    ``repro/net/network.py`` and ``repro/net/stats.py`` allocated during
+    the episode, less the kernel's queue, per pair. The delivery keys'
+    times are excluded: the clock hands them to every timestamp stored
+    at that instant. A dict key table the interpreter takes from its
+    free list counts where it was first allocated, so most links' cell
+    tables fall outside this count."""
+    import gc
+    import inspect
+    import tracemalloc
+
+    from repro.cluster import DistributedSystem, Topology, item_ids, paper_config
+    from repro.experiments.scale import make_scale_trace
+    from repro.net.stats import NetworkStats
+    from repro.workload.driver import run_closed
+
+    topology = Topology.parse("regional:7x6:s2", item_ids(10_000))
+    trace = make_scale_trace(topology, 10_000, 0)
+    system = DistributedSystem.build(
+        paper_config(n_items=10_000, seed=0, topology=topology)
+    )
+    paths = {inspect.getsourcefile(Network), inspect.getsourcefile(NetworkStats)}
+    lines, first = inspect.getsourcelines(Network.send)
+    [push] = [first + i for i, line in enumerate(lines) if "heappush(" in line]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_closed(system, trace)
+        system.env._queue.clear()  # in-flight deliveries and the heap
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    retained = sum(
+        stat.size for stat in snapshot.statistics("lineno")
+        if stat.traceback[0].filename in paths
+        and stat.traceback[0].lineno != push
+    )
+    pairs = sum(len(row) for row in system.network.stats.links.values())
+    assert pairs == 162
+    assert retained / pairs <= NET_BYTES_PER_PAIR
