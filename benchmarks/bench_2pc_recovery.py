@@ -43,7 +43,7 @@ def _run(seed=9, n_updates=160):
         for round_ in range(6):
             yield env.timeout(120.0)
             victim = victims[round_ % 2]
-            system.network.faults.crash(victim)
+            system.sites[victim].crash()
             yield env.timeout(40.0)
             system.sites[victim].restart()
 

@@ -40,9 +40,9 @@ tracker = AvailabilityTracker(FAULT_START, FAULT_END)
 def crash_the_maker(env):
     yield env.timeout(FAULT_START)
     print(f"[t={env.now:6.1f}] *** maker crashes ***")
-    system.network.faults.crash(config.maker)
+    system.sites[config.maker].crash()
     yield env.timeout(FAULT_END - FAULT_START)
-    system.network.faults.recover(config.maker)
+    system.sites[config.maker].restart()
     print(f"[t={env.now:6.1f}] *** maker recovers ***")
 
 

@@ -197,6 +197,14 @@ class CentralizedSystem:
     def run(self, until=None):
         return self.env.run(until=until)
 
+    # A crash cuts the links: all fail-stop does to the server, which
+    # runs no process (its experiments crash nothing else).
+    def crash(self, name: str) -> None:
+        self.network.faults.crash(name)
+
+    def restart(self, name: str) -> None:
+        self.network.faults.recover(name)
+
     def __repr__(self) -> str:
         return (
             f"<CentralizedSystem clients={len(self.clients)}"

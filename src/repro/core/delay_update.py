@@ -38,7 +38,7 @@ from repro.core.types import (
     UpdateResult,
     _new_tuple,
 )
-from repro.net.endpoint import CrashedEndpointError, RequestTimeout
+from repro.net.endpoint import RequestTimeout
 from repro.obs.spans import (
     NULL_ROW,
     PAIR_ROUND,
@@ -55,8 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: the outcome a covered update's tree records (``Enum.value`` is a
 #: Python-level property, too slow to read once per update)
 _COMMITTED = UpdateOutcome.COMMITTED.value
-#: the outcome of an update whose site died under it
-_FAILED = UpdateOutcome.FAILED.value
 
 
 class DelayUpdateProtocol:
@@ -137,8 +135,8 @@ class DelayUpdateProtocol:
         (:meth:`~repro.obs.spans.SpanRecorder.write_tree`), taking its
         ids then, or, under eager propagation, reserving them before the
         push, whose span the receivers' spans hang off. If a step raises,
-        the tree breaks into the rows it had reached (see
-        :meth:`_break_tree`)."""
+        the tree breaks into the rows it had reached
+        (:meth:`~repro.obs.spans.SpanRecorder.break_tree`)."""
         accel = self.accel
         item, delta = req.item, req.delta
         step = TREE_CHECKED
@@ -177,9 +175,16 @@ class DelayUpdateProtocol:
                 base = accel.obs.recorder.open_tree(True)
                 push = (update_trace(req.site, req.request_id), base + 3, base)
             pushed = self._propagate(item, delta, parent, push)
-        except BaseException as exc:
+        except BaseException:
             if tree:
-                self._break_tree(req, base, step, exc)
+                # Write the rows the tree reached, and its root open.
+                rec = accel.obs.recorder
+                now = accel.env._now
+                trace = update_trace(req.site, req.request_id)
+                root = (trace, rec.break_tree(base, step, trace, accel.site,
+                                              now, item, delta), None)
+                rec.keep_open(root, "update", accel.site, now,
+                              ("item", "delta"), (item, delta))
             raise
         result = self._done(req, UpdateOutcome.COMMITTED, local=True)
         if tree:
@@ -188,28 +193,6 @@ class DelayUpdateProtocol:
                 _COMMITTED, None if push is None else pushed,
             )
         return result
-
-    def _break_tree(self, req: UpdateRequest, base: int, step: int,
-                    exc: BaseException) -> None:
-        """A step of :meth:`local`'s tree raised ``exc`` after reaching
-        ``step``: write the rows it reached
-        (:meth:`~repro.obs.spans.SpanRecorder.break_tree`), and its
-        root as the update's span would be left: open, or, if the site
-        died (an eager push from a dead site, which the accelerator
-        fails), written with the failed outcome."""
-        accel = self.accel
-        rec = accel.obs.recorder
-        now = accel.env._now
-        trace = update_trace(req.site, req.request_id)
-        root = (trace, rec.break_tree(base, step, trace, accel.site, now,
-                                      req.item, req.delta), None)
-        if isinstance(exc, CrashedEndpointError):
-            rec.write_row(root, "update", accel.site, now, now,
-                          ("item", "delta", "outcome"),
-                          (req.item, req.delta, _FAILED))
-        else:
-            rec.keep_open(root, "update", accel.site, now, ("item", "delta"),
-                          (req.item, req.delta))
 
     def _execute(self, req: UpdateRequest, span=None):
         """The protocol body (see class docs)."""
@@ -319,7 +302,7 @@ class DelayUpdateProtocol:
                     rec.close_span(request, accel.now, ("timeout",), (True,))
                 continue
             except BaseException:
-                # Typically CrashedEndpointError: we died mid-gathering.
+                # Typically the crash's Interrupt: we died mid-gathering.
                 # Return the held volume to the table so no AV leaks —
                 # the site's state must be exact when it restarts.
                 if observed:

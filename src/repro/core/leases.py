@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.net.endpoint import CrashedEndpointError, RequestTimeout
+from repro.net.endpoint import RequestTimeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.accelerator import Accelerator
@@ -66,8 +66,8 @@ class LeaseTable:
     Grantor side: :meth:`grant` opens a lease (and its expiry timer);
     the ack handler / probe outcome resolves it via :meth:`discharge` or
     revert. Holder side: :meth:`receive` records the receipt and acks;
-    :meth:`re_ack` replays acks after a crash (receipts survive — a
-    crash here is network isolation, not memory loss).
+    :meth:`re_ack` replays acks after a crash. Open leases and receipts
+    are durable; the restart re-arms the expiry timers (:meth:`rearm`).
 
     Parameters
     ----------
@@ -155,20 +155,23 @@ class LeaseTable:
                    lease.holder, lease.lease_id)
         self.accel.av_table.add(lease.item, lease.amount)
 
+    def rearm(self) -> None:
+        """Start one expiry timer per open lease (a restart: the crash
+        ended the timers, each lease waits a full timeout again)."""
+        for lease in self._open.values():
+            self.env.process(self._expiry(lease), owner=self.accel.site)
+
     def _expiry(self, lease: Lease):
         """Timer: probe the holder once the lease outlives its timeout.
 
         FIFO makes the first answered probe definitive, so the loop only
-        needs to survive timeouts and crash windows (either end). It
-        exits as soon as the lease resolves — including via an ack that
-        lands while a probe is in flight.
+        needs to survive timeouts (a holder that is down). It exits as
+        soon as the lease resolves — including via an ack that lands
+        while a probe is in flight.
         """
         params = self.params
         yield self.env.timeout(params.lease_timeout)
         while lease.lease_id in self._open:
-            if self.accel.endpoint.crashed:
-                yield self.env.timeout(params.probe_interval)
-                continue
             try:
                 reply = yield self.accel.endpoint.request(
                     lease.holder,
@@ -179,9 +182,6 @@ class LeaseTable:
                 )
             except RequestTimeout:
                 self.probes += 1
-                yield self.env.timeout(params.probe_interval)
-                continue
-            except CrashedEndpointError:
                 yield self.env.timeout(params.probe_interval)
                 continue
             self.probes += 1
@@ -218,23 +218,17 @@ class LeaseTable:
         apply the volume again (the first delivery did).
         """
         key = (grantor, lease_id)
-        if key in self._receipts:
-            self._send_ack(grantor, lease_id)
-            return False
-        self._receipts[key] = self.env.now
+        fresh = key not in self._receipts
+        if fresh:
+            self._receipts[key] = self.env.now
         self._send_ack(grantor, lease_id)
-        return True
+        return fresh
 
     def _send_ack(self, grantor: str, lease_id: int) -> None:
-        try:
-            self.accel.endpoint.send(
-                grantor, "av.lease.ack", {"lease": lease_id}, tag=TAG_LEASE
-            )
-            self.acks_sent += 1
-        except CrashedEndpointError:
-            # We are isolated; the receipt is recorded, so either the
-            # grantor's probe or our rejoin-time re_ack resolves it.
-            pass
+        self.accel.endpoint.send(
+            grantor, "av.lease.ack", {"lease": lease_id}, tag=TAG_LEASE
+        )
+        self.acks_sent += 1
 
     def re_ack(self) -> int:
         """Replay acks for every recorded receipt (crash-recovery rejoin).

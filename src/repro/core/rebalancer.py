@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.sim.process import Periodic
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.accelerator import Accelerator
 
@@ -26,8 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.net.protocol import TAG_REBALANCE  # noqa: F401
 
 
-class AVRebalancer:
-    """Background surplus-pusher for one site.
+class AVRebalancer(Periodic):
+    """Background surplus-pusher for one site (until :meth:`stop`; a
+    crash ends it, the restart starts it again).
 
     Parameters
     ----------
@@ -59,6 +62,7 @@ class AVRebalancer:
         if not 0.0 < push_fraction <= 1.0:
             raise ValueError("push_fraction must be in (0, 1]")
         self.accel = accel
+        self.env, self.owner, self.daemons = accel.env, accel.site, accel.daemons
         self.interval = interval
         self.surplus_factor = surplus_factor
         self.needy_factor = needy_factor
@@ -66,37 +70,6 @@ class AVRebalancer:
         #: diagnostics
         self.pushes_sent = 0
         self.volume_pushed = 0.0
-        self._proc = None
-
-    # ---------------------------------------------------------------- #
-    # lifecycle
-    # ---------------------------------------------------------------- #
-
-    def start(self):
-        """Spawn the periodic process (idempotent); returns it."""
-        if self._proc is None or self._proc.triggered:
-            self._proc = self.accel.env.process(
-                self._loop(), owner=self.accel.site
-            )
-        return self._proc
-
-    def stop(self) -> None:
-        """Cancel the periodic process (idempotent)."""
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("stopped")
-
-    def _loop(self):
-        from repro.sim.errors import Interrupt
-
-        accel = self.accel
-        try:
-            while True:
-                yield accel.env.timeout(self.interval)
-                if accel.endpoint.crashed:
-                    continue
-                self.rebalance_once()
-        except Interrupt:
-            return
 
     # ---------------------------------------------------------------- #
     # one pass
@@ -157,6 +130,8 @@ class AVRebalancer:
         if rec.enabled:
             rec.close_span(span, accel.now, ("pushes",), (sent,))
         return sent
+
+    tick = rebalance_once
 
     def __repr__(self) -> str:
         return (

@@ -60,8 +60,6 @@ class ReclassificationProtocol:
         accel.endpoint.on("cls.lock", self.handle_lock)
         accel.endpoint.on("cls.to_regular", self.handle_to_regular)
         accel.endpoint.on("cls.to_nonregular", self.handle_to_nonregular)
-        #: reclassifications coordinated by this site (diagnostic)
-        self.coordinated = 0
 
     # ---------------------------------------------------------------- #
     # coordinator entry points (called through Accelerator.reclassify)
@@ -80,7 +78,6 @@ class ReclassificationProtocol:
             raise ReclassificationError(f"{item!r} is already regular")
         if not 0.0 <= av_fraction <= 1.0:
             raise ReclassificationError(f"av_fraction {av_fraction} not in [0, 1]")
-        self.coordinated += 1
         token = f"cls:{accel.site}:{item}:{next(accel._req_ids)}"
         root = rec.open_span(
             "cls.regular", accel.site, accel.now, ("item",), (item,)
@@ -145,7 +142,6 @@ class ReclassificationProtocol:
         rec = accel.obs.recorder
         if not accel.av_table.defined(item):
             raise ReclassificationError(f"{item!r} is already non-regular")
-        self.coordinated += 1
         token = f"cls:{accel.site}:{item}:{next(accel._req_ids)}"
         root = rec.open_span(
             "cls.nonregular", accel.site, accel.now, ("item",), (item,)

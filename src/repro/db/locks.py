@@ -75,8 +75,6 @@ class LockManager:
         self._locks: Dict[str, _ItemLock] = {}
         #: grants performed (diagnostic)
         self.grants = 0
-        #: maximum simultaneous waiters observed (diagnostic)
-        self.max_queue = 0
         #: waiters queued across all items: what ``total_waiting`` reads
         self._waiting = 0
 
@@ -136,7 +134,6 @@ class LockManager:
                 waiter.owner, waiter.mode, waiter.event = owner, mode, event
                 lock.queue.append(waiter)
                 self._waiting += 1
-                self.max_queue = max(self.max_queue, len(lock.queue))
                 if self._on_wait:
                     self._emit(self._on_wait, item, owner, mode, span_id, lock)
                 return event
@@ -165,6 +162,11 @@ class LockManager:
             self._emit(self._on_release, item, owner, None, None, lock)
         if not lock.holders and not lock.queue:
             del self._locks[item]
+
+    def clear(self) -> None:
+        """Forget every holder and waiter, granting none (a crash)."""
+        self._locks.clear()
+        self._waiting = 0
 
     def holders(self, item: str) -> Dict[str, LockMode]:
         lock = self._locks.get(item)

@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.db.errors import TransactionClosed
 from repro.db.storage import Store
-from repro.db.wal import WriteAheadLog
+from repro.db.wal import WalOp, WriteAheadLog
 
 
 class TxnState(enum.Enum):
@@ -110,6 +110,17 @@ class TransactionManager:
         #: (item, delta) pairs applied so far, in order
         txn.deltas = []
         self.wal.log_begin(txn_id)
+        return txn
+
+    def reopen(self, txn_id: int) -> Transaction:
+        """Open transaction ``txn_id`` rebuilt from its WAL records, as a
+        restarting site re-enters its prepared 2PC participants."""
+        txn = _new_object(Transaction)
+        txn.txn_id, txn.state = txn_id, _ACTIVE
+        txn.store, txn.wal, txn.manager = self.store, self.wal, self
+        txn.deltas = [
+            (e.item, e.delta) for e in self.wal._open[txn_id] if e.op is WalOp.DELTA
+        ]
         return txn
 
     def atomic(self) -> "_Atomic":

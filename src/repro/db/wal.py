@@ -57,6 +57,9 @@ class WriteAheadLog:
         #: txn id -> its records so far, for every transaction with a
         #: BEGIN and no COMMIT/ABORT yet (insertion order = BEGIN order)
         self._open: dict[int, list[WalEntry]] = {}
+        #: open transaction id -> the 2PC token it voted ready for (a
+        #: prepared participant); COMMIT or ABORT drops it
+        self.prepared: dict[int, str] = {}
         self._next_lsn = 1
 
     def log_begin(self, txn_id: int) -> WalEntry:
@@ -79,6 +82,7 @@ class WriteAheadLog:
     def log_commit(self, txn_id: int) -> WalEntry:
         if self._open.pop(txn_id, None) is None:
             raise self._no_begin(WalOp.COMMIT, txn_id)
+        self.prepared.pop(txn_id, None)
         lsn = self._next_lsn
         self._next_lsn = lsn + 1
         return _new_tuple(WalEntry, (lsn, WalOp.COMMIT, txn_id, None, 0.0))
@@ -86,6 +90,7 @@ class WriteAheadLog:
     def log_abort(self, txn_id: int) -> WalEntry:
         if self._open.pop(txn_id, None) is None:
             raise self._no_begin(WalOp.ABORT, txn_id)
+        self.prepared.pop(txn_id, None)
         lsn = self._next_lsn
         self._next_lsn = lsn + 1
         return _new_tuple(WalEntry, (lsn, WalOp.ABORT, txn_id, None, 0.0))

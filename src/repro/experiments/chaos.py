@@ -344,15 +344,7 @@ def run_faulted(
     for scheduler in schedulers:
         scheduler.start()
 
-    faults = system.network.faults
-
-    def on_recover(name: str) -> None:
-        # A recover step may have no crash before it (a shrunk case's
-        # orphan): restarting a site that is up must be a no-op.
-        if faults.is_crashed(name):
-            system.sites[name].restart()
-
-    schedule.install(system.env, faults, on_recover=on_recover)
+    schedule.install(system)
 
     # Phase 1: drive the workload through the fault window.
     results = run_open(

@@ -73,7 +73,7 @@ def _availability(
     for label, build, schedule in runs:
         system = build(config)
         tracker = AvailabilityTracker(fault_start, fault_end)
-        schedule.install(system.env, system.network.faults)
+        schedule.install(system)
         run_open(
             system,
             per_site,
@@ -109,7 +109,6 @@ def run_fault_experiment(
     config = paper_config(n_items=n_items, seed=seed, request_timeout=10.0)
 
     def crash_schedule(victim):
-        # The default recover action only clears the crash flag.
         return FaultSchedule().crash(fault_start, victim).recover(fault_end, victim)
 
     return _availability(

@@ -4,7 +4,8 @@ The paper claims the autonomous approach keeps retailers operating through
 maker failures ("fault tolerance"). :class:`FaultInjector` provides the
 three fault classes the experiments use:
 
-* **site crash** — a crashed endpoint neither sends nor receives;
+* **site crash** — a crashed endpoint neither sends nor receives (the
+  network's half of the fail-stop ``Site.crash``);
 * **network partition** — messages crossing partition groups are dropped;
 * **probabilistic message loss** — per-message Bernoulli drop, globally
   or per directed link (overrides the global rate);
@@ -17,14 +18,15 @@ after the call (in-flight messages are delivered — links have memory).
 :class:`FaultSchedule` is the declarative layer on top: a builder of
 timed fault steps (crash/recover/partition/heal/drop-rate/link faults)
 installed as one simulation process, replacing ad-hoc per-experiment
-crasher generators.
+crasher generators; its crash and recover steps go through the system's
+sites.
 """
 
 from __future__ import annotations
 
 import copy as _copy
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -229,10 +231,9 @@ class FaultSchedule:
 
     A chainable builder: each method appends a step, ``install`` spawns
     one process that sleeps between steps and applies them in time order
-    (insertion order breaks ties). ``on_recover`` lets the harness hook
-    site recovery — the chaos harness passes ``Site.restart`` so a
-    recovery runs the full crash-recovery rejoin instead of merely
-    clearing the crash flag.
+    (insertion order breaks ties). A crash step crashes the site
+    (``system.crash``: fail-stop), a recover step restarts it
+    (``system.restart``: crash recovery and rejoin).
 
     >>> schedule = (FaultSchedule()
     ...             .crash(100.0, "site0")
@@ -255,7 +256,7 @@ class FaultSchedule:
         return self._add(time, "crash", site)
 
     def recover(self, time: float, site: str) -> "FaultSchedule":
-        """Recover ``site`` (through ``install``'s ``on_recover`` hook)."""
+        """Restart ``site`` (``system.restart``)."""
         return self._add(time, "recover", site)
 
     def partition(self, time: float, *groups: Iterable[str]) -> "FaultSchedule":
@@ -372,63 +373,41 @@ class FaultSchedule:
 
     # -- execution ---------------------------------------------------- #
 
-    def install(
-        self,
-        env,
-        faults: FaultInjector,
-        on_recover: Optional[Callable[[str], None]] = None,
-    ):
-        """Spawn the process that applies the steps; returns it.
-
-        ``on_recover(site)`` replaces the plain ``faults.recover`` for
-        recover steps (it is then responsible for clearing the crash
-        flag — :meth:`repro.cluster.site.Site.restart` does).
-
-        The step list is deep-copied at install time: mutating the
-        builder afterwards (the fuzzer does, between runs) cannot alias
-        the schedule a running simulation already executes.
+    def install(self, system):
+        """Spawn the process that applies the steps to ``system`` (its
+        ``network`` and its ``crash(site)`` / ``restart(site)``); returns
+        it. The steps are deep-copied now: mutating the builder later
+        (the fuzzer does, between runs) cannot alias a running schedule.
         """
         steps = _copy.deepcopy(self.steps)
+        env = system.env
 
         def runner():
             for step in steps:
                 if step.time > env.now:
                     yield env.timeout(step.time - env.now)
-                self._apply(step, faults, on_recover)
+                self._apply(step, system)
 
         return env.process(runner(), owner=None)
 
     @staticmethod
-    def _apply(
-        step: FaultStep,
-        faults: FaultInjector,
-        on_recover: Optional[Callable[[str], None]],
-    ) -> None:
-        if step.action == "crash":
-            faults.crash(step.args[0])
-        elif step.action == "recover":
-            if on_recover is not None:
-                on_recover(step.args[0])
-            else:
-                faults.recover(step.args[0])
-        elif step.action == "partition":
-            faults.partition(step.args[0])
-        elif step.action == "heal":
-            faults.heal()
-        elif step.action == "drop":
-            faults.set_drop_probability(step.args[0])
-        elif step.action == "link_drop":
-            src, dst, probability = step.args
-            if probability is None:
-                faults.clear_link_drop(src, dst)
-            else:
-                faults.set_link_drop(src, dst, probability)
-        elif step.action == "link_down":
-            faults.link_down(step.args[0], step.args[1])
-        elif step.action == "link_up":
-            faults.link_up(step.args[0], step.args[1])
-        else:  # pragma: no cover - builder methods are the only writers
-            raise ValueError(f"unknown fault action {step.action!r}")
+    def _apply(step: FaultStep, system) -> None:
+        faults = system.network.faults
+        args = step.args
+        if step.action == "link_drop" and args[2] is None:
+            faults.clear_link_drop(*args[:2])
+            return
+        # The builder methods are the only writers of step actions.
+        {
+            "crash": system.crash,
+            "recover": system.restart,
+            "partition": faults.partition,
+            "heal": faults.heal,
+            "drop": faults.set_drop_probability,
+            "link_drop": faults.set_link_drop,
+            "link_down": faults.link_down,
+            "link_up": faults.link_up,
+        }[step.action](*args)
 
     def __repr__(self) -> str:
         return f"<FaultSchedule {len(self._steps)} steps last_t={self.last_time:g}>"

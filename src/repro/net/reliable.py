@@ -23,12 +23,14 @@ request/reply machinery:
   payload later under a fresh sequence number without risking double
   application.
 
-A sender that crashes mid-delivery does not lose the delivery: the
-driving process survives the crash (crash = network isolation in this
-simulation) and resolves the outcome by probing once the endpoint is
-back. Deliveries to a peer that never becomes reachable again probe
-forever; bound such runs with ``run(until=...)`` — any schedule that
-eventually heals drains cleanly.
+A crash is fail-stop: it kills the process driving a delivery, not the
+delivery. The **outbox** of unfinished deliveries and the receiver's
+record of sequence numbers seen are durable
+(``repro.cluster.site.DURABLE``): the restart resumes each delivery
+under its old sequence number, so a copy that did arrive is
+deduplicated. Deliveries to a peer that never becomes reachable again
+probe forever; bound such runs with ``run(until=...)`` — any schedule
+that eventually heals drains cleanly.
 """
 
 from __future__ import annotations
@@ -39,12 +41,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.net.endpoint import (
-    CrashedEndpointError,
-    Endpoint,
-    Handler,
-    RequestTimeout,
-)
+from repro.net.endpoint import Endpoint, Handler, RequestTimeout
 from repro.net.message import Message
 from repro.sim.process import Process
 
@@ -70,8 +67,7 @@ class ReliabilityParams:
     max_attempts:
         Transmissions (first send + retries) before switching to probing.
     probe_interval:
-        Idle time between probe attempts (and between liveness re-checks
-        while the sender itself is crashed).
+        Idle time between probe attempts.
     lease_timeout:
         How long a grantor holds granted-but-unacked AV under a lease
         before probing the holder (see :mod:`repro.core.leases`). Must
@@ -126,6 +122,9 @@ class ReliableSession:
         self._seq: dict[str, count] = {}
         #: sequence numbers seen, per source (dedup + probe answers)
         self._seen: dict[str, set[int]] = {}
+        #: unfinished deliveries: (dst, seq) -> (kind, payload, tag, the
+        #: process whose outcome the sender waits on)
+        self._outbox: dict[tuple[str, int], tuple] = {}
         #: diagnostics
         self.delivered = 0
         self.undelivered = 0
@@ -182,27 +181,36 @@ class ReliableSession:
         ``True`` means the receiver processed (or deduplicated) the
         message; ``False`` is the probe's definitive "never arrived" —
         the caller may safely resend the content under a new delivery.
-        The process only completes once the outcome is certain, waiting
-        out sender crashes and unreachable receivers along the way.
+        The outcome is only given once it is certain: unreachable
+        receivers are waited out, and a sender crash hands the delivery
+        (and the callbacks on this process) to :meth:`resume`.
         """
         seq = next(self._seq.setdefault(dst, count(1)))
         payload = dict(payload)
         payload["_rel"] = {"seq": seq}
-        return self.env.process(
+        return self._drive(dst, seq, kind, payload, tag)
+
+    def resume(self) -> None:
+        """Drive every delivery a crash cut short again (a restart); the
+        callbacks on each killed process move to its successor."""
+        for (dst, seq), (kind, payload, tag, dead) in list(self._outbox.items()):
+            self._drive(dst, seq, kind, payload, tag).callbacks.extend(
+                dead.callbacks
+            )
+
+    def _drive(self, dst: str, seq: int, kind: str, payload: dict, tag: str):
+        proc = self.env.process(
             self._deliver(dst, kind, payload, tag, seq),
             owner=self.endpoint.name,
         )
+        self._outbox[(dst, seq)] = (kind, payload, tag, proc)
+        return proc
 
     def _deliver(self, dst: str, kind: str, payload: dict, tag: str, seq: int):
         params = self.params
         timeout = params.ack_timeout
         attempts = 0
         while attempts < params.max_attempts:
-            if self.endpoint.crashed:
-                # We are isolated; the delivery is ambiguous until we
-                # return and can talk to the receiver again.
-                yield self.env.timeout(params.probe_interval)
-                continue
             attempts += 1
             if attempts > 1:
                 self.retransmissions += 1
@@ -218,20 +226,14 @@ class ReliableSession:
                     )
                 timeout *= params.backoff
                 continue
-            except CrashedEndpointError:
-                attempts -= 1
-                yield self.env.timeout(params.probe_interval)
-                continue
             self.delivered += 1
+            del self._outbox[(dst, seq)]
             return True
 
         # Retry budget exhausted: determine the outcome by probing. All
         # copies were sent before the first probe on the same FIFO
         # channel, so the receiver's answer is final.
         while True:
-            if self.endpoint.crashed:
-                yield self.env.timeout(params.probe_interval)
-                continue
             try:
                 reply = yield self.endpoint.request(
                     dst,
@@ -247,10 +249,8 @@ class ReliableSession:
                     + float(self.rng.uniform(0.0, params.jitter * params.probe_interval))
                 )
                 continue
-            except CrashedEndpointError:
-                yield self.env.timeout(params.probe_interval)
-                continue
             self.probes += 1
+            del self._outbox[(dst, seq)]
             if reply["seen"]:
                 self.delivered += 1
                 return True

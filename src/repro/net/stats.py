@@ -40,7 +40,8 @@ class NetworkStats:
     ``by_site_tag`` (Table 1), and the per-kind census ``by_kind`` — are
     read a few times per run, so reading one folds the cells into them
     first, in the order the cells were first used: each view gets the
-    key order eager counting would.
+    key order eager counting would; one with no send since the last
+    (``sent_total`` unmoved) walks nothing.
     """
 
     def __init__(self) -> None:
@@ -58,6 +59,8 @@ class NetworkStats:
         self.links: dict[str, dict[str, _Link]] = {}
         #: each cell's src, dst, tag, kind, link and key, flat, by first use
         self._first_use: list = []
+        #: ``sent_total`` at the last fold
+        self._folded = 0
 
     def link(self, src: str, dst: str) -> _Link:
         """The ``(src, dst)`` link, made on the pair's first send."""
@@ -94,6 +97,9 @@ class NetworkStats:
 
     def _fold(self) -> None:
         """Move the cells' counts into the ``by_*`` views."""
+        if self._folded == self.sent_total:
+            return
+        self._folded = self.sent_total
         for src, dst, tag, kind, link, cell in zip(*[iter(self._first_use)] * 6):
             n, link[cell] = link[cell], 0
             if n:
@@ -138,9 +144,8 @@ class NetworkStats:
 
     def correspondences_for_site_tags(self, site: str, tags) -> float:
         """Correspondences a site participated in, restricted to ``tags``."""
-        return correspondences(
-            sum(self.by_site_tag[(site, t)] for t in tags)
-        )
+        by_site_tag = self.by_site_tag
+        return correspondences(sum(by_site_tag[(site, t)] for t in tags))
 
     def correspondences_for_tags(self, tags) -> float:
         """System-wide correspondences restricted to ``tags``."""

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
+from repro.sim.process import Periodic
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.system import DistributedSystem
 
@@ -50,7 +52,7 @@ class TimeSeriesStore:
         return f"<TimeSeriesStore series={len(self._series)}>"
 
 
-class PeriodicSampler:
+class PeriodicSampler(Periodic):
     """Snapshots per-site state into the system's time-series store.
 
     Series written per site ``s``:
@@ -71,36 +73,11 @@ class PeriodicSampler:
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.system = system
+        self.env = system.env
         self.store = system.obs.series
         self.interval = interval
         #: sampling passes completed (diagnostic)
         self.passes = 0
-        self._proc = None
-
-    # ---------------------------------------------------------------- #
-    # lifecycle (SyncScheduler-style)
-    # ---------------------------------------------------------------- #
-
-    def start(self):
-        """Spawn the periodic process (idempotent); returns it."""
-        if self._proc is None or self._proc.triggered:
-            self._proc = self.system.env.process(self._loop())
-        return self._proc
-
-    def stop(self) -> None:
-        """Cancel the periodic process (idempotent)."""
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("stopped")
-
-    def _loop(self):
-        from repro.sim.errors import Interrupt
-
-        try:
-            while True:
-                yield self.system.env.timeout(self.interval)
-                self.sample_once()
-        except Interrupt:
-            return
 
     # ---------------------------------------------------------------- #
     # one snapshot
@@ -141,6 +118,8 @@ class PeriodicSampler:
             )
             store.record(f"sync.backlog.{name}", now, float(accel.owed_pairs))
         self.passes += 1
+
+    tick = sample_once
 
     def __repr__(self) -> str:
         return (

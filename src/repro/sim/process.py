@@ -81,11 +81,6 @@ class Process(Event):
         """``True`` while the generator has not exited."""
         return not self.triggered
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event the process is currently suspended on."""
-        return self._target
-
     def interrupt(self, cause: object = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
@@ -95,18 +90,44 @@ class Process(Event):
         """
         if self.triggered:
             raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - already detached
-                pass
-            self._target = None
+        self._detach()
         interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks = [self._resume]
+        interrupt_event._ok, interrupt_event._value = False, Interrupt(cause)
+        interrupt_event._defused, interrupt_event.callbacks = True, [self._resume]
         self.env.schedule(interrupt_event, priority=URGENT)
+
+    def kill(self, cause: object = None) -> None:
+        """End the process now, as a fail-stop crash does: throw
+        :class:`Interrupt` into it at once (one not started yet ends
+        without running). A generator that catches it may ``return`` a
+        value, which the process succeeds with, but may not wait again.
+        If the interrupt propagates, the process ends without firing, so
+        nothing waiting on it resumes."""
+        self._detach()
+        del self.env._owned[self.owner][self]
+        generator = self._generator
+        # Dead without firing: triggered (late events are ignored, and a
+        # Periodic's start() spawns anew), never scheduled.
+        self._ok, self._value, self._defused = False, Interrupt(cause), True
+        try:
+            if generator.gi_suspended:
+                generator.throw(self._value)
+                raise RuntimeError(f"{self!r} waited on an event after it was killed")
+        except StopIteration as exc:
+            self._value = _PENDING
+            self.succeed(exc.value)
+        except Interrupt:
+            pass
+        finally:
+            generator.close()
+
+    def _detach(self) -> None:
+        """Stop waiting on the current target (it may still fire)."""
+        target = self._target
+        if target is not None:
+            if target.callbacks is not None:
+                target.callbacks.remove(self._resume)
+            self._target = None
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
@@ -162,3 +183,42 @@ class Process(Event):
         seq = env._eseq
         env._eseq = seq + 1
         heappush(env._queue, (env._now, NORMAL, seq, self))
+
+
+class Periodic:
+    """A process that runs ``tick()`` every ``interval`` until stopped.
+
+    A subclass sets ``env``, ``interval`` and ``tick``, and may set
+    ``owner`` (its site) and ``daemons`` (what that site runs, which a
+    restart starts again) and override :meth:`next_interval`.
+    """
+
+    owner: Optional[str] = None
+    daemons: Optional[dict] = None
+    _proc: Optional[Process] = None
+
+    def start(self) -> Process:
+        """Spawn the periodic process (idempotent); returns it."""
+        if self.daemons is not None:
+            self.daemons[self] = None
+        if self._proc is None or self._proc.triggered:
+            self._proc = self.env.process(self._loop(), owner=self.owner)
+        return self._proc
+
+    def stop(self) -> None:
+        """Cancel the periodic process (idempotent)."""
+        if self.daemons is not None:
+            self.daemons.pop(self, None)
+        if self._proc is not None and self._proc.is_alive:
+            self._proc.interrupt("stopped")
+
+    def next_interval(self) -> float:
+        return self.interval
+
+    def _loop(self):
+        try:
+            while True:
+                yield self.env.timeout(self.next_interval())
+                self.tick()
+        except Interrupt:
+            return

@@ -130,9 +130,7 @@ def run_open(
     ]
     system.run(until=until)
     for proc in procs:
-        # A driver may legitimately end the run untriggered if its site
-        # crashed while an AV request without a timeout was in flight,
-        # or if `until` cut the run short.
+        # A driver may end the run untriggered if `until` cut it short.
         if proc.triggered and not proc.ok:  # pragma: no cover - bug guard
             raise proc.value
     return system.collector.results.since(start)
@@ -213,8 +211,7 @@ def heal_and_settle(
     faults.set_drop_probability(0.0)
     names = sorted(system.sites)
     for name in names:
-        if faults.is_crashed(name):
-            system.sites[name].restart()
+        system.restart(name)
 
     system.run(until=system.env.now + settle)
     for scheduler in schedulers:

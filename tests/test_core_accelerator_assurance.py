@@ -32,7 +32,7 @@ class TestAccelerator:
         system = build_paper_system(n_items=1, initial_stock=50.0)
         accel = system.site("site1").accelerator
         assert accel.live_peers() == ["site0", "site2"]
-        system.network.faults.crash("site0")
+        system.site("site0").crash()
         assert accel.live_peers() == ["site2"]
 
     def test_failed_update_when_site_crashes_midway(self):
@@ -46,18 +46,16 @@ class TestAccelerator:
 
         def crasher(env):
             yield env.timeout(1)
-            system.network.faults.crash("site1")
+            system.site("site1").crash()
 
         system.env.process(crasher(system.env))
         system.run()
         assert proc.ok
         assert proc.value.outcome is UpdateOutcome.FAILED
 
-    def test_update_hangs_without_timeout_when_crashed_midflight(self):
-        """Without a request timeout a crashed requester never resolves.
-
-        This documents why fault experiments must set request_timeout.
-        """
+    def test_update_fails_when_crashed_midflight_without_timeout(self):
+        """The crash ends the requester's update, timeout or not: it is
+        FAILED, not stuck waiting for a reply to a dead site."""
         system = build_paper_system(
             n_items=1, initial_stock=90.0, latency_mean=5.0
         )
@@ -65,11 +63,12 @@ class TestAccelerator:
 
         def crasher(env):
             yield env.timeout(1)
-            system.network.faults.crash("site1")
+            system.site("site1").crash()
 
         system.env.process(crasher(system.env))
         system.run()
-        assert not proc.triggered  # stuck forever, by design
+        assert proc.ok and proc.value.outcome is UpdateOutcome.FAILED
+        assert system.env.owned("site1") == []
 
     def test_repr(self):
         system = build_paper_system(n_items=1, initial_stock=50.0)

@@ -399,7 +399,7 @@ class TestStraightLineLocalPath:
         system = build_paper_system(
             n_items=1, initial_stock=90.0, seed=0, propagate=True
         )
-        system.network.faults.crash("site1")
+        system.site("site1").crash()
         done = system.update("site1", ITEM, -5)
         assert not isinstance(done, Process)
         system.run()

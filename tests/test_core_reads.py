@@ -98,7 +98,7 @@ class TestLockedRead:
 class TestSiteRestart:
     def test_restart_after_clean_crash(self, system):
         run_proc(system, system.update("site1", ITEM, -10))
-        system.network.faults.crash("site1")
+        system.site("site1").crash()
         report = system.site("site1").restart()
         system.run()
         assert report.clean
@@ -129,7 +129,7 @@ class TestSiteRestart:
             # canonical order site0,site1,site2: site2 prepares last, at
             # ~4 time units in; crash just after its provisional apply.
             yield env.timeout(4.5)
-            system.network.faults.crash("site2")
+            system.site("site2").crash()
             yield env.timeout(20.0)
             victim.restart()
 
@@ -163,8 +163,8 @@ class TestSiteRestart:
             # would be logged. Kill both at 3.5: prepared participant,
             # undecided coordinator.
             yield env.timeout(3.5)
-            system.network.faults.crash("site1")
-            system.network.faults.crash("site2")
+            system.site("site1").crash()
+            system.site("site2").crash()
             yield env.timeout(20.0)
             coordinator.restart()
             victim.restart()

@@ -118,7 +118,7 @@ class TestRebalancing:
     def test_crashed_site_pauses_loop(self, system):
         reb = AVRebalancer(system.maker.accelerator, interval=5.0)
         reb.start()
-        system.network.faults.crash("site0")
+        system.site("site0").crash()
         system.run(until=50)
         assert reb.pushes_sent == 0
 

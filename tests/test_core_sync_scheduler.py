@@ -80,7 +80,7 @@ def test_crashed_site_pauses_sync(system):
 
     def driver(env):
         yield system.update("site1", ITEM, -5)
-        system.network.faults.crash("site1")
+        system.site("site1").crash()
 
     system.env.process(driver(system.env))
     system.run(until=55.0)

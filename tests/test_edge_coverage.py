@@ -41,7 +41,7 @@ class TestDeliverDecisionExhaustion:
             max_immediate_retries=3,
         )
         imm = system.site("site1").accelerator.immediate
-        system.network.faults.crash("site2")
+        system.site("site2").crash()
 
         proc = system.env.process(
             imm._deliver_decision("site2", "imm.commit", "imm:1:site1")
@@ -60,8 +60,8 @@ class TestCatchUp:
             seed=0,
             request_timeout=2.0,
         )
-        system.network.faults.crash("site0")
-        system.network.faults.crash("site1")
+        system.site("site0").crash()
+        system.site("site1").crash()
         imm = system.site("site2").accelerator.immediate
         proc = system.env.process(imm.catch_up())
         system.run()
@@ -94,7 +94,7 @@ class TestReadUnderFaults:
         )
         p = system.update("site2", "item0", -10)
         system.run()
-        system.network.faults.crash("site2")
+        system.site("site2").crash()
         proc = system.site("site1").accelerator.read(
             "item0", ReadConsistency.RECONCILED
         )

@@ -25,11 +25,11 @@ from repro.testkit import make_case, run_case
 N_CASES = 40
 
 #: sha256 over every case's (index, digest, sent-kind census)
-FUZZ_PIN = "f874d0c50d171d21bbd05eb45489fab159d023facb4d75fbae33ab1fbf52f977"
+FUZZ_PIN = "fbcb0edb81d87763df9e713e511607ab988a17db3ce71b8d45619977d6a298db"
 #: digest of the planted-bug case ``make_case(0, 0, inject=...)``
-PLANTED_PIN = "6d39033f99b75af70dec863fa720d0204e8487c7cc5576f3acb31994ca8b471a"
+PLANTED_PIN = "d82918fc99c700115e1beeec9d8497a888a55510117dacc495ec5da5692536e5"
 #: sha256 over the suite render and each scenario's events and telemetry
-CHAOS_PIN = "2ce255b07e416b0a59b9c85a8a3c242c94140916b84e387f306a1c96603d8038"
+CHAOS_PIN = "33db59d33748cb57e8bc5910a295df2ee8dd08175fd458c7200227421e753f53"
 
 
 def _sha(text: str) -> str:

@@ -2,8 +2,14 @@
 
 import pytest
 
+import repro.testkit.runner as runner
 from repro.cluster import build_paper_system
+from repro.cluster.site import Site
 from repro.core import UpdateOutcome
+from repro.core.immediate_update import ImmediateUpdateProtocol
+from repro.db.locks import LockMode
+from repro.net.faults import FaultInjector
+from repro.testkit.schedule import FuzzCase
 
 
 def make_system(**kw):
@@ -26,7 +32,7 @@ class TestLiveMembership:
         """Crash detection is out of band (live_peers): the update
         commits among the live members; the dead site is stale."""
         system = make_system()
-        system.network.faults.crash("site2")
+        system.site("site2").crash()
         proc = system.update("site1", ITEM, -5)
         system.run()
         assert proc.value.committed
@@ -36,7 +42,7 @@ class TestLiveMembership:
 
     def test_restart_catches_up_missed_immediate_updates(self):
         system = make_system()
-        system.network.faults.crash("site2")
+        system.site("site2").crash()
         p1 = system.update("site1", ITEM, -5)
         system.run()
         assert p1.value.committed
@@ -57,7 +63,7 @@ class TestLiveMembership:
         def crasher(env):
             # site2's prepare is in flight at t in (2, 3).
             yield env.timeout(2.5)
-            system.network.faults.crash("site2")
+            system.site("site2").crash()
 
         system.env.process(crasher(system.env))
         system.run()
@@ -109,14 +115,17 @@ class TestWatchdog:
         system = make_system()
         proc = system.update("site1", ITEM, -5)
 
-        # Drop exactly the commit delivery to site0 by crashing site0
-        # briefly around it: prepare for site0 happens at t~1; its
-        # commit arrives ~7. Window [6, 8] loses only the commit.
+        # Drop exactly the commit delivery to site0 by taking the
+        # coordinator's link to it down briefly: prepare for site0
+        # happens at t~1; its commit is sent ~6. Window [6, 8] loses
+        # only the commit.
+        faults = system.network.faults
+
         def blinker(env):
             yield env.timeout(6.0)
-            system.network.faults.crash("site0")
+            faults.link_down("site1", "site0")
             yield env.timeout(2.0)
-            system.network.faults.recover("site0")
+            faults.link_up("site1", "site0")
 
         system.env.process(blinker(system.env))
         system.run()
@@ -164,7 +173,7 @@ def _crash_prepared_participant(system):
 
     def fault(env):
         yield env.timeout(3.5)
-        system.network.faults.crash("site2")
+        system.site("site2").crash()
         yield env.timeout(100.0)
         system.site("site2").restart()
 
@@ -225,8 +234,9 @@ class TestCrashMidResolution:
     def test_participant_crashing_between_status_queries(self):
         """site0's commit is lost, so its watchdog queries site1 (whose
         replies are lost too) until site0 itself crashes between two
-        queries. The query loop ends there instead of raising out of
-        the simulation; site0's restart resolves the commit."""
+        queries. The crash ends the query loop; site0's restart
+        re-enters the prepared participant from its WAL and resolves
+        the commit."""
         system = make_system()
         proc = system.update("site1", ITEM, -5)
         faults = system.network.faults
@@ -235,7 +245,7 @@ class TestCrashMidResolution:
             yield env.timeout(3.5)
             faults.link_down("site1", "site0")
             yield env.timeout(30.0)  # site0's watchdog fired at ~21
-            faults.crash("site0")
+            system.site("site0").crash()
             yield env.timeout(40.0)
             faults.link_up("site1", "site0")
             system.site("site0").restart()
@@ -249,3 +259,106 @@ class TestCrashMidResolution:
             assert not site.accelerator.locks.is_locked(ITEM)
         system.check_invariants()
 
+
+
+class TestPrepareQueuedAtACrash:
+    """Fuzz case ``make_case(0, 4)`` with half the items non-regular
+    (``tests/test_known_failures.py``), shrunk by the fuzzer's shrinker
+    to the prepare that reproduces its divergence: site2's 2PC on item3
+    sends site0 a prepare that queues behind an earlier one for the
+    item lock. site0 crashes (62.4) and restarts in the heal phase.
+    When the crash only cut the links, the queued handler outlived it:
+    granted the lock once the restart resolved the earlier
+    transaction, it applied its delta provisionally on top of the
+    catch-up value, and the abort that followed compensated it there.
+    """
+
+    CASE = FuzzCase.from_dict({
+        "seed": 2812272067891559936,
+        "ops": [["site2", "item3", -5.0], ["site0", "item3", 16.0],
+                ["site2", "item3", -1.0], ["site2", "item3", -1.0]],
+        "faults": [[62.384, "crash", ["site0"]]],
+        "latency_amp": 0.0, "timer_amp": 0.2, "perturb_seed": 0,
+        "n_items": 5, "n_retailers": 3, "initial_stock": 100.0,
+        "interarrival": 4.152, "horizon": 240.0, "settle": 160.0,
+        "sync_interval": 40.0, "reliability": True, "inject": "",
+        "overload": False, "topology": "", "format": "repro-fuzz-case/1",
+    })
+
+    def test_a_prepare_queued_at_the_crash_never_applies(self, monkeypatch):
+        sites, queued, readied = {}, {}, []
+        paper_config = runner.paper_config
+        monkeypatch.setattr(
+            runner, "paper_config",
+            lambda **kw: paper_config(**{**kw, "regular_fraction": 0.5}),
+        )
+        site_init, crash = Site.__init__, FaultInjector.crash
+
+        def init(self, *args, **kwargs):
+            site_init(self, *args, **kwargs)
+            sites[self.name] = self
+
+        def recording_crash(self, name):
+            # The prepares queued for a lock at the crashed site.
+            for lock in sites[name].accelerator.locks._locks.values():
+                for waiter in lock.queue:
+                    queued[(name, waiter.owner)] = sites[name].env.now
+            crash(self, name)
+
+        prepare = ImmediateUpdateProtocol.handle_prepare
+
+        def spy(self, msg):
+            vote = yield from prepare(self, msg)
+            if vote["ready"]:
+                readied.append((self.accel.site, msg.payload["token"]))
+            return vote
+
+        monkeypatch.setattr(Site, "__init__", init)
+        monkeypatch.setattr(FaultInjector, "crash", recording_crash)
+        monkeypatch.setattr(ImmediateUpdateProtocol, "handle_prepare", spy)
+        outcome = runner.run_case(self.CASE)
+        assert ("site0", "imm:3:site2") in queued
+        assert [vote for vote in readied if vote in queued] == []
+        # The convergence oracle holds every replica to the ledger.
+        assert outcome.ok, outcome.render()
+        assert len({r["item3"] for r in outcome.replicas.values()}) == 1
+
+
+class TestRestartFromTheDurableList:
+    """A crash keeps ``repro.cluster.site.DURABLE`` and drops the rest;
+    the restart rebuilds the in-doubt participants from the WAL."""
+
+    def test_crash_keeps_the_durable_list_and_drops_the_rest(self):
+        from repro.cluster.site import DURABLE
+
+        system = make_system()
+        proc = system.update("site1", ITEM, -5)
+        system.run(until=1.5)  # site0 has prepared; the commit is ahead
+        site0 = system.site("site0")
+        accel = site0.accelerator
+
+        def resolve(path):
+            obj = accel
+            for part in path.split("."):
+                obj = getattr(obj, part)
+            return obj
+
+        kept = {path: resolve(path) for path in DURABLE}
+        (token,) = accel.immediate._pending
+        site0.crash()
+        assert all(resolve(path) is kept[path] for path in DURABLE)
+        assert list(accel.txns.wal.prepared.values()) == [token]
+        assert system.env.owned("site0") == []
+        assert not accel.immediate._pending
+        assert not accel.locks.is_locked(ITEM)
+        assert not site0.endpoint._pending
+
+        site0.restart()
+        assert accel.locks.holders(ITEM) == {token: LockMode.EXCLUSIVE}
+        assert list(accel.immediate._pending) == [token]
+        system.run()
+        assert proc.value.committed
+        for site in system.sites.values():
+            assert site.value(ITEM) == 45.0
+        assert not accel.txns.wal.prepared
+        assert not accel.locks.is_locked(ITEM)

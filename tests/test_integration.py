@@ -102,7 +102,7 @@ class TestFaultsIntegration:
         system.run()
         assert p.value.committed
 
-        system.network.faults.crash("site0")
+        system.site("site0").crash()
         # site2 still has 30 AV; believed-richest will find it after the
         # crashed maker is excluded from live_peers.
         p = system.update("site1", ITEM, -20)
@@ -114,7 +114,7 @@ class TestFaultsIntegration:
         system.run()
         assert p.value.outcome is UpdateOutcome.REJECTED
 
-        system.network.faults.recover("site0")
+        system.site("site0").restart()
         p = system.update("site1", ITEM, -35)
         system.run()
         assert p.value.committed
@@ -125,7 +125,7 @@ class TestFaultsIntegration:
         system = build_paper_system(
             n_items=1, initial_stock=90.0, seed=0, request_timeout=5.0
         )
-        system.network.faults.crash("site0")
+        system.site("site0").crash()
         p = system.update("site1", "item0", -50)
         system.run()
         # 30 (own) + 30 (site2) = 60 reachable >= 50 -> commits.

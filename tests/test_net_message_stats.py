@@ -354,6 +354,34 @@ class TestFoldedViews:
                 )
         _assert_views_equal(stats, reference)
 
+    def test_back_to_back_reads_fold_once(self):
+        stats, reference = NetworkStats(), _EagerStats()
+        for i in range(40):
+            msg = Message(f"s{i % 3}", f"s{(i + 1) % 3}", "ping", tag="x")
+            stats.record_send(msg)
+            reference.record_send(msg)
+        _assert_views_equal(stats, reference)
+        # Nothing was sent since that read: the next one walks no cell,
+        # so a count planted in a cell (no send) stays out of the views.
+        link = stats.links["s0"]["s1"]
+        cell = next(iter(link))
+        link[cell] += 5
+        _assert_views_equal(stats, reference)
+        _assert_views_equal(stats, reference)
+        link[cell] -= 5
+
+    def test_a_read_after_record_send_alone_sees_it(self):
+        stats, reference = NetworkStats(), _EagerStats()
+        msg = Message("s0", "s1", "ping")
+        for expected in (1, 2):
+            stats.record_send(msg)
+            reference.record_send(msg)
+            assert stats.by_site_tag[("s0", "ping")] == expected
+            assert stats.correspondences_for_site_tags("s1", ["ping"]) == (
+                expected / 2
+            )
+            _assert_views_equal(stats, reference)
+
     def test_by_kind_counts_every_send_a_tap_sees_drops_included(self):
         from repro.cluster import DistributedSystem, paper_config
         from repro.net.reliable import ReliabilityParams

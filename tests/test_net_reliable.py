@@ -3,8 +3,7 @@
 import pytest
 
 from repro.cluster import build_paper_system
-from repro.net import FaultInjector, FaultSchedule, ReliabilityParams
-from repro.sim.engine import Environment
+from repro.net import FaultSchedule, ReliabilityParams
 
 PARAMS = ReliabilityParams(
     ack_timeout=2.0,
@@ -214,62 +213,73 @@ class TestFaultSchedule:
             FaultSchedule().crash(-1.0, "a")
 
     def test_install_applies_at_scheduled_times(self):
-        env = Environment()
-        faults = FaultInjector()
-        FaultSchedule().crash(5.0, "a").recover(10.0, "a").install(env, faults)
-        env.run(until=7.0)
-        assert faults.is_crashed("a")
-        env.run()
-        assert not faults.is_crashed("a")
-
-    def test_recover_hook_replaces_default(self):
-        env = Environment()
-        faults = FaultInjector()
-        recovered = []
-        FaultSchedule().crash(1.0, "a").recover(2.0, "a").install(
-            env, faults, on_recover=recovered.append
+        system = make_system()
+        FaultSchedule().crash(5.0, "site1").recover(10.0, "site1").install(
+            system
         )
-        env.run()
-        assert recovered == ["a"]
-        # the hook is responsible for clearing the crash flag
-        assert faults.is_crashed("a")
+        system.run(until=7.0)
+        assert system.site("site1").crashed
+        system.run(until=20.0)
+        assert not system.site("site1").crashed
+
+    def test_crash_and_recover_steps_go_through_the_site(self):
+        """A crash step is fail-stop (the site's processes end); a
+        recover step restarts the site (its rejoin round runs)."""
+        from repro.core.sync import SyncScheduler
+
+        system = make_system()
+        SyncScheduler(system.site("site1").accelerator, interval=4.0).start()
+        FaultSchedule().crash(1.0, "site1").recover(2.0, "site1").install(
+            system
+        )
+        system.run(until=1.5)
+        assert system.env.owned("site1") == []
+        system.run(until=2.0)
+        assert [p._generator.__qualname__ for p in system.env.owned("site1")] == [
+            "Periodic._loop", "rejoin",
+        ]
+
+    def test_recover_without_a_crash_leaves_the_site_alone(self):
+        system = make_system()
+        FaultSchedule().recover(1.0, "site1").install(system)
+        system.run(until=5.0)
+        assert not system.site("site1").crashed
+        assert system.env.owned("site1") == []
 
     def test_link_drop_override_and_clear(self):
-        import numpy as np
-
-        env = Environment()
-        faults = FaultInjector(rng=np.random.default_rng(0))
+        system = make_system()
+        faults = system.network.faults
         (
             FaultSchedule()
-            .link_drop(1.0, "a", "b", 1.0)
-            .link_drop(5.0, "a", "b", None)
-            .install(env, faults)
+            .link_drop(1.0, "site0", "site1", 1.0)
+            .link_drop(5.0, "site0", "site1", None)
+            .install(system)
         )
-        env.run(until=2.0)
-        assert faults.should_drop("a", "b")
-        env.run()
-        assert not faults.should_drop("a", "b")
+        system.run(until=2.0)
+        assert faults.should_drop("site0", "site1")
+        system.run(until=6.0)
+        assert not faults.should_drop("site0", "site1")
 
     def test_flap_ends_link_up(self):
-        env = Environment()
-        faults = FaultInjector()
-        FaultSchedule().flap("a", "b", 0.0, 10.0, 4.0).install(env, faults)
-        env.run(until=1.0)
-        assert faults.link_is_down("a", "b")
-        assert faults.link_is_down("b", "a")
-        env.run(until=3.0)
-        assert not faults.link_is_down("a", "b")
-        env.run()
-        assert not faults.link_is_down("a", "b")
+        system = make_system()
+        faults = system.network.faults
+        FaultSchedule().flap("site0", "site1", 0.0, 10.0, 4.0).install(system)
+        system.run(until=1.0)
+        assert faults.link_is_down("site0", "site1")
+        assert faults.link_is_down("site1", "site0")
+        system.run(until=3.0)
+        assert not faults.link_is_down("site0", "site1")
+        system.run(until=11.0)
+        assert not faults.link_is_down("site0", "site1")
 
     def test_partition_and_heal(self):
-        env = Environment()
-        faults = FaultInjector()
-        FaultSchedule().partition(1.0, ["a"], ["b", "c"]).heal(3.0).install(
-            env, faults
-        )
-        env.run(until=2.0)
-        assert faults.should_drop("a", "b")
-        assert not faults.should_drop("b", "c")
-        env.run()
-        assert not faults.should_drop("a", "b")
+        system = make_system()
+        faults = system.network.faults
+        FaultSchedule().partition(1.0, ["site0"], ["site1", "site2"]).heal(
+            3.0
+        ).install(system)
+        system.run(until=2.0)
+        assert faults.should_drop("site0", "site1")
+        assert not faults.should_drop("site1", "site2")
+        system.run(until=4.0)
+        assert not faults.should_drop("site0", "site1")

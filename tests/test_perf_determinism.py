@@ -98,7 +98,7 @@ PINNED_DIGESTS = {
     "scale-small":
         "705bdaff73f866a4ee5c04a9f5e933d32d54598776afc6d730e317859971a504",
     "chaos-small":
-        "22c0fa0a9d3ef8776f4b01dbfa863c7bd9dfbde60159661818978cfec03b14af",
+        "499cd88fabd13b25222aec85a16882ab9f1e7a4c50f1edd7c91adc0094723b7b",
 }
 
 

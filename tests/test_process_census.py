@@ -1,12 +1,13 @@
-"""What a crashed site is running, read from the kernel's process census.
+"""What a crash ends, read from the kernel's process census.
 
-At every ``FaultInjector.crash`` these tests list ``env.owned(site)``:
-the crashed site's live processes, in spawn order, each as
+At every ``Site.crash`` these tests list ``env.owned(site)`` just
+before it: the crashed site's live processes, in spawn order, each as
 ``(owner, generator qualname)``. The census is keyed by owner, not
 parsed from a name, so ``agg0``'s processes never include ``agg0.0``'s.
 Both runs are the ones ``tests/test_faulted_run_pin.py`` pins. A crash
-today only cuts the site's links, so these processes live on through
-the outage; the lists are what a fail-stop crash has to end.
+is fail-stop: right after it, ``env.owned(site)`` is empty, so none of
+these processes runs through the outage; the restart starts what the
+site runs again (its sync loop, one expiry per open lease).
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from collections import Counter
 
 import pytest
 
+from repro.cluster.site import Site
 from repro.experiments.chaos import run_chaos
-from repro.net.faults import FaultInjector
-from repro.net.network import Network
 from repro.testkit import make_case, run_case
 
-SYNC = "SyncScheduler._loop"
+SYNC = "Periodic._loop"
 LEASE = "LeaseTable._expiry"
 
 #: ``run_chaos(small=False, n_updates=120, seed=0)``: (site, census)
@@ -42,7 +42,9 @@ FUZZ_CENSUS = [
     (12, "agg0", [SYNC, LEASE]),
     (15, "site0", [SYNC, LEASE, LEASE]),
     (18, "agg0", [SYNC, LEASE, LEASE, LEASE, LEASE]),
-    (18, "agg0", [SYNC, LEASE, LEASE, LEASE]),
+    # a second crash step inside the first one's window: agg0 is down
+    # and runs nothing
+    (18, "agg0", []),
     (27, "site1", [SYNC]),
     (35, "site3", [SYNC, LEASE]),
     (36, "agg1", [SYNC, LEASE, LEASE]),
@@ -53,24 +55,20 @@ FUZZ_CENSUS = [
 
 @pytest.fixture
 def crash_census(monkeypatch):
-    """Record ``(site, [(owner, qualname), ...])`` at every crash."""
-    envs: dict = {}
+    """Record ``(site, [(owner, qualname), ...])`` at every crash, and
+    check that the crash left the site no process."""
     steps: list = []
-    network_init, crash = Network.__init__, FaultInjector.crash
+    crash = Site.crash
 
-    def recording_init(self, env, *args, **kwargs):
-        network_init(self, env, *args, **kwargs)
-        envs[self.faults] = env
-
-    def recording_crash(self, site):
-        steps.append((site, [
+    def recording_crash(self):
+        steps.append((self.name, [
             (proc.owner, proc._generator.__qualname__)
-            for proc in envs[self].owned(site)
+            for proc in self.env.owned(self.name)
         ]))
-        crash(self, site)
+        crash(self)
+        assert self.env.owned(self.name) == [], steps[-1]
 
-    monkeypatch.setattr(Network, "__init__", recording_init)
-    monkeypatch.setattr(FaultInjector, "crash", recording_crash)
+    monkeypatch.setattr(Site, "crash", recording_crash)
     return steps
 
 
@@ -96,4 +94,4 @@ def test_fuzz_crash_census(crash_census):
         owner == site for site, census in crash_census for owner, _ in census
     )
     counts = Counter(q for _i, _site, census in seen for q in census)
-    assert counts == {SYNC: 14, LEASE: 13}
+    assert counts == {SYNC: 13, LEASE: 10}

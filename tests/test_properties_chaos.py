@@ -58,12 +58,7 @@ class ChaosMachine(RuleBasedStateMachine):
         # Keep at least one site alive so some progress stays possible.
         alive = [s for s in SITES if not self.system.sites[s].crashed]
         if len(alive) > 1 or site not in alive:
-            self.system.network.faults.crash(site)
-
-    @rule(site=st.sampled_from(SITES))
-    def recover(self, site):
-        self.system.network.faults.recover(site)
-        self.system.run()
+            self.system.sites[site].crash()
 
     @rule(site=st.sampled_from(SITES))
     def restart(self, site):
@@ -96,7 +91,7 @@ class ChaosMachine(RuleBasedStateMachine):
     def teardown(self):
         # Heal everything, sync everyone, drain: replicas converge.
         for site in SITES:
-            self.system.network.faults.recover(site)
+            self.system.restart(site)
         self.system.run()
         for site in self.system.sites.values():
             site.accelerator.sync_all()

@@ -24,10 +24,10 @@ from repro.experiments.chaos import run_chaos
 #: case -> sha256 of (render, counters, hb samples, span fingerprint)
 PINNED = {
     "chaos:maker-crash": (
-        "b18902436ad7052163b3e80b5b7f06e60615f7f19c7c7126d8f3b9d7291eb2a4"
+        "eec4782f000259d41d6bb4d0da906da2e36e8cea38809ed73ba97b1047b52544"
     ),
     "chaos:retailer-crash": (
-        "d4566d93eca03c2a5bd747e17ea246dbc5019b087ee04ac7ed7e77eb5be28d72"
+        "9cab679d2f3edf7eaaac3f70a55e0e2ca112f2ece9cf72c2acb5d158415e15ce"
     ),
     "chaos:partition-loss": (
         "f69e5ac5901b5c2c3abf7bc6fcc3f2e59a36b157ec743350931d292cb9ec011f"

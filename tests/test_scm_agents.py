@@ -135,7 +135,7 @@ class TestReplenishment:
             system, "site1", system.rngs.stream("orders"),
             mean_interarrival=2.0, max_quantity=10, replenish=True,
         )
-        system.network.faults.crash("site0")
+        system.site("site0").crash()
         system.env.process(agent.run(until=200.0))
         system.run()
         assert agent.report.replenishments_requested == 0

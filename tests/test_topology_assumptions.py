@@ -165,11 +165,9 @@ class TestRejoinCatalogReconcile:
         )
         leaf = "site1"
         interest = set(topology.interest_of(leaf))
-        faults = system.network.faults
         system.run(until=5.0)
-        faults.crash(leaf)
+        system.sites[leaf].crash()
         system.run(until=20.0)
-        faults.recover(leaf)
         system.sites[leaf].restart()
         system.run()
         accel = system.sites[leaf].accelerator
