@@ -414,3 +414,21 @@ class TestIntegration:
         counters = result.report.counters
         assert counters.get("overload_demotions", 0) == 0
         assert counters.get("overload_promotions", 0) == 0
+
+
+def test_crash_mid_demotion_clears_the_inflight_entry():
+    """A crash ends a demotion under way at the base; the item leaves
+    the in-flight set, so a later pass may demote it again."""
+    config = paper_config(
+        seed=0, n_items=2, regular_fraction=0.0, initial_stock=500.0,
+        overload=OverloadParams(),
+    )
+    system = DistributedSystem.build(config)
+    base = system.sites[config.maker]
+    ctl = base.accelerator.overload
+    ctl._demote_inflight.add("item0")
+    system.env.process(ctl._demote("item0"), owner=base.name)
+    system.run(until=0.5)  # the lock round-trips are in flight
+    base.crash()
+    assert ctl._demote_inflight == set()
+    assert not base.accelerator.av_table.defined("item0")
