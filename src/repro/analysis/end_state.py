@@ -34,6 +34,7 @@ site, under one of these rules:
   a retry hint (``-shed``).
 
 The checks that hold mid-run always run; the others need ``quiescent``.
+Volumes are whole numbers of units, so every comparison is exact.
 Strictness (the leak check) follows ``config.reliability``.
 """
 
@@ -43,8 +44,6 @@ from typing import Dict, List
 
 from repro.analysis.invariants import Violation
 from repro.core.types import UpdateOutcome
-
-EPS = 1e-6
 
 #: sanitizer warnings that mean volume or state was lost — a harness
 #: running with the reliability layer on fails on any of them as well
@@ -93,7 +92,7 @@ def end_state(system, quiescent: bool) -> List[Violation]:
     sites = list(system.sites.values())
     for item in ledger.items():
         truth = ledger.true_value(item)
-        if truth < -EPS:
+        if truth < 0:
             add("oracle.conservation",
                 f"ground-truth value of {item!r} is negative: {truth}", item)
         # Class is AV-entry existence (the checking function's source of
@@ -109,13 +108,13 @@ def end_state(system, quiescent: bool) -> List[Violation]:
         holders = [s for s in candidates if s.av_table.defined(item)]
         for site in holders:
             av = site.av_table.get(item)
-            if av < -EPS:
+            if av < 0:
                 add("oracle.conservation",
                     f"{site.name} holds negative AV for {item!r}: {av}",
                     item, site.name)
         if definedness.pop():
             total_av = sum(s.av_table.get(item) for s in holders)
-            if total_av > truth + EPS:
+            if total_av > truth:
                 add("oracle.conservation",
                     f"AV total {total_av} exceeds true value {truth}"
                     f" for {item!r}", item)
@@ -132,7 +131,7 @@ def end_state(system, quiescent: bool) -> List[Violation]:
             truth = ledger.true_value(item)
             for site in system.interested_sites(item):
                 replica = site.store.value(item)
-                if abs(replica - truth) > EPS:
+                if replica != truth:
                     add("oracle.convergence",
                         f"replica {site.name} value {replica} != ledger"
                         f" {truth} for {item!r} at quiescence",
@@ -152,7 +151,7 @@ def end_state(system, quiescent: bool) -> List[Violation]:
             expected[item] += delta
     for item in sorted(expected):
         have = ledger.true_value(item)
-        if abs(have - expected[item]) > EPS:
+        if have != expected[item]:
             add("oracle.spec",
                 f"ledger value {have:g} != reference execution"
                 f" {expected[item]:g}", item)
@@ -180,10 +179,10 @@ def _settled_conservation(system, strict: bool, add) -> None:
     sites = [system.sites[name] for name in sorted(system.sites)]
     for item in sorted(accounts):
         _tables, held, in_flight, bound = accounts[item]
-        if abs(in_flight) > EPS:
+        if in_flight:
             add("oracle.settle",
                 f"{in_flight:g} AV still in transit at settle", item)
-        if abs(held) > EPS:
+        if held:
             add("oracle.settle", f"{held:g} AV still held at settle", item)
 
         tables = sum(
@@ -197,11 +196,11 @@ def _settled_conservation(system, strict: bool, add) -> None:
             if site.accelerator.leases is not None
         )
         total = tables + leased
-        if total > bound + EPS:
+        if total > bound:
             add("oracle.conservation",
                 f"settled AV {total:g} exceeds headroom {bound:g}"
                 f" (tables {tables:g} + leased {leased:g})", item)
-        elif strict and total < bound - EPS:
+        elif strict and total < bound:
             add("oracle.av-leak",
                 f"settled AV {total:g} below headroom {bound:g}"
                 " with the robustness layer on — volume vanished", item)

@@ -47,9 +47,6 @@ class CausalOrder:
     sanitizer.
     """
 
-    #: tolerance when comparing believed levels against granted-after levels
-    EPS = 1e-9
-
     def __init__(self, max_samples: int = 10) -> None:
         #: site -> its vector clock
         self.clocks: Dict[str, Clock] = {}
@@ -92,7 +89,7 @@ class CausalOrder:
         if grant is None:
             return
         clock, av_after = grant
-        if believed <= av_after + self.EPS:
+        if believed <= av_after:
             return
         # The selector believes the target holds more than it did after
         # its most recent grant: the belief is stale. HB decides which

@@ -124,12 +124,10 @@ class AVConservation:
     the granted/pushed volume in transit, and its headroom: allocation
     + mints − spends − undefines. The invariant is
     ``tables + holds + in_flight <= headroom``, the left-hand side
-    summed in that order. :meth:`fold` moves one account and checks the
-    item in the same step; the sanitizer inlines that fold for its
-    hottest event kinds.
+    summed in that order and compared exactly (volumes are whole units).
+    :meth:`fold` moves one account and checks the item in the same step;
+    the sanitizer inlines that fold for its hottest event kinds.
     """
-
-    EPS = 1e-6
 
     def __init__(self, report: SanitizerReport) -> None:
         self.report = report
@@ -157,7 +155,7 @@ class AVConservation:
         acct = self.accounts[item]
         acct[account] += delta
         self._checks += 1
-        if acct[TABLES] + acct[HOLDS] + acct[IN_FLIGHT] > acct[HEADROOM] + self.EPS:
+        if acct[TABLES] + acct[HOLDS] + acct[IN_FLIGHT] > acct[HEADROOM]:
             self.exceeded(item, site, now)
 
     def exceeded(self, item: str, site: Optional[str], now: float) -> None:

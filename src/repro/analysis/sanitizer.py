@@ -48,10 +48,6 @@ from repro.analysis.invariants import (
 )
 from repro.obs.hub import EVENT_KINDS
 
-
-#: the conservation tolerance (AVConservation.EPS), for the inline folds
-EPS = AVConservation.EPS
-
 #: message kinds whose reply carries granted AV (the hierarchical pool
 #: kinds move AV exactly like a peer grant, so the same request/reply
 #: transit accounting covers every level)
@@ -74,8 +70,6 @@ class ProtocolSanitizer:
     three ``msg.*`` folds — are closures (see :meth:`_bind_folds`); the
     rest are methods.
     """
-
-    EPS = 1e-6
 
     def __init__(self, max_hb_samples: int = 10) -> None:
         self.report = SanitizerReport()
@@ -186,7 +180,7 @@ class ProtocolSanitizer:
         """
         acct = self.conservation.accounts[item]
         residual = acct[HEADROOM]
-        if residual < -self.EPS:
+        if residual < 0:
             self.report.violations.append(Violation(
                 rule="av.conservation",
                 item=item,
@@ -308,7 +302,7 @@ class ProtocolSanitizer:
             acct = accounts[item]
             tables, holds, in_flight, headroom = acct
             acct[TABLES] = tables = tables + amount
-            if tables + holds + in_flight > headroom + EPS:
+            if tables + holds + in_flight > headroom:
                 exceeded(item, site, now)
 
         def _av_take(now, site, item, amount):
@@ -317,7 +311,7 @@ class ProtocolSanitizer:
             acct = accounts[item]
             tables, holds, in_flight, headroom = acct
             acct[TABLES] = tables = tables - amount
-            if tables + holds + in_flight > headroom + EPS:
+            if tables + holds + in_flight > headroom:
                 exceeded(item, site, now)
 
         def _av_hold_add(now, site, item, amount, hold):
@@ -326,7 +320,7 @@ class ProtocolSanitizer:
             acct = accounts[item]
             tables, holds, in_flight, headroom = acct
             acct[HOLDS] = holds = holds + amount
-            if tables + holds + in_flight > headroom + EPS:
+            if tables + holds + in_flight > headroom:
                 exceeded(item, site, now)
 
         def _av_hold_release(now, site, item, amount, hold):
@@ -335,7 +329,7 @@ class ProtocolSanitizer:
             acct = accounts[item]
             tables, holds, in_flight, headroom = acct
             acct[HOLDS] = holds = holds - amount
-            if tables + holds + in_flight > headroom + EPS:
+            if tables + holds + in_flight > headroom:
                 exceeded(item, site, now)
             on_close(site, hold, now)
 
@@ -345,7 +339,7 @@ class ProtocolSanitizer:
             acct = accounts[item]
             tables, holds, in_flight, headroom = acct
             acct[HEADROOM] = headroom = headroom + amount
-            if tables + holds + in_flight > headroom + EPS:
+            if tables + holds + in_flight > headroom:
                 exceeded(item, site, now)
 
         def _av_spend(now, site, item, amount):
@@ -354,7 +348,7 @@ class ProtocolSanitizer:
             acct = accounts[item]
             tables, holds, in_flight, headroom = acct
             acct[HEADROOM] = headroom = headroom - amount
-            if tables + holds + in_flight > headroom + EPS:
+            if tables + holds + in_flight > headroom:
                 exceeded(item, site, now)
 
         def in_transit(item, amount, now):
@@ -364,7 +358,7 @@ class ProtocolSanitizer:
             acct = accounts[item]
             tables, holds, in_flight, headroom = acct
             acct[IN_FLIGHT] = in_flight = in_flight + amount
-            if tables + holds + in_flight > headroom + EPS:
+            if tables + holds + in_flight > headroom:
                 exceeded(item, None, now)
 
         def _msg_send(now, site, msg):
@@ -533,7 +527,7 @@ class ProtocolSanitizer:
 
         for item, acct in sorted(self.conservation.accounts.items()):
             amount = acct[IN_FLIGHT]
-            if abs(amount) > self.EPS:
+            if amount:
                 report.warnings.append(Violation(
                     rule="net.in-flight",
                     item=item,
@@ -614,7 +608,7 @@ class ProtocolSanitizer:
         for item in sorted(set(tables) | set(actual)):
             tracked = tables.get(item, 0.0)
             real = actual.get(item, 0.0)
-            if abs(tracked - real) > self.EPS:
+            if tracked != real:
                 self.report.violations.append(Violation(
                     rule="sanitizer.drift",
                     item=item,
@@ -638,7 +632,7 @@ class ProtocolSanitizer:
             if bound is None:
                 continue
             headroom = headrooms.get(item, 0.0)
-            if headroom > bound + self.EPS:
+            if headroom > bound:
                 self.report.violations.append(Violation(
                     rule="av.headroom",
                     item=item,

@@ -6,7 +6,7 @@ the paper layout is every site: it installs the item into those stores,
 defines AV entries for regular items, splits the AV pool according to
 the configured weights, and seeds each belief table with the initial
 allocation (each site knows the split it was dealt). A deal is computed
-once per distinct (pool, interest set) and shared by reference among the
+once per distinct (stock, interest set) and shared by reference among the
 tables it seeds. One pass over the catalogue finds each item's stock and
 deal; then each site installs its slice with one bulk call per table, so
 set-up costs O(Σ slice) with no per-(site, item) call. Bootstrap is
@@ -28,11 +28,11 @@ from repro.metrics.collector import GlobalLedger
 def split_volume(
     total: float, weights: Dict[str, float], order: Sequence[str]
 ) -> Dict[str, float]:
-    """Split ``total`` across sites proportionally to ``weights``.
+    """Split ``total`` whole units across sites proportionally to ``weights``.
 
-    Integral totals stay integral: each site gets the floor of its share
-    and the leftover units go to the earliest sites in ``order`` (the
-    base site first, by convention), so ``sum(result) == total`` exactly.
+    Each site gets the floor of its share and the leftover units go to
+    the earliest sites in ``order`` (the base site first, by convention),
+    so ``sum(result) == total`` exactly.
     """
     if total < 0:
         raise ValueError(f"negative total {total}")
@@ -42,10 +42,6 @@ def split_volume(
     weight_sum = sum(weights[s] for s in order)
     if weight_sum <= 0:
         raise ValueError("AV weights must sum to a positive value")
-
-    if not float(total).is_integer():
-        return {s: total * weights[s] / weight_sum for s in order}
-
     shares = {s: math.floor(total * weights[s] / weight_sum) for s in order}
     leftover = int(total) - sum(shares.values())
     for site in order:
@@ -54,6 +50,17 @@ def split_volume(
         shares[site] += 1
         leftover -= 1
     return {s: float(v) for s, v in shares.items()}
+
+
+def deal_av(
+    stock: float,
+    av_fraction: float,
+    weights: Dict[str, float],
+    order: Sequence[str],
+) -> Dict[str, float]:
+    """One item's AV deal: ``floor(stock × av_fraction)`` whole units,
+    split over ``order`` by :func:`split_volume`."""
+    return split_volume(float(math.floor(stock * av_fraction)), weights, order)
 
 
 def bootstrap(
@@ -87,7 +94,7 @@ def bootstrap(
     """
     weights = av_weights if av_weights is not None else {n: 1.0 for n in sites}
     stock: Dict[str, float] = {}
-    # regular item -> its deal; (pool, interest set) -> the shared deal
+    # regular item -> its deal; (stock, interest set) -> the shared deal
     dealt: Dict[str, Dict[str, Belief]] = {}
     deals: Dict[tuple, Dict[str, Belief]] = {}
 
@@ -98,16 +105,14 @@ def bootstrap(
         if not product.regular:
             continue
 
-        pool = product.initial_stock * av_fraction
-        if float(product.initial_stock).is_integer():
-            pool = float(math.floor(pool))
         # Topology order: the maker (the base, which serves every item)
         # first, so it gets the leftover units first.
         interested = topology.sites_for(item)
-        key = (pool, interested)
+        key = (product.initial_stock, interested)
         deal = deals.get(key)
         if deal is None:
-            shares = split_volume(pool, weights, interested)
+            shares = deal_av(product.initial_stock, av_fraction, weights,
+                             interested)
             deal = {peer: Belief(v, 0.0) for peer, v in shares.items()}
             deals[key] = deal
         dealt[item] = deal

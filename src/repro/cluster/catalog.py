@@ -52,6 +52,11 @@ class ProductCatalog:
                 raise ValueError(
                     f"negative initial stock for {product.item!r}"
                 )
+            if product.initial_stock % 1:
+                raise ValueError(
+                    f"initial stock {product.initial_stock} for"
+                    f" {product.item!r} is not a whole number of units"
+                )
             batch[product.item] = product
         own.update(batch)
 

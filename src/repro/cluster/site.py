@@ -25,6 +25,10 @@ DURABLE = (
     "leases",               # lease grants still open, and receipts
     "owed",                 # retained propagation balances, and
     "reliable",             # the deliveries carrying them; seen seq numbers
+    # the overload controller: its _demoted list holds re-promotions the
+    # base still owes, like immediate.decisions; the restart's
+    # probe_peers refreshes peer_states and the next evaluate the state
+    "overload",
 )
 
 

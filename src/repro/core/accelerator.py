@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.av_table import AVTable
 from repro.core.beliefs import BeliefTable
 from repro.core.delay_update import DelayUpdateProtocol
+from repro.core.errors import InvalidVolume
 from repro.core.immediate_update import ImmediateUpdateProtocol
 from repro.core.overload import OverloadParams
 from repro.core.policies import DecidingPolicy, Soda99Policy
@@ -239,8 +240,12 @@ class Accelerator:
         An update nothing can suspend — no closed gate, local AV that
         covers it — is the paper's zero-communication case and runs
         here, without a process; anything else gets one. An update
-        issued at a crashed site runs nothing: it fails at once.
+        issued at a crashed site runs nothing: it fails at once. A
+        fractional ``delta`` raises :class:`InvalidVolume` before any
+        state moves: stock is a whole number of units.
         """
+        if delta % 1:
+            raise InvalidVolume(f"delta {delta} is not a whole number of units")
         # UpdateRequest(site, item, delta, issued_at, request_id)
         req = _new_tuple(UpdateRequest, (
             self.site, item, delta, self.env._now, next(self._req_ids),

@@ -70,7 +70,7 @@ class Hold:
         self._check_open()
         if needed < 0:
             raise InvalidVolume(f"cannot consume negative volume {needed}")
-        if needed > self.amount + 1e-9:
+        if needed > self.amount:
             raise InsufficientAV(self.item, self.amount, needed)
         self._close(self.table._on_hold_consume, needed, self.amount - needed)
 
@@ -223,7 +223,7 @@ class AVTable:
         available = self.get(item)
         if amount < 0:
             raise InvalidVolume(f"cannot take negative AV {amount}")
-        if amount > available + 1e-9:
+        if amount > available:
             raise InsufficientAV(item, available, amount)
         self._av[item] = available - amount
         if self._on_take:

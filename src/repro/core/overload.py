@@ -449,18 +449,17 @@ class OverloadController:
     def widened_grant(self, available: float, requested: float) -> Optional[float]:
         """Grant override while under strain, or ``None`` for the policy.
 
-        Offers ``degraded_grant_fraction`` of the grantor's holdings
-        (at least the ask, never more than it holds) so one round trip
-        settles what the half-grant policy would spread over several.
+        Offers ``degraded_grant_fraction`` of the grantor's holdings,
+        rounded down to whole units (at least the ask, never more than
+        it holds), so one round trip settles what the half-grant policy
+        would spread over several.
         """
         if self.state not in (
             DegradationState.STRAINED, DegradationState.DEGRADED
         ):
             return None
-        pool = available * self.params.degraded_grant_fraction
-        if float(available).is_integer():
-            pool = float(math.floor(pool))
-        return min(available, max(requested, pool))
+        pool = math.floor(available * self.params.degraded_grant_fraction)
+        return min(available, max(requested, float(pool)))
 
     def filter_peers(self, peers: List[str]) -> List[str]:
         """Drop peers known DEGRADED — unless that would leave nobody."""

@@ -7,7 +7,9 @@ the SODA'99 electronic-money distribution work [Kawazoe et al.]:
 * **grant** half of what the grantee currently keeps.
 
 :class:`Soda99Policy` implements that; the alternatives quantify the
-design choice in the ablation benches (DESIGN.md, Ablation A).
+design choice in the ablation benches (DESIGN.md, Ablation A). Every
+volume is a whole number of units, so each fraction of one rounds up: the
+half grant, the proportional grant and the overdraft request.
 """
 
 from __future__ import annotations
@@ -35,16 +37,14 @@ class DecidingPolicy(ABC):
 
 
 def _ceil_half(x: float) -> float:
-    """Half of ``x`` rounded up to an integer when ``x`` is integral.
+    """Half of ``x`` whole units, rounded up.
 
-    Integral stock keeps AV integral, and rounding *up* avoids the
-    livelock where a site holding 1 unit would forever grant 0.
+    Rounding *up* avoids the livelock where a site holding 1 unit would
+    forever grant 0.
     """
     if x <= 0:
         return 0.0
-    if float(x).is_integer():
-        return float(math.ceil(x / 2))
-    return x / 2
+    return float(math.ceil(x / 2))
 
 
 class Soda99Policy(DecidingPolicy):
@@ -54,12 +54,11 @@ class Soda99Policy(DecidingPolicy):
         return shortage
 
     def grant_amount(self, available: float, requested: float) -> float:
-        # min(available, _ceil_half(available)), one call fewer per ask
+        # min(available, _ceil_half(available)), one call fewer per ask;
+        # whole units: ceil(available / 2) <= available from 1 unit up
         if available <= 0:
             return min(available, 0.0)
-        if float(available).is_integer():
-            return min(available, float(math.ceil(available / 2)))
-        return min(available, available / 2)
+        return float(math.ceil(available / 2))
 
 
 class GrantAllPolicy(DecidingPolicy):
@@ -90,7 +89,7 @@ class ExactPolicy(DecidingPolicy):
 class ProportionalPolicy(DecidingPolicy):
     """Grantor gives ``fraction`` of its holdings (generalised SODA'99).
 
-    ``fraction=0.5`` reproduces :class:`Soda99Policy` up to rounding.
+    ``fraction=0.5`` reproduces :class:`Soda99Policy`.
     """
 
     def __init__(self, fraction: float = 0.5) -> None:
@@ -102,10 +101,7 @@ class ProportionalPolicy(DecidingPolicy):
         return shortage
 
     def grant_amount(self, available: float, requested: float) -> float:
-        grant = available * self.fraction
-        if float(available).is_integer():
-            grant = float(math.ceil(grant))
-        return min(available, grant)
+        return min(available, float(math.ceil(available * self.fraction)))
 
     def __repr__(self) -> str:
         return f"<ProportionalPolicy {self.fraction}>"
@@ -126,10 +122,7 @@ class OverdraftPolicy(DecidingPolicy):
         self.factor = factor
 
     def request_amount(self, shortage: float) -> float:
-        amount = shortage * self.factor
-        if float(shortage).is_integer():
-            amount = float(math.ceil(amount))
-        return amount
+        return float(math.ceil(shortage * self.factor))
 
     def grant_amount(self, available: float, requested: float) -> float:
         return min(available, max(_ceil_half(available), min(available, requested)))

@@ -102,9 +102,8 @@ class AVRebalancer(Periodic):
             if not needy:
                 continue
             target = min(needy, key=lambda p: (known[p], p))
-            amount = (own - fair) * self.push_fraction
-            if float(own).is_integer():
-                amount = float(int(amount))
+            # whole units, rounded down
+            amount = float(int((own - fair) * self.push_fraction))
             if amount <= 0:
                 continue
             accel.av_table.take(item, amount)

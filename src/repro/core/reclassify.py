@@ -104,20 +104,17 @@ class ReclassificationProtocol:
                     site, "cls.lock", payload, tag=TAG_RECLASS
                 )
 
-        # Decide the split from the (consistent) current value.
-        from repro.cluster.bootstrap import split_volume
+        # Decide the split from the (consistent) current value, dealt
+        # as bootstrap deals it.
+        from repro.cluster.bootstrap import deal_av
 
-        value = accel.store.value(item)
-        pool = value * av_fraction
-        if float(value).is_integer():
-            import math
-
-            pool = float(math.floor(pool))
         weight_map = weights if weights is not None else {s: 1.0 for s in order}
         base_first = [accel.base_site] + [
             s for s in order if s != accel.base_site
         ]
-        shares = split_volume(pool, weight_map, base_first)
+        shares = deal_av(
+            accel.store.value(item), av_fraction, weight_map, base_first
+        )
 
         # Phase 2: install AV entries everywhere, then unlock.
         acks = [

@@ -115,8 +115,8 @@ class PaperWorkload(WorkloadGenerator):
     site_order:
         ``"roundrobin"`` (deterministic interleave, default) or
         ``"random"`` (uniform site choice per update).
-    integer_deltas:
-        Draw integral quantities (stock is discrete goods).
+
+    Every delta is a whole number of units (stock is discrete goods).
     """
 
     def __init__(
@@ -129,7 +129,6 @@ class PaperWorkload(WorkloadGenerator):
         increase_fraction: float = 0.20,
         decrease_fraction: float = 0.10,
         site_order: str = "roundrobin",
-        integer_deltas: bool = True,
     ) -> None:
         if not retailers:
             raise ValueError("need at least one retailer")
@@ -147,7 +146,6 @@ class PaperWorkload(WorkloadGenerator):
         self.increase_fraction = increase_fraction
         self.decrease_fraction = decrease_fraction
         self.site_order = site_order
-        self.integer_deltas = integer_deltas
         self._sites = [maker, *retailers]
 
     def _signed_cap(self, site: str) -> tuple[float, float]:
@@ -158,17 +156,13 @@ class PaperWorkload(WorkloadGenerator):
 
     def _delta(self, site: str) -> float:
         cap, sign = self._signed_cap(site)
-        if self.integer_deltas:
-            cap_int = max(1, int(math.floor(cap)))
-            magnitude = float(self.rng.integers(1, cap_int + 1))
-        else:
-            magnitude = float(self.rng.uniform(0.0, cap))
-        return sign * magnitude
+        cap_int = max(1, int(math.floor(cap)))
+        return sign * float(self.rng.integers(1, cap_int + 1))
 
     def events(self, n: int) -> Iterator[WorkloadEvent]:
-        """Yield the first ``n`` events. A round-robin stream of integral
-        deltas is drawn in one block at the first event: a caller drawing
-        from the same ``rng`` between events needs :meth:`events_scalar`."""
+        """Yield the first ``n`` events. A round-robin stream is drawn in
+        one block at the first event: a caller drawing from the same
+        ``rng`` between events needs :meth:`events_scalar`."""
         if self._drawn_in_blocks:
             return self._events_block(n)
         return self.events_scalar(n)
@@ -180,7 +174,7 @@ class PaperWorkload(WorkloadGenerator):
 
     @property
     def _drawn_in_blocks(self) -> bool:
-        return self.site_order == "roundrobin" and self.integer_deltas
+        return self.site_order == "roundrobin"
 
     def events_scalar(self, n: int) -> Iterator[WorkloadEvent]:
         """The stream drawn one variate at a time, each when it is used."""
@@ -313,7 +307,6 @@ class TopologyWorkload(WorkloadGenerator):
         mix: Optional[Mapping[str, float]] = None,
         increase_fraction: float = 0.20,
         decrease_fraction: float = 0.10,
-        integer_deltas: bool = True,
     ) -> None:
         if not 0.0 < maker_share < 1.0:
             raise ValueError(f"maker_share {maker_share} not in (0, 1)")
@@ -326,7 +319,6 @@ class TopologyWorkload(WorkloadGenerator):
         self.maker_share = maker_share
         self.increase_fraction = increase_fraction
         self.decrease_fraction = decrease_fraction
-        self.integer_deltas = integer_deltas
         self.maker = topology.maker
         # A leaf with an empty interest slice (more leaves than item
         # assignments) replicates nothing and so can issue no updates.
@@ -372,10 +364,7 @@ class TopologyWorkload(WorkloadGenerator):
         return sampler
 
     def _magnitude(self, fraction: float) -> float:
-        if self.integer_deltas:
-            bound = self._bound(fraction)
-            return float(self.rng.integers(1, bound + 1))
-        return float(self.rng.uniform(0.0, self.initial_stock * fraction))
+        return float(self.rng.integers(1, self._bound(fraction) + 1))
 
     def _bound(self, fraction: float) -> int:
         """``integers(1, bound + 1)`` draws a magnitude (no variate at 1)."""
@@ -403,9 +392,8 @@ class TopologyWorkload(WorkloadGenerator):
     @property
     def _drawn_in_chunks(self) -> bool:
         return (
-            self.integer_deltas
             # numpy draws wider bounds from whole words
-            and max(self._bounds()) <= 0xFFFFFFFF
+            max(self._bounds()) <= 0xFFFFFFFF
             and self.rng.bit_generator.state["bit_generator"] == "PCG64"
         )
 

@@ -51,6 +51,19 @@ class TestCatalog:
         with pytest.raises(ValueError):
             ProductCatalog().add(Product("x", ProductClass.REGULAR, -1.0))
 
+    def test_fractional_stock_rejected(self):
+        """Stock is a whole number of units; a fractional initial stock
+        fails the whole batch."""
+        cat = ProductCatalog()
+        with pytest.raises(ValueError, match="whole number"):
+            cat.add_many([
+                Product("x", ProductClass.REGULAR, 10.0),
+                Product("y", ProductClass.REGULAR, 12.5),
+            ])
+        assert len(cat) == 0
+        with pytest.raises(ValueError, match="whole number"):
+            build_paper_system(n_items=2, initial_stock=0.5)
+
 
 class TestConfig:
     def test_site_names_and_roles(self):
@@ -98,11 +111,6 @@ class TestSplitVolume:
     def test_weighted(self):
         shares = split_volume(100, {"a": 3, "b": 1}, ["a", "b"])
         assert shares == {"a": 75.0, "b": 25.0}
-
-    def test_fractional_total(self):
-        shares = split_volume(1.5, {"a": 1, "b": 2}, ["a", "b"])
-        assert shares["a"] == pytest.approx(0.5)
-        assert shares["b"] == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import build_paper_system
 from repro.core import (
+    InvalidVolume,
     UpdateKind,
     UpdateOutcome,
     assurance_report,
@@ -69,6 +70,35 @@ class TestAccelerator:
         system.run()
         assert proc.ok and proc.value.outcome is UpdateOutcome.FAILED
         assert system.env.owned("site1") == []
+
+    def test_fractional_delta_rejected_before_any_state_moves(self):
+        """A volume is a whole number of units: a fractional delta
+        raises at once, on the delay and the immediate path alike, and
+        leaves every table, the ledger and the request ids as they were."""
+        system = build_paper_system(
+            n_items=2, initial_stock=50.0, regular_fraction=0.5
+        )
+        accel = system.site("site1").accelerator
+        ledger = system.collector.ledger
+
+        def state():
+            return (
+                {name: (list(site.store.items()), list(site.av_table.items()))
+                 for name, site in sorted(system.sites.items())},
+                [(item, ledger.true_value(item)) for item in ledger.items()],
+                len(system.collector.results),
+                accel.updates_started,
+            )
+
+        before = state()
+        for item in ("item0", "item1"):  # delay, immediate
+            with pytest.raises(InvalidVolume):
+                system.update("site1", item, 0.5)
+        system.run()
+        assert state() == before
+        done = system.update("site1", "item0", -1.0)
+        system.run()
+        assert done.value.request.request_id == 1
 
     def test_repr(self):
         system = build_paper_system(n_items=1, initial_stock=50.0)

@@ -182,9 +182,6 @@ class TestPolicies:
         assert p.grant_amount(1.0, 5.0) == 1.0  # never livelocks at 1
         assert p.grant_amount(0.0, 5.0) == 0.0
 
-    def test_soda99_fractional_half(self):
-        assert Soda99Policy().grant_amount(5.5, 1.0) == 2.75
-
     def test_grant_all(self):
         p = GrantAllPolicy()
         assert p.grant_amount(40.0, 5.0) == 40.0

@@ -432,3 +432,36 @@ def test_crash_mid_demotion_clears_the_inflight_entry():
     base.crash()
     assert ctl._demote_inflight == set()
     assert not base.accelerator.av_table.defined("item0")
+
+
+def test_base_crashed_while_degraded_repromotes_after_restart():
+    """The controller is durable state: a base that crashes while
+    DEGRADED, with an item demoted, still owes the re-promotion after
+    its restart, and the settle pays it."""
+    from repro.analysis.end_state import end_state
+    from repro.workload.driver import heal_and_settle
+
+    config = paper_config(
+        seed=0, n_items=2, regular_fraction=0.0, initial_stock=500.0,
+        overload=OverloadParams(),
+    )
+    system = DistributedSystem.build(config)
+    base = system.sites[config.maker]
+    ctl = base.accelerator.overload
+    ctl._transition(DegradationState.STRAINED, 0.0)
+    ctl._transition(DegradationState.DEGRADED, 0.0)
+    ctl._demote_inflight.add("item0")
+    system.env.process(ctl._demote("item0"), owner=base.name)
+    system.run()
+    assert ctl.demoted_items == ("item0",)
+    assert base.accelerator.av_table.defined("item0")
+
+    base.crash()
+    assert ctl.state is DegradationState.DEGRADED
+    heal_and_settle(system, [], settle=1.0)
+
+    assert ctl.state is DegradationState.NORMAL
+    assert ctl.demoted_items == ()
+    assert not base.accelerator.av_table.defined("item0")
+    # no oracle.overload-demoted, nor any other finding
+    assert end_state(system, quiescent=True) == []

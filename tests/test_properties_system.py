@@ -47,7 +47,7 @@ def test_delay_invariants_hold_for_any_workload(ops):
     # decrements == initial pool + committed mints.
     for item in ("item0", "item1"):
         true_value = system.collector.ledger.true_value(item)
-        assert system.av_total(item) <= true_value + 1e-9
+        assert system.av_total(item) <= true_value
         assert true_value >= 0
 
 

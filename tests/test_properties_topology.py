@@ -163,9 +163,8 @@ class TestMultiLevelConservation:
         # AV (leaves + aggregator pools + the maker) never exceeds the
         # ledger headroom — pool refills move volume, never mint it.
         ledger = system.collector.ledger
-        eps = 1e-6
         for item in ledger.items():
-            assert system.av_total(item) <= ledger.true_value(item) + eps, (
+            assert system.av_total(item) <= ledger.true_value(item), (
                 f"{spec}: AV for {item!r} exceeds ground truth"
             )
         system.check_invariants()
@@ -395,7 +394,7 @@ def reference_sites_for(specs, interest):
 def reference_bootstrap(sites, catalog, ledger, sites_for, av_fraction,
                         av_weights):
     """The per-item bootstrap: one ``insert``, ``define`` and ``seed``
-    per (site, item), a deal built once per (pool, interest set)."""
+    per (site, item), a deal built once per (stock, interest set)."""
     weights = av_weights if av_weights is not None else {n: 1.0 for n in sites}
     deals = {}
     for product in catalog:
@@ -405,10 +404,8 @@ def reference_bootstrap(sites, catalog, ledger, sites_for, av_fraction,
             sites[name].store.insert(product.item, product.initial_stock)
         if not product.regular:
             continue
-        pool = product.initial_stock * av_fraction
-        if float(product.initial_stock).is_integer():
-            pool = float(math.floor(pool))
-        key = (pool, interested)
+        pool = float(math.floor(product.initial_stock * av_fraction))
+        key = (product.initial_stock, interested)
         if key not in deals:
             shares = split_volume(pool, weights, interested)
             deals[key] = (
@@ -470,7 +467,7 @@ class TestSetUpIsTheReference:
         topo_spec=topologies(),
         weighted=st.booleans(),
         regular_fraction=st.sampled_from([1.0, 0.75, 0.3, 0.0]),
-        initial_stock=st.sampled_from([100.0, 7.0, 12.5, 0.0]),
+        initial_stock=st.sampled_from([100.0, 7.0, 13.0, 0.0]),
         av_fraction=st.sampled_from([1.0, 0.6]),
         data=st.data(),
     )

@@ -49,12 +49,8 @@ class TestPaperWorkload:
         assert max(deltas_maker) > 20  # cap now 50
         assert min(deltas_ret) >= -2
 
-    def test_integer_deltas_default(self):
+    def test_deltas_are_whole_units(self):
         assert all(float(e.delta).is_integer() for e in make_paper().events(50))
-
-    def test_float_deltas_option(self):
-        gen = make_paper(integer_deltas=False)
-        assert any(not float(e.delta).is_integer() for e in gen.events(50))
 
     def test_random_site_order(self):
         gen = make_paper(site_order="random", rng=np.random.default_rng(1))
@@ -101,10 +97,9 @@ class TestPaperWorkload:
         assert block.rng.integers(1 << 30) == reference.rng.integers(1 << 30)
 
     def test_scalar_path_kept_where_bounds_depend_on_draws(self):
-        for kw in ({"site_order": "random"}, {"integer_deltas": False}):
-            a = make_paper(rng=np.random.default_rng(5), **kw)
-            b = make_paper(rng=np.random.default_rng(5), **kw)
-            assert list(a.events(40)) == list(b.events_scalar(40))
+        a = make_paper(rng=np.random.default_rng(5), site_order="random")
+        b = make_paper(rng=np.random.default_rng(5), site_order="random")
+        assert list(a.events(40)) == list(b.events_scalar(40))
 
     def test_validation(self):
         with pytest.raises(ValueError):
